@@ -11,6 +11,7 @@ from .errors import (
     DegeneratePolytope,
     DimensionMismatch,
     InfeasibleTau,
+    InvariantViolation,
     NonPrimitive,
     NotAmple,
     NotBig,

@@ -103,6 +103,20 @@ class ValidationProblem(Exception):
     """Problem-file or fan validation failure; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad command-line arguments are validation problems, not usage exits."""
+
+    def error(self, message: str):
+        raise ValidationProblem(f"{self.prog}: {message}")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
@@ -496,7 +510,7 @@ def cmd_report(args) -> int:
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricstab",
         description="Exact stability thresholds and test-curve functionals "
         "of polarized toric surfaces and threefolds.",
@@ -525,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="candidate search for the stability threshold")
     common(p)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=positive_int, default=2)
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("curve", help="radial functionals of an extended curve")
@@ -544,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="inequality report over named directions")
     common(p)
     p.add_argument("--directions", required=True, help="comma-separated divisor names")
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=positive_int, default=2)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -553,8 +567,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("TORICSTAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ValidationProblem as exc:
         json.dump({"error": "validation", "message": str(exc)}, sys.stderr)

@@ -73,3 +73,7 @@ class OutOfRange(ToricStabError):
 
 class NotBigOnUnitInterval(ToricStabError):
     """The one-parameter family degenerates before parameter 1."""
+
+
+class InvariantViolation(ToricStabError):
+    """An internal cross-check of two exact routes failed; a library defect."""

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfeasibleTau, NotAmple, NotMonotone, ZeroVector
-from .geometry import Halfspace, LatticeVector, dot, parametric_family
+from .errors import InfeasibleTau, InvariantViolation, NotAmple, NotMonotone, ZeroVector
+from .geometry import Halfspace, LatticeVector, ParametricPolytope, dot, parametric_family
 from .toric import Fan, ToricDivisor, is_ample, polytope_of
 from .volume_fn import PiecewisePolynomial, family_volume_curve
 
@@ -61,11 +61,8 @@ class DHMeasure:
         return total
 
 
-def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePolynomial:
-    """Exact tau -> n! * volume{x in P_L : <x,u> - min <.,u> >= tau}.
-
-    Non-increasing from vol(L) at 0 down to 0 at the width of P_L against u.
-    """
+def filtration_family(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> ParametricPolytope:
+    """The slices {x in P_L : <x,u> - min <.,u> >= tau} as a family in tau from 0."""
     if all(a == 0 for a in u):
         raise ZeroVector("filtration direction must be nonzero")
     if not is_ample(fan, l):
@@ -80,9 +77,18 @@ def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePo
     if hi == lo:
         raise ZeroVector("direction is constant on the section polytope")
     family = parametric_family(halfspaces, rates, start=Fraction(0))
-    assert family.t_max == hi - lo
+    if family.t_max != hi - lo:
+        raise InvariantViolation(f"slice family ends at {family.t_max}, width is {hi - lo}")
+    return family
+
+
+def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePolynomial:
+    """Exact tau -> n! * volume{x in P_L : <x,u> - min <.,u> >= tau}.
+
+    Non-increasing from vol(L) at 0 down to 0 at the width of P_L against u.
+    """
     n = fan.dimension
-    return family_volume_curve(family, Fraction(math.factorial(n)), n)
+    return family_volume_curve(filtration_family(fan, l, u), Fraction(math.factorial(n)), n)
 
 
 def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:

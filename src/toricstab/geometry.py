@@ -645,6 +645,19 @@ class ParametricPolytope:
     def polytope_at(self, t) -> Polytope:
         return Polytope.from_halfspaces([hs.at(t) for hs in self.halfspaces])
 
+    def polytope_on(self, chamber: Chamber, t) -> Polytope:
+        """P_t for t in `chamber`, with its vertices read off the chamber's paths.
+
+        Every active path is a basic solution feasible on the whole chamber,
+        so no vertex enumeration is needed; the family is bounded at every t
+        because it is bounded at its start.
+        """
+        return Polytope(
+            _dedupe_halfspaces([hs.at(t) for hs in self.halfspaces]),
+            tuple(sorted({path.at(t) for path in chamber.paths})),
+            self.dimension,
+        )
+
     def chamber_at(self, t) -> Chamber:
         t = Fraction(t)
         for ch in self.chambers:

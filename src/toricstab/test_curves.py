@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutOfRange, RangeTooShort
-from .geometry import dot
+from .errors import InvariantViolation, OutOfRange, RangeTooShort
+from .geometry import Chamber, dot
 from .toric import (
     Fan,
     ToricDivisor,
@@ -167,7 +167,7 @@ def _curve_chambers(
                 total_mid = d.coeffs[i] * mid + nc0 + nc1 * mid
                 if total_mid > 0:
                     red.append(i)
-            sub = _SubChamber(lo, hi, chamber.paths)
+            sub = Chamber(lo, hi, chamber.paths)
             mass = chamber_volume_polynomial(family, sub, n).scale(math.factorial(n))
             chambers.append(
                 CurveChamber(
@@ -180,17 +180,6 @@ def _curve_chambers(
                 )
             )
     return tuple(chambers), family.t_max
-
-
-@dataclass(frozen=True)
-class _SubChamber:
-    lo: Fraction
-    hi: Fraction
-    paths: tuple
-
-    def sample_points(self, count: int) -> list[Fraction]:
-        width = self.hi - self.lo
-        return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
 
 
 def extended_curve(
@@ -208,7 +197,8 @@ def extended_curve(
     # volume_curve performs the polarization/effectivity checks
     _curve, tau_plus = volume_curve(fan, l, d)
     chambers, t_max = _curve_chambers(fan, l, d)
-    assert t_max == tau_plus
+    if t_max != tau_plus:
+        raise InvariantViolation(f"curve chambers end at {t_max}, volume curve at {tau_plus}")
     return TestCurve(
         model=fan,
         l=l,

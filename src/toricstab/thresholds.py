@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotAmple, NotBigOnUnitInterval, ZeroDivisor, ZeroVector
+from .errors import InvariantViolation, NotAmple, NotBigOnUnitInterval, ZeroDivisor, ZeroVector
 from .filtrations import filtration_curve
 from .geometry import is_primitive, linear_stats
 from .toric import (
@@ -48,7 +48,7 @@ def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
 
     Computed both as the slice-curve integral and as mean - min of the
     support pairing over the section polytope; the two exact routes must
-    agree.
+    agree, and InvariantViolation is raised when they do not.
     """
     if all(a == 0 for a in u):
         raise ZeroVector("direction must be nonzero")
@@ -60,7 +60,11 @@ def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
     curve = filtration_curve(fan, l, u)
     v = big_volume(fan, l)
     integral_route = curve.integrate() / v
-    assert stats_route == integral_route, "the two S routes must agree exactly"
+    if stats_route != integral_route:
+        raise InvariantViolation(
+            f"S routes disagree along u={tuple(u)}: {stats_route} by linear stats, "
+            f"{integral_route} by the slice curve"
+        )
     return stats_route
 
 

@@ -14,12 +14,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotAmple, NotBig, NotMonotone, OutOfRange, UnboundedRegion, ZeroDivisor
+from .errors import (
+    InvariantViolation,
+    NotAmple,
+    NotBig,
+    NotMonotone,
+    OutOfRange,
+    UnboundedRegion,
+    ZeroDivisor,
+)
 from .geometry import (
     Chamber,
     Halfspace,
     ParametricPolytope,
+    det,
     parametric_family,
+    triangulation,
+    vec_sub,
     volume,
 )
 from .toric import Fan, ToricDivisor, is_ample, polytope_of, star_subdivision
@@ -373,20 +384,47 @@ def divisor_family(
     return parametric_family(halfspaces, list(d.coeffs), start=Fraction(0), stop=stop)
 
 
+def _affine_det(a: Sequence[Sequence], b: Sequence[Sequence]) -> Polynomial:
+    """t -> det(A + tB), expanded by multilinearity in the rows."""
+    coeffs = [Fraction(0)] * (len(a) + 1)
+    for pick in itertools.product((False, True), repeat=len(a)):
+        coeffs[sum(pick)] += det([rb if p else ra for ra, rb, p in zip(a, b, pick)])
+    return Polynomial(tuple(coeffs))
+
+
 def chamber_volume_polynomial(
     pp: ParametricPolytope, chamber: Chamber, degree: int
 ) -> Polynomial:
-    """Exact volume polynomial on one chamber, by sampling and interpolation.
+    """Exact volume polynomial on one chamber, from one symbolic triangulation.
 
-    The volume is genuinely polynomial of the prescribed degree inside a
-    chamber, so a fit through degree+1 interior samples is exact; one extra
-    sample is verified to catch a wrong chamber decomposition.
+    Inside a chamber every vertex follows an affine path.  The polytope at the
+    chamber midpoint is triangulated once and each simplex moves with the paths
+    of its vertices: its volume is sign * det M(t) / n!, where M(t) has the
+    affine rows v_i(t) - v_0(t) and the sign is that of det M at the midpoint.
+    The result is checked against an independent volume(P_x) at one interior
+    point x other than the midpoint, and against the degree bound; a failure
+    raises InvariantViolation.
     """
-    xs = chamber.sample_points(degree + 2)
-    ys = [volume(pp.polytope_at(x)) for x in xs]
-    poly = fit_polynomial(xs[: degree + 1], ys[: degree + 1])
-    if poly(xs[-1]) != ys[-1]:
-        raise AssertionError("volume is not polynomial on the chamber")
+    mid = chamber.midpoint()
+    path_at = {path.at(mid): path for path in chamber.paths}
+    total = Polynomial(())
+    for simplex in triangulation(pp.polytope_on(chamber, mid)):
+        try:
+            paths = [path_at[v] for v in simplex]
+        except KeyError as exc:
+            raise InvariantViolation(f"simplex vertex {exc} follows no chamber path") from None
+        p0 = paths[0]
+        simplex_det = _affine_det(
+            [vec_sub(p.base, p0.base) for p in paths[1:]],
+            [vec_sub(p.velocity, p0.velocity) for p in paths[1:]],
+        )
+        total = total + (simplex_det if simplex_det(mid) > 0 else simplex_det.scale(-1))
+    poly = total.scale(Fraction(1, math.factorial(pp.dimension)))
+    x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
+    if poly.degree > degree or poly(x) != volume(pp.polytope_at(x)):
+        raise InvariantViolation(
+            f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
+        )
     return poly
 
 
@@ -431,8 +469,9 @@ def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fractio
     """The derivative pairing (1/n) d/ds vol(M + s L') at s = 0+.
 
     Exact: the volume is a polynomial of degree <= n on the first chamber of
-    the family s -> M + sL', so a fit anchored at s = 0 reads the one-sided
-    derivative off symbolically.
+    the family s -> M + sL'.  That polynomial is the symbolic
+    chamber_volume_polynomial, with its one independent sample check, and
+    the one-sided derivative is read off it at s = 0.
     """
     if big_volume(fan, m) == 0:
         raise NotBig("positive pairing needs a big base divisor")
@@ -440,12 +479,7 @@ def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fractio
     halfspaces = [Halfspace(u, a) for u, a in zip(fan.rays, m.coeffs)]
     rates = [-c for c in lprime.coeffs]
     pp = parametric_family(halfspaces, rates, start=Fraction(0), stop=Fraction(1))
-    first = pp.chambers[0]
-    xs = [Fraction(0)] + first.sample_points(n + 1)
-    ys = [volume(pp.polytope_at(x)) for x in xs]
-    poly = fit_polynomial(xs[: n + 1], ys[: n + 1])
-    if poly(xs[-1]) != ys[-1]:
-        raise AssertionError("volume is not polynomial on the first chamber")
+    poly = chamber_volume_polynomial(pp, pp.chambers[0], n)
     return math.factorial(n) * poly.derivative()(Fraction(0)) / n
 
 

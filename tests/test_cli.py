@@ -199,3 +199,17 @@ def test_rational_coefficients_parse(capsys, problems_dir):
     assert code == 0
     payload = json.loads(out)
     assert payload["tau_plus"] == "4"
+
+
+def test_bad_radius_exit_2(capsys, problems_dir):
+    for argv in (
+        ["delta", str(problems_dir / "f1.json"), "--radius", "0"],
+        ["delta", str(problems_dir / "f1.json"), "--radius=-1"],
+        ["report", str(problems_dir / "f1.json"), "--directions", "E", "--radius", "0"],
+    ):
+        code, out, err = run(capsys, *argv, "--jobs", "1")
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert "--radius: must be at least 1" in payload["message"]

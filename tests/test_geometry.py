@@ -256,3 +256,11 @@ def test_parametric_volume_is_polynomial_per_chamber():
             ys = [volume(family.polytope_at(x)) for x in xs]
             fit = fit_polynomial(xs[:3], ys[:3])
             assert all(fit(x) == y for x, y in zip(xs, ys))
+
+
+def test_polytope_on_chamber_matches_vertex_enumeration():
+    for rates in ([1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 2]):
+        family = parametric_family(F1_QUAD, rates)
+        for ch in family.chambers:
+            for t in ch.sample_points(3):
+                assert family.polytope_on(ch, t) == family.polytope_at(t)

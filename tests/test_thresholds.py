@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +22,9 @@ from toricstab import (
     s_invariant,
     star_subdivision,
 )
-from toricstab.errors import NotBigOnUnitInterval, ZeroDivisor, ZeroVector
+from toricstab import thresholds
+from toricstab.cli import main
+from toricstab.errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor, ZeroVector
 from toricstab.thresholds import primitive_candidates
 
 
@@ -184,3 +191,46 @@ def test_inequality_report_empty_directions(p2):
     assert report.delta_estimate == 1
     assert report.directions == ()
     assert report.verdicts == ()
+
+
+# ---- the two-route S cross-check -------------------------------------------
+
+# Shifts the linear-stats mean by one, so the two S routes disagree.
+SKEW_LINEAR_STATS = """
+from toricstab import thresholds
+_real = thresholds.linear_stats
+
+def _skewed(p, u):
+    lo, mean, hi = _real(p, u)
+    return lo, mean + 1, hi
+
+thresholds.linear_stats = _skewed
+"""
+
+
+def test_s_route_disagreement_raises(monkeypatch, p2, capsys, problems_dir):
+    namespace: dict = {}
+    exec(SKEW_LINEAR_STATS, namespace)
+    monkeypatch.setattr(thresholds, "linear_stats", namespace["_skewed"])
+    with pytest.raises(InvariantViolation):
+        s_invariant(p2, anticanonical(p2), (1, 0))
+    code = main(["delta", str(problems_dir / "p2.json"), "--radius", "1", "--jobs", "1"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
+
+
+def test_s_route_disagreement_survives_optimize(problems_dir):
+    script = SKEW_LINEAR_STATS + (
+        "from toricstab.cli import main\n"
+        f"raise SystemExit(main(['delta', {str(problems_dir / 'p2.json')!r}, "
+        "'--radius', '1', '--jobs', '1']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 3, result.stderr
+    assert json.loads(result.stderr)["error"] == "InvariantViolation"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -20,9 +21,15 @@ from toricstab import (
     zariski_decompose,
     zero_divisor,
 )
-from toricstab.errors import NotAmple, NotBig, ZeroDivisor
+from toricstab import volume_fn
+from toricstab.errors import InvariantViolation, NotAmple, NotBig, ZeroDivisor
+from toricstab.filtrations import filtration_family
+from toricstab.geometry import Chamber, Halfspace, parametric_family, volume
+from toricstab.thresholds import primitive_candidates
 from toricstab.volume_fn import (
+    chamber_volume_polynomial,
     count_roots,
+    divisor_family,
     fit_polynomial,
     nonneg_on_interval,
     squarefree_decomposition,
@@ -201,3 +208,76 @@ def test_stabilized_volume(p2):
     assert stabilized_volume(p2, three_h, h, []) == [4]
     values = stabilized_volume(p2, anticanonical(p2), h, [(1, 1), (1, 2)])
     assert values == [4, 4, 4]
+
+
+# ---- the sampled route as an independent oracle ----------------------------
+
+def _oracle_models(surfaces, p3):
+    """(model, filtration-direction radius) pairs for the oracle tests."""
+    blp3, _pull, _k_rel = star_subdivision(p3, (1, 1, 1))
+    return [
+        (surfaces["f1"], 2),
+        (surfaces["p1xp1"], 2),
+        (p3, 1),
+        (blp3, 1),
+    ]
+
+
+def _oracle_families(surfaces, p3):
+    """Filtration families along every candidate direction, then seeded effective ones."""
+    rng = random.Random(41)
+    for fan, radius in _oracle_models(surfaces, p3):
+        k = anticanonical(fan)
+        for u in primitive_candidates(fan.dimension, radius):
+            yield filtration_family(fan, k, u)
+        for _ in range(6):
+            d = divisor(fan, [rng.choice([0, 1, 2]) for _ in fan.rays])
+            if not d.is_zero:
+                yield divisor_family(fan, k.scale(rng.randint(1, 2)), d)
+
+
+def _sampled_chamber_polynomial(pp, chamber, degree):
+    xs = chamber.sample_points(degree + 1)
+    return fit_polynomial(xs, [volume(pp.polytope_at(x)) for x in xs])
+
+
+def test_symbolic_chamber_volumes_match_sampled_fit(surfaces, p3):
+    chambers = 0
+    for pp in _oracle_families(surfaces, p3):
+        for chamber in pp.chambers:
+            assert chamber_volume_polynomial(
+                pp, chamber, pp.dimension
+            ) == _sampled_chamber_polynomial(pp, chamber, pp.dimension)
+            chambers += 1
+    assert chambers > 200
+
+
+def test_positive_pairing_matches_sampled_derivative(surfaces, p3):
+    rng = random.Random(43)
+    for fan, _radius in _oracle_models(surfaces, p3):
+        n = fan.dimension
+        k = anticanonical(fan)
+        for _ in range(4):
+            m = k.scale(rng.randint(1, 2)) + divisor(
+                fan, [rng.choice([0, 1]) for _ in fan.rays]
+            )
+            lprime = divisor(fan, [rng.choice([-1, 0, 1, 2]) for _ in fan.rays])
+            rays = [Halfspace(u, a) for u, a in zip(fan.rays, m.coeffs)]
+            pp = parametric_family(
+                rays, [-c for c in lprime.coeffs], start=Q(0), stop=Q(1)
+            )
+            xs = [Q(0)] + pp.chambers[0].sample_points(n)
+            fit = fit_polynomial(xs, [volume(pp.polytope_at(x)) for x in xs])
+            sampled = math.factorial(n) * fit.derivative()(0) / n
+            assert positive_pairing(fan, m, lprime) == sampled
+
+
+def test_chamber_volume_check_raises(f1, monkeypatch):
+    pp = divisor_family(f1, anticanonical(f1), ray_divisor(f1, 0))
+    first, second = pp.chambers
+    with pytest.raises(InvariantViolation, match="not the symbolic polynomial"):
+        chamber_volume_polynomial(pp, Chamber(second.lo, second.hi, first.paths), 2)
+    foreign = ((Q(9), Q(9)), (Q(9), Q(10)), (Q(10), Q(9)))
+    monkeypatch.setattr(volume_fn, "triangulation", lambda _p: (foreign,))
+    with pytest.raises(InvariantViolation, match="follows no chamber path"):
+        chamber_volume_polynomial(pp, first, 2)
