@@ -21,12 +21,13 @@ from typing import Sequence
 import jsonschema
 
 from . import __version__
-from .errors import ToricStabError
+from .errors import DimensionMismatch, ToricStabError
 from .filtrations import DHMeasure, dh_measure, energy_from_dh, filtration_curve
 from .test_curves import curve_summary, extended_curve
 from .thresholds import ThresholdReport, delta_search, inequality_report
 from .toric import (
     Fan,
+    FanDiagnostics,
     ToricDivisor,
     anticanonical,
     divisor,
@@ -91,7 +92,7 @@ PROBLEM_SCHEMA = {
             "items": {
                 "oneOf": [
                     {"type": "integer"},
-                    {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
+                    {"type": "string", "pattern": "^-?[0-9]+(/0*[1-9][0-9]*)?$"},
                 ]
             },
         }
@@ -115,6 +116,15 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def lattice_vector(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def parse_rational(text) -> Fraction:
@@ -144,17 +154,7 @@ class ProblemFile:
 
     @classmethod
     def load(cls, path: str) -> "ProblemFile":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationProblem(f"cannot read problem file: {exc}") from exc
-        try:
-            jsonschema.validate(raw, PROBLEM_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ValidationProblem(f"problem file does not match schema: {exc.message}") from exc
-        fan = Fan.make(raw["fan"]["rays"], raw["fan"]["cones"])
-        diagnostics = validate_fan(fan)
+        raw, fan, diagnostics = read_problem(path)
         if not diagnostics.ok:
             raise ValidationProblem(
                 "fan is invalid: " + "; ".join(diagnostics.messages)
@@ -169,6 +169,11 @@ class ProblemFile:
         }
         k_rel = zero_divisor(fan)
         for center in raw.get("refinements", []):
+            if len(center) != fan.dimension:
+                raise ValidationProblem(
+                    f"refinement {center} has {len(center)} coordinates; "
+                    f"the fan has dimension {fan.dimension}"
+                )
             fan2, pull, new_k = star_subdivision(fan, tuple(center))
             polarization = pull(polarization)
             named = {name: pull(d) for name, d in named.items()}
@@ -189,6 +194,29 @@ class ProblemFile:
                 f"unknown divisor {name!r}; available: {sorted(self.divisors)}"
             )
         return self.divisors[name]
+
+
+def read_problem(path: str) -> tuple[dict, Fan, FanDiagnostics]:
+    """The JSON of a problem file, its unrefined fan and the fan's diagnostics.
+
+    An unreadable file, a schema violation and rays or cones that make no fan
+    raise ValidationProblem; a fan that is built but invalid is reported only
+    by its diagnostics.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationProblem(f"cannot read problem file: {exc}") from exc
+    try:
+        jsonschema.validate(raw, PROBLEM_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ValidationProblem(f"problem file does not match schema: {exc.message}") from exc
+    try:
+        fan = Fan.make(raw["fan"]["rays"], raw["fan"]["cones"])
+    except (ValueError, DimensionMismatch) as exc:
+        raise ValidationProblem(f"fan is malformed: {exc}") from exc
+    return raw, fan, validate_fan(fan)
 
 
 def _coeff_divisor(fan: Fan, coeffs: Sequence) -> ToricDivisor:
@@ -335,16 +363,7 @@ def curve_svg(curve: PiecewisePolynomial, title: str, samples_per_piece: int = 2
 # --------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        jsonschema.validate(raw, PROBLEM_SCHEMA)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationProblem(f"cannot read problem file: {exc}") from exc
-    except jsonschema.ValidationError as exc:
-        raise ValidationProblem(f"problem file does not match schema: {exc.message}") from exc
-    fan = Fan.make(raw["fan"]["rays"], raw["fan"]["cones"])
-    diagnostics = validate_fan(fan)
+    _raw, _fan, diagnostics = read_problem(args.problem)
     payload = {
         "complete": diagnostics.is_complete,
         "smooth": diagnostics.is_smooth,
@@ -450,7 +469,11 @@ def cmd_curve(args) -> int:
 
 def cmd_dh(args) -> int:
     problem = ProblemFile.load(args.problem)
-    u = tuple(int(part) for part in args.u.split(","))
+    u = args.u
+    if len(u) != problem.fan.dimension:
+        raise ValidationProblem(
+            f"--u has {len(u)} coordinates; the fan has dimension {problem.fan.dimension}"
+        )
     curve = filtration_curve(problem.fan, problem.polarization, u)
     v = big_volume(problem.fan, problem.polarization)
     measure = dh_measure(curve, v)
@@ -550,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dh", help="Duistermaat-Heckman measure of a lattice direction")
     common(p)
-    p.add_argument("--u", required=True, help="comma-separated lattice vector, e.g. 1,1")
+    p.add_argument("--u", type=lattice_vector, required=True,
+                   help="comma-separated lattice vector, e.g. 1,1")
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--plot", metavar="SVG", default=None)
     p.set_defaults(func=cmd_dh)

@@ -187,5 +187,6 @@ def flag_curve_value(flag: MonomialIdealData, tau, u: Sequence[int]) -> Fraction
         value = alpha_i * values[i] + alpha_j * values[j]
         if best is None or value < best:
             best = value
-    assert best is not None
+    if best is None:
+        raise InvariantViolation(f"no flag index brackets -tau = {target}")
     return -best

@@ -5,6 +5,12 @@ and one-parameter polytope families, all in exact rational arithmetic.
 Polytopes are stored in H-representation with cached vertices; inputs are
 desk-scale (dimension <= 4, a few dozen halfspaces), so every algorithm here
 prefers exhaustive enumeration over clever pivoting.
+
+All exact linear algebra (determinants, solves, ranks, kernels) runs through
+one fraction-free Gauss-Jordan elimination in integers (Bareiss), which
+divides into Fractions only once at the end.  Whether a polytope is bounded
+depends on its facet normals only, so that test is memoized on the normals
+and shared by every polytope of a family.
 """
 
 from __future__ import annotations
@@ -14,12 +20,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
     DegeneratePolytope,
     DimensionMismatch,
+    InvariantViolation,
     OutOfRange,
     UnboundedRegion,
 )
@@ -34,16 +42,16 @@ LatticeVector = tuple[int, ...]
 # --------------------------------------------------------------------------
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    s = sum(map(mul, u, v))
+    return s if type(s) is Fraction else Fraction(s)
 
 
 def vec_sub(u: Sequence, v: Sequence) -> Point:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, u: Sequence) -> Point:
-    c = Fraction(c)
-    return tuple(c * Fraction(a) for a in u)
+    return tuple(c * a for a in u)
 
 
 def content(u: Sequence[int]) -> int:
@@ -64,92 +72,93 @@ def make_primitive(u: Sequence[int]) -> LatticeVector:
     return tuple(a // g for a in u)
 
 
+def _eliminate(m: list[Sequence], ncols: int) -> tuple[list[int], int, int, int]:
+    """Fraction-free Gauss-Jordan elimination of m, in place, on its first ncols columns.
+
+    Each row is first scaled to integers by the lcm of its denominators.  Each
+    step then replaces every other row by (pivot * m[i] - m[i][col] * m[r]) // prev,
+    prev being the previous pivot; the division is exact (Bareiss), so every
+    entry stays an integer minor of the scaled matrix.  Afterwards pivot row r
+    holds the last pivot in column pivots[r] and zeros in the other pivot
+    columns, and the rows past the pivot rows vanish on the first ncols columns.
+
+    Returns the pivot columns, the last pivot (1 when there is none), the sign
+    of the row permutation and the product of the row scales.
+    """
+    scale = 1
+    for i, row in enumerate(m):
+        s = lcm(*[a.denominator for a in row])
+        m[i] = [a.numerator * (s // a.denominator) for a in row]
+        scale *= s
+    nrows = len(m)
+    pivots: list[int] = []
+    prev = 1
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, nrows) if m[i][col]), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            sign = -sign
+        top = m[r]
+        pivot = top[col]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][col]
+                m[i] = [(pivot * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = pivot
+        pivots.append(col)
+        if r + 1 == nrows:
+            break
+    return pivots, prev, sign, scale
+
+
 def det(rows: Sequence[Sequence]) -> Fraction:
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return result
+    pivots, pivot, sign, scale = _eliminate(list(rows), n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * pivot, scale)
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Point | None:
     """Solve the square system rows * x = rhs; None if singular."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
-
-
-def _row_reduce(m: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns."""
-    pivots: list[int] = []
-    row_idx = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row_idx, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row_idx], m[pivot] = m[pivot], m[row_idx]
-        inv = Fraction(1) / m[row_idx][col]
-        m[row_idx] = [a * inv for a in m[row_idx]]
-        for r in range(len(m)):
-            if r != row_idx and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row_idx])]
-        pivots.append(col)
-        row_idx += 1
-        if row_idx == len(m):
-            break
-    return pivots
+    m = [[*row, b] for row, b in zip(rows, rhs)]
+    pivots, _pivot, _sign, _scale = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    return tuple(Fraction(m[i][n], m[i][i]) for i in range(n))
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     if not rows:
         return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    return len(_row_reduce(m))
+    return len(_eliminate(list(rows), len(rows[0]))[0])
 
 
 def kernel_vector(rows: Sequence[Sequence], n: int) -> LatticeVector | None:
-    """A primitive integer spanning vector of a one-dimensional kernel, else None."""
+    """A primitive integer spanning vector of a one-dimensional kernel, else None.
+
+    The free coordinate is positive.
+    """
     if not rows:
         return None if n != 1 else (1,)
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = _row_reduce(m)
+    m = list(rows)
+    pivots, pivot, _sign, _scale = _eliminate(m, n)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
     fc = free[0]
-    x = [Fraction(0)] * n
-    x[fc] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        x[pc] = -m[r][fc]
-    denom = 1
-    for a in x:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    return make_primitive([int(a * denom) for a in x])
+    # the kernel is pivot * e_fc - sum_r m[r][fc] * e_pivots[r]; keep e_fc positive
+    s = 1 if pivot > 0 else -1
+    x = [0] * n
+    x[fc] = s * pivot
+    for row, pc in zip(m, pivots):
+        x[pc] = -s * row[fc]
+    return make_primitive(x)
 
 
 def affine_rank(points: Sequence[Point]) -> int:
@@ -168,6 +177,8 @@ def affine_rank(points: Sequence[Point]) -> int:
 # --------------------------------------------------------------------------
 
 def _as_int(a) -> int:
+    if type(a) is int:
+        return a
     f = Fraction(a)
     if f.denominator != 1:
         raise ValueError(f"halfspace normals must be integral, got {a}")
@@ -270,9 +281,13 @@ def _feasible(halfspaces: Sequence[Halfspace], dim: int) -> bool:
     return True
 
 
-def _recession_nontrivial(halfspaces: Sequence[Halfspace], dim: int) -> bool:
-    """Whether {x : <x,u_i> >= 0 for all i} contains a nonzero vector."""
-    normals = [hs.normal for hs in halfspaces]
+@lru_cache(maxsize=None)
+def _recession_nontrivial(normals: tuple[LatticeVector, ...], dim: int) -> bool:
+    """Whether {x : <x,u_i> >= 0 for all i} contains a nonzero vector.
+
+    It depends on the normals only, so every polytope of a family (one set
+    of normals, moving offsets) shares one answer.
+    """
     if matrix_rank(normals) < dim:
         return True  # a kernel direction lies in the recession cone
     if dim == 1:
@@ -312,7 +327,7 @@ def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
         if all(hs.slack(x) >= 0 for hs in halfspaces):
             found.add(x)
     if found:
-        if _recession_nontrivial(halfspaces, dim):
+        if _recession_nontrivial(tuple(hs.normal for hs in halfspaces), dim):
             raise UnboundedRegion("halfspace intersection is unbounded")
         return sorted(found)
     if _feasible(halfspaces, dim):
@@ -672,12 +687,13 @@ def _basis_paths(
     """All basic solution paths with their exact feasibility t-intervals."""
     out = []
     for subset in itertools.combinations(halfspaces, dim):
-        rows = [hs.normal for hs in subset]
-        base = solve_linear(rows, [-hs.offset for hs in subset])
-        if base is None:
+        # one elimination for both right-hand sides: base and velocity
+        m = [[*hs.normal, -hs.offset, hs.rate] for hs in subset]
+        pivots, pivot, _sign, _scale = _eliminate(m, dim)
+        if len(pivots) < dim:
             continue
-        velocity = solve_linear(rows, [hs.rate for hs in subset])
-        assert velocity is not None
+        base = tuple(Fraction(row[dim], pivot) for row in m)
+        velocity = tuple(Fraction(row[dim + 1], pivot) for row in m)
         path = VertexPath(base, velocity)
         lo: Fraction | None = None
         hi: Fraction | None = None
@@ -745,7 +761,8 @@ def parametric_family(
             raise UnboundedRegion("family remains feasible for arbitrarily large t")
         end = Fraction(stop)
     else:
-        assert t_max is not None
+        if t_max is None:
+            raise InvariantViolation("a feasible family with moving facets has no basic path")
         if t_max < start:
             raise DegeneratePolytope("family has no feasible parameters beyond start")
         end = t_max if stop is None else min(Fraction(stop), t_max)

@@ -125,7 +125,8 @@ def _curve_chambers(
     """
     n = fan.dimension
     family = divisor_family(fan, l, d)
-    assert family.t_max is not None
+    if family.t_max is None:
+        raise InvariantViolation("divisor family has no feasibility threshold")
     chambers: list[CurveChamber] = []
     for chamber in family.chambers:
         # refine at crossings of the per-ray minimizing vertex paths
@@ -153,7 +154,8 @@ def _curve_chambers(
                     val = c0 + c1 * mid
                     if best is None or val < best[0]:
                         best = (val, c0, c1)
-                assert best is not None
+                if best is None:
+                    raise InvariantViolation("curve chamber has no vertex paths")
                 pos_paths.append((-best[1], -best[2]))
             neg_paths = []
             red = []
@@ -279,7 +281,7 @@ def _pairing_polynomial(
         )
     poly = fit_polynomial(xs[:n], ys[:n])
     if poly(xs[-1]) != ys[-1]:
-        raise AssertionError("pairing is not polynomial on the chamber")
+        raise InvariantViolation("pairing is not polynomial on the chamber")
     return poly
 
 
@@ -351,7 +353,7 @@ def entropy(curve: TestCurve) -> Fraction:
         ]
         poly = fit_polynomial(xs[:n], ys[:n])
         if poly(xs[-1]) != ys[-1]:
-            raise AssertionError("entropy integrand is not polynomial on the chamber")
+            raise InvariantViolation("entropy integrand is not polynomial on the chamber")
         total += poly.integrate(ch.lo, ch.hi)
     return total
 
@@ -406,7 +408,8 @@ def g_polynomial(a, b, n: int) -> Fraction:
     )
     if b != 0:
         closed = (a**n - (a - b) ** n) / (n * b)
-        assert total == closed, "averaging polynomial forms disagree"
+        if total != closed:
+            raise InvariantViolation("averaging polynomial forms disagree")
     return total
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 from .errors import (
     AlreadyARay,
     DimensionMismatch,
+    InvariantViolation,
     NonPrimitive,
     NotNefAndNotDecomposable,
     NotPseudoEffective,
@@ -28,6 +29,7 @@ from .geometry import (
     LatticeVector,
     Point,
     Polytope,
+    _eliminate,
     content,
     det,
     dot,
@@ -185,21 +187,18 @@ class FanDiagnostics:
 def _cone_halfspaces(fan: Fan, cone: tuple[int, ...]) -> list[Halfspace] | None:
     """H-representation of a full-dimensional simplicial cone (rows of M^-1)."""
     n = fan.dimension
-    cols = fan.cone_rays(cone)
-    rows = []
-    for i in range(n):
-        unit = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        # solve M^T y = e_i gives row i of M^{-1}
-        sol = solve_linear([[cols[j][k] for k in range(n)] for j in range(n)], unit)
-        if sol is None:
-            return None
-        rows.append(sol)
+    # with the rays as rows, eliminating [M^T | I] leaves pivot * (M^-1)^T on the right
+    m = [[*ray, *(int(i == j) for i in range(n))] for j, ray in enumerate(fan.cone_rays(cone))]
+    pivots, pivot, _sign, _scale = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
     out = []
-    for row in rows:
-        denom = 1
-        for a in row:
-            denom = denom * a.denominator // gcd(denom, a.denominator)
-        out.append(Halfspace(tuple(int(a * denom) for a in row), Fraction(0)))
+    for i in range(n):
+        column = [row[n + i] for row in m]
+        # row i of M^-1 is column / pivot; clear its denominators
+        g = gcd(pivot, *column)
+        g = g if pivot > 0 else -g
+        out.append(Halfspace(tuple(c // g for c in column), Fraction(0)))
     return out
 
 
@@ -299,31 +298,14 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
 
 def _nonneg_combination(rows, target, k) -> tuple | None:
     """Solve rows * lam = target with lam >= 0, rows an n x k column system."""
-    # least-squares-free exact solve: the k columns are linearly independent here
-    m = [list(r) + [Fraction(t)] for r, t in zip(rows, target)]
-    # Gaussian elimination on an n x (k+1) system
-    pivots = []
-    row_idx = 0
-    for col in range(k):
-        pivot = next((r for r in range(row_idx, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row_idx], m[pivot] = m[pivot], m[row_idx]
-        inv = Fraction(1) / m[row_idx][col]
-        m[row_idx] = [a * inv for a in m[row_idx]]
-        for r in range(len(m)):
-            if r != row_idx and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row_idx])]
-        pivots.append(col)
-        row_idx += 1
-    lam = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        lam[col] = m[r][k]
+    m = [[*r, t] for r, t in zip(rows, target)]
+    pivots, pivot, _sign, _scale = _eliminate(m, k)
     # consistency rows
-    for r in range(row_idx, len(m)):
-        if m[r][k] != 0:
-            return None
+    if any(row[k] != 0 for row in m[len(pivots):]):
+        return None
+    lam = [Fraction(0)] * k
+    for row, col in zip(m, pivots):
+        lam[col] = Fraction(row[k], pivot)
     if any(c < 0 for c in lam):
         return None
     return tuple(lam)
@@ -374,11 +356,13 @@ def is_nef(fan: Fan, d: ToricDivisor) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def is_ample(fan: Fan, d: ToricDivisor) -> bool:
     """Polarization check: nef with a full-dimensional section polytope.
 
     This accepts big and semi-ample classes such as pullbacks of ample
     divisors, which is exactly what the one-parameter constructions need.
+    Memoized on the immutable (fan, divisor) pair, like `_polytope_cached`.
     """
     p = polytope_of(fan, d)
     return (not p.is_empty) and p.is_full_dimensional and is_nef(fan, d)
@@ -612,6 +596,8 @@ def zariski_decompose(fan: Fan, m: ToricDivisor) -> ZariskiPair:
     pos_coeffs = tuple(-p.support_min(u) for u in fan.rays)
     positive = ToricDivisor(fan, pos_coeffs)
     negative = m - positive
-    assert negative.is_effective, "Zariski negative part must be effective"
-    assert is_nef(fan, positive), "Zariski positive part must be nef"
+    if not negative.is_effective:
+        raise InvariantViolation("Zariski negative part must be effective")
+    if not is_nef(fan, positive):
+        raise InvariantViolation("Zariski positive part must be nef")
     return ZariskiPair(positive, negative)

@@ -209,7 +209,8 @@ def _divide_out_root(p: Polynomial, r) -> Polynomial:
     r = Fraction(r)
     while not p.is_zero and p.degree >= 1 and p(r) == 0:
         q, rem = p.divmod(Polynomial.of(-r, 1))
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise InvariantViolation(f"dividing out the root {r} left a remainder")
         p = q
     return p
 
@@ -243,7 +244,7 @@ def nonneg_on_interval(p: Polynomial, a, b) -> bool:
         val = p(x)
         if val != 0:
             return val > 0
-    raise AssertionError("nonzero polynomial vanished at more points than its degree")
+    raise InvariantViolation("nonzero polynomial vanished at more points than its degree")
 
 
 # --------------------------------------------------------------------------
@@ -503,5 +504,6 @@ def stabilized_volume(
         current_d = pull(current_d)
         values.append(big_volume(current_fan, current_l - current_d))
     for a, b in zip(values, values[1:]):
-        assert b <= a, "stabilized volumes must be non-increasing"
+        if b > a:
+            raise InvariantViolation(f"stabilized volumes must be non-increasing: {a} then {b}")
     return values

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +47,19 @@ def surfaces(p2, f1, p1xp1):
 @pytest.fixture(scope="session")
 def problems_dir() -> Path:
     return Path(__file__).resolve().parent.parent / "problems"
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    """Run a Python script under `python -O` (asserts stripped) against src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+
+    return run

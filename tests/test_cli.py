@@ -23,6 +23,8 @@ def test_validate_good_fan(capsys, problems_dir):
 def test_validate_bad_fan_exit_2(capsys, problems_dir):
     code, out, err = run(capsys, "validate", str(problems_dir / "bad_fan.json"), "--jobs", "1")
     assert code == 2
+    # the diagnostics table is still printed
+    assert out.splitlines()[2].split() == ["complete", "False"]
     assert "not complete" in err
     payload = json.loads(err)
     assert payload["error"] == "validation"
@@ -213,3 +215,61 @@ def test_bad_radius_exit_2(capsys, problems_dir):
         payload = json.loads(err)
         assert payload["error"] == "validation"
         assert "--radius: must be at least 1" in payload["message"]
+
+
+def assert_validation_error(code, out, err) -> dict:
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    return payload
+
+
+def test_dh_bad_u_exit_2(capsys, problems_dir):
+    path = str(problems_dir / "f1.json")
+    payload = assert_validation_error(*run(capsys, "dh", path, "--u", "a,b", "--jobs", "1"))
+    assert "expected comma-separated integers" in payload["message"]
+    # a 3-vector on a surface
+    payload = assert_validation_error(*run(capsys, "dh", path, "--u", "1,0,0", "--jobs", "1"))
+    assert "--u has 3 coordinates" in payload["message"]
+
+
+def p2_problem(tmp_path, rays=([1, 0], [0, 1], [-1, -1]),
+               cones=([0, 1], [1, 2], [2, 0]), **fields) -> str:
+    """A problem file on the fan of P^2 with a divisor H, some fields replaced."""
+    spec = {
+        "fan": {"rays": rays, "cones": cones},
+        "polarization": "anticanonical",
+        "divisors": {"H": {"coeffs": [1, 0, 0]}},
+        **fields,
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_cone_index_out_of_range_exit_2(tmp_path, capsys):
+    path = p2_problem(tmp_path, cones=[[0, 1], [1, 2], [0, 9]])
+    for command in (["validate"], ["curve", "--direction", "H"]):
+        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:], "--jobs", "1"))
+        assert "references a missing ray" in payload["message"]
+
+
+def test_zero_denominator_exit_2(tmp_path, capsys):
+    path = p2_problem(tmp_path, divisors={"H": {"coeffs": ["1/0", 0, 0]}})
+    for command in (["validate"], ["curve", "--direction", "H"]):
+        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:], "--jobs", "1"))
+        assert "schema" in payload["message"]
+
+
+def test_mixed_dimension_rays_exit_2(tmp_path, capsys):
+    path = p2_problem(tmp_path, rays=[[1, 0], [0, 1, 0], [-1, -1]])
+    for command in (["validate"], ["volume"]):
+        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:], "--jobs", "1"))
+        assert "mixed dimension" in payload["message"]
+
+
+def test_refinement_of_wrong_dimension_exit_2(tmp_path, capsys):
+    path = p2_problem(tmp_path, refinements=[[1]])
+    payload = assert_validation_error(*run(capsys, "volume", path, "--jobs", "1"))
+    assert "has 1 coordinates" in payload["message"]

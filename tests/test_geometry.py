@@ -2,24 +2,33 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricstab.errors import DegeneratePolytope, UnboundedRegion
 from toricstab.geometry import (
     Halfspace,
     Polytope,
+    det,
     hull_halfspaces,
+    kernel_vector,
     lattice_points,
     linear_stats,
+    make_primitive,
+    matrix_rank,
     minkowski_sum,
     mixed_volume,
     parametric_family,
     simplex_volume,
+    solve_linear,
     triangulation,
     vertices_of,
     volume,
 )
+from toricstab.toric import _nonneg_combination
 
 P2_TRIANGLE = [Halfspace((1, 0), 1), Halfspace((0, 1), 1), Halfspace((-1, -1), 1)]
 F1_QUAD = P2_TRIANGLE + [Halfspace((1, 1), 1)]
@@ -264,3 +273,134 @@ def test_polytope_on_chamber_matches_vertex_enumeration():
         for ch in family.chambers:
             for t in ch.sample_points(3):
                 assert family.polytope_on(ch, t) == family.polytope_at(t)
+
+
+# --------------------------------------------------------------------------
+# the fraction-free elimination against a Fraction Gauss-Jordan oracle
+# --------------------------------------------------------------------------
+
+def fraction_row_reduce(rows, ncols):
+    """Reduced row echelon form over Fraction on the first ncols columns.
+
+    Returns the reduced rows, the pivot columns and the product of the pivots
+    with the sign of the row swaps (the determinant of a square full-rank input).
+    """
+    m = [[Q(a) for a in row] for row in rows]
+    pivots = []
+    product = Q(1)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        found = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            product = -product
+        product *= m[r][col]
+        m[r] = [a / m[r][col] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots, product
+
+
+def oracle_det(rows):
+    _m, pivots, product = fraction_row_reduce(rows, len(rows))
+    return product if len(pivots) == len(rows) else Q(0)
+
+
+def oracle_solve(rows, rhs):
+    n = len(rows)
+    m, pivots, _product = fraction_row_reduce([[*r, b] for r, b in zip(rows, rhs)], n)
+    return tuple(row[n] for row in m) if len(pivots) == n else None
+
+
+def oracle_kernel(rows, n):
+    m, pivots, _product = fraction_row_reduce(rows, n)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        return None
+    x = [Q(0)] * n
+    x[free[0]] = Q(1)
+    for row, pc in zip(m, pivots):
+        x[pc] = -row[free[0]]
+    denom = lcm(*(a.denominator for a in x))
+    return make_primitive([int(a * denom) for a in x])
+
+
+def oracle_nonneg(rows, target, k):
+    m, pivots, _product = fraction_row_reduce([[*r, t] for r, t in zip(rows, target)], k)
+    if any(row[k] != 0 for row in m[len(pivots):]):
+        return None
+    lam = [Q(0)] * k
+    for row, col in zip(m, pivots):
+        lam[col] = row[k]
+    return None if any(c < 0 for c in lam) else tuple(lam)
+
+
+entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(Q, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)),
+)
+
+
+@st.composite
+def matrices(draw, nrows, ncols):
+    """Integer and rational matrices; a drawn flag makes one row depend on the others."""
+    m = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=nrows - 1))
+        weights = [draw(entries) for _ in range(nrows)]
+        m[i] = [
+            sum((w * row[j] for w, row, k in zip(weights, m, range(nrows)) if k != i), Q(0))
+            for j in range(ncols)
+        ]
+    return m
+
+
+sizes = st.integers(min_value=1, max_value=4)
+square = sizes.flatmap(lambda n: matrices(n, n))
+rectangular = st.tuples(sizes, sizes).flatmap(lambda rc: matrices(*rc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square)
+def test_det_matches_fraction_elimination(m):
+    assert det(m) == oracle_det(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square.flatmap(lambda m: st.tuples(st.just(m), matrices(1, len(m)))))
+def test_solve_linear_matches_fraction_elimination(system):
+    m, (rhs,) = system
+    assert solve_linear(m, rhs) == oracle_solve(m, rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangular)
+def test_matrix_rank_matches_fraction_elimination(m):
+    assert matrix_rank(m) == len(fraction_row_reduce(m, len(m[0]))[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangular)
+def test_kernel_vector_matches_fraction_elimination(m):
+    # exact, sign included: the free coordinate stays positive
+    assert kernel_vector(m, len(m[0])) == oracle_kernel(m, len(m[0]))
+
+
+def test_kernel_vector_keeps_free_coordinate_positive():
+    # the last pivot here is -1; the kernel must not take its sign
+    assert kernel_vector([[1, -1, 0], [0, 0, -1]], 3) == (1, 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangular.flatmap(lambda m: st.tuples(st.just(m), matrices(1, len(m)))))
+def test_nonneg_combination_matches_fraction_elimination(system):
+    m, (target,) = system
+    k = len(m[0])
+    assert _nonneg_combination(m, target, k) == oracle_nonneg(m, target, k)

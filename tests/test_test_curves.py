@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -295,3 +296,64 @@ def test_entropy_at_derivative_mechanism(p2, p2_h_curve):
         direction = h.reduced()  # A_X = 1 on the single component
         value = positive_pairing(p2, k2 - h.scale(tau), direction)
         assert entropy_at(p2_h_curve, tau) == 2 * value / 9
+
+
+# ---- self-checks under python -O -------------------------------------------
+
+# Breaks one input of each self-check in turn and records whether it raised
+# InvariantViolation; then runs the CLI with a broken fit.
+BROKEN_CHECKS = """
+import json
+from fractions import Fraction
+
+import toricstab.test_curves as tc
+import toricstab.toric as toric
+import toricstab.volume_fn as vf
+from toricstab import Fan, anticanonical, divisor, extended_curve
+from toricstab.cli import main
+from toricstab.errors import InvariantViolation
+
+p2 = Fan.make([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]])
+h = divisor(p2, [1, 0, 0])
+raised = {"debug": __debug__}
+
+
+def attempt(name, call):
+    try:
+        call()
+    except InvariantViolation:
+        raised[name] = True
+    else:
+        raised[name] = False
+
+
+real_is_nef = toric.is_nef
+toric.is_nef = lambda fan, d: False
+attempt("zariski", lambda: toric.zariski_decompose(p2, h))
+toric.is_nef = real_is_nef
+
+real_volume = vf.big_volume
+growing = iter([Fraction(1), Fraction(2)])
+vf.big_volume = lambda fan, d: next(growing)
+attempt("stabilized", lambda: vf.stabilized_volume(p2, anticanonical(p2), h, [[1, 1]]))
+vf.big_volume = real_volume
+
+curve = extended_curve(p2, anticanonical(p2), h)
+real_fit = tc.fit_polynomial
+tc.fit_polynomial = lambda xs, ys: real_fit(xs, ys) + tc.Polynomial.of(1)
+attempt("pairing", lambda: tc.alpha_energy(curve, curve.l))
+attempt("entropy", lambda: tc.entropy(curve))
+print(json.dumps(raised))
+raise SystemExit(main(["curve", PATH, "--direction", "H", "--functionals", "Ealpha",
+                       "--jobs", "1"]))
+"""
+
+
+def test_self_checks_survive_optimize(problems_dir, run_optimized):
+    script = f"PATH = {str(problems_dir / 'p2.json')!r}\n" + BROKEN_CHECKS
+    result = run_optimized(script)
+    assert json.loads(result.stdout) == {
+        "debug": False, "zariski": True, "stabilized": True, "pairing": True, "entropy": True,
+    }
+    assert result.returncode == 3, result.stderr
+    assert json.loads(result.stderr)["error"] == "InvariantViolation"

@@ -1,12 +1,8 @@
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as Q
-from pathlib import Path
 
 import pytest
 
@@ -219,18 +215,12 @@ def test_s_route_disagreement_raises(monkeypatch, p2, capsys, problems_dir):
     assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
 
 
-def test_s_route_disagreement_survives_optimize(problems_dir):
+def test_s_route_disagreement_survives_optimize(problems_dir, run_optimized):
     script = SKEW_LINEAR_STATS + (
         "from toricstab.cli import main\n"
         f"raise SystemExit(main(['delta', {str(problems_dir / 'p2.json')!r}, "
         "'--radius', '1', '--jobs', '1']))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    ))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_optimized(script)
     assert result.returncode == 3, result.stderr
     assert json.loads(result.stderr)["error"] == "InvariantViolation"
