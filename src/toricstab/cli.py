@@ -21,7 +21,7 @@ from typing import Sequence
 import jsonschema
 
 from . import __version__
-from .errors import DimensionMismatch, ToricStabError
+from .errors import AlreadyARay, DimensionMismatch, NonPrimitive, ToricStabError, ZeroVector
 from .filtrations import DHMeasure, dh_measure, energy_from_dh, filtration_curve
 from .test_curves import curve_summary, extended_curve
 from .thresholds import ThresholdReport, delta_search, inequality_report
@@ -174,7 +174,10 @@ class ProblemFile:
                     f"refinement {center} has {len(center)} coordinates; "
                     f"the fan has dimension {fan.dimension}"
                 )
-            fan2, pull, new_k = star_subdivision(fan, tuple(center))
+            try:
+                fan2, pull, new_k = star_subdivision(fan, tuple(center))
+            except (AlreadyARay, NonPrimitive, ZeroVector) as exc:
+                raise ValidationProblem(f"refinement {center}: {exc}") from None
             polarization = pull(polarization)
             named = {name: pull(d) for name, d in named.items()}
             k_rel = pull(k_rel) + new_k
@@ -544,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("problem", help="path to a problem JSON file")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
                        help="parallel candidate evaluation (default: cores)")
 
     p = sub.add_parser("validate", help="validate a problem file and its fan")

@@ -36,7 +36,12 @@ class NonPrimitive(ToricStabError):
 
 
 class NotNefAndNotDecomposable(ToricStabError):
-    """An intersection argument is not nef and no ample reference is available."""
+    """An intersection argument is not nef and no ample reference is available.
+
+    The library does not raise it: intersection numbers come from the fan's
+    intersection ring, which needs no nef arguments.  It stays for callers
+    that catch it.
+    """
 
 
 class NotPseudoEffective(ToricStabError):

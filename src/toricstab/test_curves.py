@@ -274,11 +274,7 @@ def _pairing_polynomial(
     ys = []
     for x in xs:
         p_tau = ToricDivisor(curve.model, ch.positive_at(x))
-        ys.append(
-            intersection_number(
-                curve.model, [p_tau] * (n - 1) + [alpha], ample_ref=curve.l
-            )
-        )
+        ys.append(intersection_number(curve.model, [p_tau] * (n - 1) + [alpha]))
     poly = fit_polynomial(xs[:n], ys[:n])
     if poly(xs[-1]) != ys[-1]:
         raise InvariantViolation("pairing is not polynomial on the chamber")
@@ -288,13 +284,12 @@ def _pairing_polynomial(
 def alpha_energy(curve: TestCurve, alpha: ToricDivisor) -> Fraction:
     """tau+ (alpha.L^{n-1})/V + (1/V) integral of ((alpha.P_tau^{n-1}) - (alpha.L^{n-1})).
 
-    Depends only on the class of alpha; non-nef alpha is split against L.
+    Depends only on the class of alpha, which need not be nef: every pairing
+    is an intersection number in the model's intersection ring.
     """
     n = curve.model.dimension
     v = curve.total_volume
-    base = intersection_number(
-        curve.model, [curve.l] * (n - 1) + [alpha], ample_ref=curve.l
-    )
+    base = intersection_number(curve.model, [curve.l] * (n - 1) + [alpha])
     total = curve.tau_plus * base / v
     for ch in curve.chambers:
         poly = _pairing_polynomial(curve, ch, alpha)
@@ -335,27 +330,16 @@ def entropy_at(curve: TestCurve, tau) -> Fraction:
 def entropy(curve: TestCurve) -> Fraction:
     """Chamber-wise exact integral of entropy_at over the curve domain.
 
-    The integrand per chamber equals (n/V)(P_tau^{n-1} . direction), a
-    polynomial of degree <= n-1; it is fitted from interior samples where each
-    sample is computed by the derivative pairing.
+    On a chamber the derivative pairing of entropy_at equals the intersection
+    number (n/V)(P_tau^{n-1} . (K_rel + Red)), with the chamber's reduced
+    divisor, so the integrand is the chamber's pairing polynomial scaled by n/V.
     """
     n = curve.model.dimension
-    v = curve.total_volume
     total = Fraction(0)
     for ch in curve.chambers:
-        direction = _entropy_direction(curve, ch)
-        xs = ch.sample_points(n + 1)
-        ys = [
-            n
-            * positive_pairing(curve.model, curve.l - curve.d.scale(x), direction)
-            / v
-            for x in xs
-        ]
-        poly = fit_polynomial(xs[:n], ys[:n])
-        if poly(xs[-1]) != ys[-1]:
-            raise InvariantViolation("entropy integrand is not polynomial on the chamber")
+        poly = _pairing_polynomial(curve, ch, _entropy_direction(curve, ch))
         total += poly.integrate(ch.lo, ch.hi)
-    return total
+    return n * total / curve.total_volume
 
 
 def ricci_energy(curve: TestCurve) -> Fraction:
@@ -418,13 +402,12 @@ def g_pairing(
     a: ToricDivisor,
     b: ToricDivisor,
     against: ToricDivisor,
-    ample_ref: ToricDivisor | None = None,
 ) -> Fraction:
     """Multilinear divisor form: sum_j (1/(j+1)) C(n-1,j) (-1)^j (a^{n-1-j} . b^j . against)."""
     n = fan.dimension
     total = Fraction(0)
     for j in range(n):
         classes = [a] * (n - 1 - j) + [b] * j + [against]
-        value = intersection_number(fan, classes, ample_ref=ample_ref)
+        value = intersection_number(fan, classes)
         total += Fraction(math.comb(n - 1, j), j + 1) * (-1) ** j * value
     return total

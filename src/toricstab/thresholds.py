@@ -190,10 +190,8 @@ def delta_prime_quotient(
     denominator = v * jtilde(truncated)
     numerator = Fraction(0)
     if not k_rel.is_zero:
-        numerator += intersection_number(
-            fan, [k_rel] + [-d] * (n - 1), ample_ref=l
-        )
-    numerator += n * g_pairing(fan, l, d, d.reduced(), ample_ref=l)
+        numerator += intersection_number(fan, [k_rel] + [-d] * (n - 1))
+    numerator += n * g_pairing(fan, l, d, d.reduced())
     return numerator / denominator
 
 

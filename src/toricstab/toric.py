@@ -1,9 +1,10 @@
 """Fans, toric divisors, log discrepancies, star subdivisions, intersections.
 
 All varieties are given by complete simplicial fans in N = Z^n.  Divisors are
-rational coefficient vectors indexed by rays; nef divisors pair through mixed
-volumes of their section polytopes, and non-nef arguments are split as
-differences of nef classes against an ample reference.
+rational coefficient vectors indexed by rays.  Intersection numbers of any n
+divisors, nef or not, come from the fan's intersection ring (Fulton,
+Introduction to Toric Varieties, 5.1): products of ray divisors read off the
+cones, with repeated rays removed by linear equivalence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NonPrimitive,
-    NotNefAndNotDecomposable,
     NotPseudoEffective,
     ZeroVector,
 )
@@ -36,7 +36,6 @@ from .geometry import (
     is_primitive,
     kernel_vector,
     solve_linear,
-    volume,
 )
 
 
@@ -443,79 +442,35 @@ def star_subdivision(
 # intersection numbers and Zariski decomposition
 # --------------------------------------------------------------------------
 
-def _nef_intersection(fan: Fan, divisors: Sequence[ToricDivisor]) -> Fraction:
-    """Intersection number of nef divisors by polarization over coefficient sums.
+@lru_cache(maxsize=None)
+def _ray_monomial(fan: Fan, rays: tuple[int, ...]) -> Fraction:
+    """The product D_{i_1} ... D_{i_n} of ray divisors, for a sorted multiset of indices.
 
-    Minkowski sums of section polytopes of nef divisors are section polytopes
-    of the coefficient sums, so no geometric Minkowski machinery is needed.
+    Distinct rays spanning a cone sigma give 1/|det sigma| and distinct rays in
+    no common cone give 0.  A repeated ray i of a cone sigma holding all the
+    rays is replaced by the linearly equivalent -sum_{rho not in sigma}
+    <m, u_rho> D_rho, where <m, u_i> = 1 and <m, u_j> = 0 on the other rays of
+    sigma; every term has one more distinct ray, so the recursion ends.
     """
-    n = fan.dimension
+    distinct = set(rays)
+    cone = next((c for c in fan.max_cones if distinct <= set(c)), None)
+    if cone is None:
+        return Fraction(0)
+    mult = abs(det(fan.cone_rays(cone))) if len(cone) == fan.dimension else 0
+    if mult == 0:
+        raise DimensionMismatch(f"cone {cone} is not a full-dimensional simplicial cone")
+    if len(distinct) == len(rays):
+        return 1 / mult
+    repeated = next(i for i in rays if rays.count(i) > 1)
+    m = solve_linear(fan.cone_rays(cone), [int(j == repeated) for j in cone])
+    rest = list(rays)
+    rest.remove(repeated)
     total = Fraction(0)
-    for size in range(1, n + 1):
-        sign = (-1) ** (n - size)
-        for combo in itertools.combinations(range(n), size):
-            acc = divisors[combo[0]]
-            for i in combo[1:]:
-                acc = acc + divisors[i]
-            total += sign * volume(polytope_of(fan, acc))
+    for rho, u in enumerate(fan.rays):
+        c = 0 if rho in cone else dot(m, u)
+        if c != 0:
+            total -= c * _ray_monomial(fan, tuple(sorted(rest + [rho])))
     return total
-
-
-def minimal_nef_shift(fan: Fan, d: ToricDivisor, ample_ref: ToricDivisor) -> Fraction | None:
-    """Least c >= 0 with d + c * ample_ref nef, via per-cone linearity constraints.
-
-    None when no multiple of the reference can shift d into the nef cone
-    (the reference touches the nef boundary in a direction where d is
-    negative).
-    """
-    c_min = Fraction(0)
-    for cone in fan.max_cones:
-        rows = fan.cone_rays(cone)
-        m0 = solve_linear(rows, [-d.coeffs[i] for i in cone])
-        m1 = solve_linear(rows, [-ample_ref.coeffs[i] for i in cone])
-        if m0 is None or m1 is None:
-            return None
-        for i, u in enumerate(fan.rays):
-            g0 = dot(u, m0) + d.coeffs[i]
-            g1 = dot(u, m1) + ample_ref.coeffs[i]
-            if g1 == 0:
-                if g0 < 0:
-                    return None
-                continue
-            if g1 < 0:
-                return None
-            if g0 < 0:
-                c_min = max(c_min, -g0 / g1)
-    return c_min
-
-
-def _ample_generator(fan: Fan) -> ToricDivisor | None:
-    """A strictly ample divisor on the fan, if one of the standard candidates works.
-
-    Tries the anticanonical class, then the sum of the Zariski positive parts
-    of the ray divisors (an interior point of the nef cone on the projective
-    fans handled here).
-    """
-    candidates = [anticanonical(fan)]
-    total = ToricDivisor(fan, (Fraction(0),) * len(fan.rays))
-    ok = True
-    for i in range(len(fan.rays)):
-        coeffs = [Fraction(0)] * len(fan.rays)
-        coeffs[i] = Fraction(1)
-        ray_div = ToricDivisor(fan, tuple(coeffs))
-        p = _polytope_cached(fan, ray_div.coeffs)
-        if p.is_empty:
-            ok = False
-            break
-        total = total + ToricDivisor(
-            fan, tuple(-p.support_min(u) for u in fan.rays)
-        )
-    if ok:
-        candidates.append(total)
-    for cand in candidates:
-        if is_strictly_ample(fan, cand):
-            return cand
-    return None
 
 
 def intersection_number(
@@ -523,11 +478,11 @@ def intersection_number(
     divisors: Sequence[ToricDivisor],
     ample_ref: ToricDivisor | None = None,
 ) -> Fraction:
-    """Exact intersection number of n divisor classes.
+    """Exact intersection number of n divisor classes in the fan's intersection ring.
 
-    Nef inputs pair directly through polytope volumes; any other input D is
-    rewritten as (D + c * ample_ref) - (c * ample_ref) with c minimal rational
-    and the product expanded multilinearly.
+    The product is expanded multilinearly over the divisors' supports into
+    monomials in the ray divisors (`_ray_monomial`), so no argument needs to be
+    nef.  `ample_ref` is accepted for old callers and ignored.
     """
     n = fan.dimension
     if len(divisors) != n:
@@ -535,43 +490,13 @@ def intersection_number(
     for d in divisors:
         if d.fan != fan:
             raise DimensionMismatch("divisor lives on a different fan")
-    split: list[list[tuple[Fraction, ToricDivisor]]] = []
-    references: list[ToricDivisor] | None = None
-    for d in divisors:
-        if is_nef(fan, d):
-            split.append([(Fraction(1), d)])
-            continue
-        if references is None:
-            # a caller-supplied reference may sit on the nef boundary (for
-            # example a pullback of an ample class), so keep a strictly ample
-            # fallback; the expanded value is reference-independent
-            references = [] if ample_ref is None else [ample_ref]
-            fallback = _ample_generator(fan)
-            if fallback is not None:
-                references.append(fallback)
-        shift: tuple[ToricDivisor, Fraction] | None = None
-        for ref in references:
-            c = minimal_nef_shift(fan, d, ref)
-            if c is None or c == 0:
-                continue
-            shifted = d + ref.scale(c)
-            if is_nef(fan, shifted):
-                shift = (ref, c)
-                break
-        if shift is None:
-            raise NotNefAndNotDecomposable(
-                "non-nef argument and no usable ample reference"
-            )
-        ref, c = shift
-        split.append([(Fraction(1), d + ref.scale(c)), (Fraction(-1), ref.scale(c))])
+    supports = [[(i, d.coeffs[i]) for i in d.support()] for d in divisors]
     total = Fraction(0)
-    for combo in itertools.product(*split):
-        sign = Fraction(1)
-        parts = []
-        for s, dv in combo:
-            sign *= s
-            parts.append(dv)
-        total += sign * _nef_intersection(fan, parts)
+    for combo in itertools.product(*supports):
+        coeff = Fraction(1)
+        for _i, c in combo:
+            coeff *= c
+        total += coeff * _ray_monomial(fan, tuple(sorted(i for i, _c in combo)))
     return total
 
 

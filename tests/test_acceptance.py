@@ -102,10 +102,10 @@ def test_criterion_4_delta_prime(p2):
     h = ray_divisor(p2, 0)
     value = delta_prime_quotient(p2, three_h, h)
     # both numerator routes: the averaging polynomial and direct integration
-    g_route = 2 * g_pairing(p2, three_h, h, h.reduced(), ample_ref=three_h)
+    g_route = 2 * g_pairing(p2, three_h, h, h.reduced())
     xs = [Q(1, 3), Q(2, 3)]
     ys = [
-        2 * intersection_number(p2, [three_h - h.scale(x), h], ample_ref=three_h)
+        2 * intersection_number(p2, [three_h - h.scale(x), h])
         for x in xs
     ]
     integral_route = fit_polynomial(xs, ys).integrate(0, 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import jsonschema
+import pytest
 
 from toricstab.cli import PROBLEM_SCHEMA, ProblemFile, main
 
@@ -273,3 +274,22 @@ def test_refinement_of_wrong_dimension_exit_2(tmp_path, capsys):
     path = p2_problem(tmp_path, refinements=[[1]])
     payload = assert_validation_error(*run(capsys, "volume", path, "--jobs", "1"))
     assert "has 1 coordinates" in payload["message"]
+
+
+@pytest.mark.parametrize("center, reason", [
+    ([1, 0], "is already a ray"),
+    ([2, 2], "is not primitive"),
+    ([0, 0], "zero vector"),
+])
+def test_bad_refinement_center_exit_2(tmp_path, capsys, center, reason):
+    path = p2_problem(tmp_path, refinements=[center])
+    payload = assert_validation_error(*run(capsys, "volume", path, "--jobs", "1"))
+    assert f"refinement {center}" in payload["message"] and reason in payload["message"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bad_jobs_exit_2(capsys, problems_dir, jobs):
+    payload = assert_validation_error(
+        *run(capsys, "delta", str(problems_dir / "p2.json"), "--radius", "1", f"--jobs={jobs}")
+    )
+    assert "--jobs: must be at least 1" in payload["message"]

@@ -37,6 +37,8 @@ from toricstab import (
     zero_divisor,
 )
 from toricstab.errors import OutOfRange, RangeTooShort, ZeroDivisor
+from toricstab.test_curves import _entropy_direction, _pairing_polynomial
+from toricstab.volume_fn import fit_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -174,9 +176,7 @@ def test_entropy_at_matches_zariski_intersection(f1, f1_fiber_curve):
             f1, [1 if i in ch.red_support else 0 for i in range(len(f1.rays))]
         )
         pair = zariski_decompose(f1, kf1 - ray_divisor(f1, 0).scale(tau))
-        expected = 2 * intersection_number(
-            f1, [pair.positive, direction], ample_ref=kf1
-        ) / Q(8)
+        expected = 2 * intersection_number(f1, [pair.positive, direction]) / Q(8)
         assert entropy_at(curve, tau) == expected
 
 
@@ -279,7 +279,7 @@ def test_g_pairing_divisor_route(p2):
     val = g_pairing(p2, k2, h, h)
     assert 2 * val == 5
     samples = [
-        intersection_number(p2, [k2 - h.scale(t), h], ample_ref=k2)
+        intersection_number(p2, [k2 - h.scale(t), h])
         for t in (Q(1, 4), Q(3, 4))
     ]
     from toricstab.volume_fn import fit_polynomial
@@ -296,6 +296,52 @@ def test_entropy_at_derivative_mechanism(p2, p2_h_curve):
         direction = h.reduced()  # A_X = 1 on the single component
         value = positive_pairing(p2, k2 - h.scale(tau), direction)
         assert entropy_at(p2_h_curve, tau) == 2 * value / 9
+
+
+def sampled_entropy(curve):
+    """Entropy by the derivative pairing: fit n samples of entropy_at per chamber, check one more."""
+    n = curve.model.dimension
+    v = curve.total_volume
+    total = Q(0)
+    for ch in curve.chambers:
+        direction = _entropy_direction(curve, ch)
+        xs = ch.sample_points(n + 1)
+        ys = [n * positive_pairing(curve.model, curve.l - curve.d.scale(x), direction) / v
+              for x in xs]
+        poly = fit_polynomial(xs[:n], ys[:n])
+        assert poly(xs[-1]) == ys[-1]
+        total += poly.integrate(ch.lo, ch.hi)
+    return total
+
+
+def test_entropy_integrand_matches_derivative_pairing(surfaces, p3):
+    # the criterion-6 models: P2 along H, seeded directions on F1, P1xP1,
+    # F1 refined at (1,2) with its K_rel, and P3
+    rng = random.Random(67)
+    refined, pull, k_rel = star_subdivision(surfaces["f1"], (1, 2))
+    models = [
+        (surfaces["p2"], anticanonical(surfaces["p2"]), None, 0),
+        (surfaces["f1"], anticanonical(surfaces["f1"]), None, 2),
+        (surfaces["p1xp1"], anticanonical(surfaces["p1xp1"]), None, 2),
+        (refined, pull(anticanonical(surfaces["f1"])), k_rel, 2),
+        (p3, anticanonical(p3), None, 1),
+    ]
+    curves = [extended_curve(surfaces["p2"], models[0][1], ray_divisor(surfaces["p2"], 0))]
+    for fan, l, k, count in models:
+        for _ in range(count):
+            coeffs = [0] * len(fan.rays)
+            while not any(coeffs):
+                coeffs = [Q(rng.choice([0, 0, 1, 1, 2, 3]), rng.choice([1, 2, 3])) for _ in coeffs]
+            curves.append(extended_curve(fan, l, divisor(fan, coeffs), k_rel=k))
+    for curve in curves:
+        n, v = curve.model.dimension, curve.total_volume
+        for ch in curve.chambers:
+            direction = _entropy_direction(curve, ch)
+            integrand = _pairing_polynomial(curve, ch, direction).scale(Q(n) / v)
+            for tau in ch.sample_points(2):
+                pairing = positive_pairing(curve.model, curve.l - curve.d.scale(tau), direction)
+                assert integrand(tau) == n * pairing / v
+        assert entropy(curve) == sampled_entropy(curve)
 
 
 # ---- self-checks under python -O -------------------------------------------

@@ -119,9 +119,9 @@ def test_delta_prime_numerator_route(p2):
     three_h = ray_divisor(p2, 0).scale(3)
     h = ray_divisor(p2, 0)
     xs = [Q(1, 5), Q(1, 2)]
-    ys = [intersection_number(p2, [three_h - h.scale(x), h], ample_ref=three_h) for x in xs]
+    ys = [intersection_number(p2, [three_h - h.scale(x), h]) for x in xs]
     integral_route = 2 * fit_polynomial(xs, ys).integrate(0, 1)
-    g_route = 2 * g_pairing(p2, three_h, h, h.reduced(), ample_ref=three_h)
+    g_route = 2 * g_pairing(p2, three_h, h, h.reduced())
     assert integral_route == g_route == 5
     denominator = big_volume(p2, three_h) * jtilde(truncated_curve(extended_curve(p2, three_h, h)))
     assert g_route / denominator == Q(15, 7)

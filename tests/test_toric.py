@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -29,6 +30,9 @@ from toricstab.errors import (
     ZeroVector,
 )
 from toricstab.geometry import solve_linear
+from toricstab.test_curves import extended_curve, jtilde, truncated_curve
+from toricstab.thresholds import delta_prime_quotient
+from toricstab.volume_fn import volume_curve
 
 
 def test_validate_p2(p2):
@@ -126,10 +130,10 @@ def test_intersection_non_nef_splitting(f1):
     kf1 = anticanonical(f1)
     e = ray_divisor(f1, 3)
     fiber = ray_divisor(f1, 0)
-    assert intersection_number(f1, [e, e], ample_ref=kf1) == -1
-    assert intersection_number(f1, [fiber, fiber], ample_ref=kf1) == 0
-    assert intersection_number(f1, [fiber, e], ample_ref=kf1) == 1
-    assert intersection_number(f1, [kf1, e], ample_ref=kf1) == 1
+    assert intersection_number(f1, [e, e]) == -1
+    assert intersection_number(f1, [fiber, fiber]) == 0
+    assert intersection_number(f1, [fiber, e]) == 1
+    assert intersection_number(f1, [kf1, e]) == 1
 
 
 def test_intersection_symmetry_multilinearity(f1):
@@ -210,7 +214,6 @@ def test_zariski_pullback_family(p2, f1):
 def test_zariski_volume_identity_random(surfaces):
     rng = random.Random(31)
     for fan in surfaces.values():
-        k = anticanonical(fan)
         for _ in range(8):
             m = random_nef(fan, rng) + divisor(
                 fan, [rng.choice([0, 0, 1, 2]) for _ in fan.rays]
@@ -220,9 +223,7 @@ def test_zariski_volume_identity_random(surfaces):
             except NotPseudoEffective:
                 continue
             lhs = big_volume(fan, m)
-            rhs = intersection_number(
-                fan, [pair.positive] * fan.dimension, ample_ref=k
-            )
+            rhs = intersection_number(fan, [pair.positive] * fan.dimension)
             assert lhs == rhs
             assert (m - pair.positive - pair.negative).is_zero
 
@@ -254,9 +255,7 @@ def test_pullback_invariance_random_subdivisions(surfaces, p3):
         assert volume(polytope_of(refined, pulled)) == volume(polytope_of(fan, d))
         assert big_volume(refined, pulled) == big_volume(fan, d)
         n = fan.dimension
-        assert intersection_number(
-            refined, [pulled] * n, ample_ref=pulled if is_ample(refined, pulled) else None
-        ) == intersection_number(fan, [d] * n)
+        assert intersection_number(refined, [pulled] * n) == intersection_number(fan, [d] * n)
         done += 1
 
 
@@ -268,3 +267,110 @@ def test_p3_basics(p3):
     assert log_discrepancy(p3, (1, 1, 1)) == 3
     _fan, _pull, k_rel = star_subdivision(p3, (1, 1, 1))
     assert k_rel.coeffs[-1] == 2
+
+
+# ---- the intersection ring against independent routes ----------------------
+
+def polytope_intersection(fan, divisors):
+    """Oracle for nef divisors: polarization over the 2^n - 1 section-polytope volumes.
+
+    Minkowski sums of section polytopes of nef divisors are the section
+    polytopes of the coefficient sums.
+    """
+    n = fan.dimension
+    total = Q(0)
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(divisors, size):
+            total += (-1) ** (n - size) * volume(polytope_of(fan, sum(combo[1:], combo[0])))
+    return total
+
+
+def surface_form(fan, a, b):
+    """(a . b) on a smooth complete toric surface, read off the fan alone.
+
+    D_i . D_j is 1 for distinct rays sharing a cone and 0 for other distinct
+    rays; D_i^2 = -k where u_prev + u_next = k u_i for the two neighbours of u_i.
+    """
+    def pair(i, j):
+        if i != j:
+            return int(any(i in c and j in c for c in fan.max_cones))
+        prev, nxt = (fan.rays[k] for c in fan.max_cones if i in c for k in c if k != i)
+        u = fan.rays[i]
+        c = next(c for c in range(2) if u[c] != 0)
+        return -Q(prev[c] + nxt[c], u[c])
+
+    return sum(
+        (x * y * pair(i, j) for i, x in enumerate(a.coeffs) for j, y in enumerate(b.coeffs)),
+        Q(0),
+    )
+
+
+def refined(fan, *centers):
+    for center in centers:
+        fan, _pull, _k = star_subdivision(fan, center)
+    return fan
+
+
+def random_nef_class(fan, rng: random.Random):
+    """The Zariski positive part of a random effective divisor, which is nef."""
+    coeffs = [Q(rng.randint(0, 4), rng.choice([1, 1, 2, 3])) for _ in fan.rays]
+    return zariski_decompose(fan, divisor(fan, coeffs)).positive
+
+
+def test_intersection_ring_matches_polytope_oracle(surfaces, p3):
+    rng = random.Random(53)
+    fans = {
+        **surfaces,
+        "p3": p3,
+        "f1 refined twice": refined(surfaces["f1"], (1, 2), (1, 3)),
+        "p3 refined twice": refined(p3, (1, 1, 1), (1, 1, 0)),
+        # simplicial, not smooth: a cone of multiplicity 2
+        "p2 refined at (1,2)": refined(surfaces["p2"], (1, 2)),
+        "p3 refined at (1,1,2)": refined(p3, (1, 1, 2)),
+    }
+    for name, fan in fans.items():
+        assert validate_fan(fan).ok, name
+        for _ in range(12 if fan.dimension == 2 else 6):
+            divisors = [random_nef_class(fan, rng) for _ in range(fan.dimension)]
+            assert all(is_nef(fan, d) for d in divisors)
+            assert intersection_number(fan, divisors) == polytope_intersection(fan, divisors), name
+
+
+def test_intersection_ring_matches_surface_form(surfaces):
+    rng = random.Random(59)
+    for fan in surfaces.values():
+        for _ in range(3):
+            # two smooth star subdivisions, each at the sum of the rays of a cone
+            for _step in range(2):
+                i, j = rng.choice(fan.max_cones)
+                fan = refined(fan, tuple(a + b for a, b in zip(fan.rays[i], fan.rays[j])))
+            assert validate_fan(fan).is_smooth
+            for _ in range(10):
+                a, b = (
+                    divisor(fan, [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in fan.rays])
+                    for _ in range(2)
+                )
+                assert intersection_number(fan, [a, b]) == surface_form(fan, a, b)
+
+
+def test_delta_prime_on_refined_f1_with_k_rel(f1):
+    # the numerator pairs K_rel with -D, which no nef shift could split before
+    fan, pull, k_rel = star_subdivision(f1, (1, 2))
+    l = pull(anticanonical(f1))
+    rng = random.Random(61)
+    directions = [ray_divisor(fan, i) for i in range(len(fan.rays))] + [
+        divisor(fan, [Q(rng.randint(0, 3), rng.randint(1, 3)) for _ in fan.rays])
+        for _ in range(3)
+    ]
+    for d in directions:
+        _curve, tau_plus = volume_curve(fan, l, d)
+        if tau_plus < 1:
+            d = d.scale(tau_plus / 2)
+        value = delta_prime_quotient(fan, l, d, k_rel=k_rel)
+        # (K_rel . -D) + 2 (G_1(L, D) . Red D), with G_1(L, D) = L - D/2 on a surface
+        red = d.reduced()
+        numerator = surface_form(fan, k_rel, -d) + 2 * (
+            surface_form(fan, l, red) - surface_form(fan, d, red) / 2
+        )
+        denominator = big_volume(fan, l) * jtilde(truncated_curve(extended_curve(fan, l, d)))
+        assert value == numerator / denominator

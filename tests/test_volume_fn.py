@@ -186,7 +186,7 @@ def test_positive_pairing_zariski_route(p2, f1):
         pair = zariski_decompose(f1, m)
         for lprime in (e, ray_divisor(f1, 0), kf1):
             assert positive_pairing(f1, m, lprime) == intersection_number(
-                f1, [pair.positive, lprime], ample_ref=kf1
+                f1, [pair.positive, lprime]
             )
 
 
