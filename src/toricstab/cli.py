@@ -477,6 +477,8 @@ def cmd_dh(args) -> int:
         raise ValidationProblem(
             f"--u has {len(u)} coordinates; the fan has dimension {problem.fan.dimension}"
         )
+    if not any(u):
+        raise ValidationProblem("--u must be a nonzero lattice vector")
     curve = filtration_curve(problem.fan, problem.polarization, u)
     v = big_volume(problem.fan, problem.polarization)
     measure = dh_measure(curve, v)
@@ -559,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor", default="polarization")
     p.add_argument("--curve", metavar="DIRECTION", default=None,
                    help="direction divisor name for the curve t -> vol(D - t*DIR)")
-    p.add_argument("--samples", type=int, default=8, help="table samples per chamber")
+    p.add_argument("--samples", type=positive_int, default=8, help="table samples per chamber")
     p.add_argument("--plot", metavar="SVG", default=None)
     p.set_defaults(func=cmd_volume)
 
@@ -578,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--u", type=lattice_vector, required=True,
                    help="comma-separated lattice vector, e.g. 1,1")
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=positive_int, default=8)
     p.add_argument("--plot", metavar="SVG", default=None)
     p.set_defaults(func=cmd_dh)
 

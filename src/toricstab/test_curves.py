@@ -5,6 +5,13 @@ decompositions: within each chamber the nef positive part has coefficients
 affine in tau, the negative part's support is constant, and every functional
 integrand (mass, pairings against the positive part, entropy densities) is a
 polynomial.  All integrals below are therefore chamber-wise exact.
+
+Each piece of a curve is computed once per distinct input in a process: the
+divisor family and volume curve (memoized in volume_fn), the curve chambers
+per (fan, L, D) and each chamber's pairing polynomial per (model, chamber,
+alpha).  extended_curve is then a cheap wrapper on repeated directions, and
+the summary and both threshold quotients share one set of fits.  Failed
+checks are not cached: they raise again on every call.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvariantViolation, OutOfRange, RangeTooShort
 from .geometry import Chamber, dot
@@ -113,10 +121,11 @@ class CurveSummary:
     twisted_mabuchi: Fraction
 
 
+@lru_cache(maxsize=None)
 def _curve_chambers(
     fan: Fan, l: ToricDivisor, d: ToricDivisor
 ) -> tuple[tuple[CurveChamber, ...], Fraction]:
-    """Chamber data of the family L - tau*D on [0, tau+].
+    """Chamber data of the family L - tau*D on [0, tau+], memoized per (fan, L, D).
 
     Polytope chambers are refined so that, per chamber, every ray's polytope
     minimum is attained by a single vertex path; the positive-part coefficient
@@ -269,12 +278,18 @@ def _pairing_polynomial(
     curve: TestCurve, ch: CurveChamber, alpha: ToricDivisor
 ) -> Polynomial:
     """Exact polynomial tau -> (alpha . P_tau^{n-1}) on one chamber."""
-    n = curve.model.dimension
+    return _chamber_pairing(curve.model, ch, alpha)
+
+
+@lru_cache(maxsize=None)
+def _chamber_pairing(model: Fan, ch: CurveChamber, alpha: ToricDivisor) -> Polynomial:
+    """_pairing_polynomial, memoized per (model, chamber, alpha)."""
+    n = model.dimension
     xs = ch.sample_points(n + 1)
     ys = []
     for x in xs:
-        p_tau = ToricDivisor(curve.model, ch.positive_at(x))
-        ys.append(intersection_number(curve.model, [p_tau] * (n - 1) + [alpha]))
+        p_tau = ToricDivisor(model, ch.positive_at(x))
+        ys.append(intersection_number(model, [p_tau] * (n - 1) + [alpha]))
     poly = fit_polynomial(xs[:n], ys[:n])
     if poly(xs[-1]) != ys[-1]:
         raise InvariantViolation("pairing is not polynomial on the chamber")

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -377,10 +378,15 @@ def big_volume(fan: Fan, d: ToricDivisor) -> Fraction:
     return math.factorial(fan.dimension) * volume(polytope_of(fan, d))
 
 
+@lru_cache(maxsize=None)
 def divisor_family(
     fan: Fan, l: ToricDivisor, d: ToricDivisor, stop=None
 ) -> ParametricPolytope:
-    """The parametric section polytope family of t -> L - tD from t = 0."""
+    """The parametric section polytope family of t -> L - tD from t = 0.
+
+    Memoized per (fan, L, D, stop): volume_curve and the test-curve chambers
+    of one direction share a single family.
+    """
     halfspaces = [Halfspace(u, a) for u, a in zip(fan.rays, l.coeffs)]
     return parametric_family(halfspaces, list(d.coeffs), start=Fraction(0), stop=stop)
 
@@ -442,6 +448,7 @@ def family_volume_curve(
     return PiecewisePolynomial(tuple(bps), tuple(pieces)).normalized()
 
 
+@lru_cache(maxsize=None)
 def volume_curve(
     fan: Fan, l: ToricDivisor, d: ToricDivisor
 ) -> tuple[PiecewisePolynomial, Fraction]:
@@ -449,6 +456,7 @@ def volume_curve(
 
     L must pass the polarization check (full-dimensional nef-saturated
     polytope); D must be effective and nonzero, which forces tau+ < infinity.
+    Memoized per (fan, L, D); a failed check is not cached and raises again.
     """
     if d.is_zero:
         raise ZeroDivisor("direction divisor is zero")

@@ -218,6 +218,21 @@ def test_bad_radius_exit_2(capsys, problems_dir):
         assert "--radius: must be at least 1" in payload["message"]
 
 
+def test_bad_samples_exit_2(capsys, problems_dir):
+    f1 = str(problems_dir / "f1.json")
+    for argv in (
+        ["volume", f1, "--curve", "polarization", "--samples", "-3"],
+        ["volume", f1, "--curve", "polarization", "--samples", "0"],
+        ["dh", f1, "--u=1,0", "--samples", "0"],
+    ):
+        code, out, err = run(capsys, *argv, "--jobs", "1")
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert "--samples: must be at least 1" in payload["message"]
+
+
 def assert_validation_error(code, out, err) -> dict:
     assert code == 2
     assert out == ""
@@ -233,6 +248,9 @@ def test_dh_bad_u_exit_2(capsys, problems_dir):
     # a 3-vector on a surface
     payload = assert_validation_error(*run(capsys, "dh", path, "--u", "1,0,0", "--jobs", "1"))
     assert "--u has 3 coordinates" in payload["message"]
+    # the zero vector is no direction
+    payload = assert_validation_error(*run(capsys, "dh", path, "--u=0,0", "--jobs", "1"))
+    assert "nonzero" in payload["message"]
 
 
 def p2_problem(tmp_path, rays=([1, 0], [0, 1], [-1, -1]),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -33,10 +34,13 @@ from toricstab import (
     star_subdivision,
     truncated_curve,
     twisted_mabuchi,
+    volume_curve,
     zariski_decompose,
     zero_divisor,
 )
-from toricstab.errors import OutOfRange, RangeTooShort, ZeroDivisor
+import toricstab.test_curves as tc
+import toricstab.volume_fn as vf
+from toricstab.errors import InvariantViolation, OutOfRange, RangeTooShort, ZeroDivisor
 from toricstab.test_curves import _entropy_direction, _pairing_polynomial
 from toricstab.volume_fn import fit_polynomial
 
@@ -403,3 +407,99 @@ def test_self_checks_survive_optimize(problems_dir, run_optimized):
     }
     assert result.returncode == 3, result.stderr
     assert json.loads(result.stderr)["error"] == "InvariantViolation"
+
+
+# ---- the memoized curve pieces against the unmemoized route ----------------
+
+def memoized_pieces():
+    """The memoized pieces of a test curve: family, volume curve, chambers, pairings."""
+    return [vf.divisor_family, vf.volume_curve, tc._curve_chambers, tc._chamber_pairing]
+
+
+def seeded_directions(surfaces, p3, seed):
+    """(fan, L, D, K_rel): P2 along H and seeded directions on the criterion-6 models.
+
+    A direction whose tau+ is below 1 is scaled by tau+/2, as criterion 6
+    does, so the unit-interval quotient is defined on every one.
+    """
+    rng = random.Random(seed)
+    refined, pull, k_rel = star_subdivision(surfaces["f1"], (1, 2))
+    p2 = surfaces["p2"]
+    out = [(p2, anticanonical(p2), ray_divisor(p2, 0), None)]
+    for fan, l, k, count in [
+        (surfaces["f1"], anticanonical(surfaces["f1"]), None, 2),
+        (surfaces["p1xp1"], anticanonical(surfaces["p1xp1"]), None, 2),
+        (refined, pull(anticanonical(surfaces["f1"])), k_rel, 2),
+        (p3, anticanonical(p3), None, 1),
+    ]:
+        for _ in range(count):
+            coeffs = [0] * len(fan.rays)
+            while not any(coeffs):
+                coeffs = [Q(rng.choice([0, 0, 1, 1, 2, 3]), rng.choice([1, 2, 3])) for _ in coeffs]
+            d = divisor(fan, coeffs)
+            _curve, tau_plus = volume_curve(fan, l, d)
+            out.append((fan, l, d if tau_plus >= 1 else d.scale(tau_plus / 2), k))
+    return out
+
+
+def curve_values(fan, l, d, k):
+    # looked up at call time, so the oracle below sees its patched bindings
+    from toricstab import delta_pp_quotient, delta_prime_quotient, volume_curve
+
+    curve = extended_curve(fan, l, d, k_rel=k)
+    return (
+        volume_curve(fan, l, d),
+        curve,
+        curve_summary(curve),
+        jtilde(truncated_curve(curve)),
+        delta_pp_quotient(fan, l, d, k_rel=k),
+        delta_prime_quotient(fan, l, d, k_rel=k),
+    )
+
+
+def test_memoized_curves_match_unmemoized_route(surfaces, p3, monkeypatch):
+    directions = seeded_directions(surfaces, p3, 71)
+    pieces = memoized_pieces()
+    warm = [curve_values(*args) for args in directions]
+    # a second pass is served by the memos: no new entries, and the family
+    # is not even asked for, because the curve and its chambers are hits
+    before = [fn.cache_info() for fn in pieces]
+    again = [curve_values(*args) for args in directions]
+    after = [fn.cache_info() for fn in pieces]
+    assert again == warm
+    assert [a.misses for a in after] == [b.misses for b in before]
+    assert after[0].hits == before[0].hits
+    assert all(a.hits > b.hits for a, b in zip(after[1:], before[1:]))
+    # the oracle: every memoized function replaced by its unmemoized body in
+    # every toricstab module that binds it, so the caches see no further call
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "toricstab"]
+    for fn in pieces:
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, fn.__wrapped__)
+    cold = [curve_values(*args) for args in directions]
+    assert [fn.cache_info() for fn in pieces] == after
+    assert cold == warm
+
+
+def test_failed_checks_are_not_cached(p2, monkeypatch):
+    l, h = anticanonical(p2), ray_divisor(p2, 0)
+    not_effective = divisor(p2, [1, -1, 0])
+    size = volume_curve.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ZeroDivisor, match="effective"):
+            volume_curve(p2, l, not_effective)
+    assert volume_curve.cache_info().currsize == size
+    curve = extended_curve(p2, l, h)
+    ch = curve.chambers[0]
+    tc._chamber_pairing.cache_clear()
+    real_fit = tc.fit_polynomial
+    monkeypatch.setattr(tc, "fit_polynomial", lambda xs, ys: real_fit(xs, ys) + Polynomial.of(1))
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="not polynomial"):
+            _pairing_polynomial(curve, ch, l)
+    assert tc._chamber_pairing.cache_info().currsize == 0
+    monkeypatch.setattr(tc, "fit_polynomial", real_fit)
+    assert _pairing_polynomial(curve, ch, l) == tc._chamber_pairing.__wrapped__(p2, ch, l)
+    assert tc._chamber_pairing.cache_info().currsize == 1
