@@ -463,19 +463,39 @@ def _triangulate(
         seen.add(tight)
         if affine_rank(tight) != dim - 1:
             continue
-        k = max(range(dim), key=lambda j: abs(hs.normal[j]))
-        sub_hs = []
-        for other in halfspaces:
-            if other is hs:
-                continue
-            sub = _substitute_halfspace(other, hs, k)
-            if sub is not None:
-                sub_hs.append(sub)
-        proj = [v[:k] + v[k + 1 :] for v in tight]
-        for face_simplex in _triangulate(_dedupe_halfspaces(sub_hs), proj, dim - 1):
-            lifted = tuple(_lift_point(y, hs, k) for y in face_simplex)
-            simplices.append((v0,) + lifted)
+        for face_simplex in _triangulate_facet(halfspaces, hs, tight, dim):
+            simplices.append((v0,) + face_simplex)
     return simplices
+
+
+def _triangulate_facet(
+    halfspaces: Sequence[Halfspace], hs: Halfspace, tight: Sequence[Point], dim: int
+) -> list[tuple[Point, ...]]:
+    """Simplices of the facet where `hs` is tight: projected along the largest normal entry."""
+    if dim == 1:
+        return [tuple(tight)]
+    k = max(range(dim), key=lambda j: abs(hs.normal[j]))
+    sub_hs = []
+    for other in halfspaces:
+        if other is hs:
+            continue
+        sub = _substitute_halfspace(other, hs, k)
+        if sub is not None:
+            sub_hs.append(sub)
+    proj = [v[:k] + v[k + 1 :] for v in tight]
+    return [
+        tuple(_lift_point(y, hs, k) for y in face_simplex)
+        for face_simplex in _triangulate(_dedupe_halfspaces(sub_hs), proj, dim - 1)
+    ]
+
+
+def facet_triangulation(p: Polytope, normal: Sequence[int]) -> list[tuple[Point, ...]]:
+    """Simplices covering the facet of p on its halfspace with this normal; none if no facet."""
+    hs = next(h for h in p.halfspaces if h.normal == tuple(normal))
+    tight = tuple(sorted(v for v in p.vertices if hs.slack(v) == 0))
+    if affine_rank(tight) != p.dimension - 1:
+        return []
+    return _triangulate_facet(p.halfspaces, hs, tight, p.dimension)
 
 
 @lru_cache(maxsize=None)

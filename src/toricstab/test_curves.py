@@ -1,24 +1,26 @@
 """Test curves of divisors and their radial functionals.
 
 An extended curve tracks the family L - tau*D through its exact Zariski
-decompositions: within each chamber the nef positive part has coefficients
-affine in tau, the negative part's support is constant, and every functional
-integrand (mass, pairings against the positive part, entropy densities) is a
-polynomial.  All integrals below are therefore chamber-wise exact.
+decompositions: within each chamber the positive part P_tau has coefficients
+affine in tau and the negative part's support is constant.  In dimension >= 3
+P_tau is only movable, not nef, so the functionals pair it through positive
+products <P_tau^{n-1}> . alpha, not ring products.  Each chamber carries the
+polynomials f_i(tau) = <P_tau^{n-1}> . D_i, (n-1)! times the lattice volumes
+of the facets of the section polytope, and every pairing is the linear sum
+sum_i alpha_i f_i.  All integrals below are therefore chamber-wise exact.
 
 Each piece of a curve is computed once per distinct input in a process: the
-divisor family and volume curve (memoized in volume_fn), the curve chambers
-per (fan, L, D) and each chamber's pairing polynomial per (model, chamber,
-alpha).  extended_curve is then a cheap wrapper on repeated directions, and
-the summary and both threshold quotients share one set of fits.  Failed
-checks are not cached: they raise again on every call.
+divisor family and volume curve (memoized in volume_fn) and the curve
+chambers with their facet polynomials per (fan, L, D).  extended_curve is
+then a cheap wrapper on repeated directions.  Failed checks are not cached:
+they raise again on every call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,9 +36,8 @@ from .toric import (
 from .volume_fn import (
     PiecewisePolynomial,
     Polynomial,
-    chamber_volume_polynomial,
+    chamber_facet_polynomials,
     divisor_family,
-    fit_polynomial,
     positive_pairing,
     volume_curve,
 )
@@ -49,7 +50,8 @@ class CurveChamber:
     positive_paths[i] = (c0, c1) gives the positive-part coefficient
     c0 + c1*tau at ray i; negative_paths likewise for the negative part.
     red_support lists the rays carrying the reduced divisor of
-    tau*D + N_tau on the chamber interior.
+    tau*D + N_tau on the chamber interior.  facets[i] is the polynomial
+    <P_tau^{n-1}> . D_i and mass is vol(L - tau*D) = sum_i P_tau,i facets[i].
     """
 
     lo: Fraction
@@ -58,6 +60,7 @@ class CurveChamber:
     negative_paths: tuple[tuple[Fraction, Fraction], ...]
     red_support: tuple[int, ...]
     mass: Polynomial
+    facets: tuple[Polynomial, ...]
 
     def positive_at(self, tau) -> tuple[Fraction, ...]:
         tau = Fraction(tau)
@@ -70,6 +73,13 @@ class CurveChamber:
     def sample_points(self, count: int) -> list[Fraction]:
         width = self.hi - self.lo
         return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
+
+    def pairing(self, alpha: ToricDivisor) -> Polynomial:
+        """The positive product tau -> <P_tau^{n-1}> . alpha on the chamber."""
+        total = Polynomial(())
+        for a, f in zip(alpha.coeffs, self.facets):
+            total = total + f.scale(a)
+        return total
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,12 @@ def _curve_chambers(
     minimum is attained by a single vertex path; the positive-part coefficient
     paths are then affine and the negative-part slacks are nonnegative affine
     functions, identically zero or strictly positive on the interior.
+
+    The mass is read off the volume curve.  The facet polynomials are checked
+    against it: sum_i P_tau,i f_i(tau) must equal the mass exactly, the facets
+    against the full-dimensional triangulation; InvariantViolation otherwise.
     """
-    n = fan.dimension
+    volumes, _tau_plus = volume_curve(fan, l, d)
     family = divisor_family(fan, l, d)
     if family.t_max is None:
         raise InvariantViolation("divisor family has no feasibility threshold")
@@ -178,17 +192,17 @@ def _curve_chambers(
                 total_mid = d.coeffs[i] * mid + nc0 + nc1 * mid
                 if total_mid > 0:
                     red.append(i)
-            sub = Chamber(lo, hi, chamber.paths)
-            mass = chamber_volume_polynomial(family, sub, n).scale(math.factorial(n))
-            chambers.append(
-                CurveChamber(
-                    lo,
-                    hi,
-                    tuple(pos_paths),
-                    tuple(neg_paths),
-                    tuple(red),
-                    mass,
+            mass = volumes.piece_at(mid)
+            facets = chamber_facet_polynomials(family, Chamber(lo, hi, chamber.paths))
+            identity = Polynomial(())
+            for (c0, c1), f in zip(pos_paths, facets):
+                identity = identity + Polynomial.of(c0, c1) * f
+            if identity != mass:
+                raise InvariantViolation(
+                    f"facet volumes do not sum to the mass on the chamber [{lo}, {hi}]"
                 )
+            chambers.append(
+                CurveChamber(lo, hi, tuple(pos_paths), tuple(neg_paths), tuple(red), mass, facets)
             )
     return tuple(chambers), family.t_max
 
@@ -238,11 +252,7 @@ def truncated_curve(curve: TestCurve) -> TestCurve:
             continue
         hi = min(ch.hi, Fraction(1))
         if ch.lo < hi:
-            clipped.append(
-                CurveChamber(
-                    ch.lo, hi, ch.positive_paths, ch.negative_paths, ch.red_support, ch.mass
-                )
-            )
+            clipped.append(replace(ch, hi=hi))
     return TestCurve(
         model=curve.model,
         l=curve.l,
@@ -274,51 +284,30 @@ def energy(curve: TestCurve) -> Fraction:
     return total
 
 
-def _pairing_polynomial(
-    curve: TestCurve, ch: CurveChamber, alpha: ToricDivisor
-) -> Polynomial:
-    """Exact polynomial tau -> (alpha . P_tau^{n-1}) on one chamber."""
-    return _chamber_pairing(curve.model, ch, alpha)
-
-
-@lru_cache(maxsize=None)
-def _chamber_pairing(model: Fan, ch: CurveChamber, alpha: ToricDivisor) -> Polynomial:
-    """_pairing_polynomial, memoized per (model, chamber, alpha)."""
-    n = model.dimension
-    xs = ch.sample_points(n + 1)
-    ys = []
-    for x in xs:
-        p_tau = ToricDivisor(model, ch.positive_at(x))
-        ys.append(intersection_number(model, [p_tau] * (n - 1) + [alpha]))
-    poly = fit_polynomial(xs[:n], ys[:n])
-    if poly(xs[-1]) != ys[-1]:
-        raise InvariantViolation("pairing is not polynomial on the chamber")
-    return poly
-
-
 def alpha_energy(curve: TestCurve, alpha: ToricDivisor) -> Fraction:
-    """tau+ (alpha.L^{n-1})/V + (1/V) integral of ((alpha.P_tau^{n-1}) - (alpha.L^{n-1})).
+    """tau+ (alpha.L^{n-1})/V + (1/V) integral of (<P_tau^{n-1}>.alpha - (alpha.L^{n-1})).
 
-    Depends only on the class of alpha, which need not be nef: every pairing
-    is an intersection number in the model's intersection ring.
+    alpha need not be nef.  <P_tau^{n-1}> . alpha is the positive product,
+    the chamber's facet pairing; L is nef, so alpha . L^{n-1} is the ring
+    product.  Both depend only on the class of alpha.
     """
     n = curve.model.dimension
     v = curve.total_volume
     base = intersection_number(curve.model, [curve.l] * (n - 1) + [alpha])
     total = curve.tau_plus * base / v
     for ch in curve.chambers:
-        poly = _pairing_polynomial(curve, ch, alpha)
+        poly = ch.pairing(alpha)
         total += (poly.integrate(ch.lo, ch.hi) - base * (ch.hi - ch.lo)) / v
     return total
 
 
 def jtilde(curve: TestCurve) -> Fraction:
-    """(n/V) integral of ((L . P_tau^{n-1}) - P_tau^n); nonnegative."""
+    """(n/V) integral of (<P_tau^{n-1}> . L - vol(P_tau)), positive products; nonnegative."""
     n = curve.model.dimension
     v = curve.total_volume
     total = Fraction(0)
     for ch in curve.chambers:
-        poly = _pairing_polynomial(curve, ch, curve.l) - ch.mass
+        poly = ch.pairing(curve.l) - ch.mass
         total += poly.integrate(ch.lo, ch.hi)
     return n * total / v
 
@@ -345,14 +334,14 @@ def entropy_at(curve: TestCurve, tau) -> Fraction:
 def entropy(curve: TestCurve) -> Fraction:
     """Chamber-wise exact integral of entropy_at over the curve domain.
 
-    On a chamber the derivative pairing of entropy_at equals the intersection
-    number (n/V)(P_tau^{n-1} . (K_rel + Red)), with the chamber's reduced
-    divisor, so the integrand is the chamber's pairing polynomial scaled by n/V.
+    On a chamber the derivative pairing of entropy_at is the positive product
+    (n/V) <P_tau^{n-1}> . (K_rel + Red), with the chamber's reduced divisor,
+    so the integrand is the chamber's facet pairing scaled by n/V.
     """
     n = curve.model.dimension
     total = Fraction(0)
     for ch in curve.chambers:
-        poly = _pairing_polynomial(curve, ch, _entropy_direction(curve, ch))
+        poly = ch.pairing(_entropy_direction(curve, ch))
         total += poly.integrate(ch.lo, ch.hi)
     return n * total / curve.total_volume
 

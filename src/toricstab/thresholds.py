@@ -173,7 +173,7 @@ def delta_prime_quotient(
 
     Numerator: (K_rel . (-D)^{n-1}) + n * (G_{n-1}(L, D) . Red D), with the
     averaging polynomial expanded multilinearly.  Denominator:
-    n * int_0^1 ((L . P_tau^{n-1}) - P_tau^n) dtau = V * jtilde(truncated).
+    n * int_0^1 (<P_tau^{n-1}> . L - vol(P_tau)) dtau = V * jtilde(truncated).
     """
     if d.is_zero:
         raise ZeroDivisor("direction divisor is zero")

@@ -502,7 +502,7 @@ def intersection_number(
 
 @dataclass(frozen=True)
 class ZariskiPair:
-    """Divisorial Zariski decomposition: nef positive part plus effective negative part."""
+    """Divisorial Zariski decomposition: movable positive part plus effective negative part."""
 
     positive: ToricDivisor
     negative: ToricDivisor
@@ -512,8 +512,8 @@ def zariski_decompose(fan: Fan, m: ToricDivisor) -> ZariskiPair:
     """Toric divisorial Zariski decomposition of a pseudo-effective class.
 
     Positive part coefficients are the negated minima of the section polytope
-    against the rays; the difference is the effective negative part and the
-    volume of the input equals the top self-intersection of the positive part.
+    against the rays; the difference is the effective negative part.  The positive
+    part keeps the input's section polytope; in dimension >= 3 it need not be nef.
     """
     p = polytope_of(fan, m)
     if p.is_empty:
@@ -523,6 +523,6 @@ def zariski_decompose(fan: Fan, m: ToricDivisor) -> ZariskiPair:
     negative = m - positive
     if not negative.is_effective:
         raise InvariantViolation("Zariski negative part must be effective")
-    if not is_nef(fan, positive):
-        raise InvariantViolation("Zariski positive part must be nef")
+    if polytope_of(fan, positive).vertices != p.vertices:
+        raise InvariantViolation("Zariski positive part must have the input's section polytope")
     return ZariskiPair(positive, negative)

@@ -29,6 +29,8 @@ from .geometry import (
     Halfspace,
     ParametricPolytope,
     det,
+    dot,
+    facet_triangulation,
     parametric_family,
     triangulation,
     vec_sub,
@@ -391,12 +393,35 @@ def divisor_family(
     return parametric_family(halfspaces, list(d.coeffs), start=Fraction(0), stop=stop)
 
 
-def _affine_det(a: Sequence[Sequence], b: Sequence[Sequence]) -> Polynomial:
-    """t -> det(A + tB), expanded by multilinearity in the rows."""
+def _affine_det(a: Sequence[Sequence], b: Sequence[Sequence], fixed: Sequence = ()) -> Polynomial:
+    """t -> det(A + tB) with the constant rows `fixed` appended, by multilinearity."""
     coeffs = [Fraction(0)] * (len(a) + 1)
     for pick in itertools.product((False, True), repeat=len(a)):
-        coeffs[sum(pick)] += det([rb if p else ra for ra, rb, p in zip(a, b, pick)])
+        rows = [rb if p else ra for ra, rb, p in zip(a, b, pick)]
+        coeffs[sum(pick)] += det(rows + list(fixed))
     return Polynomial(tuple(coeffs))
+
+
+def _moving_simplices(
+    chamber: Chamber, simplices: Sequence[Sequence], fixed: Sequence[Sequence] = ()
+) -> Polynomial:
+    """t -> sum of |det(v_1(t) - v_0(t), ..., fixed)|, midpoint simplices moved on the paths."""
+    mid = chamber.midpoint()
+    path_at = {path.at(mid): path for path in chamber.paths}
+    total = Polynomial(())
+    for simplex in simplices:
+        try:
+            paths = [path_at[v] for v in simplex]
+        except KeyError as exc:
+            raise InvariantViolation(f"simplex vertex {exc} follows no chamber path") from None
+        p0 = paths[0]
+        simplex_det = _affine_det(
+            [vec_sub(p.base, p0.base) for p in paths[1:]],
+            [vec_sub(p.velocity, p0.velocity) for p in paths[1:]],
+            fixed,
+        )
+        total = total + (simplex_det if simplex_det(mid) > 0 else simplex_det.scale(-1))
+    return total
 
 
 def chamber_volume_polynomial(
@@ -412,27 +437,30 @@ def chamber_volume_polynomial(
     point x other than the midpoint, and against the degree bound; a failure
     raises InvariantViolation.
     """
-    mid = chamber.midpoint()
-    path_at = {path.at(mid): path for path in chamber.paths}
-    total = Polynomial(())
-    for simplex in triangulation(pp.polytope_on(chamber, mid)):
-        try:
-            paths = [path_at[v] for v in simplex]
-        except KeyError as exc:
-            raise InvariantViolation(f"simplex vertex {exc} follows no chamber path") from None
-        p0 = paths[0]
-        simplex_det = _affine_det(
-            [vec_sub(p.base, p0.base) for p in paths[1:]],
-            [vec_sub(p.velocity, p0.velocity) for p in paths[1:]],
-        )
-        total = total + (simplex_det if simplex_det(mid) > 0 else simplex_det.scale(-1))
-    poly = total.scale(Fraction(1, math.factorial(pp.dimension)))
+    simplices = triangulation(pp.polytope_on(chamber, chamber.midpoint()))
+    poly = _moving_simplices(chamber, simplices).scale(Fraction(1, math.factorial(pp.dimension)))
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
     if poly.degree > degree or poly(x) != volume(pp.polytope_at(x)):
         raise InvariantViolation(
             f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
         )
     return poly
+
+
+def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple[Polynomial, ...]:
+    """Per primitive normal u_i, t -> (n-1)! times the lattice volume of the facet of P_t.
+
+    For the family of L - tD this is the positive product <P_t^{n-1}> . D_i,
+    zero where the face minimizing u_i is not a facet.  With the constant row
+    u_i, |det| / <u_i, u_i> is (n-1)! times a facet simplex's lattice volume.
+    """
+    p = pp.polytope_on(chamber, chamber.midpoint())
+    return tuple(
+        _moving_simplices(chamber, facet_triangulation(p, hs.normal), [hs.normal]).scale(
+            Fraction(1, dot(hs.normal, hs.normal))
+        )
+        for hs in pp.halfspaces
+    )
 
 
 def family_volume_curve(

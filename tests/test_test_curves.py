@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricstab import (
+    Fan,
     Polynomial,
     alpha_energy,
     anticanonical,
@@ -41,7 +42,7 @@ from toricstab import (
 import toricstab.test_curves as tc
 import toricstab.volume_fn as vf
 from toricstab.errors import InvariantViolation, OutOfRange, RangeTooShort, ZeroDivisor
-from toricstab.test_curves import _entropy_direction, _pairing_polynomial
+from toricstab.test_curves import _entropy_direction
 from toricstab.volume_fn import fit_polynomial
 
 
@@ -236,6 +237,31 @@ def test_functionals_invariant_under_pullback(p2, f1):
     assert twisted_mabuchi(upstairs) == twisted_mabuchi(downstairs)
 
 
+def p3_exceptional_curves(p3):
+    """P3 with -K, star-subdivided at u where A(u) = S(u) = 5: the curve along E_u with K_rel.
+
+    On the chamber (4, 8) the positive part of L - tau*E_u is movable, not nef.
+    """
+    out = []
+    for u in [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]:
+        fan, pull, k_rel = star_subdivision(p3, u)
+        e = ray_divisor(fan, len(fan.rays) - 1)
+        out.append(extended_curve(fan, pull(anticanonical(p3)), e, k_rel=k_rel))
+    return out
+
+
+def test_functionals_pair_with_positive_products_on_p3(p3):
+    from toricstab import delta_pp_quotient
+
+    for curve in p3_exceptional_curves(p3):
+        assert jtilde(curve) == 5
+        assert entropy(curve) == 5
+        assert delta_pp_quotient(curve.model, curve.l, curve.d, k_rel=curve.k_rel) == 1
+        # the positive part is not nef here; the decomposition still holds
+        pair = zariski_decompose(curve.model, curve.l - curve.d.scale(6))
+        assert pair.positive + pair.negative == curve.l - curve.d.scale(6)
+
+
 def test_curve_summary(p2_h_curve):
     summary = curve_summary(p2_h_curve)
     assert summary.energy == 1
@@ -244,6 +270,14 @@ def test_curve_summary(p2_h_curve):
     assert summary.entropy == 1
     assert summary.ricci_energy == -3
     assert summary.twisted_mabuchi == -2
+
+
+def test_curve_summary_on_p1():
+    # in dimension 1 every facet is a vertex and pairs with weight 1
+    p1 = Fan.make([[1], [-1]], [[0], [1]])
+    summary = curve_summary(extended_curve(p1, anticanonical(p1), ray_divisor(p1, 0)))
+    assert (summary.energy, summary.omega_energy, summary.jtilde) == (1, 2, 1)
+    assert (summary.entropy, summary.ricci_energy, summary.twisted_mabuchi) == (1, -2, -1)
 
 
 def test_degenerate_direction_zero_functionals(p2):
@@ -331,6 +365,7 @@ def test_entropy_integrand_matches_derivative_pairing(surfaces, p3):
         (p3, anticanonical(p3), None, 1),
     ]
     curves = [extended_curve(surfaces["p2"], models[0][1], ray_divisor(surfaces["p2"], 0))]
+    curves += p3_exceptional_curves(p3)
     for fan, l, k, count in models:
         for _ in range(count):
             coeffs = [0] * len(fan.rays)
@@ -338,20 +373,21 @@ def test_entropy_integrand_matches_derivative_pairing(surfaces, p3):
                 coeffs = [Q(rng.choice([0, 0, 1, 1, 2, 3]), rng.choice([1, 2, 3])) for _ in coeffs]
             curves.append(extended_curve(fan, l, divisor(fan, coeffs), k_rel=k))
     for curve in curves:
-        n, v = curve.model.dimension, curve.total_volume
+        ricci = anticanonical(curve.model) + curve.k_rel
         for ch in curve.chambers:
-            direction = _entropy_direction(curve, ch)
-            integrand = _pairing_polynomial(curve, ch, direction).scale(Q(n) / v)
-            for tau in ch.sample_points(2):
-                pairing = positive_pairing(curve.model, curve.l - curve.d.scale(tau), direction)
-                assert integrand(tau) == n * pairing / v
+            # the entropy, jtilde and Ricci integrands against the derivative pairing
+            for alpha in (_entropy_direction(curve, ch), curve.l, ricci):
+                integrand = ch.pairing(alpha)
+                for tau in ch.sample_points(2):
+                    family_value = curve.l - curve.d.scale(tau)
+                    assert integrand(tau) == positive_pairing(curve.model, family_value, alpha)
         assert entropy(curve) == sampled_entropy(curve)
 
 
 # ---- self-checks under python -O -------------------------------------------
 
 # Breaks one input of each self-check in turn and records whether it raised
-# InvariantViolation; then runs the CLI with a broken fit.
+# InvariantViolation; then runs the CLI with broken facet polynomials.
 BROKEN_CHECKS = """
 import json
 from fractions import Fraction
@@ -377,10 +413,11 @@ def attempt(name, call):
         raised[name] = False
 
 
-real_is_nef = toric.is_nef
-toric.is_nef = lambda fan, d: False
+real_polytope_of = toric.polytope_of
+polytopes = iter([real_polytope_of(p2, h), real_polytope_of(p2, anticanonical(p2))])
+toric.polytope_of = lambda fan, d: next(polytopes)
 attempt("zariski", lambda: toric.zariski_decompose(p2, h))
-toric.is_nef = real_is_nef
+toric.polytope_of = real_polytope_of
 
 real_volume = vf.big_volume
 growing = iter([Fraction(1), Fraction(2)])
@@ -388,11 +425,13 @@ vf.big_volume = lambda fan, d: next(growing)
 attempt("stabilized", lambda: vf.stabilized_volume(p2, anticanonical(p2), h, [[1, 1]]))
 vf.big_volume = real_volume
 
-curve = extended_curve(p2, anticanonical(p2), h)
-real_fit = tc.fit_polynomial
-tc.fit_polynomial = lambda xs, ys: real_fit(xs, ys) + tc.Polynomial.of(1)
-attempt("pairing", lambda: tc.alpha_energy(curve, curve.l))
-attempt("entropy", lambda: tc.entropy(curve))
+# every facet polynomial one too large: the facets no longer sum to the mass
+real_facets = tc.chamber_facet_polynomials
+tc.chamber_facet_polynomials = lambda pp, ch: tuple(
+    f + tc.Polynomial.of(1) for f in real_facets(pp, ch)
+)
+attempt("pairing", lambda: tc.alpha_energy(extended_curve(p2, anticanonical(p2), h), h))
+attempt("entropy", lambda: tc.entropy(extended_curve(p2, anticanonical(p2), h)))
 print(json.dumps(raised))
 raise SystemExit(main(["curve", PATH, "--direction", "H", "--functionals", "Ealpha",
                        "--jobs", "1"]))
@@ -412,8 +451,8 @@ def test_self_checks_survive_optimize(problems_dir, run_optimized):
 # ---- the memoized curve pieces against the unmemoized route ----------------
 
 def memoized_pieces():
-    """The memoized pieces of a test curve: family, volume curve, chambers, pairings."""
-    return [vf.divisor_family, vf.volume_curve, tc._curve_chambers, tc._chamber_pairing]
+    """The memoized pieces of a test curve: family, volume curve, chambers with their facets."""
+    return [vf.divisor_family, vf.volume_curve, tc._curve_chambers]
 
 
 def seeded_directions(surfaces, p3, seed):
@@ -491,15 +530,17 @@ def test_failed_checks_are_not_cached(p2, monkeypatch):
         with pytest.raises(ZeroDivisor, match="effective"):
             volume_curve(p2, l, not_effective)
     assert volume_curve.cache_info().currsize == size
-    curve = extended_curve(p2, l, h)
-    ch = curve.chambers[0]
-    tc._chamber_pairing.cache_clear()
-    real_fit = tc.fit_polynomial
-    monkeypatch.setattr(tc, "fit_polynomial", lambda xs, ys: real_fit(xs, ys) + Polynomial.of(1))
+    tc._curve_chambers.cache_clear()
+    real_facets = tc.chamber_facet_polynomials
+    monkeypatch.setattr(
+        tc,
+        "chamber_facet_polynomials",
+        lambda pp, ch: tuple(f + Polynomial.of(1) for f in real_facets(pp, ch)),
+    )
     for _ in range(2):
-        with pytest.raises(InvariantViolation, match="not polynomial"):
-            _pairing_polynomial(curve, ch, l)
-    assert tc._chamber_pairing.cache_info().currsize == 0
-    monkeypatch.setattr(tc, "fit_polynomial", real_fit)
-    assert _pairing_polynomial(curve, ch, l) == tc._chamber_pairing.__wrapped__(p2, ch, l)
-    assert tc._chamber_pairing.cache_info().currsize == 1
+        with pytest.raises(InvariantViolation, match="facet volumes"):
+            tc._curve_chambers(p2, l, h)
+    assert tc._curve_chambers.cache_info().currsize == 0
+    monkeypatch.setattr(tc, "chamber_facet_polynomials", real_facets)
+    assert tc._curve_chambers(p2, l, h) == tc._curve_chambers.__wrapped__(p2, l, h)
+    assert tc._curve_chambers.cache_info().currsize == 1

@@ -14,6 +14,7 @@ from toricstab import (
     delta_search,
     divisor,
     inequality_report,
+    log_discrepancy,
     ray_divisor,
     s_invariant,
     star_subdivision,
@@ -97,6 +98,32 @@ def test_delta_pp_scaling_invariance(f1):
     base = delta_pp_quotient(f1, kf1, e)
     for c in (Q(1, 2), 2, 3):
         assert delta_pp_quotient(f1, kf1, e.scale(c)) == base
+
+
+def divisorial_direction(fan, u):
+    """(model, L, D, K_rel) of the toric divisor over X with valuation u, L = -K pulled back.
+
+    D is the ray divisor D_u when u is a ray, else the new ray divisor E_u of
+    the star subdivision at u, with that subdivision's relative canonical.
+    """
+    k = anticanonical(fan)
+    if u in fan.rays:
+        return fan, k, ray_divisor(fan, fan.rays.index(u)), None
+    model, pull, k_rel = star_subdivision(fan, u)
+    return model, pull(k), ray_divisor(model, len(model.rays) - 1), k_rel
+
+
+def test_pp_quotient_is_a_over_s_on_every_divisorial_direction(surfaces, p3):
+    # entropy / jtilde of the curve along D_u equals A(u) / S(u) exactly
+    balls = [(fan, 2) for fan in surfaces.values()] + [(p3, 1)]
+    checked = 0
+    for fan, radius in balls:
+        for u in primitive_candidates(fan.dimension, radius):
+            model, l, d, k_rel = divisorial_direction(fan, u)
+            expected = log_discrepancy(fan, u) / s_invariant(fan, anticanonical(fan), u)
+            assert delta_pp_quotient(model, l, d, k_rel=k_rel) == expected, u
+            checked += 1
+    assert checked == 74
 
 
 def test_delta_prime_quotient_p2(p2):
