@@ -118,6 +118,26 @@ def positive_int(text: str) -> int:
     return value
 
 
+def job_count(text: str) -> int:
+    """--jobs: at least 1 and at most the core count."""
+    value = positive_int(text)
+    cores = os.cpu_count() or 1
+    if value > cores:
+        raise argparse.ArgumentTypeError(f"must be at most the core count {cores}, got {value}")
+    return value
+
+
+MAX_SAMPLES = 10_000
+
+
+def sample_count(text: str) -> int:
+    """--samples: table rows per chamber, at least 1 and at most MAX_SAMPLES."""
+    value = positive_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
+    return value
+
+
 def lattice_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -549,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("problem", help="path to a problem JSON file")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
-                       help="parallel candidate evaluation (default: cores)")
+        p.add_argument("--jobs", type=job_count, default=os.cpu_count() or 1,
+                       help="parallel candidate evaluation, at most the core count (default: cores)")
 
     p = sub.add_parser("validate", help="validate a problem file and its fan")
     common(p)
@@ -561,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor", default="polarization")
     p.add_argument("--curve", metavar="DIRECTION", default=None,
                    help="direction divisor name for the curve t -> vol(D - t*DIR)")
-    p.add_argument("--samples", type=positive_int, default=8, help="table samples per chamber")
+    p.add_argument("--samples", type=sample_count, default=8,
+                   help=f"table samples per chamber, at most {MAX_SAMPLES}")
     p.add_argument("--plot", metavar="SVG", default=None)
     p.set_defaults(func=cmd_volume)
 
@@ -580,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--u", type=lattice_vector, required=True,
                    help="comma-separated lattice vector, e.g. 1,1")
-    p.add_argument("--samples", type=positive_int, default=8)
+    p.add_argument("--samples", type=sample_count, default=8,
+                   help=f"table samples per chamber, at most {MAX_SAMPLES}")
     p.add_argument("--plot", metavar="SVG", default=None)
     p.set_defaults(func=cmd_dh)
 

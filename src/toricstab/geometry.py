@@ -8,9 +8,13 @@ prefers exhaustive enumeration over clever pivoting.
 
 All exact linear algebra (determinants, solves, ranks, kernels) runs through
 one fraction-free Gauss-Jordan elimination in integers (Bareiss), which
-divides into Fractions only once at the end.  Whether a polytope is bounded
-depends on its facet normals only, so that test is memoized on the normals
-and shared by every polytope of a family.
+divides into Fractions only once at the end.  Feasibility, path walls and
+facet incidence are decided in integers too: offsets (and rates) are scaled
+to one common denominator, each basic solution stays integer numerators over
+a positive pivot, and a Fraction point is built only for a basic solution
+that survives.  Whether a polytope is bounded depends on its facet normals
+only, so that test is memoized on the normals and shared by every polytope
+of a family.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .errors import (
 Rational = Fraction
 Point = tuple[Fraction, ...]
 LatticeVector = tuple[int, ...]
+IntRow = tuple[LatticeVector, int]  # (a, b): the halfspace <a, x> + b / q >= 0 over a shared q
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +311,12 @@ def _recession_nontrivial(normals: tuple[LatticeVector, ...], dim: int) -> bool:
     return False
 
 
+def _int_rows(halfspaces: Sequence[Halfspace]) -> tuple[list[IntRow], int]:
+    """The halfspaces as integer rows (a, b) of {<a, x> + b / q >= 0} over one common q."""
+    q = lcm(*[hs.offset.denominator for hs in halfspaces])
+    return [(hs.normal, hs.offset.numerator * (q // hs.offset.denominator)) for hs in halfspaces], q
+
+
 def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
     """Exact vertex set of a bounded halfspace intersection.
 
@@ -319,13 +330,20 @@ def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
     dim = len(halfspaces[0].normal)
     if any(len(hs.normal) != dim for hs in halfspaces):
         raise DimensionMismatch("halfspaces of mixed dimension")
+    # over the common offset denominator q, y = q * x solves <a, y> + b >= 0 in integers
+    rows, q = _int_rows(halfspaces)
     found: set[Point] = set()
-    for subset in itertools.combinations(halfspaces, dim):
-        x = solve_linear([hs.normal for hs in subset], [-hs.offset for hs in subset])
-        if x is None:
+    for subset in itertools.combinations(rows, dim):
+        m = [[*a, -b] for a, b in subset]
+        pivots, den, _sign, _scale = _eliminate(m, dim)
+        if len(pivots) < dim:
             continue
-        if all(hs.slack(x) >= 0 for hs in halfspaces):
-            found.add(x)
+        # y = num / den with den > 0, so feasibility keeps the sign of <a, num> + b * den
+        s = 1 if den > 0 else -1
+        den *= s
+        num = [s * row[dim] for row in m]
+        if all(sum(map(mul, a, num)) + b * den >= 0 for a, b in rows):
+            found.add(tuple(Fraction(c, den * q) for c in num))
     if found:
         if _recession_nontrivial(tuple(hs.normal for hs in halfspaces), dim):
             raise UnboundedRegion("halfspace intersection is unbounded")
@@ -422,30 +440,30 @@ def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
 # triangulation, volume, linear statistics
 # --------------------------------------------------------------------------
 
-def _substitute_halfspace(other: Halfspace, facet: Halfspace, k: int) -> Halfspace | None:
-    """Eliminate coordinate k from `other` using equality on `facet`."""
-    u, a = facet.normal, facet.offset
-    w, b = other.normal, other.offset
-    s = 1 if u[k] > 0 else -1
-    normal = tuple(s * (u[k] * w[j] - w[k] * u[j]) for j in range(len(u)) if j != k)
-    if all(c == 0 for c in normal):
-        return None
-    offset = s * (b * u[k] - a * w[k])
-    return Halfspace(normal, offset)
+def _tight_sets(
+    rows: Sequence[IntRow], q: int, vertices: Sequence[Point]
+) -> list[tuple[Point, ...]]:
+    """For each row (a, b) of {<a, x> + b / q >= 0}, the sorted vertices on its boundary.
 
-
-def _lift_point(y: Point, facet: Halfspace, k: int) -> Point:
-    u, a = facet.normal, facet.offset
-    others = [j for j in range(len(u)) if j != k]
-    rest = sum((u[j] * y[i] for i, j in enumerate(others)), Fraction(0))
-    xk = (-a - rest) / u[k]
-    return y[:k] + (xk,) + y[k:]
+    Decided in integers: each vertex is written once as integer numerators
+    over the lcm of its denominators, x = num / den, and lies on the boundary
+    exactly when <a, num> * q + b * den == 0.
+    """
+    verts = sorted(vertices)
+    scaled = []
+    for v in verts:
+        den = lcm(*[c.denominator for c in v])
+        scaled.append(([c.numerator * (den // c.denominator) for c in v], den))
+    return [
+        tuple(v for v, (num, den) in zip(verts, scaled) if sum(map(mul, a, num)) * q + b * den == 0)
+        for a, b in rows
+    ]
 
 
 def _triangulate(
-    halfspaces: Sequence[Halfspace], vertices: Sequence[Point], dim: int
+    rows: Sequence[IntRow], q: int, vertices: Sequence[Point], dim: int
 ) -> list[tuple[Point, ...]]:
-    """Simplices covering the polytope, via cones from the lex-least vertex."""
+    """Simplices covering the polytope {<a, x> + b / q >= 0}, via cones from the lex-least vertex."""
     if dim == 1:
         xs = sorted(v[0] for v in vertices)
         if xs[0] == xs[-1]:
@@ -454,48 +472,59 @@ def _triangulate(
     v0 = min(vertices)
     simplices: list[tuple[Point, ...]] = []
     seen: set[tuple[Point, ...]] = set()
-    for hs in halfspaces:
-        if hs.slack(v0) == 0:
-            continue
-        tight = tuple(sorted(v for v in vertices if hs.slack(v) == 0))
-        if len(tight) < dim or tight in seen:
+    for row, tight in zip(rows, _tight_sets(rows, q, vertices)):
+        if v0 in tight or len(tight) < dim or tight in seen:
             continue
         seen.add(tight)
         if affine_rank(tight) != dim - 1:
             continue
-        for face_simplex in _triangulate_facet(halfspaces, hs, tight, dim):
+        for face_simplex in _triangulate_facet(rows, q, row, tight, dim):
             simplices.append((v0,) + face_simplex)
     return simplices
 
 
 def _triangulate_facet(
-    halfspaces: Sequence[Halfspace], hs: Halfspace, tight: Sequence[Point], dim: int
+    rows: Sequence[IntRow], q: int, facet: IntRow, tight: Sequence[Point], dim: int
 ) -> list[tuple[Point, ...]]:
-    """Simplices of the facet where `hs` is tight: projected along the largest normal entry."""
+    """Simplices of the facet where `facet` is tight: projected along the largest normal entry.
+
+    Eliminating x_k with the facet's equation turns every other row into a row
+    in the remaining coordinates over the same q.  Of rows with one primitive
+    normal only the binding one (least offset / content) is kept; the
+    projection is injective on the facet, so simplices lift back by lookup.
+    """
     if dim == 1:
         return [tuple(tight)]
-    k = max(range(dim), key=lambda j: abs(hs.normal[j]))
-    sub_hs = []
-    for other in halfspaces:
-        if other is hs:
+    u, c = facet
+    k = max(range(dim), key=lambda j: abs(u[j]))
+    s = 1 if u[k] > 0 else -1
+    best: dict[LatticeVector, tuple[LatticeVector, int, int]] = {}
+    for w, b in rows:
+        normal = tuple(s * (u[k] * w[j] - w[k] * u[j]) for j in range(dim) if j != k)
+        g = content(normal)
+        if g == 0:
             continue
-        sub = _substitute_halfspace(other, hs, k)
-        if sub is not None:
-            sub_hs.append(sub)
-    proj = [v[:k] + v[k + 1 :] for v in tight]
+        offset = s * (b * u[k] - c * w[k])
+        key = tuple(x // g for x in normal)
+        kept = best.get(key)
+        if kept is None or offset * kept[2] < kept[1] * g:
+            best[key] = (normal, offset, g)
+    sub = [(normal, offset) for normal, offset, _g in best.values()]
+    lift = {v[:k] + v[k + 1 :]: v for v in tight}
     return [
-        tuple(_lift_point(y, hs, k) for y in face_simplex)
-        for face_simplex in _triangulate(_dedupe_halfspaces(sub_hs), proj, dim - 1)
+        tuple(lift[y] for y in face_simplex)
+        for face_simplex in _triangulate(sub, q, list(lift), dim - 1)
     ]
 
 
 def facet_triangulation(p: Polytope, normal: Sequence[int]) -> list[tuple[Point, ...]]:
     """Simplices covering the facet of p on its halfspace with this normal; none if no facet."""
-    hs = next(h for h in p.halfspaces if h.normal == tuple(normal))
-    tight = tuple(sorted(v for v in p.vertices if hs.slack(v) == 0))
+    rows, q = _int_rows(p.halfspaces)
+    facet = next(row for row in rows if row[0] == tuple(normal))
+    (tight,) = _tight_sets([facet], q, p.vertices)
     if affine_rank(tight) != p.dimension - 1:
         return []
-    return _triangulate_facet(p.halfspaces, hs, tight, p.dimension)
+    return _triangulate_facet(rows, q, facet, tight, p.dimension)
 
 
 @lru_cache(maxsize=None)
@@ -503,7 +532,7 @@ def triangulation(p: Polytope) -> tuple[tuple[Point, ...], ...]:
     """Deterministic exact triangulation of a full-dimensional polytope."""
     if not p.is_full_dimensional:
         return ()
-    return tuple(_triangulate(p.halfspaces, p.vertices, p.dimension))
+    return tuple(_triangulate(*_int_rows(p.halfspaces), p.vertices, p.dimension))
 
 
 def simplex_volume(simplex: Sequence[Point]) -> Fraction:
@@ -704,35 +733,54 @@ class ParametricPolytope:
 def _basis_paths(
     halfspaces: Sequence[ParametricHalfspace], dim: int
 ) -> list[tuple[VertexPath, Fraction | None, Fraction | None]]:
-    """All basic solution paths with their exact feasibility t-intervals."""
+    """All basic solution paths with their exact feasibility t-intervals.
+
+    Offsets and rates are scaled to one common denominator q, so each basis is
+    one integer elimination with the base and velocity columns side by side.
+    Along base + t * velocity a halfspace's slack is (c0 + t * c1) / (den * q)
+    with integers c0, c1 and den > 0, and its wall is t = -c0 / c1; the path's
+    Fraction base and velocity are built only when its interval is nonempty.
+    """
+    q = lcm(*[hs.offset.denominator for hs in halfspaces],
+            *[hs.rate.denominator for hs in halfspaces])
+    rows = [
+        (hs.normal,
+         hs.offset.numerator * (q // hs.offset.denominator),
+         hs.rate.numerator * (q // hs.rate.denominator))
+        for hs in halfspaces
+    ]
     out = []
-    for subset in itertools.combinations(halfspaces, dim):
-        # one elimination for both right-hand sides: base and velocity
-        m = [[*hs.normal, -hs.offset, hs.rate] for hs in subset]
-        pivots, pivot, _sign, _scale = _eliminate(m, dim)
+    for subset in itertools.combinations(rows, dim):
+        m = [[*a, -b, r] for a, b, r in subset]
+        pivots, den, _sign, _scale = _eliminate(m, dim)
         if len(pivots) < dim:
             continue
-        base = tuple(Fraction(row[dim], pivot) for row in m)
-        velocity = tuple(Fraction(row[dim + 1], pivot) for row in m)
-        path = VertexPath(base, velocity)
+        s = 1 if den > 0 else -1
+        den *= s
+        base = [s * row[dim] for row in m]
+        velocity = [s * row[dim + 1] for row in m]
         lo: Fraction | None = None
         hi: Fraction | None = None
         empty = False
-        for hs in halfspaces:
-            c0 = dot(hs.normal, base) + hs.offset
-            c1 = dot(hs.normal, velocity) - hs.rate
+        for a, b, r in rows:
+            c0 = sum(map(mul, a, base)) + b * den
+            c1 = sum(map(mul, a, velocity)) - r * den
             if c1 == 0:
                 if c0 < 0:
                     empty = True
                     break
             elif c1 > 0:
-                bound = -c0 / c1
-                lo = bound if lo is None else max(lo, bound)
+                wall = Fraction(-c0, c1)
+                lo = wall if lo is None else max(lo, wall)
             else:
-                bound = -c0 / c1
-                hi = bound if hi is None else min(hi, bound)
+                wall = Fraction(-c0, c1)
+                hi = wall if hi is None else min(hi, wall)
         if empty or (lo is not None and hi is not None and lo > hi):
             continue
+        path = VertexPath(
+            tuple(Fraction(c, den * q) for c in base),
+            tuple(Fraction(c, den * q) for c in velocity),
+        )
         out.append((path, lo, hi))
     return out
 

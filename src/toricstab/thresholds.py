@@ -130,15 +130,16 @@ def _candidate_row(args) -> CandidateRow:
 def delta_search(fan: Fan, l: ToricDivisor, radius: int, jobs: int = 1) -> ThresholdReport:
     """Exact minimum of the quotient over primitive lattice candidates in a ball.
 
-    Candidate evaluation is embarrassingly parallel; rows are assembled in the
-    deterministic (norm, lex) candidate order regardless of jobs.
+    Candidate evaluation is embarrassingly parallel, with at most one worker
+    per candidate; rows are assembled in the deterministic (norm, lex)
+    candidate order regardless of jobs.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     candidates = primitive_candidates(fan.dimension, radius)
     args = [(fan, l, u) for u in candidates]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             rows = list(pool.map(_candidate_row, args, chunksize=8))
     else:
         rows = [_candidate_row(a) for a in args]

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 
 import jsonschema
 import pytest
 
-from toricstab.cli import PROBLEM_SCHEMA, ProblemFile, main
+from toricstab import thresholds
+from toricstab.cli import MAX_SAMPLES, PROBLEM_SCHEMA, ProblemFile, build_parser, main
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -233,6 +235,17 @@ def test_bad_samples_exit_2(capsys, problems_dir):
         assert "--samples: must be at least 1" in payload["message"]
 
 
+def test_samples_above_maximum_exit_2(capsys, problems_dir):
+    for argv in (
+        ["volume", str(problems_dir / "f1.json"), "--curve", "polarization", "--samples", "10001"],
+        ["dh", str(problems_dir / "p2.json"), "--u=1,1", "--samples", "1000000000"],
+    ):
+        payload = assert_validation_error(*run(capsys, *argv, "--jobs", "1"))
+        assert "--samples: must be at most 10000" in payload["message"]
+    args = build_parser().parse_args(["dh", "problem.json", "--u=1,1", "--samples", "10000"])
+    assert args.samples == MAX_SAMPLES == 10000
+
+
 def assert_validation_error(code, out, err) -> dict:
     assert code == 2
     assert out == ""
@@ -311,3 +324,18 @@ def test_bad_jobs_exit_2(capsys, problems_dir, jobs):
         *run(capsys, "delta", str(problems_dir / "p2.json"), "--radius", "1", f"--jobs={jobs}")
     )
     assert "--jobs: must be at least 1" in payload["message"]
+
+
+def test_jobs_above_core_count_exit_2(capsys, problems_dir, monkeypatch):
+    # rejected while parsing: no process pool is ever started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(thresholds, "ProcessPoolExecutor", no_pool)
+    cores = os.cpu_count() or 1
+    for command in (["delta"], ["report", "--directions", "E"]):
+        payload = assert_validation_error(*run(
+            capsys, command[0], str(problems_dir / "f1.json"), *command[1:],
+            "--radius", "1", f"--jobs={cores + 1}",
+        ))
+        assert f"--jobs: must be at most the core count {cores}" in payload["message"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -141,7 +142,7 @@ def arguments(draw, spec, bad: bool) -> list[str]:
         if draw(maybe):
             args += ["--curve", draw(name)]
     if command in ("volume", "dh") and draw(maybe):
-        args.append("--samples=" + pick(["1", "3"], ["0", "-1", "x"]))
+        args.append("--samples=" + pick(["1", "3"], ["0", "-1", "x", "10001"]))
     if command in ("delta", "report"):
         args.append("--radius=" + pick(["1"], ["0", "-1", "x"]))
     if command == "curve" and (not bad or draw(st.integers(0, 5))):
@@ -157,7 +158,7 @@ def arguments(draw, spec, bad: bool) -> list[str]:
     if command == "report":
         args.append("--directions=" + ",".join(draw(st.lists(name, min_size=1, max_size=2))))
     args.append("--format=" + pick(["table", "json", "csv"], ["xml"]))
-    args.append("--jobs=" + pick(["1"], ["0", "x"]))
+    args.append("--jobs=" + pick(["1"], ["0", "x", str((os.cpu_count() or 1) + 1)]))
     return args
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as Q
 from math import lcm
@@ -8,11 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricstab import geometry
 from toricstab.errors import DegeneratePolytope, UnboundedRegion
 from toricstab.geometry import (
     Halfspace,
+    ParametricHalfspace,
     Polytope,
+    VertexPath,
+    _basis_paths,
+    _dedupe_halfspaces,
+    _feasible,
+    _int_rows,
+    _recession_nontrivial,
+    _tight_sets,
+    affine_rank,
     det,
+    facet_triangulation,
     hull_halfspaces,
     kernel_vector,
     lattice_points,
@@ -404,3 +416,176 @@ def test_nonneg_combination_matches_fraction_elimination(system):
     m, (target,) = system
     k = len(m[0])
     assert _nonneg_combination(m, target, k) == oracle_nonneg(m, target, k)
+
+
+# --------------------------------------------------------------------------
+# the integer polytope kernel against the Fraction route it replaced
+# --------------------------------------------------------------------------
+
+def oracle_vertices(halfspaces):
+    """vertices_of by Fraction solves and Fraction slack tests."""
+    dim = len(halfspaces[0].normal)
+    found = set()
+    for subset in itertools.combinations(halfspaces, dim):
+        x = solve_linear([hs.normal for hs in subset], [-hs.offset for hs in subset])
+        if x is not None and all(hs.slack(x) >= 0 for hs in halfspaces):
+            found.add(x)
+    if found:
+        if _recession_nontrivial(tuple(hs.normal for hs in halfspaces), dim):
+            raise UnboundedRegion("halfspace intersection is unbounded")
+        return sorted(found)
+    if _feasible(halfspaces, dim):
+        raise UnboundedRegion("nonempty intersection without vertices is unbounded")
+    return []
+
+
+def oracle_basis_paths(halfspaces, dim):
+    """_basis_paths by Fraction Gauss-Jordan solves and Fraction walls."""
+    out = []
+    for subset in itertools.combinations(halfspaces, dim):
+        rows = [hs.normal for hs in subset]
+        base = oracle_solve(rows, [-hs.offset for hs in subset])
+        if base is None:
+            continue
+        velocity = oracle_solve(rows, [hs.rate for hs in subset])
+        lo = hi = None
+        empty = False
+        for hs in halfspaces:
+            c0 = sum((a * x for a, x in zip(hs.normal, base)), Q(0)) + hs.offset
+            c1 = sum((a * v for a, v in zip(hs.normal, velocity)), Q(0)) - hs.rate
+            if c1 == 0:
+                if c0 < 0:
+                    empty = True
+                    break
+            elif c1 > 0:
+                lo = -c0 / c1 if lo is None else max(lo, -c0 / c1)
+            else:
+                hi = -c0 / c1 if hi is None else min(hi, -c0 / c1)
+        if empty or (lo is not None and hi is not None and lo > hi):
+            continue
+        out.append((VertexPath(base, velocity), lo, hi))
+    return out
+
+
+def oracle_tight(hs, vertices):
+    return tuple(sorted(v for v in vertices if hs.slack(v) == 0))
+
+
+def oracle_triangulate(halfspaces, vertices, dim):
+    """The triangulation on Fraction halfspaces: slack tests, substitution and lifting."""
+    if dim == 1:
+        xs = sorted(v[0] for v in vertices)
+        return [] if xs[0] == xs[-1] else [((xs[0],), (xs[-1],))]
+    v0 = min(vertices)
+    simplices, seen = [], set()
+    for hs in halfspaces:
+        if hs.slack(v0) == 0:
+            continue
+        tight = oracle_tight(hs, vertices)
+        if len(tight) < dim or tight in seen:
+            continue
+        seen.add(tight)
+        if affine_rank(tight) != dim - 1:
+            continue
+        simplices += [(v0,) + s for s in oracle_triangulate_facet(halfspaces, hs, tight, dim)]
+    return simplices
+
+
+def oracle_triangulate_facet(halfspaces, hs, tight, dim):
+    if dim == 1:
+        return [tuple(tight)]
+    u, a = hs.normal, hs.offset
+    k = max(range(dim), key=lambda j: abs(u[j]))
+    s = 1 if u[k] > 0 else -1
+    sub = []
+    for other in halfspaces:
+        w, b = other.normal, other.offset
+        normal = tuple(s * (u[k] * w[j] - w[k] * u[j]) for j in range(dim) if j != k)
+        if other is not hs and any(normal):
+            sub.append(Halfspace(normal, s * (b * u[k] - a * w[k])))
+
+    def lift(y):
+        rest = sum((u[j] * c for c, j in zip(y, [j for j in range(dim) if j != k])), Q(0))
+        return y[:k] + ((-a - rest) / u[k],) + y[k:]
+
+    proj = [v[:k] + v[k + 1:] for v in tight]
+    return [
+        tuple(lift(y) for y in face)
+        for face in oracle_triangulate(_dedupe_halfspaces(sub), proj, dim - 1)
+    ]
+
+
+offsets = st.builds(Q, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=6))
+positive_offsets = st.builds(Q, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=6))
+
+
+@st.composite
+def halfspace_systems(draw, with_rates=False, bounded=False):
+    """Small integer normals and rational offsets of mixed denominators in dimensions 1-4.
+
+    A drawn flag adds a bounding simplex, so that bounded polytopes come next
+    to unbounded and empty intersections.  With `bounded`, the simplex is
+    always there and every offset is positive: a full-dimensional polytope
+    around the origin.
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=1, max_value=6 - dim // 2))
+    normals = [
+        draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
+             .filter(any))
+        for _ in range(count)
+    ]
+    if bounded or draw(st.booleans()):
+        normals += [[int(i == j) for j in range(dim)] for i in range(dim)] + [[-1] * dim]
+    hs = [Halfspace(u, draw(positive_offsets if bounded else offsets)) for u in normals]
+    if not with_rates:
+        return hs
+    return hs, [draw(st.one_of(st.just(Q(0)), offsets)) for _ in hs]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnboundedRegion:
+        return UnboundedRegion
+
+
+@settings(max_examples=300, deadline=None)
+@given(halfspace_systems())
+def test_vertices_of_matches_fraction_route(hs):
+    assert outcome(vertices_of, hs) == outcome(oracle_vertices, hs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_systems(with_rates=True))
+def test_basis_paths_match_fraction_route(system):
+    hs, rates = system
+    phs = [ParametricHalfspace(h.normal, h.offset, r) for h, r in zip(hs, rates)]
+    dim = len(hs[0].normal)
+    assert _basis_paths(phs, dim) == oracle_basis_paths(phs, dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(halfspace_systems(bounded=True))
+def test_triangulation_tight_sets_match_slack_route(halfspaces):
+    p = poly(halfspaces)
+    calls = []
+
+    def checked(rows, q, vertices):
+        got = _tight_sets(rows, q, vertices)
+        assert got == [oracle_tight(Halfspace(a, Q(b, q)), vertices) for a, b in rows]
+        calls.append(len(rows))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_tight_sets", checked)
+        got = geometry._triangulate(*_int_rows(p.halfspaces), p.vertices, p.dimension)
+        facets = {hs.normal: facet_triangulation(p, hs.normal) for hs in p.halfspaces}
+    assert calls and p.is_full_dimensional
+    assert got == oracle_triangulate(p.halfspaces, p.vertices, p.dimension)
+    assert triangulation(p) == tuple(got)
+    for hs in p.halfspaces:
+        tight = oracle_tight(hs, p.vertices)
+        want = [] if affine_rank(tight) != p.dimension - 1 else \
+            oracle_triangulate_facet(p.halfspaces, hs, tight, p.dimension)
+        assert facets[hs.normal] == want

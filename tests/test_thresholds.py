@@ -82,6 +82,33 @@ def test_delta_search_parallel_matches_serial(f1):
     assert serial == parallel
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, workers", [(3, 3), (64, 8)])
+def test_delta_search_caps_workers_at_candidates(p2, monkeypatch, jobs, workers):
+    # radius 1 on a surface has 8 candidates; no process is started
+    sizes = []
+    monkeypatch.setattr(thresholds, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(sizes, max_workers))
+    k2 = anticanonical(p2)
+    assert delta_search(p2, k2, 1, jobs=jobs) == delta_search(p2, k2, 1, jobs=1)
+    assert sizes == [workers]
+
+
 def test_delta_pp_quotient_values(p2, f1):
     k2, kf1 = anticanonical(p2), anticanonical(f1)
     h, e = ray_divisor(p2, 0), ray_divisor(f1, 3)
