@@ -148,14 +148,11 @@ def lattice_vector(text: str) -> tuple[int, ...]:
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
     return Fraction(text)
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def decimal_approx(x: Fraction, digits: int = 12) -> str:
@@ -381,6 +378,15 @@ def curve_svg(curve: PiecewisePolynomial, title: str, samples_per_piece: int = 2
     return "\n".join(parts) + "\n"
 
 
+def write_plot(path: str, curve: PiecewisePolynomial, title: str) -> None:
+    """Write curve_svg(curve, title) to path; an unwritable path is a validation error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(curve_svg(curve, title))
+    except OSError as exc:
+        raise ValidationProblem(f"cannot write plot: {exc}") from None
+
+
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -429,8 +435,7 @@ def cmd_volume(args) -> int:
         for x, y in curve.samples(args.samples)
     ]
     if args.plot:
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(curve_svg(curve, f"vol({args.divisor} - t*{args.curve})"))
+        write_plot(args.plot, curve, f"vol({args.divisor} - t*{args.curve})")
     emit(args, ["t", "volume", "decimal"], rows, payload)
     return 0
 
@@ -519,8 +524,7 @@ def cmd_dh(args) -> int:
     if args.plot:
         if measure.density is None:
             raise ValidationProblem("measure has no density to plot")
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(curve_svg(measure.density, f"DH density along u={u}"))
+        write_plot(args.plot, measure.density, f"DH density along u={u}")
     emit(args, ["tau", "density", "decimal"], rows, payload)
     return 0
 

@@ -17,8 +17,6 @@ from .geometry import Halfspace, LatticeVector, ParametricPolytope, dot, paramet
 from .toric import Fan, ToricDivisor, is_ample, polytope_of
 from .volume_fn import PiecewisePolynomial, family_volume_curve
 
-import math
-
 
 @dataclass(frozen=True)
 class DHMeasure:
@@ -87,8 +85,7 @@ def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePo
 
     Non-increasing from vol(L) at 0 down to 0 at the width of P_L against u.
     """
-    n = fan.dimension
-    return family_volume_curve(filtration_family(fan, l, u), Fraction(math.factorial(n)), n)
+    return family_volume_curve(filtration_family(fan, l, u))
 
 
 def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:

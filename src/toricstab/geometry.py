@@ -286,29 +286,33 @@ def _feasible(halfspaces: Sequence[Halfspace], dim: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _recession_nontrivial(normals: tuple[LatticeVector, ...], dim: int) -> bool:
-    """Whether {x : <x,u_i> >= 0 for all i} contains a nonzero vector.
+def extreme_rays(normals: Sequence[LatticeVector], dim: int) -> list[LatticeVector]:
+    """Extreme rays of the pointed cone {x : <x,u_i> >= 0 for all i}, primitive and sorted.
 
-    It depends on the normals only, so every polytope of a family (one set
-    of normals, moving offsets) shares one answer.
+    Each extreme ray spans the kernel of dim - 1 of the normals, so every such
+    kernel vector, with either sign, that lies in the cone is one.
     """
-    if matrix_rank(normals) < dim:
-        return True  # a kernel direction lies in the recession cone
-    if dim == 1:
-        pos = any(u[0] > 0 for u in normals)
-        neg = any(u[0] < 0 for u in normals)
-        return not (pos and neg)
+    rays: set[LatticeVector] = set()
     for subset in itertools.combinations(normals, dim - 1):
         d = kernel_vector(subset, dim)
         if d is None:
             continue
-        if all(dot(u, d) >= 0 for u in normals):
-            return True
-        nd = tuple(-a for a in d)
-        if all(dot(u, nd) >= 0 for u in normals):
-            return True
-    return False
+        for cand in (d, tuple(-a for a in d)):
+            if all(dot(u, cand) >= 0 for u in normals):
+                rays.add(cand)
+    return sorted(rays)
+
+
+@lru_cache(maxsize=None)
+def _recession_nontrivial(normals: tuple[LatticeVector, ...], dim: int) -> bool:
+    """Whether {x : <x,u_i> >= 0 for all i} contains a nonzero vector.
+
+    A kernel direction lies in it when the normals do not span; otherwise it
+    is pointed and nontrivial exactly when it has an extreme ray.  It depends
+    on the normals only, so every polytope of a family (one set of normals,
+    moving offsets) shares one answer.
+    """
+    return matrix_rank(normals) < dim or bool(extreme_rays(normals, dim))
 
 
 def _int_rows(halfspaces: Sequence[Halfspace]) -> tuple[list[IntRow], int]:

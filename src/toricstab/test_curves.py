@@ -2,7 +2,10 @@
 
 An extended curve tracks the family L - tau*D through its exact Zariski
 decompositions: within each chamber the positive part P_tau has coefficients
-affine in tau and the negative part's support is constant.  In dimension >= 3
+affine in tau and the negative part's support is constant.  The curve's
+chambers are the divisor family's own chambers, not cut any further: no vertex
+path's slack changes sign inside a family chamber, so the normal fan of P_tau
+and each ray's minimizing vertex are fixed there.  In dimension >= 3
 P_tau is only movable, not nef, so the functionals pair it through positive
 products <P_tau^{n-1}> . alpha, not ring products.  Each chamber carries the
 polynomials f_i(tau) = <P_tau^{n-1}> . D_i, (n-1)! times the lattice volumes
@@ -18,14 +21,13 @@ they raise again on every call.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantViolation, OutOfRange, RangeTooShort
-from .geometry import Chamber, dot
+from .geometry import dot
 from .toric import (
     Fan,
     ToricDivisor,
@@ -137,10 +139,16 @@ def _curve_chambers(
 ) -> tuple[tuple[CurveChamber, ...], Fraction]:
     """Chamber data of the family L - tau*D on [0, tau+], memoized per (fan, L, D).
 
-    Polytope chambers are refined so that, per chamber, every ray's polytope
-    minimum is attained by a single vertex path; the positive-part coefficient
-    paths are then affine and the negative-part slacks are nonnegative affine
-    functions, identically zero or strictly positive on the interior.
+    One curve chamber per chamber of the divisor family.  Every zero of a
+    vertex path's slack is a wall of the family, so inside a family chamber
+    the tight sets and normal cones of P_tau are fixed and each ray's
+    polytope minimum is attained by one vertex path: the positive-part
+    coefficient paths are affine and the negative-part slacks are
+    nonnegative affine functions, identically zero or strictly positive on
+    the interior.  This is checked exactly: each ray's midpoint-minimizing
+    path must be minimal at both chamber ends too.  The minimum of affine
+    lines is concave, so equality at both ends proves it on the whole
+    chamber; InvariantViolation otherwise.
 
     The mass is read off the volume curve.  The facet polynomials are checked
     against it: sum_i P_tau,i f_i(tau) must equal the mass exactly, the facets
@@ -152,58 +160,41 @@ def _curve_chambers(
         raise InvariantViolation("divisor family has no feasibility threshold")
     chambers: list[CurveChamber] = []
     for chamber in family.chambers:
-        # refine at crossings of the per-ray minimizing vertex paths
-        walls = {chamber.lo, chamber.hi}
+        lo, hi, mid = chamber.lo, chamber.hi, chamber.midpoint()
+        if not chamber.paths:
+            raise InvariantViolation("curve chamber has no vertex paths")
+        pos_paths = []
         for u in fan.rays:
-            lines = {}
-            for path in chamber.paths:
-                c0 = dot(path.base, u)
-                c1 = dot(path.velocity, u)
-                lines[(c0, c1)] = True
-            for (a0, a1), (b0, b1) in itertools.combinations(lines, 2):
-                if a1 == b1:
-                    continue
-                t = (b0 - a0) / (a1 - b1)
-                if chamber.lo < t < chamber.hi:
-                    walls.add(t)
-        ordered = sorted(walls)
-        for lo, hi in zip(ordered, ordered[1:]):
-            mid = (lo + hi) / 2
-            pos_paths = []
-            for i, u in enumerate(fan.rays):
-                best = None
-                for path in chamber.paths:
-                    c0, c1 = dot(path.base, u), dot(path.velocity, u)
-                    val = c0 + c1 * mid
-                    if best is None or val < best[0]:
-                        best = (val, c0, c1)
-                if best is None:
-                    raise InvariantViolation("curve chamber has no vertex paths")
-                pos_paths.append((-best[1], -best[2]))
-            neg_paths = []
-            red = []
-            for i in range(len(fan.rays)):
-                c0 = l.coeffs[i] - pos_paths[i][0]
-                c1 = -d.coeffs[i] - pos_paths[i][1]
-                neg_paths.append((c0, c1))
-            for i in range(len(fan.rays)):
-                # support of tau*D + N_tau on the chamber interior
-                nc0, nc1 = neg_paths[i]
-                total_mid = d.coeffs[i] * mid + nc0 + nc1 * mid
-                if total_mid > 0:
-                    red.append(i)
-            mass = volumes.piece_at(mid)
-            facets = chamber_facet_polynomials(family, Chamber(lo, hi, chamber.paths))
-            identity = Polynomial(())
-            for (c0, c1), f in zip(pos_paths, facets):
-                identity = identity + Polynomial.of(c0, c1) * f
-            if identity != mass:
-                raise InvariantViolation(
-                    f"facet volumes do not sum to the mass on the chamber [{lo}, {hi}]"
-                )
-            chambers.append(
-                CurveChamber(lo, hi, tuple(pos_paths), tuple(neg_paths), tuple(red), mass, facets)
+            lines = [(dot(path.base, u), dot(path.velocity, u)) for path in chamber.paths]
+            c0, c1 = min(lines, key=lambda line: line[0] + line[1] * mid)
+            for t in (lo, hi):
+                if c0 + c1 * t != min(a0 + a1 * t for a0, a1 in lines):
+                    raise InvariantViolation(
+                        f"the minimizing vertex path of ray {u} changes inside the "
+                        f"chamber [{lo}, {hi}]"
+                    )
+            pos_paths.append((-c0, -c1))
+        neg_paths = []
+        red = []
+        for i in range(len(fan.rays)):
+            c0 = l.coeffs[i] - pos_paths[i][0]
+            c1 = -d.coeffs[i] - pos_paths[i][1]
+            neg_paths.append((c0, c1))
+            # support of tau*D + N_tau on the chamber interior
+            if d.coeffs[i] * mid + c0 + c1 * mid > 0:
+                red.append(i)
+        mass = volumes.piece_at(mid)
+        facets = chamber_facet_polynomials(family, chamber)
+        identity = Polynomial(())
+        for (c0, c1), f in zip(pos_paths, facets):
+            identity = identity + Polynomial.of(c0, c1) * f
+        if identity != mass:
+            raise InvariantViolation(
+                f"facet volumes do not sum to the mass on the chamber [{lo}, {hi}]"
             )
+        chambers.append(
+            CurveChamber(lo, hi, tuple(pos_paths), tuple(neg_paths), tuple(red), mass, facets)
+        )
     return tuple(chambers), family.t_max
 
 

@@ -20,10 +20,13 @@ from .geometry import is_primitive, linear_stats
 from .toric import (
     Fan,
     ToricDivisor,
+    anticanonical,
     intersection_number,
     is_ample,
     log_discrepancy,
     polytope_of,
+    ray_divisor,
+    zero_divisor,
 )
 from .test_curves import (
     entropy,
@@ -180,7 +183,7 @@ def delta_prime_quotient(
         raise ZeroDivisor("direction divisor is zero")
     n = fan.dimension
     if k_rel is None:
-        k_rel = ToricDivisor(fan, (Fraction(0),) * len(fan.rays))
+        k_rel = zero_divisor(fan)
     extended = extended_curve(fan, l, d, k_rel=k_rel)
     if extended.tau_plus < 1:
         raise NotBigOnUnitInterval(
@@ -240,12 +243,8 @@ def inequality_report(
                     holds=prime >= delta,
                 )
             )
-    anti = ToricDivisor(fan, (Fraction(1),) * len(fan.rays))
-    if l.coeffs == anti.coeffs and base.minimizer in fan.rays:
-        index = fan.rays.index(base.minimizer)
-        coeffs = [Fraction(0)] * len(fan.rays)
-        coeffs[index] = Fraction(1)
-        ray_dir = ToricDivisor(fan, tuple(coeffs))
+    if l.coeffs == anticanonical(fan).coeffs and base.minimizer in fan.rays:
+        ray_dir = ray_divisor(fan, fan.rays.index(base.minimizer))
         pp_values = [row.pp_quotient for row in rows if row.pp_quotient is not None]
         pp_values.append(delta_pp_quotient(fan, l, ray_dir))
         verdicts.append(

@@ -33,8 +33,8 @@ from .geometry import (
     content,
     det,
     dot,
+    extreme_rays,
     is_primitive,
-    kernel_vector,
     solve_linear,
 )
 
@@ -183,8 +183,8 @@ class FanDiagnostics:
         )
 
 
-def _cone_halfspaces(fan: Fan, cone: tuple[int, ...]) -> list[Halfspace] | None:
-    """H-representation of a full-dimensional simplicial cone (rows of M^-1)."""
+def _cone_normals(fan: Fan, cone: tuple[int, ...]) -> list[LatticeVector] | None:
+    """Inward facet normals of a full-dimensional simplicial cone (rows of M^-1)."""
     n = fan.dimension
     # with the rays as rows, eliminating [M^T | I] leaves pivot * (M^-1)^T on the right
     m = [[*ray, *(int(i == j) for i in range(n))] for j, ray in enumerate(fan.cone_rays(cone))]
@@ -197,22 +197,8 @@ def _cone_halfspaces(fan: Fan, cone: tuple[int, ...]) -> list[Halfspace] | None:
         # row i of M^-1 is column / pivot; clear its denominators
         g = gcd(pivot, *column)
         g = g if pivot > 0 else -g
-        out.append(Halfspace(tuple(c // g for c in column), Fraction(0)))
+        out.append(tuple(c // g for c in column))
     return out
-
-
-def _extreme_rays(halfspaces: list[Halfspace], dim: int) -> list[LatticeVector]:
-    """Extreme rays of a pointed cone given by homogeneous halfspaces."""
-    rays: set[LatticeVector] = set()
-    normals = [hs.normal for hs in halfspaces]
-    for subset in itertools.combinations(normals, dim - 1):
-        d = kernel_vector(subset, dim)
-        if d is None:
-            continue
-        for cand in (d, tuple(-a for a in d)):
-            if all(dot(u, cand) >= 0 for u in normals):
-                rays.add(cand)
-    return sorted(rays)
 
 
 def validate_fan(fan: Fan) -> FanDiagnostics:
@@ -266,12 +252,12 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     proper = True
     if is_simplicial and n > 1:
         for ca, cb in itertools.combinations(fan.max_cones, 2):
-            ha = _cone_halfspaces(fan, ca)
-            hb = _cone_halfspaces(fan, cb)
+            ha = _cone_normals(fan, ca)
+            hb = _cone_normals(fan, cb)
             if ha is None or hb is None:
                 continue
             common = sorted(set(ca) & set(cb))
-            for ray in _extreme_rays(ha + hb, n):
+            for ray in extreme_rays(ha + hb, n):
                 lam = None
                 if common:
                     # ray must be a nonnegative combination of the shared rays

@@ -381,16 +381,14 @@ def big_volume(fan: Fan, d: ToricDivisor) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def divisor_family(
-    fan: Fan, l: ToricDivisor, d: ToricDivisor, stop=None
-) -> ParametricPolytope:
-    """The parametric section polytope family of t -> L - tD from t = 0.
+def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPolytope:
+    """The parametric section polytope family of t -> L - tD from t = 0 to its threshold.
 
-    Memoized per (fan, L, D, stop): volume_curve and the test-curve chambers
-    of one direction share a single family.
+    Memoized per (fan, L, D): volume_curve and the test-curve chambers of one
+    direction share a single family.
     """
     halfspaces = [Halfspace(u, a) for u, a in zip(fan.rays, l.coeffs)]
-    return parametric_family(halfspaces, list(d.coeffs), start=Fraction(0), stop=stop)
+    return parametric_family(halfspaces, list(d.coeffs), start=Fraction(0))
 
 
 def _affine_det(a: Sequence[Sequence], b: Sequence[Sequence], fixed: Sequence = ()) -> Polynomial:
@@ -424,9 +422,7 @@ def _moving_simplices(
     return total
 
 
-def chamber_volume_polynomial(
-    pp: ParametricPolytope, chamber: Chamber, degree: int
-) -> Polynomial:
+def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polynomial:
     """Exact volume polynomial on one chamber, from one symbolic triangulation.
 
     Inside a chamber every vertex follows an affine path.  The polytope at the
@@ -434,13 +430,13 @@ def chamber_volume_polynomial(
     of its vertices: its volume is sign * det M(t) / n!, where M(t) has the
     affine rows v_i(t) - v_0(t) and the sign is that of det M at the midpoint.
     The result is checked against an independent volume(P_x) at one interior
-    point x other than the midpoint, and against the degree bound; a failure
-    raises InvariantViolation.
+    point x other than the midpoint, and against the degree bound n = the
+    family's dimension; a failure raises InvariantViolation.
     """
     simplices = triangulation(pp.polytope_on(chamber, chamber.midpoint()))
     poly = _moving_simplices(chamber, simplices).scale(Fraction(1, math.factorial(pp.dimension)))
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
-    if poly.degree > degree or poly(x) != volume(pp.polytope_at(x)):
+    if poly.degree > pp.dimension or poly(x) != volume(pp.polytope_at(x)):
         raise InvariantViolation(
             f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
         )
@@ -463,14 +459,13 @@ def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple
     )
 
 
-def family_volume_curve(
-    pp: ParametricPolytope, scale: Fraction, degree: int
-) -> PiecewisePolynomial:
-    """Piecewise polynomial of t -> scale * volume(P_t) over the family window."""
+def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
+    """Piecewise polynomial of t -> n! * volume(P_t) over the family window, n = pp.dimension."""
+    scale = math.factorial(pp.dimension)
     bps = [pp.chambers[0].lo]
     pieces = []
     for chamber in pp.chambers:
-        poly = chamber_volume_polynomial(pp, chamber, degree).scale(scale)
+        poly = chamber_volume_polynomial(pp, chamber).scale(scale)
         bps.append(chamber.hi)
         pieces.append(poly)
     return PiecewisePolynomial(tuple(bps), tuple(pieces)).normalized()
@@ -495,8 +490,7 @@ def volume_curve(
     pp = divisor_family(fan, l, d)
     if pp.t_max is None:
         raise UnboundedRegion("family remains big for all t")
-    n = fan.dimension
-    curve = family_volume_curve(pp, Fraction(math.factorial(n)), n)
+    curve = family_volume_curve(pp)
     if not curve.is_nonincreasing():
         raise NotMonotone("volume curve must be non-increasing")
     return curve, pp.t_max
@@ -516,7 +510,7 @@ def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fractio
     halfspaces = [Halfspace(u, a) for u, a in zip(fan.rays, m.coeffs)]
     rates = [-c for c in lprime.coeffs]
     pp = parametric_family(halfspaces, rates, start=Fraction(0), stop=Fraction(1))
-    poly = chamber_volume_polynomial(pp, pp.chambers[0], n)
+    poly = chamber_volume_polynomial(pp, pp.chambers[0])
     return math.factorial(n) * poly.derivative()(Fraction(0)) / n
 
 

@@ -133,6 +133,23 @@ def test_dh_json_and_plot(capsys, tmp_path, problems_dir):
     assert text.startswith("<svg") and "polyline" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["volume", "f1.json", "--curve", "E"],
+    ["dh", "f1.json", "--u", "1,0"],
+])
+def test_plot_to_unwritable_path_exit_2(capsys, tmp_path, problems_dir, argv):
+    svg = tmp_path / "missing" / "c.svg"
+    code, out, err = run(
+        capsys, argv[0], str(problems_dir / argv[1]), *argv[2:], "--plot", str(svg), "--jobs", "1",
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert "cannot write plot" in payload["message"]
+    assert not svg.parent.exists()
+
+
 def test_report_command(capsys, problems_dir):
     code, out, _err = run(
         capsys, "report", str(problems_dir / "f1.json"),

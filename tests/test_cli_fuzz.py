@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from toricstab.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+MISSING_DIR = PROBLEMS / "no-such-directory"
 BASES = [json.loads((PROBLEMS / f"{name}.json").read_text()) for name in ("p2", "f1", "p1xp1")]
 
 FUZZ = settings(
@@ -125,7 +126,10 @@ def problem_files(draw) -> dict:
 
 @st.composite
 def arguments(draw, spec, bad: bool) -> list[str]:
-    """A command line for a problem file; out-of-range option values only when `bad`."""
+    """A command line for a problem file; out-of-range option values only when `bad`.
+
+    A --plot, when drawn, points into a missing directory: the SVG cannot be written.
+    """
 
     def pick(good: list[str], wrong: list[str]) -> str:
         return draw(st.sampled_from(good + wrong if bad else good))
@@ -143,6 +147,8 @@ def arguments(draw, spec, bad: bool) -> list[str]:
             args += ["--curve", draw(name)]
     if command in ("volume", "dh") and draw(maybe):
         args.append("--samples=" + pick(["1", "3"], ["0", "-1", "x", "10001"]))
+    if command in ("volume", "dh") and draw(maybe):
+        args.append("--plot=" + str(MISSING_DIR / "plot.svg"))
     if command in ("delta", "report"):
         args.append("--radius=" + pick(["1"], ["0", "-1", "x"]))
     if command == "curve" and (not bad or draw(st.integers(0, 5))):

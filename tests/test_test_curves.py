@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -42,6 +44,7 @@ from toricstab import (
 import toricstab.test_curves as tc
 import toricstab.volume_fn as vf
 from toricstab.errors import InvariantViolation, OutOfRange, RangeTooShort, ZeroDivisor
+from toricstab.geometry import Chamber, dot
 from toricstab.test_curves import _entropy_direction
 from toricstab.volume_fn import fit_polynomial
 
@@ -390,12 +393,14 @@ def test_entropy_integrand_matches_derivative_pairing(surfaces, p3):
 # InvariantViolation; then runs the CLI with broken facet polynomials.
 BROKEN_CHECKS = """
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import toricstab.test_curves as tc
 import toricstab.toric as toric
 import toricstab.volume_fn as vf
-from toricstab import Fan, anticanonical, divisor, extended_curve
+from toricstab import Fan, anticanonical, divisor, extended_curve, ray_divisor
+from toricstab.geometry import Chamber
 from toricstab.cli import main
 from toricstab.errors import InvariantViolation
 
@@ -425,6 +430,16 @@ vf.big_volume = lambda fan, d: next(growing)
 attempt("stabilized", lambda: vf.stabilized_volume(p2, anticanonical(p2), h, [[1, 1]]))
 vf.big_volume = real_volume
 
+# F1's two family chambers along D_0 merged across the wall where a minimizer changes
+f1 = Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 3], [3, 1], [1, 2], [2, 0]])
+real_family = tc.divisor_family
+family = real_family(f1, anticanonical(f1), ray_divisor(f1, 0))
+first, second = family.chambers
+merged = replace(family, chambers=(Chamber(first.lo, second.hi, first.paths + second.paths),))
+tc.divisor_family = lambda fan, l, d: merged
+attempt("minimizer", lambda: tc._curve_chambers(f1, anticanonical(f1), ray_divisor(f1, 0)))
+tc.divisor_family = real_family
+
 # every facet polynomial one too large: the facets no longer sum to the mass
 real_facets = tc.chamber_facet_polynomials
 tc.chamber_facet_polynomials = lambda pp, ch: tuple(
@@ -442,7 +457,8 @@ def test_self_checks_survive_optimize(problems_dir, run_optimized):
     script = f"PATH = {str(problems_dir / 'p2.json')!r}\n" + BROKEN_CHECKS
     result = run_optimized(script)
     assert json.loads(result.stdout) == {
-        "debug": False, "zariski": True, "stabilized": True, "pairing": True, "entropy": True,
+        "debug": False, "zariski": True, "stabilized": True, "minimizer": True, "pairing": True,
+        "entropy": True,
     }
     assert result.returncode == 3, result.stderr
     assert json.loads(result.stderr)["error"] == "InvariantViolation"
@@ -544,3 +560,68 @@ def test_failed_checks_are_not_cached(p2, monkeypatch):
     monkeypatch.setattr(tc, "chamber_facet_polynomials", real_facets)
     assert tc._curve_chambers(p2, l, h) == tc._curve_chambers.__wrapped__(p2, l, h)
     assert tc._curve_chambers.cache_info().currsize == 1
+
+
+# ---- curve chambers are the divisor family's chambers -----------------------
+
+def crossing_refinement(fan, l, d):
+    """Curve chambers cut at every crossing of two vertex paths' values against a ray.
+
+    An independent oracle for the unrefined curve chambers: each family
+    chamber is split wherever two of its paths swap order against some ray,
+    and each piece reads every ray's minimizing path at its own midpoint and
+    its facets on its own interval.
+    """
+    volumes, _tau_plus = volume_curve(fan, l, d)
+    family = vf.divisor_family(fan, l, d)
+    pieces = []
+    for chamber in family.chambers:
+        lines = [[(dot(p.base, u), dot(p.velocity, u)) for p in chamber.paths] for u in fan.rays]
+        walls = {chamber.lo, chamber.hi}
+        for ray_lines in lines:
+            for (a0, a1), (b0, b1) in itertools.combinations(ray_lines, 2):
+                if a1 != b1 and chamber.lo < (b0 - a0) / (a1 - b1) < chamber.hi:
+                    walls.add((b0 - a0) / (a1 - b1))
+        ordered = sorted(walls)
+        for lo, hi in zip(ordered, ordered[1:]):
+            mid = (lo + hi) / 2
+            minima = [min(ray_lines, key=lambda c: c[0] + c[1] * mid) for ray_lines in lines]
+            pos = tuple((-c0, -c1) for c0, c1 in minima)
+            neg = tuple((l.coeffs[i] - p0, -d.coeffs[i] - p1) for i, (p0, p1) in enumerate(pos))
+            red = tuple(
+                i for i, (n0, n1) in enumerate(neg) if d.coeffs[i] * mid + n0 + n1 * mid > 0
+            )
+            facets = vf.chamber_facet_polynomials(family, Chamber(lo, hi, chamber.paths))
+            pieces.append(tc.CurveChamber(lo, hi, pos, neg, red, volumes.piece_at(mid), facets))
+    return pieces
+
+
+def test_curve_chambers_match_crossing_refinement(surfaces, p3):
+    directions = [(fan, l, d) for fan, l, d, _k in seeded_directions(surfaces, p3, 71)]
+    directions += [(c.model, c.l, c.d) for c in p3_exceptional_curves(p3)]
+    split = 0
+    for fan, l, d in directions:
+        chambers, _t_max = tc._curve_chambers(fan, l, d)
+        assert len(chambers) == len(vf.divisor_family(fan, l, d).chambers)
+        pieces = crossing_refinement(fan, l, d)
+        split += len(pieces) - len(chambers)
+        for piece in pieces:
+            (cover,) = [ch for ch in chambers if ch.lo <= piece.lo and piece.hi <= ch.hi]
+            assert replace(cover, lo=piece.lo, hi=piece.hi) == piece
+    assert split > 0  # the oracle does cut some family chambers
+
+
+def test_minimizer_check_raises_on_a_merged_chamber(f1, monkeypatch):
+    # F1 along D_0 has two family chambers; across their wall the minimizing
+    # vertex path of the ray (1, 0) changes
+    l, d = anticanonical(f1), ray_divisor(f1, 0)
+    family = vf.divisor_family(f1, l, d)
+    first, second = family.chambers
+    merged = Chamber(first.lo, second.hi, first.paths + second.paths)
+    monkeypatch.setattr(
+        tc, "divisor_family", lambda *_args: replace(family, chambers=(merged,))
+    )
+    tc._curve_chambers.cache_clear()
+    with pytest.raises(InvariantViolation, match="minimizing vertex path of ray"):
+        tc._curve_chambers(f1, l, d)
+    assert tc._curve_chambers.cache_info().currsize == 0
