@@ -573,6 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("problem", help="path to a problem JSON file")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+    def search(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--radius", type=positive_int, default=2)
         p.add_argument("--jobs", type=job_count, default=os.cpu_count() or 1,
                        help="parallel candidate evaluation, at most the core count (default: cores)")
 
@@ -592,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="candidate search for the stability threshold")
     common(p)
-    p.add_argument("--radius", type=positive_int, default=2)
+    search(p)
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("curve", help="radial functionals of an extended curve")
@@ -613,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="inequality report over named directions")
     common(p)
     p.add_argument("--directions", required=True, help="comma-separated divisor names")
-    p.add_argument("--radius", type=positive_int, default=2)
+    search(p)
     p.set_defaults(func=cmd_report)
     return parser
 

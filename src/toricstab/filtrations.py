@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import InfeasibleTau, InvariantViolation, NotAmple, NotMonotone, ZeroVector
 from .geometry import Halfspace, LatticeVector, ParametricPolytope, dot, parametric_family
-from .toric import Fan, ToricDivisor, is_ample, polytope_of
+from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces
 from .volume_fn import PiecewisePolynomial, family_volume_curve
 
 
@@ -68,13 +68,13 @@ def filtration_family(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Parametric
     p = polytope_of(fan, l)
     lo = p.support_min(u)
     hi = p.support_max(u)
-    halfspaces = [Halfspace(ray, a) for ray, a in zip(fan.rays, l.coeffs)]
+    halfspaces = section_halfspaces(fan, l.coeffs)
     # slice {<x,u> >= lo + tau}: offset -lo - tau, so the rate against tau is +1
     halfspaces.append(Halfspace(tuple(int(a) for a in u), -lo))
     rates = [Fraction(0)] * len(fan.rays) + [Fraction(1)]
     if hi == lo:
         raise ZeroVector("direction is constant on the section polytope")
-    family = parametric_family(halfspaces, rates, start=Fraction(0))
+    family = parametric_family(halfspaces, rates)
     if family.t_max != hi - lo:
         raise InvariantViolation(f"slice family ends at {family.t_max}, width is {hi - lo}")
     return family

@@ -12,9 +12,11 @@ divides into Fractions only once at the end.  Feasibility, path walls and
 facet incidence are decided in integers too: offsets (and rates) are scaled
 to one common denominator, each basic solution stays integer numerators over
 a positive pivot, and a Fraction point is built only for a basic solution
-that survives.  Whether a polytope is bounded depends on its facet normals
-only, so that test is memoized on the normals and shared by every polytope
-of a family.
+that survives.  One basic-solution loop serves both the vertices of a
+polytope and the vertex paths of a family; a family's start vertices are
+its paths feasible at t = 0, so it enumerates its bases once.  Whether a
+polytope is bounded depends on its facet normals only, so that test is
+memoized on the normals and shared by every polytope of a family.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
     DegeneratePolytope,
     DimensionMismatch,
     InvariantViolation,
-    OutOfRange,
     UnboundedRegion,
 )
 
@@ -321,12 +322,30 @@ def _int_rows(halfspaces: Sequence[Halfspace]) -> tuple[list[IntRow], int]:
     return [(hs.normal, hs.offset.numerator * (q // hs.offset.denominator)) for hs in halfspaces], q
 
 
+def _basic_solutions(
+    rows: Sequence[tuple[LatticeVector, tuple[int, ...]]], dim: int
+) -> Iterable[tuple[int, list[list[int]]]]:
+    """Every basic solution of integer rows (a, c): <a, x_j> = c_j on each n-subset.
+
+    One Bareiss elimination per subset with independent normals, all
+    right-hand sides side by side.  Yields (den, nums) with x_j = nums[j] / den
+    and den > 0, so a caller's integer feasibility test keeps its signs.
+    """
+    for subset in itertools.combinations(rows, dim):
+        m = [[*a, *c] for a, c in subset]
+        pivots, den, _sign, _scale = _eliminate(m, dim)
+        if len(pivots) < dim:
+            continue
+        s = 1 if den > 0 else -1
+        yield s * den, [[s * row[col] for row in m] for col in range(dim, len(m[0]))]
+
+
 def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
     """Exact vertex set of a bounded halfspace intersection.
 
-    Solves every n-subset basis and keeps the feasible solutions.  Raises
-    UnboundedRegion when the intersection is nonempty but unbounded; an empty
-    list means the intersection is empty.
+    Keeps the feasible basic solutions.  Raises UnboundedRegion when the
+    intersection is nonempty but unbounded; an empty list means the
+    intersection is empty.
     """
     halfspaces = list(halfspaces)
     if not halfspaces:
@@ -337,17 +356,14 @@ def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
     # over the common offset denominator q, y = q * x solves <a, y> + b >= 0 in integers
     rows, q = _int_rows(halfspaces)
     found: set[Point] = set()
-    for subset in itertools.combinations(rows, dim):
-        m = [[*a, -b] for a, b in subset]
-        pivots, den, _sign, _scale = _eliminate(m, dim)
-        if len(pivots) < dim:
-            continue
-        # y = num / den with den > 0, so feasibility keeps the sign of <a, num> + b * den
-        s = 1 if den > 0 else -1
-        den *= s
-        num = [s * row[dim] for row in m]
+    for den, (num,) in _basic_solutions([(a, (-b,)) for a, b in rows], dim):
         if all(sum(map(mul, a, num)) + b * den >= 0 for a, b in rows):
             found.add(tuple(Fraction(c, den * q) for c in num))
+    return _checked_vertices(halfspaces, dim, found)
+
+
+def _checked_vertices(halfspaces: Sequence[Halfspace], dim: int, found: set[Point]) -> list[Point]:
+    """The feasible basic solutions, sorted; UnboundedRegion if the intersection is unbounded."""
     if found:
         if _recession_nontrivial(tuple(hs.normal for hs in halfspaces), dim):
             raise UnboundedRegion("halfspace intersection is unbounded")
@@ -695,20 +711,15 @@ class Chamber:
 class ParametricPolytope:
     """A one-parameter halfspace family with its exact chamber decomposition.
 
-    `chambers` cover [t_min, chamber_end]; `t_max` is the exact feasibility
+    `chambers` cover the window from t = 0; `t_max` is the exact feasibility
     threshold of the family, or None when the family stays feasible for all
     large t (then the chambers stop at an arbitrary requested window end).
     """
 
     halfspaces: tuple[ParametricHalfspace, ...]
     chambers: tuple[Chamber, ...]
-    t_min: Fraction
     t_max: Fraction | None
     dimension: int
-
-    @property
-    def chamber_end(self) -> Fraction:
-        return self.chambers[-1].hi
 
     def polytope_at(self, t) -> Polytope:
         return Polytope.from_halfspaces([hs.at(t) for hs in self.halfspaces])
@@ -726,21 +737,14 @@ class ParametricPolytope:
             self.dimension,
         )
 
-    def chamber_at(self, t) -> Chamber:
-        t = Fraction(t)
-        for ch in self.chambers:
-            if ch.lo <= t <= ch.hi:
-                return ch
-        raise OutOfRange(f"parameter {t} lies outside [{self.t_min}, {self.chamber_end}]")
-
 
 def _basis_paths(
     halfspaces: Sequence[ParametricHalfspace], dim: int
 ) -> list[tuple[VertexPath, Fraction | None, Fraction | None]]:
     """All basic solution paths with their exact feasibility t-intervals.
 
-    Offsets and rates are scaled to one common denominator q, so each basis is
-    one integer elimination with the base and velocity columns side by side.
+    Offsets and rates are scaled to one common denominator q, so each basis
+    solves for the base and velocity columns in one integer elimination.
     Along base + t * velocity a halfspace's slack is (c0 + t * c1) / (den * q)
     with integers c0, c1 and den > 0, and its wall is t = -c0 / c1; the path's
     Fraction base and velocity are built only when its interval is nonempty.
@@ -754,48 +758,32 @@ def _basis_paths(
         for hs in halfspaces
     ]
     out = []
-    for subset in itertools.combinations(rows, dim):
-        m = [[*a, -b, r] for a, b, r in subset]
-        pivots, den, _sign, _scale = _eliminate(m, dim)
-        if len(pivots) < dim:
-            continue
-        s = 1 if den > 0 else -1
-        den *= s
-        base = [s * row[dim] for row in m]
-        velocity = [s * row[dim + 1] for row in m]
+    for den, (base, velocity) in _basic_solutions([(a, (-b, r)) for a, b, r in rows], dim):
         lo: Fraction | None = None
         hi: Fraction | None = None
-        empty = False
         for a, b, r in rows:
             c0 = sum(map(mul, a, base)) + b * den
             c1 = sum(map(mul, a, velocity)) - r * den
-            if c1 == 0:
-                if c0 < 0:
-                    empty = True
-                    break
-            elif c1 > 0:
-                wall = Fraction(-c0, c1)
-                lo = wall if lo is None else max(lo, wall)
-            else:
-                wall = Fraction(-c0, c1)
-                hi = wall if hi is None else min(hi, wall)
-        if empty or (lo is not None and hi is not None and lo > hi):
-            continue
-        path = VertexPath(
-            tuple(Fraction(c, den * q) for c in base),
-            tuple(Fraction(c, den * q) for c in velocity),
-        )
-        out.append((path, lo, hi))
+            if c1 > 0:
+                lo = Fraction(-c0, c1) if lo is None else max(lo, Fraction(-c0, c1))
+            elif c1 < 0:
+                hi = Fraction(-c0, c1) if hi is None else min(hi, Fraction(-c0, c1))
+            elif c0 < 0:
+                break  # infeasible for every t
+        else:
+            if lo is None or hi is None or lo <= hi:
+                path = VertexPath(
+                    tuple(Fraction(c, den * q) for c in base),
+                    tuple(Fraction(c, den * q) for c in velocity),
+                )
+                out.append((path, lo, hi))
     return out
 
 
 def parametric_family(
-    halfspaces: Sequence[Halfspace],
-    rates: Sequence,
-    start=Fraction(0),
-    stop=None,
+    halfspaces: Sequence[Halfspace], rates: Sequence, stop=None
 ) -> ParametricPolytope:
-    """Exact chamber decomposition of {<x,u_i> >= -(a_i - t d_i)} from t = start.
+    """Exact chamber decomposition of {<x,u_i> >= -(a_i - t d_i)} from t = 0.
 
     Without `stop`, the chambers run up to the feasibility threshold t_max,
     which must be finite (UnboundedRegion otherwise).  With `stop`, the window
@@ -803,8 +791,11 @@ def parametric_family(
     t_max is then recorded as None.  A zero-rate family gets a single window
     chamber with constant vertices.  Within each chamber every vertex follows
     a single affine path.
+
+    The start polytope is read off the basis paths: its vertices are the
+    paths feasible at t = 0.  An empty start raises DegeneratePolytope and an
+    unbounded one UnboundedRegion, the same tests as vertices_of.
     """
-    start = Fraction(start)
     if len(rates) != len(halfspaces):
         raise DimensionMismatch("one rate per halfspace required")
     phs = tuple(
@@ -812,50 +803,38 @@ def parametric_family(
         for hs, rate in zip(halfspaces, rates)
     )
     dim = len(phs[0].normal)
-    base_poly = Polytope.from_halfspaces([hs.at(start) for hs in phs])
-    if base_poly.is_empty:
+    if any(len(hs.normal) != dim for hs in phs):
+        raise DimensionMismatch("halfspaces of mixed dimension")
+    bases = _basis_paths(phs, dim)
+    start = {
+        path for path, lo, hi in bases if (lo is None or lo <= 0) and (hi is None or hi >= 0)
+    }
+    if not _checked_vertices(halfspaces, dim, {path.base for path in start}):
         raise DegeneratePolytope("family is infeasible at the start parameter")
     if all(hs.rate == 0 for hs in phs):
-        end = Fraction(stop) if stop is not None else start + 1
-        paths = tuple(VertexPath(v, (Fraction(0),) * dim) for v in base_poly.vertices)
-        return ParametricPolytope(phs, (Chamber(start, end, paths),), start, None, dim)
-    bases = _basis_paths(phs, dim)
-    t_max: Fraction | None = None
-    unbounded_above = False
-    for _path, _lo, hi in bases:
-        if hi is None:
-            unbounded_above = True
-        elif t_max is None or hi > t_max:
-            t_max = hi
-    if unbounded_above:
-        t_max = None
+        end = Fraction(stop) if stop is not None else Fraction(1)
+        paths = tuple(sorted(start, key=lambda path: path.base))
+        return ParametricPolytope(phs, (Chamber(Fraction(0), end, paths),), None, dim)
+    highs = [hi for _path, _lo, hi in bases]
+    if None in highs:
         if stop is None:
             raise UnboundedRegion("family remains feasible for arbitrarily large t")
-        end = Fraction(stop)
+        t_max, end = None, Fraction(stop)
     else:
-        if t_max is None:
+        if not highs:
             raise InvariantViolation("a feasible family with moving facets has no basic path")
-        if t_max < start:
-            raise DegeneratePolytope("family has no feasible parameters beyond start")
+        t_max = max(highs)
         end = t_max if stop is None else min(Fraction(stop), t_max)
-    walls = {start, end}
-    for _path, lo, hi in bases:
-        for w in (lo, hi):
-            if w is not None and start < w < end:
-                walls.add(w)
-    ordered = sorted(walls)
-    chambers = []
-    for left, right in zip(ordered, ordered[1:]):
-        active = []
-        seen_path = set()
-        for path, lo, hi in bases:
-            if (lo is None or lo <= left) and (hi is None or right <= hi):
-                key = (path.base, path.velocity)
-                if key not in seen_path:
-                    seen_path.add(key)
-                    active.append(path)
-        chambers.append(Chamber(left, right, tuple(active)))
+    walls = {w for _path, lo, hi in bases for w in (lo, hi) if w is not None and 0 < w < end}
+    ordered = sorted(walls | {Fraction(0), end})
+    chambers = [
+        Chamber(left, right, tuple(dict.fromkeys(
+            path for path, lo, hi in bases
+            if (lo is None or lo <= left) and (hi is None or right <= hi)
+        )))
+        for left, right in zip(ordered, ordered[1:])
+    ]
     if not chambers:
-        # start == end: a single point of feasibility
-        chambers = [Chamber(start, end, tuple())]
-    return ParametricPolytope(phs, tuple(chambers), start, t_max, dim)
+        # t_max == 0: a single point of feasibility
+        chambers = [Chamber(Fraction(0), end, tuple())]
+    return ParametricPolytope(phs, tuple(chambers), t_max, dim)

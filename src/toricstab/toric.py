@@ -300,11 +300,14 @@ def _nonneg_combination(rows, target, k) -> tuple | None:
 # polytopes of divisors, nefness, ampleness
 # --------------------------------------------------------------------------
 
+def section_halfspaces(fan: Fan, coeffs: Sequence) -> list[Halfspace]:
+    """The halfspaces <m, u_rho> >= -a_rho cutting out a divisor's section polytope."""
+    return [Halfspace(u, a) for u, a in zip(fan.rays, coeffs)]
+
+
 @lru_cache(maxsize=None)
 def _polytope_cached(fan: Fan, coeffs: tuple[Fraction, ...]) -> Polytope:
-    return Polytope.from_halfspaces(
-        [Halfspace(u, a) for u, a in zip(fan.rays, coeffs)]
-    )
+    return Polytope.from_halfspaces(section_halfspaces(fan, coeffs))
 
 
 def polytope_of(fan: Fan, d: ToricDivisor) -> Polytope:

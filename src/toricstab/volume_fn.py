@@ -26,7 +26,6 @@ from .errors import (
 )
 from .geometry import (
     Chamber,
-    Halfspace,
     ParametricPolytope,
     det,
     dot,
@@ -36,7 +35,7 @@ from .geometry import (
     vec_sub,
     volume,
 )
-from .toric import Fan, ToricDivisor, is_ample, polytope_of, star_subdivision
+from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces, star_subdivision
 
 
 # --------------------------------------------------------------------------
@@ -387,8 +386,7 @@ def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPoly
     Memoized per (fan, L, D): volume_curve and the test-curve chambers of one
     direction share a single family.
     """
-    halfspaces = [Halfspace(u, a) for u, a in zip(fan.rays, l.coeffs)]
-    return parametric_family(halfspaces, list(d.coeffs), start=Fraction(0))
+    return parametric_family(section_halfspaces(fan, l.coeffs), list(d.coeffs))
 
 
 def _affine_det(a: Sequence[Sequence], b: Sequence[Sequence], fixed: Sequence = ()) -> Polynomial:
@@ -507,9 +505,8 @@ def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fractio
     if big_volume(fan, m) == 0:
         raise NotBig("positive pairing needs a big base divisor")
     n = fan.dimension
-    halfspaces = [Halfspace(u, a) for u, a in zip(fan.rays, m.coeffs)]
     rates = [-c for c in lprime.coeffs]
-    pp = parametric_family(halfspaces, rates, start=Fraction(0), stop=Fraction(1))
+    pp = parametric_family(section_halfspaces(fan, m.coeffs), rates, stop=Fraction(1))
     poly = chamber_volume_polynomial(pp, pp.chambers[0])
     return math.factorial(n) * poly.derivative()(Fraction(0)) / n
 

@@ -17,14 +17,14 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 
 def test_validate_good_fan(capsys, problems_dir):
-    code, out, err = run(capsys, "validate", str(problems_dir / "p2.json"), "--jobs", "1")
+    code, out, err = run(capsys, "validate", str(problems_dir / "p2.json"))
     assert code == 0
     assert "complete" in out and "True" in out
     assert err == ""
 
 
 def test_validate_bad_fan_exit_2(capsys, problems_dir):
-    code, out, err = run(capsys, "validate", str(problems_dir / "bad_fan.json"), "--jobs", "1")
+    code, out, err = run(capsys, "validate", str(problems_dir / "bad_fan.json"))
     assert code == 2
     # the diagnostics table is still printed
     assert out.splitlines()[2].split() == ["complete", "False"]
@@ -36,7 +36,7 @@ def test_validate_bad_fan_exit_2(capsys, problems_dir):
 def test_validate_schema_violation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"fan": {"rays": [[1, 0]], "cones": [[0]]}}))
-    code, _out, err = run(capsys, "validate", str(bad), "--jobs", "1")
+    code, _out, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert "schema" in err
 
@@ -44,7 +44,7 @@ def test_validate_schema_violation(tmp_path, capsys):
 def test_unknown_divisor_exit_2(capsys, problems_dir):
     code, _out, err = run(
         capsys, "curve", str(problems_dir / "p2.json"),
-        "--direction", "nope", "--jobs", "1",
+        "--direction", "nope",
     )
     assert code == 2
     assert "unknown divisor" in err
@@ -52,7 +52,7 @@ def test_unknown_divisor_exit_2(capsys, problems_dir):
 
 def test_volume_value(capsys, problems_dir):
     code, out, _err = run(
-        capsys, "volume", str(problems_dir / "p2.json"), "--jobs", "1"
+        capsys, "volume", str(problems_dir / "p2.json")
     )
     assert code == 0
     assert "9" in out
@@ -61,7 +61,7 @@ def test_volume_value(capsys, problems_dir):
 def test_volume_curve_csv(capsys, problems_dir):
     code, out, _err = run(
         capsys, "volume", str(problems_dir / "f1.json"),
-        "--curve", "E", "--format", "csv", "--jobs", "1",
+        "--curve", "E", "--format", "csv",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -95,7 +95,7 @@ def test_delta_json_roundtrip(capsys, problems_dir):
 def test_curve_functionals(capsys, problems_dir):
     code, out, _err = run(
         capsys, "curve", str(problems_dir / "p2.json"),
-        "--direction", "H", "--functionals", "E,Jt,Ent", "--jobs", "1",
+        "--direction", "H", "--functionals", "E,Jt,Ent",
     )
     assert code == 0
     lines = out.splitlines()
@@ -107,7 +107,7 @@ def test_curve_functionals(capsys, problems_dir):
 def test_curve_all_functionals_json(capsys, problems_dir):
     code, out, _err = run(
         capsys, "curve", str(problems_dir / "p2.json"),
-        "--direction", "H", "--format", "json", "--jobs", "1",
+        "--direction", "H", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -123,7 +123,7 @@ def test_dh_json_and_plot(capsys, tmp_path, problems_dir):
     svg = tmp_path / "dh.svg"
     code, out, _err = run(
         capsys, "dh", str(problems_dir / "p2.json"),
-        "--u", "1,0", "--format", "json", "--plot", str(svg), "--jobs", "1",
+        "--u", "1,0", "--format", "json", "--plot", str(svg),
     )
     assert code == 0
     payload = json.loads(out)
@@ -140,7 +140,7 @@ def test_dh_json_and_plot(capsys, tmp_path, problems_dir):
 def test_plot_to_unwritable_path_exit_2(capsys, tmp_path, problems_dir, argv):
     svg = tmp_path / "missing" / "c.svg"
     code, out, err = run(
-        capsys, argv[0], str(problems_dir / argv[1]), *argv[2:], "--plot", str(svg), "--jobs", "1",
+        capsys, argv[0], str(problems_dir / argv[1]), *argv[2:], "--plot", str(svg),
     )
     assert code == 2
     assert out == ""
@@ -179,7 +179,7 @@ def test_computation_error_exit_3(tmp_path, capsys):
     }
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(spec))
-    code, _out, err = run(capsys, "curve", str(path), "--direction", "Z", "--jobs", "1")
+    code, _out, err = run(capsys, "curve", str(path), "--direction", "Z")
     assert code == 3
     assert json.loads(err)["error"] == "ZeroDivisor"
 
@@ -206,7 +206,7 @@ def test_refinements_are_applied(tmp_path, capsys):
     # functionals computed on the refined model agree with the base model
     code, out, _err = run(
         capsys, "curve", str(path), "--direction", "H",
-        "--functionals", "E,Jt,Ent", "--format", "json", "--jobs", "1",
+        "--functionals", "E,Jt,Ent", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -216,7 +216,7 @@ def test_refinements_are_applied(tmp_path, capsys):
 def test_rational_coefficients_parse(capsys, problems_dir):
     code, out, _err = run(
         capsys, "curve", str(problems_dir / "f1.json"),
-        "--direction", "half_E", "--functionals", "E", "--format", "json", "--jobs", "1",
+        "--direction", "half_E", "--functionals", "E", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -244,7 +244,7 @@ def test_bad_samples_exit_2(capsys, problems_dir):
         ["volume", f1, "--curve", "polarization", "--samples", "0"],
         ["dh", f1, "--u=1,0", "--samples", "0"],
     ):
-        code, out, err = run(capsys, *argv, "--jobs", "1")
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         payload = json.loads(err)
@@ -257,7 +257,7 @@ def test_samples_above_maximum_exit_2(capsys, problems_dir):
         ["volume", str(problems_dir / "f1.json"), "--curve", "polarization", "--samples", "10001"],
         ["dh", str(problems_dir / "p2.json"), "--u=1,1", "--samples", "1000000000"],
     ):
-        payload = assert_validation_error(*run(capsys, *argv, "--jobs", "1"))
+        payload = assert_validation_error(*run(capsys, *argv))
         assert "--samples: must be at most 10000" in payload["message"]
     args = build_parser().parse_args(["dh", "problem.json", "--u=1,1", "--samples", "10000"])
     assert args.samples == MAX_SAMPLES == 10000
@@ -273,13 +273,13 @@ def assert_validation_error(code, out, err) -> dict:
 
 def test_dh_bad_u_exit_2(capsys, problems_dir):
     path = str(problems_dir / "f1.json")
-    payload = assert_validation_error(*run(capsys, "dh", path, "--u", "a,b", "--jobs", "1"))
+    payload = assert_validation_error(*run(capsys, "dh", path, "--u", "a,b"))
     assert "expected comma-separated integers" in payload["message"]
     # a 3-vector on a surface
-    payload = assert_validation_error(*run(capsys, "dh", path, "--u", "1,0,0", "--jobs", "1"))
+    payload = assert_validation_error(*run(capsys, "dh", path, "--u", "1,0,0"))
     assert "--u has 3 coordinates" in payload["message"]
     # the zero vector is no direction
-    payload = assert_validation_error(*run(capsys, "dh", path, "--u=0,0", "--jobs", "1"))
+    payload = assert_validation_error(*run(capsys, "dh", path, "--u=0,0"))
     assert "nonzero" in payload["message"]
 
 
@@ -300,27 +300,27 @@ def p2_problem(tmp_path, rays=([1, 0], [0, 1], [-1, -1]),
 def test_cone_index_out_of_range_exit_2(tmp_path, capsys):
     path = p2_problem(tmp_path, cones=[[0, 1], [1, 2], [0, 9]])
     for command in (["validate"], ["curve", "--direction", "H"]):
-        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:], "--jobs", "1"))
+        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:]))
         assert "references a missing ray" in payload["message"]
 
 
 def test_zero_denominator_exit_2(tmp_path, capsys):
     path = p2_problem(tmp_path, divisors={"H": {"coeffs": ["1/0", 0, 0]}})
     for command in (["validate"], ["curve", "--direction", "H"]):
-        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:], "--jobs", "1"))
+        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:]))
         assert "schema" in payload["message"]
 
 
 def test_mixed_dimension_rays_exit_2(tmp_path, capsys):
     path = p2_problem(tmp_path, rays=[[1, 0], [0, 1, 0], [-1, -1]])
     for command in (["validate"], ["volume"]):
-        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:], "--jobs", "1"))
+        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:]))
         assert "mixed dimension" in payload["message"]
 
 
 def test_refinement_of_wrong_dimension_exit_2(tmp_path, capsys):
     path = p2_problem(tmp_path, refinements=[[1]])
-    payload = assert_validation_error(*run(capsys, "volume", path, "--jobs", "1"))
+    payload = assert_validation_error(*run(capsys, "volume", path))
     assert "has 1 coordinates" in payload["message"]
 
 
@@ -331,7 +331,7 @@ def test_refinement_of_wrong_dimension_exit_2(tmp_path, capsys):
 ])
 def test_bad_refinement_center_exit_2(tmp_path, capsys, center, reason):
     path = p2_problem(tmp_path, refinements=[center])
-    payload = assert_validation_error(*run(capsys, "volume", path, "--jobs", "1"))
+    payload = assert_validation_error(*run(capsys, "volume", path))
     assert f"refinement {center}" in payload["message"] and reason in payload["message"]
 
 
@@ -356,3 +356,17 @@ def test_jobs_above_core_count_exit_2(capsys, problems_dir, monkeypatch):
             "--radius", "1", f"--jobs={cores + 1}",
         ))
         assert f"--jobs: must be at most the core count {cores}" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["volume", "--curve", "E"],
+    ["curve", "--direction", "E"],
+    ["dh", "--u=1,0"],
+])
+def test_jobs_only_on_searches(capsys, problems_dir, argv):
+    # only delta and report run a candidate search; the other commands have no --jobs
+    payload = assert_validation_error(
+        *run(capsys, argv[0], str(problems_dir / "f1.json"), *argv[1:], "--jobs=1")
+    )
+    assert "unrecognized arguments: --jobs=1" in payload["message"]

@@ -3,7 +3,7 @@
 Every run must end in exit 0, 2 (validation error) or 3 (computation error),
 with exactly one JSON object on stderr for 2 and 3, and never a traceback.
 The problem files are mutations of the repository's examples; commands run
-in-process with --jobs 1 and search radius at most 1, so each example is
+in-process, searches with --jobs 1 and radius at most 1, so each example is
 cheap.  Examples are drawn deterministically, so the suite is reproducible.
 """
 
@@ -124,11 +124,21 @@ def problem_files(draw) -> dict:
     return spec
 
 
+def fan_dimension(spec) -> int | None:
+    """Length of the first ray, when the (possibly mutated) file still has one."""
+    try:
+        return len(spec["fan"]["rays"][0]) or None
+    except (KeyError, IndexError, TypeError):
+        return None
+
+
 @st.composite
 def arguments(draw, spec, bad: bool) -> list[str]:
     """A command line for a problem file; out-of-range option values only when `bad`.
 
     A --plot, when drawn, points into a missing directory: the SVG cannot be written.
+    With a --plot, a dh --u is well formed and drawn with the fan's dimension,
+    so that the command can get as far as writing the plot.
     """
 
     def pick(good: list[str], wrong: list[str]) -> str:
@@ -147,10 +157,12 @@ def arguments(draw, spec, bad: bool) -> list[str]:
             args += ["--curve", draw(name)]
     if command in ("volume", "dh") and draw(maybe):
         args.append("--samples=" + pick(["1", "3"], ["0", "-1", "x", "10001"]))
-    if command in ("volume", "dh") and draw(maybe):
+    plot = command in ("volume", "dh") and draw(maybe)
+    if plot:
         args.append("--plot=" + str(MISSING_DIR / "plot.svg"))
     if command in ("delta", "report"):
         args.append("--radius=" + pick(["1"], ["0", "-1", "x"]))
+        args.append("--jobs=" + pick(["1"], ["0", "x", str((os.cpu_count() or 1) + 1)]))
     if command == "curve" and (not bad or draw(st.integers(0, 5))):
         args += ["--direction", draw(name)]
     if command == "curve" and draw(maybe):
@@ -159,12 +171,14 @@ def arguments(draw, spec, bad: bool) -> list[str]:
             draw(st.lists(st.sampled_from(functionals), min_size=1, max_size=3))
         ))
     if command == "dh" and (not bad or draw(st.integers(0, 5))):
-        u = draw(lattice_point.map(lambda p: ",".join(map(str, p))))
-        args.append("--u=" + (draw(st.sampled_from([u, "a,b", "", "1,,0"])) if bad else u))
+        dim = fan_dimension(spec) if plot else None
+        point = st.lists(small, min_size=dim, max_size=dim) if dim else lattice_point
+        u = draw(point.map(lambda p: ",".join(map(str, p))))
+        wrong = bad and not plot
+        args.append("--u=" + (draw(st.sampled_from([u, "a,b", "", "1,,0"])) if wrong else u))
     if command == "report":
         args.append("--directions=" + ",".join(draw(st.lists(name, min_size=1, max_size=2))))
     args.append("--format=" + pick(["table", "json", "csv"], ["xml"]))
-    args.append("--jobs=" + pick(["1"], ["0", "x", str((os.cpu_count() or 1) + 1)]))
     return args
 
 

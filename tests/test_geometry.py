@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricstab import geometry
@@ -563,6 +563,51 @@ def test_basis_paths_match_fraction_route(system):
     phs = [ParametricHalfspace(h.normal, h.offset, r) for h, r in zip(hs, rates)]
     dim = len(hs[0].normal)
     assert _basis_paths(phs, dim) == oracle_basis_paths(phs, dim)
+
+
+def start_route(halfspaces):
+    """The start of a family by vertex enumeration: the polytope, or the error type it raises."""
+    try:
+        start = Polytope.from_halfspaces(halfspaces)
+    except UnboundedRegion:
+        return UnboundedRegion
+    return DegeneratePolytope if start.is_empty else start
+
+
+CORNER = [Halfspace((1, 0), 0), Halfspace((0, 1), 0), Halfspace((-1, -1), 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_systems(with_rates=True))
+# the triangle x + y <= t is born at t = 0 (every path starts there) or dies there
+@example((CORNER, [Q(0), Q(0), Q(-1)]))
+@example((CORNER, [Q(0), Q(0), Q(1)]))
+def test_family_start_matches_vertex_enumeration(system):
+    hs, rates = system
+    phs = [ParametricHalfspace(h.normal, h.offset, r) for h, r in zip(hs, rates)]
+    want = start_route([h.at(0) for h in phs])
+    enumerated = []
+    from_halfspaces = Polytope.from_halfspaces.__func__
+    got = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "vertices_of", lambda h: enumerated.append(h) or vertices_of(h))
+        mp.setattr(Polytope, "from_halfspaces",
+                   classmethod(lambda cls, h: enumerated.append(h) or from_halfspaces(cls, h)))
+        try:
+            # a window end, so that families growing with t are built too
+            family = parametric_family(hs, rates, stop=Q(1))
+        except (DegeneratePolytope, UnboundedRegion) as exc:
+            got = type(exc)
+    if want in (DegeneratePolytope, UnboundedRegion):
+        assert got is want
+        return
+    assert got is None and not enumerated
+    first = family.chambers[0]
+    if first.lo < first.hi:
+        assert sorted({path.at(0) for path in first.paths}) == list(want.vertices)
+    else:
+        # feasible at t = 0 only: the start polytope is not full-dimensional
+        assert family.t_max == 0 and not want.is_full_dimensional
 
 
 @settings(max_examples=100, deadline=None)

@@ -448,8 +448,7 @@ tc.chamber_facet_polynomials = lambda pp, ch: tuple(
 attempt("pairing", lambda: tc.alpha_energy(extended_curve(p2, anticanonical(p2), h), h))
 attempt("entropy", lambda: tc.entropy(extended_curve(p2, anticanonical(p2), h)))
 print(json.dumps(raised))
-raise SystemExit(main(["curve", PATH, "--direction", "H", "--functionals", "Ealpha",
-                       "--jobs", "1"]))
+raise SystemExit(main(["curve", PATH, "--direction", "H", "--functionals", "Ealpha"]))
 """
 
 

@@ -263,9 +263,7 @@ def test_positive_pairing_matches_sampled_derivative(surfaces, p3):
             )
             lprime = divisor(fan, [rng.choice([-1, 0, 1, 2]) for _ in fan.rays])
             rays = [Halfspace(u, a) for u, a in zip(fan.rays, m.coeffs)]
-            pp = parametric_family(
-                rays, [-c for c in lprime.coeffs], start=Q(0), stop=Q(1)
-            )
+            pp = parametric_family(rays, [-c for c in lprime.coeffs], stop=Q(1))
             xs = [Q(0)] + pp.chambers[0].sample_points(n)
             fit = fit_polynomial(xs, [volume(pp.polytope_at(x)) for x in xs])
             sampled = math.factorial(n) * fit.derivative()(0) / n
