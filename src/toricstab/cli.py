@@ -138,6 +138,18 @@ def sample_count(text: str) -> int:
     return value
 
 
+MAX_CANDIDATES = 10_000
+
+
+def check_radius(radius: int, dimension: int) -> None:
+    """A search lists all (2r+1)^n lattice vectors of the --radius ball: at most MAX_CANDIDATES."""
+    if (2 * radius + 1) ** dimension > MAX_CANDIDATES:
+        raise ValidationProblem(
+            f"--radius {radius} in dimension {dimension} gives (2r+1)^{dimension} lattice "
+            f"vectors to search; a search takes at most {MAX_CANDIDATES} candidates"
+        )
+
+
 def lattice_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -442,6 +454,7 @@ def cmd_volume(args) -> int:
 
 def cmd_delta(args) -> int:
     problem = ProblemFile.load(args.problem)
+    check_radius(args.radius, problem.fan.dimension)
     log.debug("candidate search: radius %d, jobs %d", args.radius, args.jobs)
     report = delta_search(problem.fan, problem.polarization, args.radius, jobs=args.jobs)
     payload = report_to_dict(report)
@@ -531,6 +544,7 @@ def cmd_dh(args) -> int:
 
 def cmd_report(args) -> int:
     problem = ProblemFile.load(args.problem)
+    check_radius(args.radius, problem.fan.dimension)
     names = [n.strip() for n in args.directions.split(",") if n.strip()]
     directions = [(name, problem.divisor_named(name)) for name in names]
     report = inequality_report(
@@ -575,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     def search(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--radius", type=positive_int, default=2)
+        p.add_argument("--radius", type=positive_int, default=2,
+                       help=f"sup-norm ball of candidates, at most {MAX_CANDIDATES} of them")
         p.add_argument("--jobs", type=job_count, default=os.cpu_count() or 1,
                        help="parallel candidate evaluation, at most the core count (default: cores)")
 

@@ -17,6 +17,13 @@ polytope and the vertex paths of a family; a family's start vertices are
 its paths feasible at t = 0, so it enumerates its bases once.  Whether a
 polytope is bounded depends on its facet normals only, so that test is
 memoized on the normals and shared by every polytope of a family.
+
+Triangulation, affine ranks and volumes run on integer coordinates too: a
+polytope's vertices are written once as integer numerators over one common
+positive denominator, the triangulation works on these points and returns
+simplices as vertex indices (tight sets, facet projections and the lift
+back are index lists), and volume and linear_moment sum integer simplex
+determinants and divide once.
 """
 
 from __future__ import annotations
@@ -50,14 +57,6 @@ IntRow = tuple[LatticeVector, int]  # (a, b): the halfspace <a, x> + b / q >= 0 
 def dot(u: Sequence, v: Sequence) -> Fraction:
     s = sum(map(mul, u, v))
     return s if type(s) is Fraction else Fraction(s)
-
-
-def vec_sub(u: Sequence, v: Sequence) -> Point:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence) -> Point:
-    return tuple(c * a for a in u)
 
 
 def content(u: Sequence[int]) -> int:
@@ -167,15 +166,24 @@ def kernel_vector(rows: Sequence[Sequence], n: int) -> LatticeVector | None:
     return make_primitive(x)
 
 
-def affine_rank(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull of the point set (-1 when empty)."""
+def _int_points(points: Sequence[Sequence]) -> tuple[list[LatticeVector], int]:
+    """The points as integer numerators over one common positive denominator."""
+    den = lcm(*[c.denominator for p in points for c in p])
+    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in points], den
+
+
+def _int_affine_rank(points: Sequence[LatticeVector]) -> int:
+    """Dimension of the affine hull of integer points (-1 when empty)."""
     if not points:
         return -1
     base = points[0]
-    diffs = [vec_sub(p, base) for p in points[1:]]
-    if not diffs:
-        return 0
-    return matrix_rank(diffs)
+    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    return len(_eliminate(diffs, len(base))[0]) if diffs else 0
+
+
+def affine_rank(points: Sequence[Point]) -> int:
+    """Dimension of the affine hull of the point set (-1 when empty)."""
+    return _int_affine_rank(_int_points(points)[0])
 
 
 # --------------------------------------------------------------------------
@@ -427,26 +435,24 @@ class Polytope:
 
 def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
     """Facet H-representation of the convex hull of a full-dimensional point set."""
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts, den = _int_points([tuple(Fraction(c) for c in p) for p in points])
     dim = len(pts[0])
     seen: set[tuple[LatticeVector, Fraction]] = set()
     out: list[Halfspace] = []
     for subset in itertools.combinations(pts, dim):
         if dim > 1:
-            diffs = [vec_sub(p, subset[0]) for p in subset[1:]]
-            if matrix_rank(diffs) != dim - 1:
-                continue
+            diffs = [[a - b for a, b in zip(p, subset[0])] for p in subset[1:]]
             normal = kernel_vector(diffs, dim)
             if normal is None:
                 continue
         else:
             normal = (1,)
-        level = dot(normal, subset[0])
-        values = [dot(normal, p) - level for p in pts]
+        level = sum(map(mul, normal, subset[0]))
+        values = [sum(map(mul, normal, p)) - level for p in pts]
         if all(v >= 0 for v in values):
-            hs = Halfspace(normal, -level).normalized()
+            hs = Halfspace(normal, Fraction(-level, den)).normalized()
         elif all(v <= 0 for v in values):
-            hs = Halfspace(tuple(-a for a in normal), level).normalized()
+            hs = Halfspace(tuple(-a for a in normal), Fraction(level, den)).normalized()
         else:
             continue
         key = (hs.normal, hs.offset)
@@ -461,60 +467,58 @@ def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
 # --------------------------------------------------------------------------
 
 def _tight_sets(
-    rows: Sequence[IntRow], q: int, vertices: Sequence[Point]
-) -> list[tuple[Point, ...]]:
-    """For each row (a, b) of {<a, x> + b / q >= 0}, the sorted vertices on its boundary.
+    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int
+) -> list[tuple[int, ...]]:
+    """For each row (a, b) of {<a, x> + b / q >= 0}, the indices of the points on its boundary.
 
-    Decided in integers: each vertex is written once as integer numerators
-    over the lcm of its denominators, x = num / den, and lies on the boundary
-    exactly when <a, num> * q + b * den == 0.
+    The points are x = num / den: num lies on the boundary of (a, b) exactly
+    when <a, num> * q + b * den == 0.
     """
-    verts = sorted(vertices)
-    scaled = []
-    for v in verts:
-        den = lcm(*[c.denominator for c in v])
-        scaled.append(([c.numerator * (den // c.denominator) for c in v], den))
     return [
-        tuple(v for v, (num, den) in zip(verts, scaled) if sum(map(mul, a, num)) * q + b * den == 0)
+        tuple(i for i, num in enumerate(points) if sum(map(mul, a, num)) * q + b * den == 0)
         for a, b in rows
     ]
 
 
 def _triangulate(
-    rows: Sequence[IntRow], q: int, vertices: Sequence[Point], dim: int
-) -> list[tuple[Point, ...]]:
-    """Simplices covering the polytope {<a, x> + b / q >= 0}, via cones from the lex-least vertex."""
+    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int
+) -> list[tuple[int, ...]]:
+    """Simplices covering the polytope {<a, x> + b / q >= 0} with vertices points / den.
+
+    Cones from the lex-least vertex over the facets; each simplex is a tuple
+    of indices into `points`.
+    """
+    v0 = min(range(len(points)), key=points.__getitem__)
     if dim == 1:
-        xs = sorted(v[0] for v in vertices)
-        if xs[0] == xs[-1]:
-            return []
-        return [((xs[0],), (xs[-1],))]
-    v0 = min(vertices)
-    simplices: list[tuple[Point, ...]] = []
-    seen: set[tuple[Point, ...]] = set()
-    for row, tight in zip(rows, _tight_sets(rows, q, vertices)):
+        v1 = max(range(len(points)), key=points.__getitem__)
+        return [] if v0 == v1 else [(v0, v1)]
+    simplices: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for row, tight in zip(rows, _tight_sets(rows, q, points, den)):
         if v0 in tight or len(tight) < dim or tight in seen:
             continue
         seen.add(tight)
-        if affine_rank(tight) != dim - 1:
+        face = [points[i] for i in tight]
+        if _int_affine_rank(face) != dim - 1:
             continue
-        for face_simplex in _triangulate_facet(rows, q, row, tight, dim):
-            simplices.append((v0,) + face_simplex)
+        for face_simplex in _triangulate_facet(rows, q, row, face, den, dim):
+            simplices.append((v0, *(tight[j] for j in face_simplex)))
     return simplices
 
 
 def _triangulate_facet(
-    rows: Sequence[IntRow], q: int, facet: IntRow, tight: Sequence[Point], dim: int
-) -> list[tuple[Point, ...]]:
-    """Simplices of the facet where `facet` is tight: projected along the largest normal entry.
+    rows: Sequence[IntRow], q: int, facet: IntRow, face: Sequence[LatticeVector], den: int, dim: int
+) -> list[tuple[int, ...]]:
+    """Simplices of the facet where `facet` is tight, as indices into its vertices `face`.
 
-    Eliminating x_k with the facet's equation turns every other row into a row
-    in the remaining coordinates over the same q.  Of rows with one primitive
-    normal only the binding one (least offset / content) is kept; the
-    projection is injective on the facet, so simplices lift back by lookup.
+    Projected along the largest normal entry: eliminating x_k with the facet's
+    equation turns every other row into a row in the remaining coordinates
+    over the same q.  Of rows with one primitive normal only the binding one
+    (least offset / content) is kept; the projection is injective on the
+    facet, so the projected vertices keep their indices.
     """
     if dim == 1:
-        return [tuple(tight)]
+        return [tuple(range(len(face)))]
     u, c = facet
     k = max(range(dim), key=lambda j: abs(u[j]))
     s = 1 if u[k] > 0 else -1
@@ -530,52 +534,76 @@ def _triangulate_facet(
         if kept is None or offset * kept[2] < kept[1] * g:
             best[key] = (normal, offset, g)
     sub = [(normal, offset) for normal, offset, _g in best.values()]
-    lift = {v[:k] + v[k + 1 :]: v for v in tight}
-    return [
-        tuple(lift[y] for y in face_simplex)
-        for face_simplex in _triangulate(sub, q, list(lift), dim - 1)
-    ]
+    return _triangulate(sub, q, [v[:k] + v[k + 1 :] for v in face], den, dim - 1)
 
 
 def facet_triangulation(p: Polytope, normal: Sequence[int]) -> list[tuple[Point, ...]]:
     """Simplices covering the facet of p on its halfspace with this normal; none if no facet."""
     rows, q = _int_rows(p.halfspaces)
     facet = next(row for row in rows if row[0] == tuple(normal))
-    (tight,) = _tight_sets([facet], q, p.vertices)
-    if affine_rank(tight) != p.dimension - 1:
+    points, den = _int_points(p.vertices)
+    (tight,) = _tight_sets([facet], q, points, den)
+    face = [points[i] for i in tight]
+    if _int_affine_rank(face) != p.dimension - 1:
         return []
-    return _triangulate_facet(rows, q, facet, tight, p.dimension)
+    return [
+        tuple(p.vertices[tight[j]] for j in simplex)
+        for simplex in _triangulate_facet(rows, q, facet, face, den, p.dimension)
+    ]
 
 
 @lru_cache(maxsize=None)
 def triangulation(p: Polytope) -> tuple[tuple[Point, ...], ...]:
-    """Deterministic exact triangulation of a full-dimensional polytope."""
-    if not p.is_full_dimensional:
+    """Deterministic exact triangulation of a full-dimensional polytope; () otherwise."""
+    points, den = _int_points(p.vertices)
+    if _int_affine_rank(points) != p.dimension:
         return ()
-    return tuple(_triangulate(*_int_rows(p.halfspaces), p.vertices, p.dimension))
+    return tuple(
+        tuple(p.vertices[i] for i in simplex)
+        for simplex in _triangulate(*_int_rows(p.halfspaces), points, den, p.dimension)
+    )
 
 
-def simplex_volume(simplex: Sequence[Point]) -> Fraction:
-    base = simplex[0]
-    rows = [vec_sub(v, base) for v in simplex[1:]]
-    return abs(det(rows)) / math.factorial(len(rows))
+def _int_simplices(p: Polytope) -> tuple[list[tuple[int, list[list[int]]]], int]:
+    """Each simplex of triangulation(p) as (|det| of its edges, its vertices), over one denominator.
+
+    The vertices are integer numerators over the common positive den of p's
+    vertices, so a simplex's volume is |det| / (den^n * n!).
+    """
+    den = lcm(*[c.denominator for v in p.vertices for c in v])
+    out = []
+    for simplex in triangulation(p):
+        nums = [[c.numerator * (den // c.denominator) for c in v] for v in simplex]
+        edges = [[a - b for a, b in zip(v, nums[0])] for v in nums[1:]]
+        pivots, pivot, _sign, _scale = _eliminate(edges, len(edges))
+        out.append((abs(pivot) if len(pivots) == len(edges) else 0, nums))
+    return out, den
 
 
 @lru_cache(maxsize=None)
 def volume(p: Polytope) -> Fraction:
-    """Exact Euclidean volume; 0 for empty or lower-dimensional polytopes."""
-    if p.is_empty or not p.is_full_dimensional:
-        return Fraction(0)
-    return sum((simplex_volume(s) for s in triangulation(p)), Fraction(0))
+    """Exact Euclidean volume; 0 for empty or lower-dimensional polytopes.
+
+    The integer simplex determinants are summed and divided once.
+    """
+    simplices, den = _int_simplices(p)
+    n = p.dimension
+    return Fraction(sum(d for d, _nums in simplices), den**n * math.factorial(n))
 
 
 def linear_moment(p: Polytope, u: Sequence) -> Fraction:
-    """Exact integral of x -> <x, u> over the polytope."""
-    total = Fraction(0)
-    for simplex in triangulation(p):
-        centroid = vec_scale(Fraction(1, len(simplex)), [sum(c) for c in zip(*simplex)])
-        total += simplex_volume(simplex) * dot(centroid, u)
-    return total
+    """Exact integral of x -> <x, u> over the polytope.
+
+    Each simplex contributes its volume times <centroid, u>: the vertex sums
+    are weighted by the integer determinants, and divided once.
+    """
+    simplices, den = _int_simplices(p)
+    n = p.dimension
+    weighted = [0] * n
+    for d, nums in simplices:
+        for v in nums:
+            weighted = [w + d * c for w, c in zip(weighted, v)]
+    return dot(weighted, u) / (den ** (n + 1) * math.factorial(n) * (n + 1))
 
 
 def linear_stats(p: Polytope, u: Sequence) -> tuple[Fraction, Fraction, Fraction]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -27,12 +28,12 @@ from .errors import (
 from .geometry import (
     Chamber,
     ParametricPolytope,
-    det,
+    VertexPath,
+    _int_points,
     dot,
     facet_triangulation,
     parametric_family,
     triangulation,
-    vec_sub,
     volume,
 )
 from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces, star_subdivision
@@ -389,35 +390,73 @@ def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPoly
     return parametric_family(section_halfspaces(fan, l.coeffs), list(d.coeffs))
 
 
-def _affine_det(a: Sequence[Sequence], b: Sequence[Sequence], fixed: Sequence = ()) -> Polynomial:
-    """t -> det(A + tB) with the constant rows `fixed` appended, by multilinearity."""
-    coeffs = [Fraction(0)] * (len(a) + 1)
-    for pick in itertools.product((False, True), repeat=len(a)):
-        rows = [rb if p else ra for ra, rb, p in zip(a, b, pick)]
-        coeffs[sum(pick)] += det(rows + list(fixed))
-    return Polynomial(tuple(coeffs))
+def _det_poly(moving: Sequence[tuple[Sequence[int], Sequence[int]]], fixed: Sequence = ()) -> list[int]:
+    """Integer coefficients of t -> det of the rows a + t * b, (a, b) in `moving`, over the rows `fixed`.
+
+    Cofactor expansion along each row in turn, from the bottom up: the minors
+    of the last rows on every set of columns are integer polynomials.
+    """
+    rows = [*moving, *((row, [0] * len(row)) for row in fixed)]
+    n = len(rows)
+    minors: dict[tuple[int, ...], list[int]] = {(): [1]}
+    for depth, (a, b) in enumerate(reversed(rows), 1):
+        grown = {}
+        for cols in itertools.combinations(range(n), depth):
+            acc = [0] * (depth + 1)
+            for k, col in enumerate(cols):
+                sign = -1 if k % 2 else 1
+                ca, cb = sign * a[col], sign * b[col]
+                for i, m in enumerate(minors[cols[:k] + cols[k + 1 :]]):
+                    acc[i] += ca * m
+                    acc[i + 1] += cb * m
+            grown[cols] = acc
+        minors = grown
+    return minors[tuple(range(n))][: len(moving) + 1]
 
 
 def _moving_simplices(
     chamber: Chamber, simplices: Sequence[Sequence], fixed: Sequence[Sequence] = ()
 ) -> Polynomial:
-    """t -> sum of |det(v_1(t) - v_0(t), ..., fixed)|, midpoint simplices moved on the paths."""
+    """t -> sum of |det(v_1(t) - v_0(t), ..., fixed)|, midpoint simplices moved on the paths.
+
+    Each distinct midpoint vertex is matched to its chamber path once.  The
+    matched paths are written as integer numerators over one common
+    denominator den, so each simplex's det(A + tB) is an integer polynomial
+    over den^k (k moving rows), expanded by cofactors.  Its sign is that at
+    the midpoint, decided in integers; Fractions are built only for the
+    summed coefficients.
+    """
     mid = chamber.midpoint()
     path_at = {path.at(mid): path for path in chamber.paths}
-    total = Polynomial(())
+    # the simplices share their vertex objects, so each distinct vertex is looked up once
+    position: dict[int, int] = {}
+    paths: list[VertexPath] = []
+    indexed = []
     for simplex in simplices:
-        try:
-            paths = [path_at[v] for v in simplex]
-        except KeyError as exc:
-            raise InvariantViolation(f"simplex vertex {exc} follows no chamber path") from None
-        p0 = paths[0]
-        simplex_det = _affine_det(
-            [vec_sub(p.base, p0.base) for p in paths[1:]],
-            [vec_sub(p.velocity, p0.velocity) for p in paths[1:]],
-            fixed,
-        )
-        total = total + (simplex_det if simplex_det(mid) > 0 else simplex_det.scale(-1))
-    return total
+        row = []
+        for v in simplex:
+            i = position.get(id(v))
+            if i is None:
+                path = path_at.get(v)
+                if path is None:
+                    raise InvariantViolation(f"simplex vertex {v} follows no chamber path")
+                i = position[id(v)] = len(paths)
+                paths.append(path)
+            row.append(i)
+        indexed.append(row)
+    # row i: base and velocity of path i, as integers over den
+    rows, den = _int_points([path.base + path.velocity for path in paths])
+    dim = len(chamber.paths[0].base) if chamber.paths else 0
+    k = len(indexed[0]) - 1 if indexed else 0
+    # the sign of sum c_i mid^i, scaled by the positive mid.denominator^k
+    powers = [mid.numerator**i * mid.denominator ** (k - i) for i in range(k + 1)]
+    total = [0] * (k + 1)
+    for i0, *rest in indexed:
+        diffs = [[a - b for a, b in zip(rows[i], rows[i0])] for i in rest]
+        coeffs = _det_poly([(d[:dim], d[dim:]) for d in diffs], fixed)
+        sign = 1 if sum(map(operator.mul, coeffs, powers)) > 0 else -1
+        total = [t + sign * c for t, c in zip(total, coeffs)]
+    return Polynomial(tuple(Fraction(c, den**k) for c in total))
 
 
 def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polynomial:
@@ -427,9 +466,11 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     chamber midpoint is triangulated once and each simplex moves with the paths
     of its vertices: its volume is sign * det M(t) / n!, where M(t) has the
     affine rows v_i(t) - v_0(t) and the sign is that of det M at the midpoint.
-    The result is checked against an independent volume(P_x) at one interior
-    point x other than the midpoint, and against the degree bound n = the
-    family's dimension; a failure raises InvariantViolation.
+    det M(t) is an integer polynomial over a power of the paths' common
+    denominator, expanded by cofactors (_moving_simplices).  The result is
+    checked against an independent volume(P_x) at one interior point x other
+    than the midpoint, and against the degree bound n = the family's
+    dimension; a failure raises InvariantViolation.
     """
     simplices = triangulation(pp.polytope_on(chamber, chamber.midpoint()))
     poly = _moving_simplices(chamber, simplices).scale(Fraction(1, math.factorial(pp.dimension)))

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from toricstab import thresholds
-from toricstab.cli import MAX_SAMPLES, PROBLEM_SCHEMA, ProblemFile, build_parser, main
+from toricstab.cli import MAX_CANDIDATES, MAX_SAMPLES, PROBLEM_SCHEMA, ProblemFile, build_parser, main
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -261,6 +261,30 @@ def test_samples_above_maximum_exit_2(capsys, problems_dir):
         assert "--samples: must be at most 10000" in payload["message"]
     args = build_parser().parse_args(["dh", "problem.json", "--u=1,1", "--samples", "10000"])
     assert args.samples == MAX_SAMPLES == 10000
+
+
+class CandidatesListed(Exception):
+    """Raised by the primitive_candidates spy: the search got past the radius check."""
+
+
+def test_radius_ball_above_candidate_limit_exit_2(capsys, problems_dir, monkeypatch):
+    def spy(dimension, radius):
+        raise CandidatesListed(dimension, radius)
+
+    monkeypatch.setattr(thresholds, "primitive_candidates", spy)
+    f1 = str(problems_dir / "f1.json")
+    # (2r+1)^2 candidates on a surface: 101^2 = 10201 is above the limit
+    for argv in (
+        ["delta", f1, "--radius", "100000"],
+        ["delta", f1, "--radius", "50"],
+        ["report", f1, "--directions", "E", "--radius", "100000"],
+    ):
+        payload = assert_validation_error(*run(capsys, *argv, "--jobs", "1"))
+        assert f"at most {MAX_CANDIDATES} candidates" in payload["message"]
+    # 99^2 = 9801 is within it: the search starts listing candidates
+    with pytest.raises(CandidatesListed):
+        main(["delta", f1, "--radius", "49", "--jobs", "1"])
+    assert MAX_CANDIDATES == 10000
 
 
 def assert_validation_error(code, out, err) -> dict:

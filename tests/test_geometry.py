@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 from math import lcm
@@ -19,6 +20,7 @@ from toricstab.geometry import (
     _basis_paths,
     _dedupe_halfspaces,
     _feasible,
+    _int_points,
     _int_rows,
     _recession_nontrivial,
     _tight_sets,
@@ -28,13 +30,13 @@ from toricstab.geometry import (
     hull_halfspaces,
     kernel_vector,
     lattice_points,
+    linear_moment,
     linear_stats,
     make_primitive,
     matrix_rank,
     minkowski_sum,
     mixed_volume,
     parametric_family,
-    simplex_volume,
     solve_linear,
     triangulation,
     vertices_of,
@@ -88,6 +90,12 @@ def test_volume_empty_and_lower_dimensional():
 
 def test_volume_quadrilateral():
     assert volume(poly(F1_QUAD)) == 4
+
+
+def simplex_volume(simplex) -> Q:
+    """|det(v_1 - v_0, ..., v_n - v_0)| / n! in Fractions."""
+    rows = [[a - b for a, b in zip(v, simplex[0])] for v in simplex[1:]]
+    return abs(det(rows)) / math.factorial(len(rows))
 
 
 def test_volume_invariant_under_coordinate_permutation():
@@ -471,6 +479,14 @@ def oracle_tight(hs, vertices):
     return tuple(sorted(v for v in vertices if hs.slack(v) == 0))
 
 
+def oracle_affine_rank(points):
+    """affine_rank by Fraction differences."""
+    if not points:
+        return -1
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    return matrix_rank(diffs) if diffs else 0
+
+
 def oracle_triangulate(halfspaces, vertices, dim):
     """The triangulation on Fraction halfspaces: slack tests, substitution and lifting."""
     if dim == 1:
@@ -485,7 +501,7 @@ def oracle_triangulate(halfspaces, vertices, dim):
         if len(tight) < dim or tight in seen:
             continue
         seen.add(tight)
-        if affine_rank(tight) != dim - 1:
+        if oracle_affine_rank(tight) != dim - 1:
             continue
         simplices += [(v0,) + s for s in oracle_triangulate_facet(halfspaces, hs, tight, dim)]
     return simplices
@@ -517,16 +533,22 @@ def oracle_triangulate_facet(halfspaces, hs, tight, dim):
 
 offsets = st.builds(Q, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=6))
 positive_offsets = st.builds(Q, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=6))
+# distinct large primes: a polytope's common denominator is the product of several
+LARGE_PRIMES = (9973, 10007, 65521, 999983, 2147483647)
+coprime_offsets = st.builds(
+    Q, st.integers(min_value=1, max_value=12 * 2147483647), st.sampled_from(LARGE_PRIMES)
+)
 
 
 @st.composite
-def halfspace_systems(draw, with_rates=False, bounded=False):
+def halfspace_systems(draw, with_rates=False, bounded=False, coprime=False):
     """Small integer normals and rational offsets of mixed denominators in dimensions 1-4.
 
     A drawn flag adds a bounding simplex, so that bounded polytopes come next
     to unbounded and empty intersections.  With `bounded`, the simplex is
     always there and every offset is positive: a full-dimensional polytope
-    around the origin.
+    around the origin.  With `coprime` too, the offsets have large coprime
+    denominators, so vertices, tight sets and volumes run on big integers.
     """
     dim = draw(st.integers(min_value=1, max_value=4))
     count = draw(st.integers(min_value=1, max_value=6 - dim // 2))
@@ -537,7 +559,8 @@ def halfspace_systems(draw, with_rates=False, bounded=False):
     ]
     if bounded or draw(st.booleans()):
         normals += [[int(i == j) for j in range(dim)] for i in range(dim)] + [[-1] * dim]
-    hs = [Halfspace(u, draw(positive_offsets if bounded else offsets)) for u in normals]
+    offset = (coprime_offsets if coprime else positive_offsets) if bounded else offsets
+    hs = [Halfspace(u, draw(offset)) for u in normals]
     if not with_rates:
         return hs
     return hs, [draw(st.one_of(st.just(Q(0)), offsets)) for _ in hs]
@@ -610,27 +633,58 @@ def test_family_start_matches_vertex_enumeration(system):
         assert family.t_max == 0 and not want.is_full_dimensional
 
 
+bounded_systems = st.one_of(
+    halfspace_systems(bounded=True), halfspace_systems(bounded=True, coprime=True)
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(halfspace_systems(bounded=True))
+@given(bounded_systems)
 def test_triangulation_tight_sets_match_slack_route(halfspaces):
     p = poly(halfspaces)
     calls = []
 
-    def checked(rows, q, vertices):
-        got = _tight_sets(rows, q, vertices)
-        assert got == [oracle_tight(Halfspace(a, Q(b, q)), vertices) for a, b in rows]
+    def checked(rows, q, points, den):
+        got = _tight_sets(rows, q, points, den)
+        verts = [tuple(Q(c, den) for c in num) for num in points]
+        assert got == [
+            tuple(i for i, v in enumerate(verts) if Halfspace(a, Q(b, q)).slack(v) == 0)
+            for a, b in rows
+        ]
         calls.append(len(rows))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_tight_sets", checked)
-        got = geometry._triangulate(*_int_rows(p.halfspaces), p.vertices, p.dimension)
+        simplices = geometry._triangulate(
+            *_int_rows(p.halfspaces), *_int_points(p.vertices), p.dimension
+        )
         facets = {hs.normal: facet_triangulation(p, hs.normal) for hs in p.halfspaces}
+    got = [tuple(p.vertices[i] for i in simplex) for simplex in simplices]
     assert calls and p.is_full_dimensional
     assert got == oracle_triangulate(p.halfspaces, p.vertices, p.dimension)
     assert triangulation(p) == tuple(got)
     for hs in p.halfspaces:
         tight = oracle_tight(hs, p.vertices)
-        want = [] if affine_rank(tight) != p.dimension - 1 else \
+        want = [] if oracle_affine_rank(tight) != p.dimension - 1 else \
             oracle_triangulate_facet(p.halfspaces, hs, tight, p.dimension)
         assert facets[hs.normal] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_systems, st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4))
+def test_volume_and_moment_match_simplex_volumes(halfspaces, u):
+    p = poly(halfspaces)
+    u = u[: p.dimension]
+    simplices = triangulation(p)
+    assert volume(p) == sum((simplex_volume(s) for s in simplices), Q(0)) > 0
+    assert linear_moment(p, u) == sum(
+        (simplex_volume(s) * sum(a * x for a, x in zip(u, v)) / len(s) for s in simplices for v in s),
+        Q(0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rectangular, bounded_systems.map(lambda hs: vertices_of(hs))))
+def test_affine_rank_matches_fraction_differences(points):
+    assert affine_rank(points) == oracle_affine_rank(points)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricstab import (
     PiecewisePolynomial,
@@ -24,9 +27,10 @@ from toricstab import (
 from toricstab import volume_fn
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, ZeroDivisor
 from toricstab.filtrations import filtration_family
-from toricstab.geometry import Chamber, Halfspace, parametric_family, volume
+from toricstab.geometry import Chamber, Halfspace, det, parametric_family, volume
 from toricstab.thresholds import primitive_candidates
 from toricstab.volume_fn import (
+    _det_poly,
     chamber_volume_polynomial,
     count_roots,
     divisor_family,
@@ -37,6 +41,38 @@ from toricstab.volume_fn import (
 
 
 # ---- polynomial layer ------------------------------------------------------
+
+def affine_det_oracle(a, b, fixed=()) -> Polynomial:
+    """t -> det(A + tB) with the constant rows `fixed` appended, by multilinearity:
+    the coefficient of t^j sums the Fraction determinants of the 2^n row picks
+    that take j rows from B."""
+    coeffs = [Q(0)] * (len(a) + 1)
+    for pick in itertools.product((False, True), repeat=len(a)):
+        rows = [rb if p else ra for ra, rb, p in zip(a, b, pick)]
+        coeffs[sum(pick)] += det(rows + list(fixed))
+    return Polynomial(tuple(coeffs))
+
+
+@st.composite
+def affine_matrices(draw):
+    """(A, B, fixed): n = 1..4 columns, 0..n-1 constant rows, the rest moving rows."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    nfixed = draw(st.integers(min_value=0, max_value=n - 1))
+    entry = st.integers(min_value=-10**6, max_value=10**6) | st.integers(min_value=-2, max_value=2)
+    rows = st.lists(entry, min_size=n, max_size=n)
+    a = draw(st.lists(rows, min_size=n - nfixed, max_size=n - nfixed))
+    b = draw(st.lists(rows, min_size=n - nfixed, max_size=n - nfixed))
+    return a, b, draw(st.lists(rows, min_size=nfixed, max_size=nfixed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_matrices())
+def test_det_poly_matches_multilinear_expansion(matrices):
+    a, b, fixed = matrices
+    coeffs = _det_poly(list(zip(a, b)), fixed)
+    assert len(coeffs) == len(a) + 1
+    assert Polynomial(tuple(coeffs)) == affine_det_oracle(a, b, fixed)
+
 
 def test_polynomial_arithmetic():
     p = Polynomial.of(3, -1)
