@@ -21,7 +21,6 @@ from .toric import (
     Fan,
     ToricDivisor,
     anticanonical,
-    intersection_number,
     is_ample,
     log_discrepancy,
     polytope_of,
@@ -175,8 +174,9 @@ def delta_prime_quotient(
 ) -> Fraction:
     """The unit-interval quotient; not invariant under rescaling D.
 
-    Numerator: (K_rel . (-D)^{n-1}) + n * (G_{n-1}(L, D) . Red D), with the
-    averaging polynomial expanded multilinearly.  Denominator:
+    Numerator: n * (G_{n-1}(L, D) . (K_rel + Red D)) = n * int_0^1
+    (L - tau D)^{n-1} . (K_rel + Red D) dtau, with the averaging polynomial
+    expanded multilinearly.  Denominator:
     n * int_0^1 (<P_tau^{n-1}> . L - vol(P_tau)) dtau = V * jtilde(truncated).
     """
     if d.is_zero:
@@ -192,11 +192,7 @@ def delta_prime_quotient(
     truncated = truncated_curve(extended)
     v = big_volume(fan, l)
     denominator = v * jtilde(truncated)
-    numerator = Fraction(0)
-    if not k_rel.is_zero:
-        numerator += intersection_number(fan, [k_rel] + [-d] * (n - 1))
-    numerator += n * g_pairing(fan, l, d, d.reduced())
-    return numerator / denominator
+    return n * g_pairing(fan, l, d, k_rel + d.reduced()) / denominator
 
 
 def inequality_report(

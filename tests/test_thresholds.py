@@ -8,16 +8,25 @@ import pytest
 
 from toricstab import (
     anticanonical,
+    big_volume,
     delta_pp_quotient,
     delta_prime_quotient,
     delta_quotient,
     delta_search,
     divisor,
+    entropy,
+    extended_curve,
+    g_pairing,
     inequality_report,
+    intersection_number,
+    is_nef,
+    jtilde,
     log_discrepancy,
     ray_divisor,
     s_invariant,
     star_subdivision,
+    truncated_curve,
+    volume_curve,
 )
 from toricstab import thresholds
 from toricstab.cli import main
@@ -190,6 +199,71 @@ def test_delta_prime_invariant_under_log_resolution(p2):
     assert upstairs == Q(15, 7)
 
 
+def center_dimension(fan, u) -> int:
+    """Dimension of the smallest cone of the fan containing u (the center's codimension)."""
+    _cone, coords = fan.containing_cone(u)
+    return sum(1 for c in coords if c > 0)
+
+
+def nef_exceptional_directions(fan, dimension):
+    """(u, model, L, D, K_rel) over non-ray u of the radius-1 ball whose center has the
+    given codimension, D = E_u at the scales 1, tau+/2 and tau+ where L - D is nef."""
+    for u in primitive_candidates(fan.dimension, 1):
+        if u in fan.rays or center_dimension(fan, u) != dimension:
+            continue
+        model, l, e, k_rel = divisorial_direction(fan, u)
+        _curve, tau_plus = volume_curve(model, l, e)
+        for scale in (1, tau_plus / 2, tau_plus):
+            d = e.scale(scale)
+            if is_nef(model, l - d):
+                yield u, model, l, d, k_rel
+
+
+def old_prime_quotient(model, l, d, k_rel):
+    """The numerator (K_rel . (-D)^{n-1}) + n G_{n-1}(L, D) . Red D, equal to
+    n G_{n-1}(L, D) . (K_rel + Red D) on surfaces and over point centers."""
+    n = model.dimension
+    numerator = intersection_number(model, [k_rel] + [-d] * (n - 1))
+    numerator += n * g_pairing(model, l, d, d.reduced())
+    truncated = truncated_curve(extended_curve(model, l, d, k_rel=k_rel))
+    return numerator / (big_volume(model, l) * jtilde(truncated))
+
+
+def test_delta_prime_on_p3_curve_center(p3):
+    # P3 at u = (-1, -1, 1), whose center is a torus-invariant curve
+    model, l, e, k_rel = divisorial_direction(p3, (-1, -1, 1))
+    d = e.scale(4)
+    truncated = truncated_curve(extended_curve(model, l, d, k_rel=k_rel))
+    assert entropy(truncated) / jtilde(truncated) == Q(9, 7)
+    assert delta_prime_quotient(model, l, d, k_rel=k_rel) == Q(9, 7)
+
+
+def test_delta_prime_is_truncated_ent_over_jtilde_over_curve_centers(p3):
+    blp3, _pull, _k = star_subdivision(p3, (1, 1, 1))
+    checked = 0
+    for fan in (p3, blp3):
+        delta_of = {u: log_discrepancy(fan, u) / s_invariant(fan, anticanonical(fan), u)
+                    for u in primitive_candidates(3, 1)}
+        for u, model, l, d, k_rel in nef_exceptional_directions(fan, 2):
+            prime = delta_prime_quotient(model, l, d, k_rel=k_rel)
+            truncated = truncated_curve(extended_curve(model, l, d, k_rel=k_rel))
+            assert prime == entropy(truncated) / jtilde(truncated), (u, d)
+            assert prime >= delta_of[u], (u, d)
+            checked += 1
+    assert checked == 39
+
+
+def test_delta_prime_keeps_the_old_k_rel_term_over_point_centers(p3):
+    blp3, _pull, _k = star_subdivision(p3, (1, 1, 1))
+    checked = 0
+    for fan in (p3, blp3):
+        for _u, model, l, d, k_rel in nef_exceptional_directions(fan, 3):
+            assert delta_prime_quotient(model, l, d, k_rel=k_rel) == old_prime_quotient(
+                model, l, d, k_rel)
+            checked += 1
+    assert checked > 0
+
+
 def random_effective(fan, rng: random.Random):
     while True:
         coeffs = [Q(rng.choice([0, 0, 1, 1, 2]), rng.choice([1, 2, 3])) for _ in fan.rays]
@@ -259,9 +333,10 @@ thresholds.linear_stats = _skewed
 
 
 def test_s_route_disagreement_raises(monkeypatch, p2, capsys, problems_dir):
-    namespace: dict = {}
-    exec(SKEW_LINEAR_STATS, namespace)
-    monkeypatch.setattr(thresholds, "linear_stats", namespace["_skewed"])
+    # the script rebinds thresholds.linear_stats itself; recording the real
+    # function first lets monkeypatch restore it for the tests that follow
+    monkeypatch.setattr(thresholds, "linear_stats", thresholds.linear_stats)
+    exec(SKEW_LINEAR_STATS, {})
     with pytest.raises(InvariantViolation):
         s_invariant(p2, anticanonical(p2), (1, 0))
     code = main(["delta", str(problems_dir / "p2.json"), "--radius", "1", "--jobs", "1"])
