@@ -14,11 +14,10 @@ import io
 import json
 import logging
 import os
+import re
 import sys
 from fractions import Fraction
-from typing import Sequence
-
-import jsonschema
+from typing import Iterator, Sequence
 
 from . import __version__
 from .errors import AlreadyARay, DimensionMismatch, NonPrimitive, ToricStabError, ZeroVector
@@ -98,6 +97,82 @@ PROBLEM_SCHEMA = {
         }
     },
 }
+
+
+# The keywords PROBLEM_SCHEMA uses, with JSON Schema's meaning; `$defs` only
+# holds the target of the one local `$ref`.  Any other keyword is refused.
+SCHEMA_KEYWORDS = frozenset({
+    "type", "required", "additionalProperties", "properties", "items", "minItems",
+    "minimum", "oneOf", "const", "pattern", "$ref", "$defs",
+})
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+SCHEMA_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    # JSON Schema's integers: 1.0 is one, true is not
+    "integer": lambda value: _is_number(value) and (isinstance(value, int) or value.is_integer()),
+}
+
+
+def schema_violations(instance, schema: dict, root: dict, where: str = "") -> Iterator[str]:
+    """The ways a JSON value breaks a subschema of root, lazily, as messages.
+
+    Each keyword applies only to the values of its JSON type, as in JSON
+    Schema; a keyword outside SCHEMA_KEYWORDS raises ValueError.
+    """
+    unknown = set(schema) - SCHEMA_KEYWORDS
+    if unknown:
+        raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
+    at = f" at {where}" if where else ""
+    if "$ref" in schema:
+        target = root
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            target = target[part]
+        yield from schema_violations(instance, target, root, where)
+    if "type" in schema and not SCHEMA_TYPES[schema["type"]](instance):
+        yield f"{instance!r} is not of type {schema['type']!r}{at}"
+    if "const" in schema and not (
+        instance == schema["const"]
+        and isinstance(instance, bool) == isinstance(schema["const"], bool)
+    ):
+        yield f"{schema['const']!r} was expected{at}"
+    if "oneOf" in schema:
+        matches = sum(
+            next(schema_violations(instance, branch, root, where), None) is None
+            for branch in schema["oneOf"]
+        )
+        if matches != 1:
+            yield f"{instance!r} matches {matches} of {len(schema['oneOf'])} alternatives, not one{at}"
+    if _is_number(instance) and "minimum" in schema and instance < schema["minimum"]:
+        yield f"{instance!r} is less than the minimum of {schema['minimum']!r}{at}"
+    if isinstance(instance, str) and "pattern" in schema and not re.search(schema["pattern"], instance):
+        yield f"{instance!r} does not match {schema['pattern']!r}{at}"
+    if isinstance(instance, list):
+        if len(instance) < schema.get("minItems", 0):
+            yield f"{instance!r} has fewer than {schema['minItems']} items{at}"
+        if "items" in schema:
+            for i, item in enumerate(instance):
+                yield from schema_violations(item, schema["items"], root, f"{where}[{i}]")
+    if isinstance(instance, dict):
+        for key in schema.get("required", ()):
+            if key not in instance:
+                yield f"{key!r} is a required property{at}"
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", {})
+        for key, value in instance.items():
+            inner = f"{where}.{key}" if where else key
+            if key in properties:
+                yield from schema_violations(value, properties[key], root, inner)
+            elif extra is False:
+                yield f"additional property {key!r} is not allowed{at}"
+            else:
+                yield from schema_violations(value, extra, root, inner)
 
 
 class ValidationProblem(Exception):
@@ -240,10 +315,9 @@ def read_problem(path: str) -> tuple[dict, Fan, FanDiagnostics]:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationProblem(f"cannot read problem file: {exc}") from exc
-    try:
-        jsonschema.validate(raw, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValidationProblem(f"problem file does not match schema: {exc.message}") from exc
+    violation = next(schema_violations(raw, PROBLEM_SCHEMA, PROBLEM_SCHEMA), None)
+    if violation is not None:
+        raise ValidationProblem(f"problem file does not match schema: {violation}")
     try:
         fan = Fan.make(raw["fan"]["rays"], raw["fan"]["cones"])
     except (ValueError, DimensionMismatch) as exc:
@@ -636,21 +710,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what a shell reports for a command that SIGPIPE ended: 128 + 13
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("TORICSTAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except ValidationProblem as exc:
-        json.dump({"error": "validation", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except ToricStabError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+        except ValidationProblem as exc:
+            code = report_error("validation", exc, 2)
+        except ToricStabError as exc:
+            code = report_error(type(exc).__name__, exc, 3)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): point stdout at devnull, so
+        # that the flush at interpreter exit cannot fail again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def report_error(kind: str, exc: Exception, code: int) -> int:
+    json.dump({"error": kind, "message": str(exc)}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -752,18 +752,21 @@ class ParametricPolytope:
     def polytope_at(self, t) -> Polytope:
         return Polytope.from_halfspaces([hs.at(t) for hs in self.halfspaces])
 
-    def polytope_on(self, chamber: Chamber, t) -> Polytope:
-        """P_t for t in `chamber`, with its vertices read off the chamber's paths.
+    def polytope_on(self, chamber: Chamber, t) -> tuple[Polytope, dict[Point, VertexPath]]:
+        """P_t for t in `chamber`, with its vertices read off the chamber's paths,
+        and a path through each vertex.
 
         Every active path is a basic solution feasible on the whole chamber,
         so no vertex enumeration is needed; the family is bounded at every t
         because it is bounded at its start.
         """
-        return Polytope(
+        path_at = {path.at(t): path for path in chamber.paths}
+        polytope = Polytope(
             _dedupe_halfspaces([hs.at(t) for hs in self.halfspaces]),
-            tuple(sorted({path.at(t) for path in chamber.paths})),
+            tuple(sorted(path_at)),
             self.dimension,
         )
+        return polytope, path_at
 
 
 def _basis_paths(

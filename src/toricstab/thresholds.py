@@ -9,7 +9,6 @@ for toric data, an assumption every report records).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -141,6 +140,9 @@ def delta_search(fan: Fan, l: ToricDivisor, radius: int, jobs: int = 1) -> Thres
     candidates = primitive_candidates(fan.dimension, radius)
     args = [(fan, l, u) for u in candidates]
     if jobs > 1:
+        # imported here, so that a serial search or a CLI start-up does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             rows = list(pool.map(_candidate_row, args, chunksize=8))
     else:

@@ -28,6 +28,7 @@ from .errors import (
 from .geometry import (
     Chamber,
     ParametricPolytope,
+    Point,
     VertexPath,
     _int_points,
     dot,
@@ -415,11 +416,15 @@ def _det_poly(moving: Sequence[tuple[Sequence[int], Sequence[int]]], fixed: Sequ
 
 
 def _moving_simplices(
-    chamber: Chamber, simplices: Sequence[Sequence], fixed: Sequence[Sequence] = ()
+    chamber: Chamber,
+    path_at: dict[Point, VertexPath],
+    simplices: Sequence[Sequence],
+    fixed: Sequence[Sequence] = (),
 ) -> Polynomial:
     """t -> sum of |det(v_1(t) - v_0(t), ..., fixed)|, midpoint simplices moved on the paths.
 
-    Each distinct midpoint vertex is matched to its chamber path once.  The
+    Each distinct midpoint vertex is matched once to its chamber path, through
+    path_at, the midpoint vertices of ParametricPolytope.polytope_on.  The
     matched paths are written as integer numerators over one common
     denominator den, so each simplex's det(A + tB) is an integer polynomial
     over den^k (k moving rows), expanded by cofactors.  Its sign is that at
@@ -427,7 +432,6 @@ def _moving_simplices(
     summed coefficients.
     """
     mid = chamber.midpoint()
-    path_at = {path.at(mid): path for path in chamber.paths}
     # the simplices share their vertex objects, so each distinct vertex is looked up once
     position: dict[int, int] = {}
     paths: list[VertexPath] = []
@@ -472,8 +476,10 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     than the midpoint, and against the degree bound n = the family's
     dimension; a failure raises InvariantViolation.
     """
-    simplices = triangulation(pp.polytope_on(chamber, chamber.midpoint()))
-    poly = _moving_simplices(chamber, simplices).scale(Fraction(1, math.factorial(pp.dimension)))
+    p, path_at = pp.polytope_on(chamber, chamber.midpoint())
+    poly = _moving_simplices(chamber, path_at, triangulation(p)).scale(
+        Fraction(1, math.factorial(pp.dimension))
+    )
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
     if poly.degree > pp.dimension or poly(x) != volume(pp.polytope_at(x)):
         raise InvariantViolation(
@@ -489,9 +495,9 @@ def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple
     zero where the face minimizing u_i is not a facet.  With the constant row
     u_i, |det| / <u_i, u_i> is (n-1)! times a facet simplex's lattice volume.
     """
-    p = pp.polytope_on(chamber, chamber.midpoint())
+    p, path_at = pp.polytope_on(chamber, chamber.midpoint())
     return tuple(
-        _moving_simplices(chamber, facet_triangulation(p, hs.normal), [hs.normal]).scale(
+        _moving_simplices(chamber, path_at, facet_triangulation(p, hs.normal), [hs.normal]).scale(
             Fraction(1, dot(hs.normal, hs.normal))
         )
         for hs in pp.halfspaces

@@ -50,16 +50,21 @@ def problems_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def run_optimized():
-    """Run a Python script under `python -O` (asserts stripped) against src/."""
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports toricstab from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     ))
 
+
+@pytest.fixture(scope="session")
+def run_optimized(src_env):
+    """Run a Python script under `python -O` (asserts stripped) against src/."""
+
     def run(script: str) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env
         )
 
     return run

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 
-import jsonschema
 import pytest
 
 from toricstab import thresholds
-from toricstab.cli import MAX_CANDIDATES, MAX_SAMPLES, PROBLEM_SCHEMA, ProblemFile, build_parser, main
+from toricstab.cli import MAX_CANDIDATES, MAX_SAMPLES, ProblemFile, build_parser, main
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -182,12 +184,6 @@ def test_computation_error_exit_3(tmp_path, capsys):
     code, _out, err = run(capsys, "curve", str(path), "--direction", "Z")
     assert code == 3
     assert json.loads(err)["error"] == "ZeroDivisor"
-
-
-def test_problem_files_match_schema(problems_dir):
-    for name in ("p2.json", "f1.json", "p1xp1.json", "bad_fan.json"):
-        with open(problems_dir / name, "r", encoding="utf-8") as fh:
-            jsonschema.validate(json.load(fh), PROBLEM_SCHEMA)
 
 
 def test_refinements_are_applied(tmp_path, capsys):
@@ -372,7 +368,7 @@ def test_jobs_above_core_count_exit_2(capsys, problems_dir, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(thresholds, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cores = os.cpu_count() or 1
     for command in (["delta"], ["report", "--directions", "E"]):
         payload = assert_validation_error(*run(
@@ -394,3 +390,47 @@ def test_jobs_only_on_searches(capsys, problems_dir, argv):
         *run(capsys, argv[0], str(problems_dir / "f1.json"), *argv[1:], "--jobs=1")
     )
     assert "unrecognized arguments: --jobs=1" in payload["message"]
+
+
+# ---- start-up and the process boundary --------------------------------------
+
+def run_python(src_env, script: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", script], env=src_env, **kwargs)
+
+
+def test_cli_import_loads_neither_jsonschema_nor_the_pool(src_env):
+    script = (
+        "import sys, toricstab.cli\n"
+        "print([m for m in ('jsonschema', 'concurrent.futures.process') if m in sys.modules])\n"
+    )
+    result = run_python(src_env, script, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+def test_validate_without_jsonschema(src_env, problems_dir):
+    # an import of jsonschema would raise ImportError here
+    script = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "from toricstab.cli import main\n"
+        f"raise SystemExit(main(['validate', {str(problems_dir / 'p2.json')!r}]))\n"
+    )
+    result = run_python(src_env, script, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "complete" in result.stdout
+
+
+def test_broken_pipe_exits_quietly(src_env, problems_dir):
+    # the read end is closed before the command starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "toricstab.cli", "delta", str(problems_dir / "f1.json"),
+             "--radius", "1", "--jobs", "1"],
+            stdout=write, stderr=subprocess.PIPE, env=src_env,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == 141
+    assert result.stderr == b""

@@ -5,6 +5,7 @@ with exactly one JSON object on stderr for 2 and 3, and never a traceback.
 The problem files are mutations of the repository's examples; commands run
 in-process, searches with --jobs 1 and radius at most 1, so each example is
 cheap.  Examples are drawn deterministically, so the suite is reproducible.
+The same files check the CLI's schema validator against `jsonschema`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import jsonschema
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toricstab.cli import main
+from toricstab import cli
+from toricstab.cli import PROBLEM_SCHEMA, main, schema_violations
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 MISSING_DIR = PROBLEMS / "no-such-directory"
@@ -42,14 +46,9 @@ junk = st.one_of(
     st.just({}),
     small,
 )
-# mostly well-formed rationals, so that many files reach the computation;
+well_formed = st.one_of(small, st.builds("{}/{}".format, small, st.integers(1, 3)))
 # zero and negative denominators and values of the wrong type among them
-coefficient = st.one_of(
-    small,
-    st.builds("{}/{}".format, small, st.integers(1, 3)),
-    st.builds("{}/{}".format, small, st.integers(-2, 0)),
-    junk,
-)
+coefficient = st.one_of(well_formed, st.builds("{}/{}".format, small, st.integers(-2, 0)), junk)
 lattice_point = st.lists(small, min_size=1, max_size=3)
 
 
@@ -89,7 +88,9 @@ def cone_index(draw, spec) -> None:
 
 def coefficients(draw, spec) -> None:
     count = len(spec["fan"]["rays"]) + draw(st.sampled_from([0, 0, 0, -1, 1]))
-    coeffs = draw(st.lists(coefficient, min_size=max(count, 0), max_size=max(count, 0)))
+    # half the lists keep the schema, so that many files reach the computation
+    entries = draw(st.sampled_from([well_formed, coefficient]))
+    coeffs = draw(st.lists(entries, min_size=max(count, 0), max_size=max(count, 0)))
     name = draw(st.sampled_from(["polarization", "E", "H", "X"]))
     if name == "polarization":
         spec["polarization"] = {"coeffs": coeffs}
@@ -148,7 +149,10 @@ def arguments(draw, spec, bad: bool) -> list[str]:
     names = sorted(divisors) if isinstance(divisors, dict) else []
     name = st.sampled_from(names + ["polarization"] + (["nope"] if bad else []))
     maybe = st.booleans()
-    command = draw(st.sampled_from(["validate", "volume", "delta", "curve", "dh", "report"]))
+    # the commands with a --plot are listed twice, so that many runs reach the writer
+    command = draw(st.sampled_from(
+        ["validate", "volume", "delta", "curve", "dh", "report"] + 2 * ["volume", "dh"]
+    ))
     args = [command]
     if command == "volume":
         if draw(maybe):
@@ -172,7 +176,7 @@ def arguments(draw, spec, bad: bool) -> list[str]:
         ))
     if command == "dh" and (not bad or draw(st.integers(0, 5))):
         dim = fan_dimension(spec) if plot else None
-        point = st.lists(small, min_size=dim, max_size=dim) if dim else lattice_point
+        point = st.lists(small, min_size=dim, max_size=dim).filter(any) if dim else lattice_point
         u = draw(point.map(lambda p: ",".join(map(str, p))))
         wrong = bad and not plot
         args.append("--u=" + (draw(st.sampled_from([u, "a,b", "", "1,,0"])) if wrong else u))
@@ -216,3 +220,99 @@ def test_bad_arguments_on_valid_files(data):
     argv = data.draw(arguments(spec, bad=True))
     code, _out, err = run_cli([argv[0], str(PROBLEMS / f"{name}.json"), *argv[1:]])
     assert_contract(code, err)
+
+
+def test_malformed_problem_files_reach_the_dh_plot_writer(tmp_path, monkeypatch):
+    titles = []
+    real = cli.write_plot
+
+    def spy(path, curve, title):
+        titles.append(title)
+        return real(path, curve, title)
+
+    monkeypatch.setattr(cli, "write_plot", spy)
+    test_malformed_problem_files(tmp_path)
+    assert any(title.startswith("DH density") for title in titles)
+
+
+# ---- the schema validator against jsonschema -------------------------------
+
+def oracle(schema: dict):
+    """jsonschema's validator for a schema, as jsonschema.validate picks and checks it."""
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    return validator(schema)
+
+
+PROBLEM_ORACLE = oracle(PROBLEM_SCHEMA)
+
+
+def oracle_accepts(spec) -> bool:
+    return PROBLEM_ORACLE.is_valid(spec)
+
+
+def accepts(spec, schema=PROBLEM_SCHEMA) -> bool:
+    return next(schema_violations(spec, schema, schema), None) is None
+
+
+@settings(FUZZ, max_examples=600)
+@given(spec=problem_files())
+def test_schema_validator_agrees_with_jsonschema_on_fuzzed_files(spec):
+    assert accepts(spec) == oracle_accepts(spec)
+
+
+def test_schema_validator_agrees_with_jsonschema_on_problems():
+    # bad_fan.json among them: its fan is invalid, but it matches the schema
+    paths = sorted(PROBLEMS.glob("*.json"))
+    assert len(paths) == 4
+    for path in paths:
+        spec = json.loads(path.read_text())
+        assert accepts(spec) and oracle_accepts(spec), path.name
+
+
+def p2_with(edit):
+    spec = copy.deepcopy(BASES[0])
+    edit(spec)
+    return spec
+
+
+def set_ray(value):
+    return lambda spec: spec["fan"]["rays"][0].__setitem__(0, value)
+
+
+def set_polarization(value):
+    return lambda spec: spec.__setitem__("polarization", value)
+
+
+@pytest.mark.parametrize("spec, valid", [
+    (p2_with(set_ray(True)), False),  # a boolean is not an integer
+    (p2_with(set_ray(1.0)), True),  # an integral float is one
+    (p2_with(set_ray(1.5)), False),
+    (p2_with(set_polarization({"coeffs": ["1\n", 0, 0]})), True),  # pattern uses re.search
+    (p2_with(set_polarization({"coeffs": ["1/0", 0, 0]})), False),
+    (p2_with(lambda spec: spec["fan"]["cones"][0].__setitem__(0, -1)), False),
+    (p2_with(set_polarization("Anticanonical")), False),
+    (p2_with(set_polarization({"coeffs": [1, 0, 0], "const": "anticanonical"})), False),
+    (p2_with(set_polarization({"const": "anticanonical"})), False),
+    (p2_with(set_polarization(["anticanonical"])), False),
+])
+def test_schema_validator_edge_cases(tmp_path, spec, valid):
+    assert accepts(spec) == oracle_accepts(spec) == valid
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    code, _out, err = run_cli(["validate", str(path)])
+    if not valid:
+        assert code == 2
+        assert json.loads(err)["message"].startswith("problem file does not match schema:")
+
+
+@pytest.mark.parametrize("value, valid", [(1, False), (-1, True), ("x", True), (True, True)])
+def test_one_of_takes_exactly_one_branch(value, valid):
+    # 1 matches both branches, so it is rejected
+    schema = {"oneOf": [{"type": "integer"}, {"minimum": 0}]}
+    assert accepts(value, schema) == oracle(schema).is_valid(value) == valid
+
+
+def test_schema_validator_refuses_other_keywords():
+    with pytest.raises(ValueError, match="maximum"):
+        accepts(1, {"type": "integer", "maximum": 3})

@@ -292,7 +292,9 @@ def test_polytope_on_chamber_matches_vertex_enumeration():
         family = parametric_family(F1_QUAD, rates)
         for ch in family.chambers:
             for t in ch.sample_points(3):
-                assert family.polytope_on(ch, t) == family.polytope_at(t)
+                polytope, path_at = family.polytope_on(ch, t)
+                assert polytope == family.polytope_at(t)
+                assert all(path.at(t) == v for v, path in path_at.items())
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import random
 from fractions import Fraction as Q
@@ -111,7 +112,7 @@ class RecordingPool:
 def test_delta_search_caps_workers_at_candidates(p2, monkeypatch, jobs, workers):
     # radius 1 on a surface has 8 candidates; no process is started
     sizes = []
-    monkeypatch.setattr(thresholds, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(sizes, max_workers))
     k2 = anticanonical(p2)
     assert delta_search(p2, k2, 1, jobs=jobs) == delta_search(p2, k2, 1, jobs=1)
