@@ -730,7 +730,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader of stdout has gone (`| head`): point stdout at devnull, so
         # that the flush at interpreter exit cannot fail again, and end quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
     return code
 
