@@ -247,14 +247,23 @@ def decimal_approx(x: Fraction, digits: int = 12) -> str:
 
 
 class ProblemFile:
-    """A validated problem description: fan, polarization, named divisors."""
+    """A validated problem description: fan, polarization, named divisors.
+
+    `fan` and `polarization` are those of the refined model; `base_fan` and
+    `base_polarization` are the file's own, before any refinement.  A star
+    subdivision changes no toric valuation, so the candidate search for
+    delta runs on the base model, with the base variety's log discrepancies.
+    """
 
     def __init__(self, fan: Fan, polarization: ToricDivisor,
-                 divisors: dict[str, ToricDivisor], k_rel: ToricDivisor):
+                 divisors: dict[str, ToricDivisor], k_rel: ToricDivisor,
+                 base_fan: Fan, base_polarization: ToricDivisor):
         self.fan = fan
         self.polarization = polarization
         self.divisors = divisors
         self.k_rel = k_rel
+        self.base_fan = base_fan
+        self.base_polarization = base_polarization
 
     @classmethod
     def load(cls, path: str) -> "ProblemFile":
@@ -271,6 +280,7 @@ class ProblemFile:
             name: _coeff_divisor(fan, spec["coeffs"])
             for name, spec in sorted(raw.get("divisors", {}).items())
         }
+        base_fan, base_polarization = fan, polarization
         k_rel = zero_divisor(fan)
         for center in raw.get("refinements", []):
             if len(center) != fan.dimension:
@@ -291,7 +301,7 @@ class ProblemFile:
             "loaded %s: %d rays, %d cones, %d named divisors",
             path, len(fan.rays), len(fan.max_cones), len(named),
         )
-        return cls(fan, polarization, named, k_rel)
+        return cls(fan, polarization, named, k_rel, base_fan, base_polarization)
 
     def divisor_named(self, name: str) -> ToricDivisor:
         if name == "polarization":
@@ -530,7 +540,9 @@ def cmd_delta(args) -> int:
     problem = ProblemFile.load(args.problem)
     check_radius(args.radius, problem.fan.dimension)
     log.debug("candidate search: radius %d, jobs %d", args.radius, args.jobs)
-    report = delta_search(problem.fan, problem.polarization, args.radius, jobs=args.jobs)
+    report = delta_search(
+        problem.base_fan, problem.base_polarization, args.radius, jobs=args.jobs
+    )
     payload = report_to_dict(report)
     rows = [
         [
@@ -622,7 +634,8 @@ def cmd_report(args) -> int:
     names = [n.strip() for n in args.directions.split(",") if n.strip()]
     directions = [(name, problem.divisor_named(name)) for name in names]
     report = inequality_report(
-        problem.fan, problem.polarization, directions, args.radius, jobs=args.jobs
+        problem.fan, problem.polarization, directions, args.radius, jobs=args.jobs,
+        search_model=(problem.base_fan, problem.base_polarization),
     )
     payload = report_to_dict(report)
     rows = [

@@ -3,6 +3,10 @@
 The valuation filtration of a lattice direction u slices the section polytope
 of the polarization; its normalized volume curve differentiates to a
 probability measure whose first moment is the expected vanishing order.
+The volume curve is computed in closed form, simplex by simplex over the
+cached triangulation of P_L, as a divided difference of truncated powers
+(volume_fn.slice_volume_curve); the parametric slice family
+(filtration_family) stays as an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InfeasibleTau, InvariantViolation, NotAmple, NotMonotone, ZeroVector
-from .geometry import Halfspace, LatticeVector, ParametricPolytope, dot, parametric_family
+from .geometry import Halfspace, LatticeVector, ParametricPolytope, Polytope, dot, parametric_family
 from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces
-from .volume_fn import PiecewisePolynomial, family_volume_curve
+from .volume_fn import PiecewisePolynomial, slice_volume_curve
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,23 @@ class DHMeasure:
         return total
 
 
-def filtration_family(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> ParametricPolytope:
-    """The slices {x in P_L : <x,u> - min <.,u> >= tau} as a family in tau from 0."""
+def _section_polytope(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Polytope:
+    """P_L, once u is nonzero and L passes the polarization check."""
     if all(a == 0 for a in u):
         raise ZeroVector("filtration direction must be nonzero")
     if not is_ample(fan, l):
         raise NotAmple("polarization is not big and nef")
-    p = polytope_of(fan, l)
+    return polytope_of(fan, l)
+
+
+def filtration_family(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> ParametricPolytope:
+    """The slices {x in P_L : <x,u> - min <.,u> >= tau} as a family in tau from 0.
+
+    The family must end at the width of P_L against u; InvariantViolation is
+    raised when it does not.  filtration_curve does not build it: with
+    family_volume_curve it is the tests' independent oracle for the closed form.
+    """
+    p = _section_polytope(fan, l, u)
     lo = p.support_min(u)
     hi = p.support_max(u)
     halfspaces = section_halfspaces(fan, l.coeffs)
@@ -84,8 +98,11 @@ def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePo
     """Exact tau -> n! * volume{x in P_L : <x,u> - min <.,u> >= tau}.
 
     Non-increasing from vol(L) at 0 down to 0 at the width of P_L against u.
+    Computed in closed form by slice_volume_curve over triangulation(P_L), the
+    triangulation that linear_stats and big_volume use too; each chamber
+    polynomial is checked there against an independently built slice polytope.
     """
-    return family_volume_curve(filtration_family(fan, l, u))
+    return slice_volume_curve(_section_polytope(fan, l, u), u)
 
 
 def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:

@@ -49,7 +49,11 @@ def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
 
     Computed both as the slice-curve integral and as mean - min of the
     support pairing over the section polytope; the two exact routes must
-    agree, and InvariantViolation is raised when they do not.
+    agree, and InvariantViolation is raised when they do not.  Both routes
+    read the one cached triangulation of P_L: the slice curve through the
+    closed form of filtration_curve, whose chamber polynomials are each
+    checked against a slice polytope enumerated and triangulated afresh,
+    and the mean through linear_stats.
     """
     if all(a == 0 for a in u):
         raise ZeroVector("direction must be nonzero")
@@ -203,15 +207,20 @@ def inequality_report(
     directions: Sequence[tuple[str, ToricDivisor]],
     radius: int,
     jobs: int = 1,
+    search_model: tuple[Fan, ToricDivisor] | None = None,
 ) -> ThresholdReport:
     """Candidate search plus per-direction quotients and exact inequality verdicts.
 
     For each direction D the report asserts delta <= pp-quotient(D) and
     delta <= prime-quotient(D); when the polarization is anticanonical and the
     minimizer is a ray of the fan, the minimum of the pp column over the
-    directions extended by that ray divisor must equal delta exactly.
+    directions extended by that ray divisor must equal delta exactly.  The
+    candidate search runs on search_model, a (fan, polarization) pair, by
+    default (fan, l); a refined fan passes its base model, because delta
+    needs the base variety's log discrepancies and a star subdivision adds
+    no toric valuation.
     """
-    base = delta_search(fan, l, radius, jobs=jobs)
+    base = delta_search(*(search_model or (fan, l)), radius, jobs=jobs)
     if not directions:
         return base
     delta = base.delta_estimate

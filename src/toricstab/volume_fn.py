@@ -1,9 +1,10 @@
 """One-parameter volume functions and directional derivatives of the volume.
 
 Houses the exact polynomial and piecewise-polynomial types used everywhere:
-volume curves t -> vol(L - tD), pseudo-effective thresholds, the positive
-(movable) intersection pairing realized as a one-sided derivative, and
-volumes along towers of star subdivisions.
+volume curves t -> vol(L - tD), pseudo-effective thresholds, closed-form
+slice volume curves of a polytope, the positive (movable) intersection
+pairing realized as a one-sided derivative, and volumes along towers of star
+subdivisions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
+    DegeneratePolytope,
     InvariantViolation,
     NotAmple,
     NotBig,
@@ -24,13 +26,17 @@ from .errors import (
     OutOfRange,
     UnboundedRegion,
     ZeroDivisor,
+    ZeroVector,
 )
 from .geometry import (
     Chamber,
+    Halfspace,
     ParametricPolytope,
     Point,
+    Polytope,
     VertexPath,
     _int_points,
+    _int_simplices,
     dot,
     facet_triangulation,
     parametric_family,
@@ -512,6 +518,103 @@ def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
     for chamber in pp.chambers:
         poly = chamber_volume_polynomial(pp, chamber).scale(scale)
         bps.append(chamber.hi)
+        pieces.append(poly)
+    return PiecewisePolynomial(tuple(bps), tuple(pieces)).normalized()
+
+
+def _truncated_power_dd(knots: Sequence[int], top: int, n: int) -> tuple[list[int], int]:
+    """The divided difference [k_0, ..., k_n] of s -> (s - C)_+^n, as a polynomial in C.
+
+    C ranges over one chamber, and no knot lies strictly inside it: the
+    sorted `knots` at least `top`, the chamber's upper end, see (s - C)^n, the
+    others see 0.  Where j - i + 1 knots coincide at s, the confluent entry is
+    the Taylor coefficient binom(n, j - i) (s - C)^(n - j + i) above the chamber
+    and 0 below it.  Returns integer coefficients, ascending in C, over one
+    positive denominator.
+    """
+
+    def power(s: int, k: int) -> tuple[list[int], int]:
+        # binom(n, k) * (s - C)^(n - k), padded to n + 1 coefficients
+        if s < top:
+            return [0] * (n + 1), 1
+        m = n - k
+        c = math.comb(n, k)
+        return [c * math.comb(m, j) * s ** (m - j) * (-1) ** j for j in range(m + 1)] + [0] * k, 1
+
+    table = [power(s, 0) for s in knots]
+    for k in range(1, n + 1):
+        grown = []
+        for i in range(n + 1 - k):
+            a, b = knots[i], knots[i + k]
+            if a == b:
+                grown.append(power(a, k))
+                continue
+            (lo, dlo), (hi, dhi) = table[i], table[i + 1]
+            grown.append(([x * dlo - y * dhi for x, y in zip(hi, lo)], dlo * dhi * (b - a)))
+        table = grown
+    return table[0]
+
+
+def _slice_polynomial(
+    knotted: Sequence[tuple[int, Sequence[int]]], lo: int, hi: int, q: int, n: int
+) -> Polynomial:
+    """c -> n! * slice volume on the chamber [lo/q, hi/q], from (|det|, sorted knots) per simplex."""
+    total, den = [0] * (n + 1), 1
+    for d, hs in knotted:
+        if hs[0] >= hi:
+            total[0] += d * den
+        elif hs[-1] > lo:
+            coeffs, dd_den = _truncated_power_dd(hs, hi, n)
+            common = math.lcm(den, dd_den)
+            total = [
+                t * (common // den) + d * c * (common // dd_den) for t, c in zip(total, coeffs)
+            ]
+            den = common
+    # C = q * c, and each simplex is |det| / q^n times n! its volume
+    return Polynomial(tuple(Fraction(t * q**m, den * q**n) for m, t in enumerate(total)))
+
+
+def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
+    """Exact c -> n! * volume{x in p : <x,u> - min_p <.,u> >= c}, in closed form.
+
+    Over each simplex S of triangulation(p), with vertex heights h_i = <v_i,u>
+    - min_p <.,u>, vol(S with h >= c) / vol(S) is the divided difference
+    [h_0, ..., h_n] of s -> (s - c)_+^n (Curry-Schoenberg).  Between
+    consecutive vertex heights it is a polynomial in c (_truncated_power_dd);
+    simplices wholly above a chamber count whole and those below not at all.
+    Heights are integers over the _int_simplices denominator q, and the
+    divided difference is unchanged when knots and c are both scaled by q.
+
+    Each chamber polynomial is checked against the degree bound n and, a
+    third of the way in, against n! * volume of the slice polytope built
+    afresh from p's halfspaces and the slice halfspace; a failure raises
+    InvariantViolation.
+    """
+    simplices, q = _int_simplices(p)
+    if not simplices:
+        raise DegeneratePolytope("slice volumes need a full-dimensional polytope")
+    n = p.dimension
+    dots = [[sum(map(operator.mul, v, u)) for v in nums] for _d, nums in simplices]
+    low = min(map(min, dots))
+    knotted = [(d, sorted(h - low for h in hs)) for (d, _nums), hs in zip(simplices, dots)]
+    heights = sorted({h for _d, hs in knotted for h in hs})
+    if len(heights) < 2:
+        raise ZeroVector("direction is constant on the section polytope")
+    scale = math.factorial(n)
+    bps = [Fraction(h, q) for h in heights]
+    pieces = []
+    for lo, hi, c_lo, c_hi in zip(heights, heights[1:], bps, bps[1:]):
+        poly = _slice_polynomial(knotted, lo, hi, q, n)
+        x = c_lo + (c_hi - c_lo) / 3  # neither a chamber end nor where any knot sits
+        if poly.degree > n:
+            raise InvariantViolation(
+                f"slice volume on [{c_lo}, {c_hi}] has degree {poly.degree} > {n}"
+            )
+        check = Polytope.from_halfspaces([*p.halfspaces, Halfspace(u, -(Fraction(low, q) + x))])
+        if poly(x) != scale * volume(check):
+            raise InvariantViolation(
+                f"slice volume is not the closed-form polynomial on [{c_lo}, {c_hi}]"
+            )
         pieces.append(poly)
     return PiecewisePolynomial(tuple(bps), tuple(pieces)).normalized()
 

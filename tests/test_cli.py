@@ -209,6 +209,45 @@ def test_refinements_are_applied(tmp_path, capsys):
     assert payload["energy"] == "1" and payload["jtilde"] == "1" and payload["entropy"] == "1"
 
 
+P3_FAN = {
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+}
+
+
+@pytest.mark.parametrize("model, center, radius, delta", [
+    ("f1", [1, 2], 2, "6/7"),
+    ("p3", [-1, -1, 0], 1, "1"),
+])
+def test_refining_leaves_delta_unchanged(tmp_path, capsys, problems_dir, model, center, radius, delta):
+    # the search used to run on the refined fan with its own log discrepancies:
+    # refined F1 printed delta = 4/9 and refined P3 delta = 1/2
+    if model == "f1":
+        spec = json.loads((problems_dir / "f1.json").read_text())
+    else:
+        spec = {"fan": P3_FAN, "polarization": "anticanonical"}
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(spec))
+    refined = tmp_path / "refined.json"
+    refined.write_text(json.dumps({**spec, "refinements": [center]}))
+    search = ["--radius", str(radius), "--jobs", "1"]
+
+    outs = [run(capsys, "delta", str(path), *search) for path in (base, refined)]
+    assert outs[0] == outs[1]
+    assert outs[0][1].startswith(f"delta = {delta} (exact)")
+
+    reports = []
+    for path in (base, refined):
+        code, table, _err = run(capsys, "report", str(path), "--directions", "polarization", *search)
+        _code, out, _err = run(capsys, "report", str(path), "--directions", "polarization",
+                               "--format", "json", *search)
+        payload = json.loads(out)
+        reports.append((code, table.splitlines()[0],
+                        [payload[key] for key in ("delta", "minimizer", "candidates")]))
+    assert reports[0] == reports[1]
+    assert reports[0][1] == outs[0][1].splitlines()[0]
+
+
 def test_rational_coefficients_parse(capsys, problems_dir):
     code, out, _err = run(
         capsys, "curve", str(problems_dir / "f1.json"),

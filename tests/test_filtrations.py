@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -10,16 +11,29 @@ from toricstab import (
     MonomialIdealData,
     PiecewisePolynomial,
     Polynomial,
+    Polytope,
     anticanonical,
     big_volume,
+    divisor,
     dh_measure,
     energy_from_dh,
     filtration_curve,
     flag_curve_value,
+    is_ample,
     ray_divisor,
+    star_subdivision,
     volume_curve,
 )
-from toricstab.errors import InfeasibleTau, NotMonotone, ZeroVector
+from toricstab import volume_fn
+from toricstab.cli import main
+from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, ZeroVector
+from toricstab.filtrations import filtration_family
+from toricstab.thresholds import primitive_candidates
+from toricstab.volume_fn import (
+    _truncated_power_dd,
+    family_volume_curve,
+    slice_volume_curve,
+)
 
 
 def test_filtration_curve_p2_ray(p2):
@@ -58,6 +72,113 @@ def test_filtration_matches_volume_curve_after_subdivision(p2):
     slice_curve = filtration_curve(fan, k, (1, 1)).normalized()
     divisor_curve, _tau = volume_curve(fan, k, ray_divisor(fan, 3))
     assert slice_curve == divisor_curve.normalized()
+
+
+# ---- the closed-form slice volumes ------------------------------------------
+
+def _oracle_models(p2, f1, p1xp1, p3):
+    """Six models, each with its anticanonical class and one other big and nef class."""
+    blp3, _pull, _k = star_subdivision(p3, (1, 1, 1))
+    refined_f1, _pull, _k = star_subdivision(f1, (1, 2))
+    others = {
+        "p2": (p2, (1, 0, 0)),
+        "f1": (f1, (0, 1, 2, 0)),
+        "p1xp1": (p1xp1, (2, 1, 0, 0)),
+        "p3": (p3, (1, 0, 0, 0)),
+        "blp3": (blp3, (0, 0, 1, 2, 0)),
+        "refined_f1": (refined_f1, (1, 1, 3, 0, 0)),
+    }
+    for name, (fan, coeffs) in others.items():
+        for l in (anticanonical(fan), divisor(fan, coeffs)):
+            assert is_ample(fan, l), (name, l)
+            yield name, fan, l
+
+
+def test_filtration_curve_matches_family_oracle(p2, f1, p1xp1, p3):
+    # the closed form against the parametric slice family, on every primitive
+    # direction of the radius-2 ball
+    for name, fan, l in _oracle_models(p2, f1, p1xp1, p3):
+        for u in primitive_candidates(fan.dimension, 2):
+            oracle = family_volume_curve(filtration_family(fan, l, u))
+            assert filtration_curve(fan, l, u) == oracle, (name, l.coeffs, u)
+
+
+def test_truncated_power_ties():
+    # knots (0, 0, 1) and (0, 1, 1) on the chamber (0, 1): the triangle fractions
+    # above C are (1 - C)^2 and 1 - C^2
+    assert _truncated_power_dd([0, 0, 1], 1, 2) == ([1, -2, 1], 1)
+    coeffs, den = _truncated_power_dd([0, 1, 1], 1, 2)
+    assert [Q(c, den) for c in coeffs] == [1, 0, -1]
+    # a triple tie at the bottom and at the top of P^3's width 4
+    coeffs, den = _truncated_power_dd([0, 0, 0, 4], 4, 3)
+    assert [Q(c, den) for c in coeffs] == [1, Q(-3, 4), Q(3, 16), Q(-1, 64)]
+    coeffs, den = _truncated_power_dd([0, 4, 4, 4], 4, 3)
+    assert [Q(c, den) for c in coeffs] == [1, 0, 0, Q(-1, 64)]
+
+
+def test_slice_volume_curve_triangle_ties():
+    triangle = Polytope.from_points([(0, 0), (1, 0), (0, 1)])
+    assert slice_volume_curve(triangle, (0, 1)).pieces == (Polynomial.of(1, -2, 1),)
+    assert slice_volume_curve(triangle, (1, 1)).pieces == (Polynomial.of(1, 0, -1),)
+
+
+def test_filtration_curve_p3_triple_tie(p3):
+    # <v, (1,0,0)> on the vertices of P_{-K}: 3, -1, -1, -1
+    k = anticanonical(p3)
+    assert filtration_curve(p3, k, (1, 0, 0)).pieces == (Polynomial.of(64, -48, 12, -1),)
+    assert filtration_curve(p3, k, (-1, 0, 0)).pieces == (Polynomial.of(64, 0, 0, -1),)
+
+
+def _perturb(monkeypatch, extra):
+    real = volume_fn._slice_polynomial
+
+    def perturbed(knotted, lo, hi, q, n):
+        return real(knotted, lo, hi, q, n) + extra(lo, hi, q, n)
+
+    monkeypatch.setattr(volume_fn, "_slice_polynomial", perturbed)
+
+
+def test_perturbed_closed_form_raises(monkeypatch, p2, capsys, problems_dir):
+    _perturb(monkeypatch, lambda lo, hi, q, n: Polynomial.of(1))
+    with pytest.raises(InvariantViolation, match="not the closed-form polynomial"):
+        filtration_curve(p2, anticanonical(p2), (1, 0))
+    p2_file = str(problems_dir / "p2.json")
+    for argv in (["delta", p2_file, "--radius", "1", "--jobs", "1"], ["dh", p2_file, "--u", "1,0"]):
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
+
+
+def test_closed_form_degree_bound_raises(monkeypatch, p2):
+    # a term of degree n + 1 that vanishes at the checked point passes the
+    # volume check and leaves the degree bound to catch it
+    def vanishing_at_check(lo, hi, q, n):
+        x = Q(lo, q) + Q(hi - lo, 3 * q)
+        return Polynomial.of(-x, 1) * Polynomial((0,) * n + (1,))
+
+    _perturb(monkeypatch, vanishing_at_check)
+    with pytest.raises(InvariantViolation, match="degree 3 > 2"):
+        filtration_curve(p2, anticanonical(p2), (1, 0))
+
+
+# Adds one to every chamber polynomial of the closed form.
+PERTURB_CLOSED_FORM = """
+from toricstab import volume_fn
+from toricstab.volume_fn import Polynomial
+_real = volume_fn._slice_polynomial
+volume_fn._slice_polynomial = lambda *args: _real(*args) + Polynomial.of(1)
+from toricstab.cli import main
+"""
+
+
+@pytest.mark.parametrize("argv", [["delta", "--radius", "1", "--jobs", "1"], ["dh", "--u", "1,0"]])
+def test_perturbed_closed_form_survives_optimize(problems_dir, run_optimized, argv):
+    command, *options = argv
+    script = PERTURB_CLOSED_FORM + (
+        f"raise SystemExit(main([{command!r}, {str(problems_dir / 'p2.json')!r}, *{options!r}]))\n"
+    )
+    result = run_optimized(script)
+    assert result.returncode == 3, result.stderr
+    assert json.loads(result.stderr)["error"] == "InvariantViolation"
 
 
 def test_dh_measure_p2(p2):
