@@ -193,15 +193,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def job_count(text: str) -> int:
-    """--jobs: at least 1 and at most the core count."""
-    value = positive_int(text)
-    cores = os.cpu_count() or 1
-    if value > cores:
-        raise argparse.ArgumentTypeError(f"must be at most the core count {cores}, got {value}")
-    return value
-
-
 MAX_SAMPLES = 10_000
 
 
@@ -539,10 +530,8 @@ def cmd_volume(args) -> int:
 def cmd_delta(args) -> int:
     problem = ProblemFile.load(args.problem)
     check_radius(args.radius, problem.fan.dimension)
-    log.debug("candidate search: radius %d, jobs %d", args.radius, args.jobs)
-    report = delta_search(
-        problem.base_fan, problem.base_polarization, args.radius, jobs=args.jobs
-    )
+    log.debug("candidate search: radius %d", args.radius)
+    report = delta_search(problem.base_fan, problem.base_polarization, args.radius)
     payload = report_to_dict(report)
     rows = [
         [
@@ -634,7 +623,7 @@ def cmd_report(args) -> int:
     names = [n.strip() for n in args.directions.split(",") if n.strip()]
     directions = [(name, problem.divisor_named(name)) for name in names]
     report = inequality_report(
-        problem.fan, problem.polarization, directions, args.radius, jobs=args.jobs,
+        problem.fan, problem.polarization, directions, args.radius,
         search_model=(problem.base_fan, problem.base_polarization),
     )
     payload = report_to_dict(report)
@@ -678,8 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     def search(p: argparse.ArgumentParser) -> None:
         p.add_argument("--radius", type=positive_int, default=2,
                        help=f"sup-norm ball of candidates, at most {MAX_CANDIDATES} of them")
-        p.add_argument("--jobs", type=job_count, default=os.cpu_count() or 1,
-                       help="parallel candidate evaluation, at most the core count (default: cores)")
 
     p = sub.add_parser("validate", help="validate a problem file and its fan")
     common(p)

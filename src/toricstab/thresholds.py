@@ -135,9 +135,11 @@ def _candidate_row(args) -> CandidateRow:
 def delta_search(fan: Fan, l: ToricDivisor, radius: int, jobs: int = 1) -> ThresholdReport:
     """Exact minimum of the quotient over primitive lattice candidates in a ball.
 
-    Candidate evaluation is embarrassingly parallel, with at most one worker
-    per candidate; rows are assembled in the deterministic (norm, lex)
-    candidate order regardless of jobs.
+    Candidates are evaluated serially by default.  A library caller may pass
+    jobs > 1 to spread them over a process pool of at most one worker per
+    candidate; no measured input has repaid the pool's start-up, and the
+    command line never starts one.  Rows are assembled in the deterministic
+    (norm, lex) candidate order regardless of jobs.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -206,21 +208,21 @@ def inequality_report(
     l: ToricDivisor,
     directions: Sequence[tuple[str, ToricDivisor]],
     radius: int,
-    jobs: int = 1,
     search_model: tuple[Fan, ToricDivisor] | None = None,
 ) -> ThresholdReport:
     """Candidate search plus per-direction quotients and exact inequality verdicts.
 
     For each direction D the report asserts delta <= pp-quotient(D) and
-    delta <= prime-quotient(D); when the polarization is anticanonical and the
-    minimizer is a ray of the fan, the minimum of the pp column over the
-    directions extended by that ray divisor must equal delta exactly.  The
-    candidate search runs on search_model, a (fan, polarization) pair, by
-    default (fan, l); a refined fan passes its base model, because delta
-    needs the base variety's log discrepancies and a star subdivision adds
-    no toric valuation.
+    delta <= prime-quotient(D).  The candidate search runs serially on
+    search_model, a (fan, polarization) pair, by default (fan, l); a refined
+    fan passes its base model, because delta needs the base variety's log
+    discrepancies and a star subdivision adds no toric valuation.  When the
+    search model's polarization is anticanonical and the minimizer is one of
+    its rays, the minimum of the pp column over the directions extended by
+    that ray divisor, taken on the search model, must equal delta exactly.
     """
-    base = delta_search(*(search_model or (fan, l)), radius, jobs=jobs)
+    search_fan, search_l = search_model or (fan, l)
+    base = delta_search(search_fan, search_l, radius)
     if not directions:
         return base
     delta = base.delta_estimate
@@ -250,10 +252,10 @@ def inequality_report(
                     holds=prime >= delta,
                 )
             )
-    if l.coeffs == anticanonical(fan).coeffs and base.minimizer in fan.rays:
-        ray_dir = ray_divisor(fan, fan.rays.index(base.minimizer))
+    if search_l.coeffs == anticanonical(search_fan).coeffs and base.minimizer in search_fan.rays:
+        ray_dir = ray_divisor(search_fan, search_fan.rays.index(base.minimizer))
         pp_values = [row.pp_quotient for row in rows if row.pp_quotient is not None]
-        pp_values.append(delta_pp_quotient(fan, l, ray_dir))
+        pp_values.append(delta_pp_quotient(search_fan, search_l, ray_dir))
         verdicts.append(
             Verdict(
                 description="min pp-quotient over directions + minimizing ray equals delta",

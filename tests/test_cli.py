@@ -73,7 +73,7 @@ def test_volume_curve_csv(capsys, problems_dir):
 
 def test_delta_table(capsys, problems_dir):
     code, out, _err = run(
-        capsys, "delta", str(problems_dir / "f1.json"), "--radius", "2", "--jobs", "1"
+        capsys, "delta", str(problems_dir / "f1.json"), "--radius", "2"
     )
     assert code == 0
     assert out.splitlines()[0] == "delta = 6/7 (exact) at u=(1, 1)"
@@ -82,7 +82,7 @@ def test_delta_table(capsys, problems_dir):
 def test_delta_json_roundtrip(capsys, problems_dir):
     code, out, _err = run(
         capsys, "delta", str(problems_dir / "p2.json"),
-        "--radius", "2", "--format", "json", "--jobs", "1",
+        "--radius", "2", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -155,7 +155,7 @@ def test_plot_to_unwritable_path_exit_2(capsys, tmp_path, problems_dir, argv):
 def test_report_command(capsys, problems_dir):
     code, out, _err = run(
         capsys, "report", str(problems_dir / "f1.json"),
-        "--directions", "E,EplusF", "--radius", "2", "--jobs", "1",
+        "--directions", "E,EplusF", "--radius", "2",
     )
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
@@ -164,11 +164,11 @@ def test_report_command(capsys, problems_dir):
 def test_byte_identical_output(capsys, problems_dir):
     _code, first, _ = run(
         capsys, "report", str(problems_dir / "f1.json"),
-        "--directions", "E,half_E", "--radius", "2", "--format", "json", "--jobs", "1",
+        "--directions", "E,half_E", "--radius", "2", "--format", "json",
     )
     _code, second, _ = run(
         capsys, "report", str(problems_dir / "f1.json"),
-        "--directions", "E,half_E", "--radius", "2", "--format", "json", "--jobs", "1",
+        "--directions", "E,half_E", "--radius", "2", "--format", "json",
     )
     assert first == second
 
@@ -218,10 +218,13 @@ P3_FAN = {
 @pytest.mark.parametrize("model, center, radius, delta", [
     ("f1", [1, 2], 2, "6/7"),
     ("p3", [-1, -1, 0], 1, "1"),
+    ("f1", [-1, 0], 2, "6/7"),
 ])
 def test_refining_leaves_delta_unchanged(tmp_path, capsys, problems_dir, model, center, radius, delta):
     # the search used to run on the refined fan with its own log discrepancies:
-    # refined F1 printed delta = 4/9 and refined P3 delta = 1/2
+    # refined F1 printed delta = 4/9 and refined P3 delta = 1/2; and report
+    # tested anticanonicity on the refined fan, where the pulled-back -K_X is
+    # not -K_X', so it dropped its verdict row for the minimizing ray
     if model == "f1":
         spec = json.loads((problems_dir / "f1.json").read_text())
     else:
@@ -230,22 +233,25 @@ def test_refining_leaves_delta_unchanged(tmp_path, capsys, problems_dir, model, 
     base.write_text(json.dumps(spec))
     refined = tmp_path / "refined.json"
     refined.write_text(json.dumps({**spec, "refinements": [center]}))
-    search = ["--radius", str(radius), "--jobs", "1"]
+    search = ["--radius", str(radius)]
 
     outs = [run(capsys, "delta", str(path), *search) for path in (base, refined)]
     assert outs[0] == outs[1]
     assert outs[0][1].startswith(f"delta = {delta} (exact)")
 
-    reports = []
-    for path in (base, refined):
-        code, table, _err = run(capsys, "report", str(path), "--directions", "polarization", *search)
-        _code, out, _err = run(capsys, "report", str(path), "--directions", "polarization",
-                               "--format", "json", *search)
-        payload = json.loads(out)
-        reports.append((code, table.splitlines()[0],
-                        [payload[key] for key in ("delta", "minimizer", "candidates")]))
-    assert reports[0] == reports[1]
-    assert reports[0][1] == outs[0][1].splitlines()[0]
+    direction_sets = ["polarization"] + (["E,F,EplusF,half_E"] if model == "f1" else [])
+    for directions in direction_sets:
+        for fmt in ("json", "table"):
+            reports = [
+                run(capsys, "report", str(path), "--directions", directions, "--format", fmt, *search)
+                for path in (base, refined)
+            ]
+            assert reports[0] == reports[1]
+            assert reports[0][0] == 0
+        lines = reports[0][1].splitlines()
+        assert lines[0] == outs[0][1].splitlines()[0]
+        assert lines[-1].startswith("min pp-quotient over directions + minimizing ray equals delta")
+        assert lines[-1].split()[-3:] == [delta, delta, "PASS"]
 
 
 def test_rational_coefficients_parse(capsys, problems_dir):
@@ -264,7 +270,7 @@ def test_bad_radius_exit_2(capsys, problems_dir):
         ["delta", str(problems_dir / "f1.json"), "--radius=-1"],
         ["report", str(problems_dir / "f1.json"), "--directions", "E", "--radius", "0"],
     ):
-        code, out, err = run(capsys, *argv, "--jobs", "1")
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         payload = json.loads(err)
@@ -314,11 +320,11 @@ def test_radius_ball_above_candidate_limit_exit_2(capsys, problems_dir, monkeypa
         ["delta", f1, "--radius", "50"],
         ["report", f1, "--directions", "E", "--radius", "100000"],
     ):
-        payload = assert_validation_error(*run(capsys, *argv, "--jobs", "1"))
+        payload = assert_validation_error(*run(capsys, *argv))
         assert f"at most {MAX_CANDIDATES} candidates" in payload["message"]
     # 99^2 = 9801 is within it: the search starts listing candidates
     with pytest.raises(CandidatesListed):
-        main(["delta", f1, "--radius", "49", "--jobs", "1"])
+        main(["delta", f1, "--radius", "49"])
     assert MAX_CANDIDATES == 10000
 
 
@@ -394,41 +400,39 @@ def test_bad_refinement_center_exit_2(tmp_path, capsys, center, reason):
     assert f"refinement {center}" in payload["message"] and reason in payload["message"]
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_bad_jobs_exit_2(capsys, problems_dir, jobs):
-    payload = assert_validation_error(
-        *run(capsys, "delta", str(problems_dir / "p2.json"), "--radius", "1", f"--jobs={jobs}")
-    )
-    assert "--jobs: must be at least 1" in payload["message"]
-
-
-def test_jobs_above_core_count_exit_2(capsys, problems_dir, monkeypatch):
-    # rejected while parsing: no process pool is ever started
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    cores = os.cpu_count() or 1
-    for command in (["delta"], ["report", "--directions", "E"]):
-        payload = assert_validation_error(*run(
-            capsys, command[0], str(problems_dir / "f1.json"), *command[1:],
-            "--radius", "1", f"--jobs={cores + 1}",
-        ))
-        assert f"--jobs: must be at most the core count {cores}" in payload["message"]
-
-
 @pytest.mark.parametrize("argv", [
     ["validate"],
     ["volume", "--curve", "E"],
     ["curve", "--direction", "E"],
     ["dh", "--u=1,0"],
+    ["delta", "--radius", "1"],
+    ["report", "--directions", "E", "--radius", "1"],
 ])
 def test_jobs_only_on_searches(capsys, problems_dir, argv):
-    # only delta and report run a candidate search; the other commands have no --jobs
+    # no command has a --jobs: the searches of delta and report run serially
     payload = assert_validation_error(
         *run(capsys, argv[0], str(problems_dir / "f1.json"), *argv[1:], "--jobs=1")
     )
     assert "unrecognized arguments: --jobs=1" in payload["message"]
+
+
+class PoolStarted(Exception):
+    """Raised by the ProcessPoolExecutor stand-in: a command started a process pool."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "--radius", "2"],
+    ["report", "--directions", "E,EplusF", "--radius", "2"],
+])
+def test_searches_start_no_pool(capsys, problems_dir, monkeypatch, argv):
+    # the candidates are evaluated in the command's own process, whatever the core count
+    def no_pool(*args, **kwargs):
+        raise PoolStarted
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(capsys, argv[0], str(problems_dir / "f1.json"), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out.startswith("delta = 6/7 (exact) at u=(1, 1)\n")
 
 
 # ---- start-up and the process boundary --------------------------------------
@@ -466,7 +470,7 @@ def test_broken_pipe_exits_quietly(src_env, problems_dir):
     try:
         result = subprocess.run(
             [sys.executable, "-m", "toricstab.cli", "delta", str(problems_dir / "f1.json"),
-             "--radius", "1", "--jobs", "1"],
+             "--radius", "1"],
             stdout=write, stderr=subprocess.PIPE, env=src_env,
         )
     finally:

@@ -143,7 +143,7 @@ def test_perturbed_closed_form_raises(monkeypatch, p2, capsys, problems_dir):
     with pytest.raises(InvariantViolation, match="not the closed-form polynomial"):
         filtration_curve(p2, anticanonical(p2), (1, 0))
     p2_file = str(problems_dir / "p2.json")
-    for argv in (["delta", p2_file, "--radius", "1", "--jobs", "1"], ["dh", p2_file, "--u", "1,0"]):
+    for argv in (["delta", p2_file, "--radius", "1"], ["dh", p2_file, "--u", "1,0"]):
         assert main(argv) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
 
@@ -170,7 +170,7 @@ from toricstab.cli import main
 """
 
 
-@pytest.mark.parametrize("argv", [["delta", "--radius", "1", "--jobs", "1"], ["dh", "--u", "1,0"]])
+@pytest.mark.parametrize("argv", [["delta", "--radius", "1"], ["dh", "--u", "1,0"]])
 def test_perturbed_closed_form_survives_optimize(problems_dir, run_optimized, argv):
     command, *options = argv
     script = PERTURB_CLOSED_FORM + (

@@ -624,3 +624,25 @@ def test_minimizer_check_raises_on_a_merged_chamber(f1, monkeypatch):
     with pytest.raises(InvariantViolation, match="minimizing vertex path of ray"):
         tc._curve_chambers(f1, l, d)
     assert tc._curve_chambers.cache_info().currsize == 0
+
+
+def test_positive_and_negative_parts_match_zariski(surfaces, p3):
+    # at both ends and the midpoint of every chamber below tau+, the curve's
+    # affine parts equal the divisorial Zariski decomposition of L - tau*D
+    blp3, _pull, blp3_k_rel = star_subdivision(p3, (1, 1, 1))
+    refined_f1, _pull, f1_k_rel = star_subdivision(surfaces["f1"], (1, 2))
+    models = [(fan, None) for fan in (*surfaces.values(), p3)]
+    models += [(blp3, blp3_k_rel), (refined_f1, f1_k_rel)]
+    points = 0
+    for fan, k_rel in models:
+        l = anticanonical(fan)
+        for i in range(len(fan.rays)):
+            d = ray_divisor(fan, i)
+            curve = extended_curve(fan, l, d, k_rel=k_rel)
+            taus = {tau for ch in curve.chambers for tau in (ch.lo, (ch.lo + ch.hi) / 2, ch.hi)}
+            for tau in sorted(taus - {curve.tau_plus}):
+                pair = zariski_decompose(fan, l - d.scale(tau))
+                assert curve.positive_part(tau) == pair.positive, (fan.rays, i, tau)
+                assert curve.negative_part(tau) == pair.negative, (fan.rays, i, tau)
+                points += 1
+    assert points == 70

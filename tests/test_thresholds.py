@@ -340,7 +340,7 @@ def test_s_route_disagreement_raises(monkeypatch, p2, capsys, problems_dir):
     exec(SKEW_LINEAR_STATS, {})
     with pytest.raises(InvariantViolation):
         s_invariant(p2, anticanonical(p2), (1, 0))
-    code = main(["delta", str(problems_dir / "p2.json"), "--radius", "1", "--jobs", "1"])
+    code = main(["delta", str(problems_dir / "p2.json"), "--radius", "1"])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
 
@@ -349,7 +349,7 @@ def test_s_route_disagreement_survives_optimize(problems_dir, run_optimized):
     script = SKEW_LINEAR_STATS + (
         "from toricstab.cli import main\n"
         f"raise SystemExit(main(['delta', {str(problems_dir / 'p2.json')!r}, "
-        "'--radius', '1', '--jobs', '1']))\n"
+        "'--radius', '1']))\n"
     )
     result = run_optimized(script)
     assert result.returncode == 3, result.stderr
