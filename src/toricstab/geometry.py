@@ -40,7 +40,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DegeneratePolytope,
     DimensionMismatch,
-    InvariantViolation,
     UnboundedRegion,
 )
 
@@ -552,6 +551,20 @@ def facet_triangulation(p: Polytope, normal: Sequence[int]) -> list[tuple[Point,
     ]
 
 
+def facet_volume(p: Polytope, normal: Sequence[int]) -> Fraction:
+    """Lattice volume of the facet of p on its halfspace with this primitive normal; 0 if no facet.
+
+    A facet simplex with edges e_1, ..., e_{n-1} has (n-1)! times its lattice
+    volume equal to |det(e_1, ..., e_{n-1}, normal)| / <normal, normal>.
+    """
+    total = sum(
+        (abs(det([[a - b for a, b in zip(v, simplex[0])] for v in simplex[1:]] + [normal]))
+         for simplex in facet_triangulation(p, normal)),
+        Fraction(0),
+    )
+    return total / (dot(normal, normal) * math.factorial(p.dimension - 1))
+
+
 @lru_cache(maxsize=None)
 def triangulation(p: Polytope) -> tuple[tuple[Point, ...], ...]:
     """Deterministic exact triangulation of a full-dimensional polytope; () otherwise."""
@@ -739,14 +752,13 @@ class Chamber:
 class ParametricPolytope:
     """A one-parameter halfspace family with its exact chamber decomposition.
 
-    `chambers` cover the window from t = 0; `t_max` is the exact feasibility
-    threshold of the family, or None when the family stays feasible for all
-    large t (then the chambers stop at an arbitrary requested window end).
+    `chambers` cover [0, t_max] in order; `t_max` is the exact feasibility
+    threshold of the family.
     """
 
     halfspaces: tuple[ParametricHalfspace, ...]
     chambers: tuple[Chamber, ...]
-    t_max: Fraction | None
+    t_max: Fraction
     dimension: int
 
     def polytope_at(self, t) -> Polytope:
@@ -811,17 +823,13 @@ def _basis_paths(
     return out
 
 
-def parametric_family(
-    halfspaces: Sequence[Halfspace], rates: Sequence, stop=None
-) -> ParametricPolytope:
+def parametric_family(halfspaces: Sequence[Halfspace], rates: Sequence) -> ParametricPolytope:
     """Exact chamber decomposition of {<x,u_i> >= -(a_i - t d_i)} from t = 0.
 
-    Without `stop`, the chambers run up to the feasibility threshold t_max,
-    which must be finite (UnboundedRegion otherwise).  With `stop`, the window
-    is truncated at min(stop, t_max), which permits families that grow with t;
-    t_max is then recorded as None.  A zero-rate family gets a single window
-    chamber with constant vertices.  Within each chamber every vertex follows
-    a single affine path.
+    The chambers run up to the feasibility threshold t_max, which must be
+    finite: a family feasible for all t, one that never moves included,
+    raises UnboundedRegion.  Within each chamber every vertex follows a
+    single affine path.
 
     The start polytope is read off the basis paths: its vertices are the
     paths feasible at t = 0.  An empty start raises DegeneratePolytope and an
@@ -838,26 +846,17 @@ def parametric_family(
         raise DimensionMismatch("halfspaces of mixed dimension")
     bases = _basis_paths(phs, dim)
     start = {
-        path for path, lo, hi in bases if (lo is None or lo <= 0) and (hi is None or hi >= 0)
+        path.base for path, lo, hi in bases if (lo is None or lo <= 0) and (hi is None or hi >= 0)
     }
-    if not _checked_vertices(halfspaces, dim, {path.base for path in start}):
+    if not _checked_vertices(halfspaces, dim, start):
         raise DegeneratePolytope("family is infeasible at the start parameter")
-    if all(hs.rate == 0 for hs in phs):
-        end = Fraction(stop) if stop is not None else Fraction(1)
-        paths = tuple(sorted(start, key=lambda path: path.base))
-        return ParametricPolytope(phs, (Chamber(Fraction(0), end, paths),), None, dim)
+    # a nonempty start has a basis path, so highs is not empty
     highs = [hi for _path, _lo, hi in bases]
     if None in highs:
-        if stop is None:
-            raise UnboundedRegion("family remains feasible for arbitrarily large t")
-        t_max, end = None, Fraction(stop)
-    else:
-        if not highs:
-            raise InvariantViolation("a feasible family with moving facets has no basic path")
-        t_max = max(highs)
-        end = t_max if stop is None else min(Fraction(stop), t_max)
-    walls = {w for _path, lo, hi in bases for w in (lo, hi) if w is not None and 0 < w < end}
-    ordered = sorted(walls | {Fraction(0), end})
+        raise UnboundedRegion("family remains feasible for arbitrarily large t")
+    t_max = max(highs)
+    walls = {w for _path, lo, hi in bases for w in (lo, hi) if w is not None and 0 < w < t_max}
+    ordered = sorted(walls | {Fraction(0), t_max})
     chambers = [
         Chamber(left, right, tuple(dict.fromkeys(
             path for path, lo, hi in bases
@@ -867,5 +866,5 @@ def parametric_family(
     ]
     if not chambers:
         # t_max == 0: a single point of feasibility
-        chambers = [Chamber(Fraction(0), end, tuple())]
+        chambers = [Chamber(Fraction(0), t_max, tuple())]
     return ParametricPolytope(phs, tuple(chambers), t_max, dim)

@@ -92,14 +92,13 @@ class TestCurve:
     l: ToricDivisor
     d: ToricDivisor
     k_rel: ToricDivisor
-    tau_minus: Fraction
     tau_plus: Fraction
     kind: str  # "extended" | "truncated"
     chambers: tuple[CurveChamber, ...]
 
     @property
     def total_volume(self) -> Fraction:
-        return self.chambers[0].mass(self.tau_minus)
+        return self.chambers[0].mass(0)
 
     def chamber_at(self, tau) -> CurveChamber:
         tau = Fraction(tau)
@@ -108,7 +107,7 @@ class TestCurve:
                 return ch
         if tau == self.chambers[-1].hi:
             return self.chambers[-1]
-        raise OutOfRange(f"tau = {tau} outside [{self.tau_minus}, {self.tau_plus}]")
+        raise OutOfRange(f"tau = {tau} outside [0, {self.tau_plus}]")
 
     def positive_part(self, tau) -> ToricDivisor:
         return ToricDivisor(self.model, self.chamber_at(tau).positive_at(tau))
@@ -134,9 +133,7 @@ class CurveSummary:
 
 
 @lru_cache(maxsize=None)
-def _curve_chambers(
-    fan: Fan, l: ToricDivisor, d: ToricDivisor
-) -> tuple[tuple[CurveChamber, ...], Fraction]:
+def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveChamber, ...]:
     """Chamber data of the family L - tau*D on [0, tau+], memoized per (fan, L, D).
 
     One curve chamber per chamber of the divisor family.  Every zero of a
@@ -156,8 +153,6 @@ def _curve_chambers(
     """
     volumes, _tau_plus = volume_curve(fan, l, d)
     family = divisor_family(fan, l, d)
-    if family.t_max is None:
-        raise InvariantViolation("divisor family has no feasibility threshold")
     chambers: list[CurveChamber] = []
     for chamber in family.chambers:
         lo, hi, mid = chamber.lo, chamber.hi, chamber.midpoint()
@@ -195,7 +190,7 @@ def _curve_chambers(
         chambers.append(
             CurveChamber(lo, hi, tuple(pos_paths), tuple(neg_paths), tuple(red), mass, facets)
         )
-    return tuple(chambers), family.t_max
+    return tuple(chambers)
 
 
 def extended_curve(
@@ -212,18 +207,14 @@ def extended_curve(
     """
     # volume_curve performs the polarization/effectivity checks
     _curve, tau_plus = volume_curve(fan, l, d)
-    chambers, t_max = _curve_chambers(fan, l, d)
-    if t_max != tau_plus:
-        raise InvariantViolation(f"curve chambers end at {t_max}, volume curve at {tau_plus}")
     return TestCurve(
         model=fan,
         l=l,
         d=d,
         k_rel=k_rel if k_rel is not None else zero_divisor(fan),
-        tau_minus=Fraction(0),
         tau_plus=tau_plus,
         kind="extended",
-        chambers=chambers,
+        chambers=_curve_chambers(fan, l, d),
     )
 
 
@@ -249,7 +240,6 @@ def truncated_curve(curve: TestCurve) -> TestCurve:
         l=curve.l,
         d=curve.d,
         k_rel=curve.k_rel,
-        tau_minus=Fraction(0),
         tau_plus=Fraction(1),
         kind="truncated",
         chambers=tuple(clipped),
@@ -311,7 +301,11 @@ def _entropy_direction(curve: TestCurve, ch: CurveChamber) -> ToricDivisor:
 
 
 def entropy_at(curve: TestCurve, tau) -> Fraction:
-    """(n/V) <(L - tau D)^{n-1}> . (K_rel + Red(tau D + N_tau)), via the derivative pairing."""
+    """(n/V) <(L - tau D)^{n-1}> . (K_rel + Red(tau D + N_tau)).
+
+    The positive product is positive_pairing's facet sum over the section
+    polytope of L - tau D, built afresh rather than read off the curve's chambers.
+    """
     tau = Fraction(tau)
     if not 0 < tau < curve.tau_plus:
         raise OutOfRange(f"entropy_at needs tau in (0, {curve.tau_plus})")
@@ -325,7 +319,7 @@ def entropy_at(curve: TestCurve, tau) -> Fraction:
 def entropy(curve: TestCurve) -> Fraction:
     """Chamber-wise exact integral of entropy_at over the curve domain.
 
-    On a chamber the derivative pairing of entropy_at is the positive product
+    On a chamber the positive product of entropy_at is
     (n/V) <P_tau^{n-1}> . (K_rel + Red), with the chamber's reduced divisor,
     so the integrand is the chamber's facet pairing scaled by n/V.
     """

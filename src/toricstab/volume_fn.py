@@ -3,8 +3,8 @@
 Houses the exact polynomial and piecewise-polynomial types used everywhere:
 volume curves t -> vol(L - tD), pseudo-effective thresholds, closed-form
 slice volume curves of a polytope, the positive (movable) intersection
-pairing realized as a one-sided derivative, and volumes along towers of star
-subdivisions.
+pairing as a sum over the facets of the section polytope, checked by Euler's
+identity, and volumes along towers of star subdivisions.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     NotBig,
     NotMonotone,
     OutOfRange,
-    UnboundedRegion,
     ZeroDivisor,
     ZeroVector,
 )
@@ -39,6 +38,7 @@ from .geometry import (
     _int_simplices,
     dot,
     facet_triangulation,
+    facet_volume,
     parametric_family,
     triangulation,
     volume,
@@ -636,8 +636,6 @@ def volume_curve(
     if not is_ample(fan, l):
         raise NotAmple("polarization is not big and nef")
     pp = divisor_family(fan, l, d)
-    if pp.t_max is None:
-        raise UnboundedRegion("family remains big for all t")
     curve = family_volume_curve(pp)
     if not curve.is_nonincreasing():
         raise NotMonotone("volume curve must be non-increasing")
@@ -645,20 +643,23 @@ def volume_curve(
 
 
 def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fraction:
-    """The derivative pairing (1/n) d/ds vol(M + s L') at s = 0+.
+    """The positive product <M^{n-1}> . L' = sum_i L'_i f_i over the facets of P_M.
 
-    Exact: the volume is a polynomial of degree <= n on the first chamber of
-    the family s -> M + sL'.  That polynomial is the symbolic
-    chamber_volume_polynomial, with its one independent sample check, and
-    the one-sided derivative is read off it at s = 0.
+    f_i is (n-1)! times the lattice volume of the facet of P_M on ray i, and 0
+    where that face is not a facet.  The sum is (1/n) d/ds vol(M + sL') at
+    s = 0+ (Boucksom-Favre-Jonsson).  The facet volumes are checked against
+    Euler's identity sum_i M_i f_i = vol(M), the facets triangulated apart
+    from the full polytope; a failure raises InvariantViolation.
     """
-    if big_volume(fan, m) == 0:
+    vol = big_volume(fan, m)
+    if vol == 0:
         raise NotBig("positive pairing needs a big base divisor")
-    n = fan.dimension
-    rates = [-c for c in lprime.coeffs]
-    pp = parametric_family(section_halfspaces(fan, m.coeffs), rates, stop=Fraction(1))
-    poly = chamber_volume_polynomial(pp, pp.chambers[0])
-    return math.factorial(n) * poly.derivative()(Fraction(0)) / n
+    p = polytope_of(fan, m)
+    scale = math.factorial(fan.dimension - 1)
+    facets = [scale * facet_volume(p, u) for u in fan.rays]
+    if sum(map(operator.mul, m.coeffs, facets)) != vol:
+        raise InvariantViolation("facet volumes of the section polytope break Euler's identity")
+    return sum(map(operator.mul, lprime.coeffs, facets))
 
 
 def stabilized_volume(

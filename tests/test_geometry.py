@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricstab import geometry
@@ -264,10 +264,9 @@ def test_parametric_family_p2():
 
 
 def test_parametric_family_zero_direction():
-    family = parametric_family(P2_TRIANGLE, [0, 0, 0])
-    assert family.t_max is None
-    assert len(family.chambers) == 1
-    assert all(all(v == 0 for v in path.velocity) for path in family.chambers[0].paths)
+    # a family that never moves is feasible for all t
+    with pytest.raises(UnboundedRegion):
+        parametric_family(P2_TRIANGLE, [0, 0, 0])
 
 
 def test_parametric_family_f1_threshold():
@@ -602,6 +601,19 @@ def start_route(halfspaces):
 CORNER = [Halfspace((1, 0), 0), Halfspace((0, 1), 0), Halfspace((-1, -1), 0)]
 
 
+def closed(hs, rates, start):
+    """The system closed by the slabs |<x, e_1>| <= r - t, r = 1 + max |v_1| over the start's vertices.
+
+    The slabs are slack at t = 0, so the start is unchanged, and every
+    family ends by t = r, those that grow with t too.
+    """
+    dim = len(hs[0].normal)
+    r = 1 + max(abs(v[0]) for v in start.vertices)
+    e1 = tuple(int(j == 0) for j in range(dim))
+    slabs = [Halfspace(e1, r), Halfspace(tuple(-c for c in e1), r)]
+    return hs + slabs, rates + [Q(1), Q(1)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(halfspace_systems(with_rates=True))
 # the triangle x + y <= t is born at t = 0 (every path starts there) or dies there
@@ -611,6 +623,8 @@ def test_family_start_matches_vertex_enumeration(system):
     hs, rates = system
     phs = [ParametricHalfspace(h.normal, h.offset, r) for h, r in zip(hs, rates)]
     want = start_route([h.at(0) for h in phs])
+    if isinstance(want, Polytope):
+        hs, rates = closed(hs, rates, want)
     enumerated = []
     from_halfspaces = Polytope.from_halfspaces.__func__
     got = None
@@ -619,8 +633,7 @@ def test_family_start_matches_vertex_enumeration(system):
         mp.setattr(Polytope, "from_halfspaces",
                    classmethod(lambda cls, h: enumerated.append(h) or from_halfspaces(cls, h)))
         try:
-            # a window end, so that families growing with t are built too
-            family = parametric_family(hs, rates, stop=Q(1))
+            family = parametric_family(hs, rates)
         except (DegeneratePolytope, UnboundedRegion) as exc:
             got = type(exc)
     if want in (DegeneratePolytope, UnboundedRegion):
@@ -633,6 +646,29 @@ def test_family_start_matches_vertex_enumeration(system):
     else:
         # feasible at t = 0 only: the start polytope is not full-dimensional
         assert family.t_max == 0 and not want.is_full_dimensional
+
+
+@settings(max_examples=100, deadline=None)
+# bounded systems too, so that most drawn starts are polytopes
+@given(st.one_of(halfspace_systems(with_rates=True), halfspace_systems(with_rates=True, bounded=True)))
+@example((CORNER, [Q(0), Q(0), Q(-1)]))
+def test_family_chambers_tile_the_window(system):
+    hs, rates = system
+    start = start_route(hs)
+    assume(isinstance(start, Polytope))
+    family = parametric_family(*closed(hs, rates, start))
+    ends = [(ch.lo, ch.hi) for ch in family.chambers]
+    assert ends[0][0] == 0 and ends[-1][1] == family.t_max
+    assert all(hi == lo for (_lo, hi), (lo, _hi) in zip(ends, ends[1:]))
+    for ch in family.chambers:
+        if ch.lo == ch.hi:
+            continue
+        mid = ch.midpoint()
+        polytope, _path_at = family.polytope_on(ch, mid)
+        assert polytope == family.polytope_at(mid)
+        for t in (ch.lo, mid, ch.hi):
+            vertices = set(family.polytope_at(t).vertices)
+            assert all(path.at(t) in vertices for path in ch.paths)
 
 
 bounded_systems = st.one_of(

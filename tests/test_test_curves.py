@@ -41,6 +41,7 @@ from toricstab import (
     zariski_decompose,
     zero_divisor,
 )
+import toricstab.geometry as geometry
 import toricstab.test_curves as tc
 import toricstab.volume_fn as vf
 from toricstab.errors import InvariantViolation, OutOfRange, RangeTooShort, ZeroDivisor
@@ -339,6 +340,16 @@ def test_entropy_at_derivative_mechanism(p2, p2_h_curve):
         assert entropy_at(p2_h_curve, tau) == 2 * value / 9
 
 
+def test_positive_pairing_builds_no_family(p2, p2_h_curve, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the positive pairing built a parametric family")
+
+    monkeypatch.setattr(vf, "parametric_family", refuse)
+    monkeypatch.setattr(geometry, "parametric_family", refuse)
+    assert positive_pairing(p2, anticanonical(p2), ray_divisor(p2, 0)) == 3
+    assert entropy_at(p2_h_curve, Q(1, 2)) == Q(5, 9)
+
+
 def sampled_entropy(curve):
     """Entropy by the derivative pairing: fit n samples of entropy_at per chamber, check one more."""
     n = curve.model.dimension
@@ -440,6 +451,12 @@ tc.divisor_family = lambda fan, l, d: merged
 attempt("minimizer", lambda: tc._curve_chambers(f1, anticanonical(f1), ray_divisor(f1, 0)))
 tc.divisor_family = real_family
 
+# every facet volume of P_M one too large: the facets break Euler's identity
+real_facet_volume = vf.facet_volume
+vf.facet_volume = lambda p, normal: real_facet_volume(p, normal) + 1
+attempt("euler", lambda: vf.positive_pairing(p2, anticanonical(p2), h))
+vf.facet_volume = real_facet_volume
+
 # every facet polynomial one too large: the facets no longer sum to the mass
 real_facets = tc.chamber_facet_polynomials
 tc.chamber_facet_polynomials = lambda pp, ch: tuple(
@@ -456,8 +473,8 @@ def test_self_checks_survive_optimize(problems_dir, run_optimized):
     script = f"PATH = {str(problems_dir / 'p2.json')!r}\n" + BROKEN_CHECKS
     result = run_optimized(script)
     assert json.loads(result.stdout) == {
-        "debug": False, "zariski": True, "stabilized": True, "minimizer": True, "pairing": True,
-        "entropy": True,
+        "debug": False, "zariski": True, "stabilized": True, "minimizer": True, "euler": True,
+        "pairing": True, "entropy": True,
     }
     assert result.returncode == 3, result.stderr
     assert json.loads(result.stderr)["error"] == "InvariantViolation"
@@ -600,7 +617,7 @@ def test_curve_chambers_match_crossing_refinement(surfaces, p3):
     directions += [(c.model, c.l, c.d) for c in p3_exceptional_curves(p3)]
     split = 0
     for fan, l, d in directions:
-        chambers, _t_max = tc._curve_chambers(fan, l, d)
+        chambers = tc._curve_chambers(fan, l, d)
         assert len(chambers) == len(vf.divisor_family(fan, l, d).chambers)
         pieces = crossing_refinement(fan, l, d)
         split += len(pieces) - len(chambers)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction as Q
 
@@ -16,6 +15,7 @@ from toricstab import (
     big_volume,
     divisor,
     intersection_number,
+    is_nef,
     positive_pairing,
     ray_divisor,
     star_subdivision,
@@ -27,7 +27,7 @@ from toricstab import (
 from toricstab import volume_fn
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, ZeroDivisor
 from toricstab.filtrations import filtration_family
-from toricstab.geometry import Chamber, Halfspace, det, parametric_family, volume
+from toricstab.geometry import Chamber, ParametricHalfspace, _basis_paths, det, volume
 from toricstab.thresholds import primitive_candidates
 from toricstab.volume_fn import (
     _det_poly,
@@ -288,22 +288,40 @@ def test_symbolic_chamber_volumes_match_sampled_fit(surfaces, p3):
     assert chambers > 200
 
 
+def _first_wall(fan, m, lprime):
+    """The first wall s_1 > 0 of the family M + sL', or 1 when there is none."""
+    phs = [ParametricHalfspace(u, a, -c) for u, a, c in zip(fan.rays, m.coeffs, lprime.coeffs)]
+    walls = [w for _path, lo, hi in _basis_paths(phs, fan.dimension) for w in (lo, hi)
+             if w is not None and w > 0]
+    return min(walls, default=Q(1))
+
+
 def test_positive_pairing_matches_sampled_derivative(surfaces, p3):
+    # on [0, s_1] vol(M + sL') is one polynomial of degree <= n: fit n + 1
+    # samples, check the wall end, and differentiate at 0
     rng = random.Random(43)
-    for fan, _radius in _oracle_models(surfaces, p3):
+    blp3, _pull, _k_rel = star_subdivision(p3, (1, 1, 1))
+    refined_f1, _pull, _k_rel = star_subdivision(surfaces["f1"], (1, 2))
+    pairs = not_nef = 0
+    for fan in (*surfaces.values(), p3, blp3, refined_f1):
         n = fan.dimension
         k = anticanonical(fan)
-        for _ in range(4):
+        for _ in range(14):
             m = k.scale(rng.randint(1, 2)) + divisor(
-                fan, [rng.choice([0, 1]) for _ in fan.rays]
+                fan, [rng.choice([-1, 0, 1, 2]) for _ in fan.rays]
             )
-            lprime = divisor(fan, [rng.choice([-1, 0, 1, 2]) for _ in fan.rays])
-            rays = [Halfspace(u, a) for u, a in zip(fan.rays, m.coeffs)]
-            pp = parametric_family(rays, [-c for c in lprime.coeffs], stop=Q(1))
-            xs = [Q(0)] + pp.chambers[0].sample_points(n)
-            fit = fit_polynomial(xs, [volume(pp.polytope_at(x)) for x in xs])
-            sampled = math.factorial(n) * fit.derivative()(0) / n
-            assert positive_pairing(fan, m, lprime) == sampled
+            if big_volume(fan, m) == 0:
+                continue
+            lprime = divisor(fan, [rng.randint(-2, 2) for _ in fan.rays])
+            s1 = _first_wall(fan, m, lprime)
+            xs = [s1 * Q(i, n + 1) for i in range(n + 2)]
+            ys = [big_volume(fan, m + lprime.scale(x)) for x in xs]
+            fit = fit_polynomial(xs[:-1], ys[:-1])
+            assert fit(xs[-1]) == ys[-1]
+            assert positive_pairing(fan, m, lprime) == fit.derivative()(0) / n
+            pairs += 1
+            not_nef += not is_nef(fan, m)
+    assert pairs >= 50 and not_nef >= 5
 
 
 def test_chamber_volume_check_raises(f1, monkeypatch):
