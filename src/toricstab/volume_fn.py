@@ -511,7 +511,7 @@ def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple
 
 
 def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
-    """Piecewise polynomial of t -> n! * volume(P_t) over the family window, n = pp.dimension."""
+    """Piecewise polynomial of t -> n! * volume(P_t) on [0, t_max], n = pp.dimension."""
     scale = math.factorial(pp.dimension)
     bps = [pp.chambers[0].lo]
     pieces = []
