@@ -99,8 +99,10 @@ def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePo
 
     Non-increasing from vol(L) at 0 down to 0 at the width of P_L against u.
     Computed in closed form by slice_volume_curve over triangulation(P_L), the
-    triangulation that linear_stats and big_volume use too; each chamber
-    polynomial is checked there against an independently built slice polytope.
+    triangulation that linear_stats and big_volume use too, whose integer
+    simplex determinants are eliminated once per polytope; each chamber
+    polynomial is checked there against the slice polytope's volume,
+    enumerated and triangulated afresh on integer rows.
     """
     return slice_volume_curve(_section_polytope(fan, l, u), u)
 

@@ -8,29 +8,36 @@ prefers exhaustive enumeration over clever pivoting.
 
 All exact linear algebra (determinants, solves, ranks, kernels) runs through
 one fraction-free Gauss-Jordan elimination in integers (Bareiss), which
-divides into Fractions only once at the end.  Feasibility, path walls and
-facet incidence are decided in integers too: offsets (and rates) are scaled
-to one common denominator, each basic solution stays integer numerators over
-a positive pivot, and a Fraction point is built only for a basic solution
-that survives.  One basic-solution loop serves both the vertices of a
-polytope and the vertex paths of a family; a family's start vertices are
-its paths feasible at t = 0, so it enumerates its bases once.  Whether a
-polytope is bounded depends on its facet normals only, so that test is
-memoized on the normals and shared by every polytope of a family.
+divides into Fractions only once at the end.  A system of halfspaces is
+written as integer rows (a, b) of {<a, x> + b / q >= 0} over one common q.
+On these rows one integer enumeration (_int_vertices) keeps the feasible
+basic solutions, applies the boundedness and emptiness tests and returns the
+vertices as integer numerators over one common denominator; vertices_of and
+Polytope.from_halfspaces turn them into Fractions at the API boundary.  The
+halfspace dedupe (one row per primitive normal, the binding one kept) and
+the Fourier-Motzkin feasibility test run on the same rows.  One
+basic-solution loop serves both the vertices of a polytope and the vertex
+paths of a family; a family's start vertices are its paths feasible at
+t = 0, so it enumerates its bases once.  Whether a polytope is bounded
+depends on its facet normals only, so that test is memoized on the normals
+and shared by every polytope of a family.
 
-Triangulation, affine ranks and volumes run on integer coordinates too: a
-polytope's vertices are written once as integer numerators over one common
-positive denominator, the triangulation works on these points and returns
-simplices as vertex indices (tight sets, facet projections and the lift
-back are index lists), and volume and linear_moment sum integer simplex
-determinants and divide once.
+A Polytope keeps its integer form, written once at construction, and
+triangulation, affine ranks and volumes run on it: the triangulation works
+on the integer points and returns simplices as vertex indices (tight sets,
+facet projections and the lift back are index lists), the cached
+triangulation carries each simplex's integer determinant, and volume and
+linear_moment sum these and divide once.  normalized_volume runs the same
+steps from integer rows to n! times the volume without building a Polytope
+or touching the volume and triangulation caches; it is the independent
+volume sample of the chamber and slice polynomial checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -77,23 +84,31 @@ def make_primitive(u: Sequence[int]) -> LatticeVector:
 
 
 def _eliminate(m: list[Sequence], ncols: int) -> tuple[list[int], int, int, int]:
-    """Fraction-free Gauss-Jordan elimination of m, in place, on its first ncols columns.
+    """_bareiss on rational rows, each first scaled to integers by the lcm of its denominators.
 
-    Each row is first scaled to integers by the lcm of its denominators.  Each
-    step then replaces every other row by (pivot * m[i] - m[i][col] * m[r]) // prev,
-    prev being the previous pivot; the division is exact (Bareiss), so every
-    entry stays an integer minor of the scaled matrix.  Afterwards pivot row r
-    holds the last pivot in column pivots[r] and zeros in the other pivot
-    columns, and the rows past the pivot rows vanish on the first ncols columns.
-
-    Returns the pivot columns, the last pivot (1 when there is none), the sign
-    of the row permutation and the product of the row scales.
+    Returns the pivot columns, the last pivot, the sign of the row
+    permutation and the product of the row scales.
     """
     scale = 1
     for i, row in enumerate(m):
         s = lcm(*[a.denominator for a in row])
         m[i] = [a.numerator * (s // a.denominator) for a in row]
         scale *= s
+    return (*_bareiss(m, ncols), scale)
+
+
+def _bareiss(m: list[Sequence[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows m, in place, on the first ncols columns.
+
+    Each step replaces every other row by (pivot * m[i] - m[i][col] * m[r]) // prev,
+    prev being the previous pivot; the division is exact (Bareiss), so every
+    entry stays an integer minor of m.  Afterwards pivot row r holds the last
+    pivot in column pivots[r] and zeros in the other pivot columns, and the
+    rows past the pivot rows vanish on the first ncols columns.
+
+    Returns the pivot columns, the last pivot (1 when there is none) and the
+    sign of the row permutation.
+    """
     nrows = len(m)
     pivots: list[int] = []
     prev = 1
@@ -116,7 +131,7 @@ def _eliminate(m: list[Sequence], ncols: int) -> tuple[list[int], int, int, int]
         pivots.append(col)
         if r + 1 == nrows:
             break
-    return pivots, prev, sign, scale
+    return pivots, prev, sign
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -177,7 +192,7 @@ def _int_affine_rank(points: Sequence[LatticeVector]) -> int:
         return -1
     base = points[0]
     diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return len(_eliminate(diffs, len(base))[0]) if diffs else 0
+    return len(_bareiss(diffs, len(base))[0]) if diffs else 0
 
 
 def affine_rank(points: Sequence[Point]) -> int:
@@ -222,75 +237,82 @@ class Halfspace:
         return Halfspace(tuple(a // g for a in self.normal), self.offset / g)
 
 
-def _dedupe_halfspaces(halfspaces: Iterable[Halfspace]) -> tuple[Halfspace, ...]:
-    # same normal: the binding constraint is the one with the smallest offset
-    best: dict[LatticeVector, Fraction] = {}
-    order: list[LatticeVector] = []
-    for hs in halfspaces:
-        hs = hs.normalized()
-        if hs.normal not in best:
-            best[hs.normal] = hs.offset
-            order.append(hs.normal)
-        elif hs.offset < best[hs.normal]:
-            best[hs.normal] = hs.offset
-    return tuple(Halfspace(u, best[u]) for u in order)
+def int_rows(normals: Sequence[LatticeVector], offsets: Sequence) -> tuple[list[IntRow], int]:
+    """Rows (a, b) of {<a, x> + b / q >= 0}, one per normal and rational offset, over one q."""
+    q = lcm(*[b.denominator for b in offsets])
+    return [(a, b.numerator * (q // b.denominator)) for a, b in zip(normals, offsets)], q
+
+
+def _int_rows(halfspaces: Sequence[Halfspace]) -> tuple[list[IntRow], int]:
+    """The halfspaces as integer rows (a, b) of {<a, x> + b / q >= 0} over one common q."""
+    return int_rows([hs.normal for hs in halfspaces], [hs.offset for hs in halfspaces])
+
+
+def _dedupe_rows(rows: Iterable[IntRow]) -> list[IntRow]:
+    """One row per primitive normal, in first-seen order: the binding one, least offset / content.
+
+    The kept rows are returned as given, so they stay integers over the rows'
+    q; rows with a zero normal are dropped.
+    """
+    best: dict[LatticeVector, tuple[IntRow, int]] = {}
+    for a, b in rows:
+        g = content(a)
+        if g == 0:
+            continue
+        key = tuple(x // g for x in a)
+        kept = best.get(key)
+        if kept is None or b * kept[1] < kept[0][1] * g:
+            best[key] = ((a, b), g)
+    return [row for row, _g in best.values()]
+
+
+def _dedupe_halfspaces(halfspaces: Sequence[Halfspace]) -> tuple[Halfspace, ...]:
+    """The halfspaces of _dedupe_rows, with primitive normals."""
+    rows, q = _int_rows(halfspaces)
+    out = []
+    for a, b in _dedupe_rows(rows):
+        g = content(a)
+        out.append(Halfspace(tuple(x // g for x in a), Fraction(b, q * g)))
+    return tuple(out)
 
 
 class _Infeasible(Exception):
     """Internal marker: Fourier-Motzkin derived 0 >= positive."""
 
 
-def _fm_eliminate_last(halfspaces: Sequence[Halfspace], dim: int) -> list[Halfspace]:
-    """Fourier-Motzkin elimination of the last coordinate.
+def _fm_eliminate_last(rows: Sequence[IntRow], dim: int) -> list[IntRow]:
+    """Fourier-Motzkin elimination of the last coordinate from integer rows over one q.
 
-    Raises _Infeasible when a contradictory constant constraint appears.
+    Each combined row is divided by the gcd of its entries.  Raises
+    _Infeasible when a contradictory constant row appears.
     """
-    lower, upper, rest = [], [], []
-    for hs in halfspaces:
-        c = hs.normal[dim - 1]
+    lower, upper, out = [], [], []
+    for a, b in rows:
+        c = a[dim - 1]
         if c > 0:
-            lower.append(hs)
+            lower.append((a, b))
         elif c < 0:
-            upper.append(hs)
+            upper.append((a, b))
         else:
-            rest.append(Halfspace(hs.normal[: dim - 1], hs.offset))
-    out = list(rest)
-    for lo in lower:
-        cl = lo.normal[dim - 1]
-        for up in upper:
-            cu = -up.normal[dim - 1]
-            normal = tuple(
-                cu * lo.normal[j] + cl * up.normal[j] for j in range(dim - 1)
-            )
-            offset = cu * lo.offset + cl * up.offset
-            if all(a == 0 for a in normal):
-                if offset < 0:
-                    raise _Infeasible
-                continue
-            out.append(Halfspace(normal, offset))
-    return list(_dedupe_halfspaces(out))
+            out.append((a[: dim - 1], b))
+    for (al, bl), (au, bu) in itertools.product(lower, upper):
+        cl, cu = al[dim - 1], -au[dim - 1]
+        a = tuple(cu * x + cl * y for x, y in zip(al[: dim - 1], au))
+        b = cu * bl + cl * bu
+        g = gcd(*a, b) or 1
+        out.append((tuple(x // g for x in a), b // g))
+    if any(b < 0 for a, b in out if not any(a)):
+        raise _Infeasible
+    return _dedupe_rows(out)
 
 
-def _feasible(halfspaces: Sequence[Halfspace], dim: int) -> bool:
-    """Exact feasibility of an H-representation via full FM elimination."""
-    current = list(halfspaces)
-    d = dim
+def _feasible(rows: Sequence[IntRow], dim: int) -> bool:
+    """Exact feasibility of integer rows, by Fourier-Motzkin elimination of every coordinate."""
     try:
-        while d > 1:
-            current = _fm_eliminate_last(current, d)
-            d -= 1
+        for d in range(dim, 0, -1):
+            rows = _fm_eliminate_last(rows, d)
     except _Infeasible:
         return False
-    lo, hi = None, None
-    for hs in current:
-        c = hs.normal[0]
-        bound = -hs.offset / c
-        if c > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None:
-        return lo <= hi
     return True
 
 
@@ -306,7 +328,7 @@ def extreme_rays(normals: Sequence[LatticeVector], dim: int) -> list[LatticeVect
         if d is None:
             continue
         for cand in (d, tuple(-a for a in d)):
-            if all(dot(u, cand) >= 0 for u in normals):
+            if all(sum(map(mul, u, cand)) >= 0 for u in normals):
                 rays.add(cand)
     return sorted(rays)
 
@@ -323,12 +345,6 @@ def _recession_nontrivial(normals: tuple[LatticeVector, ...], dim: int) -> bool:
     return matrix_rank(normals) < dim or bool(extreme_rays(normals, dim))
 
 
-def _int_rows(halfspaces: Sequence[Halfspace]) -> tuple[list[IntRow], int]:
-    """The halfspaces as integer rows (a, b) of {<a, x> + b / q >= 0} over one common q."""
-    q = lcm(*[hs.offset.denominator for hs in halfspaces])
-    return [(hs.normal, hs.offset.numerator * (q // hs.offset.denominator)) for hs in halfspaces], q
-
-
 def _basic_solutions(
     rows: Sequence[tuple[LatticeVector, tuple[int, ...]]], dim: int
 ) -> Iterable[tuple[int, list[list[int]]]]:
@@ -340,17 +356,49 @@ def _basic_solutions(
     """
     for subset in itertools.combinations(rows, dim):
         m = [[*a, *c] for a, c in subset]
-        pivots, den, _sign, _scale = _eliminate(m, dim)
+        pivots, den, _sign = _bareiss(m, dim)
         if len(pivots) < dim:
             continue
         s = 1 if den > 0 else -1
         yield s * den, [[s * row[col] for row in m] for col in range(dim, len(m[0]))]
 
 
+def _check_bounded(rows: Sequence[IntRow], dim: int, has_vertex: bool) -> None:
+    """Raise UnboundedRegion if the intersection of the rows is unbounded.
+
+    With a vertex it is bounded exactly when its recession cone is trivial;
+    without one it is either empty or unbounded.
+    """
+    if has_vertex:
+        if _recession_nontrivial(tuple(a for a, _b in rows), dim):
+            raise UnboundedRegion("halfspace intersection is unbounded")
+    elif _feasible(rows, dim):
+        raise UnboundedRegion("nonempty intersection without vertices is unbounded")
+
+
+def _int_vertices(rows: Sequence[IntRow], q: int, dim: int) -> tuple[list[LatticeVector], int]:
+    """The sorted vertices of {<a, x> + b / q >= 0}, as integers over one positive denominator.
+
+    Keeps the feasible basic solutions: over q, y = q * x solves
+    <a, y> + b >= 0 in integers.  Each is reduced to lowest terms, so the
+    common denominator is the least one.  Raises UnboundedRegion when the
+    intersection is nonempty but unbounded; no points means it is empty.
+    """
+    found: set[tuple[int, LatticeVector]] = set()
+    for d, (num,) in _basic_solutions([(a, (-b,)) for a, b in rows], dim):
+        if all(sum(map(mul, a, num)) + b * d >= 0 for a, b in rows):
+            d *= q
+            g = gcd(d, *num)
+            found.add((d // g, tuple(c // g for c in num)))
+    _check_bounded(rows, dim, bool(found))
+    den = lcm(*[d for d, _num in found])
+    return sorted(tuple(c * (den // d) for c in num) for d, num in found), den
+
+
 def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
     """Exact vertex set of a bounded halfspace intersection.
 
-    Keeps the feasible basic solutions.  Raises UnboundedRegion when the
+    The Fraction face of _int_vertices.  Raises UnboundedRegion when the
     intersection is nonempty but unbounded; an empty list means the
     intersection is empty.
     """
@@ -360,33 +408,32 @@ def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
     dim = len(halfspaces[0].normal)
     if any(len(hs.normal) != dim for hs in halfspaces):
         raise DimensionMismatch("halfspaces of mixed dimension")
-    # over the common offset denominator q, y = q * x solves <a, y> + b >= 0 in integers
-    rows, q = _int_rows(halfspaces)
-    found: set[Point] = set()
-    for den, (num,) in _basic_solutions([(a, (-b,)) for a, b in rows], dim):
-        if all(sum(map(mul, a, num)) + b * den >= 0 for a, b in rows):
-            found.add(tuple(Fraction(c, den * q) for c in num))
-    return _checked_vertices(halfspaces, dim, found)
-
-
-def _checked_vertices(halfspaces: Sequence[Halfspace], dim: int, found: set[Point]) -> list[Point]:
-    """The feasible basic solutions, sorted; UnboundedRegion if the intersection is unbounded."""
-    if found:
-        if _recession_nontrivial(tuple(hs.normal for hs in halfspaces), dim):
-            raise UnboundedRegion("halfspace intersection is unbounded")
-        return sorted(found)
-    if _feasible(halfspaces, dim):
-        raise UnboundedRegion("nonempty intersection without vertices is unbounded")
-    return []
+    points, den = _int_vertices(*_int_rows(halfspaces), dim)
+    return [tuple(Fraction(c, den) for c in p) for p in points]
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """Bounded rational polytope: deduplicated H-rep plus cached vertex set."""
+    """Bounded rational polytope: deduplicated H-rep plus cached vertex set.
+
+    Its integer form is written once, at construction: the halfspaces as
+    `rows` over `q` (_int_rows) and the vertices as `points` over `den`
+    (_int_points).  The triangulations read it.
+    """
 
     halfspaces: tuple[Halfspace, ...]
     vertices: tuple[Point, ...]
     dimension: int
+    rows: list[IntRow] = field(init=False, repr=False, compare=False)
+    q: int = field(init=False, repr=False, compare=False)
+    points: list[LatticeVector] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rows, q = _int_rows(self.halfspaces)
+        points, den = _int_points(self.vertices)
+        for name, value in (("rows", rows), ("q", q), ("points", points), ("den", den)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Halfspace]) -> Polytope:
@@ -411,7 +458,7 @@ class Polytope:
 
     @property
     def affine_dimension(self) -> int:
-        return affine_rank(self.vertices)
+        return _int_affine_rank(self.points)
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -521,33 +568,24 @@ def _triangulate_facet(
     u, c = facet
     k = max(range(dim), key=lambda j: abs(u[j]))
     s = 1 if u[k] > 0 else -1
-    best: dict[LatticeVector, tuple[LatticeVector, int, int]] = {}
-    for w, b in rows:
-        normal = tuple(s * (u[k] * w[j] - w[k] * u[j]) for j in range(dim) if j != k)
-        g = content(normal)
-        if g == 0:
-            continue
-        offset = s * (b * u[k] - c * w[k])
-        key = tuple(x // g for x in normal)
-        kept = best.get(key)
-        if kept is None or offset * kept[2] < kept[1] * g:
-            best[key] = (normal, offset, g)
-    sub = [(normal, offset) for normal, offset, _g in best.values()]
-    return _triangulate(sub, q, [v[:k] + v[k + 1 :] for v in face], den, dim - 1)
+    projected = [
+        (tuple(s * (u[k] * w[j] - w[k] * u[j]) for j in range(dim) if j != k),
+         s * (b * u[k] - c * w[k]))
+        for w, b in rows
+    ]
+    return _triangulate(_dedupe_rows(projected), q, [v[:k] + v[k + 1 :] for v in face], den, dim - 1)
 
 
 def facet_triangulation(p: Polytope, normal: Sequence[int]) -> list[tuple[Point, ...]]:
     """Simplices covering the facet of p on its halfspace with this normal; none if no facet."""
-    rows, q = _int_rows(p.halfspaces)
-    facet = next(row for row in rows if row[0] == tuple(normal))
-    points, den = _int_points(p.vertices)
-    (tight,) = _tight_sets([facet], q, points, den)
-    face = [points[i] for i in tight]
+    facet = next(row for row in p.rows if row[0] == tuple(normal))
+    (tight,) = _tight_sets([facet], p.q, p.points, p.den)
+    face = [p.points[i] for i in tight]
     if _int_affine_rank(face) != p.dimension - 1:
         return []
     return [
         tuple(p.vertices[tight[j]] for j in simplex)
-        for simplex in _triangulate_facet(rows, q, facet, face, den, p.dimension)
+        for simplex in _triangulate_facet(p.rows, p.q, facet, face, p.den, p.dimension)
     ]
 
 
@@ -565,32 +603,65 @@ def facet_volume(p: Polytope, normal: Sequence[int]) -> Fraction:
     return total / (dot(normal, normal) * math.factorial(p.dimension - 1))
 
 
-@lru_cache(maxsize=None)
-def triangulation(p: Polytope) -> tuple[tuple[Point, ...], ...]:
-    """Deterministic exact triangulation of a full-dimensional polytope; () otherwise."""
-    points, den = _int_points(p.vertices)
-    if _int_affine_rank(points) != p.dimension:
-        return ()
-    return tuple(
-        tuple(p.vertices[i] for i in simplex)
-        for simplex in _triangulate(*_int_rows(p.halfspaces), points, den, p.dimension)
-    )
-
-
-def _int_simplices(p: Polytope) -> tuple[list[tuple[int, list[list[int]]]], int]:
-    """Each simplex of triangulation(p) as (|det| of its edges, its vertices), over one denominator.
-
-    The vertices are integer numerators over the common positive den of p's
-    vertices, so a simplex's volume is |det| / (den^n * n!).
-    """
-    den = lcm(*[c.denominator for v in p.vertices for c in v])
+def _simplex_dets(points: Sequence[LatticeVector], simplices: Iterable[Sequence[int]]) -> list[int]:
+    """|det| of the edges of each simplex, given as indices into integer points."""
     out = []
-    for simplex in triangulation(p):
-        nums = [[c.numerator * (den // c.denominator) for c in v] for v in simplex]
-        edges = [[a - b for a, b in zip(v, nums[0])] for v in nums[1:]]
-        pivots, pivot, _sign, _scale = _eliminate(edges, len(edges))
-        out.append((abs(pivot) if len(pivots) == len(edges) else 0, nums))
-    return out, den
+    for simplex in simplices:
+        base = points[simplex[0]]
+        edges = [[a - b for a, b in zip(points[i], base)] for i in simplex[1:]]
+        pivots, pivot, _sign = _bareiss(edges, len(edges))
+        out.append(abs(pivot) if len(pivots) == len(edges) else 0)
+    return out
+
+
+class Triangulation(tuple):
+    """The value of triangulation: its simplices, each a tuple of vertices of the polytope.
+
+    `ints` holds each simplex as (|det| of its edges, its vertices) in the
+    polytope's integer points, so the determinants are eliminated once per
+    polytope.
+    """
+
+    ints: list[tuple[int, list[LatticeVector]]]
+
+
+@lru_cache(maxsize=None)
+def triangulation(p: Polytope) -> Triangulation:
+    """Deterministic exact triangulation of a full-dimensional polytope; () otherwise."""
+    simplices = []
+    if _int_affine_rank(p.points) == p.dimension:
+        simplices = _triangulate(p.rows, p.q, p.points, p.den, p.dimension)
+    out = Triangulation(tuple(p.vertices[i] for i in simplex) for simplex in simplices)
+    out.ints = [
+        (d, [p.points[i] for i in simplex])
+        for d, simplex in zip(_simplex_dets(p.points, simplices), simplices)
+    ]
+    return out
+
+
+def _int_simplices(p: Polytope) -> tuple[list[tuple[int, list[LatticeVector]]], int]:
+    """Each simplex of triangulation(p) as (|det| of its edges, its vertices), over p.den.
+
+    A simplex's volume is |det| / (den^n * n!).
+    """
+    return triangulation(p).ints, p.den
+
+
+def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
+    """n! times the volume of {<a, x> + b / q >= 0}; 0 when it is empty or lower-dimensional.
+
+    The steps of Polytope.from_halfspaces and volume, on integers only: the
+    rows deduped by primitive normal, every basis enumerated by
+    _int_vertices, the vertices triangulated and the simplex determinants
+    summed.  It builds no Halfspace, Polytope or Fraction vertex and leaves
+    nothing in the volume and triangulation caches.  Raises UnboundedRegion
+    when the intersection is unbounded.
+    """
+    rows = _dedupe_rows(rows)
+    points, den = _int_vertices(rows, q, dim)
+    if _int_affine_rank(points) != dim:
+        return Fraction(0)
+    return Fraction(sum(_simplex_dets(points, _triangulate(rows, q, points, den, dim))), den**dim)
 
 
 @lru_cache(maxsize=None)
@@ -656,15 +727,13 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
         lifted.append(Halfspace(hs.normal + tuple(-a for a in hs.normal), hs.offset))
     for hs in q.halfspaces:
         lifted.append(Halfspace((0,) * n + hs.normal, hs.offset))
-    current = lifted
-    d = 2 * n
+    rows, q = _int_rows(lifted)
     try:
-        while d > n:
-            current = _fm_eliminate_last(current, d)
-            d -= 1
+        for d in range(2 * n, n, -1):
+            rows = _fm_eliminate_last(rows, d)
     except _Infeasible as exc:
         raise DegeneratePolytope("Minkowski sum of an empty polytope") from exc
-    return Polytope.from_halfspaces(current)
+    return Polytope.from_halfspaces([Halfspace(a, Fraction(b, q)) for a, b in rows])
 
 
 def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
@@ -845,10 +914,9 @@ def parametric_family(halfspaces: Sequence[Halfspace], rates: Sequence) -> Param
     if any(len(hs.normal) != dim for hs in phs):
         raise DimensionMismatch("halfspaces of mixed dimension")
     bases = _basis_paths(phs, dim)
-    start = {
-        path.base for path, lo, hi in bases if (lo is None or lo <= 0) and (hi is None or hi >= 0)
-    }
-    if not _checked_vertices(halfspaces, dim, start):
+    start = any((lo is None or lo <= 0) and (hi is None or hi >= 0) for _path, lo, hi in bases)
+    _check_bounded(_int_rows(halfspaces)[0], dim, start)
+    if not start:
         raise DegeneratePolytope("family is infeasible at the start parameter")
     # a nonempty start has a basis path, so highs is not empty
     highs = [hi for _path, _lo, hi in bases]

@@ -50,10 +50,12 @@ def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
     Computed both as the slice-curve integral and as mean - min of the
     support pairing over the section polytope; the two exact routes must
     agree, and InvariantViolation is raised when they do not.  Both routes
-    read the one cached triangulation of P_L: the slice curve through the
-    closed form of filtration_curve, whose chamber polynomials are each
-    checked against a slice polytope enumerated and triangulated afresh,
-    and the mean through linear_stats.
+    read the one cached triangulation of P_L and its integer simplex
+    determinants: the slice curve through the closed form of
+    filtration_curve, and the mean through linear_stats.  Each chamber
+    polynomial of the slice curve is checked against a slice polytope
+    enumerated and triangulated afresh on integer rows, so once P_L is
+    cached no Polytope is built.
     """
     if all(a == 0 for a in u):
         raise ZeroVector("direction must be nonzero")

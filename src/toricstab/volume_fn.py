@@ -29,7 +29,6 @@ from .errors import (
 )
 from .geometry import (
     Chamber,
-    Halfspace,
     ParametricPolytope,
     Point,
     Polytope,
@@ -39,6 +38,8 @@ from .geometry import (
     dot,
     facet_triangulation,
     facet_volume,
+    int_rows,
+    normalized_volume,
     parametric_family,
     triangulation,
     volume,
@@ -478,16 +479,19 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     affine rows v_i(t) - v_0(t) and the sign is that of det M at the midpoint.
     det M(t) is an integer polynomial over a power of the paths' common
     denominator, expanded by cofactors (_moving_simplices).  The result is
-    checked against an independent volume(P_x) at one interior point x other
-    than the midpoint, and against the degree bound n = the family's
-    dimension; a failure raises InvariantViolation.
+    checked against an independent volume of P_x at one interior point x
+    other than the midpoint, the family's rows at x enumerated and
+    triangulated afresh on integers (normalized_volume), and against the
+    degree bound n = the family's dimension; a failure raises
+    InvariantViolation.
     """
     p, path_at = pp.polytope_on(chamber, chamber.midpoint())
-    poly = _moving_simplices(chamber, path_at, triangulation(p)).scale(
-        Fraction(1, math.factorial(pp.dimension))
-    )
+    scale = math.factorial(pp.dimension)
+    poly = _moving_simplices(chamber, path_at, triangulation(p)).scale(Fraction(1, scale))
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
-    if poly.degree > pp.dimension or poly(x) != volume(pp.polytope_at(x)):
+    offsets = [hs.offset - x * hs.rate for hs in pp.halfspaces]
+    check = int_rows([hs.normal for hs in pp.halfspaces], offsets)
+    if poly.degree > pp.dimension or scale * poly(x) != normalized_volume(*check, pp.dimension):
         raise InvariantViolation(
             f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
         )
@@ -586,21 +590,26 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
     divided difference is unchanged when knots and c are both scaled by q.
 
     Each chamber polynomial is checked against the degree bound n and, a
-    third of the way in, against n! * volume of the slice polytope built
-    afresh from p's halfspaces and the slice halfspace; a failure raises
-    InvariantViolation.
+    third of the way in, against n! * volume of the slice polytope: p's
+    halfspaces plus the slice halfspace, as integer rows whose every basis is
+    enumerated and whose vertices are triangulated afresh
+    (normalized_volume), never reusing p's vertices or triangulation.  The
+    check builds no Polytope and adds nothing to the volume and triangulation
+    caches.  A failure raises InvariantViolation.
     """
     simplices, q = _int_simplices(p)
     if not simplices:
         raise DegeneratePolytope("slice volumes need a full-dimensional polytope")
     n = p.dimension
+    u = tuple(u)
+    normals = [hs.normal for hs in p.halfspaces] + [u]
+    offsets = [hs.offset for hs in p.halfspaces]
     dots = [[sum(map(operator.mul, v, u)) for v in nums] for _d, nums in simplices]
     low = min(map(min, dots))
     knotted = [(d, sorted(h - low for h in hs)) for (d, _nums), hs in zip(simplices, dots)]
     heights = sorted({h for _d, hs in knotted for h in hs})
     if len(heights) < 2:
         raise ZeroVector("direction is constant on the section polytope")
-    scale = math.factorial(n)
     bps = [Fraction(h, q) for h in heights]
     pieces = []
     for lo, hi, c_lo, c_hi in zip(heights, heights[1:], bps, bps[1:]):
@@ -610,8 +619,8 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
             raise InvariantViolation(
                 f"slice volume on [{c_lo}, {c_hi}] has degree {poly.degree} > {n}"
             )
-        check = Polytope.from_halfspaces([*p.halfspaces, Halfspace(u, -(Fraction(low, q) + x))])
-        if poly(x) != scale * volume(check):
+        check = int_rows(normals, [*offsets, -(Fraction(low, q) + x)])
+        if poly(x) != normalized_volume(*check, n):
             raise InvariantViolation(
                 f"slice volume is not the closed-form polynomial on [{c_lo}, {c_hi}]"
             )

@@ -36,6 +36,7 @@ from toricstab.geometry import (
     matrix_rank,
     minkowski_sum,
     mixed_volume,
+    normalized_volume,
     parametric_family,
     solve_linear,
     triangulation,
@@ -443,7 +444,7 @@ def oracle_vertices(halfspaces):
         if _recession_nontrivial(tuple(hs.normal for hs in halfspaces), dim):
             raise UnboundedRegion("halfspace intersection is unbounded")
         return sorted(found)
-    if _feasible(halfspaces, dim):
+    if _feasible(_int_rows(halfspaces)[0], dim):
         raise UnboundedRegion("nonempty intersection without vertices is unbounded")
     return []
 
@@ -726,3 +727,60 @@ def test_volume_and_moment_match_simplex_volumes(halfspaces, u):
 @given(st.one_of(rectangular, bounded_systems.map(lambda hs: vertices_of(hs))))
 def test_affine_rank_matches_fraction_differences(points):
     assert affine_rank(points) == oracle_affine_rank(points)
+
+
+# --------------------------------------------------------------------------
+# the integer volume of the independent checks against the Polytope route
+# --------------------------------------------------------------------------
+
+@st.composite
+def volume_systems(draw):
+    """Systems in dimension 2 or 3 with repeated and non-primitive normals.
+
+    Drawn flags add a bounding simplex around the origin, three times in four
+    (the system is then a polytope or empty); a slice row on the normal of a
+    drawn row, a facet normal whenever that row is a facet, binding or not;
+    and the reverse of a drawn row, which leaves a lower-dimensional or empty
+    intersection.  About a third each come out bounded and unbounded.
+    """
+    dim = draw(st.integers(min_value=2, max_value=3))
+    vector = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim).filter(any)
+    normals = draw(st.lists(vector, min_size=1, max_size=4))
+    for k in draw(st.lists(st.integers(min_value=1, max_value=3), max_size=2)):
+        normals.append([k * a for a in draw(st.sampled_from(normals))])
+    hs = [Halfspace(u, draw(offsets)) for u in normals]
+    if draw(st.integers(min_value=0, max_value=3)):
+        simplex = [[int(i == j) for j in range(dim)] for i in range(dim)] + [[-1] * dim]
+        hs += [Halfspace(u, draw(positive_offsets)) for u in simplex]
+    if draw(st.booleans()):
+        hs.append(Halfspace(draw(st.sampled_from(hs)).normal, draw(offsets)))
+    if draw(st.booleans()):
+        flip = draw(st.sampled_from(hs))
+        hs.append(Halfspace(tuple(-a for a in flip.normal), -flip.offset))
+    return hs
+
+
+def polytope_volume(hs):
+    """n! * volume of the Polytope built from the halfspaces."""
+    return math.factorial(len(hs[0].normal)) * volume(Polytope.from_halfspaces(hs))
+
+
+TRIANGLE = [Halfspace((1, 0), 0), Halfspace((0, 1), 0), Halfspace((-1, -1), 2)]
+UNIT_CUBE = [Halfspace(u, 0) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] + [
+    Halfspace(u, 1) for u in ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(volume_systems())
+# slice rows on a facet normal, non-primitive: binding, and slack
+@example(TRIANGLE + [Halfspace((-2, -2), 3)])
+@example(TRIANGLE + [Halfspace((-3, -3), 9)])
+@example(UNIT_CUBE + [Halfspace((0, 0, 3), -1)])
+# unbounded, lower-dimensional and empty
+@example([Halfspace((1, 0), 0), Halfspace((0, 1), 0), Halfspace((2, 0), 1)])
+@example([Halfspace((1, 0), 0), Halfspace((-1, 0), 0), Halfspace((0, 1), 0), Halfspace((0, -1), 1)])
+@example(UNIT_CUBE + [Halfspace((0, 0, 2), -3)])
+def test_normalized_volume_matches_polytope_volume(hs):
+    dim = len(hs[0].normal)
+    assert outcome(normalized_volume, *_int_rows(hs), dim) == outcome(polytope_volume, hs)

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from toricstab import (
+    Polytope,
     anticanonical,
     big_volume,
     delta_pp_quotient,
@@ -19,10 +20,13 @@ from toricstab import (
     extended_curve,
     g_pairing,
     inequality_report,
+    is_ample,
     intersection_number,
     is_nef,
     jtilde,
+    linear_stats,
     log_discrepancy,
+    polytope_of,
     ray_divisor,
     s_invariant,
     star_subdivision,
@@ -354,3 +358,23 @@ def test_s_route_disagreement_survives_optimize(problems_dir, run_optimized):
     result = run_optimized(script)
     assert result.returncode == 3, result.stderr
     assert json.loads(result.stderr)["error"] == "InvariantViolation"
+
+
+def test_s_invariant_builds_no_polytope_once_warm(p3, monkeypatch):
+    # the slice checks enumerate their polytopes on integer rows, so once P_L
+    # is cached an S value builds no Polytope
+    blp3, pull, _k_rel = star_subdivision(p3, (1, 1, 1))
+    models = [(p3, anticanonical(p3)), (blp3, pull(anticanonical(p3)))]
+    for fan, l in models:
+        assert is_ample(fan, l)
+
+    def refuse(cls, halfspaces):
+        raise AssertionError("s_invariant built a Polytope")
+
+    monkeypatch.setattr(Polytope, "from_halfspaces", classmethod(refuse))
+    assert s_invariant(p3, anticanonical(p3), (1, 0, 0)) == 1
+    for fan, l in models:
+        p = polytope_of(fan, l)
+        for u in primitive_candidates(3, 1):
+            lo, mean, _hi = linear_stats(p, u)
+            assert s_invariant(fan, l, u) == mean - lo

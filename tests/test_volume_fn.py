@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from toricstab import (
     PiecewisePolynomial,
     Polynomial,
+    Polytope,
     anticanonical,
     big_volume,
     divisor,
@@ -34,6 +35,7 @@ from toricstab.volume_fn import (
     chamber_volume_polynomial,
     count_roots,
     divisor_family,
+    family_volume_curve,
     fit_polynomial,
     nonneg_on_interval,
     squarefree_decomposition,
@@ -333,3 +335,16 @@ def test_chamber_volume_check_raises(f1, monkeypatch):
     monkeypatch.setattr(volume_fn, "triangulation", lambda _p: (foreign,))
     with pytest.raises(InvariantViolation, match="follows no chamber path"):
         chamber_volume_polynomial(pp, first)
+
+
+def test_chamber_check_builds_no_polytope(f1, p3, monkeypatch):
+    # the check enumerates P_x on integer rows: a family's volume curve builds
+    # its midpoint polytopes from the chamber paths and no Polytope by enumeration
+    families = [divisor_family(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
+    want = [family_volume_curve(pp) for pp in families]
+
+    def refuse(cls, halfspaces):
+        raise AssertionError("the chamber check built a Polytope")
+
+    monkeypatch.setattr(Polytope, "from_halfspaces", classmethod(refuse))
+    assert [family_volume_curve(pp) for pp in families] == want
