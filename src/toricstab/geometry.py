@@ -91,8 +91,7 @@ def _eliminate(m: list[Sequence], ncols: int) -> tuple[list[int], int, int, int]
     """
     scale = 1
     for i, row in enumerate(m):
-        s = lcm(*[a.denominator for a in row])
-        m[i] = [a.numerator * (s // a.denominator) for a in row]
+        m[i], s = _over_lcm(row)
         scale *= s
     return (*_bareiss(m, ncols), scale)
 
@@ -180,10 +179,17 @@ def kernel_vector(rows: Sequence[Sequence], n: int) -> LatticeVector | None:
     return make_primitive(x)
 
 
+def _over_lcm(values: Sequence) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _int_points(points: Sequence[Sequence]) -> tuple[list[LatticeVector], int]:
     """The points as integer numerators over one common positive denominator."""
-    den = lcm(*[c.denominator for p in points for c in p])
-    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in points], den
+    flat, den = _over_lcm([c for p in points for c in p])
+    coords = iter(flat)
+    return [tuple(itertools.islice(coords, len(p))) for p in points], den
 
 
 def _int_affine_rank(points: Sequence[LatticeVector]) -> int:
@@ -232,15 +238,11 @@ class Halfspace:
     def contains(self, x: Sequence) -> bool:
         return self.slack(x) >= 0
 
-    def normalized(self) -> Halfspace:
-        g = content(self.normal)
-        return Halfspace(tuple(a // g for a in self.normal), self.offset / g)
-
 
 def int_rows(normals: Sequence[LatticeVector], offsets: Sequence) -> tuple[list[IntRow], int]:
     """Rows (a, b) of {<a, x> + b / q >= 0}, one per normal and rational offset, over one q."""
-    q = lcm(*[b.denominator for b in offsets])
-    return [(a, b.numerator * (q // b.denominator)) for a, b in zip(normals, offsets)], q
+    scaled, q = _over_lcm(offsets)
+    return list(zip(normals, scaled)), q
 
 
 def _int_rows(halfspaces: Sequence[Halfspace]) -> tuple[list[IntRow], int]:
@@ -269,11 +271,9 @@ def _dedupe_rows(rows: Iterable[IntRow]) -> list[IntRow]:
 def _dedupe_halfspaces(halfspaces: Sequence[Halfspace]) -> tuple[Halfspace, ...]:
     """The halfspaces of _dedupe_rows, with primitive normals."""
     rows, q = _int_rows(halfspaces)
-    out = []
-    for a, b in _dedupe_rows(rows):
-        g = content(a)
-        out.append(Halfspace(tuple(x // g for x in a), Fraction(b, q * g)))
-    return tuple(out)
+    return tuple(
+        Halfspace(make_primitive(a), Fraction(b, q * content(a))) for a, b in _dedupe_rows(rows)
+    )
 
 
 class _Infeasible(Exception):
@@ -432,8 +432,7 @@ class Polytope:
     def __post_init__(self) -> None:
         rows, q = _int_rows(self.halfspaces)
         points, den = _int_points(self.vertices)
-        for name, value in (("rows", rows), ("q", q), ("points", points), ("den", den)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(rows=rows, q=q, points=points, den=den)
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Halfspace]) -> Polytope:
@@ -483,29 +482,19 @@ def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
     """Facet H-representation of the convex hull of a full-dimensional point set."""
     pts, den = _int_points([tuple(Fraction(c) for c in p) for p in points])
     dim = len(pts[0])
-    seen: set[tuple[LatticeVector, Fraction]] = set()
-    out: list[Halfspace] = []
-    for subset in itertools.combinations(pts, dim):
-        if dim > 1:
-            diffs = [[a - b for a, b in zip(p, subset[0])] for p in subset[1:]]
-            normal = kernel_vector(diffs, dim)
-            if normal is None:
-                continue
-        else:
-            normal = (1,)
-        level = sum(map(mul, normal, subset[0]))
+    rows: list[IntRow] = []
+    for base, *rest in itertools.combinations(pts, dim):
+        normal = kernel_vector([[a - b for a, b in zip(p, base)] for p in rest], dim)
+        if normal is None:
+            continue
+        level = sum(map(mul, normal, base))
         values = [sum(map(mul, normal, p)) - level for p in pts]
         if all(v >= 0 for v in values):
-            hs = Halfspace(normal, Fraction(-level, den)).normalized()
+            rows.append((normal, -level))
         elif all(v <= 0 for v in values):
-            hs = Halfspace(tuple(-a for a in normal), Fraction(level, den)).normalized()
-        else:
-            continue
-        key = (hs.normal, hs.offset)
-        if key not in seen:
-            seen.add(key)
-            out.append(hs)
-    return out
+            rows.append((tuple(-a for a in normal), level))
+    # each facet is found once per dim-subset of its points; its normal is primitive
+    return [Halfspace(a, Fraction(b, den)) for a, b in _dedupe_rows(rows)]
 
 
 # --------------------------------------------------------------------------
@@ -628,14 +617,11 @@ class Triangulation(tuple):
 @lru_cache(maxsize=None)
 def triangulation(p: Polytope) -> Triangulation:
     """Deterministic exact triangulation of a full-dimensional polytope; () otherwise."""
-    simplices = []
-    if _int_affine_rank(p.points) == p.dimension:
-        simplices = _triangulate(p.rows, p.q, p.points, p.den, p.dimension)
-    out = Triangulation(tuple(p.vertices[i] for i in simplex) for simplex in simplices)
-    out.ints = [
-        (d, [p.points[i] for i in simplex])
-        for d, simplex in zip(_simplex_dets(p.points, simplices), simplices)
-    ]
+    full = _int_affine_rank(p.points) == p.dimension
+    simplices = _triangulate(p.rows, p.q, p.points, p.den, p.dimension) if full else []
+    out = Triangulation(tuple(p.vertices[i] for i in s) for s in simplices)
+    dets = _simplex_dets(p.points, simplices)
+    out.ints = [(d, [p.points[i] for i in s]) for d, s in zip(dets, simplices)]
     return out
 
 
@@ -861,14 +847,8 @@ def _basis_paths(
     with integers c0, c1 and den > 0, and its wall is t = -c0 / c1; the path's
     Fraction base and velocity are built only when its interval is nonempty.
     """
-    q = lcm(*[hs.offset.denominator for hs in halfspaces],
-            *[hs.rate.denominator for hs in halfspaces])
-    rows = [
-        (hs.normal,
-         hs.offset.numerator * (q // hs.offset.denominator),
-         hs.rate.numerator * (q // hs.rate.denominator))
-        for hs in halfspaces
-    ]
+    scaled, q = _over_lcm([hs.offset for hs in halfspaces] + [hs.rate for hs in halfspaces])
+    rows = list(zip([hs.normal for hs in halfspaces], scaled, scaled[len(halfspaces) :]))
     out = []
     for den, (base, velocity) in _basic_solutions([(a, (-b, r)) for a, b, r in rows], dim):
         lo: Fraction | None = None
