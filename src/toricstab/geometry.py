@@ -607,8 +607,8 @@ class Triangulation(tuple):
     """The value of triangulation: its simplices, each a tuple of vertices of the polytope.
 
     `ints` holds each simplex as (|det| of its edges, its vertices) in the
-    polytope's integer points, so the determinants are eliminated once per
-    polytope.
+    polytope's integer points over p.den, so the determinants are eliminated
+    once per polytope; a simplex's volume is |det| / (den^n * n!).
     """
 
     ints: list[tuple[int, list[LatticeVector]]]
@@ -623,14 +623,6 @@ def triangulation(p: Polytope) -> Triangulation:
     dets = _simplex_dets(p.points, simplices)
     out.ints = [(d, [p.points[i] for i in s]) for d, s in zip(dets, simplices)]
     return out
-
-
-def _int_simplices(p: Polytope) -> tuple[list[tuple[int, list[LatticeVector]]], int]:
-    """Each simplex of triangulation(p) as (|det| of its edges, its vertices), over p.den.
-
-    A simplex's volume is |det| / (den^n * n!).
-    """
-    return triangulation(p).ints, p.den
 
 
 def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
@@ -656,9 +648,8 @@ def volume(p: Polytope) -> Fraction:
 
     The integer simplex determinants are summed and divided once.
     """
-    simplices, den = _int_simplices(p)
     n = p.dimension
-    return Fraction(sum(d for d, _nums in simplices), den**n * math.factorial(n))
+    return Fraction(sum(d for d, _nums in triangulation(p).ints), p.den**n * math.factorial(n))
 
 
 def linear_moment(p: Polytope, u: Sequence) -> Fraction:
@@ -667,13 +658,12 @@ def linear_moment(p: Polytope, u: Sequence) -> Fraction:
     Each simplex contributes its volume times <centroid, u>: the vertex sums
     are weighted by the integer determinants, and divided once.
     """
-    simplices, den = _int_simplices(p)
     n = p.dimension
     weighted = [0] * n
-    for d, nums in simplices:
+    for d, nums in triangulation(p).ints:
         for v in nums:
             weighted = [w + d * c for w, c in zip(weighted, v)]
-    return dot(weighted, u) / (den ** (n + 1) * math.factorial(n) * (n + 1))
+    return dot(weighted, u) / (p.den ** (n + 1) * math.factorial(n) * (n + 1))
 
 
 def linear_stats(p: Polytope, u: Sequence) -> tuple[Fraction, Fraction, Fraction]:
@@ -713,13 +703,13 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
         lifted.append(Halfspace(hs.normal + tuple(-a for a in hs.normal), hs.offset))
     for hs in q.halfspaces:
         lifted.append(Halfspace((0,) * n + hs.normal, hs.offset))
-    rows, q = _int_rows(lifted)
+    rows, den = _int_rows(lifted)
     try:
         for d in range(2 * n, n, -1):
             rows = _fm_eliminate_last(rows, d)
     except _Infeasible as exc:
         raise DegeneratePolytope("Minkowski sum of an empty polytope") from exc
-    return Polytope.from_halfspaces([Halfspace(a, Fraction(b, q)) for a, b in rows])
+    return Polytope.from_halfspaces([Halfspace(a, Fraction(b, den)) for a, b in rows])
 
 
 def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:

@@ -34,7 +34,6 @@ from .geometry import (
     Polytope,
     VertexPath,
     _int_points,
-    _int_simplices,
     dot,
     facet_triangulation,
     facet_volume,
@@ -586,7 +585,7 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
     [h_0, ..., h_n] of s -> (s - c)_+^n (Curry-Schoenberg).  Between
     consecutive vertex heights it is a polynomial in c (_truncated_power_dd);
     simplices wholly above a chamber count whole and those below not at all.
-    Heights are integers over the _int_simplices denominator q, and the
+    Heights are integers over p's vertex denominator q, and the
     divided difference is unchanged when knots and c are both scaled by q.
 
     Each chamber polynomial is checked against the degree bound n and, a
@@ -597,7 +596,7 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
     check builds no Polytope and adds nothing to the volume and triangulation
     caches.  A failure raises InvariantViolation.
     """
-    simplices, q = _int_simplices(p)
+    simplices, q = triangulation(p).ints, p.den
     if not simplices:
         raise DegeneratePolytope("slice volumes need a full-dimensional polytope")
     n = p.dimension
