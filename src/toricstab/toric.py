@@ -3,8 +3,9 @@
 All varieties are given by complete simplicial fans in N = Z^n.  Divisors are
 rational coefficient vectors indexed by rays.  Intersection numbers of any n
 divisors, nef or not, come from the fan's intersection ring (Fulton,
-Introduction to Toric Varieties, 5.1): products of ray divisors read off the
-cones, with repeated rays removed by linear equivalence.
+Introduction to Toric Varieties, 5.1): each class is moved off the rays of
+one fixed maximal cone by linear equivalence, and the products of ray divisors
+that remain are read off the cones, with repeated rays removed the same way.
 """
 
 from __future__ import annotations
@@ -462,6 +463,26 @@ def _ray_monomial(fan: Fan, rays: tuple[int, ...]) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def _reference_cone(fan: Fan) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[Fraction, ...]], ...]]:
+    """The first full-dimensional simplicial maximal cone sigma, with its dual basis on the other rays.
+
+    The dual basis m_j has <m_j, u_k> = 1 for the j-th ray k of sigma and 0
+    on its other rays; each ray rho outside sigma comes with the row
+    (<m_j, u_rho>)_j.  Memoized per fan.
+    """
+    n = fan.dimension
+    cone = next((c for c in fan.max_cones if len(c) == n and det(fan.cone_rays(c)) != 0), None)
+    if cone is None:
+        raise DimensionMismatch("the fan has no full-dimensional simplicial cone")
+    rays = fan.cone_rays(cone)
+    dual = [solve_linear(rays, [int(j == k) for k in range(n)]) for j in range(n)]
+    rest = tuple(
+        (rho, tuple(dot(m, u) for m in dual)) for rho, u in enumerate(fan.rays) if rho not in cone
+    )
+    return cone, rest
+
+
 def intersection_number(
     fan: Fan,
     divisors: Sequence[ToricDivisor],
@@ -469,9 +490,13 @@ def intersection_number(
 ) -> Fraction:
     """Exact intersection number of n divisor classes in the fan's intersection ring.
 
-    The product is expanded multilinearly over the divisors' supports into
-    monomials in the ray divisors (`_ray_monomial`), so no argument needs to be
-    nef.  `ample_ref` is accepted for old callers and ignored.
+    Each class is first moved off the rays of one fixed maximal cone sigma
+    (`_reference_cone`): D - div chi^m, with <m, u_j> = D_j on sigma's rays,
+    is linearly equivalent to D and supported on the other k - n rays.  The
+    product is then expanded multilinearly over these reduced supports into
+    at most (k - n)^n monomials in the ray divisors (`_ray_monomial`), so no
+    argument needs to be nef.  `ample_ref` is accepted for old callers and
+    ignored.
     """
     n = fan.dimension
     if len(divisors) != n:
@@ -479,7 +504,12 @@ def intersection_number(
     for d in divisors:
         if d.fan != fan:
             raise DimensionMismatch("divisor lives on a different fan")
-    supports = [[(i, d.coeffs[i]) for i in d.support()] for d in divisors]
+    cone, rest = _reference_cone(fan)
+    supports = []
+    for d in divisors:
+        on_cone = [d.coeffs[i] for i in cone]
+        reduced = ((rho, d.coeffs[rho] - dot(on_cone, row)) for rho, row in rest)
+        supports.append([(rho, c) for rho, c in reduced if c != 0])
     total = Fraction(0)
     for combo in itertools.product(*supports):
         coeff = Fraction(1)

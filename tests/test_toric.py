@@ -5,7 +5,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import toricstab.toric as toric
 from toricstab import (
     Fan,
     anticanonical,
@@ -15,7 +18,9 @@ from toricstab import (
     is_ample,
     is_nef,
     log_discrepancy,
+    mixed_volume,
     polytope_of,
+    positive_pairing,
     ray_divisor,
     star_subdivision,
     validate_fan,
@@ -29,7 +34,7 @@ from toricstab.errors import (
     NotPseudoEffective,
     ZeroVector,
 )
-from toricstab.geometry import solve_linear
+from toricstab.geometry import det, solve_linear
 from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
 from toricstab.volume_fn import volume_curve
@@ -351,6 +356,106 @@ def test_intersection_ring_matches_surface_form(surfaces):
                     for _ in range(2)
                 )
                 assert intersection_number(fan, [a, b]) == surface_form(fan, a, b)
+
+
+# ---- intersection numbers on reduced supports against the full expansion -----
+
+def full_support_intersection(fan, divisors):
+    """Oracle: the product expanded over the divisors' whole supports into k^n ray monomials."""
+    supports = [[(i, d.coeffs[i]) for i in d.support()] for d in divisors]
+    total = Q(0)
+    for combo in itertools.product(*supports):
+        coeff = Q(1)
+        for _i, c in combo:
+            coeff *= c
+        total += coeff * toric._ray_monomial(fan, tuple(sorted(i for i, _c in combo)))
+    return total
+
+
+def _make_models():
+    p2 = Fan.make([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]])
+    f1 = Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 3], [3, 1], [1, 2], [2, 0]])
+    p3 = Fan.make(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    )
+    return {
+        "p2": p2,
+        "f1": f1,
+        "p1xp1": Fan.make([[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]]),
+        "f1 refined at (1,2)": refined(f1, (1, 2)),
+        "p3": p3,
+        "blp3": refined(p3, (1, 1, 1)),
+        "p3 refined at (1,1,0)": refined(p3, (1, 1, 0)),
+        # P(1,2,3): 1*u0 + 2*u1 + 3*u2 = 0, rays ordered so that the first
+        # cone, the reduction's reference cone, has |det| = 3
+        "p123": Fan.make([[-2, -3], [1, 0], [0, 1]], [[0, 1], [1, 2], [2, 0]]),
+    }
+
+
+MODELS = _make_models()
+WEIGHTS_P123 = (1, 2, 3)
+
+
+def classes(fan, count):
+    """`count` rational divisor classes on the fan, any signs."""
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    return st.lists(
+        st.lists(coeff, min_size=len(fan.rays), max_size=len(fan.rays)).map(
+            lambda cs: divisor(fan, cs)
+        ),
+        min_size=count,
+        max_size=count,
+    )
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reduced_supports_match_full_expansion(name, data):
+    fan = MODELS[name]
+    divisors = data.draw(classes(fan, fan.dimension))
+    assert intersection_number(fan, divisors) == full_support_intersection(fan, divisors)
+
+
+def test_reduction_on_a_non_smooth_reference_cone():
+    # on P(1,2,3) the reference cone has |det| = 3, so the m that moves a class
+    # off it is not integral; D_i . D_j = w_i w_j / (w_0 w_1 w_2) there
+    fan = MODELS["p123"]
+    assert validate_fan(fan).ok and not validate_fan(fan).is_smooth
+    cone, rest = toric._reference_cone(fan)
+    assert abs(det(fan.cone_rays(cone))) == 3
+    assert any(c.denominator != 1 for _rho, row in rest for c in row)
+    w = WEIGHTS_P123
+    for i, j in itertools.product(range(3), repeat=2):
+        product = intersection_number(fan, [ray_divisor(fan, i), ray_divisor(fan, j)])
+        assert product == Q(w[i] * w[j], w[0] * w[1] * w[2])
+
+
+def nef_classes(fan, rng, count):
+    """`count` nef classes, drawn as Zariski positive parts and kept when nef."""
+    out = []
+    while len(out) < count:
+        d = random_nef_class(fan, rng)
+        if is_nef(fan, d):
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_intersection_numbers_match_the_nef_routes(name):
+    fan = MODELS[name]
+    n = fan.dimension
+    rng = random.Random(f"nef:{name}")
+    for _ in range(4):
+        # L^{n-1} . alpha against positive_pairing's facet sum, for big nef L
+        l = nef_classes(fan, rng, 1)[0] + anticanonical(fan)
+        alpha = divisor(fan, [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in fan.rays])
+        assert intersection_number(fan, [l] * (n - 1) + [alpha]) == positive_pairing(fan, l, alpha)
+        # D_1 ... D_n of nef classes against the mixed volume of their polytopes
+        divisors = nef_classes(fan, rng, n)
+        expected = mixed_volume([polytope_of(fan, d) for d in divisors])
+        assert intersection_number(fan, divisors) == expected
 
 
 def test_delta_prime_on_refined_f1_with_k_rel(f1):
