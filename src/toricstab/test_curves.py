@@ -10,19 +10,25 @@ P_tau is only movable, not nef, so the functionals pair it through positive
 products <P_tau^{n-1}> . alpha, not ring products.  Each chamber carries the
 polynomials f_i(tau) = <P_tau^{n-1}> . D_i, (n-1)! times the lattice volumes
 of the facets of the section polytope, and every pairing is the linear sum
-sum_i alpha_i f_i.  All integrals below are therefore chamber-wise exact.
+sum_i alpha_i f_i.  Integration is linear, so each chamber also carries the
+exact integrals I_i of its facet polynomials and that of its mass, computed
+once; every functional below is then a chamber-wise dot product
+sum_i alpha_i I_i and builds no polynomial.
 
 Each piece of a curve is computed once per distinct input in a process: the
 divisor family and volume curve (memoized in volume_fn) and the curve
-chambers with their facet polynomials per (fan, L, D).  extended_curve is
-then a cheap wrapper on repeated directions.  Failed checks are not cached:
-they raise again on every call.
+chambers with their facet polynomials and integrals per (fan, L, D).
+extended_curve is then a cheap wrapper on repeated directions, and a
+truncated curve integrates afresh only its chamber clipped at tau = 1.
+Failed checks are not cached: they raise again on every call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,6 +60,8 @@ class CurveChamber:
     red_support lists the rays carrying the reduced divisor of
     tau*D + N_tau on the chamber interior.  facets[i] is the polynomial
     <P_tau^{n-1}> . D_i and mass is vol(L - tau*D) = sum_i P_tau,i facets[i].
+    integrals[i] and mass_integral are their exact integrals over [lo, hi];
+    they are derived data and take no part in equality or hashing.
     """
 
     lo: Fraction
@@ -63,6 +71,8 @@ class CurveChamber:
     red_support: tuple[int, ...]
     mass: Polynomial
     facets: tuple[Polynomial, ...]
+    integrals: tuple[Fraction, ...] = field(compare=False)
+    mass_integral: Fraction = field(compare=False)
 
     def positive_at(self, tau) -> tuple[Fraction, ...]:
         tau = Fraction(tau)
@@ -76,12 +86,28 @@ class CurveChamber:
         width = self.hi - self.lo
         return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
 
-    def pairing(self, alpha: ToricDivisor) -> Polynomial:
-        """The positive product tau -> <P_tau^{n-1}> . alpha on the chamber."""
-        total = Polynomial(())
-        for a, f in zip(alpha.coeffs, self.facets):
-            total = total + f.scale(a)
-        return total
+    def pairing_integral(self, alpha: ToricDivisor) -> Fraction:
+        """The integral of the positive product <P_tau^{n-1}> . alpha over the chamber."""
+        return sum(map(operator.mul, alpha.coeffs, self.integrals), Fraction(0))
+
+
+def _integrals(
+    lo: Fraction, hi: Fraction, facets: Sequence[Polynomial], mass: Polynomial
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The exact integrals over [lo, hi] of the facet polynomials and of the mass.
+
+    Every polynomial shares the power sums int_lo^hi tau^j = (hi^(j+1) - lo^(j+1))/(j+1).
+    """
+    top = max(len(p.coeffs) for p in (mass, *facets))
+    lo_power, hi_power, powers = lo, hi, []
+    for j in range(1, top + 1):
+        powers.append((hi_power - lo_power) / j)
+        lo_power, hi_power = lo_power * lo, hi_power * hi
+
+    def integral(p: Polynomial) -> Fraction:
+        return sum(map(operator.mul, p.coeffs, powers), Fraction(0))
+
+    return tuple(map(integral, facets)), integral(mass)
 
 
 @dataclass(frozen=True)
@@ -188,7 +214,10 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
                 f"facet volumes do not sum to the mass on the chamber [{lo}, {hi}]"
             )
         chambers.append(
-            CurveChamber(lo, hi, tuple(pos_paths), tuple(neg_paths), tuple(red), mass, facets)
+            CurveChamber(
+                lo, hi, tuple(pos_paths), tuple(neg_paths), tuple(red), mass, facets,
+                *_integrals(lo, hi, facets, mass),
+            )
         )
     return tuple(chambers)
 
@@ -230,11 +259,13 @@ def truncated_curve(curve: TestCurve) -> TestCurve:
         raise RangeTooShort(f"tau+ = {curve.tau_plus} < 1")
     clipped = []
     for ch in curve.chambers:
-        if ch.lo >= 1:
-            continue
-        hi = min(ch.hi, Fraction(1))
-        if ch.lo < hi:
-            clipped.append(replace(ch, hi=hi))
+        if ch.hi <= 1:
+            clipped.append(ch)  # with its integrals
+        elif ch.lo < 1:
+            integrals, mass_integral = _integrals(ch.lo, Fraction(1), ch.facets, ch.mass)
+            clipped.append(
+                replace(ch, hi=Fraction(1), integrals=integrals, mass_integral=mass_integral)
+            )
     return TestCurve(
         model=curve.model,
         l=curve.l,
@@ -261,7 +292,7 @@ def energy(curve: TestCurve) -> Fraction:
     v = curve.total_volume
     total = curve.tau_plus
     for ch in curve.chambers:
-        total += (ch.mass.integrate(ch.lo, ch.hi) - v * (ch.hi - ch.lo)) / v
+        total += (ch.mass_integral - v * (ch.hi - ch.lo)) / v
     return total
 
 
@@ -277,8 +308,7 @@ def alpha_energy(curve: TestCurve, alpha: ToricDivisor) -> Fraction:
     base = intersection_number(curve.model, [curve.l] * (n - 1) + [alpha])
     total = curve.tau_plus * base / v
     for ch in curve.chambers:
-        poly = ch.pairing(alpha)
-        total += (poly.integrate(ch.lo, ch.hi) - base * (ch.hi - ch.lo)) / v
+        total += (ch.pairing_integral(alpha) - base * (ch.hi - ch.lo)) / v
     return total
 
 
@@ -288,8 +318,7 @@ def jtilde(curve: TestCurve) -> Fraction:
     v = curve.total_volume
     total = Fraction(0)
     for ch in curve.chambers:
-        poly = ch.pairing(curve.l) - ch.mass
-        total += poly.integrate(ch.lo, ch.hi)
+        total += ch.pairing_integral(curve.l) - ch.mass_integral
     return n * total / v
 
 
@@ -326,8 +355,7 @@ def entropy(curve: TestCurve) -> Fraction:
     n = curve.model.dimension
     total = Fraction(0)
     for ch in curve.chambers:
-        poly = ch.pairing(_entropy_direction(curve, ch))
-        total += poly.integrate(ch.lo, ch.hi)
+        total += ch.pairing_integral(_entropy_direction(curve, ch))
     return n * total / curve.total_volume
 
 

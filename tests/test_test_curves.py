@@ -350,6 +350,14 @@ def test_positive_pairing_builds_no_family(p2, p2_h_curve, monkeypatch):
     assert entropy_at(p2_h_curve, Q(1, 2)) == Q(5, 9)
 
 
+def pairing(ch, alpha):
+    """The positive product tau -> <P_tau^{n-1}> . alpha on a chamber, as a polynomial."""
+    total = Polynomial(())
+    for a, f in zip(alpha.coeffs, ch.facets):
+        total = total + f.scale(a)
+    return total
+
+
 def sampled_entropy(curve):
     """Entropy by the derivative pairing: fit n samples of entropy_at per chamber, check one more."""
     n = curve.model.dimension
@@ -391,7 +399,7 @@ def test_entropy_integrand_matches_derivative_pairing(surfaces, p3):
         for ch in curve.chambers:
             # the entropy, jtilde and Ricci integrands against the derivative pairing
             for alpha in (_entropy_direction(curve, ch), curve.l, ricci):
-                integrand = ch.pairing(alpha)
+                integrand = pairing(ch, alpha)
                 for tau in ch.sample_points(2):
                     family_value = curve.l - curve.d.scale(tau)
                     assert integrand(tau) == positive_pairing(curve.model, family_value, alpha)
@@ -608,7 +616,9 @@ def crossing_refinement(fan, l, d):
                 i for i, (n0, n1) in enumerate(neg) if d.coeffs[i] * mid + n0 + n1 * mid > 0
             )
             facets = vf.chamber_facet_polynomials(family, Chamber(lo, hi, chamber.paths))
-            pieces.append(tc.CurveChamber(lo, hi, pos, neg, red, volumes.piece_at(mid), facets))
+            mass = volumes.piece_at(mid)
+            integrals = tc._integrals(lo, hi, facets, mass)
+            pieces.append(tc.CurveChamber(lo, hi, pos, neg, red, mass, facets, *integrals))
     return pieces
 
 
@@ -663,3 +673,117 @@ def test_positive_and_negative_parts_match_zariski(surfaces, p3):
                 assert curve.negative_part(tau) == pair.negative, (fan.rays, i, tau)
                 points += 1
     assert points == 70
+
+
+# ---- the chambers' integrals against the polynomial route ------------------
+
+def oracle_summary(curve):
+    """The functionals by integrating each pairing polynomial: (E, E^L, J~, Ent, E^Ric)."""
+    n, v = curve.model.dimension, curve.total_volume
+
+    def alpha_energy_oracle(alpha):
+        base = intersection_number(curve.model, [curve.l] * (n - 1) + [alpha])
+        total = curve.tau_plus * base / v
+        for ch in curve.chambers:
+            total += (pairing(ch, alpha).integrate(ch.lo, ch.hi) - base * (ch.hi - ch.lo)) / v
+        return total
+
+    e = curve.tau_plus + sum(
+        ((ch.mass.integrate(ch.lo, ch.hi) - v * (ch.hi - ch.lo)) / v for ch in curve.chambers),
+        Q(0),
+    )
+    jt = n * sum(
+        ((pairing(ch, curve.l) - ch.mass).integrate(ch.lo, ch.hi) for ch in curve.chambers), Q(0)
+    ) / v
+    ent = n * sum(
+        (
+            pairing(ch, _entropy_direction(curve, ch)).integrate(ch.lo, ch.hi)
+            for ch in curve.chambers
+        ),
+        Q(0),
+    ) / v
+    ricci = -n * alpha_energy_oracle(anticanonical(curve.model) + curve.k_rel)
+    return e, alpha_energy_oracle(curve.l), jt, ent, ricci
+
+
+def oracle_models(surfaces, p3):
+    """(fan, L, K_rel) of P2, F1, P1xP1, F1 refined at (1,2), P3, Bl_p P3, P3 refined at (1,1,0)."""
+    out = [(fan, anticanonical(fan), None) for fan in (*surfaces.values(), p3)]
+    for base, center in [(surfaces["f1"], (1, 2)), (p3, (1, 1, 1)), (p3, (1, 1, 0))]:
+        fan, pull, k_rel = star_subdivision(base, center)
+        out.append((fan, pull(anticanonical(base)), k_rel))
+    return out
+
+
+def oracle_curves(surfaces, p3, rng):
+    """Extended and truncated curves along the last ray and one seeded direction per model."""
+    curves = []
+    for fan, l, k in oracle_models(surfaces, p3):
+        coeffs = [Q(rng.choice([0, 1, 2]), rng.choice([1, 2])) for _ in fan.rays]
+        coeffs[-1] += 1
+        for d in (ray_divisor(fan, len(fan.rays) - 1), divisor(fan, coeffs)):
+            _curve, tau_plus = volume_curve(fan, l, d)
+            if tau_plus < 1:
+                d = d.scale(tau_plus / 2)
+            curve = extended_curve(fan, l, d, k_rel=k)
+            curves += [curve, truncated_curve(curve)]
+    return curves
+
+
+def test_chamber_integrals_match_polynomial_route(surfaces, p3):
+    rng = random.Random(89)
+    for curve in oracle_curves(surfaces, p3, rng):
+        for ch in curve.chambers:
+            assert ch.mass_integral == ch.mass.integrate(ch.lo, ch.hi)
+            assert ch.integrals == tuple(f.integrate(ch.lo, ch.hi) for f in ch.facets)
+            for _ in range(3):
+                alpha = divisor(
+                    curve.model, [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in ch.facets]
+                )
+                want = pairing(ch, alpha).integrate(ch.lo, ch.hi)
+                assert ch.pairing_integral(alpha) == want
+        s = curve_summary(curve)
+        assert (s.energy, s.omega_energy, s.jtilde, s.entropy, s.ricci_energy) == (
+            oracle_summary(curve)
+        )
+
+
+def test_truncation_reuses_the_unclipped_integrals(f1):
+    curve = extended_curve(f1, anticanonical(f1), ray_divisor(f1, 3))
+    truncated = truncated_curve(curve)
+    assert curve.tau_plus > 1
+    for old, new in zip(curve.chambers, truncated.chambers):
+        if old.hi <= 1:
+            assert new is old
+        else:
+            assert (new.lo, new.hi) == (old.lo, 1)
+            assert new.integrals == tuple(f.integrate(old.lo, 1) for f in old.facets)
+
+
+def test_one_direction_integrates_each_chamber_once(f1, monkeypatch):
+    from toricstab import delta_pp_quotient, delta_prime_quotient
+
+    integrated = []
+    real_integrals = tc._integrals
+
+    def spy(lo, hi, facets, mass):
+        integrated.append((lo, hi))
+        return real_integrals(lo, hi, facets, mass)
+
+    def forbidden(poly, a, b):
+        raise AssertionError("a functional integrated a polynomial")
+
+    monkeypatch.setattr(tc, "_integrals", spy)
+    monkeypatch.setattr(Polynomial, "integrate", forbidden)
+    tc._curve_chambers.cache_clear()
+    l, d = anticanonical(f1), ray_divisor(f1, 3)
+    curve = extended_curve(f1, l, d)
+    curve_summary(curve)
+    delta_pp_quotient(f1, l, d)
+    delta_prime_quotient(f1, l, d)
+    # every extended chamber once, and the one across tau = 1 once more on [lo, 1]
+    across = [ch for ch in curve.chambers if ch.lo < 1 < ch.hi]
+    assert len(across) == 1
+    assert sorted(integrated) == sorted(
+        [(ch.lo, ch.hi) for ch in curve.chambers] + [(across[0].lo, Q(1))]
+    )
