@@ -340,17 +340,29 @@ class PiecewisePolynomial:
             for i, p in enumerate(self.pieces)
         )
 
+    @classmethod
+    def merged(
+        cls, breakpoints: Sequence, pieces: Sequence[Polynomial], continuous: bool = True
+    ) -> PiecewisePolynomial:
+        """Built once from its pieces, adjacent intervals carrying the same polynomial merged.
+
+        Continuity at a dropped breakpoint between equal polynomials is
+        automatic, so checking the merged curve is as strong as checking the
+        unmerged one.
+        """
+        bps = [breakpoints[0]]
+        merged: list[Polynomial] = []
+        for right, poly in zip(breakpoints[1:], pieces, strict=True):
+            if merged and merged[-1] == poly:
+                bps[-1] = right
+                continue
+            merged.append(poly)
+            bps.append(right)
+        return cls(tuple(bps), tuple(merged), continuous=continuous)
+
     def normalized(self) -> PiecewisePolynomial:
         """Merge adjacent intervals carrying the same polynomial."""
-        bps = [self.breakpoints[0]]
-        pieces: list[Polynomial] = []
-        for i, poly in enumerate(self.pieces):
-            if pieces and pieces[-1] == poly:
-                bps[-1] = self.breakpoints[i + 1]
-                continue
-            pieces.append(poly)
-            bps.append(self.breakpoints[i + 1])
-        return PiecewisePolynomial(tuple(bps), tuple(pieces), continuous=self.continuous)
+        return PiecewisePolynomial.merged(self.breakpoints, self.pieces, self.continuous)
 
     def scale(self, c) -> PiecewisePolynomial:
         return PiecewisePolynomial(
@@ -522,7 +534,7 @@ def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
         poly = chamber_volume_polynomial(pp, chamber).scale(scale)
         bps.append(chamber.hi)
         pieces.append(poly)
-    return PiecewisePolynomial(tuple(bps), tuple(pieces)).normalized()
+    return PiecewisePolynomial.merged(bps, pieces)
 
 
 def _truncated_power_dd(knots: Sequence[int], top: int, n: int) -> tuple[list[int], int]:
@@ -624,7 +636,7 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
                 f"slice volume is not the closed-form polynomial on [{c_lo}, {c_hi}]"
             )
         pieces.append(poly)
-    return PiecewisePolynomial(tuple(bps), tuple(pieces)).normalized()
+    return PiecewisePolynomial.merged(bps, pieces)
 
 
 @lru_cache(maxsize=None)
