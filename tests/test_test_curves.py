@@ -748,18 +748,6 @@ def test_chamber_integrals_match_polynomial_route(surfaces, p3):
         )
 
 
-def test_truncation_reuses_the_unclipped_integrals(f1):
-    curve = extended_curve(f1, anticanonical(f1), ray_divisor(f1, 3))
-    truncated = truncated_curve(curve)
-    assert curve.tau_plus > 1
-    for old, new in zip(curve.chambers, truncated.chambers):
-        if old.hi <= 1:
-            assert new is old
-        else:
-            assert (new.lo, new.hi) == (old.lo, 1)
-            assert new.integrals == tuple(f.integrate(old.lo, 1) for f in old.facets)
-
-
 def test_one_direction_integrates_each_chamber_once(f1, monkeypatch):
     from toricstab import delta_pp_quotient, delta_prime_quotient
 

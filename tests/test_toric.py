@@ -372,18 +372,16 @@ def full_support_intersection(fan, divisors):
     return total
 
 
-def _make_models():
-    p2 = Fan.make([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0]])
-    f1 = Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 3], [3, 1], [1, 2], [2, 0]])
-    p3 = Fan.make(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
-    )
+MODEL_NAMES = [
+    "p2", "f1", "p1xp1", "f1 refined at (1,2)", "p3", "blp3", "p3 refined at (1,1,0)", "p123",
+]
+
+
+@pytest.fixture(scope="module")
+def models(surfaces, p3):
     return {
-        "p2": p2,
-        "f1": f1,
-        "p1xp1": Fan.make([[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]]),
-        "f1 refined at (1,2)": refined(f1, (1, 2)),
+        **surfaces,
+        "f1 refined at (1,2)": refined(surfaces["f1"], (1, 2)),
         "p3": p3,
         "blp3": refined(p3, (1, 1, 1)),
         "p3 refined at (1,1,0)": refined(p3, (1, 1, 0)),
@@ -393,7 +391,6 @@ def _make_models():
     }
 
 
-MODELS = _make_models()
 WEIGHTS_P123 = (1, 2, 3)
 
 
@@ -409,19 +406,19 @@ def classes(fan, count):
     )
 
 
-@pytest.mark.parametrize("name", list(MODELS))
+@pytest.mark.parametrize("name", MODEL_NAMES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_reduced_supports_match_full_expansion(name, data):
-    fan = MODELS[name]
+def test_reduced_supports_match_full_expansion(models, name, data):
+    fan = models[name]
     divisors = data.draw(classes(fan, fan.dimension))
     assert intersection_number(fan, divisors) == full_support_intersection(fan, divisors)
 
 
-def test_reduction_on_a_non_smooth_reference_cone():
+def test_reduction_on_a_non_smooth_reference_cone(models):
     # on P(1,2,3) the reference cone has |det| = 3, so the m that moves a class
     # off it is not integral; D_i . D_j = w_i w_j / (w_0 w_1 w_2) there
-    fan = MODELS["p123"]
+    fan = models["p123"]
     assert validate_fan(fan).ok and not validate_fan(fan).is_smooth
     cone, rest = toric._reference_cone(fan)
     assert abs(det(fan.cone_rays(cone))) == 3
@@ -442,9 +439,9 @@ def nef_classes(fan, rng, count):
     return out
 
 
-@pytest.mark.parametrize("name", list(MODELS))
-def test_intersection_numbers_match_the_nef_routes(name):
-    fan = MODELS[name]
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_intersection_numbers_match_the_nef_routes(models, name):
+    fan = models[name]
     n = fan.dimension
     rng = random.Random(f"nef:{name}")
     for _ in range(4):
