@@ -391,9 +391,6 @@ def models(surfaces, p3):
     }
 
 
-WEIGHTS_P123 = (1, 2, 3)
-
-
 def classes(fan, count):
     """`count` rational divisor classes on the fan, any signs."""
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -423,7 +420,7 @@ def test_reduction_on_a_non_smooth_reference_cone(models):
     cone, rest = toric._reference_cone(fan)
     assert abs(det(fan.cone_rays(cone))) == 3
     assert any(c.denominator != 1 for _rho, row in rest for c in row)
-    w = WEIGHTS_P123
+    w = (1, 2, 3)
     for i, j in itertools.product(range(3), repeat=2):
         product = intersection_number(fan, [ray_divisor(fan, i), ray_divisor(fan, j)])
         assert product == Q(w[i] * w[j], w[0] * w[1] * w[2])
