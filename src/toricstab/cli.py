@@ -620,6 +620,13 @@ def cmd_dh(args) -> int:
 def cmd_report(args) -> int:
     problem = ProblemFile.load(args.problem)
     check_radius(args.radius, problem.fan.dimension)
+    # for nef L, A/S is least at a ray: the verdicts compare against delta, so
+    # the search ball must hold every ray, or its minimum is an upper bound
+    need = max(max(map(abs, ray)) for ray in problem.base_fan.rays)
+    if need > args.radius:
+        raise ValidationProblem(
+            f"--radius {args.radius} misses a ray of the search model; report needs --radius {need}"
+        )
     names = [n.strip() for n in args.directions.split(",") if n.strip()]
     directions = [(name, problem.divisor_named(name)) for name in names]
     report = inequality_report(

@@ -23,14 +23,18 @@ depends on its facet normals only, so that test is memoized on the normals
 and shared by every polytope of a family.
 
 A Polytope keeps its integer form, written once at construction, and
-triangulation, affine ranks and volumes run on it: the triangulation works
-on the integer points and returns simplices as vertex indices (tight sets,
-facet projections and the lift back are index lists), the cached
-triangulation carries each simplex's integer determinant, and volume and
-linear_moment sum these and divide once.  normalized_volume runs the same
-steps from integer rows to n! times the volume without building a Polytope
-or touching the volume and triangulation caches; it is the independent
-volume sample of the chamber and slice polynomial checks.
+triangulation, affine ranks and volumes run on it.  A simplex is a tuple of
+vertex indices everywhere: the triangulation works on integer rows and
+points (tight sets, facet projections and the lift back are index lists),
+the cached triangulation pairs each simplex with its integer determinant,
+and volume and linear_moment sum these and divide once, as facet_volume
+does over the simplices of one facet.  _triangulate and facet_simplices
+take any such rows and points, so a family's chamber polynomials
+triangulate its integer rows directly, without a Polytope.
+normalized_volume runs the same steps from integer rows to n! times the
+volume without building a Polytope or touching the volume and triangulation
+caches; it is the independent volume sample of the chamber and slice
+polynomial checks.
 """
 
 from __future__ import annotations
@@ -418,11 +422,13 @@ class Polytope:
 
     Its integer form is written once, at construction: the halfspaces as
     `rows` over `q` (_int_rows) and the vertices as `points` over `den`
-    (_int_points).  The triangulations read it.
+    (_int_points).  The triangulations read it.  Every Polytope is built by
+    from_halfspaces, so its vertices are a function of its halfspaces and
+    take no part in equality or the hash of a cache key.
     """
 
     halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[Point, ...]
+    vertices: tuple[Point, ...] = field(compare=False)
     dimension: int
     rows: list[IntRow] = field(init=False, repr=False, compare=False)
     q: int = field(init=False, repr=False, compare=False)
@@ -521,12 +527,13 @@ def _triangulate(
     """Simplices covering the polytope {<a, x> + b / q >= 0} with vertices points / den.
 
     Cones from the lex-least vertex over the facets; each simplex is a tuple
-    of indices into `points`.
+    of indices into `points`; none when the points are not full-dimensional.
     """
+    if _int_affine_rank(points) != dim:
+        return []
     v0 = min(range(len(points)), key=points.__getitem__)
     if dim == 1:
-        v1 = max(range(len(points)), key=points.__getitem__)
-        return [] if v0 == v1 else [(v0, v1)]
+        return [(v0, max(range(len(points)), key=points.__getitem__))]
     simplices: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for row, tight in zip(rows, _tight_sets(rows, q, points, den)):
@@ -534,8 +541,6 @@ def _triangulate(
             continue
         seen.add(tight)
         face = [points[i] for i in tight]
-        if _int_affine_rank(face) != dim - 1:
-            continue
         for face_simplex in _triangulate_facet(rows, q, row, face, den, dim):
             simplices.append((v0, *(tight[j] for j in face_simplex)))
     return simplices
@@ -550,10 +555,10 @@ def _triangulate_facet(
     equation turns every other row into a row in the remaining coordinates
     over the same q.  Of rows with one primitive normal only the binding one
     (least offset / content) is kept; the projection is injective on the
-    facet, so the projected vertices keep their indices.
+    facet, so the projected vertices keep their indices and their affine rank.
     """
     if dim == 1:
-        return [tuple(range(len(face)))]
+        return [(i,) for i in range(len(face))]
     u, c = facet
     k = max(range(dim), key=lambda j: abs(u[j]))
     s = 1 if u[k] > 0 else -1
@@ -565,64 +570,58 @@ def _triangulate_facet(
     return _triangulate(_dedupe_rows(projected), q, [v[:k] + v[k + 1 :] for v in face], den, dim - 1)
 
 
-def facet_triangulation(p: Polytope, normal: Sequence[int]) -> list[tuple[Point, ...]]:
-    """Simplices covering the facet of p on its halfspace with this normal; none if no facet."""
-    facet = next(row for row in p.rows if row[0] == tuple(normal))
-    (tight,) = _tight_sets([facet], p.q, p.points, p.den)
-    face = [p.points[i] for i in tight]
-    if _int_affine_rank(face) != p.dimension - 1:
-        return []
-    return [
-        tuple(p.vertices[tight[j]] for j in simplex)
-        for simplex in _triangulate_facet(p.rows, p.q, facet, face, p.den, p.dimension)
-    ]
+def facet_simplices(
+    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int,
+    normal: Sequence[int],
+) -> list[tuple[int, ...]]:
+    """Simplices covering the facet on the row with this normal, as indices into `points`.
+
+    The polytope is {<a, x> + b / q >= 0} with vertices points / den; no
+    simplices when the row is not tight on a facet.
+    """
+    facet = next(row for row in rows if row[0] == tuple(normal))
+    (tight,) = _tight_sets([facet], q, points, den)
+    face = [points[i] for i in tight]
+    return [tuple(tight[j] for j in s) for s in _triangulate_facet(rows, q, facet, face, den, dim)]
+
+
+def _simplex_dets(
+    points: Sequence[LatticeVector], simplices: Iterable[Sequence[int]], fixed: Sequence = ()
+) -> list[int]:
+    """|det| of the edges of each simplex, indices into integer points, over the rows `fixed`."""
+    out = []
+    for simplex in simplices:
+        base = points[simplex[0]]
+        edges = [[a - b for a, b in zip(points[i], base)] for i in simplex[1:]] + list(fixed)
+        pivots, pivot, _sign = _bareiss(edges, len(edges))
+        out.append(abs(pivot) if len(pivots) == len(edges) else 0)
+    return out
 
 
 def facet_volume(p: Polytope, normal: Sequence[int]) -> Fraction:
     """Lattice volume of the facet of p on its halfspace with this primitive normal; 0 if no facet.
 
     A facet simplex with edges e_1, ..., e_{n-1} has (n-1)! times its lattice
-    volume equal to |det(e_1, ..., e_{n-1}, normal)| / <normal, normal>.
+    volume equal to |det(e_1, ..., e_{n-1}, normal)| / <normal, normal>; the
+    edges are integers over p.den, so their determinants are summed and
+    divided once.
     """
-    total = sum(
-        (abs(det([[a - b for a, b in zip(v, simplex[0])] for v in simplex[1:]] + [normal]))
-         for simplex in facet_triangulation(p, normal)),
-        Fraction(0),
-    )
-    return total / (dot(normal, normal) * math.factorial(p.dimension - 1))
-
-
-def _simplex_dets(points: Sequence[LatticeVector], simplices: Iterable[Sequence[int]]) -> list[int]:
-    """|det| of the edges of each simplex, given as indices into integer points."""
-    out = []
-    for simplex in simplices:
-        base = points[simplex[0]]
-        edges = [[a - b for a, b in zip(points[i], base)] for i in simplex[1:]]
-        pivots, pivot, _sign = _bareiss(edges, len(edges))
-        out.append(abs(pivot) if len(pivots) == len(edges) else 0)
-    return out
-
-
-class Triangulation(tuple):
-    """The value of triangulation: its simplices, each a tuple of vertices of the polytope.
-
-    `ints` holds each simplex as (|det| of its edges, its vertices) in the
-    polytope's integer points over p.den, so the determinants are eliminated
-    once per polytope; a simplex's volume is |det| / (den^n * n!).
-    """
-
-    ints: list[tuple[int, list[LatticeVector]]]
+    n = p.dimension
+    simplices = facet_simplices(p.rows, p.q, p.points, p.den, n, normal)
+    total = sum(_simplex_dets(p.points, simplices, [normal]))
+    return Fraction(total, p.den ** (n - 1) * sum(a * a for a in normal) * math.factorial(n - 1))
 
 
 @lru_cache(maxsize=None)
-def triangulation(p: Polytope) -> Triangulation:
-    """Deterministic exact triangulation of a full-dimensional polytope; () otherwise."""
-    full = _int_affine_rank(p.points) == p.dimension
-    simplices = _triangulate(p.rows, p.q, p.points, p.den, p.dimension) if full else []
-    out = Triangulation(tuple(p.vertices[i] for i in s) for s in simplices)
-    dets = _simplex_dets(p.points, simplices)
-    out.ints = [(d, [p.points[i] for i in s]) for d, s in zip(dets, simplices)]
-    return out
+def triangulation(p: Polytope) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Deterministic exact triangulation of a polytope; () unless it is full-dimensional.
+
+    Each simplex is (|det| of its edges, its vertices as indices into
+    p.points), so the determinants are eliminated once per polytope; a
+    simplex's volume is |det| / (den^n * n!).
+    """
+    simplices = _triangulate(p.rows, p.q, p.points, p.den, p.dimension)
+    return tuple(zip(_simplex_dets(p.points, simplices), simplices))
 
 
 def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
@@ -637,8 +636,6 @@ def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
     """
     rows = _dedupe_rows(rows)
     points, den = _int_vertices(rows, q, dim)
-    if _int_affine_rank(points) != dim:
-        return Fraction(0)
     return Fraction(sum(_simplex_dets(points, _triangulate(rows, q, points, den, dim))), den**dim)
 
 
@@ -649,7 +646,7 @@ def volume(p: Polytope) -> Fraction:
     The integer simplex determinants are summed and divided once.
     """
     n = p.dimension
-    return Fraction(sum(d for d, _nums in triangulation(p).ints), p.den**n * math.factorial(n))
+    return Fraction(sum(d for d, _simplex in triangulation(p)), p.den**n * math.factorial(n))
 
 
 def linear_moment(p: Polytope, u: Sequence) -> Fraction:
@@ -660,9 +657,9 @@ def linear_moment(p: Polytope, u: Sequence) -> Fraction:
     """
     n = p.dimension
     weighted = [0] * n
-    for d, nums in triangulation(p).ints:
-        for v in nums:
-            weighted = [w + d * c for w, c in zip(weighted, v)]
+    for d, simplex in triangulation(p):
+        for i in simplex:
+            weighted = [w + d * c for w, c in zip(weighted, p.points[i])]
     return dot(weighted, u) / (p.den ** (n + 1) * math.factorial(n) * (n + 1))
 
 
@@ -808,22 +805,6 @@ class ParametricPolytope:
 
     def polytope_at(self, t) -> Polytope:
         return Polytope.from_halfspaces([hs.at(t) for hs in self.halfspaces])
-
-    def polytope_on(self, chamber: Chamber, t) -> tuple[Polytope, dict[Point, VertexPath]]:
-        """P_t for t in `chamber`, with its vertices read off the chamber's paths,
-        and a path through each vertex.
-
-        Every active path is a basic solution feasible on the whole chamber,
-        so no vertex enumeration is needed; the family is bounded at every t
-        because it is bounded at its start.
-        """
-        path_at = {path.at(t): path for path in chamber.paths}
-        polytope = Polytope(
-            _dedupe_halfspaces([hs.at(t) for hs in self.halfspaces]),
-            tuple(sorted(path_at)),
-            self.dimension,
-        )
-        return polytope, path_at
 
 
 def _basis_paths(

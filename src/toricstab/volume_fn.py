@@ -5,6 +5,11 @@ volume curves t -> vol(L - tD), pseudo-effective thresholds, closed-form
 slice volume curves of a polytope, the positive (movable) intersection
 pairing as a sum over the facets of the section polytope, checked by Euler's
 identity, and volumes along towers of star subdivisions.
+
+A chamber's volume and facet polynomials triangulate the family's integer
+rows at the chamber midpoint, on the chamber's vertex paths evaluated
+there, with no Polytope built and no triangulation cache entry added; each
+simplex is a tuple of path indices, moved along those paths.
 """
 
 from __future__ import annotations
@@ -29,13 +34,15 @@ from .errors import (
 )
 from .geometry import (
     Chamber,
+    IntRow,
+    LatticeVector,
     ParametricPolytope,
-    Point,
     Polytope,
-    VertexPath,
+    _dedupe_rows,
     _int_points,
+    _triangulate,
     dot,
-    facet_triangulation,
+    facet_simplices,
     facet_volume,
     int_rows,
     normalized_volume,
@@ -433,47 +440,47 @@ def _det_poly(moving: Sequence[tuple[Sequence[int], Sequence[int]]], fixed: Sequ
     return minors[tuple(range(n))][: len(moving) + 1]
 
 
+def _rows_at(pp: ParametricPolytope, t: Fraction) -> tuple[list[IntRow], int]:
+    """The family's halfspaces at t as integer rows (a, b) of {<a, x> + b / q >= 0} over one q."""
+    offsets = [hs.offset - t * hs.rate for hs in pp.halfspaces]
+    return int_rows([hs.normal for hs in pp.halfspaces], offsets)
+
+
+def _at_midpoint(
+    pp: ParametricPolytope, chamber: Chamber
+) -> tuple[list[IntRow], int, list[LatticeVector], int]:
+    """P_t at the chamber midpoint: its deduped rows over q and its vertices over den.
+
+    The vertices are chamber.paths at the midpoint, in the same order: every
+    path is a basic solution feasible on the whole chamber, and distinct
+    paths are distinct points inside it, so no vertex enumeration is needed.
+    """
+    mid = chamber.midpoint()
+    rows, q = _rows_at(pp, mid)
+    return _dedupe_rows(rows), q, *_int_points([path.at(mid) for path in chamber.paths])
+
+
 def _moving_simplices(
-    chamber: Chamber,
-    path_at: dict[Point, VertexPath],
-    simplices: Sequence[Sequence],
-    fixed: Sequence[Sequence] = (),
+    chamber: Chamber, simplices: Sequence[Sequence[int]], fixed: Sequence[Sequence] = ()
 ) -> Polynomial:
     """t -> sum of |det(v_1(t) - v_0(t), ..., fixed)|, midpoint simplices moved on the paths.
 
-    Each distinct midpoint vertex is matched once to its chamber path, through
-    path_at, the midpoint vertices of ParametricPolytope.polytope_on.  The
-    matched paths are written as integer numerators over one common
-    denominator den, so each simplex's det(A + tB) is an integer polynomial
-    over den^k (k moving rows), expanded by cofactors.  Its sign is that at
-    the midpoint, decided in integers; Fractions are built only for the
-    summed coefficients.
+    Each simplex is a tuple of indices into chamber.paths (_at_midpoint).
+    The paths are written as integer numerators over one common denominator
+    den, so each simplex's det(A + tB) is an integer polynomial over den^k
+    (k moving rows), expanded by cofactors.  Its sign is that at the
+    midpoint, decided in integers; Fractions are built only for the summed
+    coefficients.
     """
     mid = chamber.midpoint()
-    # the simplices share their vertex objects, so each distinct vertex is looked up once
-    position: dict[int, int] = {}
-    paths: list[VertexPath] = []
-    indexed = []
-    for simplex in simplices:
-        row = []
-        for v in simplex:
-            i = position.get(id(v))
-            if i is None:
-                path = path_at.get(v)
-                if path is None:
-                    raise InvariantViolation(f"simplex vertex {v} follows no chamber path")
-                i = position[id(v)] = len(paths)
-                paths.append(path)
-            row.append(i)
-        indexed.append(row)
     # row i: base and velocity of path i, as integers over den
-    rows, den = _int_points([path.base + path.velocity for path in paths])
+    rows, den = _int_points([path.base + path.velocity for path in chamber.paths])
     dim = len(chamber.paths[0].base) if chamber.paths else 0
-    k = len(indexed[0]) - 1 if indexed else 0
+    k = len(simplices[0]) - 1 if simplices else 0
     # the sign of sum c_i mid^i, scaled by the positive mid.denominator^k
     powers = [mid.numerator**i * mid.denominator ** (k - i) for i in range(k + 1)]
     total = [0] * (k + 1)
-    for i0, *rest in indexed:
+    for i0, *rest in simplices:
         diffs = [[a - b for a, b in zip(rows[i], rows[i0])] for i in rest]
         coeffs = _det_poly([(d[:dim], d[dim:]) for d in diffs], fixed)
         sign = 1 if sum(map(operator.mul, coeffs, powers)) > 0 else -1
@@ -484,9 +491,11 @@ def _moving_simplices(
 def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polynomial:
     """Exact volume polynomial on one chamber, from one symbolic triangulation.
 
-    Inside a chamber every vertex follows an affine path.  The polytope at the
-    chamber midpoint is triangulated once and each simplex moves with the paths
-    of its vertices: its volume is sign * det M(t) / n!, where M(t) has the
+    Inside a chamber every vertex follows an affine path.  The family's
+    integer rows at the chamber midpoint are triangulated once, on the paths'
+    midpoint vertices (_at_midpoint), with no Polytope built and nothing
+    added to the triangulation cache; each simplex moves with the paths of
+    its vertices: its volume is sign * det M(t) / n!, where M(t) has the
     affine rows v_i(t) - v_0(t) and the sign is that of det M at the midpoint.
     det M(t) is an integer polynomial over a power of the paths' common
     denominator, expanded by cofactors (_moving_simplices).  The result is
@@ -496,13 +505,12 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     degree bound n = the family's dimension; a failure raises
     InvariantViolation.
     """
-    p, path_at = pp.polytope_on(chamber, chamber.midpoint())
     scale = math.factorial(pp.dimension)
-    poly = _moving_simplices(chamber, path_at, triangulation(p)).scale(Fraction(1, scale))
+    simplices = _triangulate(*_at_midpoint(pp, chamber), pp.dimension)
+    poly = _moving_simplices(chamber, simplices).scale(Fraction(1, scale))
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
-    offsets = [hs.offset - x * hs.rate for hs in pp.halfspaces]
-    check = int_rows([hs.normal for hs in pp.halfspaces], offsets)
-    if poly.degree > pp.dimension or scale * poly(x) != normalized_volume(*check, pp.dimension):
+    check = normalized_volume(*_rows_at(pp, x), pp.dimension)
+    if poly.degree > pp.dimension or scale * poly(x) != check:
         raise InvariantViolation(
             f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
         )
@@ -515,12 +523,14 @@ def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple
     For the family of L - tD this is the positive product <P_t^{n-1}> . D_i,
     zero where the face minimizing u_i is not a facet.  With the constant row
     u_i, |det| / <u_i, u_i> is (n-1)! times a facet simplex's lattice volume.
+    Each facet is triangulated on the family's rows at the chamber midpoint,
+    as in chamber_volume_polynomial.
     """
-    p, path_at = pp.polytope_on(chamber, chamber.midpoint())
+    midpoint = _at_midpoint(pp, chamber)
     return tuple(
-        _moving_simplices(chamber, path_at, facet_triangulation(p, hs.normal), [hs.normal]).scale(
-            Fraction(1, dot(hs.normal, hs.normal))
-        )
+        _moving_simplices(
+            chamber, facet_simplices(*midpoint, pp.dimension, hs.normal), [hs.normal]
+        ).scale(Fraction(1, dot(hs.normal, hs.normal)))
         for hs in pp.halfspaces
     )
 
@@ -608,16 +618,16 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
     check builds no Polytope and adds nothing to the volume and triangulation
     caches.  A failure raises InvariantViolation.
     """
-    simplices, q = triangulation(p).ints, p.den
+    simplices, q = triangulation(p), p.den
     if not simplices:
         raise DegeneratePolytope("slice volumes need a full-dimensional polytope")
     n = p.dimension
     u = tuple(u)
     normals = [hs.normal for hs in p.halfspaces] + [u]
     offsets = [hs.offset for hs in p.halfspaces]
-    dots = [[sum(map(operator.mul, v, u)) for v in nums] for _d, nums in simplices]
+    dots = [[sum(map(operator.mul, p.points[i], u)) for i in simplex] for _d, simplex in simplices]
     low = min(map(min, dots))
-    knotted = [(d, sorted(h - low for h in hs)) for (d, _nums), hs in zip(simplices, dots)]
+    knotted = [(d, sorted(h - low for h in hs)) for (d, _simplex), hs in zip(simplices, dots)]
     heights = sorted({h for _d, hs in knotted for h in hs})
     if len(heights) < 2:
         raise ZeroVector("direction is constant on the section polytope")

@@ -362,6 +362,21 @@ def p2_problem(tmp_path, rays=([1, 0], [0, 1], [-1, -1]),
     return str(path)
 
 
+def test_report_radius_missing_a_ray_exit_2(tmp_path, capsys):
+    # P(1,2,3): the ray (-2, -3) lies outside the radius-1 and radius-2 balls,
+    # whose minimum of A/S, 3/4, only bounds delta = 1/2 from above
+    path = p2_problem(tmp_path, rays=[[-2, -3], [1, 0], [0, 1]],
+                      divisors={"D0": {"coeffs": [1, 0, 0]}, "D2": {"coeffs": [0, 0, 1]}})
+    report = ["report", path, "--directions", "D0,D2", "--radius"]
+    for radius in ("1", "2"):
+        payload = assert_validation_error(*run(capsys, *report, radius))
+        assert "report needs --radius 3" in payload["message"]
+    code, out, _err = run(capsys, *report, "3")
+    assert code == 0
+    assert out.startswith("delta = 1/2 (exact) at u=(-2, -3)\n")
+    assert "PASS" in out and "FAIL" not in out
+
+
 def test_cone_index_out_of_range_exit_2(tmp_path, capsys):
     path = p2_problem(tmp_path, cones=[[0, 1], [1, 2], [0, 9]])
     for command in (["validate"], ["curve", "--direction", "H"]):

@@ -26,7 +26,8 @@ from toricstab.geometry import (
     _tight_sets,
     affine_rank,
     det,
-    facet_triangulation,
+    facet_simplices,
+    facet_volume,
     hull_halfspaces,
     kernel_vector,
     lattice_points,
@@ -99,12 +100,17 @@ def simplex_volume(simplex) -> Q:
     return abs(det(rows)) / math.factorial(len(rows))
 
 
+def vertex_simplices(p: Polytope) -> list[tuple]:
+    """The simplices of triangulation(p) with their indices read as Fraction vertices."""
+    return [tuple(p.vertices[i] for i in simplex) for _d, simplex in triangulation(p)]
+
+
 def test_volume_invariant_under_coordinate_permutation():
     # independent simplicial decompositions must sum to the same volume
     p = poly(F1_QUAD)
     swapped = poly([Halfspace((u[1], u[0]), h.offset) for h in F1_QUAD for u in [h.normal]])
     assert volume(p) == volume(swapped)
-    total = sum(simplex_volume(s) for s in triangulation(p))
+    total = sum(simplex_volume(s) for s in vertex_simplices(p))
     assert total == volume(p)
 
 
@@ -287,14 +293,12 @@ def test_parametric_volume_is_polynomial_per_chamber():
             assert all(fit(x) == y for x, y in zip(xs, ys))
 
 
-def test_polytope_on_chamber_matches_vertex_enumeration():
+def test_chamber_paths_match_vertex_enumeration():
     for rates in ([1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 2]):
         family = parametric_family(F1_QUAD, rates)
         for ch in family.chambers:
             for t in ch.sample_points(3):
-                polytope, path_at = family.polytope_on(ch, t)
-                assert polytope == family.polytope_at(t)
-                assert all(path.at(t) == v for v, path in path_at.items())
+                assert sorted(path.at(t) for path in ch.paths) == list(family.polytope_at(t).vertices)
 
 
 # --------------------------------------------------------------------------
@@ -665,8 +669,7 @@ def test_family_chambers_tile_the_window(system):
         if ch.lo == ch.hi:
             continue
         mid = ch.midpoint()
-        polytope, _path_at = family.polytope_on(ch, mid)
-        assert polytope == family.polytope_at(mid)
+        assert sorted(path.at(mid) for path in ch.paths) == list(family.polytope_at(mid).vertices)
         for t in (ch.lo, mid, ch.hi):
             vertices = set(family.polytope_at(t).vertices)
             assert all(path.at(t) in vertices for path in ch.paths)
@@ -698,16 +701,25 @@ def test_triangulation_tight_sets_match_slack_route(halfspaces):
         simplices = geometry._triangulate(
             *_int_rows(p.halfspaces), *_int_points(p.vertices), p.dimension
         )
-        facets = {hs.normal: facet_triangulation(p, hs.normal) for hs in p.halfspaces}
+        facets = {
+            hs.normal: facet_simplices(p.rows, p.q, p.points, p.den, p.dimension, hs.normal)
+            for hs in p.halfspaces
+        }
     got = [tuple(p.vertices[i] for i in simplex) for simplex in simplices]
     assert calls and p.is_full_dimensional
     assert got == oracle_triangulate(p.halfspaces, p.vertices, p.dimension)
-    assert triangulation(p) == tuple(got)
+    assert vertex_simplices(p) == got
     for hs in p.halfspaces:
+        u = hs.normal
         tight = oracle_tight(hs, p.vertices)
         want = [] if oracle_affine_rank(tight) != p.dimension - 1 else \
             oracle_triangulate_facet(p.halfspaces, hs, tight, p.dimension)
-        assert facets[hs.normal] == want
+        assert [tuple(p.vertices[i] for i in simplex) for simplex in facets[u]] == want
+        # the Fraction facet-volume route: (n-1)! times a facet simplex's
+        # lattice volume is |det(edges, u)| / <u, u>
+        dets = [abs(det([[a - b for a, b in zip(v, s[0])] for v in s[1:]] + [u])) for s in want]
+        assert facet_volume(p, u) == sum(dets, Q(0)) / (
+            sum(a * a for a in u) * math.factorial(p.dimension - 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -715,7 +727,7 @@ def test_triangulation_tight_sets_match_slack_route(halfspaces):
 def test_volume_and_moment_match_simplex_volumes(halfspaces, u):
     p = poly(halfspaces)
     u = u[: p.dimension]
-    simplices = triangulation(p)
+    simplices = vertex_simplices(p)
     assert volume(p) == sum((simplex_volume(s) for s in simplices), Q(0)) > 0
     assert linear_moment(p, u) == sum(
         (simplex_volume(s) * sum(a * x for a, x in zip(u, v)) / len(s) for s in simplices for v in s),

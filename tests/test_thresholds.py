@@ -241,6 +241,12 @@ def test_delta_prime_on_p3_curve_center(p3):
     truncated = truncated_curve(extended_curve(model, l, d, k_rel=k_rel))
     assert entropy(truncated) / jtilde(truncated) == Q(9, 7)
     assert delta_prime_quotient(model, l, d, k_rel=k_rel) == Q(9, 7)
+    # at D = 8 E_u = tau+ E_u, L - D is not nef and the two quotients part
+    d = e.scale(8)
+    assert not is_nef(model, l - d)
+    truncated = truncated_curve(extended_curve(model, l, d, k_rel=k_rel))
+    assert entropy(truncated) / jtilde(truncated) == 1
+    assert delta_prime_quotient(model, l, d, k_rel=k_rel) == 0
 
 
 def test_delta_prime_is_truncated_ent_over_jtilde_over_curve_centers(p3):

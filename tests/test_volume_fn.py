@@ -25,13 +25,13 @@ from toricstab import (
     zariski_decompose,
     zero_divisor,
 )
-from toricstab import volume_fn
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, ZeroDivisor
 from toricstab.filtrations import filtration_family
-from toricstab.geometry import Chamber, ParametricHalfspace, _basis_paths, det, volume
+from toricstab.geometry import Chamber, ParametricHalfspace, _basis_paths, det, triangulation, volume
 from toricstab.thresholds import primitive_candidates
 from toricstab.volume_fn import (
     _det_poly,
+    chamber_facet_polynomials,
     chamber_volume_polynomial,
     count_roots,
     divisor_family,
@@ -326,25 +326,26 @@ def test_positive_pairing_matches_sampled_derivative(surfaces, p3):
     assert pairs >= 50 and not_nef >= 5
 
 
-def test_chamber_volume_check_raises(f1, monkeypatch):
+def test_chamber_volume_check_raises(f1):
     pp = divisor_family(f1, anticanonical(f1), ray_divisor(f1, 0))
     first, second = pp.chambers
     with pytest.raises(InvariantViolation, match="not the symbolic polynomial"):
         chamber_volume_polynomial(pp, Chamber(second.lo, second.hi, first.paths))
-    foreign = ((Q(9), Q(9)), (Q(9), Q(10)), (Q(10), Q(9)))
-    monkeypatch.setattr(volume_fn, "triangulation", lambda _p: (foreign,))
-    with pytest.raises(InvariantViolation, match="follows no chamber path"):
-        chamber_volume_polynomial(pp, first)
 
 
-def test_chamber_check_builds_no_polytope(f1, p3, monkeypatch):
-    # the check enumerates P_x on integer rows: a family's volume curve builds
-    # its midpoint polytopes from the chamber paths and no Polytope by enumeration
+def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch):
+    # the chamber polynomials triangulate the family's integer rows at each
+    # midpoint, and the check enumerates P_x on integer rows: no Polytope is
+    # built and the triangulation cache does not grow
     families = [divisor_family(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
+    cached = triangulation.cache_info().currsize
     want = [family_volume_curve(pp) for pp in families]
+    facets = [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers]
 
-    def refuse(cls, halfspaces):
-        raise AssertionError("the chamber check built a Polytope")
+    def refuse(self):
+        raise AssertionError("a chamber polynomial built a Polytope")
 
-    monkeypatch.setattr(Polytope, "from_halfspaces", classmethod(refuse))
+    monkeypatch.setattr(Polytope, "__post_init__", refuse)
     assert [family_volume_curve(pp) for pp in families] == want
+    assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == facets
+    assert triangulation.cache_info().currsize == cached
