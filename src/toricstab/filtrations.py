@@ -101,8 +101,10 @@ def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePo
     Computed in closed form by slice_volume_curve over triangulation(P_L), the
     triangulation that linear_stats and big_volume use too, whose integer
     simplex determinants are eliminated once per polytope; each chamber
-    polynomial is checked there against the slice polytope's volume,
-    enumerated and triangulated afresh on integer rows.
+    polynomial is checked there against the slice polytope's volume on
+    integer rows, whose bases are solved once per direction with the level as
+    a parameter and whose vertices at each chamber's level are triangulated
+    afresh.
     """
     return slice_volume_curve(_section_polytope(fan, l, u), u)
 

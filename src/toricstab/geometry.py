@@ -33,8 +33,11 @@ take any such rows and points, so a family's chamber polynomials
 triangulate its integer rows directly, without a Polytope.
 normalized_volume runs the same steps from integer rows to n! times the
 volume without building a Polytope or touching the volume and triangulation
-caches; it is the independent volume sample of the chamber and slice
-polynomial checks.
+caches; it is the independent volume sample of the chamber polynomial
+check.  slice_volumes runs them on one polytope cut by <u, x> >= s at the
+levels of the slice polynomial checks, its bases solved once with s as a
+parameter; it and _int_vertices keep and reduce the feasible solutions by
+one step (_feasible_vertices).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -380,23 +383,34 @@ def _check_bounded(rows: Sequence[IntRow], dim: int, has_vertex: bool) -> None:
         raise UnboundedRegion("nonempty intersection without vertices is unbounded")
 
 
-def _int_vertices(rows: Sequence[IntRow], q: int, dim: int) -> tuple[list[LatticeVector], int]:
-    """The sorted vertices of {<a, x> + b / q >= 0}, as integers over one positive denominator.
+def _feasible_vertices(
+    solutions: Iterable[tuple[int, Sequence[int]]], rows: Sequence[IntRow], q: int
+) -> tuple[list[LatticeVector], int]:
+    """The basic solutions y = num / d (d > 0) feasible on the rows, as sorted vertices x = y / q.
 
-    Keeps the feasible basic solutions: over q, y = q * x solves
-    <a, y> + b >= 0 in integers.  Each is reduced to lowest terms, so the
-    common denominator is the least one.  Raises UnboundedRegion when the
-    intersection is nonempty but unbounded; no points means it is empty.
+    y = q * x solves <a, y> + b >= 0 in integers.  Each vertex is reduced to
+    lowest terms, so the common denominator is the least one.
     """
     found: set[tuple[int, LatticeVector]] = set()
-    for d, (num,) in _basic_solutions([(a, (-b,)) for a, b in rows], dim):
+    for d, num in solutions:
         if all(sum(map(mul, a, num)) + b * d >= 0 for a, b in rows):
             d *= q
             g = gcd(d, *num)
             found.add((d // g, tuple(c // g for c in num)))
-    _check_bounded(rows, dim, bool(found))
     den = lcm(*[d for d, _num in found])
     return sorted(tuple(c * (den // d) for c in num) for d, num in found), den
+
+
+def _int_vertices(rows: Sequence[IntRow], q: int, dim: int) -> tuple[list[LatticeVector], int]:
+    """The sorted vertices of {<a, x> + b / q >= 0}, as integers over one positive denominator.
+
+    Raises UnboundedRegion when the intersection is nonempty but unbounded;
+    no points means it is empty.
+    """
+    solutions = _basic_solutions([(a, (-b,)) for a, b in rows], dim)
+    points, den = _feasible_vertices(((d, num) for d, (num,) in solutions), rows, q)
+    _check_bounded(rows, dim, bool(points))
+    return points, den
 
 
 def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
@@ -472,16 +486,19 @@ class Polytope:
     def contains(self, x: Sequence) -> bool:
         return all(hs.contains(x) for hs in self.halfspaces)
 
+    def _support(self, extreme, u: Sequence) -> Fraction:
+        """extreme (min or max) of <x, u> over the vertices: on their integer form, divided once."""
+        if not self.points:
+            raise DegeneratePolytope("empty polytope has no support values")
+        return Fraction(extreme(sum(map(mul, num, u)) for num in self.points), self.den)
+
     def support_min(self, u: Sequence) -> Fraction:
         """min over the polytope of <x, u>; attained at a vertex."""
-        if self.is_empty:
-            raise DegeneratePolytope("empty polytope has no support values")
-        return min(dot(v, u) for v in self.vertices)
+        return self._support(min, u)
 
     def support_max(self, u: Sequence) -> Fraction:
-        if self.is_empty:
-            raise DegeneratePolytope("empty polytope has no support values")
-        return max(dot(v, u) for v in self.vertices)
+        """max over the polytope of <x, u>; attained at a vertex."""
+        return self._support(max, u)
 
 
 def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
@@ -624,6 +641,13 @@ def triangulation(p: Polytope) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(zip(_simplex_dets(p.points, simplices), simplices))
 
 
+def _triangulated_volume(
+    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int
+) -> Fraction:
+    """n! times the volume of {<a, x> + b / q >= 0} with vertices points / den, by simplices."""
+    return Fraction(sum(_simplex_dets(points, _triangulate(rows, q, points, den, dim))), den**dim)
+
+
 def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
     """n! times the volume of {<a, x> + b / q >= 0}; 0 when it is empty or lower-dimensional.
 
@@ -632,11 +656,43 @@ def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
     _int_vertices, the vertices triangulated and the simplex determinants
     summed.  It builds no Halfspace, Polytope or Fraction vertex and leaves
     nothing in the volume and triangulation caches.  Raises UnboundedRegion
-    when the intersection is unbounded.
+    when the intersection is unbounded.  slice_volumes runs the same steps
+    on a polytope cut at many levels, its bases solved once.
     """
     rows = _dedupe_rows(rows)
-    points, den = _int_vertices(rows, q, dim)
-    return Fraction(sum(_simplex_dets(points, _triangulate(rows, q, points, den, dim))), den**dim)
+    return _triangulated_volume(rows, q, *_int_vertices(rows, q, dim), dim)
+
+
+def slice_volumes(
+    rows: Sequence[IntRow], q: int, normal: Sequence[int], dim: int
+) -> Callable[[Fraction], Fraction]:
+    """s -> n! times the volume of {<a, x> + b / q >= 0, <normal, x> >= s}, the rows bounded.
+
+    At each level the steps and value of normalized_volume on the rows plus
+    the slice row, but each basis is solved once, with s as a parameter: the
+    slice row is <normal, x> + (0 - s * q) / q >= 0, and two right-hand-side
+    columns give each basic solution as (c0 + s * c1) / (den * q) in
+    integers, as _basis_paths does for a family's rate.  At s = sn / sd the
+    solutions are (c0 * sd + c1 * sn) / (den * q * sd), kept and reduced as
+    in _int_vertices on the rows at s over q * sd.  The slice lies in the
+    rows' polytope, so the boundedness test runs on the rows' normals, the
+    memo entry of their own vertex enumeration.
+    """
+    normal = tuple(normal)
+    system = [(a, (-b, 0)) for a, b in rows] + [(normal, (0, q))]
+    bases = list(_basic_solutions(system, dim))
+    normals = tuple(a for a, _b in rows)
+
+    def at(level: Fraction) -> Fraction:
+        sn, sd = level.numerator, level.denominator
+        cut = [(a, b * sd) for a, b in rows] + [(normal, -sn * q)]
+        solutions = ((d, [x * sd + y * sn for x, y in zip(c0, c1)]) for d, (c0, c1) in bases)
+        points, den = _feasible_vertices(solutions, cut, q * sd)
+        if points and _recession_nontrivial(normals, dim):
+            raise UnboundedRegion("halfspace intersection is unbounded")
+        return _triangulated_volume(_dedupe_rows(cut), q * sd, points, den, dim)
+
+    return at
 
 
 @lru_cache(maxsize=None)

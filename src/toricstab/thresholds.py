@@ -52,10 +52,13 @@ def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
     agree, and InvariantViolation is raised when they do not.  Both routes
     read the one cached triangulation of P_L and its integer simplex
     determinants: the slice curve through the closed form of
-    filtration_curve, and the mean through linear_stats.  Each chamber
-    polynomial of the slice curve is checked against a slice polytope
-    enumerated and triangulated afresh on integer rows, so once P_L is
-    cached no Polytope is built.
+    filtration_curve, and the mean through linear_stats, whose support values
+    are taken on P_L's integer vertices.  Each chamber polynomial of the
+    slice curve is checked against a slice polytope on integer rows, its
+    bases solved once per direction with the level as a parameter and its
+    vertices triangulated afresh at each chamber's level, so once P_L is
+    cached no Polytope is built.  The curve's integral runs in integers
+    (Polynomial.integrate).
     """
     if all(a == 0 for a in u):
         raise ZeroVector("direction must be nonzero")

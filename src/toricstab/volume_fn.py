@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -40,6 +40,7 @@ from .geometry import (
     Polytope,
     _dedupe_rows,
     _int_points,
+    _over_lcm,
     _triangulate,
     dot,
     facet_simplices,
@@ -47,6 +48,7 @@ from .geometry import (
     int_rows,
     normalized_volume,
     parametric_family,
+    slice_volumes,
     triangulation,
     volume,
 )
@@ -57,9 +59,23 @@ from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces,
 # exact polynomials
 # --------------------------------------------------------------------------
 
+def _homogeneous(nums: Sequence[int], p: int, q: int) -> int:
+    """q^(len(nums) - 1) * sum_i nums[i] * (p / q)^i, by Horner's scheme in integers."""
+    acc, qpow = 0, 1
+    for c in reversed(nums):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Univariate polynomial with exact rational coefficients, ascending order."""
+    """Univariate polynomial with exact rational coefficients, ascending order.
+
+    Evaluation and integration run on its integer form, integer numerators
+    over one common denominator, computed once on first use and outside
+    equality and hashing; each builds one Fraction at the end.
+    """
 
     coeffs: tuple[Fraction, ...]
 
@@ -81,12 +97,18 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @cached_property
+    def _ints(self) -> tuple[list[int], int]:
+        """The coefficients as integer numerators over their least common denominator."""
+        return _over_lcm(self.coeffs)
+
     def __call__(self, x) -> Fraction:
+        nums, den = self._ints
+        if not nums:
+            return Fraction(0)
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        q = x.denominator
+        return Fraction(_homogeneous(nums, x.numerator, q), den * q ** (len(nums) - 1))
 
     def __add__(self, other: Polynomial) -> Polynomial:
         return Polynomial(
@@ -117,14 +139,21 @@ class Polynomial:
     def derivative(self) -> Polynomial:
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
-    def antiderivative(self) -> Polynomial:
-        return Polynomial(
-            (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs))
-        )
-
     def integrate(self, a, b) -> Fraction:
-        anti = self.antiderivative()
-        return anti(b) - anti(a)
+        """The signed integral from a to b: power sums over one common denominator.
+
+        With k coefficients over den, the antiderivative has integer
+        coefficients over den * m, m = lcm(1, ..., k).
+        """
+        nums, den = self._ints
+        k = len(nums)
+        m = math.lcm(*range(1, k + 1))
+        anti = [0] + [c * (m // e) for e, c in enumerate(nums, 1)]
+        a, b = Fraction(a), Fraction(b)
+        ad, bd = a.denominator, b.denominator
+        top = _homogeneous(anti, b.numerator, bd) * ad**k
+        top -= _homogeneous(anti, a.numerator, ad) * bd**k
+        return Fraction(top, den * m * (ad * bd) ** k)
 
     def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         if other.is_zero:
@@ -144,23 +173,6 @@ class Polynomial:
             while rem and rem[-1] == 0:
                 rem.pop()
         return Polynomial(tuple(quo)), Polynomial(tuple(rem))
-
-
-def fit_polynomial(xs: Sequence, ys: Sequence) -> Polynomial:
-    """Exact Lagrange interpolation through distinct rational nodes."""
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
-    result = Polynomial(())
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        term = Polynomial.of(1)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            term = term * Polynomial.of(-xj, 1)
-            denom *= xi - xj
-        result = result + term.scale(yi / denom)
-    return result
 
 
 # ---- exact sign analysis ---------------------------------------------------
@@ -314,9 +326,18 @@ class PiecewisePolynomial:
         return self.piece_at(x)(x)
 
     def integrate(self, a=None, b=None) -> Fraction:
+        """The signed integral from a to b, by default over the domain.
+
+        A bound outside the domain raises OutOfRange, as piece_index does.
+        """
         lo, hi = self.domain
-        a = lo if a is None else max(Fraction(a), lo)
-        b = hi if b is None else min(Fraction(b), hi)
+        a = lo if a is None else Fraction(a)
+        b = hi if b is None else Fraction(b)
+        for x in (a, b):
+            if not lo <= x <= hi:
+                raise OutOfRange(f"{x} outside domain [{lo}, {hi}]")
+        if a > b:
+            return -self.integrate(b, a)
         total = Fraction(0)
         for i, poly in enumerate(self.pieces):
             left = max(a, self.breakpoints[i])
@@ -460,21 +481,28 @@ def _at_midpoint(
     return _dedupe_rows(rows), q, *_int_points([path.at(mid) for path in chamber.paths])
 
 
+def _path_rows(chamber: Chamber) -> tuple[list[LatticeVector], int]:
+    """Row i: the base and velocity of chamber.paths[i], as integers over one common den."""
+    return _int_points([path.base + path.velocity for path in chamber.paths])
+
+
 def _moving_simplices(
-    chamber: Chamber, simplices: Sequence[Sequence[int]], fixed: Sequence[Sequence] = ()
+    chamber: Chamber,
+    path_rows: tuple[list[LatticeVector], int],
+    simplices: Sequence[Sequence[int]],
+    fixed: Sequence[Sequence] = (),
 ) -> Polynomial:
     """t -> sum of |det(v_1(t) - v_0(t), ..., fixed)|, midpoint simplices moved on the paths.
 
     Each simplex is a tuple of indices into chamber.paths (_at_midpoint).
-    The paths are written as integer numerators over one common denominator
-    den, so each simplex's det(A + tB) is an integer polynomial over den^k
-    (k moving rows), expanded by cofactors.  Its sign is that at the
-    midpoint, decided in integers; Fractions are built only for the summed
-    coefficients.
+    The paths come as integer numerators over one common denominator den
+    (_path_rows, built once per chamber), so each simplex's det(A + tB) is
+    an integer polynomial over den^k (k moving rows), expanded by cofactors.
+    Its sign is that at the midpoint, decided in integers; Fractions are
+    built only for the summed coefficients.
     """
     mid = chamber.midpoint()
-    # row i: base and velocity of path i, as integers over den
-    rows, den = _int_points([path.base + path.velocity for path in chamber.paths])
+    rows, den = path_rows
     dim = len(chamber.paths[0].base) if chamber.paths else 0
     k = len(simplices[0]) - 1 if simplices else 0
     # the sign of sum c_i mid^i, scaled by the positive mid.denominator^k
@@ -507,7 +535,7 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     """
     scale = math.factorial(pp.dimension)
     simplices = _triangulate(*_at_midpoint(pp, chamber), pp.dimension)
-    poly = _moving_simplices(chamber, simplices).scale(Fraction(1, scale))
+    poly = _moving_simplices(chamber, _path_rows(chamber), simplices).scale(Fraction(1, scale))
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
     check = normalized_volume(*_rows_at(pp, x), pp.dimension)
     if poly.degree > pp.dimension or scale * poly(x) != check:
@@ -527,9 +555,10 @@ def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple
     as in chamber_volume_polynomial.
     """
     midpoint = _at_midpoint(pp, chamber)
+    path_rows = _path_rows(chamber)
     return tuple(
         _moving_simplices(
-            chamber, facet_simplices(*midpoint, pp.dimension, hs.normal), [hs.normal]
+            chamber, path_rows, facet_simplices(*midpoint, pp.dimension, hs.normal), [hs.normal]
         ).scale(Fraction(1, dot(hs.normal, hs.normal)))
         for hs in pp.halfspaces
     )
@@ -612,19 +641,18 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
 
     Each chamber polynomial is checked against the degree bound n and, a
     third of the way in, against n! * volume of the slice polytope: p's
-    halfspaces plus the slice halfspace, as integer rows whose every basis is
-    enumerated and whose vertices are triangulated afresh
-    (normalized_volume), never reusing p's vertices or triangulation.  The
-    check builds no Polytope and adds nothing to the volume and triangulation
-    caches.  A failure raises InvariantViolation.
+    integer rows plus the slice row, whose bases are solved once per call
+    with the level as a parameter (slice_volumes) and whose feasible
+    vertices are triangulated afresh at each chamber's level, never reusing
+    p's vertices or triangulation.  The check builds no Polytope and adds
+    nothing to the volume and triangulation caches.  A failure raises
+    InvariantViolation.
     """
     simplices, q = triangulation(p), p.den
     if not simplices:
         raise DegeneratePolytope("slice volumes need a full-dimensional polytope")
     n = p.dimension
     u = tuple(u)
-    normals = [hs.normal for hs in p.halfspaces] + [u]
-    offsets = [hs.offset for hs in p.halfspaces]
     dots = [[sum(map(operator.mul, p.points[i], u)) for i in simplex] for _d, simplex in simplices]
     low = min(map(min, dots))
     knotted = [(d, sorted(h - low for h in hs)) for (d, _simplex), hs in zip(simplices, dots)]
@@ -632,6 +660,7 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
     if len(heights) < 2:
         raise ZeroVector("direction is constant on the section polytope")
     bps = [Fraction(h, q) for h in heights]
+    slice_volume = slice_volumes(p.rows, p.q, u, n)
     pieces = []
     for lo, hi, c_lo, c_hi in zip(heights, heights[1:], bps, bps[1:]):
         poly = _slice_polynomial(knotted, lo, hi, q, n)
@@ -640,8 +669,7 @@ def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
             raise InvariantViolation(
                 f"slice volume on [{c_lo}, {c_hi}] has degree {poly.degree} > {n}"
             )
-        check = int_rows(normals, [*offsets, -(Fraction(low, q) + x)])
-        if poly(x) != normalized_volume(*check, n):
+        if poly(x) != slice_volume(Fraction(low, q) + x):
             raise InvariantViolation(
                 f"slice volume is not the closed-form polynomial on [{c_lo}, {c_hi}]"
             )

@@ -46,7 +46,7 @@ from toricstab import (
 )
 from toricstab.errors import AlreadyARay, NotPseudoEffective
 from toricstab.geometry import volume
-from toricstab.volume_fn import fit_polynomial
+from oracles import fit_polynomial
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -24,7 +24,7 @@ from toricstab import (
     star_subdivision,
     volume_curve,
 )
-from toricstab import volume_fn
+from toricstab import geometry, volume_fn
 from toricstab.cli import main
 from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, ZeroVector
 from toricstab.filtrations import filtration_family
@@ -146,6 +146,41 @@ def test_perturbed_closed_form_raises(monkeypatch, p2, capsys, problems_dir):
     for argv in (["delta", p2_file, "--radius", "1"], ["dh", p2_file, "--u", "1,0"]):
         assert main(argv) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize("model, u, breakpoints", [
+    ("p3", (2, 1, 0), (0, 4, 8)),
+    ("f1", (1, 0), (0, 1, 3)),
+])
+def test_perturbed_second_chamber_raises(monkeypatch, request, model, u, breakpoints):
+    # only the chamber after the first is off, so its check, at its own
+    # level, is the one that must fire
+    fan = request.getfixturevalue(model)
+    k = anticanonical(fan)
+    assert filtration_curve(fan, k, u).breakpoints == breakpoints
+    _perturb(monkeypatch, lambda lo, hi, q, n: Polynomial.of(1) if lo > 0 else Polynomial(()))
+    _lo, mid, hi = breakpoints
+    with pytest.raises(InvariantViolation, match=rf"not the closed-form polynomial on \[{mid}, {hi}\]"):
+        filtration_curve(fan, k, u)
+
+
+def test_slice_check_solves_each_basis_once(monkeypatch, p3):
+    # P_L's four rows plus the slice row are solved once for both chambers,
+    # and the boundedness test hits the memo left by P_L's own enumeration
+    k = anticanonical(p3)
+    filtration_curve(p3, k, (1, 0, 0))
+    solved = []
+    real = geometry._basic_solutions
+
+    def counted(rows, dim):
+        solved.append(len(rows))
+        return real(rows, dim)
+
+    monkeypatch.setattr(geometry, "_basic_solutions", counted)
+    misses = geometry._recession_nontrivial.cache_info().misses
+    assert len(filtration_curve(p3, k, (2, 1, 0)).pieces) == 2
+    assert solved == [5]
+    assert geometry._recession_nontrivial.cache_info().misses == misses
 
 
 def test_closed_form_degree_bound_raises(monkeypatch, p2):

@@ -29,6 +29,7 @@ from toricstab.geometry import (
     facet_simplices,
     facet_volume,
     hull_halfspaces,
+    int_rows,
     kernel_vector,
     lattice_points,
     linear_moment,
@@ -39,6 +40,7 @@ from toricstab.geometry import (
     mixed_volume,
     normalized_volume,
     parametric_family,
+    slice_volumes,
     solve_linear,
     triangulation,
     vertices_of,
@@ -143,7 +145,7 @@ def sweep_mean(p: Polytope, u) -> Q:
     for ch in family.chambers:
         xs = ch.sample_points(p.dimension + 1)
         ys = [volume(family.polytope_at(x)) for x in xs]
-        from toricstab.volume_fn import fit_polynomial
+        from oracles import fit_polynomial
 
         total += fit_polynomial(xs, ys).integrate(ch.lo, ch.hi)
     return lo + total / volume(p)
@@ -282,7 +284,7 @@ def test_parametric_family_f1_threshold():
 
 
 def test_parametric_volume_is_polynomial_per_chamber():
-    from toricstab.volume_fn import fit_polynomial
+    from oracles import fit_polynomial
 
     for rates in ([1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 2]):
         family = parametric_family(F1_QUAD, rates)
@@ -796,3 +798,65 @@ UNIT_CUBE = [Halfspace(u, 0) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] + [
 def test_normalized_volume_matches_polytope_volume(hs):
     dim = len(hs[0].normal)
     assert outcome(normalized_volume, *_int_rows(hs), dim) == outcome(polytope_volume, hs)
+
+
+@st.composite
+def sliced_systems(draw):
+    """A bounded or empty system of volume_systems or a polytope, a slice direction and levels.
+
+    The direction is the normal of a drawn row (a facet normal whenever that
+    row is a facet), its negative, a non-primitive multiple of a vector, or
+    any vector.  The levels lie strictly inside the direction's range over
+    the polytope, at a vertex height, or beyond the range on either side.
+    """
+    hs = draw(st.one_of(volume_systems(), bounded_systems))
+    p = outcome(Polytope.from_halfspaces, hs)
+    assume(p is not UnboundedRegion)
+    dim = len(hs[0].normal)
+    vector = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim).filter(any)
+    normal = draw(st.sampled_from(hs)).normal
+    u = draw(st.one_of(
+        st.just(normal),
+        st.just(tuple(-a for a in normal)),
+        st.builds(lambda k, v: tuple(k * a for a in v), st.integers(min_value=2, max_value=3), vector),
+        vector.map(tuple),
+    ))
+    if p.is_empty:
+        levels = st.builds(lambda e: -e, offsets)
+    else:
+        heights = [sum(a * x for a, x in zip(u, v)) for v in p.vertices]
+        lo, hi = min(heights), max(heights)
+        levels = st.one_of(
+            st.builds(lambda k: lo + (hi - lo) * Q(k, 7), st.integers(min_value=1, max_value=6)),
+            st.sampled_from(heights),
+            st.builds(lambda e: hi + e, positive_offsets),
+            st.builds(lambda e: lo - e, positive_offsets),
+        )
+    return hs, u, draw(st.lists(levels, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sliced_systems())
+# a facet normal, its negative and a multiple, at a vertex height, inside and beyond
+@example((TRIANGLE, (-1, -1), [Q(-2), Q(-1), Q(1, 3), Q(1)]))
+@example((TRIANGLE, (2, 2), [Q(0), Q(3, 2), Q(4), Q(5)]))
+@example((UNIT_CUBE, (0, 0, -1), [Q(-1), Q(-1, 3), Q(0), Q(1)]))
+def test_slice_volumes_match_normalized_volume(system):
+    # one solve of the bases serves every level, and each level's volume is
+    # that of the rows plus the slice row, enumerated afresh
+    hs, u, levels = system
+    dim = len(u)
+    at = slice_volumes(*_int_rows(hs), u, dim)
+    normals, offsets_ = [h.normal for h in hs], [h.offset for h in hs]
+    for level in levels:
+        want = normalized_volume(*int_rows([*normals, u], [*offsets_, -level]), dim)
+        assert at(Q(level)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_systems, st.lists(offsets | st.integers(min_value=-3, max_value=3), min_size=4, max_size=4))
+def test_support_values_match_fraction_dots(halfspaces, u):
+    p = poly(halfspaces)
+    u = u[: p.dimension]
+    values = [sum((a * x for a, x in zip(u, v)), Q(0)) for v in p.vertices]
+    assert p.support_min(u) == min(values) and p.support_max(u) == max(values)

