@@ -11,6 +11,8 @@ import pytest
 from toricstab import thresholds
 from toricstab.cli import MAX_CANDIDATES, MAX_SAMPLES, ProblemFile, build_parser, main
 
+from test_toric import PINNED_FANS
+
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main([*argv])
@@ -360,6 +362,28 @@ def p2_problem(tmp_path, rays=([1, 0], [0, 1], [-1, -1]),
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(spec))
     return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FANS))
+def test_validate_pinned_fans(tmp_path, capsys, name):
+    (rays, cones), flags, messages = PINNED_FANS[name]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(
+        {"fan": {"rays": rays, "cones": cones}, "polarization": "anticanonical"}
+    ))
+    keys = ["complete", "smooth", "simplicial", "primitive_rays", "proper_intersections"]
+    expected = {**dict(zip(keys, flags)), "messages": list(messages)}
+    code, out, err = run(capsys, "validate", str(path), "--format", "json")
+    assert json.loads(out) == expected
+    code_table, table, err_table = run(capsys, "validate", str(path))
+    rows = [line.split(None, 1) for line in table.splitlines()[2:]]
+    assert rows == [[k, str(v)] for k, v in zip(keys, flags)] + [["message", m] for m in messages]
+    assert err_table == err
+    if name == "p123":
+        assert (code, code_table, err) == (0, 0, "")
+    else:
+        assert code == code_table == 2
+        assert json.loads(err) == {"error": "validation", "message": "; ".join(messages)}
 
 
 def test_report_radius_missing_a_ray_exit_2(tmp_path, capsys):

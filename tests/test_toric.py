@@ -65,6 +65,49 @@ def test_validate_nonsmooth_cone():
     assert not diag.is_smooth and diag.is_simplicial
 
 
+# (rays, cones) -> the full diagnostics, flags in FanDiagnostics field order
+PINNED_FANS = {
+    "overlapping": (
+        ([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [2, 0], [0, 3]]),
+        (False, True, True, True, False),
+        (
+            "wall (0,) lies on 3 cone(s), fan not complete",
+            "wall (3,) lies on 1 cone(s), fan not complete",
+            "cones (0, 1) and (0, 3) overlap beyond a common face (at (1, 1))",
+        ),
+    ),
+    "p123": (
+        ([[-2, -3], [1, 0], [0, 1]], [[0, 1], [1, 2], [2, 0]]),
+        (True, False, True, True, True),
+        (
+            "cone (0, 1) has determinant 3 (not smooth)",
+            "cone (0, 2) has determinant -2 (not smooth)",
+        ),
+    ),
+    "degenerate": (
+        ([[1, 0], [0, 1], [-1, 0], [2, 0]], [[0, 1], [1, 2], [2, 3], [3, 0]]),
+        (False, False, False, False, True),
+        (
+            "ray 3 = (2, 0) is not primitive",
+            "cone (0, 3) is degenerate",
+            "cone (2, 3) is degenerate",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FANS))
+def test_validate_pinned_fans(name):
+    (rays, cones), flags, messages = PINNED_FANS[name]
+    diag = validate_fan(Fan.make(rays, cones))
+    assert (
+        diag.is_complete, diag.is_smooth, diag.is_simplicial, diag.all_primitive,
+        diag.proper_intersections,
+    ) == flags
+    assert diag.messages == messages
+    assert diag.ok == (name == "p123")
+
+
 def test_polytope_of_anticanonical(p2):
     p = polytope_of(p2, anticanonical(p2))
     assert set(p.vertices) == {(-1, -1), (2, -1), (-1, 2)}
