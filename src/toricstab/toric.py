@@ -1,20 +1,23 @@
 """Fans, toric divisors, log discrepancies, star subdivisions, intersections.
 
 All varieties are given by complete simplicial fans in N = Z^n.  Divisors are
-rational coefficient vectors indexed by rays.  Intersection numbers of any n
-divisors, nef or not, come from the fan's intersection ring (Fulton,
-Introduction to Toric Varieties, 5.1): each class is moved off the rays of
-one fixed maximal cone by linear equivalence, and the products of ray divisors
-that remain are read off the cones, with repeated rays removed the same way.
+rational coefficient vectors indexed by rays.  Each maximal cone's det and
+dual basis m_j come from one elimination, in one table per fan (_cone_duals);
+on the cone, A = sum_j m_j and a divisor's vertex is -sum_j a_j m_j.
+Intersection numbers of any n divisors, nef or not, come from the fan's
+intersection ring (Fulton, Introduction to Toric Varieties, 5.1): each class
+is moved off the rays of one fixed maximal cone by linear equivalence, and the
+products of ray divisors that remain are read off the cones, with repeated
+rays removed the same way.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -30,13 +33,11 @@ from .geometry import (
     LatticeVector,
     Point,
     Polytope,
-    _eliminate,
+    _bareiss,
     content,
-    det,
     dot,
     extreme_rays,
     is_primitive,
-    solve_linear,
 )
 
 
@@ -74,15 +75,19 @@ class Fan:
         return [self.rays[i] for i in cone]
 
     def cone_coordinates(self, cone: tuple[int, ...], u: Sequence) -> Point | None:
-        """Coordinates of u in the cone's ray basis, or None if u is outside."""
-        if len(cone) != self.dimension:
+        """Coordinates <m_j, u> of u in a maximal cone's ray basis, or None if u is outside.
+
+        `cone` must be one of `max_cones`.  The dual basis m_j comes from
+        _cone_duals; a cone without n independent rays contains nothing.
+        """
+        entry = _cone_duals(self).get(cone)
+        if entry is None:
             return None
-        cols = self.cone_rays(cone)
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(self.dimension)]
-        lam = solve_linear(rows, list(u))
-        if lam is None or any(c < 0 for c in lam):
+        d, duals = entry
+        dots = [sum(map(mul, w, u)) for w in duals]
+        if any(x * d < 0 for x in dots):
             return None
-        return lam
+        return tuple(Fraction(x, d) for x in dots)
 
     def containing_cone(self, u: Sequence) -> tuple[tuple[int, ...], Point]:
         for cone in self.max_cones:
@@ -90,6 +95,38 @@ class Fan:
             if lam is not None:
                 return cone, lam
         raise ZeroVector(f"{tuple(u)} lies outside the support of the fan")
+
+
+@lru_cache(maxsize=None)
+def _cone_duals(fan: Fan) -> dict[tuple[int, ...], tuple[int, tuple[LatticeVector, ...]]]:
+    """Per maximal cone with n independent rays: det M and the integer vectors det M * m_j.
+
+    M has the cone's rays as rows and <m_j, u_k> = [j = k] on them, so m_j is
+    column j of M^-1.  Eliminating [M | I] leaves pivot * M^-1 on the right,
+    with pivot = sign * det M.  Cones keep the order of `max_cones`.
+    Memoized per fan; callers must not mutate the table.
+    """
+    n = fan.dimension
+    table = {}
+    for cone in fan.max_cones:
+        if len(cone) != n:
+            continue
+        m = [[*ray, *(int(i == j) for i in range(n))] for j, ray in enumerate(fan.cone_rays(cone))]
+        pivots, pivot, sign = _bareiss(m, n)
+        if len(pivots) == n:
+            duals = tuple(tuple(sign * row[n + j] for row in m) for j in range(n))
+            table[cone] = (sign * pivot, duals)
+    return table
+
+
+def _cone_vertex(fan: Fan, cone: tuple[int, ...], coeffs: Sequence) -> Point | None:
+    """The m = -sum_j a_j m_j with <m, u_rho> = -a_rho on a maximal cone's rays; None off the table."""
+    entry = _cone_duals(fan).get(cone)
+    if entry is None:
+        return None
+    d, duals = entry
+    a = [coeffs[i] for i in cone]
+    return tuple(-dot(a, column) / d for column in zip(*duals))
 
 
 @dataclass(frozen=True)
@@ -184,26 +221,13 @@ class FanDiagnostics:
         )
 
 
-def _cone_normals(fan: Fan, cone: tuple[int, ...]) -> list[LatticeVector] | None:
-    """Inward facet normals of a full-dimensional simplicial cone (rows of M^-1)."""
-    n = fan.dimension
-    # with the rays as rows, eliminating [M^T | I] leaves pivot * (M^-1)^T on the right
-    m = [[*ray, *(int(i == j) for i in range(n))] for j, ray in enumerate(fan.cone_rays(cone))]
-    pivots, pivot, _sign, _scale = _eliminate(m, n)
-    if len(pivots) < n:
-        return None
-    out = []
-    for i in range(n):
-        column = [row[n + i] for row in m]
-        # row i of M^-1 is column / pivot; clear its denominators
-        g = gcd(pivot, *column)
-        g = g if pivot > 0 else -g
-        out.append(tuple(c // g for c in column))
-    return out
-
-
 def validate_fan(fan: Fan) -> FanDiagnostics:
-    """Exact completeness / smoothness / primitivity / face-intersection report."""
+    """Exact completeness / smoothness / primitivity / face-intersection report.
+
+    Each cone's determinant and inward facet normals sign(det) * det * m_j are
+    read off _cone_duals.  An extreme ray of sigma_a & sigma_b lies in their
+    shared face exactly when its coordinates on sigma_a's rays outside sigma_b vanish.
+    """
     messages: list[str] = []
     all_primitive = True
     for i, ray in enumerate(fan.rays):
@@ -217,20 +241,15 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     is_simplicial = True
     is_smooth = True
     n = fan.dimension
+    duals = _cone_duals(fan)
     for cone in fan.max_cones:
-        if len(cone) != n:
+        if cone not in duals:
             is_simplicial = False
+            problem = "is degenerate" if len(cone) == n else f"does not have {n} rays"
+            messages.append(f"cone {cone} {problem}")
+        elif abs(duals[cone][0]) != 1:
             is_smooth = False
-            messages.append(f"cone {cone} does not have {n} rays")
-            continue
-        d = det(fan.cone_rays(cone))
-        if d == 0:
-            is_simplicial = False
-            is_smooth = False
-            messages.append(f"cone {cone} is degenerate")
-        elif abs(d) != 1:
-            is_smooth = False
-            messages.append(f"cone {cone} has determinant {d} (not smooth)")
+            messages.append(f"cone {cone} has determinant {duals[cone][0]} (not smooth)")
 
     # wall regularity: every facet of a maximal cone is shared by exactly 2 cones
     is_complete = is_simplicial and bool(fan.max_cones)
@@ -252,21 +271,13 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
 
     proper = True
     if is_simplicial and n > 1:
+        normals = {
+            c: [tuple(a if d > 0 else -a for a in w) for w in ws] for c, (d, ws) in duals.items()
+        }
         for ca, cb in itertools.combinations(fan.max_cones, 2):
-            ha = _cone_normals(fan, ca)
-            hb = _cone_normals(fan, cb)
-            if ha is None or hb is None:
-                continue
-            common = sorted(set(ca) & set(cb))
-            for ray in extreme_rays(ha + hb, n):
-                lam = None
-                if common:
-                    # ray must be a nonnegative combination of the shared rays
-                    cols = [fan.rays[i] for i in common]
-                    rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-                    sol = _nonneg_combination(rows, ray, len(common))
-                    lam = sol
-                if lam is None:
+            outside = [w for i, w in zip(ca, duals[ca][1]) if i not in cb]
+            for ray in extreme_rays(normals[ca] + normals[cb], n):
+                if any(sum(map(mul, w, ray)) for w in outside):
                     proper = False
                     messages.append(
                         f"cones {ca} and {cb} overlap beyond a common face (at {ray})"
@@ -280,21 +291,6 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
         proper_intersections=proper,
         messages=tuple(messages),
     )
-
-
-def _nonneg_combination(rows, target, k) -> tuple | None:
-    """Solve rows * lam = target with lam >= 0, rows an n x k column system."""
-    m = [[*r, t] for r, t in zip(rows, target)]
-    pivots, pivot, _sign, _scale = _eliminate(m, k)
-    # consistency rows
-    if any(row[k] != 0 for row in m[len(pivots):]):
-        return None
-    lam = [Fraction(0)] * k
-    for row, col in zip(m, pivots):
-        lam[col] = Fraction(row[k], pivot)
-    if any(c < 0 for c in lam):
-        return None
-    return tuple(lam)
 
 
 # --------------------------------------------------------------------------
@@ -328,8 +324,8 @@ def is_nef(fan: Fan, d: ToricDivisor) -> bool:
     """Support-function saturation against every ray, plus per-cone linearity.
 
     The divisor is nef exactly when its coefficients agree with the minima of
-    its own section polytope against the rays and the per-cone solutions of
-    those equalities land inside the polytope.
+    its own section polytope against the rays and each cone's vertex
+    -sum_j a_j m_j (_cone_vertex) lands inside the polytope.
     """
     p = polytope_of(fan, d)
     if p.is_empty:
@@ -338,8 +334,7 @@ def is_nef(fan: Fan, d: ToricDivisor) -> bool:
         if p.support_min(u) != -a:
             return False
     for cone in fan.max_cones:
-        rows = fan.cone_rays(cone)
-        m = solve_linear(rows, [-d.coeffs[i] for i in cone])
+        m = _cone_vertex(fan, cone, d.coeffs)
         if m is None or not p.contains(m):
             return False
     return True
@@ -363,7 +358,7 @@ def is_strictly_ample(fan: Fan, d: ToricDivisor) -> bool:
         return False
     seen = set()
     for cone in fan.max_cones:
-        m = solve_linear(fan.cone_rays(cone), [-d.coeffs[i] for i in cone])
+        m = _cone_vertex(fan, cone, d.coeffs)
         if m is None or m in seen:
             return False
         seen.add(m)
@@ -439,46 +434,45 @@ def _ray_monomial(fan: Fan, rays: tuple[int, ...]) -> Fraction:
     Distinct rays spanning a cone sigma give 1/|det sigma| and distinct rays in
     no common cone give 0.  A repeated ray i of a cone sigma holding all the
     rays is replaced by the linearly equivalent -sum_{rho not in sigma}
-    <m, u_rho> D_rho, where <m, u_i> = 1 and <m, u_j> = 0 on the other rays of
-    sigma; every term has one more distinct ray, so the recursion ends.
+    <m_i, u_rho> D_rho, m_i being sigma's dual basis vector for u_i
+    (_cone_duals); every term has one more distinct ray, so the recursion ends.
     """
     distinct = set(rays)
     cone = next((c for c in fan.max_cones if distinct <= set(c)), None)
     if cone is None:
         return Fraction(0)
-    mult = abs(det(fan.cone_rays(cone))) if len(cone) == fan.dimension else 0
-    if mult == 0:
+    entry = _cone_duals(fan).get(cone)
+    if entry is None:
         raise DimensionMismatch(f"cone {cone} is not a full-dimensional simplicial cone")
+    d, duals = entry
     if len(distinct) == len(rays):
-        return 1 / mult
+        return Fraction(1, abs(d))
     repeated = next(i for i in rays if rays.count(i) > 1)
-    m = solve_linear(fan.cone_rays(cone), [int(j == repeated) for j in cone])
+    w = duals[cone.index(repeated)]
     rest = list(rays)
     rest.remove(repeated)
     total = Fraction(0)
     for rho, u in enumerate(fan.rays):
-        c = 0 if rho in cone else dot(m, u)
+        c = 0 if rho in cone else sum(map(mul, w, u))
         if c != 0:
-            total -= c * _ray_monomial(fan, tuple(sorted(rest + [rho])))
+            total -= Fraction(c, d) * _ray_monomial(fan, tuple(sorted(rest + [rho])))
     return total
 
 
 @lru_cache(maxsize=None)
 def _reference_cone(fan: Fan) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[Fraction, ...]], ...]]:
-    """The first full-dimensional simplicial maximal cone sigma, with its dual basis on the other rays.
+    """The first cone of _cone_duals, sigma, with its dual basis on the other rays.
 
     The dual basis m_j has <m_j, u_k> = 1 for the j-th ray k of sigma and 0
     on its other rays; each ray rho outside sigma comes with the row
     (<m_j, u_rho>)_j.  Memoized per fan.
     """
-    n = fan.dimension
-    cone = next((c for c in fan.max_cones if len(c) == n and det(fan.cone_rays(c)) != 0), None)
-    if cone is None:
+    duals = _cone_duals(fan)
+    if not duals:
         raise DimensionMismatch("the fan has no full-dimensional simplicial cone")
-    rays = fan.cone_rays(cone)
-    dual = [solve_linear(rays, [int(j == k) for k in range(n)]) for j in range(n)]
+    cone, (d, ws) = next(iter(duals.items()))
     rest = tuple(
-        (rho, tuple(dot(m, u) for m in dual)) for rho, u in enumerate(fan.rays) if rho not in cone
+        (rho, tuple(dot(w, u) / d for w in ws)) for rho, u in enumerate(fan.rays) if rho not in cone
     )
     return cone, rest
 

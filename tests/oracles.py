@@ -2,7 +2,9 @@
 
 Lagrange interpolation through sampled values, and the Fraction Horner
 scheme and antiderivative that Polynomial evaluated and integrated with
-before it moved to integer numerators over one denominator.
+before it moved to integer numerators over one denominator.  A Fraction
+Gauss-Jordan elimination, and on it the solve over a cone's shared rays that
+validate_fan's face test ran before it read the cones' dual bases.
 """
 
 from __future__ import annotations
@@ -48,3 +50,43 @@ def antiderivative_integral(poly: Polynomial, a, b) -> Fraction:
     """The integral from a to b as the difference of the antiderivative's Fraction Horner values."""
     anti = antiderivative(poly)
     return fraction_horner(anti, b) - fraction_horner(anti, a)
+
+
+def fraction_row_reduce(rows, ncols):
+    """Reduced row echelon form over Fraction on the first ncols columns.
+
+    Returns the reduced rows, the pivot columns and the product of the pivots
+    with the sign of the row swaps (the determinant of a square full-rank input).
+    """
+    m = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    product = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        found = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            product = -product
+        product *= m[r][col]
+        m[r] = [a / m[r][col] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots, product
+
+
+def nonneg_combination(rows, target, k):
+    """Solve rows * lam = target with lam >= 0, rows an n x k column system; None if no solution."""
+    m, pivots, _product = fraction_row_reduce([[*r, t] for r, t in zip(rows, target)], k)
+    if any(row[k] != 0 for row in m[len(pivots):]):
+        return None
+    lam = [Fraction(0)] * k
+    for row, col in zip(m, pivots):
+        lam[col] = row[k]
+    return None if any(c < 0 for c in lam) else tuple(lam)

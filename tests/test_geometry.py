@@ -46,7 +46,8 @@ from toricstab.geometry import (
     vertices_of,
     volume,
 )
-from toricstab.toric import _nonneg_combination
+
+from oracles import fraction_row_reduce
 
 P2_TRIANGLE = [Halfspace((1, 0), 1), Halfspace((0, 1), 1), Halfspace((-1, -1), 1)]
 F1_QUAD = P2_TRIANGLE + [Halfspace((1, 1), 1)]
@@ -307,35 +308,6 @@ def test_chamber_paths_match_vertex_enumeration():
 # the fraction-free elimination against a Fraction Gauss-Jordan oracle
 # --------------------------------------------------------------------------
 
-def fraction_row_reduce(rows, ncols):
-    """Reduced row echelon form over Fraction on the first ncols columns.
-
-    Returns the reduced rows, the pivot columns and the product of the pivots
-    with the sign of the row swaps (the determinant of a square full-rank input).
-    """
-    m = [[Q(a) for a in row] for row in rows]
-    pivots = []
-    product = Q(1)
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        found = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if found is None:
-            continue
-        if found != r:
-            m[r], m[found] = m[found], m[r]
-            product = -product
-        product *= m[r][col]
-        m[r] = [a / m[r][col] for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    return m, pivots, product
-
-
 def oracle_det(rows):
     _m, pivots, product = fraction_row_reduce(rows, len(rows))
     return product if len(pivots) == len(rows) else Q(0)
@@ -358,16 +330,6 @@ def oracle_kernel(rows, n):
         x[pc] = -row[free[0]]
     denom = lcm(*(a.denominator for a in x))
     return make_primitive([int(a * denom) for a in x])
-
-
-def oracle_nonneg(rows, target, k):
-    m, pivots, _product = fraction_row_reduce([[*r, t] for r, t in zip(rows, target)], k)
-    if any(row[k] != 0 for row in m[len(pivots):]):
-        return None
-    lam = [Q(0)] * k
-    for row, col in zip(m, pivots):
-        lam[col] = row[k]
-    return None if any(c < 0 for c in lam) else tuple(lam)
 
 
 entries = st.one_of(
@@ -424,14 +386,6 @@ def test_kernel_vector_matches_fraction_elimination(m):
 def test_kernel_vector_keeps_free_coordinate_positive():
     # the last pivot here is -1; the kernel must not take its sign
     assert kernel_vector([[1, -1, 0], [0, 0, -1]], 3) == (1, 1, 0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(rectangular.flatmap(lambda m: st.tuples(st.just(m), matrices(1, len(m)))))
-def test_nonneg_combination_matches_fraction_elimination(system):
-    m, (target,) = system
-    k = len(m[0])
-    assert _nonneg_combination(m, target, k) == oracle_nonneg(m, target, k)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import toricstab.toric as toric
@@ -34,10 +34,13 @@ from toricstab.errors import (
     NotPseudoEffective,
     ZeroVector,
 )
-from toricstab.geometry import det, solve_linear
+from toricstab.geometry import _bareiss as bareiss
+from toricstab.geometry import det, extreme_rays, is_primitive, solve_linear
 from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
 from toricstab.volume_fn import volume_curve
+
+from oracles import nonneg_combination
 
 
 def test_validate_p2(p2):
@@ -106,6 +109,64 @@ def test_validate_pinned_fans(name):
     ) == flags
     assert diag.messages == messages
     assert diag.ok == (name == "p123")
+
+
+def face_test_by_shared_rays(fan):
+    """Oracle for validate_fan's face test: the proper flag and the overlap messages.
+
+    Each cone's inward facet normals are its dual basis by solve_linear, and
+    an extreme ray of two cones' intersection must be a nonnegative
+    combination of their shared rays, solved by a Fraction elimination.
+    Like validate_fan, it tests only fans of n-ray cones with nonzero
+    determinants, in dimension at least 2.
+    """
+    n = fan.dimension
+    if n == 1 or any(len(c) != n or det(fan.cone_rays(c)) == 0 for c in fan.max_cones):
+        return True, []
+
+    def normals(cone):
+        rays = fan.cone_rays(cone)
+        return [solve_linear(rays, [int(j == k) for k in range(n)]) for j in range(n)]
+
+    messages = []
+    for ca, cb in itertools.combinations(fan.max_cones, 2):
+        shared = [fan.rays[i] for i in sorted(set(ca) & set(cb))]
+        columns = [[ray[i] for ray in shared] for i in range(n)]
+        for ray in extreme_rays(normals(ca) + normals(cb), n):
+            if nonneg_combination(columns, ray, len(shared)) is None:
+                messages.append(f"cones {ca} and {cb} overlap beyond a common face (at {ray})")
+                break
+    return not messages, messages
+
+
+@st.composite
+def simplicial_fans(draw, n):
+    """A few random primitive rays and some of their nondegenerate n-cones, overlapping or not."""
+    coord = st.integers(min_value=-2, max_value=2)
+    rays = draw(st.lists(
+        st.tuples(*[coord] * n).filter(is_primitive), min_size=n, max_size=n + 3, unique=True
+    ))
+    cones = [c for c in itertools.combinations(range(len(rays)), n) if det([rays[i] for i in c])]
+    assume(len(cones) >= 2)
+    return Fan.make(rays, draw(st.lists(st.sampled_from(cones), min_size=2, max_size=5, unique=True)))
+
+
+def assert_face_test_matches_oracle(fan):
+    diag = validate_fan(fan)
+    overlaps = [m for m in diag.messages if m.startswith("cones ")]
+    assert (diag.proper_intersections, overlaps) == face_test_by_shared_rays(fan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(simplicial_fans))
+def test_face_test_matches_shared_ray_solve_on_random_fans(fan):
+    assert_face_test_matches_oracle(fan)
+
+
+def test_face_test_matches_shared_ray_solve_on_pinned_and_model_fans(models):
+    fans = [Fan.make(*spec) for spec, _flags, _messages in PINNED_FANS.values()]
+    for fan in fans + list(models.values()):
+        assert_face_test_matches_oracle(fan)
 
 
 def test_polytope_of_anticanonical(p2):
@@ -453,6 +514,69 @@ def test_reduced_supports_match_full_expansion(models, name, data):
     fan = models[name]
     divisors = data.draw(classes(fan, fan.dimension))
     assert intersection_number(fan, divisors) == full_support_intersection(fan, divisors)
+
+
+def assert_duals_match_solves(fan):
+    """The fan's _cone_duals table against det and solve_linear, cone by cone."""
+    table = toric._cone_duals(fan)
+    n = fan.dimension
+    for cone in fan.max_cones:
+        rays = fan.cone_rays(cone)
+        d = det(rays)
+        if d == 0:
+            assert cone not in table
+            continue
+        td, duals = table[cone]
+        assert td == d
+        for j, w in enumerate(duals):
+            assert tuple(Q(a, td) for a in w) == solve_linear(rays, [int(j == k) for k in range(n)])
+    assert list(table) == [c for c in fan.max_cones if det(fan.cone_rays(c)) != 0]
+
+
+def test_cone_duals_match_det_and_solve_on_model_fans(models):
+    fans = [
+        *models.values(),
+        refined(models["p2"], (1, 2)),
+        refined(models["p3"], (1, 1, 2)),
+        Fan.make(*PINNED_FANS["degenerate"][0]),
+    ]
+    for fan in fans:
+        assert_duals_match_solves(fan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+))
+def test_cone_duals_match_det_and_solve_on_random_cones(rays):
+    assert_duals_match_solves(Fan.make(rays, [range(len(rays))]))
+
+
+def test_one_elimination_per_maximal_cone(monkeypatch):
+    calls = []
+
+    def counting(m, ncols):
+        calls.append(ncols)
+        return bareiss(m, ncols)
+
+    monkeypatch.setattr(toric, "_bareiss", counting)
+    # a complete non-smooth fan built nowhere else, so its table is not cached yet
+    fan = Fan.make(
+        [[1, 0], [1, 3], [-1, 2], [-2, -1], [1, -2]], [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]
+    )
+    assert validate_fan(fan).ok
+    ball = [u for u in itertools.product(range(-2, 3), repeat=2) if any(u)]
+    assert all(log_discrepancy(fan, u) > 0 for u in ball)
+    assert all(log_discrepancy(fan, u) == 1 for u in fan.rays)
+    l = random_nef(fan, random.Random(7))
+    assert is_nef(fan, l)
+    divisors = [ray_divisor(fan, i) for i in range(len(fan.rays))] + [l]
+    for a, b in itertools.combinations_with_replacement(divisors, 2):
+        intersection_number(fan, [a, b])
+    assert len(calls) == len(fan.max_cones)
 
 
 def test_reduction_on_a_non_smooth_reference_cone(models):
