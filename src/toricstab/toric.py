@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     AlreadyARay,
@@ -98,13 +99,13 @@ class Fan:
 
 
 @lru_cache(maxsize=None)
-def _cone_duals(fan: Fan) -> dict[tuple[int, ...], tuple[int, tuple[LatticeVector, ...]]]:
+def _cone_duals(fan: Fan) -> Mapping[tuple[int, ...], tuple[int, tuple[LatticeVector, ...]]]:
     """Per maximal cone with n independent rays: det M and the integer vectors det M * m_j.
 
     M has the cone's rays as rows and <m_j, u_k> = [j = k] on them, so m_j is
     column j of M^-1.  Eliminating [M | I] leaves pivot * M^-1 on the right,
     with pivot = sign * det M.  Cones keep the order of `max_cones`.
-    Memoized per fan; callers must not mutate the table.
+    Memoized per fan, and read-only.
     """
     n = fan.dimension
     table = {}
@@ -116,7 +117,7 @@ def _cone_duals(fan: Fan) -> dict[tuple[int, ...], tuple[int, tuple[LatticeVecto
         if len(pivots) == n:
             duals = tuple(tuple(sign * row[n + j] for row in m) for j in range(n))
             table[cone] = (sign * pivot, duals)
-    return table
+    return MappingProxyType(table)
 
 
 def _cone_vertex(fan: Fan, cone: tuple[int, ...], coeffs: Sequence) -> Point | None:
