@@ -28,7 +28,8 @@ class DHMeasure:
 
     The density is a chamber-wise polynomial (not necessarily continuous);
     atoms carry any terminal jump of the underlying volume curve.  Total mass
-    is exactly 1 and the density is nonnegative, both checked at construction.
+    is exactly 1 and the density is nonnegative, both checked at construction;
+    a negative density comes from an increasing curve and raises NotMonotone.
     """
 
     density: PiecewisePolynomial | None
@@ -40,7 +41,7 @@ class DHMeasure:
         if any(m < 0 for _x, m in atoms):
             raise ValueError("atom masses must be nonnegative")
         if self.density is not None and not self.density.is_nonnegative():
-            raise ValueError("DH density must be nonnegative on its support")
+            raise NotMonotone("DH density must be nonnegative on its support")
         if self.total_mass() != 1:
             raise ValueError(f"DH measure has total mass {self.total_mass()} != 1")
 
@@ -114,7 +115,7 @@ def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:
 
     The density is the chamber-wise symbolic derivative; a positive terminal
     value of the curve becomes an atom at the right endpoint.  Total mass is
-    exactly 1 when the curve starts at V.
+    exactly 1 when the curve starts at V; DHMeasure checks the density's sign.
     """
     v = Fraction(v)
     if v <= 0:
@@ -122,8 +123,6 @@ def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:
     lo, hi = vol_curve.domain
     if vol_curve(lo) != v:
         raise NotMonotone(f"curve starts at {vol_curve(lo)}, expected {v}")
-    if not vol_curve.is_nonincreasing():
-        raise NotMonotone("volume curve must be non-increasing")
     density = vol_curve.derivative().scale(Fraction(-1) / v)
     atoms: tuple[tuple[Fraction, Fraction], ...] = ()
     terminal = vol_curve(hi)

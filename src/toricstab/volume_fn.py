@@ -376,7 +376,8 @@ class PiecewisePolynomial:
 
         Continuity at a dropped breakpoint between equal polynomials is
         automatic, so checking the merged curve is as strong as checking the
-        unmerged one.
+        unmerged one.  The library builds its curves here, so a failed check
+        is a library defect and raises InvariantViolation, not ValueError.
         """
         bps = [breakpoints[0]]
         merged: list[Polynomial] = []
@@ -386,7 +387,10 @@ class PiecewisePolynomial:
                 continue
             merged.append(poly)
             bps.append(right)
-        return cls(tuple(bps), tuple(merged), continuous=continuous)
+        try:
+            return cls(tuple(bps), tuple(merged), continuous=continuous)
+        except ValueError as exc:
+            raise InvariantViolation(f"built curve is invalid: {exc}") from exc
 
     def normalized(self) -> PiecewisePolynomial:
         """Merge adjacent intervals carrying the same polynomial."""

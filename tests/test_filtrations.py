@@ -164,6 +164,34 @@ def test_perturbed_second_chamber_raises(monkeypatch, request, model, u, breakpo
         filtration_curve(fan, k, u)
 
 
+def test_discontinuous_curve_passing_the_chamber_checks_exits_3(monkeypatch, f1, capsys, problems_dir):
+    # c - x vanishes at each chamber's check point x = lo + (hi - lo) / 3, so
+    # every chamber check passes and only continuity at the wall c = 1 fails
+    _perturb(monkeypatch, lambda lo, hi, q, n: Polynomial.of(-Q(3 * lo + hi - lo, 3 * q), 1))
+    with pytest.raises(InvariantViolation, match="discontinuity at breakpoint 1"):
+        filtration_curve(f1, anticanonical(f1), (1, 0))
+    assert main(["dh", str(problems_dir / "f1.json"), "--u", "1,0"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvariantViolation" and "discontinuity at breakpoint 1" in err["message"]
+
+
+@pytest.mark.parametrize("u, pieces", [((1, 1), 1), ((1, 0), 2)])
+def test_dh_measure_checks_each_piece_once(monkeypatch, f1, u, pieces):
+    k = anticanonical(f1)
+    curve = filtration_curve(f1, k, u)
+    assert len(curve.pieces) == pieces
+    analysed = []
+    real = volume_fn.nonneg_on_interval
+
+    def counted(p, a, b):
+        analysed.append((a, b))
+        return real(p, a, b)
+
+    monkeypatch.setattr(volume_fn, "nonneg_on_interval", counted)
+    dh_measure(curve, big_volume(f1, k))
+    assert analysed == list(zip(curve.breakpoints, curve.breakpoints[1:]))
+
+
 def test_slice_check_solves_each_basis_once(monkeypatch, p3):
     # P_L's four rows plus the slice row are solved once for both chambers,
     # and the boundedness test hits the memo left by P_L's own enumeration

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction as Q
 
@@ -26,6 +27,7 @@ from toricstab import (
     zero_divisor,
 )
 from toricstab import volume_fn
+from toricstab.cli import main
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
 from toricstab.filtrations import filtration_family
 from toricstab.geometry import Chamber, ParametricHalfspace, _basis_paths, det, triangulation, volume
@@ -153,6 +155,26 @@ def test_piecewise_invariants():
     assert pw(Q(3, 2)) == Q(1, 2)
     assert pw.integrate() == 1
     assert pw.moment() == Q(1, 3) + (Polynomial.of(0, 2, -1)).integrate(1, 2)
+
+
+def test_discontinuous_volume_curve_passing_the_chamber_checks_exits_3(
+    monkeypatch, capsys, problems_dir
+):
+    # t - x vanishes at the point x where each chamber polynomial is checked,
+    # so only the continuity of the built curve at the wall t = 1 can fail
+    real = volume_fn.chamber_volume_polynomial
+
+    def perturbed(pp, chamber):
+        return real(pp, chamber) + Polynomial.of(-chamber.sample_points(2)[0], 1)
+
+    monkeypatch.setattr(volume_fn, "chamber_volume_polynomial", perturbed)
+    volume_fn.volume_curve.cache_clear()
+    assert main(["volume", str(problems_dir / "f1.json"), "--curve", "F"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvariantViolation" and "discontinuity at breakpoint 1" in err["message"]
+    # the library's builder raises InvariantViolation where the constructor raises ValueError
+    with pytest.raises(InvariantViolation, match="discontinuity at breakpoint 1"):
+        PiecewisePolynomial.merged((0, 1, 2), (Polynomial.of(0), Polynomial.of(1)))
 
 
 def test_piecewise_integral_is_signed_and_refuses_bounds_outside():
