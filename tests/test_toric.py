@@ -34,8 +34,7 @@ from toricstab.errors import (
     NotPseudoEffective,
     ZeroVector,
 )
-from toricstab.geometry import _bareiss as bareiss
-from toricstab.geometry import det, extreme_rays, is_primitive, solve_linear
+from toricstab.geometry import _bareiss, det, extreme_rays, is_primitive, solve_linear
 from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
 from toricstab.volume_fn import volume_curve
@@ -560,7 +559,7 @@ def test_one_elimination_per_maximal_cone(monkeypatch):
 
     def counting(m, ncols):
         calls.append(ncols)
-        return bareiss(m, ncols)
+        return _bareiss(m, ncols)
 
     monkeypatch.setattr(toric, "_bareiss", counting)
     # a complete non-smooth fan built nowhere else, so its table is not cached yet
