@@ -24,13 +24,15 @@ and shared by every polytope of a family.
 
 A Polytope keeps its integer form, written once at construction, and
 triangulation, affine ranks and volumes run on it.  A simplex is a tuple of
-vertex indices everywhere: the triangulation works on integer rows and
-points (tight sets, facet projections and the lift back are index lists),
-the cached triangulation pairs each simplex with its integer determinant,
-and volume and linear_moment sum these and divide once, as facet_volume
-does over the simplices of one facet.  _triangulate and facet_simplices
-take any such rows and points, so a family's chamber polynomials
-triangulate its integer rows directly, without a Polytope.
+vertex indices everywhere: the triangulation reads one vertex-facet
+incidence table per polytope, the tight set of every row, and works on
+faces as sets of vertex indices, the facets of a face being its maximal
+intersections with the tight sets; the cached triangulation pairs each
+simplex with its integer determinant, and volume and linear_moment sum
+these and divide once, as facet_volume does over the simplices of one
+facet.  _triangulate and facet_simplices take any rows and their polytope's
+exact vertex set, so a family's chamber polynomials triangulate its
+integer rows directly, without a Polytope.
 normalized_volume runs the same steps from integer rows to n! times the
 volume without building a Polytope or touching the volume and triangulation
 caches; it is the independent volume sample of the chamber polynomial
@@ -138,24 +140,6 @@ def _bareiss(m: list[Sequence[int]], ncols: int) -> tuple[list[int], int, int]:
         if r + 1 == nrows:
             break
     return pivots, prev, sign
-
-
-def det(rows: Sequence[Sequence]) -> Fraction:
-    n = len(rows)
-    pivots, pivot, sign, scale = _eliminate(list(rows), n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * pivot, scale)
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Point | None:
-    """Solve the square system rows * x = rhs; None if singular."""
-    n = len(rows)
-    m = [[*row, b] for row, b in zip(rows, rhs)]
-    pivots, _pivot, _sign, _scale = _eliminate(m, n)
-    if len(pivots) < n:
-        return None
-    return tuple(Fraction(m[i][n], m[i][i]) for i in range(n))
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
@@ -526,80 +510,86 @@ def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
 
 def _tight_sets(
     rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int
-) -> list[tuple[int, ...]]:
+) -> list[frozenset[int]]:
     """For each row (a, b) of {<a, x> + b / q >= 0}, the indices of the points on its boundary.
 
     The points are x = num / den: num lies on the boundary of (a, b) exactly
     when <a, num> * q + b * den == 0.
     """
     return [
-        tuple(i for i, num in enumerate(points) if sum(map(mul, a, num)) * q + b * den == 0)
+        frozenset(i for i, num in enumerate(points) if sum(map(mul, a, num)) * q + b * den == 0)
         for a, b in rows
+    ]
+
+
+def _facets(face: frozenset[int], tight: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """The facets of a face of a full-dimensional polytope, from the tight set of each row.
+
+    Every facet of a face F is F & T for the tight set T of some facet of the
+    polytope, and the maximal proper faces of F are its facets: they are the
+    inclusion-maximal sets among the F & T other than F, in the order of
+    their first row.
+    """
+    cuts = [cut for cut in dict.fromkeys(face & t for t in tight) if cut != face]
+    return [cut for cut in cuts if not any(cut < other for other in cuts)]
+
+
+def _pull(
+    face: frozenset[int], dim: int, tight: Sequence[frozenset[int]], points: Sequence[LatticeVector]
+) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a face of dimension dim, a set of indices into `points`.
+
+    A face of dimension at most one is its own simplex, a vertex or an edge
+    (lo, hi); a larger one is coned from its lex-least vertex over its facets
+    that miss it.
+    """
+    if dim <= 1:
+        return [tuple(sorted(face, key=points.__getitem__))]
+    v0 = min(face, key=points.__getitem__)
+    return [
+        (v0, *simplex)
+        for facet in _facets(face, tight)
+        if v0 not in facet
+        for simplex in _pull(facet, dim - 1, tight, points)
     ]
 
 
 def _triangulate(
     rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int
 ) -> list[tuple[int, ...]]:
-    """Simplices covering the polytope {<a, x> + b / q >= 0} with vertices points / den.
+    """Simplices covering the polytope {<a, x> + b / q >= 0}, whose vertices are exactly points / den.
 
-    Cones from the lex-least vertex over the facets; each simplex is a tuple
-    of indices into `points`; none when the points are not full-dimensional.
+    A pulling triangulation on one vertex-facet incidence table, the tight
+    set of every row: each simplex is a tuple of indices into `points`.  A
+    nonempty polytope is full-dimensional exactly when no row is tight at
+    every vertex (it has no implicit equality); otherwise there are no
+    simplices.  The rows' normals must be nonzero.
     """
-    if _int_affine_rank(points) != dim:
+    tight = _tight_sets(rows, q, points, den)
+    everything = frozenset(range(len(points)))
+    if not points or everything in tight:
         return []
-    v0 = min(range(len(points)), key=points.__getitem__)
-    if dim == 1:
-        return [(v0, max(range(len(points)), key=points.__getitem__))]
-    simplices: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for row, tight in zip(rows, _tight_sets(rows, q, points, den)):
-        if v0 in tight or len(tight) < dim or tight in seen:
-            continue
-        seen.add(tight)
-        face = [points[i] for i in tight]
-        for face_simplex in _triangulate_facet(rows, q, row, face, den, dim):
-            simplices.append((v0, *(tight[j] for j in face_simplex)))
-    return simplices
-
-
-def _triangulate_facet(
-    rows: Sequence[IntRow], q: int, facet: IntRow, face: Sequence[LatticeVector], den: int, dim: int
-) -> list[tuple[int, ...]]:
-    """Simplices of the facet where `facet` is tight, as indices into its vertices `face`.
-
-    Projected along the largest normal entry: eliminating x_k with the facet's
-    equation turns every other row into a row in the remaining coordinates
-    over the same q.  Of rows with one primitive normal only the binding one
-    (least offset / content) is kept; the projection is injective on the
-    facet, so the projected vertices keep their indices and their affine rank.
-    """
-    if dim == 1:
-        return [(i,) for i in range(len(face))]
-    u, c = facet
-    k = max(range(dim), key=lambda j: abs(u[j]))
-    s = 1 if u[k] > 0 else -1
-    projected = [
-        (tuple(s * (u[k] * w[j] - w[k] * u[j]) for j in range(dim) if j != k),
-         s * (b * u[k] - c * w[k]))
-        for w, b in rows
-    ]
-    return _triangulate(_dedupe_rows(projected), q, [v[:k] + v[k + 1 :] for v in face], den, dim - 1)
+    return _pull(everything, dim, tight, points)
 
 
 def facet_simplices(
     rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int,
-    normal: Sequence[int],
-) -> list[tuple[int, ...]]:
-    """Simplices covering the facet on the row with this normal, as indices into `points`.
+    normals: Iterable[Sequence[int]],
+) -> list[list[tuple[int, ...]]]:
+    """Per normal, simplices covering the facet on the row with that normal, as indices into `points`.
 
-    The polytope is {<a, x> + b / q >= 0} with vertices points / den; no
-    simplices when the row is not tight on a facet.
+    The polytope is {<a, x> + b / q >= 0}, whose vertices are exactly
+    points / den, and its incidence table is computed once for all normals.
+    A row's tight set is a facet exactly when the polytope is
+    full-dimensional and the set is inclusion-maximal among the proper tight
+    sets.  No simplices for a normal with no row, or whose row is not tight
+    on a facet.
     """
-    facet = next(row for row in rows if row[0] == tuple(normal))
-    (tight,) = _tight_sets([facet], q, points, den)
-    face = [points[i] for i in tight]
-    return [tuple(tight[j] for j in s) for s in _triangulate_facet(rows, q, facet, face, den, dim)]
+    tight = _tight_sets(rows, q, points, den)
+    everything = frozenset(range(len(points)))
+    facets = [] if not points or everything in tight else _facets(everything, tight)
+    on = {a: t for (a, _b), t in zip(rows, tight) if t in facets}
+    return [_pull(on[u], dim - 1, tight, points) if u in on else [] for u in map(tuple, normals)]
 
 
 def _simplex_dets(
@@ -616,7 +606,7 @@ def _simplex_dets(
 
 
 def facet_volume(p: Polytope, normal: Sequence[int]) -> Fraction:
-    """Lattice volume of the facet of p on its halfspace with this primitive normal; 0 if no facet.
+    """Lattice volume of the facet of p on its halfspace with this normal; 0 if there is none.
 
     A facet simplex with edges e_1, ..., e_{n-1} has (n-1)! times its lattice
     volume equal to |det(e_1, ..., e_{n-1}, normal)| / <normal, normal>; the
@@ -624,7 +614,7 @@ def facet_volume(p: Polytope, normal: Sequence[int]) -> Fraction:
     divided once.
     """
     n = p.dimension
-    simplices = facet_simplices(p.rows, p.q, p.points, p.den, n, normal)
+    (simplices,) = facet_simplices(p.rows, p.q, p.points, p.den, n, [normal])
     total = sum(_simplex_dets(p.points, simplices, [normal]))
     return Fraction(total, p.den ** (n - 1) * sum(a * a for a in normal) * math.factorial(n - 1))
 

@@ -558,13 +558,13 @@ def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple
     Each facet is triangulated on the family's rows at the chamber midpoint,
     as in chamber_volume_polynomial.
     """
-    midpoint = _at_midpoint(pp, chamber)
+    normals = [hs.normal for hs in pp.halfspaces]
+    facets = facet_simplices(*_at_midpoint(pp, chamber), pp.dimension, normals)
     path_rows = _path_rows(chamber)
     return tuple(
-        _moving_simplices(
-            chamber, path_rows, facet_simplices(*midpoint, pp.dimension, hs.normal), [hs.normal]
-        ).scale(Fraction(1, dot(hs.normal, hs.normal)))
-        for hs in pp.halfspaces
+        _moving_simplices(chamber, path_rows, simplices, [hs.normal])
+        .scale(Fraction(1, dot(hs.normal, hs.normal)))
+        for hs, simplices in zip(pp.halfspaces, facets)
     )
 
 

@@ -4,7 +4,9 @@ Lagrange interpolation through sampled values, and the Fraction Horner
 scheme and antiderivative that Polynomial evaluated and integrated with
 before it moved to integer numerators over one denominator.  A Fraction
 Gauss-Jordan elimination, and on it the solve over a cone's shared rays that
-validate_fan's face test ran before it read the cones' dual bases.
+validate_fan's face test ran before it read the cones' dual bases.  The
+determinant and square solve on the library's integer elimination, which
+the library no longer calls.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from toricstab.geometry import _eliminate
 from toricstab.volume_fn import Polynomial
 
 
@@ -30,6 +33,24 @@ def fit_polynomial(xs: Sequence, ys: Sequence) -> Polynomial:
             denom *= xi - xj
         result = result + term.scale(yi / denom)
     return result
+
+
+def det(rows: Sequence[Sequence]) -> Fraction:
+    n = len(rows)
+    pivots, pivot, sign, scale = _eliminate(list(rows), n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * pivot, scale)
+
+
+def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
+    """Solve the square system rows * x = rhs; None if singular."""
+    n = len(rows)
+    m = [[*row, b] for row, b in zip(rows, rhs)]
+    pivots, _pivot, _sign, _scale = _eliminate(m, n)
+    if len(pivots) < n:
+        return None
+    return tuple(Fraction(m[i][n], m[i][i]) for i in range(n))
 
 
 def fraction_horner(poly: Polynomial, x) -> Fraction:

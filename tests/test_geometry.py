@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -25,7 +26,6 @@ from toricstab.geometry import (
     _recession_nontrivial,
     _tight_sets,
     affine_rank,
-    det,
     facet_simplices,
     facet_volume,
     hull_halfspaces,
@@ -41,13 +41,12 @@ from toricstab.geometry import (
     normalized_volume,
     parametric_family,
     slice_volumes,
-    solve_linear,
     triangulation,
     vertices_of,
     volume,
 )
 
-from oracles import fraction_row_reduce
+from oracles import det, fraction_row_reduce, solve_linear
 
 P2_TRIANGLE = [Halfspace((1, 0), 1), Halfspace((0, 1), 1), Halfspace((-1, -1), 1)]
 F1_QUAD = P2_TRIANGLE + [Halfspace((1, 1), 1)]
@@ -449,8 +448,40 @@ def oracle_affine_rank(points):
     return matrix_rank(diffs) if diffs else 0
 
 
+def oracle_pull(halfspaces, face, dim):
+    """A pulling triangulation of a face on Fraction halfspaces: slack tests and affine ranks.
+
+    The face is a sorted tuple of Fraction vertices, of dimension dim.  Up to
+    dimension one it is its own simplex; otherwise it is coned from its least
+    vertex over each facet that misses it, in the order of their first
+    halfspace.  A facet is the face's points tight on a halfspace whose
+    affine rank is dim - 1.
+    """
+    if dim <= 1:
+        return [face]
+    v0 = face[0]
+    simplices, seen = [], set()
+    for hs in halfspaces:
+        facet = tuple(v for v in face if hs.slack(v) == 0)
+        if v0 in facet or facet in seen or oracle_affine_rank(facet) != dim - 1:
+            continue
+        seen.add(facet)
+        simplices += [(v0, *s) for s in oracle_pull(halfspaces, facet, dim - 1)]
+    return simplices
+
+
+def oracle_pulling(halfspaces, vertices, dim):
+    """oracle_pull on the whole polytope; no simplices unless it is full-dimensional."""
+    face = tuple(sorted(vertices))
+    return oracle_pull(halfspaces, face, dim) if oracle_affine_rank(face) == dim else []
+
+
 def oracle_triangulate(halfspaces, vertices, dim):
-    """The triangulation on Fraction halfspaces: slack tests, substitution and lifting."""
+    """The projection triangulation on Fraction halfspaces: slack tests, substitution and lifting.
+
+    The library triangulated this way before it read an incidence table; its
+    simplices differ, but they cover the same volume.
+    """
     if dim == 1:
         xs = sorted(v[0] for v in vertices)
         return [] if xs[0] == xs[-1] else [((xs[0],), (xs[-1],))]
@@ -636,46 +667,177 @@ bounded_systems = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(bounded_systems)
-def test_triangulation_tight_sets_match_slack_route(halfspaces):
-    p = poly(halfspaces)
+def facet_dets(simplices, u):
+    """Summed |det(edges, u)| of Fraction facet simplices: (n-1)! <u, u> times their lattice volume."""
+    return sum((abs(det([[a - b for a, b in zip(v, s[0])] for v in s[1:]] + [u])) for s in simplices), Q(0))
+
+
+def check_triangulation(p):
+    """The triangulation and facet simplices of p against the Fraction pulling oracle.
+
+    The library's tight sets must be the slack-tested ones, read once by the
+    triangulation and once for all facets; its simplices must be the
+    oracle's, and cover the volume and facet volumes of the projection
+    oracle.  Returns the simplices.
+    """
     calls = []
 
     def checked(rows, q, points, den):
         got = _tight_sets(rows, q, points, den)
         verts = [tuple(Q(c, den) for c in num) for num in points]
         assert got == [
-            tuple(i for i, v in enumerate(verts) if Halfspace(a, Q(b, q)).slack(v) == 0)
-            for a, b in rows
+            {i for i, v in enumerate(verts) if Halfspace(a, Q(b, q)).slack(v) == 0} for a, b in rows
         ]
         calls.append(len(rows))
         return got
 
+    normals = [hs.normal for hs in p.halfspaces]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_tight_sets", checked)
-        simplices = geometry._triangulate(
-            *_int_rows(p.halfspaces), *_int_points(p.vertices), p.dimension
-        )
-        facets = {
-            hs.normal: facet_simplices(p.rows, p.q, p.points, p.den, p.dimension, hs.normal)
-            for hs in p.halfspaces
-        }
+        simplices = geometry._triangulate(*_int_rows(p.halfspaces), *_int_points(p.vertices), p.dimension)
+        facets = facet_simplices(p.rows, p.q, p.points, p.den, p.dimension, normals)
+    assert calls == [len(p.halfspaces)] * 2
+    n = p.dimension
+    full = oracle_affine_rank(p.vertices) == n
     got = [tuple(p.vertices[i] for i in simplex) for simplex in simplices]
-    assert calls and p.is_full_dimensional
-    assert got == oracle_triangulate(p.halfspaces, p.vertices, p.dimension)
-    assert vertex_simplices(p) == got
-    for hs in p.halfspaces:
+    assert got == oracle_pulling(p.halfspaces, p.vertices, n)
+    assert bool(got) == full
+    if full:
+        assert vertex_simplices(p) == got
+        assert sum(map(simplex_volume, got)) == sum(
+            map(simplex_volume, oracle_triangulate(p.halfspaces, p.vertices, n)))
+    for hs, on_facet in zip(p.halfspaces, facets):
         u = hs.normal
         tight = oracle_tight(hs, p.vertices)
-        want = [] if oracle_affine_rank(tight) != p.dimension - 1 else \
-            oracle_triangulate_facet(p.halfspaces, hs, tight, p.dimension)
-        assert [tuple(p.vertices[i] for i in simplex) for simplex in facets[u]] == want
-        # the Fraction facet-volume route: (n-1)! times a facet simplex's
-        # lattice volume is |det(edges, u)| / <u, u>
-        dets = [abs(det([[a - b for a, b in zip(v, s[0])] for v in s[1:]] + [u])) for s in want]
-        assert facet_volume(p, u) == sum(dets, Q(0)) / (
-            sum(a * a for a in u) * math.factorial(p.dimension - 1))
+        facet = full and oracle_affine_rank(tight) == n - 1
+        want = oracle_pull(p.halfspaces, tight, n - 1) if facet else []
+        assert [tuple(p.vertices[i] for i in simplex) for simplex in on_facet] == want
+        assert facet_volume(p, u) == facet_dets(want, u) / (sum(a * a for a in u) * math.factorial(n - 1))
+        if facet:
+            assert facet_dets(want, u) == facet_dets(oracle_triangulate_facet(p.halfspaces, hs, tight, n), u)
+    return simplices
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_systems)
+def test_triangulation_tight_sets_match_slack_route(halfspaces):
+    p = poly(halfspaces)
+    assert p.is_full_dimensional and check_triangulation(p)
+
+
+@st.composite
+def flat_systems(draw):
+    """A bounded system of bounded_systems cut to the hyperplane <u, x> = level by two opposite rows.
+
+    u is a row's normal or a small vector, and the level a vertex height or a
+    height strictly between the least and the greatest, so the cut is not
+    empty: a flat face of the polytope, or a slice through its interior.
+    """
+    hs = draw(bounded_systems)
+    vertices = vertices_of(hs)
+    dim = len(hs[0].normal)
+    vector = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim).filter(any)
+    u = draw(st.one_of(st.sampled_from([h.normal for h in hs]), vector.map(tuple)))
+    heights = [sum(a * x for a, x in zip(u, v)) for v in vertices]
+    lo, hi = min(heights), max(heights)
+    level = draw(st.one_of(
+        st.sampled_from(heights),
+        st.builds(lambda k: lo + (hi - lo) * Q(k, 7), st.integers(min_value=1, max_value=6)),
+    ))
+    return hs + [Halfspace(u, -level), Halfspace(tuple(-a for a in u), level)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_systems())
+def test_flat_systems_have_no_simplices(halfspaces):
+    p = poly(halfspaces)
+    assert not p.is_empty and not p.is_full_dimensional
+    assert check_triangulation(p) == [] and volume(p) == 0
+
+
+def cube(dim):
+    return [Halfspace(tuple(s * int(i == j) for j in range(dim)), 1) for i in range(dim) for s in (1, -1)]
+
+
+def cross_polytope(dim):
+    return [Halfspace(signs, 1) for signs in itertools.product((1, -1), repeat=dim)]
+
+
+def pyramid(dim):
+    """The pyramid over the cube [-1, 1]^(dim-1) with apex e_dim: every base facet meets at the apex."""
+    top = tuple(int(j == dim - 1) for j in range(dim))
+    sides = [
+        tuple(-s * int(i == j) - t for j, t in enumerate(top)) for i in range(dim - 1) for s in (1, -1)
+    ]
+    return [Halfspace(top, 0)] + [Halfspace(u, 1) for u in sides]
+
+
+def flat(halfspaces, u, level):
+    return halfspaces + [Halfspace(u, -level), Halfspace(tuple(-a for a in u), level)]
+
+
+# non-simple polytopes, and flat cuts: a facet, a vertex, a slice through the interior
+PINNED_SYSTEMS = [
+    shape(dim) for dim in (2, 3, 4) for shape in (cube, cross_polytope, pyramid)
+] + [
+    flat(shape(dim), (1,) + (0,) * (dim - 1), level)
+    for dim in (2, 3, 4) for shape in (cube, cross_polytope) for level in (0, Q(1, 2), 1)
+] + [flat(pyramid(dim), tuple(int(j == dim - 1) for j in range(dim)), level)
+     for dim in (2, 3, 4) for level in (0, Q(1, 3), 1)]
+
+
+@pytest.mark.parametrize("halfspaces", PINNED_SYSTEMS)
+def test_triangulation_of_pinned_systems(halfspaces):
+    check_triangulation(poly(halfspaces))
+
+
+def test_pinned_volumes():
+    assert [volume(poly(shape(4))) for shape in (cube, cross_polytope, pyramid)] == [16, Q(2, 3), 2]
+    assert volume(poly(flat(cube(4), (1, 0, 0, 0), 0))) == 0
+    # the lex-least vertex of the cross-polytope is on 8 of its 16 facets, and
+    # it is coned over the other 8, each a simplex
+    assert len(triangulation(poly(cross_polytope(4)))) == 8
+
+
+def test_facet_volume_is_zero_off_the_row_normals():
+    # neither (1, 1) nor (2, 0) is the normal of a row of the square
+    p = poly(cube(2))
+    assert [facet_volume(p, u) for u in ((1, 1), (2, 0), (1, 0), (0, -1))] == [0, 0, 2, 2]
+    simplices = facet_simplices(p.rows, p.q, p.points, p.den, 2, [(1, 1), (2, 0), (1, 0)])
+    assert [len(s) for s in simplices] == [0, 0, 1]
+
+
+def test_triangulation_reads_one_incidence_table():
+    # the triangulation reads the tight sets once per polytope, and no face
+    # of the recursion runs a rank test or a dedupe; the one dedupe of
+    # normalized_volume and of a slice level is of the input rows, before the
+    # vertex enumeration and the triangulation
+    hs = cross_polytope(4) + [Halfspace((1, 1, 0, 0), Q(1, 2))]
+    p = poly(hs)
+    want = 24 * volume(p)
+    counts = collections.Counter()
+
+    def counted(name):
+        real = getattr(geometry, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_tight_sets", "_int_affine_rank", "_dedupe_rows"):
+            mp.setattr(geometry, name, counted(name))
+        assert len(triangulation.__wrapped__(p)) > 8
+        assert counts == {"_tight_sets": 1}
+        counts.clear()
+        assert normalized_volume(*_int_rows(hs), 4) == want
+        assert counts == {"_tight_sets": 1, "_dedupe_rows": 1}
+        counts.clear()
+        at = slice_volumes(p.rows, p.q, (1, 0, 0, 0), 4)
+        assert at(Q(1, 3)) > 0
+        assert counts == {"_tight_sets": 1, "_dedupe_rows": 1}
 
 
 @settings(max_examples=100, deadline=None)

@@ -34,12 +34,12 @@ from toricstab.errors import (
     NotPseudoEffective,
     ZeroVector,
 )
-from toricstab.geometry import _bareiss, det, extreme_rays, is_primitive, solve_linear
+from toricstab.geometry import _bareiss, extreme_rays, is_primitive
 from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
 from toricstab.volume_fn import volume_curve
 
-from oracles import nonneg_combination
+from oracles import det, nonneg_combination, solve_linear
 
 
 def test_validate_p2(p2):

@@ -26,11 +26,11 @@ from toricstab import (
     zariski_decompose,
     zero_divisor,
 )
-from toricstab import volume_fn
+from toricstab import geometry, volume_fn
 from toricstab.cli import main
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
 from toricstab.filtrations import filtration_family
-from toricstab.geometry import Chamber, ParametricHalfspace, _basis_paths, det, triangulation, volume
+from toricstab.geometry import Chamber, ParametricHalfspace, _basis_paths, triangulation, volume
 from toricstab.thresholds import primitive_candidates
 from toricstab.volume_fn import (
     _det_poly,
@@ -43,7 +43,7 @@ from toricstab.volume_fn import (
     squarefree_decomposition,
 )
 
-from oracles import antiderivative_integral, fit_polynomial, fraction_horner
+from oracles import antiderivative_integral, det, fit_polynomial, fraction_horner
 
 
 # ---- polynomial layer ------------------------------------------------------
@@ -404,6 +404,23 @@ def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch)
     assert [family_volume_curve(pp) for pp in families] == want
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == facets
     assert triangulation.cache_info().currsize == cached
+
+
+def test_chamber_facet_polynomials_read_one_incidence_table(f1, p3, monkeypatch):
+    # every ray's facet is read off one table of tight sets per chamber
+    families = [divisor_family(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
+    want = [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers]
+    calls = []
+    real = geometry._tight_sets
+
+    def counted(rows, q, points, den):
+        calls.append(len(rows))
+        return real(rows, q, points, den)
+
+    monkeypatch.setattr(geometry, "_tight_sets", counted)
+    chambers = [(pp, ch) for pp in families for ch in pp.chambers]
+    assert [chamber_facet_polynomials(pp, ch) for pp, ch in chambers] == want
+    assert calls == [len(pp.halfspaces) for pp, _ch in chambers]
 
 
 def test_chamber_facet_polynomials_write_the_path_rows_once(p3, monkeypatch):
