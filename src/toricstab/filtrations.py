@@ -5,8 +5,8 @@ of the polarization; its normalized volume curve differentiates to a
 probability measure whose first moment is the expected vanishing order.
 The volume curve is computed in closed form, simplex by simplex over the
 cached triangulation of P_L, as a divided difference of truncated powers
-(volume_fn.slice_volume_curve); the parametric slice family
-(filtration_family) stays as an independent oracle for it.
+(volume_fn.slice_volume_curve).  The tests check it against sampled volumes
+on the chambers of the parametric slice family (filtration_family).
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ def filtration_family(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Parametric
     """The slices {x in P_L : <x,u> - min <.,u> >= tau} as a family in tau from 0.
 
     The family must end at the width of P_L against u; InvariantViolation is
-    raised when it does not.  filtration_curve does not build it: with
-    family_volume_curve it is the tests' independent oracle for the closed form.
+    raised when it does not.  filtration_curve does not build it: the tests
+    sample polytope volumes on its chambers, an oracle for the closed form
+    independent of the divided differences that family_volume_curve shares.
     """
     p = _section_polytope(fan, l, u)
     lo = p.support_min(u)

@@ -29,10 +29,11 @@ incidence table per polytope, the tight set of every row, and works on
 faces as sets of vertex indices, the facets of a face being its maximal
 intersections with the tight sets; the cached triangulation pairs each
 simplex with its integer determinant, and volume and linear_moment sum
-these and divide once, as facet_volume does over the simplices of one
+these and divide once, as facet_volumes does over the simplices of each
 facet.  _triangulate and facet_simplices take any rows and their polytope's
-exact vertex set, so a family's chamber polynomials triangulate its
-integer rows directly, without a Polytope.
+exact vertex set, so a family's chamber polynomials triangulate the
+integer rows of its hypograph, one polytope in dimension n + 1 whose
+slices are the family's polytopes, without a Polytope.
 normalized_volume runs the same steps from integer rows to n! times the
 volume without building a Polytope or touching the volume and triangulation
 caches; it is the independent volume sample of the chamber polynomial
@@ -605,18 +606,21 @@ def _simplex_dets(
     return out
 
 
-def facet_volume(p: Polytope, normal: Sequence[int]) -> Fraction:
-    """Lattice volume of the facet of p on its halfspace with this normal; 0 if there is none.
+def facet_volumes(p: Polytope, normals: Sequence[Sequence[int]]) -> list[Fraction]:
+    """Per normal, the lattice volume of the facet of p on its halfspace with it; 0 if there is none.
 
-    A facet simplex with edges e_1, ..., e_{n-1} has (n-1)! times its lattice
-    volume equal to |det(e_1, ..., e_{n-1}, normal)| / <normal, normal>; the
-    edges are integers over p.den, so their determinants are summed and
-    divided once.
+    Every facet is read from one incidence table.  A facet simplex with edges
+    e_1, ..., e_{n-1} has (n-1)! times its lattice volume equal to
+    |det(e_1, ..., e_{n-1}, normal)| / <normal, normal>; the edges are
+    integers over p.den, so each facet's determinants are summed and divided
+    once.
     """
     n = p.dimension
-    (simplices,) = facet_simplices(p.rows, p.q, p.points, p.den, n, [normal])
-    total = sum(_simplex_dets(p.points, simplices, [normal]))
-    return Fraction(total, p.den ** (n - 1) * sum(a * a for a in normal) * math.factorial(n - 1))
+    scale = p.den ** (n - 1) * math.factorial(n - 1)
+    return [
+        Fraction(sum(_simplex_dets(p.points, simplices, [u])), scale * sum(a * a for a in u))
+        for u, simplices in zip(normals, facet_simplices(p.rows, p.q, p.points, p.den, n, normals))
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -666,7 +670,8 @@ def slice_volumes(
     solutions are (c0 * sd + c1 * sn) / (den * q * sd), kept and reduced as
     in _int_vertices on the rows at s over q * sd.  The slice lies in the
     rows' polytope, so the boundedness test runs on the rows' normals, the
-    memo entry of their own vertex enumeration.
+    memo entry of their own vertex enumeration.  The cut rows are not
+    deduped: the incidence table needs only nonzero normals.
     """
     normal = tuple(normal)
     system = [(a, (-b, 0)) for a, b in rows] + [(normal, (0, q))]
@@ -680,7 +685,7 @@ def slice_volumes(
         points, den = _feasible_vertices(solutions, cut, q * sd)
         if points and _recession_nontrivial(normals, dim):
             raise UnboundedRegion("halfspace intersection is unbounded")
-        return _triangulated_volume(_dedupe_rows(cut), q * sd, points, den, dim)
+        return _triangulated_volume(cut, q * sd, points, den, dim)
 
     return at
 

@@ -6,10 +6,13 @@ slice volume curves of a polytope, the positive (movable) intersection
 pairing as a sum over the facets of the section polytope, checked by Euler's
 identity, and volumes along towers of star subdivisions.
 
-A chamber's volume and facet polynomials triangulate the family's integer
-rows at the chamber midpoint, on the chamber's vertex paths evaluated
-there, with no Polytope built and no triangulation cache entry added; each
-simplex is a tuple of path indices, moved along those paths.
+Every curve comes from one closed form on one triangulation per polytope:
+over a simplex with vertex heights h, the divided difference [h] of
+s -> (s - c)_+^k (Curry-Schoenberg).  A slice volume curve triangulates the
+section polytope.  A family's chamber volume and facet polynomials
+triangulate its hypograph, the (n+1)-polytope whose slices are the
+family's polytopes, once per family, with no Polytope built and no
+triangulation cache entry added.
 """
 
 from __future__ import annotations
@@ -34,17 +37,16 @@ from .errors import (
 )
 from .geometry import (
     Chamber,
-    IntRow,
     LatticeVector,
     ParametricPolytope,
     Polytope,
-    _dedupe_rows,
-    _int_points,
+    _basic_solutions,
+    _feasible_vertices,
     _over_lcm,
+    _simplex_dets,
     _triangulate,
-    dot,
     facet_simplices,
-    facet_volume,
+    facet_volumes,
     int_rows,
     normalized_volume,
     parametric_family,
@@ -441,168 +443,30 @@ def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPoly
     return parametric_family(section_halfspaces(fan, l.coeffs), list(d.coeffs))
 
 
-def _det_poly(moving: Sequence[tuple[Sequence[int], Sequence[int]]], fixed: Sequence = ()) -> list[int]:
-    """Integer coefficients of t -> det of the rows a + t * b, (a, b) in `moving`, over the rows `fixed`.
-
-    Cofactor expansion along each row in turn, from the bottom up: the minors
-    of the last rows on every set of columns are integer polynomials.
-    """
-    rows = [*moving, *((row, [0] * len(row)) for row in fixed)]
-    n = len(rows)
-    minors: dict[tuple[int, ...], list[int]] = {(): [1]}
-    for depth, (a, b) in enumerate(reversed(rows), 1):
-        grown = {}
-        for cols in itertools.combinations(range(n), depth):
-            acc = [0] * (depth + 1)
-            for k, col in enumerate(cols):
-                sign = -1 if k % 2 else 1
-                ca, cb = sign * a[col], sign * b[col]
-                for i, m in enumerate(minors[cols[:k] + cols[k + 1 :]]):
-                    acc[i] += ca * m
-                    acc[i + 1] += cb * m
-            grown[cols] = acc
-        minors = grown
-    return minors[tuple(range(n))][: len(moving) + 1]
-
-
-def _rows_at(pp: ParametricPolytope, t: Fraction) -> tuple[list[IntRow], int]:
-    """The family's halfspaces at t as integer rows (a, b) of {<a, x> + b / q >= 0} over one q."""
-    offsets = [hs.offset - t * hs.rate for hs in pp.halfspaces]
-    return int_rows([hs.normal for hs in pp.halfspaces], offsets)
-
-
-def _at_midpoint(
-    pp: ParametricPolytope, chamber: Chamber
-) -> tuple[list[IntRow], int, list[LatticeVector], int]:
-    """P_t at the chamber midpoint: its deduped rows over q and its vertices over den.
-
-    The vertices are chamber.paths at the midpoint, in the same order: every
-    path is a basic solution feasible on the whole chamber, and distinct
-    paths are distinct points inside it, so no vertex enumeration is needed.
-    """
-    mid = chamber.midpoint()
-    rows, q = _rows_at(pp, mid)
-    return _dedupe_rows(rows), q, *_int_points([path.at(mid) for path in chamber.paths])
-
-
-def _path_rows(chamber: Chamber) -> tuple[list[LatticeVector], int]:
-    """Row i: the base and velocity of chamber.paths[i], as integers over one common den."""
-    return _int_points([path.base + path.velocity for path in chamber.paths])
-
-
-def _moving_simplices(
-    chamber: Chamber,
-    path_rows: tuple[list[LatticeVector], int],
-    simplices: Sequence[Sequence[int]],
-    fixed: Sequence[Sequence] = (),
-) -> Polynomial:
-    """t -> sum of |det(v_1(t) - v_0(t), ..., fixed)|, midpoint simplices moved on the paths.
-
-    Each simplex is a tuple of indices into chamber.paths (_at_midpoint).
-    The paths come as integer numerators over one common denominator den
-    (_path_rows, built once per chamber), so each simplex's det(A + tB) is
-    an integer polynomial over den^k (k moving rows), expanded by cofactors.
-    Its sign is that at the midpoint, decided in integers; Fractions are
-    built only for the summed coefficients.
-    """
-    mid = chamber.midpoint()
-    rows, den = path_rows
-    dim = len(chamber.paths[0].base) if chamber.paths else 0
-    k = len(simplices[0]) - 1 if simplices else 0
-    # the sign of sum c_i mid^i, scaled by the positive mid.denominator^k
-    powers = [mid.numerator**i * mid.denominator ** (k - i) for i in range(k + 1)]
-    total = [0] * (k + 1)
-    for i0, *rest in simplices:
-        diffs = [[a - b for a, b in zip(rows[i], rows[i0])] for i in rest]
-        coeffs = _det_poly([(d[:dim], d[dim:]) for d in diffs], fixed)
-        sign = 1 if sum(map(operator.mul, coeffs, powers)) > 0 else -1
-        total = [t + sign * c for t, c in zip(total, coeffs)]
-    return Polynomial(tuple(Fraction(c, den**k) for c in total))
-
-
-def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polynomial:
-    """Exact volume polynomial on one chamber, from one symbolic triangulation.
-
-    Inside a chamber every vertex follows an affine path.  The family's
-    integer rows at the chamber midpoint are triangulated once, on the paths'
-    midpoint vertices (_at_midpoint), with no Polytope built and nothing
-    added to the triangulation cache; each simplex moves with the paths of
-    its vertices: its volume is sign * det M(t) / n!, where M(t) has the
-    affine rows v_i(t) - v_0(t) and the sign is that of det M at the midpoint.
-    det M(t) is an integer polynomial over a power of the paths' common
-    denominator, expanded by cofactors (_moving_simplices).  The result is
-    checked against an independent volume of P_x at one interior point x
-    other than the midpoint, the family's rows at x enumerated and
-    triangulated afresh on integers (normalized_volume), and against the
-    degree bound n = the family's dimension; a failure raises
-    InvariantViolation.
-    """
-    scale = math.factorial(pp.dimension)
-    simplices = _triangulate(*_at_midpoint(pp, chamber), pp.dimension)
-    poly = _moving_simplices(chamber, _path_rows(chamber), simplices).scale(Fraction(1, scale))
-    x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
-    check = normalized_volume(*_rows_at(pp, x), pp.dimension)
-    if poly.degree > pp.dimension or scale * poly(x) != check:
-        raise InvariantViolation(
-            f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
-        )
-    return poly
-
-
-def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple[Polynomial, ...]:
-    """Per primitive normal u_i, t -> (n-1)! times the lattice volume of the facet of P_t.
-
-    For the family of L - tD this is the positive product <P_t^{n-1}> . D_i,
-    zero where the face minimizing u_i is not a facet.  With the constant row
-    u_i, |det| / <u_i, u_i> is (n-1)! times a facet simplex's lattice volume.
-    Each facet is triangulated on the family's rows at the chamber midpoint,
-    as in chamber_volume_polynomial.
-    """
-    normals = [hs.normal for hs in pp.halfspaces]
-    facets = facet_simplices(*_at_midpoint(pp, chamber), pp.dimension, normals)
-    path_rows = _path_rows(chamber)
-    return tuple(
-        _moving_simplices(chamber, path_rows, simplices, [hs.normal])
-        .scale(Fraction(1, dot(hs.normal, hs.normal)))
-        for hs, simplices in zip(pp.halfspaces, facets)
-    )
-
-
-def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
-    """Piecewise polynomial of t -> n! * volume(P_t) on [0, t_max], n = pp.dimension."""
-    scale = math.factorial(pp.dimension)
-    bps = [pp.chambers[0].lo]
-    pieces = []
-    for chamber in pp.chambers:
-        poly = chamber_volume_polynomial(pp, chamber).scale(scale)
-        bps.append(chamber.hi)
-        pieces.append(poly)
-    return PiecewisePolynomial.merged(bps, pieces)
-
-
 def _truncated_power_dd(knots: Sequence[int], top: int, n: int) -> tuple[list[int], int]:
-    """The divided difference [k_0, ..., k_n] of s -> (s - C)_+^n, as a polynomial in C.
+    """The divided difference [k_0, ..., k_m] of s -> (s - C)_+^n, as a polynomial in C.
 
     C ranges over one chamber, and no knot lies strictly inside it: the
     sorted `knots` at least `top`, the chamber's upper end, see (s - C)^n, the
     others see 0.  Where j - i + 1 knots coincide at s, the confluent entry is
     the Taylor coefficient binom(n, j - i) (s - C)^(n - j + i) above the chamber
-    and 0 below it.  Returns integer coefficients, ascending in C, over one
-    positive denominator.
+    and 0 below it or when j - i > n.  There may be more than n + 1 knots.
+    Returns integer coefficients, ascending in C, over one positive
+    denominator.
     """
 
     def power(s: int, k: int) -> tuple[list[int], int]:
         # binom(n, k) * (s - C)^(n - k), padded to n + 1 coefficients
-        if s < top:
+        if s < top or k > n:
             return [0] * (n + 1), 1
         m = n - k
         c = math.comb(n, k)
         return [c * math.comb(m, j) * s ** (m - j) * (-1) ** j for j in range(m + 1)] + [0] * k, 1
 
     table = [power(s, 0) for s in knots]
-    for k in range(1, n + 1):
+    for k in range(1, len(knots)):
         grown = []
-        for i in range(n + 1 - k):
+        for i in range(len(knots) - k):
             a, b = knots[i], knots[i + k]
             if a == b:
                 grown.append(power(a, k))
@@ -616,11 +480,18 @@ def _truncated_power_dd(knots: Sequence[int], top: int, n: int) -> tuple[list[in
 def _slice_polynomial(
     knotted: Sequence[tuple[int, Sequence[int]]], lo: int, hi: int, q: int, n: int
 ) -> Polynomial:
-    """c -> n! * slice volume on the chamber [lo/q, hi/q], from (|det|, sorted knots) per simplex."""
+    """c -> sum of |det| [h](s - q c)_+^n / q^n over (|det|, sorted heights h), on [lo/q, hi/q].
+
+    The heights are integers over q, none strictly inside the chamber.  With
+    n + 1 heights per simplex this is n! times the volume above c
+    (slice_volume_curve); with n + 2 it is n! times the volume of the slice
+    at c, which a simplex wholly above the chamber misses (_Hypograph).
+    """
     total, den = [0] * (n + 1), 1
     for d, hs in knotted:
         if hs[0] >= hi:
-            total[0] += d * den
+            if len(hs) == n + 1:
+                total[0] += d * den
         elif hs[-1] > lo:
             coeffs, dd_den = _truncated_power_dd(hs, hi, n)
             common = math.lcm(den, dd_den)
@@ -628,8 +499,125 @@ def _slice_polynomial(
                 t * (common // den) + d * c * (common // dd_den) for t, c in zip(total, coeffs)
             ]
             den = common
-    # C = q * c, and each simplex is |det| / q^n times n! its volume
+    # C = q * c: a k-simplex's |det| / q^k times [h / q] of its k + 1 heights is |det| / q^n * [h]
     return Polynomial(tuple(Fraction(t * q**m, den * q**n) for m, t in enumerate(total)))
+
+
+class _Hypograph:
+    """Q = {(x, t) : <x, u_i> - d_i t + a_i >= 0, t >= 0}, whose slice at t is P_t.
+
+    The family's rows in dimension n + 1, each scaled by k, the lcm of the
+    rates' denominators, into an integer row (a, b) of {<a, (x, t)> + b / q
+    >= 0}.  A family that passed parametric_family's checks has a finite
+    t_max and a bounded start, so Q is bounded: its vertices are the feasible
+    basic solutions, with no boundedness test, integers over den with the
+    height t last.  Q is triangulated once, and its facets are read from one
+    incidence table when first asked for.  No Polytope is built.
+    """
+
+    def __init__(self, halfspaces: Sequence) -> None:
+        self.dim = n = len(halfspaces[0].normal)
+        k = math.lcm(*(hs.rate.denominator for hs in halfspaces))
+        normals = [(*(k * a for a in hs.normal), -int(k * hs.rate)) for hs in halfspaces]
+        offsets = [k * hs.offset for hs in halfspaces]
+        self.rows, self.q = int_rows([*normals, (0,) * n + (1,)], [*offsets, 0])
+        solutions = _basic_solutions([(a, (-b,)) for a, b in self.rows], n + 1)
+        self.points, self.den = _feasible_vertices(
+            ((d, num) for d, (num,) in solutions), self.rows, self.q
+        )
+        self.normals = [hs.normal for hs in halfspaces]
+        self.heights = {point[-1] for point in self.points}
+
+    def _knotted(self, simplices, fixed=()) -> list[tuple[int, list[int]]]:
+        dets = _simplex_dets(self.points, simplices, fixed)
+        return [(d, sorted(self.points[i][-1] for i in s)) for d, s in zip(dets, simplices)]
+
+    @cached_property
+    def simplices(self) -> list[tuple[int, list[int]]]:
+        """(|det|, sorted heights) of each simplex of Q."""
+        return self._knotted(_triangulate(self.rows, self.q, self.points, self.den, self.dim + 1))
+
+    @cached_property
+    def facets(self) -> list[list[tuple[int, list[int]]]]:
+        """Per row i, (|det(edges, (u_i, 0))|, sorted heights) of each simplex of its facet of Q.
+
+        Rows sharing u_i bound P_t's facet on u_i in turn, so each gets the
+        simplices of all their facets.
+        """
+        lifted = dict(zip((a for a, _b in self.rows), self.normals))  # one per row normal of Q
+        facets = facet_simplices(self.rows, self.q, self.points, self.den, self.dim + 1, lifted)
+        on: dict[LatticeVector, list] = {}
+        for u, simplices in zip(lifted.values(), facets):
+            on.setdefault(u, []).extend(self._knotted(simplices, [(*u, 0)]))
+        return [on[u] for u in self.normals]
+
+    def on(self, chamber: Chamber, knotted, n: int) -> Polynomial:
+        """_slice_polynomial of `knotted` on the chamber, none of Q's heights inside it.
+
+        The heights are integers, so the integers floor(lo) and ceil(hi) order
+        them as the chamber's ends lo and hi over den do.
+        """
+        lo, hi = math.floor(chamber.lo * self.den), math.ceil(chamber.hi * self.den)
+        if any(lo < h < hi for h in self.heights):
+            raise InvariantViolation(
+                f"a vertex of the hypograph lies inside the chamber [{chamber.lo}, {chamber.hi}]"
+            )
+        return _slice_polynomial(knotted, lo, hi, self.den, n)
+
+
+_hypograph = lru_cache(maxsize=None)(_Hypograph)  # one per family, keyed on its halfspaces
+
+
+def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polynomial:
+    """Exact volume polynomial on one chamber, in closed form on the family's hypograph.
+
+    P_t is the slice at t of the (n+1)-polytope Q (_Hypograph), triangulated
+    once per family.  Over each simplex S of Q, with vertex heights h_S, n!
+    times the volume of its slice at t is |det S| times the divided
+    difference [h_S] of s -> (s - t)_+^n (Curry-Schoenberg), one polynomial
+    in t between consecutive heights of Q.  Every height of Q is a wall of
+    the family, so none may lie strictly inside the chamber.  The result is
+    checked against an independent volume of P_x at one interior point x,
+    the family's rows at x enumerated and triangulated afresh on integers
+    (normalized_volume), and against the degree bound n = the family's
+    dimension; a failure raises InvariantViolation.
+    """
+    n = pp.dimension
+    hypograph = _hypograph(pp.halfspaces)
+    poly = hypograph.on(chamber, hypograph.simplices, n).scale(Fraction(1, math.factorial(n)))
+    x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
+    offsets = [hs.offset - x * hs.rate for hs in pp.halfspaces]
+    check = normalized_volume(*int_rows([hs.normal for hs in pp.halfspaces], offsets), n)
+    if poly.degree > n or math.factorial(n) * poly(x) != check:
+        raise InvariantViolation(
+            f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
+        )
+    return poly
+
+
+def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple[Polynomial, ...]:
+    """Per primitive normal u_i, t -> (n-1)! times the lattice volume of the facet of P_t.
+
+    For the family of L - tD this is the positive product <P_t^{n-1}> . D_i,
+    zero where the face minimizing u_i is not a facet.  That facet is the
+    slice at t of Q's facet on row i (_Hypograph), every row's read from one
+    incidence table per family.  Over each simplex T of it, with vertex
+    heights h_T, the slice's (n-1)! lattice volume is |det(edges of T,
+    (u_i, 0))| / <u_i, u_i> times the divided difference [h_T] of
+    s -> (s - t)_+^(n-1), as in chamber_volume_polynomial.
+    """
+    hypograph = _hypograph(pp.halfspaces)
+    return tuple(
+        hypograph.on(chamber, knotted, pp.dimension - 1).scale(Fraction(1, sum(a * a for a in u)))
+        for u, knotted in zip(hypograph.normals, hypograph.facets)
+    )
+
+
+def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
+    """Piecewise polynomial of t -> n! * volume(P_t) on [0, t_max], n = pp.dimension."""
+    scale = math.factorial(pp.dimension)
+    pieces = [chamber_volume_polynomial(pp, chamber).scale(scale) for chamber in pp.chambers]
+    return PiecewisePolynomial.merged([pp.chambers[0].lo, *(ch.hi for ch in pp.chambers)], pieces)
 
 
 def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
@@ -711,14 +699,14 @@ def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fractio
     where that face is not a facet.  The sum is (1/n) d/ds vol(M + sL') at
     s = 0+ (Boucksom-Favre-Jonsson).  The facet volumes are checked against
     Euler's identity sum_i M_i f_i = vol(M), the facets triangulated apart
-    from the full polytope; a failure raises InvariantViolation.
+    from the full polytope, all from one incidence table of P_M; a failure
+    raises InvariantViolation.
     """
     vol = big_volume(fan, m)
     if vol == 0:
         raise NotBig("positive pairing needs a big base divisor")
-    p = polytope_of(fan, m)
     scale = math.factorial(fan.dimension - 1)
-    facets = [scale * facet_volume(p, u) for u in fan.rays]
+    facets = [scale * f for f in facet_volumes(polytope_of(fan, m), fan.rays)]
     if sum(map(operator.mul, m.coeffs, facets)) != vol:
         raise InvariantViolation("facet volumes of the section polytope break Euler's identity")
     return sum(map(operator.mul, lprime.coeffs, facets))

@@ -458,10 +458,10 @@ attempt("minimizer", lambda: tc._curve_chambers(f1, anticanonical(f1), ray_divis
 tc.divisor_family = real_family
 
 # every facet volume of P_M one too large: the facets break Euler's identity
-real_facet_volume = vf.facet_volume
-vf.facet_volume = lambda p, normal: real_facet_volume(p, normal) + 1
+real_facet_volumes = vf.facet_volumes
+vf.facet_volumes = lambda p, normals: [f + 1 for f in real_facet_volumes(p, normals)]
 attempt("euler", lambda: vf.positive_pairing(p2, anticanonical(p2), h))
-vf.facet_volume = real_facet_volume
+vf.facet_volumes = real_facet_volumes
 
 # every facet polynomial one too large: the facets no longer sum to the mass
 real_facets = tc.chamber_facet_polynomials

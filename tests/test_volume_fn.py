@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import random
 from fractions import Fraction as Q
 
@@ -26,14 +26,17 @@ from toricstab import (
     zariski_decompose,
     zero_divisor,
 )
-from toricstab import geometry, volume_fn
+from toricstab import geometry, toric, volume_fn
 from toricstab.cli import main
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
 from toricstab.filtrations import filtration_family
-from toricstab.geometry import Chamber, ParametricHalfspace, _basis_paths, triangulation, volume
+from toricstab.geometry import (
+    Chamber, Halfspace, ParametricHalfspace, _basis_paths, facet_volumes, parametric_family,
+    triangulation, volume,
+)
 from toricstab.thresholds import primitive_candidates
+from toricstab.toric import section_halfspaces
 from toricstab.volume_fn import (
-    _det_poly,
     chamber_facet_polynomials,
     chamber_volume_polynomial,
     count_roots,
@@ -43,42 +46,10 @@ from toricstab.volume_fn import (
     squarefree_decomposition,
 )
 
-from oracles import antiderivative_integral, det, fit_polynomial, fraction_horner
+from oracles import antiderivative_integral, fit_polynomial, fraction_horner
 
 
 # ---- polynomial layer ------------------------------------------------------
-
-def affine_det_oracle(a, b, fixed=()) -> Polynomial:
-    """t -> det(A + tB) with the constant rows `fixed` appended, by multilinearity:
-    the coefficient of t^j sums the Fraction determinants of the 2^n row picks
-    that take j rows from B."""
-    coeffs = [Q(0)] * (len(a) + 1)
-    for pick in itertools.product((False, True), repeat=len(a)):
-        rows = [rb if p else ra for ra, rb, p in zip(a, b, pick)]
-        coeffs[sum(pick)] += det(rows + list(fixed))
-    return Polynomial(tuple(coeffs))
-
-
-@st.composite
-def affine_matrices(draw):
-    """(A, B, fixed): n = 1..4 columns, 0..n-1 constant rows, the rest moving rows."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    nfixed = draw(st.integers(min_value=0, max_value=n - 1))
-    entry = st.integers(min_value=-10**6, max_value=10**6) | st.integers(min_value=-2, max_value=2)
-    rows = st.lists(entry, min_size=n, max_size=n)
-    a = draw(st.lists(rows, min_size=n - nfixed, max_size=n - nfixed))
-    b = draw(st.lists(rows, min_size=n - nfixed, max_size=n - nfixed))
-    return a, b, draw(st.lists(rows, min_size=nfixed, max_size=nfixed))
-
-
-@settings(max_examples=300, deadline=None)
-@given(affine_matrices())
-def test_det_poly_matches_multilinear_expansion(matrices):
-    a, b, fixed = matrices
-    coeffs = _det_poly(list(zip(a, b)), fixed)
-    assert len(coeffs) == len(a) + 1
-    assert Polynomial(tuple(coeffs)) == affine_det_oracle(a, b, fixed)
-
 
 def test_polynomial_arithmetic():
     p = Polynomial.of(3, -1)
@@ -294,6 +265,24 @@ def test_positive_pairing_euler_identity(surfaces):
             assert positive_pairing(fan, m, m) == big_volume(fan, m)
 
 
+def test_positive_pairing_reads_one_incidence_table(p3, monkeypatch):
+    # one table of tight sets triangulates P_M for vol(M), and one more holds
+    # the facets of every ray
+    k = anticanonical(p3)
+    calls = []
+    real = geometry._tight_sets
+
+    def counted(rows, q, points, den):
+        calls.append(len(rows))
+        return real(rows, q, points, den)
+
+    monkeypatch.setattr(geometry, "_tight_sets", counted)
+    for cache in (geometry.volume, geometry.triangulation, toric._polytope_cached):
+        cache.cache_clear()
+    assert positive_pairing(p3, k, k) == 64
+    assert calls == [4, 4]
+
+
 def test_stabilized_volume(p2):
     three_h = ray_divisor(p2, 0).scale(3)
     h = ray_divisor(p2, 0)
@@ -345,6 +334,29 @@ def test_symbolic_chamber_volumes_match_sampled_fit(surfaces, p3):
     assert chambers > 200
 
 
+def test_chamber_facet_polynomials_match_sampled_fit(surfaces, p3):
+    # (n-1)! times each facet volume of P_x, read off a Polytope at n interior
+    # points, determines a polynomial of degree at most n - 1; the last family
+    # repeats a row with a larger offset and a normal with another rate
+    f1 = surfaces["f1"]
+    rows = section_halfspaces(f1, anticanonical(f1).coeffs)
+    repeated = parametric_family(
+        [*rows, Halfspace((1, 0), 3), Halfspace((0, 1), 1)], [1, 0, 0, 0, 1, Q(1, 2)]
+    )
+    chambers = 0
+    for pp in [*_oracle_families(surfaces, p3), repeated]:
+        n = pp.dimension
+        for chamber in pp.chambers:
+            xs = chamber.sample_points(n)
+            normals = [hs.normal for hs in pp.halfspaces]
+            samples = [facet_volumes(pp.polytope_at(x), normals) for x in xs]
+            for i, got in enumerate(chamber_facet_polynomials(pp, chamber)):
+                ys = [math.factorial(n - 1) * areas[i] for areas in samples]
+                assert got == fit_polynomial(xs, ys)
+            chambers += 1
+    assert chambers > 200
+
+
 def _first_wall(fan, m, lprime):
     """The first wall s_1 > 0 of the family M + sL', or 1 when there is none."""
     phs = [ParametricHalfspace(u, a, -c) for u, a, c in zip(fan.rays, m.coeffs, lprime.coeffs)]
@@ -382,16 +394,19 @@ def test_positive_pairing_matches_sampled_derivative(surfaces, p3):
 
 
 def test_chamber_volume_check_raises(f1):
+    # one chamber spanning F1's wall at t = 1: a vertex of the hypograph lies inside it
     pp = divisor_family(f1, anticanonical(f1), ray_divisor(f1, 0))
     first, second = pp.chambers
-    with pytest.raises(InvariantViolation, match="not the symbolic polynomial"):
-        chamber_volume_polynomial(pp, Chamber(second.lo, second.hi, first.paths))
+    spanning = Chamber(first.lo, second.hi, first.paths)
+    for chamber_polynomial in (chamber_volume_polynomial, chamber_facet_polynomials):
+        with pytest.raises(InvariantViolation, match=r"hypograph lies inside the chamber \[0, 3\]"):
+            chamber_polynomial(pp, spanning)
 
 
 def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch):
-    # the chamber polynomials triangulate the family's integer rows at each
-    # midpoint, and the check enumerates P_x on integer rows: no Polytope is
-    # built and the triangulation cache does not grow
+    # the chamber polynomials enumerate and triangulate the family's hypograph
+    # on integer rows, and the check enumerates P_x on integer rows: no
+    # Polytope is built and the triangulation cache does not grow
     families = [divisor_family(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
     cached = triangulation.cache_info().currsize
     want = [family_volume_curve(pp) for pp in families]
@@ -401,13 +416,15 @@ def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch)
         raise AssertionError("a chamber polynomial built a Polytope")
 
     monkeypatch.setattr(Polytope, "__post_init__", refuse)
+    volume_fn._hypograph.cache_clear()
     assert [family_volume_curve(pp) for pp in families] == want
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == facets
     assert triangulation.cache_info().currsize == cached
 
 
 def test_chamber_facet_polynomials_read_one_incidence_table(f1, p3, monkeypatch):
-    # every ray's facet is read off one table of tight sets per chamber
+    # every ray's facet on every chamber is read off one table of tight sets
+    # per family: the family's rows and s >= 0 on its hypograph
     families = [divisor_family(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
     want = [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers]
     calls = []
@@ -418,26 +435,6 @@ def test_chamber_facet_polynomials_read_one_incidence_table(f1, p3, monkeypatch)
         return real(rows, q, points, den)
 
     monkeypatch.setattr(geometry, "_tight_sets", counted)
-    chambers = [(pp, ch) for pp in families for ch in pp.chambers]
-    assert [chamber_facet_polynomials(pp, ch) for pp, ch in chambers] == want
-    assert calls == [len(pp.halfspaces) for pp, _ch in chambers]
-
-
-def test_chamber_facet_polynomials_write_the_path_rows_once(p3, monkeypatch):
-    # the chamber's integer path rows are written once and shared by every
-    # ray's facet polynomial: _int_points runs for the midpoint vertices and
-    # for the path rows, whatever the number of rays
-    pp = divisor_family(p3, anticanonical(p3), ray_divisor(p3, 0))
-    want = [chamber_facet_polynomials(pp, ch) for ch in pp.chambers]
-    calls = []
-    real = volume_fn._int_points
-
-    def counted(points):
-        calls.append(len(points))
-        return real(points)
-
-    monkeypatch.setattr(volume_fn, "_int_points", counted)
-    for chamber, facets in zip(pp.chambers, want):
-        calls.clear()
-        assert chamber_facet_polynomials(pp, chamber) == facets
-        assert calls == [len(chamber.paths)] * 2
+    volume_fn._hypograph.cache_clear()
+    assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == want
+    assert calls == [len(pp.halfspaces) + 1 for pp in families]
