@@ -551,8 +551,8 @@ class _Hypograph:
             on.setdefault(u, []).extend(self._knotted(simplices, [(*u, 0)]))
         return [on[u] for u in self.normals]
 
-    def on(self, chamber: Chamber, knotted, n: int) -> Polynomial:
-        """_slice_polynomial of `knotted` on the chamber, none of Q's heights inside it.
+    def on(self, chamber: Chamber, knotted, power: int) -> Polynomial:
+        """_slice_polynomial of `knotted` to `power` on the chamber, none of Q's heights inside it.
 
         The heights are integers, so the integers floor(lo) and ceil(hi) order
         them as the chamber's ends lo and hi over den do.
@@ -562,7 +562,7 @@ class _Hypograph:
             raise InvariantViolation(
                 f"a vertex of the hypograph lies inside the chamber [{chamber.lo}, {chamber.hi}]"
             )
-        return _slice_polynomial(knotted, lo, hi, self.den, n)
+        return _slice_polynomial(knotted, lo, hi, self.den, power)
 
 
 _hypograph = lru_cache(maxsize=None)(_Hypograph)  # one per family, keyed on its halfspaces
