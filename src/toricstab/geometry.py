@@ -16,11 +16,12 @@ vertices as integer numerators over one common denominator; vertices_of and
 Polytope.from_halfspaces turn them into Fractions at the API boundary.  The
 halfspace dedupe (one row per primitive normal, the binding one kept) and
 the Fourier-Motzkin feasibility test run on the same rows.  One
-basic-solution loop serves both the vertices of a polytope and the vertex
-paths of a family; a family's start vertices are its paths feasible at
-t = 0, so it enumerates its bases once.  Whether a polytope is bounded
-depends on its facet normals only, so that test is memoized on the normals
-and shared by every polytope of a family.
+basic-solution loop serves both the vertices of a polytope and those of a
+family's hypograph, the (n+1)-polytope whose slices are the family's
+polytopes: a family enumerates its hypograph once and reads its start,
+chambers and threshold off the vertex heights.  Whether a polytope is
+bounded depends on its facet normals only, so that test is memoized on the
+normals and shared by every polytope of a family.
 
 A Polytope keeps its integer form, written once at construction, and
 triangulation, affine ranks and volumes run on it.  A simplex is a tuple of
@@ -31,9 +32,8 @@ intersections with the tight sets; the cached triangulation pairs each
 simplex with its integer determinant, and volume and linear_moment sum
 these and divide once, as facet_volumes does over the simplices of each
 facet.  _triangulate and facet_simplices take any rows and their polytope's
-exact vertex set, so a family's chamber polynomials triangulate the
-integer rows of its hypograph, one polytope in dimension n + 1 whose
-slices are the family's polytopes, without a Polytope.
+exact vertex set, so a family's hypograph is triangulated on its integer
+rows without a Polytope.
 normalized_volume runs the same steps from integer rows to n! times the
 volume without building a Polytope or touching the volume and triangulation
 caches; it is the independent volume sample of the chamber polynomial
@@ -49,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -666,12 +666,12 @@ def slice_volumes(
     the slice row, but each basis is solved once, with s as a parameter: the
     slice row is <normal, x> + (0 - s * q) / q >= 0, and two right-hand-side
     columns give each basic solution as (c0 + s * c1) / (den * q) in
-    integers, as _basis_paths does for a family's rate.  At s = sn / sd the
-    solutions are (c0 * sd + c1 * sn) / (den * q * sd), kept and reduced as
-    in _int_vertices on the rows at s over q * sd.  The slice lies in the
-    rows' polytope, so the boundedness test runs on the rows' normals, the
-    memo entry of their own vertex enumeration.  The cut rows are not
-    deduped: the incidence table needs only nonzero normals.
+    integers.  At s = sn / sd the solutions are (c0 * sd + c1 * sn) /
+    (den * q * sd), kept and reduced as in _int_vertices on the rows at s
+    over q * sd.  The slice lies in the rows' polytope, so the boundedness
+    test runs on the rows' normals, the memo entry of their own vertex
+    enumeration.  The cut rows are not deduped: the incidence table needs
+    only nonzero normals.
     """
     normal = tuple(normal)
     system = [(a, (-b, 0)) for a, b in rows] + [(normal, (0, q))]
@@ -815,22 +815,9 @@ class ParametricHalfspace:
 
 
 @dataclass(frozen=True)
-class VertexPath:
-    """An affine vertex trajectory t -> base + t * velocity."""
-
-    base: Point
-    velocity: Point
-
-    def at(self, t) -> Point:
-        t = Fraction(t)
-        return tuple(b + t * v for b, v in zip(self.base, self.velocity))
-
-
-@dataclass(frozen=True)
 class Chamber:
     lo: Fraction
     hi: Fraction
-    paths: tuple[VertexPath, ...]
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -841,70 +828,90 @@ class Chamber:
         return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
 
 
+class _Hypograph:
+    """Q = {(x, t) : <x, u_i> - d_i t + a_i >= 0, t >= 0}, whose slice at t is P_t.
+
+    The family's rows in dimension n + 1, each scaled by k, the lcm of the
+    rates' denominators, into an integer row (a, b) of {<a, (x, t)> + b / q
+    >= 0}, then t >= 0.  Its vertices are the feasible basic solutions,
+    integers over den with the height t last, enumerated once with no
+    boundedness test: parametric_family reads the family's start, chambers
+    and threshold off their heights and tests Q's recession cone itself.  Q
+    is triangulated once, and its facets are read from one incidence table,
+    each when first asked for.  No Polytope is built.
+    """
+
+    def __init__(self, halfspaces: Sequence[ParametricHalfspace]) -> None:
+        self.dim = n = len(halfspaces[0].normal)
+        k = lcm(*(hs.rate.denominator for hs in halfspaces))
+        normals = [(*(k * a for a in hs.normal), -int(k * hs.rate)) for hs in halfspaces]
+        offsets = [k * hs.offset for hs in halfspaces]
+        self.rows, self.q = int_rows([*normals, (0,) * n + (1,)], [*offsets, 0])
+        solutions = _basic_solutions([(a, (-b,)) for a, b in self.rows], n + 1)
+        self.points, self.den = _feasible_vertices(
+            ((d, num) for d, (num,) in solutions), self.rows, self.q
+        )
+        self.normals = [hs.normal for hs in halfspaces]
+        self.heights = sorted({point[-1] for point in self.points})
+
+    def _knotted(self, simplices, fixed=()) -> list[tuple[int, list[int]]]:
+        dets = _simplex_dets(self.points, simplices, fixed)
+        return [(d, sorted(self.points[i][-1] for i in s)) for d, s in zip(dets, simplices)]
+
+    @cached_property
+    def simplices(self) -> list[tuple[int, list[int]]]:
+        """(|det|, sorted heights) of each simplex of Q."""
+        return self._knotted(_triangulate(self.rows, self.q, self.points, self.den, self.dim + 1))
+
+    @cached_property
+    def facets(self) -> list[list[tuple[int, list[int]]]]:
+        """Per row i, (|det(edges, (u_i, 0))|, sorted heights) of each simplex of its facet of Q.
+
+        Rows sharing u_i bound P_t's facet on u_i in turn, so each gets the
+        simplices of all their facets.
+        """
+        lifted = dict(zip((a for a, _b in self.rows), self.normals))  # one per row normal of Q
+        facets = facet_simplices(self.rows, self.q, self.points, self.den, self.dim + 1, lifted)
+        on: dict[LatticeVector, list] = {}
+        for u, simplices in zip(lifted.values(), facets):
+            on.setdefault(u, []).extend(self._knotted(simplices, [(*u, 0)]))
+        return [on[u] for u in self.normals]
+
+
 @dataclass(frozen=True)
 class ParametricPolytope:
     """A one-parameter halfspace family with its exact chamber decomposition.
 
     `chambers` cover [0, t_max] in order; `t_max` is the exact feasibility
-    threshold of the family.
+    threshold of the family.  `hypograph` is the family's (n+1)-polytope Q
+    (_Hypograph), a function of its halfspaces that takes no part in
+    equality or hashing.
     """
 
     halfspaces: tuple[ParametricHalfspace, ...]
     chambers: tuple[Chamber, ...]
     t_max: Fraction
     dimension: int
+    hypograph: _Hypograph = field(repr=False, compare=False)
 
     def polytope_at(self, t) -> Polytope:
         return Polytope.from_halfspaces([hs.at(t) for hs in self.halfspaces])
 
 
-def _basis_paths(
-    halfspaces: Sequence[ParametricHalfspace], dim: int
-) -> list[tuple[VertexPath, Fraction | None, Fraction | None]]:
-    """All basic solution paths with their exact feasibility t-intervals.
-
-    Offsets and rates are scaled to one common denominator q, so each basis
-    solves for the base and velocity columns in one integer elimination.
-    Along base + t * velocity a halfspace's slack is (c0 + t * c1) / (den * q)
-    with integers c0, c1 and den > 0, and its wall is t = -c0 / c1; the path's
-    Fraction base and velocity are built only when its interval is nonempty.
-    """
-    scaled, q = _over_lcm([hs.offset for hs in halfspaces] + [hs.rate for hs in halfspaces])
-    rows = list(zip([hs.normal for hs in halfspaces], scaled, scaled[len(halfspaces) :]))
-    out = []
-    for den, (base, velocity) in _basic_solutions([(a, (-b, r)) for a, b, r in rows], dim):
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for a, b, r in rows:
-            c0 = sum(map(mul, a, base)) + b * den
-            c1 = sum(map(mul, a, velocity)) - r * den
-            if c1 > 0:
-                lo = Fraction(-c0, c1) if lo is None else max(lo, Fraction(-c0, c1))
-            elif c1 < 0:
-                hi = Fraction(-c0, c1) if hi is None else min(hi, Fraction(-c0, c1))
-            elif c0 < 0:
-                break  # infeasible for every t
-        else:
-            if lo is None or hi is None or lo <= hi:
-                path = VertexPath(
-                    tuple(Fraction(c, den * q) for c in base),
-                    tuple(Fraction(c, den * q) for c in velocity),
-                )
-                out.append((path, lo, hi))
-    return out
-
-
 def parametric_family(halfspaces: Sequence[Halfspace], rates: Sequence) -> ParametricPolytope:
     """Exact chamber decomposition of {<x,u_i> >= -(a_i - t d_i)} from t = 0.
 
-    The chambers run up to the feasibility threshold t_max, which must be
-    finite: a family feasible for all t, one that never moves included,
-    raises UnboundedRegion.  Within each chamber every vertex follows a
-    single affine path.
-
-    The start polytope is read off the basis paths: its vertices are the
-    paths feasible at t = 0.  An empty start raises DegeneratePolytope and an
-    unbounded one UnboundedRegion, the same tests as vertices_of.
+    Everything is read off the vertices of the family's hypograph Q
+    (_Hypograph), enumerated once.  Its slice at t = 0 is the start polytope,
+    whose vertices are Q's at height 0: an empty start raises
+    DegeneratePolytope and an unbounded one UnboundedRegion, the same tests
+    as vertices_of.  A bounded start leaves Q's recession cone only
+    directions (x, s) with s > 0, so Q is bounded exactly when no x has
+    <x, u_i> >= d_i for every i (Fourier-Motzkin); otherwise the family is
+    feasible for all large t, one that never moves included, and
+    UnboundedRegion is raised.  The chambers run between consecutive vertex
+    heights of Q, up to the top one, the feasibility threshold t_max: every
+    vertex of P_t follows one affine path within a chamber.
     """
     if len(rates) != len(halfspaces):
         raise DimensionMismatch("one rate per halfspace required")
@@ -915,26 +922,16 @@ def parametric_family(halfspaces: Sequence[Halfspace], rates: Sequence) -> Param
     dim = len(phs[0].normal)
     if any(len(hs.normal) != dim for hs in phs):
         raise DimensionMismatch("halfspaces of mixed dimension")
-    bases = _basis_paths(phs, dim)
-    start = any((lo is None or lo <= 0) and (hi is None or hi >= 0) for _path, lo, hi in bases)
+    hypograph = _Hypograph(phs)
+    heights = hypograph.heights
+    start = bool(heights) and heights[0] == 0
     _check_bounded(_int_rows(halfspaces)[0], dim, start)
     if not start:
         raise DegeneratePolytope("family is infeasible at the start parameter")
-    # a nonempty start has a basis path, so highs is not empty
-    highs = [hi for _path, _lo, hi in bases]
-    if None in highs:
+    # (x, 1) in Q's recession cone: Q's rows without their offsets, at height 1
+    if _feasible([(a[:-1], a[-1]) for a, _b in hypograph.rows[:-1]], dim):
         raise UnboundedRegion("family remains feasible for arbitrarily large t")
-    t_max = max(highs)
-    walls = {w for _path, lo, hi in bases for w in (lo, hi) if w is not None and 0 < w < t_max}
-    ordered = sorted(walls | {Fraction(0), t_max})
-    chambers = [
-        Chamber(left, right, tuple(dict.fromkeys(
-            path for path, lo, hi in bases
-            if (lo is None or lo <= left) and (hi is None or right <= hi)
-        )))
-        for left, right in zip(ordered, ordered[1:])
-    ]
-    if not chambers:
-        # t_max == 0: a single point of feasibility
-        chambers = [Chamber(Fraction(0), t_max, tuple())]
-    return ParametricPolytope(phs, tuple(chambers), t_max, dim)
+    ends = [Fraction(h, hypograph.den) for h in heights]
+    # t_max == 0: a single point of feasibility
+    chambers = [Chamber(lo, hi) for lo, hi in zip(ends, ends[1:])] or [Chamber(ends[0], ends[0])]
+    return ParametricPolytope(phs, tuple(chambers), ends[-1], dim, hypograph)

@@ -3,9 +3,10 @@
 An extended curve tracks the family L - tau*D through its exact Zariski
 decompositions: within each chamber the positive part P_tau has coefficients
 affine in tau and the negative part's support is constant.  The curve's
-chambers are the divisor family's own chambers, not cut any further: no vertex
-path's slack changes sign inside a family chamber, so the normal fan of P_tau
-and each ray's minimizing vertex are fixed there.  In dimension >= 3
+chambers are the divisor family's own chambers, not cut any further: they run
+between consecutive vertex heights of the family's hypograph Q, and the
+positive part at a ray u is minus the lower hull of Q's vertices projected to
+(tau, <x, u>), which bends only at such heights.  In dimension >= 3
 P_tau is only movable, not nef, so the functionals pair it through positive
 products <P_tau^{n-1}> . alpha, not ring products.  Each chamber carries the
 polynomials f_i(tau) = <P_tau^{n-1}> . D_i, (n-1)! times the lattice volumes
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantViolation, OutOfRange, RangeTooShort
-from .geometry import dot
+from .geometry import LatticeVector, _Hypograph
 from .toric import (
     Fan,
     ToricDivisor,
@@ -158,20 +159,42 @@ class CurveSummary:
     twisted_mabuchi: Fraction
 
 
+def _support_hull(hypograph: _Hypograph, u: LatticeVector) -> list[tuple[int, int]]:
+    """The lower convex hull of Q's vertices projected to (t, <x, u>), integers over Q's den.
+
+    Its graph is g(t) = min over P_t of <x, u>, and its breakpoints, where
+    it bends, are vertex heights of Q.  Andrew's monotone chain on the
+    lowest point of each height; collinear points are dropped.
+    """
+    lowest: dict[int, int] = {}
+    for num in hypograph.points:
+        h, y = num[-1], sum(map(operator.mul, num, u))
+        if h not in lowest or y < lowest[h]:
+            lowest[h] = y
+    hull: list[tuple[int, int]] = []
+    for h, y in sorted(lowest.items()):
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+            <= (hull[-1][1] - hull[-2][1]) * (h - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((h, y))
+    return hull
+
+
 @lru_cache(maxsize=None)
 def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveChamber, ...]:
     """Chamber data of the family L - tau*D on [0, tau+], memoized per (fan, L, D).
 
-    One curve chamber per chamber of the divisor family.  Every zero of a
-    vertex path's slack is a wall of the family, so inside a family chamber
-    the tight sets and normal cones of P_tau are fixed and each ray's
-    polytope minimum is attained by one vertex path: the positive-part
-    coefficient paths are affine and the negative-part slacks are
-    nonnegative affine functions, identically zero or strictly positive on
-    the interior.  This is checked exactly: each ray's midpoint-minimizing
-    path must be minimal at both chamber ends too.  The minimum of affine
-    lines is concave, so equality at both ends proves it on the whole
-    chamber; InvariantViolation otherwise.
+    One curve chamber per chamber of the divisor family.  The positive part
+    at ray u is -g(tau), g(tau) = min over P_tau of <x, u>, the lower hull
+    of the family's hypograph Q projected to (tau, <x, u>) (_support_hull).
+    Its breakpoints are vertex heights of Q and the family's chambers run
+    between consecutive heights, so g is affine on each chamber, read off
+    the hull segment over it in integers: the positive-part coefficient
+    paths are affine and the negative-part slacks are nonnegative affine
+    functions, identically zero or strictly positive on the interior.  A
+    hull breakpoint strictly inside a chamber raises InvariantViolation.
 
     The mass is read off the volume curve.  The facet polynomials are checked
     against it: sum_i P_tau,i f_i(tau) must equal the mass exactly, the facets
@@ -179,22 +202,24 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
     """
     volumes, _tau_plus = volume_curve(fan, l, d)
     family = divisor_family(fan, l, d)
+    den = family.hypograph.den
+    hulls = [_support_hull(family.hypograph, u) for u in fan.rays]
     chambers: list[CurveChamber] = []
     for chamber in family.chambers:
         lo, hi, mid = chamber.lo, chamber.hi, chamber.midpoint()
-        if not chamber.paths:
-            raise InvariantViolation("curve chamber has no vertex paths")
+        bottom, top = math.floor(lo * den), math.ceil(hi * den)
         pos_paths = []
-        for u in fan.rays:
-            lines = [(dot(path.base, u), dot(path.velocity, u)) for path in chamber.paths]
-            c0, c1 = min(lines, key=lambda line: line[0] + line[1] * mid)
-            for t in (lo, hi):
-                if c0 + c1 * t != min(a0 + a1 * t for a0, a1 in lines):
-                    raise InvariantViolation(
-                        f"the minimizing vertex path of ray {u} changes inside the "
-                        f"chamber [{lo}, {hi}]"
-                    )
-            pos_paths.append((-c0, -c1))
+        for u, hull in zip(fan.rays, hulls):
+            if any(bottom < h < top for h, _y in hull):
+                raise InvariantViolation(
+                    f"the support function of ray {u} bends inside the chamber [{lo}, {hi}]"
+                )
+            # the first hull segment reaching hi; no breakpoint inside, so it starts at or below lo
+            (h0, y0), (h1, y1) = next(pair for pair in zip(hull, hull[1:]) if pair[1][0] >= top)
+            # g(tau) = (y0 (h1 - tau den) + y1 (tau den - h0)) / ((h1 - h0) den)
+            pos_paths.append(
+                (Fraction(y1 * h0 - y0 * h1, (h1 - h0) * den), Fraction(y0 - y1, h1 - h0))
+            )
         neg_paths = []
         red = []
         for i in range(len(fan.rays)):

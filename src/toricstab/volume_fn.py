@@ -37,15 +37,10 @@ from .errors import (
 )
 from .geometry import (
     Chamber,
-    LatticeVector,
     ParametricPolytope,
     Polytope,
-    _basic_solutions,
-    _feasible_vertices,
+    _Hypograph,
     _over_lcm,
-    _simplex_dets,
-    _triangulate,
-    facet_simplices,
     facet_volumes,
     int_rows,
     normalized_volume,
@@ -503,76 +498,26 @@ def _slice_polynomial(
     return Polynomial(tuple(Fraction(t * q**m, den * q**n) for m, t in enumerate(total)))
 
 
-class _Hypograph:
-    """Q = {(x, t) : <x, u_i> - d_i t + a_i >= 0, t >= 0}, whose slice at t is P_t.
+def _on_chamber(hypograph: _Hypograph, chamber: Chamber, knotted, power: int) -> Polynomial:
+    """_slice_polynomial of `knotted`, simplices of the hypograph, to `power` on the chamber.
 
-    The family's rows in dimension n + 1, each scaled by k, the lcm of the
-    rates' denominators, into an integer row (a, b) of {<a, (x, t)> + b / q
-    >= 0}.  A family that passed parametric_family's checks has a finite
-    t_max and a bounded start, so Q is bounded: its vertices are the feasible
-    basic solutions, with no boundedness test, integers over den with the
-    height t last.  Q is triangulated once, and its facets are read from one
-    incidence table when first asked for.  No Polytope is built.
+    None of Q's vertex heights may lie strictly inside the chamber.  The
+    heights are integers, so the integers floor(lo) and ceil(hi) order them
+    as the chamber's ends lo and hi over den do.
     """
-
-    def __init__(self, halfspaces: Sequence) -> None:
-        self.dim = n = len(halfspaces[0].normal)
-        k = math.lcm(*(hs.rate.denominator for hs in halfspaces))
-        normals = [(*(k * a for a in hs.normal), -int(k * hs.rate)) for hs in halfspaces]
-        offsets = [k * hs.offset for hs in halfspaces]
-        self.rows, self.q = int_rows([*normals, (0,) * n + (1,)], [*offsets, 0])
-        solutions = _basic_solutions([(a, (-b,)) for a, b in self.rows], n + 1)
-        self.points, self.den = _feasible_vertices(
-            ((d, num) for d, (num,) in solutions), self.rows, self.q
+    lo, hi = math.floor(chamber.lo * hypograph.den), math.ceil(chamber.hi * hypograph.den)
+    if any(lo < h < hi for h in hypograph.heights):
+        raise InvariantViolation(
+            f"a vertex of the hypograph lies inside the chamber [{chamber.lo}, {chamber.hi}]"
         )
-        self.normals = [hs.normal for hs in halfspaces]
-        self.heights = {point[-1] for point in self.points}
-
-    def _knotted(self, simplices, fixed=()) -> list[tuple[int, list[int]]]:
-        dets = _simplex_dets(self.points, simplices, fixed)
-        return [(d, sorted(self.points[i][-1] for i in s)) for d, s in zip(dets, simplices)]
-
-    @cached_property
-    def simplices(self) -> list[tuple[int, list[int]]]:
-        """(|det|, sorted heights) of each simplex of Q."""
-        return self._knotted(_triangulate(self.rows, self.q, self.points, self.den, self.dim + 1))
-
-    @cached_property
-    def facets(self) -> list[list[tuple[int, list[int]]]]:
-        """Per row i, (|det(edges, (u_i, 0))|, sorted heights) of each simplex of its facet of Q.
-
-        Rows sharing u_i bound P_t's facet on u_i in turn, so each gets the
-        simplices of all their facets.
-        """
-        lifted = dict(zip((a for a, _b in self.rows), self.normals))  # one per row normal of Q
-        facets = facet_simplices(self.rows, self.q, self.points, self.den, self.dim + 1, lifted)
-        on: dict[LatticeVector, list] = {}
-        for u, simplices in zip(lifted.values(), facets):
-            on.setdefault(u, []).extend(self._knotted(simplices, [(*u, 0)]))
-        return [on[u] for u in self.normals]
-
-    def on(self, chamber: Chamber, knotted, power: int) -> Polynomial:
-        """_slice_polynomial of `knotted` to `power` on the chamber, none of Q's heights inside it.
-
-        The heights are integers, so the integers floor(lo) and ceil(hi) order
-        them as the chamber's ends lo and hi over den do.
-        """
-        lo, hi = math.floor(chamber.lo * self.den), math.ceil(chamber.hi * self.den)
-        if any(lo < h < hi for h in self.heights):
-            raise InvariantViolation(
-                f"a vertex of the hypograph lies inside the chamber [{chamber.lo}, {chamber.hi}]"
-            )
-        return _slice_polynomial(knotted, lo, hi, self.den, power)
-
-
-_hypograph = lru_cache(maxsize=None)(_Hypograph)  # one per family, keyed on its halfspaces
+    return _slice_polynomial(knotted, lo, hi, hypograph.den, power)
 
 
 def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polynomial:
     """Exact volume polynomial on one chamber, in closed form on the family's hypograph.
 
-    P_t is the slice at t of the (n+1)-polytope Q (_Hypograph), triangulated
-    once per family.  Over each simplex S of Q, with vertex heights h_S, n!
+    P_t is the slice at t of the family's (n+1)-polytope Q (pp.hypograph),
+    triangulated once per family.  Over each simplex S of Q, with vertex heights h_S, n!
     times the volume of its slice at t is |det S| times the divided
     difference [h_S] of s -> (s - t)_+^n (Curry-Schoenberg), one polynomial
     in t between consecutive heights of Q.  Every height of Q is a wall of
@@ -583,8 +528,8 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     dimension; a failure raises InvariantViolation.
     """
     n = pp.dimension
-    hypograph = _hypograph(pp.halfspaces)
-    poly = hypograph.on(chamber, hypograph.simplices, n).scale(Fraction(1, math.factorial(n)))
+    poly = _on_chamber(pp.hypograph, chamber, pp.hypograph.simplices, n)
+    poly = poly.scale(Fraction(1, math.factorial(n)))
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
     offsets = [hs.offset - x * hs.rate for hs in pp.halfspaces]
     check = normalized_volume(*int_rows([hs.normal for hs in pp.halfspaces], offsets), n)
@@ -606,9 +551,9 @@ def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple
     (u_i, 0))| / <u_i, u_i> times the divided difference [h_T] of
     s -> (s - t)_+^(n-1), as in chamber_volume_polynomial.
     """
-    hypograph = _hypograph(pp.halfspaces)
+    n, hypograph = pp.dimension, pp.hypograph
     return tuple(
-        hypograph.on(chamber, knotted, pp.dimension - 1).scale(Fraction(1, sum(a * a for a in u)))
+        _on_chamber(hypograph, chamber, knotted, n - 1).scale(Fraction(1, sum(a * a for a in u)))
         for u, knotted in zip(hypograph.normals, hypograph.facets)
     )
 

@@ -6,13 +6,16 @@ before it moved to integer numerators over one denominator.  A Fraction
 Gauss-Jordan elimination, and on it the solve over a cone's shared rays that
 validate_fan's face test ran before it read the cones' dual bases.  The
 determinant and square solve on the library's integer elimination, which
-the library no longer calls.
+the library no longer calls.  The vertex paths of a one-parameter family by
+Fraction solves: parametric_family found its chambers on them before it read
+a family off the vertices of its hypograph.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from toricstab.geometry import _eliminate
 from toricstab.volume_fn import Polynomial
@@ -111,3 +114,68 @@ def nonneg_combination(rows, target, k):
     for row, col in zip(m, pivots):
         lam[col] = row[k]
     return None if any(c < 0 for c in lam) else tuple(lam)
+
+
+def oracle_solve(rows, rhs):
+    """The square system rows * x = rhs by Fraction Gauss-Jordan elimination; None if singular."""
+    n = len(rows)
+    m, pivots, _product = fraction_row_reduce([[*r, b] for r, b in zip(rows, rhs)], n)
+    return tuple(row[n] for row in m) if len(pivots) == n else None
+
+
+class AffinePath(NamedTuple):
+    """A vertex trajectory t -> base + t * velocity."""
+
+    base: tuple[Fraction, ...]
+    velocity: tuple[Fraction, ...]
+
+    def at(self, t) -> tuple[Fraction, ...]:
+        t = Fraction(t)
+        return tuple(b + t * v for b, v in zip(self.base, self.velocity))
+
+
+def oracle_basis_paths(halfspaces, dim):
+    """(path, lo, hi) for every basis of a family whose path is feasible on some t-interval.
+
+    The halfspaces are ParametricHalfspaces {<x, u> >= -(a - t d)}.  Each
+    dim-subset with independent normals solves for its path's base and
+    velocity; every other halfspace's slack along it is c0 + t c1, which
+    bounds t from below (c1 > 0) or above (c1 < 0) at -c0 / c1.  lo or hi is
+    None when nothing bounds that side.
+    """
+    out = []
+    for subset in itertools.combinations(halfspaces, dim):
+        rows = [hs.normal for hs in subset]
+        base = oracle_solve(rows, [-hs.offset for hs in subset])
+        if base is None:
+            continue
+        velocity = oracle_solve(rows, [hs.rate for hs in subset])
+        lo = hi = None
+        empty = False
+        for hs in halfspaces:
+            c0 = sum((a * x for a, x in zip(hs.normal, base)), Fraction(0)) + hs.offset
+            c1 = sum((a * v for a, v in zip(hs.normal, velocity)), Fraction(0)) - hs.rate
+            if c1 == 0:
+                if c0 < 0:
+                    empty = True
+                    break
+            elif c1 > 0:
+                lo = -c0 / c1 if lo is None else max(lo, -c0 / c1)
+            else:
+                hi = -c0 / c1 if hi is None else min(hi, -c0 / c1)
+        if empty or (lo is not None and hi is not None and lo > hi):
+            continue
+        out.append((AffinePath(base, velocity), lo, hi))
+    return out
+
+
+def oracle_walls(bases, t_max) -> list[Fraction]:
+    """The ends of the paths' intervals strictly inside (0, t_max), sorted: the inner walls."""
+    return sorted({w for _path, lo, hi in bases for w in (lo, hi) if w is not None and 0 < w < t_max})
+
+
+def oracle_points(bases, lo, hi, t) -> list[tuple[Fraction, ...]]:
+    """The sorted distinct points at t of the paths feasible on all of [lo, hi]."""
+    return sorted({
+        path.at(t) for path, a, b in bases if (a is None or a <= lo) and (b is None or hi <= b)
+    })

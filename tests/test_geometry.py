@@ -17,8 +17,6 @@ from toricstab.geometry import (
     Halfspace,
     ParametricHalfspace,
     Polytope,
-    VertexPath,
-    _basis_paths,
     _dedupe_halfspaces,
     _feasible,
     _int_points,
@@ -46,7 +44,15 @@ from toricstab.geometry import (
     volume,
 )
 
-from oracles import det, fraction_row_reduce, solve_linear
+from oracles import (
+    det,
+    fraction_row_reduce,
+    oracle_basis_paths,
+    oracle_points,
+    oracle_solve,
+    oracle_walls,
+    solve_linear,
+)
 
 P2_TRIANGLE = [Halfspace((1, 0), 1), Halfspace((0, 1), 1), Halfspace((-1, -1), 1)]
 F1_QUAD = P2_TRIANGLE + [Halfspace((1, 1), 1)]
@@ -262,14 +268,21 @@ def test_minkowski_sum_of_segments():
     assert mixed_volume([seg_x, seg_y]) == 1
 
 
+def inner_ends(family):
+    """The chamber ends of a family strictly inside (0, t_max)."""
+    return [ch.hi for ch in family.chambers[:-1]]
+
+
 def test_parametric_family_p2():
     family = parametric_family(P2_TRIANGLE, [1, 0, 0])
     assert family.t_max == 3
     assert len(family.chambers) == 1
-    paths = {(path.base, path.velocity) for path in family.chambers[0].paths}
-    assert ((Q(-1), Q(-1)), (Q(1), Q(0))) in paths  # (t-1, -1)
-    assert ((Q(2), Q(-1)), (Q(0), Q(0))) in paths  # (2, -1)
-    assert ((Q(-1), Q(2)), (Q(1), Q(-1))) in paths  # (t-1, 2-t)
+    bases = oracle_basis_paths(family.halfspaces, 2)
+    assert oracle_walls(bases, family.t_max) == inner_ends(family) == []
+    for t in (0, 1, 3):
+        # (t-1, -1), (2, -1) and (t-1, 2-t), which meet at t = 3
+        want = sorted({(t - 1, Q(-1)), (Q(2), Q(-1)), (t - 1, 2 - t)})
+        assert oracle_points(bases, 0, 3, t) == want == list(family.polytope_at(t).vertices)
 
 
 def test_parametric_family_zero_direction():
@@ -296,11 +309,17 @@ def test_parametric_volume_is_polynomial_per_chamber():
 
 
 def test_chamber_paths_match_vertex_enumeration():
+    # the oracle's walls are the chamber ends, and inside a chamber its paths are the vertices
+    walls = 0
     for rates in ([1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 2]):
         family = parametric_family(F1_QUAD, rates)
+        bases = oracle_basis_paths(family.halfspaces, 2)
+        assert oracle_walls(bases, family.t_max) == inner_ends(family)
+        walls += len(family.chambers) - 1
         for ch in family.chambers:
             for t in ch.sample_points(3):
-                assert sorted(path.at(t) for path in ch.paths) == list(family.polytope_at(t).vertices)
+                assert oracle_points(bases, ch.lo, ch.hi, t) == list(family.polytope_at(t).vertices)
+    assert walls > 0
 
 
 # --------------------------------------------------------------------------
@@ -310,12 +329,6 @@ def test_chamber_paths_match_vertex_enumeration():
 def oracle_det(rows):
     _m, pivots, product = fraction_row_reduce(rows, len(rows))
     return product if len(pivots) == len(rows) else Q(0)
-
-
-def oracle_solve(rows, rhs):
-    n = len(rows)
-    m, pivots, _product = fraction_row_reduce([[*r, b] for r, b in zip(rows, rhs)], n)
-    return tuple(row[n] for row in m) if len(pivots) == n else None
 
 
 def oracle_kernel(rows, n):
@@ -406,34 +419,6 @@ def oracle_vertices(halfspaces):
     if _feasible(_int_rows(halfspaces)[0], dim):
         raise UnboundedRegion("nonempty intersection without vertices is unbounded")
     return []
-
-
-def oracle_basis_paths(halfspaces, dim):
-    """_basis_paths by Fraction Gauss-Jordan solves and Fraction walls."""
-    out = []
-    for subset in itertools.combinations(halfspaces, dim):
-        rows = [hs.normal for hs in subset]
-        base = oracle_solve(rows, [-hs.offset for hs in subset])
-        if base is None:
-            continue
-        velocity = oracle_solve(rows, [hs.rate for hs in subset])
-        lo = hi = None
-        empty = False
-        for hs in halfspaces:
-            c0 = sum((a * x for a, x in zip(hs.normal, base)), Q(0)) + hs.offset
-            c1 = sum((a * v for a, v in zip(hs.normal, velocity)), Q(0)) - hs.rate
-            if c1 == 0:
-                if c0 < 0:
-                    empty = True
-                    break
-            elif c1 > 0:
-                lo = -c0 / c1 if lo is None else max(lo, -c0 / c1)
-            else:
-                hi = -c0 / c1 if hi is None else min(hi, -c0 / c1)
-        if empty or (lo is not None and hi is not None and lo > hi):
-            continue
-        out.append((VertexPath(base, velocity), lo, hi))
-    return out
 
 
 def oracle_tight(hs, vertices):
@@ -572,15 +557,6 @@ def test_vertices_of_matches_fraction_route(hs):
     assert outcome(vertices_of, hs) == outcome(oracle_vertices, hs)
 
 
-@settings(max_examples=200, deadline=None)
-@given(halfspace_systems(with_rates=True))
-def test_basis_paths_match_fraction_route(system):
-    hs, rates = system
-    phs = [ParametricHalfspace(h.normal, h.offset, r) for h, r in zip(hs, rates)]
-    dim = len(hs[0].normal)
-    assert _basis_paths(phs, dim) == oracle_basis_paths(phs, dim)
-
-
 def start_route(halfspaces):
     """The start of a family by vertex enumeration: the polytope, or the error type it raises."""
     try:
@@ -632,18 +608,23 @@ def test_family_start_matches_vertex_enumeration(system):
         assert got is want
         return
     assert got is None and not enumerated
-    first = family.chambers[0]
-    if first.lo < first.hi:
-        assert sorted({path.at(0) for path in first.paths}) == list(want.vertices)
-    else:
+    # the start's vertices are the hypograph's at height 0, and the oracle's paths at t = 0
+    q = family.hypograph
+    start = [tuple(Q(c, q.den) for c in p[:-1]) for p in q.points if p[-1] == 0]
+    bases = oracle_basis_paths(family.halfspaces, len(hs[0].normal))
+    assert start == oracle_points(bases, 0, 0, 0) == list(want.vertices)
+    assert oracle_walls(bases, family.t_max) == inner_ends(family)
+    if family.t_max == 0:
         # feasible at t = 0 only: the start polytope is not full-dimensional
-        assert family.t_max == 0 and not want.is_full_dimensional
+        assert len(family.chambers) == 1 and not want.is_full_dimensional
 
 
 @settings(max_examples=100, deadline=None)
 # bounded systems too, so that most drawn starts are polytopes
 @given(st.one_of(halfspace_systems(with_rates=True), halfspace_systems(with_rates=True, bounded=True)))
 @example((CORNER, [Q(0), Q(0), Q(-1)]))
+# x >= t - 1 meets y <= 1 and x + y <= 1 at (0, 1) when t = 1, inside (0, t_max = 2)
+@example((P2_TRIANGLE + [Halfspace((0, -1), 1)], [Q(1), Q(0), Q(0), Q(0)]))
 def test_family_chambers_tile_the_window(system):
     hs, rates = system
     start = start_route(hs)
@@ -652,14 +633,17 @@ def test_family_chambers_tile_the_window(system):
     ends = [(ch.lo, ch.hi) for ch in family.chambers]
     assert ends[0][0] == 0 and ends[-1][1] == family.t_max
     assert all(hi == lo for (_lo, hi), (lo, _hi) in zip(ends, ends[1:]))
+    bases = oracle_basis_paths(family.halfspaces, family.dimension)
+    assert oracle_walls(bases, family.t_max) == inner_ends(family)
     for ch in family.chambers:
         if ch.lo == ch.hi:
             continue
         mid = ch.midpoint()
-        assert sorted(path.at(mid) for path in ch.paths) == list(family.polytope_at(mid).vertices)
-        for t in (ch.lo, mid, ch.hi):
+        # the paths feasible on the whole chamber are its vertices inside and among them at its ends
+        assert oracle_points(bases, ch.lo, ch.hi, mid) == list(family.polytope_at(mid).vertices)
+        for t in (ch.lo, ch.hi):
             vertices = set(family.polytope_at(t).vertices)
-            assert all(path.at(t) in vertices for path in ch.paths)
+            assert set(oracle_points(bases, ch.lo, ch.hi, t)) <= vertices
 
 
 bounded_systems = st.one_of(

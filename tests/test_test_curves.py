@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import random
@@ -47,7 +48,7 @@ import toricstab.volume_fn as vf
 from toricstab.errors import InvariantViolation, OutOfRange, RangeTooShort, ZeroDivisor
 from toricstab.geometry import Chamber, dot
 from toricstab.test_curves import _entropy_direction
-from oracles import fit_polynomial
+from oracles import fit_polynomial, oracle_basis_paths
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +453,7 @@ f1 = Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 3], [3, 1], [1, 2], [2, 0
 real_family = tc.divisor_family
 family = real_family(f1, anticanonical(f1), ray_divisor(f1, 0))
 first, second = family.chambers
-merged = replace(family, chambers=(Chamber(first.lo, second.hi, first.paths + second.paths),))
+merged = replace(family, chambers=(Chamber(first.lo, second.hi),))
 tc.divisor_family = lambda fan, l, d: merged
 attempt("minimizer", lambda: tc._curve_chambers(f1, anticanonical(f1), ray_divisor(f1, 0)))
 tc.divisor_family = real_family
@@ -590,15 +591,20 @@ def crossing_refinement(fan, l, d):
     """Curve chambers cut at every crossing of two vertex paths' values against a ray.
 
     An independent oracle for the unrefined curve chambers: each family
-    chamber is split wherever two of its paths swap order against some ray,
-    and each piece reads every ray's minimizing path at its own midpoint and
-    its facets on its own interval.
+    chamber is split wherever two of the oracle's vertex paths feasible on
+    it swap order against some ray, and each piece reads every ray's
+    minimizing path at its own midpoint and its facets on its own interval.
     """
     volumes, _tau_plus = volume_curve(fan, l, d)
     family = vf.divisor_family(fan, l, d)
+    bases = oracle_basis_paths(family.halfspaces, family.dimension)
     pieces = []
     for chamber in family.chambers:
-        lines = [[(dot(p.base, u), dot(p.velocity, u)) for p in chamber.paths] for u in fan.rays]
+        paths = [
+            p for p, lo, hi in bases
+            if (lo is None or lo <= chamber.lo) and (hi is None or chamber.hi <= hi)
+        ]
+        lines = [[(dot(p.base, u), dot(p.velocity, u)) for p in paths] for u in fan.rays]
         walls = {chamber.lo, chamber.hi}
         for ray_lines in lines:
             for (a0, a1), (b0, b1) in itertools.combinations(ray_lines, 2):
@@ -613,7 +619,7 @@ def crossing_refinement(fan, l, d):
             red = tuple(
                 i for i, (n0, n1) in enumerate(neg) if d.coeffs[i] * mid + n0 + n1 * mid > 0
             )
-            facets = vf.chamber_facet_polynomials(family, Chamber(lo, hi, chamber.paths))
+            facets = vf.chamber_facet_polynomials(family, Chamber(lo, hi))
             mass = volumes.piece_at(mid)
             integrals = tc._integrals(lo, hi, facets, mass)
             pieces.append(tc.CurveChamber(lo, hi, pos, neg, red, mass, facets, *integrals))
@@ -636,19 +642,45 @@ def test_curve_chambers_match_crossing_refinement(surfaces, p3):
 
 
 def test_minimizer_check_raises_on_a_merged_chamber(f1, monkeypatch):
-    # F1 along D_0 has two family chambers; across their wall the minimizing
-    # vertex path of the ray (1, 0) changes
+    # F1 along D_0 has two family chambers; at their wall t = 1 the support
+    # function of the ray (1, 1) bends: min of x + y over P_t is max(-1, t - 2)
     l, d = anticanonical(f1), ray_divisor(f1, 0)
     family = vf.divisor_family(f1, l, d)
     first, second = family.chambers
-    merged = Chamber(first.lo, second.hi, first.paths + second.paths)
+    merged = Chamber(first.lo, second.hi)
     monkeypatch.setattr(
         tc, "divisor_family", lambda *_args: replace(family, chambers=(merged,))
     )
     tc._curve_chambers.cache_clear()
-    with pytest.raises(InvariantViolation, match="minimizing vertex path of ray"):
+    with pytest.raises(InvariantViolation, match=r"ray \(1, 1\) bends inside the chamber \[0, 3\]"):
         tc._curve_chambers(f1, l, d)
     assert tc._curve_chambers.cache_info().currsize == 0
+
+
+def test_a_family_is_enumerated_once(f1, monkeypatch):
+    # building F1's family along D_0, its volume curve, facet polynomials and
+    # curve chambers solves the family's bases once: every other basic-solution
+    # loop is the vertex enumeration of one polytope (_int_vertices)
+    l, d = anticanonical(f1), ray_divisor(f1, 0)
+    calls = collections.Counter()
+    modules = [m for key, m in sys.modules.items() if key.startswith("toricstab.")]
+    for name in ("_basic_solutions", "_int_vertices"):
+        real = getattr(geometry, name)
+        for module in modules:  # wherever the name was imported
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(
+                    module, name,
+                    lambda *args, real=real, name=name: calls.update([name]) or real(*args),
+                )
+    for memo in (vf.divisor_family, vf.volume_curve, tc._curve_chambers):
+        memo.cache_clear()
+    family = vf.divisor_family(f1, l, d)
+    vf.volume_curve(f1, l, d)
+    for chamber in family.chambers:
+        vf.chamber_facet_polynomials(family, chamber)
+    tc._curve_chambers(f1, l, d)
+    assert calls["_int_vertices"] > 0
+    assert calls["_basic_solutions"] - calls["_int_vertices"] == 1
 
 
 def test_positive_and_negative_parts_match_zariski(surfaces, p3):

@@ -31,8 +31,8 @@ from toricstab.cli import main
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
 from toricstab.filtrations import filtration_family
 from toricstab.geometry import (
-    Chamber, Halfspace, ParametricHalfspace, _basis_paths, facet_volumes, parametric_family,
-    triangulation, volume,
+    Chamber, Halfspace, ParametricHalfspace, facet_volumes, parametric_family, triangulation,
+    volume,
 )
 from toricstab.thresholds import primitive_candidates
 from toricstab.toric import section_halfspaces
@@ -46,7 +46,13 @@ from toricstab.volume_fn import (
     squarefree_decomposition,
 )
 
-from oracles import antiderivative_integral, fit_polynomial, fraction_horner
+from oracles import (
+    antiderivative_integral,
+    fit_polynomial,
+    fraction_horner,
+    oracle_basis_paths,
+    oracle_walls,
+)
 
 
 # ---- polynomial layer ------------------------------------------------------
@@ -360,8 +366,7 @@ def test_chamber_facet_polynomials_match_sampled_fit(surfaces, p3):
 def _first_wall(fan, m, lprime):
     """The first wall s_1 > 0 of the family M + sL', or 1 when there is none."""
     phs = [ParametricHalfspace(u, a, -c) for u, a, c in zip(fan.rays, m.coeffs, lprime.coeffs)]
-    walls = [w for _path, lo, hi in _basis_paths(phs, fan.dimension) for w in (lo, hi)
-             if w is not None and w > 0]
+    walls = oracle_walls(oracle_basis_paths(phs, fan.dimension), math.inf)
     return min(walls, default=Q(1))
 
 
@@ -397,7 +402,7 @@ def test_chamber_volume_check_raises(f1):
     # one chamber spanning F1's wall at t = 1: a vertex of the hypograph lies inside it
     pp = divisor_family(f1, anticanonical(f1), ray_divisor(f1, 0))
     first, second = pp.chambers
-    spanning = Chamber(first.lo, second.hi, first.paths)
+    spanning = Chamber(first.lo, second.hi)
     for chamber_polynomial in (chamber_volume_polynomial, chamber_facet_polynomials):
         with pytest.raises(InvariantViolation, match=r"hypograph lies inside the chamber \[0, 3\]"):
             chamber_polynomial(pp, spanning)
@@ -407,7 +412,8 @@ def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch)
     # the chamber polynomials enumerate and triangulate the family's hypograph
     # on integer rows, and the check enumerates P_x on integer rows: no
     # Polytope is built and the triangulation cache does not grow
-    families = [divisor_family(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
+    directions = [(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
+    families = [divisor_family(*direction) for direction in directions]
     cached = triangulation.cache_info().currsize
     want = [family_volume_curve(pp) for pp in families]
     facets = [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers]
@@ -416,7 +422,8 @@ def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch)
         raise AssertionError("a chamber polynomial built a Polytope")
 
     monkeypatch.setattr(Polytope, "__post_init__", refuse)
-    volume_fn._hypograph.cache_clear()
+    # fresh families, whose hypographs are not yet triangulated
+    families = [divisor_family.__wrapped__(*direction) for direction in directions]
     assert [family_volume_curve(pp) for pp in families] == want
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == facets
     assert triangulation.cache_info().currsize == cached
@@ -425,7 +432,8 @@ def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch)
 def test_chamber_facet_polynomials_read_one_incidence_table(f1, p3, monkeypatch):
     # every ray's facet on every chamber is read off one table of tight sets
     # per family: the family's rows and s >= 0 on its hypograph
-    families = [divisor_family(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
+    directions = [(fan, anticanonical(fan), ray_divisor(fan, 0)) for fan in (f1, p3)]
+    families = [divisor_family(*direction) for direction in directions]
     want = [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers]
     calls = []
     real = geometry._tight_sets
@@ -435,6 +443,7 @@ def test_chamber_facet_polynomials_read_one_incidence_table(f1, p3, monkeypatch)
         return real(rows, q, points, den)
 
     monkeypatch.setattr(geometry, "_tight_sets", counted)
-    volume_fn._hypograph.cache_clear()
+    # fresh families, whose hypographs have not read their facets yet
+    families = [divisor_family.__wrapped__(*direction) for direction in directions]
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == want
     assert calls == [len(pp.halfspaces) + 1 for pp in families]
