@@ -3,10 +3,9 @@
 The valuation filtration of a lattice direction u slices the section polytope
 of the polarization; its normalized volume curve differentiates to a
 probability measure whose first moment is the expected vanishing order.
-The volume curve is computed in closed form, simplex by simplex over the
-cached triangulation of P_L, as a divided difference of truncated powers
-(volume_fn.slice_volume_curve).  The tests check it against sampled volumes
-on the chambers of the parametric slice family (filtration_family).
+The volume curve is the slice family's (filtration_family) volume curve, in
+closed form on the family's hypograph (volume_fn.family_volume_curve).  The
+tests check it against sampled volumes on the family's chambers.
 """
 
 from __future__ import annotations
@@ -16,10 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfeasibleTau, InvariantViolation, NotAmple, NotMonotone, ZeroVector
+from .errors import (
+    DimensionMismatch,
+    InfeasibleTau,
+    InvariantViolation,
+    NotAmple,
+    NotMonotone,
+    ZeroVector,
+)
 from .geometry import Halfspace, LatticeVector, ParametricPolytope, Polytope, dot, parametric_family
 from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces
-from .volume_fn import PiecewisePolynomial, slice_volume_curve
+from .volume_fn import PiecewisePolynomial, family_volume_curve
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,11 @@ class DHMeasure:
 
 
 def _section_polytope(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Polytope:
-    """P_L, once u is nonzero and L passes the polarization check."""
+    """P_L, once u is a nonzero vector of the fan's dimension and L is big and nef."""
+    if len(u) != fan.dimension:
+        raise DimensionMismatch(
+            f"{tuple(u)} has {len(u)} coordinates; the fan has dimension {fan.dimension}"
+        )
     if all(a == 0 for a in u):
         raise ZeroVector("filtration direction must be nonzero")
     if not is_ample(fan, l):
@@ -77,9 +87,9 @@ def filtration_family(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Parametric
     """The slices {x in P_L : <x,u> - min <.,u> >= tau} as a family in tau from 0.
 
     The family must end at the width of P_L against u; InvariantViolation is
-    raised when it does not.  filtration_curve does not build it: the tests
-    sample polytope volumes on its chambers, an oracle for the closed form
-    independent of the divided differences that family_volume_curve shares.
+    raised when it does not.  filtration_curve reads its volume curve; the
+    tests sample polytope volumes on its chambers, an oracle for the closed
+    form.
     """
     p = _section_polytope(fan, l, u)
     lo = p.support_min(u)
@@ -100,15 +110,12 @@ def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePo
     """Exact tau -> n! * volume{x in P_L : <x,u> - min <.,u> >= tau}.
 
     Non-increasing from vol(L) at 0 down to 0 at the width of P_L against u.
-    Computed in closed form by slice_volume_curve over triangulation(P_L), the
-    triangulation that linear_stats and big_volume use too, whose integer
-    simplex determinants are eliminated once per polytope; each chamber
-    polynomial is checked there against the slice polytope's volume on
-    integer rows, whose bases are solved once per direction with the level as
-    a parameter and whose vertices at each chamber's level are triangulated
-    afresh.
+    The volume curve of the slice family (filtration_family), in closed form
+    on its hypograph (family_volume_curve): each chamber polynomial is
+    checked against the degree bound n and, a third of the way in, against
+    the slice's volume enumerated and triangulated afresh on integer rows.
     """
-    return slice_volume_curve(_section_polytope(fan, l, u), u)
+    return family_volume_curve(filtration_family(fan, l, u))
 
 
 def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:

@@ -36,11 +36,7 @@ exact vertex set, so a family's hypograph is triangulated on its integer
 rows without a Polytope.
 normalized_volume runs the same steps from integer rows to n! times the
 volume without building a Polytope or touching the volume and triangulation
-caches; it is the independent volume sample of the chamber polynomial
-check.  slice_volumes runs them on one polytope cut by <u, x> >= s at the
-levels of the slice polynomial checks, its bases solved once with s as a
-parameter; it and _int_vertices keep and reduce the feasible solutions by
-one step (_feasible_vertices).
+caches; a family's chamber volume polynomials are checked against it.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegeneratePolytope,
@@ -337,22 +333,20 @@ def _recession_nontrivial(normals: tuple[LatticeVector, ...], dim: int) -> bool:
     return matrix_rank(normals) < dim or bool(extreme_rays(normals, dim))
 
 
-def _basic_solutions(
-    rows: Sequence[tuple[LatticeVector, tuple[int, ...]]], dim: int
-) -> Iterable[tuple[int, list[list[int]]]]:
-    """Every basic solution of integer rows (a, c): <a, x_j> = c_j on each n-subset.
+def _basic_solutions(rows: Sequence[IntRow], dim: int) -> Iterable[tuple[int, list[int]]]:
+    """Every basic solution of integer rows (a, b): <a, x> = -b on each n-subset.
 
-    One Bareiss elimination per subset with independent normals, all
-    right-hand sides side by side.  Yields (den, nums) with x_j = nums[j] / den
-    and den > 0, so a caller's integer feasibility test keeps its signs.
+    One Bareiss elimination per subset with independent normals.  Yields
+    (den, num) with x = num / den and den > 0, so a caller's integer
+    feasibility test keeps its signs.
     """
     for subset in itertools.combinations(rows, dim):
-        m = [[*a, *c] for a, c in subset]
+        m = [[*a, -b] for a, b in subset]
         pivots, den, _sign = _bareiss(m, dim)
         if len(pivots) < dim:
             continue
         s = 1 if den > 0 else -1
-        yield s * den, [[s * row[col] for row in m] for col in range(dim, len(m[0]))]
+        yield s * den, [s * row[dim] for row in m]
 
 
 def _check_bounded(rows: Sequence[IntRow], dim: int, has_vertex: bool) -> None:
@@ -392,8 +386,7 @@ def _int_vertices(rows: Sequence[IntRow], q: int, dim: int) -> tuple[list[Lattic
     Raises UnboundedRegion when the intersection is nonempty but unbounded;
     no points means it is empty.
     """
-    solutions = _basic_solutions([(a, (-b,)) for a, b in rows], dim)
-    points, den = _feasible_vertices(((d, num) for d, (num,) in solutions), rows, q)
+    points, den = _feasible_vertices(_basic_solutions(rows, dim), rows, q)
     _check_bounded(rows, dim, bool(points))
     return points, den
 
@@ -650,44 +643,10 @@ def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
     _int_vertices, the vertices triangulated and the simplex determinants
     summed.  It builds no Halfspace, Polytope or Fraction vertex and leaves
     nothing in the volume and triangulation caches.  Raises UnboundedRegion
-    when the intersection is unbounded.  slice_volumes runs the same steps
-    on a polytope cut at many levels, its bases solved once.
+    when the intersection is unbounded.
     """
     rows = _dedupe_rows(rows)
     return _triangulated_volume(rows, q, *_int_vertices(rows, q, dim), dim)
-
-
-def slice_volumes(
-    rows: Sequence[IntRow], q: int, normal: Sequence[int], dim: int
-) -> Callable[[Fraction], Fraction]:
-    """s -> n! times the volume of {<a, x> + b / q >= 0, <normal, x> >= s}, the rows bounded.
-
-    At each level the steps and value of normalized_volume on the rows plus
-    the slice row, but each basis is solved once, with s as a parameter: the
-    slice row is <normal, x> + (0 - s * q) / q >= 0, and two right-hand-side
-    columns give each basic solution as (c0 + s * c1) / (den * q) in
-    integers.  At s = sn / sd the solutions are (c0 * sd + c1 * sn) /
-    (den * q * sd), kept and reduced as in _int_vertices on the rows at s
-    over q * sd.  The slice lies in the rows' polytope, so the boundedness
-    test runs on the rows' normals, the memo entry of their own vertex
-    enumeration.  The cut rows are not deduped: the incidence table needs
-    only nonzero normals.
-    """
-    normal = tuple(normal)
-    system = [(a, (-b, 0)) for a, b in rows] + [(normal, (0, q))]
-    bases = list(_basic_solutions(system, dim))
-    normals = tuple(a for a, _b in rows)
-
-    def at(level: Fraction) -> Fraction:
-        sn, sd = level.numerator, level.denominator
-        cut = [(a, b * sd) for a, b in rows] + [(normal, -sn * q)]
-        solutions = ((d, [x * sd + y * sn for x, y in zip(c0, c1)]) for d, (c0, c1) in bases)
-        points, den = _feasible_vertices(solutions, cut, q * sd)
-        if points and _recession_nontrivial(normals, dim):
-            raise UnboundedRegion("halfspace intersection is unbounded")
-        return _triangulated_volume(cut, q * sd, points, den, dim)
-
-    return at
 
 
 @lru_cache(maxsize=None)
@@ -847,10 +806,8 @@ class _Hypograph:
         normals = [(*(k * a for a in hs.normal), -int(k * hs.rate)) for hs in halfspaces]
         offsets = [k * hs.offset for hs in halfspaces]
         self.rows, self.q = int_rows([*normals, (0,) * n + (1,)], [*offsets, 0])
-        solutions = _basic_solutions([(a, (-b,)) for a, b in self.rows], n + 1)
-        self.points, self.den = _feasible_vertices(
-            ((d, num) for d, (num,) in solutions), self.rows, self.q
-        )
+        solutions = _basic_solutions(self.rows, n + 1)
+        self.points, self.den = _feasible_vertices(solutions, self.rows, self.q)
         self.normals = [hs.normal for hs in halfspaces]
         self.heights = sorted({point[-1] for point in self.points})
 

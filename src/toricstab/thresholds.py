@@ -3,7 +3,10 @@
 The candidate search runs over primitive lattice vectors in a sup-norm ball;
 the reported minimum is exact over that candidate family and is a certified
 upper bound for the infimum over all valuations (lattice candidates suffice
-for toric data, an assumption every report records).
+for toric data, an assumption every report records).  A candidate's expected
+vanishing order is linear in the barycenter of the section polytope, which
+is checked once per polarization, so a search builds n filtration curves
+whatever its number of candidates.
 """
 
 from __future__ import annotations
@@ -11,16 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .errors import InvariantViolation, NotAmple, NotBigOnUnitInterval, ZeroDivisor, ZeroVector
-from .filtrations import filtration_curve
-from .geometry import is_primitive, linear_stats
+from .errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor
+from .filtrations import _section_polytope, filtration_curve
+from .geometry import dot, is_primitive, linear_stats
 from .toric import (
     Fan,
     ToricDivisor,
     anticanonical,
-    is_ample,
     log_discrepancy,
     polytope_of,
     ray_divisor,
@@ -44,38 +47,43 @@ STANDARD_ASSUMPTIONS = (
 )
 
 
+@lru_cache(maxsize=None)
+def _barycenter(fan: Fan, l: ToricDivisor) -> tuple[Fraction, ...]:
+    """The barycenter b of P_L, checked once along the n unit vectors.
+
+    b_i is the volume average of x_i (linear_stats).  Along each e_i,
+    b_i - min x_i must equal the integral of filtration_curve over vol(L),
+    or InvariantViolation is raised.  The n directions pin every coordinate
+    of b, so the check covers every direction.  Memoized per (fan, L); a
+    failed check is not cached and raises again.
+    """
+    p = polytope_of(fan, l)
+    v = big_volume(fan, l)
+    b = []
+    for i in range(fan.dimension):
+        e = tuple(int(i == j) for j in range(fan.dimension))
+        lo, mean, _hi = linear_stats(p, e)
+        integral = filtration_curve(fan, l, e).integrate() / v
+        if mean - lo != integral:
+            raise InvariantViolation(
+                f"S routes disagree along u={e}: {mean - lo} by linear stats, "
+                f"{integral} by the filtration curve"
+            )
+        b.append(mean)
+    return tuple(b)
+
+
 def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
     """Normalized expected vanishing order (1/V) int_0^inf vol(L - t u) dt.
 
-    Computed both as the slice-curve integral and as mean - min of the
-    support pairing over the section polytope; the two exact routes must
-    agree, and InvariantViolation is raised when they do not.  Both routes
-    read the one cached triangulation of P_L and its integer simplex
-    determinants: the slice curve through the closed form of
-    filtration_curve, and the mean through linear_stats, whose support values
-    are taken on P_L's integer vertices.  Each chamber polynomial of the
-    slice curve is checked against a slice polytope on integer rows, its
-    bases solved once per direction with the level as a parameter and its
-    vertices triangulated afresh at each chamber's level, so once P_L is
-    cached no Polytope is built.  The curve's integral runs in integers
-    (Polynomial.integrate).
+    Computed as S(u) = <b, u> - min <x, u> over P_L (Blum-Jonsson), with the
+    barycenter b of P_L checked against the filtration curves along the unit
+    vectors once per (fan, L) (_barycenter), so that no curve is built per
+    direction.  u must be nonzero and of the fan's dimension (ZeroVector,
+    DimensionMismatch) and L big and nef (NotAmple).
     """
-    if all(a == 0 for a in u):
-        raise ZeroVector("direction must be nonzero")
-    if not is_ample(fan, l):
-        raise NotAmple("polarization is not big and nef")
-    p = polytope_of(fan, l)
-    lo, mean, _hi = linear_stats(p, u)
-    stats_route = mean - lo
-    curve = filtration_curve(fan, l, u)
-    v = big_volume(fan, l)
-    integral_route = curve.integrate() / v
-    if stats_route != integral_route:
-        raise InvariantViolation(
-            f"S routes disagree along u={tuple(u)}: {stats_route} by linear stats, "
-            f"{integral_route} by the slice curve"
-        )
-    return stats_route
+    p = _section_polytope(fan, l, u)
+    return dot(_barycenter(fan, l), u) - p.support_min(u)
 
 
 def delta_quotient(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:

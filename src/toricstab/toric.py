@@ -91,6 +91,10 @@ class Fan:
         return tuple(Fraction(x, d) for x in dots)
 
     def containing_cone(self, u: Sequence) -> tuple[tuple[int, ...], Point]:
+        if len(u) != self.dimension:
+            raise DimensionMismatch(
+                f"{tuple(u)} has {len(u)} coordinates; the fan has dimension {self.dimension}"
+            )
         for cone in self.max_cones:
             lam = self.cone_coordinates(cone, u)
             if lam is not None:

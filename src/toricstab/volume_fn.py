@@ -1,17 +1,16 @@
 """One-parameter volume functions and directional derivatives of the volume.
 
 Houses the exact polynomial and piecewise-polynomial types used everywhere:
-volume curves t -> vol(L - tD), pseudo-effective thresholds, closed-form
-slice volume curves of a polytope, the positive (movable) intersection
-pairing as a sum over the facets of the section polytope, checked by Euler's
-identity, and volumes along towers of star subdivisions.
+volume curves t -> vol(L - tD) and of any one-parameter family,
+pseudo-effective thresholds, the positive (movable) intersection pairing as a
+sum over the facets of the section polytope, checked by Euler's identity, and
+volumes along towers of star subdivisions.
 
-Every curve comes from one closed form on one triangulation per polytope:
+Every curve comes from one closed form on one triangulation per family:
 over a simplex with vertex heights h, the divided difference [h] of
-s -> (s - c)_+^k (Curry-Schoenberg).  A slice volume curve triangulates the
-section polytope.  A family's chamber volume and facet polynomials
-triangulate its hypograph, the (n+1)-polytope whose slices are the
-family's polytopes, once per family, with no Polytope built and no
+s -> (s - c)_+^k (Curry-Schoenberg).  A family's chamber volume and facet
+polynomials triangulate its hypograph, the (n+1)-polytope whose slices are
+the family's polytopes, once per family, with no Polytope built and no
 triangulation cache entry added.
 """
 
@@ -26,27 +25,22 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import (
-    DegeneratePolytope,
     InvariantViolation,
     NotAmple,
     NotBig,
     NotMonotone,
     OutOfRange,
     ZeroDivisor,
-    ZeroVector,
 )
 from .geometry import (
     Chamber,
     ParametricPolytope,
-    Polytope,
     _Hypograph,
     _over_lcm,
     facet_volumes,
     int_rows,
     normalized_volume,
     parametric_family,
-    slice_volumes,
-    triangulation,
     volume,
 )
 from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces, star_subdivision
@@ -477,17 +471,14 @@ def _slice_polynomial(
 ) -> Polynomial:
     """c -> sum of |det| [h](s - q c)_+^n / q^n over (|det|, sorted heights h), on [lo/q, hi/q].
 
-    The heights are integers over q, none strictly inside the chamber.  With
-    n + 1 heights per simplex this is n! times the volume above c
-    (slice_volume_curve); with n + 2 it is n! times the volume of the slice
-    at c, which a simplex wholly above the chamber misses (_Hypograph).
+    The heights are integers over q, none strictly inside the chamber, n + 2
+    per (n+1)-simplex of a hypograph or of one of its facets (_Hypograph):
+    n! times the volume of its slice at c, which a simplex wholly above or
+    below the chamber misses.
     """
     total, den = [0] * (n + 1), 1
     for d, hs in knotted:
-        if hs[0] >= hi:
-            if len(hs) == n + 1:
-                total[0] += d * den
-        elif hs[-1] > lo:
+        if hs[0] < hi and hs[-1] > lo:
             coeffs, dd_den = _truncated_power_dd(hs, hi, n)
             common = math.lcm(den, dd_den)
             total = [
@@ -563,55 +554,6 @@ def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
     scale = math.factorial(pp.dimension)
     pieces = [chamber_volume_polynomial(pp, chamber).scale(scale) for chamber in pp.chambers]
     return PiecewisePolynomial.merged([pp.chambers[0].lo, *(ch.hi for ch in pp.chambers)], pieces)
-
-
-def slice_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
-    """Exact c -> n! * volume{x in p : <x,u> - min_p <.,u> >= c}, in closed form.
-
-    Over each simplex S of triangulation(p), with vertex heights h_i = <v_i,u>
-    - min_p <.,u>, vol(S with h >= c) / vol(S) is the divided difference
-    [h_0, ..., h_n] of s -> (s - c)_+^n (Curry-Schoenberg).  Between
-    consecutive vertex heights it is a polynomial in c (_truncated_power_dd);
-    simplices wholly above a chamber count whole and those below not at all.
-    Heights are integers over p's vertex denominator q, and the
-    divided difference is unchanged when knots and c are both scaled by q.
-
-    Each chamber polynomial is checked against the degree bound n and, a
-    third of the way in, against n! * volume of the slice polytope: p's
-    integer rows plus the slice row, whose bases are solved once per call
-    with the level as a parameter (slice_volumes) and whose feasible
-    vertices are triangulated afresh at each chamber's level, never reusing
-    p's vertices or triangulation.  The check builds no Polytope and adds
-    nothing to the volume and triangulation caches.  A failure raises
-    InvariantViolation.
-    """
-    simplices, q = triangulation(p), p.den
-    if not simplices:
-        raise DegeneratePolytope("slice volumes need a full-dimensional polytope")
-    n = p.dimension
-    u = tuple(u)
-    dots = [[sum(map(operator.mul, p.points[i], u)) for i in simplex] for _d, simplex in simplices]
-    low = min(map(min, dots))
-    knotted = [(d, sorted(h - low for h in hs)) for (d, _simplex), hs in zip(simplices, dots)]
-    heights = sorted({h for _d, hs in knotted for h in hs})
-    if len(heights) < 2:
-        raise ZeroVector("direction is constant on the section polytope")
-    bps = [Fraction(h, q) for h in heights]
-    slice_volume = slice_volumes(p.rows, p.q, u, n)
-    pieces = []
-    for lo, hi, c_lo, c_hi in zip(heights, heights[1:], bps, bps[1:]):
-        poly = _slice_polynomial(knotted, lo, hi, q, n)
-        x = c_lo + (c_hi - c_lo) / 3  # neither a chamber end nor where any knot sits
-        if poly.degree > n:
-            raise InvariantViolation(
-                f"slice volume on [{c_lo}, {c_hi}] has degree {poly.degree} > {n}"
-            )
-        if poly(x) != slice_volume(Fraction(low, q) + x):
-            raise InvariantViolation(
-                f"slice volume is not the closed-form polynomial on [{c_lo}, {c_hi}]"
-            )
-        pieces.append(poly)
-    return PiecewisePolynomial.merged(bps, pieces)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ from toricstab import (
     MonomialIdealData,
     PiecewisePolynomial,
     Polynomial,
-    Polytope,
     anticanonical,
     big_volume,
     divisor,
@@ -22,17 +21,18 @@ from toricstab import (
     filtration_curve,
     flag_curve_value,
     is_ample,
+    polytope_of,
     ray_divisor,
     star_subdivision,
     volume_curve,
 )
-from toricstab import geometry, volume_fn
+from toricstab import geometry, thresholds, volume_fn
 from toricstab.geometry import volume
 from toricstab.cli import main
 from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, ZeroVector
 from toricstab.filtrations import filtration_family
 from toricstab.thresholds import primitive_candidates
-from toricstab.volume_fn import _truncated_power_dd, slice_volume_curve
+from toricstab.volume_fn import _truncated_power_dd
 
 from oracles import fit_polynomial
 
@@ -75,7 +75,7 @@ def test_filtration_matches_volume_curve_after_subdivision(p2):
     assert slice_curve == divisor_curve.normalized()
 
 
-# ---- the closed-form slice volumes ------------------------------------------
+# ---- the closed-form filtration curves ---------------------------------------
 
 def _oracle_models(p2, f1, p1xp1, p3):
     """Six models, each with its anticanonical class and one other big and nef class."""
@@ -132,10 +132,12 @@ def test_truncated_power_ties():
     assert [Q(c, den) for c in coeffs] == [1, 0, 0, Q(-1, 64)]
 
 
-def test_slice_volume_curve_triangle_ties():
-    triangle = Polytope.from_points([(0, 0), (1, 0), (0, 1)])
-    assert slice_volume_curve(triangle, (0, 1)).pieces == (Polynomial.of(1, -2, 1),)
-    assert slice_volume_curve(triangle, (1, 1)).pieces == (Polynomial.of(1, 0, -1),)
+def test_filtration_curve_triangle_ties(p2):
+    # the ray divisor on (-1, -1) has the standard triangle as section polytope
+    hyperplane = ray_divisor(p2, 2)
+    assert set(polytope_of(p2, hyperplane).vertices) == {(0, 0), (1, 0), (0, 1)}
+    assert filtration_curve(p2, hyperplane, (0, 1)).pieces == (Polynomial.of(1, -2, 1),)
+    assert filtration_curve(p2, hyperplane, (1, 1)).pieces == (Polynomial.of(1, 0, -1),)
 
 
 def test_filtration_curve_p3_triple_tie(p3):
@@ -156,8 +158,10 @@ def _perturb(monkeypatch, extra):
 
 def test_perturbed_closed_form_raises(monkeypatch, p2, capsys, problems_dir):
     _perturb(monkeypatch, lambda lo, hi, q, n: Polynomial.of(1))
-    with pytest.raises(InvariantViolation, match="not the closed-form polynomial"):
+    with pytest.raises(InvariantViolation, match=r"volume is not the symbolic polynomial on the chamber \[0, 3\]"):
         filtration_curve(p2, anticanonical(p2), (1, 0))
+    # a cold memo, so that the search checks its barycenter on the perturbed curves
+    thresholds._barycenter.cache_clear()
     p2_file = str(problems_dir / "p2.json")
     for argv in (["delta", p2_file, "--radius", "1"], ["dh", p2_file, "--u", "1,0"]):
         assert main(argv) == 3
@@ -176,7 +180,7 @@ def test_perturbed_second_chamber_raises(monkeypatch, request, model, u, breakpo
     assert filtration_curve(fan, k, u).breakpoints == breakpoints
     _perturb(monkeypatch, lambda lo, hi, q, n: Polynomial.of(1) if lo > 0 else Polynomial(()))
     _lo, mid, hi = breakpoints
-    with pytest.raises(InvariantViolation, match=rf"not the closed-form polynomial on \[{mid}, {hi}\]"):
+    with pytest.raises(InvariantViolation, match=rf"symbolic polynomial on the chamber \[{mid}, {hi}\]"):
         filtration_curve(fan, k, u)
 
 
@@ -208,23 +212,22 @@ def test_dh_measure_checks_each_piece_once(monkeypatch, f1, u, pieces):
     assert analysed == list(zip(curve.breakpoints, curve.breakpoints[1:]))
 
 
-def test_slice_check_solves_each_basis_once(monkeypatch, p3):
-    # P_L's four rows plus the slice row are solved once for both chambers,
-    # and the boundedness test hits the memo left by P_L's own enumeration
+def test_filtration_curve_enumerates_one_hypograph(monkeypatch, p3):
+    # P_L's four rows, the slice row and t >= 0 are solved once in dimension
+    # 4 for both chambers; each chamber's volume check solves the five rows
+    # of its slice in dimension 3
     k = anticanonical(p3)
     filtration_curve(p3, k, (1, 0, 0))
     solved = []
     real = geometry._basic_solutions
 
     def counted(rows, dim):
-        solved.append(len(rows))
+        solved.append((len(rows), dim))
         return real(rows, dim)
 
     monkeypatch.setattr(geometry, "_basic_solutions", counted)
-    misses = geometry._recession_nontrivial.cache_info().misses
     assert len(filtration_curve(p3, k, (2, 1, 0)).pieces) == 2
-    assert solved == [5]
-    assert geometry._recession_nontrivial.cache_info().misses == misses
+    assert solved == [(6, 4), (5, 3), (5, 3)]
 
 
 def test_closed_form_degree_bound_raises(monkeypatch, p2):
@@ -235,7 +238,7 @@ def test_closed_form_degree_bound_raises(monkeypatch, p2):
         return Polynomial.of(-x, 1) * Polynomial((0,) * n + (1,))
 
     _perturb(monkeypatch, vanishing_at_check)
-    with pytest.raises(InvariantViolation, match="degree 3 > 2"):
+    with pytest.raises(InvariantViolation, match=r"symbolic polynomial on the chamber \[0, 3\]"):
         filtration_curve(p2, anticanonical(p2), (1, 0))
 
 

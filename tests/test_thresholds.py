@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from toricstab import (
+    Polynomial,
     Polytope,
     anticanonical,
     big_volume,
@@ -18,6 +20,7 @@ from toricstab import (
     divisor,
     entropy,
     extended_curve,
+    filtration_curve,
     g_pairing,
     inequality_report,
     is_ample,
@@ -33,9 +36,15 @@ from toricstab import (
     truncated_curve,
     volume_curve,
 )
-from toricstab import thresholds
+from toricstab import thresholds, volume_fn
 from toricstab.cli import main
-from toricstab.errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor, ZeroVector
+from toricstab.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NotBigOnUnitInterval,
+    ZeroDivisor,
+    ZeroVector,
+)
 from toricstab.thresholds import primitive_candidates
 
 
@@ -328,7 +337,73 @@ def test_inequality_report_empty_directions(p2):
     assert report.verdicts == ()
 
 
-# ---- the two-route S cross-check -------------------------------------------
+# ---- S from the checked barycenter -----------------------------------------
+
+def test_s_invariant_matches_both_routes_on_every_candidate(p2, f1, p1xp1, p3):
+    # per candidate, the support pairing's mean minus its minimum, the
+    # filtration curve's integral over the volume and <b, u> - min agree
+    blp3, pull, _k_rel = star_subdivision(p3, (1, 1, 1))
+    models = [(fan, anticanonical(fan), 2) for fan in (p2, f1, p1xp1, p3)]
+    models += [(blp3, anticanonical(blp3), 1), (blp3, pull(anticanonical(p3)), 1)]
+    for fan, l, radius in models:
+        p, v = polytope_of(fan, l), big_volume(fan, l)
+        for u in primitive_candidates(fan.dimension, radius):
+            lo, mean, _hi = linear_stats(p, u)
+            integral = filtration_curve(fan, l, u).integrate() / v
+            assert mean - lo == integral == s_invariant(fan, l, u), (fan.rays, l.coeffs, u)
+
+
+def test_delta_search_builds_one_curve_per_unit_direction(monkeypatch, p3):
+    # only the barycenter's check builds filtration curves, once per (fan, L)
+    thresholds._barycenter.cache_clear()
+    built = []
+    real = thresholds.filtration_curve
+
+    def counted(fan, l, u):
+        built.append(u)
+        return real(fan, l, u)
+
+    monkeypatch.setattr(thresholds, "filtration_curve", counted)
+    report = delta_search(p3, anticanonical(p3), 2)
+    assert len(report.candidates) == len(primitive_candidates(3, 2)) > 3
+    assert built == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("u", [(1,), (1, 0, 5)])
+def test_direction_of_the_wrong_length_raises(p2, u):
+    k = anticanonical(p2)
+    for call in (s_invariant, filtration_curve):
+        with pytest.raises(DimensionMismatch):
+            call(p2, k, u)
+    with pytest.raises(DimensionMismatch):
+        log_discrepancy(p2, u)
+
+
+def test_skewed_unit_direction_curve_raises(monkeypatch, p3):
+    # a cubic vanishing at both ends of the one chamber along e_2 and at its
+    # check point passes the chamber's checks and continuity; only the
+    # barycenter's comparison along e_2 sees the changed integral
+    thresholds._barycenter.cache_clear()
+    along = []
+    real_curve, real_slice = thresholds.filtration_curve, volume_fn._slice_polynomial
+
+    def curve(fan, l, u):
+        along.append(u)
+        return real_curve(fan, l, u)
+
+    def skewed(knotted, lo, hi, q, n):
+        poly = real_slice(knotted, lo, hi, q, n)
+        if along[-1] != (0, 1, 0):
+            return poly
+        roots = (Q(lo, q), Q(hi, q), Q(lo, q) + Q(hi - lo, 3 * q))
+        return poly + math.prod((Polynomial.of(-r, 1) for r in roots), start=Polynomial.of(1))
+
+    monkeypatch.setattr(thresholds, "filtration_curve", curve)
+    monkeypatch.setattr(volume_fn, "_slice_polynomial", skewed)
+    with pytest.raises(InvariantViolation, match=r"S routes disagree along u=\(0, 1, 0\)"):
+        s_invariant(p3, anticanonical(p3), (1, 1, 1))
+    assert along == [(1, 0, 0), (0, 1, 0)]
+
 
 # Shifts the linear-stats mean by one, so the two S routes disagree.
 SKEW_LINEAR_STATS = """
@@ -345,8 +420,10 @@ thresholds.linear_stats = _skewed
 
 def test_s_route_disagreement_raises(monkeypatch, p2, capsys, problems_dir):
     # the script rebinds thresholds.linear_stats itself; recording the real
-    # function first lets monkeypatch restore it for the tests that follow
+    # function first lets monkeypatch restore it for the tests that follow,
+    # and a cold memo lets the skew reach the barycenter's check
     monkeypatch.setattr(thresholds, "linear_stats", thresholds.linear_stats)
+    thresholds._barycenter.cache_clear()
     exec(SKEW_LINEAR_STATS, {})
     with pytest.raises(InvariantViolation):
         s_invariant(p2, anticanonical(p2), (1, 0))
@@ -367,8 +444,8 @@ def test_s_route_disagreement_survives_optimize(problems_dir, run_optimized):
 
 
 def test_s_invariant_builds_no_polytope_once_warm(p3, monkeypatch):
-    # the slice checks enumerate their polytopes on integer rows, so once P_L
-    # is cached an S value builds no Polytope
+    # the barycenter's checks enumerate their families and volumes on integer
+    # rows, so once P_L is cached an S value builds no Polytope
     blp3, pull, _k_rel = star_subdivision(p3, (1, 1, 1))
     models = [(p3, anticanonical(p3)), (blp3, pull(anticanonical(p3)))]
     for fan, l in models:
