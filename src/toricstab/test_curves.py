@@ -12,9 +12,11 @@ products <P_tau^{n-1}> . alpha, not ring products.  Each chamber carries the
 polynomials f_i(tau) = <P_tau^{n-1}> . D_i, (n-1)! times the lattice volumes
 of the facets of the section polytope, and every pairing is the linear sum
 sum_i alpha_i f_i.  Integration is linear, so each chamber also carries the
-exact integrals I_i of its facet polynomials and that of its mass, computed
-once; every functional below is then a chamber-wise dot product
-sum_i alpha_i I_i and builds no polynomial.
+exact integrals I_i of its facet polynomials, integers over one denominator
+from one shared set of integer power sums, and that of its mass, computed
+once; every functional below is then a chamber-wise integer dot product
+sum_i alpha_i I_i and builds no polynomial.  The mass identity
+sum_i P_tau,i f_i = vol(L - tau D) is checked on integer polynomials.
 
 Each piece of a curve is computed once per distinct input in a process: the
 divisor family and volume curve (memoized in volume_fn) and the curve
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantViolation, OutOfRange, RangeTooShort
-from .geometry import LatticeVector, _Hypograph
+from .geometry import LatticeVector, _Hypograph, _over_lcm
 from .toric import (
     Fan,
     ToricDivisor,
@@ -61,7 +63,8 @@ class CurveChamber:
     red_support lists the rays carrying the reduced divisor of
     tau*D + N_tau on the chamber interior.  facets[i] is the polynomial
     <P_tau^{n-1}> . D_i and mass is vol(L - tau*D) = sum_i P_tau,i facets[i].
-    integrals[i] and mass_integral are their exact integrals over [lo, hi];
+    integrals[i] / integral_den and mass_integral are their exact integrals
+    over [lo, hi], the facets' as integer numerators over one denominator;
     they are derived data and take no part in equality or hashing.
     """
 
@@ -72,7 +75,8 @@ class CurveChamber:
     red_support: tuple[int, ...]
     mass: Polynomial
     facets: tuple[Polynomial, ...]
-    integrals: tuple[Fraction, ...] = field(compare=False)
+    integrals: tuple[int, ...] = field(compare=False)
+    integral_den: int = field(compare=False)
     mass_integral: Fraction = field(compare=False)
 
     def positive_at(self, tau) -> tuple[Fraction, ...]:
@@ -88,27 +92,42 @@ class CurveChamber:
         return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
 
     def pairing_integral(self, alpha: ToricDivisor) -> Fraction:
-        """The integral of the positive product <P_tau^{n-1}> . alpha over the chamber."""
-        return sum(map(operator.mul, alpha.coeffs, self.integrals), Fraction(0))
+        """The integral of the positive product <P_tau^{n-1}> . alpha over the chamber.
+
+        One integer dot product of alpha's numerators with the integrals',
+        over the product of the two denominators.
+        """
+        nums, den = _over_lcm(alpha.coeffs)
+        return Fraction(sum(map(operator.mul, nums, self.integrals)), den * self.integral_den)
 
 
 def _integrals(
     lo: Fraction, hi: Fraction, facets: Sequence[Polynomial], mass: Polynomial
-) -> tuple[tuple[Fraction, ...], Fraction]:
+) -> tuple[tuple[int, ...], int, Fraction]:
     """The exact integrals over [lo, hi] of the facet polynomials and of the mass.
 
-    Every polynomial shares the power sums int_lo^hi tau^j = (hi^(j+1) - lo^(j+1))/(j+1).
+    Every polynomial shares the power sums int_lo^hi tau^j = (hi^(j+1) - lo^(j+1))/(j+1),
+    held as integers over one denominator D.  Each integral is then an
+    integer dot product with a polynomial's numerators: the facets' over one
+    common denominator, returned as (numerators, denominator), and the
+    mass's as one Fraction.
     """
-    top = max(len(p.coeffs) for p in (mass, *facets))
-    lo_power, hi_power, powers = lo, hi, []
-    for j in range(1, top + 1):
-        powers.append((hi_power - lo_power) / j)
-        lo_power, hi_power = lo_power * lo, hi_power * hi
-
-    def integral(p: Polynomial) -> Fraction:
-        return sum(map(operator.mul, p.coeffs, powers), Fraction(0))
-
-    return tuple(map(integral, facets)), integral(mass)
+    lp, lq, hp, hq = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    top = max(len(p.nums) for p in (mass, *facets))
+    m = math.lcm(*range(1, top + 1))
+    # int_lo^hi tau^j = powers[j] / D, D = m (lq hq)^top
+    powers = [
+        (hp ** (j + 1) * lq ** (j + 1) - lp ** (j + 1) * hq ** (j + 1))
+        * (lq * hq) ** (top - j - 1) * (m // (j + 1))
+        for j in range(top)
+    ]
+    den = math.lcm(*(f.den for f in facets))
+    integrals = tuple(
+        sum(map(operator.mul, f.nums, powers)) * (den // f.den) for f in facets
+    )
+    scale = m * (lq * hq) ** top
+    mass_integral = Fraction(sum(map(operator.mul, mass.nums, powers)), mass.den * scale)
+    return integrals, den * scale, mass_integral
 
 
 @dataclass(frozen=True)
@@ -208,7 +227,7 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
     for chamber in family.chambers:
         lo, hi, mid = chamber.lo, chamber.hi, chamber.midpoint()
         bottom, top = math.floor(lo * den), math.ceil(hi * den)
-        pos_paths = []
+        paths, pos_paths = [], []
         for u, hull in zip(fan.rays, hulls):
             if any(bottom < h < top for h, _y in hull):
                 raise InvariantViolation(
@@ -216,10 +235,10 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
                 )
             # the first hull segment reaching hi; no breakpoint inside, so it starts at or below lo
             (h0, y0), (h1, y1) = next(pair for pair in zip(hull, hull[1:]) if pair[1][0] >= top)
-            # g(tau) = (y0 (h1 - tau den) + y1 (tau den - h0)) / ((h1 - h0) den)
-            pos_paths.append(
-                (Fraction(y1 * h0 - y0 * h1, (h1 - h0) * den), Fraction(y0 - y1, h1 - h0))
-            )
+            # -g(tau) = (y1 h0 - y0 h1 + (y0 - y1) den tau) / ((h1 - h0) den), in integers
+            c0, c1, e = y1 * h0 - y0 * h1, (y0 - y1) * den, (h1 - h0) * den
+            paths.append(Polynomial.from_ints((c0, c1), e))
+            pos_paths.append((Fraction(c0, e), Fraction(c1, e)))
         neg_paths = []
         red = []
         for i in range(len(fan.rays)):
@@ -232,8 +251,8 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
         mass = volumes.piece_at(mid)
         facets = chamber_facet_polynomials(family, chamber)
         identity = Polynomial(())
-        for (c0, c1), f in zip(pos_paths, facets):
-            identity = identity + Polynomial.of(c0, c1) * f
+        for path, f in zip(paths, facets):
+            identity = identity + path * f
         if identity != mass:
             raise InvariantViolation(
                 f"facet volumes do not sum to the mass on the chamber [{lo}, {hi}]"
@@ -287,9 +306,12 @@ def truncated_curve(curve: TestCurve) -> TestCurve:
         if ch.hi <= 1:
             clipped.append(ch)  # with its integrals
         elif ch.lo < 1:
-            integrals, mass_integral = _integrals(ch.lo, Fraction(1), ch.facets, ch.mass)
+            integrals, den, mass_integral = _integrals(ch.lo, Fraction(1), ch.facets, ch.mass)
             clipped.append(
-                replace(ch, hi=Fraction(1), integrals=integrals, mass_integral=mass_integral)
+                replace(
+                    ch, hi=Fraction(1), integrals=integrals, integral_den=den,
+                    mass_integral=mass_integral,
+                )
             )
     return TestCurve(
         model=curve.model,

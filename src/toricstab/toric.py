@@ -8,12 +8,14 @@ Intersection numbers of any n divisors, nef or not, come from the fan's
 intersection ring (Fulton, Introduction to Toric Varieties, 5.1): each class
 is moved off the rays of one fixed maximal cone by linear equivalence, and the
 products of ray divisors that remain are read off the cones, with repeated
-rays removed the same way.
+rays removed the same way; the reduction and the expansion run in integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +37,7 @@ from .geometry import (
     Point,
     Polytope,
     _bareiss,
+    _over_lcm,
     content,
     dot,
     extreme_rays,
@@ -465,21 +468,39 @@ def _ray_monomial(fan: Fan, rays: tuple[int, ...]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _reference_cone(fan: Fan) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[Fraction, ...]], ...]]:
-    """The first cone of _cone_duals, sigma, with its dual basis on the other rays.
+def _reference_cone(
+    fan: Fan,
+) -> tuple[tuple[int, ...], int, tuple[tuple[int, LatticeVector], ...]]:
+    """The first cone of _cone_duals, sigma, its determinant d and integer duals on the other rays.
 
     The dual basis m_j has <m_j, u_k> = 1 for the j-th ray k of sigma and 0
-    on its other rays; each ray rho outside sigma comes with the row
-    (<m_j, u_rho>)_j.  Memoized per fan.
+    on its other rays; each ray rho outside sigma comes with the integer row
+    (d <m_j, u_rho>)_j.  Memoized per fan.
     """
     duals = _cone_duals(fan)
     if not duals:
         raise DimensionMismatch("the fan has no full-dimensional simplicial cone")
     cone, (d, ws) = next(iter(duals.items()))
     rest = tuple(
-        (rho, tuple(dot(w, u) / d for w in ws)) for rho, u in enumerate(fan.rays) if rho not in cone
+        (rho, tuple(sum(map(mul, w, u)) for w in ws))
+        for rho, u in enumerate(fan.rays)
+        if rho not in cone
     )
-    return cone, rest
+    return cone, d, rest
+
+
+def _power_terms(support: Sequence[tuple[int, int]], k: int) -> dict[tuple[int, ...], int]:
+    """(sum_rho c_rho D_rho)^k as {sorted rays: integer coefficient}, with multinomial weights."""
+    terms = {}
+    for combo in itertools.combinations_with_replacement(support, k):
+        rays = tuple(rho for rho, _c in combo)
+        weight = math.factorial(k)
+        for _rho, run in itertools.groupby(rays):
+            weight //= math.factorial(len(list(run)))
+        for _rho, c in combo:
+            weight *= c
+        terms[rays] = weight
+    return terms
 
 
 def intersection_number(
@@ -491,11 +512,15 @@ def intersection_number(
 
     Each class is first moved off the rays of one fixed maximal cone sigma
     (`_reference_cone`): D - div chi^m, with <m, u_j> = D_j on sigma's rays,
-    is linearly equivalent to D and supported on the other k - n rays.  The
-    product is then expanded multilinearly over these reduced supports into
-    at most (k - n)^n monomials in the ray divisors (`_ray_monomial`), so no
-    argument needs to be nef.  `ample_ref` is accepted for old callers and
-    ignored.
+    is linearly equivalent to D and supported on the other k - n rays.  In
+    integers: with D's coefficients over their common denominator c and
+    sigma's determinant d, the reduced coefficients are integers over c d,
+    read off sigma's integer duals.  Equal classes are grouped, a class
+    repeated j times contributing its j-th power with multinomial weights,
+    and the product is expanded multilinearly over the reduced supports
+    into integer coefficients grouped by ray monomial (`_ray_monomial`), so
+    no argument needs to be nef.  One Fraction is built at the end.
+    `ample_ref` is accepted for old callers and ignored.
     """
     n = fan.dimension
     if len(divisors) != n:
@@ -503,19 +528,22 @@ def intersection_number(
     for d in divisors:
         if d.fan != fan:
             raise DimensionMismatch("divisor lives on a different fan")
-    cone, rest = _reference_cone(fan)
-    supports = []
-    for d in divisors:
-        on_cone = [d.coeffs[i] for i in cone]
-        reduced = ((rho, d.coeffs[rho] - dot(on_cone, row)) for rho, row in rest)
-        supports.append([(rho, c) for rho, c in reduced if c != 0])
-    total = Fraction(0)
-    for combo in itertools.product(*supports):
-        coeff = Fraction(1)
-        for _i, c in combo:
-            coeff *= c
-        total += coeff * _ray_monomial(fan, tuple(sorted(i for i, _c in combo)))
-    return total
+    cone, det, rest = _reference_cone(fan)
+    terms: dict[tuple[int, ...], int] = {(): 1}
+    den = 1
+    classes = Counter((tuple(nums), c) for nums, c in (_over_lcm(d.coeffs) for d in divisors))
+    for (nums, c), k in classes.items():
+        on_cone = [nums[i] for i in cone]
+        reduced = ((rho, nums[rho] * det - sum(map(mul, on_cone, row))) for rho, row in rest)
+        power = _power_terms([(rho, r) for rho, r in reduced if r], k)
+        den *= (c * det) ** k
+        grouped: dict[tuple[int, ...], int] = defaultdict(int)
+        for rays, x in terms.items():
+            for more, y in power.items():
+                grouped[tuple(sorted(rays + more))] += x * y
+        terms = grouped
+    values, mono_den = _over_lcm([_ray_monomial(fan, rays) for rays in terms])
+    return Fraction(sum(map(mul, terms.values(), values)), den * mono_den)
 
 
 @dataclass(frozen=True)

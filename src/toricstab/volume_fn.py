@@ -6,6 +6,12 @@ pseudo-effective thresholds, the positive (movable) intersection pairing as a
 sum over the facets of the section polytope, checked by Euler's identity, and
 volumes along towers of star subdivisions.
 
+A Polynomial is integer numerators over one positive denominator, and its
+arithmetic, evaluation, integration and division run in integers; the sign
+decisions behind monotonicity (Yun's squarefree decomposition, Sturm
+sequences) run on primitive integer remainder sequences.  A Fraction is
+built only where a rational leaves the kernel.
+
 Every curve comes from one closed form on one triangulation per family:
 over a simplex with vertex heights h, the divided difference [h] of
 s -> (s - c)_+^k (Curry-Schoenberg).  A family's chamber volume and facet
@@ -50,8 +56,18 @@ from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces,
 # exact polynomials
 # --------------------------------------------------------------------------
 
+def _ratio(x) -> tuple[int, int]:
+    """The numerator and positive denominator of an int, a Fraction or anything Fraction takes."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 def _homogeneous(nums: Sequence[int], p: int, q: int) -> int:
-    """q^(len(nums) - 1) * sum_i nums[i] * (p / q)^i, by Horner's scheme in integers."""
+    """q^(len(nums) - 1) * sum_i nums[i] * (p / q)^i, by Horner's scheme in integers.
+
+    For q > 0 its sign is that of the polynomial nums at p / q.
+    """
     acc, qpow = 0, 1
     for c in reversed(nums):
         acc = acc * p + c * qpow
@@ -59,76 +75,120 @@ def _homogeneous(nums: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists, ascending."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _derivative(nums: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(nums)][1:]
+
+
+def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s a = q b + r, s = lc(b)^k, k = max(deg a - deg b + 1, 0), all in integers.
+
+    Each of the k steps multiplies q and r by lc(b) and cancels r's leading
+    coefficient, so no step divides.
+    """
+    n, lc = len(b) - 1, b[-1]
+    rem = list(a)
+    quo = [0] * max(len(rem) - n, 0)
+    for shift in reversed(range(len(quo))):
+        c = rem.pop()
+        quo = [lc * x for x in quo]
+        quo[shift] = c
+        rem = [lc * x for x in rem]
+        for j in range(n):
+            rem[shift + j] -= c * b[j]
+    return quo, rem, lc ** len(quo)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Polynomial:
     """Univariate polynomial with exact rational coefficients, ascending order.
 
-    Evaluation and integration run on its integer form, integer numerators
-    over one common denominator, computed once on first use and outside
-    equality and hashing; each builds one Fraction at the end.
+    Its one form is integer numerators `nums` over one positive denominator
+    `den`, in lowest terms and without trailing zeros; equality and hashing
+    read it.  Arithmetic, evaluation, integration and division run on it in
+    integers, and each value returned as a rational is one Fraction built at
+    the end.  `coeffs`, the Fraction coefficients, is derived on demand.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, coeffs: Sequence = ()) -> None:
+        self._assign(*_over_lcm([Fraction(c) for c in coeffs]))
 
     @classmethod
     def of(cls, *coeffs) -> Polynomial:
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(coeffs)
+
+    @classmethod
+    def from_ints(cls, nums: Sequence[int], den: int = 1) -> Polynomial:
+        """sum_i nums[i] x^i / den for integers nums and a nonzero integer den."""
+        p = object.__new__(cls)
+        p._assign(list(nums), den)
+        return p
+
+    def _assign(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den // g)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nums) - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @cached_property
-    def _ints(self) -> tuple[list[int], int]:
-        """The coefficients as integer numerators over their least common denominator."""
-        return _over_lcm(self.coeffs)
+        return not self.nums
 
     def __call__(self, x) -> Fraction:
-        nums, den = self._ints
-        if not nums:
+        if not self.nums:
             return Fraction(0)
-        x = Fraction(x)
-        q = x.denominator
-        return Fraction(_homogeneous(nums, x.numerator, q), den * q ** (len(nums) - 1))
+        p, q = _ratio(x)
+        return Fraction(_homogeneous(self.nums, p, q), self.den * q ** (len(self.nums) - 1))
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        return Polynomial(
-            tuple(
-                a + b
-                for a, b in itertools.zip_longest(
-                    self.coeffs, other.coeffs, fillvalue=Fraction(0)
-                )
-            )
+        g = math.gcd(self.den, other.den)
+        ma, mb = other.den // g, self.den // g
+        return Polynomial.from_ints(
+            [x * ma + y * mb for x, y in itertools.zip_longest(self.nums, other.nums, fillvalue=0)],
+            self.den * ma,
         )
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + other.scale(-1)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
+        return Polynomial.from_ints(_convolve(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c) -> Polynomial:
-        c = Fraction(c)
-        return Polynomial(tuple(c * a for a in self.coeffs))
+        p, q = _ratio(c)
+        return Polynomial.from_ints([p * a for a in self.nums], self.den * q)
 
     def derivative(self) -> Polynomial:
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return Polynomial.from_ints(_derivative(self.nums), self.den)
 
     def integrate(self, a, b) -> Fraction:
         """The signed integral from a to b: power sums over one common denominator.
@@ -136,103 +196,144 @@ class Polynomial:
         With k coefficients over den, the antiderivative has integer
         coefficients over den * m, m = lcm(1, ..., k).
         """
-        nums, den = self._ints
+        nums = self.nums
         k = len(nums)
         m = math.lcm(*range(1, k + 1))
         anti = [0] + [c * (m // e) for e, c in enumerate(nums, 1)]
-        a, b = Fraction(a), Fraction(b)
-        ad, bd = a.denominator, b.denominator
-        top = _homogeneous(anti, b.numerator, bd) * ad**k
-        top -= _homogeneous(anti, a.numerator, ad) * bd**k
-        return Fraction(top, den * m * (ad * bd) ** k)
+        (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+        top = _homogeneous(anti, bn, bd) * ad**k - _homogeneous(anti, an, ad) * bd**k
+        return Fraction(top, self.den * m * (ad * bd) ** k)
 
     def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """The exact quotient and remainder, by integer pseudo-division (_pseudo_divide).
+
+        s a = q b + r on the numerators gives self = q * other.den / (s den) *
+        other + r / (s den).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        while rem and rem[-1] == 0:
-            rem.pop()
-        while len(rem) >= len(d):
-            shift = len(rem) - len(d)
-            factor = rem[-1] / d[-1]
-            quo[shift] += factor
-            for i, c in enumerate(d):
-                rem[shift + i] -= factor * c
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(tuple(quo)), Polynomial(tuple(rem))
+        quo, rem, scale = _pseudo_divide(self.nums, other.nums)
+        den = scale * self.den
+        quotient = Polynomial.from_ints([other.den * x for x in quo], den)
+        return quotient, Polynomial.from_ints(rem, den)
 
 
-# ---- exact sign analysis ---------------------------------------------------
+# ---- exact sign analysis on primitive integer remainder sequences -----------
+#
+# Positive multiples of a polynomial have its roots and its signs, so the
+# decisions below run on integer coefficient lists divided by their positive
+# content (primitive parts), with pseudo-remainders scaled by |lc|^k
+# (Brown-Traub primitive remainder sequences).
 
-def _monic(p: Polynomial) -> Polynomial:
-    return p if p.is_zero else p.scale(Fraction(1) / p.coeffs[-1])
+def _primitive(nums: Sequence[int]) -> list[int]:
+    g = math.gcd(*nums)
+    return [c // g for c in nums] if g > 1 else list(nums)
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """|lc(b)|^k times the remainder of a by b, k = deg a - deg b + 1, trailing zeros dropped.
+
+    The scale is positive, so the result has the remainder's signs.
+    """
+    _quo, rem, scale = _pseudo_divide(a, b)
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem if scale > 0 else [-c for c in rem]
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for a primitive b dividing a; the quotient is integral (Gauss's lemma).
+
+    A remainder or a fractional quotient coefficient raises InvariantViolation.
+    """
+    quo, rem, scale = _pseudo_divide(a, b)
+    if any(rem) or any(c % scale for c in quo):
+        raise InvariantViolation("an exact polynomial division left a remainder")
+    return [c // scale for c in quo]
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive gcd with positive leading coefficient; [] for two zero polynomials."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def _monic(nums: Sequence[int]) -> Polynomial:
+    return Polynomial.from_ints(nums, nums[-1]) if nums else Polynomial(())
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    return _monic(a)
+    """The monic gcd, on the primitive remainder sequence of the numerators."""
+    return _monic(_gcd(a.nums, b.nums))
 
 
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's algorithm: pairwise-coprime squarefree factors with multiplicities."""
-    p = _monic(p)
-    if p.degree <= 0:
+def _squarefree(nums: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on primitive integer polynomials.
+
+    c and d carry one common scale through every step, as they are divided
+    by the same primitive gcd, so each quotient is exact and integral.
+    """
+    if len(nums) <= 1:
         return []
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
+    p = _primitive(nums)
+    dp = _derivative(p)
+    g = _gcd(p, dp)
+    if len(g) == 1:
         return [(p, 1)]
-    c = p.divmod(g)[0]
-    d = p.derivative().divmod(g)[0] - c.derivative()
-    out: list[tuple[Polynomial, int]] = []
+    c = _exact_quotient(p, g)
+    d = _exact_quotient(dp, g)
+    out: list[tuple[list[int], int]] = []
     i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((_monic(a), i))
-        c_next = c.divmod(a)[0]
-        d = d.divmod(a)[0] - c_next.derivative()
-        c = c_next
+    while len(c) > 1:
+        d = [x - y for x, y in itertools.zip_longest(d, _derivative(c), fillvalue=0)]
+        while d and not d[-1]:
+            d.pop()
+        a = _gcd(c, d)
+        if len(a) > 1:
+            out.append((a, i))
+        c = _exact_quotient(c, a)
+        d = _exact_quotient(d, a)
         i += 1
     return out
 
 
-def _sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    seq = [p, p.derivative()]
-    while seq[-1].degree > 0:
-        _q, r = seq[-2].divmod(seq[-1])
-        if r.is_zero:
+def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Yun's algorithm: pairwise-coprime monic squarefree factors with multiplicities."""
+    return [(_monic(f), mult) for f, mult in _squarefree(p.nums)]
+
+
+def _sturm_sequence(nums: Sequence[int]) -> list[list[int]]:
+    """p, p' and the negated primitive pseudo-remainders: p's Sturm sequence up to scales > 0."""
+    seq = [_primitive(nums), _primitive(_derivative(nums))]
+    while len(seq[-1]) > 1:
+        r = _prem(seq[-2], seq[-1])
+        if not r:
             break
-        seq.append(r.scale(-1))
+        seq.append([-c for c in _primitive(r)])
     return seq
 
 
-def _sign_changes(values: Sequence[Fraction]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+def _sign_changes(values: Sequence[int]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots(p: Polynomial, a, b) -> int:
-    """Distinct real roots of p in (a, b]; requires p(a) != 0."""
+    """Distinct real roots of p in (a, b], for a <= b and p(a) != 0; ValueError otherwise."""
     if p.is_zero:
         raise ValueError("the zero polynomial has infinitely many roots")
-    seq = _sturm_sequence(p)
-    return _sign_changes([q(a) for q in seq]) - _sign_changes([q(b) for q in seq])
-
-
-def _divide_out_root(p: Polynomial, r) -> Polynomial:
-    r = Fraction(r)
-    while not p.is_zero and p.degree >= 1 and p(r) == 0:
-        q, rem = p.divmod(Polynomial.of(-r, 1))
-        if not rem.is_zero:
-            raise InvariantViolation(f"dividing out the root {r} left a remainder")
-        p = q
-    return p
+    (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+    if an * bd > bn * ad:
+        raise ValueError(f"empty interval: {a} > {b}")
+    if not _homogeneous(p.nums, an, ad):
+        raise ValueError(f"the polynomial vanishes at the left end {a}")
+    seq = _sturm_sequence(p.nums)
+    return (
+        _sign_changes([_homogeneous(q, an, ad) for q in seq])
+        - _sign_changes([_homogeneous(q, bn, bd) for q in seq])
+    )
 
 
 def nonneg_on_interval(p: Polynomial, a, b) -> bool:
@@ -241,28 +342,33 @@ def nonneg_on_interval(p: Polynomial, a, b) -> bool:
     Sign changes happen exactly at odd-multiplicity roots, so after checking
     the endpoints it suffices to verify that the odd part of the squarefree
     decomposition has no root strictly inside, then sample one non-root point.
+    Every sign is read off an integer, the numerators at a point's numerator
+    and positive denominator (_homogeneous).
     """
-    a, b = Fraction(a), Fraction(b)
-    if a > b:
+    (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+    if an * bd > bn * ad:
         raise ValueError("empty interval")
     if p.is_zero:
         return True
-    if p(a) < 0 or p(b) < 0:
+    if _homogeneous(p.nums, an, ad) < 0 or _homogeneous(p.nums, bn, bd) < 0:
         return False
-    if a == b:
+    if an * bd == bn * ad:
         return True
-    odd = Polynomial.of(1)
-    for factor, mult in squarefree_decomposition(p):
+    odd = [1]
+    for factor, mult in _squarefree(p.nums):
         if mult % 2 == 1:
-            odd = odd * factor
-    odd = _divide_out_root(_divide_out_root(odd, a), b)
-    if odd.degree >= 1 and count_roots(odd, a, b) > 0:
+            odd = _convolve(odd, factor)
+    for p_end, q_end in ((an, ad), (bn, bd)):  # an end root in lowest terms, divided out
+        while len(odd) > 1 and not _homogeneous(odd, p_end, q_end):
+            odd = _exact_quotient(odd, [-p_end, q_end])
+    if len(odd) > 1 and count_roots(Polynomial.from_ints(odd), a, b) > 0:
         return False
     # no interior sign change: one non-root sample decides the sign
-    for k in range(1, p.degree + 3):
-        x = a + (b - a) * Fraction(k, p.degree + 3)
-        val = p(x)
-        if val != 0:
+    m = p.degree + 3
+    for k in range(1, m):
+        # a + (b - a) k / m over the positive denominator ad bd m
+        val = _homogeneous(p.nums, an * bd * (m - k) + bn * ad * k, ad * bd * m)
+        if val:
             return val > 0
     raise InvariantViolation("nonzero polynomial vanished at more points than its degree")
 
@@ -486,7 +592,7 @@ def _slice_polynomial(
             ]
             den = common
     # C = q * c: a k-simplex's |det| / q^k times [h / q] of its k + 1 heights is |det| / q^n * [h]
-    return Polynomial(tuple(Fraction(t * q**m, den * q**n) for m, t in enumerate(total)))
+    return Polynomial.from_ints([t * q**m for m, t in enumerate(total)], den * q**n)
 
 
 def _on_chamber(hypograph: _Hypograph, chamber: Chamber, knotted, power: int) -> Polynomial:

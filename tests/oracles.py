@@ -2,7 +2,12 @@
 
 Lagrange interpolation through sampled values, and the Fraction Horner
 scheme and antiderivative that Polynomial evaluated and integrated with
-before it moved to integer numerators over one denominator.  A Fraction
+before it moved to integer numerators over one denominator.  The Fraction
+coefficient polynomial with its arithmetic and long division, and on it the
+Yun decomposition, Sturm sequences and sign decision that ran in Fractions
+before they moved to primitive integer remainder sequences.  The Fraction
+expansion of an intersection number over cone-reduced supports, one term per
+n-tuple of rays, before the expansion moved to integers grouped by monomial.  A Fraction
 Gauss-Jordan elimination, and on it the solve over a cone's shared rays that
 validate_fan's face test ran before it read the cones' dual bases.  The
 determinant and square solve on the library's integer elimination, which
@@ -14,9 +19,12 @@ a family off the vertices of its hypograph.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
+from toricstab import toric
 from toricstab.geometry import _eliminate
 from toricstab.volume_fn import Polynomial
 
@@ -179,3 +187,170 @@ def oracle_points(bases, lo, hi, t) -> list[tuple[Fraction, ...]]:
     return sorted({
         path.at(t) for path, a, b in bases if (a is None or a <= lo) and (b is None or hi <= b)
     })
+
+
+# ---- the Fraction polynomial kernel ----------------------------------------
+
+@dataclass(frozen=True)
+class FractionPolynomial:
+    """Fraction coefficients, ascending, trailing zeros dropped."""
+
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        cs = tuple(Fraction(c) for c in self.coeffs)
+        while cs and cs[-1] == 0:
+            cs = cs[:-1]
+        object.__setattr__(self, "coeffs", cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __call__(self, x) -> Fraction:
+        return fraction_horner(self, x)
+
+    def __add__(self, other):
+        return FractionPolynomial(
+            tuple(a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0))
+        )
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(tuple(out))
+
+    def scale(self, c):
+        return FractionPolynomial(tuple(Fraction(c) * a for a in self.coeffs))
+
+    def derivative(self):
+        return FractionPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+
+    def divmod(self, other):
+        """Long division, one Fraction quotient coefficient per step."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, d = list(self.coeffs), other.coeffs
+        quo = [Fraction(0)] * max(len(rem) - len(d) + 1, 0)
+        while len(rem) >= len(d):
+            shift = len(rem) - len(d)
+            factor = rem[-1] / d[-1]
+            quo[shift] += factor
+            for i, c in enumerate(d):
+                rem[shift + i] -= factor * c
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return FractionPolynomial(tuple(quo)), FractionPolynomial(tuple(rem))
+
+
+def _monic(p: FractionPolynomial) -> FractionPolynomial:
+    return p if p.is_zero else p.scale(1 / p.coeffs[-1])
+
+
+def oracle_poly_gcd(a: FractionPolynomial, b: FractionPolynomial) -> FractionPolynomial:
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return _monic(a)
+
+
+def oracle_squarefree_decomposition(p: FractionPolynomial) -> list[tuple[FractionPolynomial, int]]:
+    """Yun's algorithm in Fractions."""
+    p = _monic(p)
+    if p.degree <= 0:
+        return []
+    g = oracle_poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        return [(p, 1)]
+    c = p.divmod(g)[0]
+    d = p.derivative().divmod(g)[0] - c.derivative()
+    out = []
+    i = 1
+    while c.degree > 0:
+        a = oracle_poly_gcd(c, d)
+        if a.degree > 0:
+            out.append((_monic(a), i))
+        c_next = c.divmod(a)[0]
+        d = d.divmod(a)[0] - c_next.derivative()
+        c = c_next
+        i += 1
+    return out
+
+
+def _sign_changes(values) -> int:
+    signs = [v for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def oracle_count_roots(p: FractionPolynomial, a, b) -> int:
+    """Sturm's count of the distinct roots in (a, b], for a <= b and p(a) != 0, in Fractions."""
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        r = seq[-2].divmod(seq[-1])[1]
+        if r.is_zero:
+            break
+        seq.append(r.scale(-1))
+    return _sign_changes([q(a) for q in seq]) - _sign_changes([q(b) for q in seq])
+
+
+def oracle_nonneg_on_interval(p: FractionPolynomial, a, b) -> bool:
+    """p >= 0 on [a, b]: the ends, the odd part's interior roots, then one non-root sample."""
+    a, b = Fraction(a), Fraction(b)
+    if p.is_zero:
+        return True
+    if p(a) < 0 or p(b) < 0:
+        return False
+    if a == b:
+        return True
+    odd = FractionPolynomial((1,))
+    for factor, mult in oracle_squarefree_decomposition(p):
+        if mult % 2 == 1:
+            odd = odd * factor
+    for r in (a, b):
+        while odd.degree >= 1 and odd(r) == 0:
+            odd = odd.divmod(FractionPolynomial((-r, 1)))[0]
+    if odd.degree >= 1 and oracle_count_roots(odd, a, b) > 0:
+        return False
+    for k in range(1, p.degree + 3):
+        val = p(a + (b - a) * Fraction(k, p.degree + 3))
+        if val != 0:
+            return val > 0
+    raise AssertionError("nonzero polynomial vanished at more points than its degree")
+
+
+# ---- intersection numbers --------------------------------------------------
+
+def oracle_intersection_number(fan, divisors) -> Fraction:
+    """The product of n classes expanded in Fractions over their supports reduced against one cone.
+
+    Each class is reduced against the first cone of the fan's dual-basis
+    table and the product expanded into one term per n-tuple of rays, with
+    no grouping of repeated classes or of equal monomials.
+    """
+    cone, (d, ws) = next(iter(toric._cone_duals(fan).items()))
+    rest = [
+        (rho, [Fraction(sum(map(mul, w, u)), d) for w in ws])
+        for rho, u in enumerate(fan.rays)
+        if rho not in cone
+    ]
+    supports = []
+    for dv in divisors:
+        on_cone = [dv.coeffs[i] for i in cone]
+        reduced = ((rho, dv.coeffs[rho] - sum(map(mul, on_cone, row))) for rho, row in rest)
+        supports.append([(rho, c) for rho, c in reduced if c != 0])
+    total = Fraction(0)
+    for combo in itertools.product(*supports):
+        coeff = Fraction(1)
+        for _rho, c in combo:
+            coeff *= c
+        total += coeff * toric._ray_monomial(fan, tuple(sorted(rho for rho, _c in combo)))
+    return total

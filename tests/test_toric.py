@@ -39,7 +39,7 @@ from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
 from toricstab.volume_fn import volume_curve
 
-from oracles import det, nonneg_combination, solve_linear
+from oracles import det, nonneg_combination, oracle_intersection_number, solve_linear
 
 
 def test_validate_p2(p2):
@@ -583,13 +583,34 @@ def test_reduction_on_a_non_smooth_reference_cone(models):
     # off it is not integral; D_i . D_j = w_i w_j / (w_0 w_1 w_2) there
     fan = models["p123"]
     assert validate_fan(fan).ok and not validate_fan(fan).is_smooth
-    cone, rest = toric._reference_cone(fan)
-    assert abs(det(fan.cone_rays(cone))) == 3
-    assert any(c.denominator != 1 for _rho, row in rest for c in row)
+    cone, d, rest = toric._reference_cone(fan)
+    assert abs(d) == abs(det(fan.cone_rays(cone))) == 3
+    assert any(c % d for _rho, row in rest for c in row)
     w = (1, 2, 3)
     for i, j in itertools.product(range(3), repeat=2):
         product = intersection_number(fan, [ray_divisor(fan, i), ray_divisor(fan, j)])
         assert product == Q(w[i] * w[j], w[0] * w[1] * w[2])
+
+
+@pytest.mark.parametrize("name", ["p2", "f1", "p1xp1", "f1 refined at (1,2)", "p3", "blp3"])
+def test_grouped_integer_expansion_matches_fraction_oracle(models, name):
+    # random rational classes of any sign, repeated as alpha_energy ([L] * (n - 1) + [alpha])
+    # and g_pairing (a^(n-1-j) b^j . c) repeat them, against the ungrouped Fraction expansion
+    fan = models[name]
+    n = fan.dimension
+    rng = random.Random(f"grouped:{name}")
+
+    def draw():
+        return divisor(fan, [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in fan.rays])
+
+    for _ in range(8):
+        a, b, c = draw(), draw(), draw()
+        lists = [[a] * n, [a] * (n - 1) + [b], [draw() for _ in range(n)]]
+        lists += [[a] * (n - 1 - j) + [b] * j + [c] for j in range(n)]
+        lists.append([a, divisor(fan, a.coeffs)] + [b] * (n - 2))  # equal classes, distinct objects
+        lists.append([zero_divisor(fan)] + [a] * (n - 1))
+        for classes in lists:
+            assert intersection_number(fan, classes) == oracle_intersection_number(fan, classes)
 
 
 def nef_classes(fan, rng, count):

@@ -27,7 +27,7 @@ from toricstab import (
     zero_divisor,
 )
 from toricstab import geometry, toric, volume_fn
-from toricstab.cli import main
+from toricstab.cli import main, piecewise_to_dict
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
 from toricstab.filtrations import filtration_family
 from toricstab.geometry import (
@@ -47,10 +47,14 @@ from toricstab.volume_fn import (
 )
 
 from oracles import (
+    FractionPolynomial,
     antiderivative_integral,
     fit_polynomial,
     fraction_horner,
     oracle_basis_paths,
+    oracle_count_roots,
+    oracle_nonneg_on_interval,
+    oracle_squarefree_decomposition,
     oracle_walls,
 )
 
@@ -101,6 +105,100 @@ def test_count_roots():
     p = Polynomial.of(0, -1, 0, 1)  # x^3 - x: roots -1, 0, 1
     assert count_roots(p, -2, 2) == 3
     assert count_roots(p, Q(1, 2), 2) == 1
+    # a root at the left end or an empty interval is refused, not miscounted
+    p = Polynomial.of(0, 0, -1, 1)  # x^2 (x - 1)
+    with pytest.raises(ValueError, match="vanishes at the left end"):
+        count_roots(p, 0, 2)  # Sturm's count would say 0, and (0, 2] holds the root 1
+    with pytest.raises(ValueError, match="vanishes at the left end"):
+        count_roots(p, 0, Q(1, 2))  # Sturm's count would say -1
+    with pytest.raises(ValueError, match="empty interval"):
+        count_roots(p, 2, Q(1, 2))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_roots(Polynomial(()), 0, 1)
+    assert count_roots(p, Q(1, 2), 2) == 1
+    assert count_roots(p, 2, 2) == 0
+
+
+def test_polynomial_canonical_form_contracts():
+    # one form: integer numerators over one positive denominator, in lowest terms
+    one = Polynomial.of(1, 0)
+    assert one == Polynomial.of(Q(2, 2)) == Polynomial.from_ints([3, 0, 0], 3)
+    assert hash(one) == hash(Polynomial.of(Q(2, 2)))
+    p = Polynomial.from_ints([4, -6, 0], -8)
+    assert (p.nums, p.den) == ((-2, 3), 4)
+    assert p == Polynomial.of(Q(-1, 2), Q(3, 4)) and p != Polynomial.of(Q(-1, 2))
+    assert Polynomial(()) == Polynomial.of(0, 0) == Polynomial.from_ints([0], -5)
+    assert (Polynomial(()).nums, Polynomial(()).den) == ((), 1)
+    # coeffs is a tuple of Fractions: the CLI's JSON and the benchmark's encoding read it
+    assert type(p.coeffs) is tuple and all(type(c) is Q for c in p.coeffs)
+    assert p.coeffs == (Q(-1, 2), Q(3, 4))
+    assert Polynomial.of("1/3", 2).coeffs == (Q(1, 3), Q(2))
+    curve = PiecewisePolynomial((0, 1), (p,))
+    assert piecewise_to_dict(curve)["pieces"] == [["-1/2", "3/4"]]
+
+
+small_rationals = st.builds(
+    Q, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
+)
+# roots and interval ends drawn from one small set, so roots land on the ends and repeat
+ends = st.sampled_from([Q(-1), Q(0), Q(1, 3), Q(1, 2), Q(1), Q(3, 2), Q(2)])
+
+
+def _factored(scale, roots):
+    p = FractionPolynomial((scale,))
+    for r in roots:
+        p = p * FractionPolynomial((-r, 1))
+    return p.coeffs
+
+
+polynomials = st.one_of(
+    # any coefficients, zero polynomial and trailing zeros included
+    st.lists(small_rationals | st.just(Q(0)), max_size=6),
+    # a nonzero scale of either sign times linear factors at the ends, repeats included
+    st.builds(_factored, small_rationals.filter(bool), st.lists(ends | small_rationals, max_size=5)),
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials, polynomials, small_rationals | ends, small_rationals.filter(bool))
+@example((), (), Q(1, 2), Q(-3))
+@example((0, 0, 1), (Q(-1, 2), 0), Q(0), Q(2))
+def test_integer_polynomial_matches_fraction_oracle(a, b, x, c):
+    p, q = Polynomial(a), Polynomial(b)
+    fp, fq = FractionPolynomial(a), FractionPolynomial(b)
+    for got, want in [
+        (p + q, fp + fq), (p - q, fp - fq), (p * q, fp * fq), (p.scale(c), fp.scale(c)),
+        (p.derivative(), fp.derivative()), (p, fp),
+    ]:
+        assert got.coeffs == want.coeffs
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+        assert not got.nums or got.nums[-1] != 0
+        assert got == Polynomial(want.coeffs) and hash(got) == hash(Polynomial(want.coeffs))
+    assert p(x) == fp(x) and type(p(x)) is Q
+    if not fq.is_zero:
+        quo, rem = p.divmod(q)
+        want_quo, want_rem = fp.divmod(fq)
+        assert (quo.coeffs, rem.coeffs) == (want_quo.coeffs, want_rem.coeffs)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            p.divmod(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials, ends | small_rationals, ends | small_rationals)
+@example((0, 0, -1, 1), Q(0), Q(2))  # x^2 (x - 1), a root at the left end
+@example(_factored(Q(-2), [Q(1, 2), Q(1, 2), Q(1)]), Q(1, 2), Q(1))
+def test_sign_decisions_match_fraction_oracle(coeffs, a, b):
+    p, fp = Polynomial(coeffs), FractionPolynomial(coeffs)
+    dec = [(f.coeffs, m) for f, m in squarefree_decomposition(p)]
+    assert dec == [(f.coeffs, m) for f, m in oracle_squarefree_decomposition(fp)]
+    a, b = min(a, b), max(a, b)
+    assert nonneg_on_interval(p, a, b) == oracle_nonneg_on_interval(fp, a, b)
+    if not fp.is_zero and fp(a) != 0:
+        assert count_roots(p, a, b) == oracle_count_roots(fp, a, b)
+    elif not fp.is_zero:
+        with pytest.raises(ValueError):
+            count_roots(p, a, b)
 
 
 def test_squarefree_decomposition():
