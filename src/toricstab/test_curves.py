@@ -12,10 +12,13 @@ products <P_tau^{n-1}> . alpha, not ring products.  Each chamber carries the
 polynomials f_i(tau) = <P_tau^{n-1}> . D_i, (n-1)! times the lattice volumes
 of the facets of the section polytope, and every pairing is the linear sum
 sum_i alpha_i f_i.  Integration is linear, so each chamber also carries the
-exact integrals I_i of its facet polynomials, integers over one denominator
-from one shared set of integer power sums, and that of its mass, computed
-once; every functional below is then a chamber-wise integer dot product
-sum_i alpha_i I_i and builds no polynomial.  The mass identity
+exact integrals I_i of its facet polynomials and that of its mass, integers
+over one denominator from one shared set of integer power sums, computed
+once; every functional below is then a plain sum over the chambers of
+integer dot products sum_i alpha_i I_i and builds no polynomial.  The
+chambers tile [0, tau+], so the paper's form tau+ c/V + (1/V) int (f - c)
+of a radial functional is (1/V) int f: the constant c, a ring product such
+as alpha . L^{n-1}, cancels and is never computed.  The mass identity
 sum_i P_tau,i f_i = vol(L - tau D) is checked on integer polynomials.
 
 Each piece of a curve is computed once per distinct input in a process: the
@@ -58,34 +61,30 @@ from .volume_fn import (
 class CurveChamber:
     """One tau-interval with affine Zariski data for the family L - tau*D.
 
-    positive_paths[i] = (c0, c1) gives the positive-part coefficient
-    c0 + c1*tau at ray i; negative_paths likewise for the negative part.
+    positive_paths[i] is the affine polynomial P_tau,i, the positive-part
+    coefficient at ray i; the negative part is L - tau*D - P_tau.
     red_support lists the rays carrying the reduced divisor of
-    tau*D + N_tau on the chamber interior.  facets[i] is the polynomial
-    <P_tau^{n-1}> . D_i and mass is vol(L - tau*D) = sum_i P_tau,i facets[i].
-    integrals[i] / integral_den and mass_integral are their exact integrals
-    over [lo, hi], the facets' as integer numerators over one denominator;
-    they are derived data and take no part in equality or hashing.
+    tau*D + N_tau on the chamber interior, those with L_i > P_tau,i.
+    facets[i] is the polynomial <P_tau^{n-1}> . D_i and mass is
+    vol(L - tau*D) = sum_i P_tau,i facets[i].  integrals[i] and
+    mass_integral, over integral_den, are their exact integrals over
+    [lo, hi]; the radial functionals are sums of these over the chambers,
+    which tile the curve's domain.  They are derived data and take no part
+    in equality or hashing.
     """
 
     lo: Fraction
     hi: Fraction
-    positive_paths: tuple[tuple[Fraction, Fraction], ...]
-    negative_paths: tuple[tuple[Fraction, Fraction], ...]
+    positive_paths: tuple[Polynomial, ...]
     red_support: tuple[int, ...]
     mass: Polynomial
     facets: tuple[Polynomial, ...]
     integrals: tuple[int, ...] = field(compare=False)
     integral_den: int = field(compare=False)
-    mass_integral: Fraction = field(compare=False)
+    mass_integral: int = field(compare=False)
 
     def positive_at(self, tau) -> tuple[Fraction, ...]:
-        tau = Fraction(tau)
-        return tuple(c0 + c1 * tau for c0, c1 in self.positive_paths)
-
-    def negative_at(self, tau) -> tuple[Fraction, ...]:
-        tau = Fraction(tau)
-        return tuple(c0 + c1 * tau for c0, c1 in self.negative_paths)
+        return tuple(path(tau) for path in self.positive_paths)
 
     def sample_points(self, count: int) -> list[Fraction]:
         width = self.hi - self.lo
@@ -103,14 +102,15 @@ class CurveChamber:
 
 def _integrals(
     lo: Fraction, hi: Fraction, facets: Sequence[Polynomial], mass: Polynomial
-) -> tuple[tuple[int, ...], int, Fraction]:
+) -> tuple[tuple[int, ...], int, int]:
     """The exact integrals over [lo, hi] of the facet polynomials and of the mass.
 
     Every polynomial shares the power sums int_lo^hi tau^j = (hi^(j+1) - lo^(j+1))/(j+1),
     held as integers over one denominator D.  Each integral is then an
-    integer dot product with a polynomial's numerators: the facets' over one
-    common denominator, returned as (numerators, denominator), and the
-    mass's as one Fraction.
+    integer dot product with a polynomial's numerators, all over one common
+    denominator: returned as (facet numerators, denominator, mass numerator).
+    A functional sums these over chambers that tile its domain, so it needs
+    no integral of a constant term.
     """
     lp, lq, hp, hq = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     top = max(len(p.nums) for p in (mass, *facets))
@@ -121,13 +121,12 @@ def _integrals(
         * (lq * hq) ** (top - j - 1) * (m // (j + 1))
         for j in range(top)
     ]
-    den = math.lcm(*(f.den for f in facets))
+    den = math.lcm(mass.den, *(f.den for f in facets))
     integrals = tuple(
         sum(map(operator.mul, f.nums, powers)) * (den // f.den) for f in facets
     )
-    scale = m * (lq * hq) ** top
-    mass_integral = Fraction(sum(map(operator.mul, mass.nums, powers)), mass.den * scale)
-    return integrals, den * scale, mass_integral
+    mass_integral = sum(map(operator.mul, mass.nums, powers)) * (den // mass.den)
+    return integrals, den * m * (lq * hq) ** top, mass_integral
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ class TestCurve:
         return ToricDivisor(self.model, self.chamber_at(tau).positive_at(tau))
 
     def negative_part(self, tau) -> ToricDivisor:
-        return ToricDivisor(self.model, self.chamber_at(tau).negative_at(tau))
+        return self.l - self.d.scale(tau) - self.positive_part(tau)
 
     def mass_curve(self) -> PiecewisePolynomial:
         bps = [self.chambers[0].lo] + [ch.hi for ch in self.chambers]
@@ -211,9 +210,11 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
     Its breakpoints are vertex heights of Q and the family's chambers run
     between consecutive heights, so g is affine on each chamber, read off
     the hull segment over it in integers: the positive-part coefficient
-    paths are affine and the negative-part slacks are nonnegative affine
-    functions, identically zero or strictly positive on the interior.  A
-    hull breakpoint strictly inside a chamber raises InvariantViolation.
+    paths are affine integer polynomials, and the negative-part slacks
+    L_i - tau*D_i - P_tau,i are nonnegative affine functions, identically
+    zero or strictly positive on the interior; tau*D + N_tau is positive at
+    ray i exactly where L_i > P_tau,i.  A hull breakpoint strictly inside a
+    chamber raises InvariantViolation.
 
     The mass is read off the volume curve.  The facet polynomials are checked
     against it: sum_i P_tau,i f_i(tau) must equal the mass exactly, the facets
@@ -227,7 +228,7 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
     for chamber in family.chambers:
         lo, hi, mid = chamber.lo, chamber.hi, chamber.midpoint()
         bottom, top = math.floor(lo * den), math.ceil(hi * den)
-        paths, pos_paths = [], []
+        paths = []
         for u, hull in zip(fan.rays, hulls):
             if any(bottom < h < top for h, _y in hull):
                 raise InvariantViolation(
@@ -238,16 +239,8 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
             # -g(tau) = (y1 h0 - y0 h1 + (y0 - y1) den tau) / ((h1 - h0) den), in integers
             c0, c1, e = y1 * h0 - y0 * h1, (y0 - y1) * den, (h1 - h0) * den
             paths.append(Polynomial.from_ints((c0, c1), e))
-            pos_paths.append((Fraction(c0, e), Fraction(c1, e)))
-        neg_paths = []
-        red = []
-        for i in range(len(fan.rays)):
-            c0 = l.coeffs[i] - pos_paths[i][0]
-            c1 = -d.coeffs[i] - pos_paths[i][1]
-            neg_paths.append((c0, c1))
-            # support of tau*D + N_tau on the chamber interior
-            if d.coeffs[i] * mid + c0 + c1 * mid > 0:
-                red.append(i)
+        # support of tau*D + N_tau = L - P_tau on the chamber interior
+        red = tuple(i for i, path in enumerate(paths) if l.coeffs[i] > path(mid))
         mass = volumes.piece_at(mid)
         facets = chamber_facet_polynomials(family, chamber)
         identity = Polynomial(())
@@ -258,10 +251,7 @@ def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveCh
                 f"facet volumes do not sum to the mass on the chamber [{lo}, {hi}]"
             )
         chambers.append(
-            CurveChamber(
-                lo, hi, tuple(pos_paths), tuple(neg_paths), tuple(red), mass, facets,
-                *_integrals(lo, hi, facets, mass),
-            )
+            CurveChamber(lo, hi, tuple(paths), red, mass, facets, *_integrals(lo, hi, facets, mass))
         )
     return tuple(chambers)
 
@@ -335,28 +325,25 @@ def mass(curve: TestCurve, tau) -> Fraction:
 
 
 def energy(curve: TestCurve) -> Fraction:
-    """tau+ + (1/V) integral of (mass - V) over the curve domain."""
-    v = curve.total_volume
-    total = curve.tau_plus
-    for ch in curve.chambers:
-        total += (ch.mass_integral - v * (ch.hi - ch.lo)) / v
-    return total
+    """(1/V) integral of the mass over the curve domain, a sum of chamber integrals.
+
+    This is the paper's tau+ + (1/V) integral of (mass - V): the chambers
+    tile [0, tau+], so the integral of V is V tau+ and the two cancel.
+    """
+    total = sum(Fraction(ch.mass_integral, ch.integral_den) for ch in curve.chambers)
+    return total / curve.total_volume
 
 
 def alpha_energy(curve: TestCurve, alpha: ToricDivisor) -> Fraction:
-    """tau+ (alpha.L^{n-1})/V + (1/V) integral of (<P_tau^{n-1}>.alpha - (alpha.L^{n-1})).
+    """(1/V) integral of <P_tau^{n-1}> . alpha over the curve domain, a sum of chamber integrals.
 
     alpha need not be nef.  <P_tau^{n-1}> . alpha is the positive product,
-    the chamber's facet pairing; L is nef, so alpha . L^{n-1} is the ring
-    product.  Both depend only on the class of alpha.
+    the chamber's facet pairing, and depends only on the class of alpha.
+    This is the paper's tau+ (alpha.L^{n-1})/V + (1/V) integral of
+    (<P_tau^{n-1}>.alpha - alpha.L^{n-1}): the chambers tile [0, tau+], so
+    the ring-product terms cancel and alpha . L^{n-1} is never computed.
     """
-    n = curve.model.dimension
-    v = curve.total_volume
-    base = intersection_number(curve.model, [curve.l] * (n - 1) + [alpha])
-    total = curve.tau_plus * base / v
-    for ch in curve.chambers:
-        total += (ch.pairing_integral(alpha) - base * (ch.hi - ch.lo)) / v
-    return total
+    return sum(ch.pairing_integral(alpha) for ch in curve.chambers) / curve.total_volume
 
 
 def jtilde(curve: TestCurve) -> Fraction:
@@ -365,7 +352,7 @@ def jtilde(curve: TestCurve) -> Fraction:
     v = curve.total_volume
     total = Fraction(0)
     for ch in curve.chambers:
-        total += ch.pairing_integral(curve.l) - ch.mass_integral
+        total += ch.pairing_integral(curve.l) - Fraction(ch.mass_integral, ch.integral_den)
     return n * total / v
 
 

@@ -264,11 +264,6 @@ def _monic(nums: Sequence[int]) -> Polynomial:
     return Polynomial.from_ints(nums, nums[-1]) if nums else Polynomial(())
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """The monic gcd, on the primitive remainder sequence of the numerators."""
-    return _monic(_gcd(a.nums, b.nums))
-
-
 def _squarefree(nums: Sequence[int]) -> list[tuple[list[int], int]]:
     """Yun's algorithm on primitive integer polynomials.
 

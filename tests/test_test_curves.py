@@ -30,6 +30,7 @@ from toricstab import (
     g_pairing,
     g_polynomial,
     intersection_number,
+    is_nef,
     jtilde,
     mass,
     positive_pairing,
@@ -614,15 +615,12 @@ def crossing_refinement(fan, l, d):
         for lo, hi in zip(ordered, ordered[1:]):
             mid = (lo + hi) / 2
             minima = [min(ray_lines, key=lambda c: c[0] + c[1] * mid) for ray_lines in lines]
-            pos = tuple((-c0, -c1) for c0, c1 in minima)
-            neg = tuple((l.coeffs[i] - p0, -d.coeffs[i] - p1) for i, (p0, p1) in enumerate(pos))
-            red = tuple(
-                i for i, (n0, n1) in enumerate(neg) if d.coeffs[i] * mid + n0 + n1 * mid > 0
-            )
+            pos = tuple(Polynomial.of(-c0, -c1) for c0, c1 in minima)
+            red = tuple(i for i, path in enumerate(pos) if l.coeffs[i] > path(mid))
             facets = vf.chamber_facet_polynomials(family, Chamber(lo, hi))
             mass = volumes.piece_at(mid)
             integrals = tc._integrals(lo, hi, facets, mass)
-            pieces.append(tc.CurveChamber(lo, hi, pos, neg, red, mass, facets, *integrals))
+            pieces.append(tc.CurveChamber(lo, hi, pos, red, mass, facets, *integrals))
     return pieces
 
 
@@ -707,17 +705,19 @@ def test_positive_and_negative_parts_match_zariski(surfaces, p3):
 
 # ---- the chambers' integrals against the polynomial route ------------------
 
+def alpha_energy_oracle(curve, alpha):
+    """The paper's tau+ (alpha.L^{n-1})/V + (1/V) int (<P_tau^{n-1}>.alpha - alpha.L^{n-1})."""
+    n, v = curve.model.dimension, curve.total_volume
+    base = intersection_number(curve.model, [curve.l] * (n - 1) + [alpha])
+    total = curve.tau_plus * base / v
+    for ch in curve.chambers:
+        total += (pairing(ch, alpha).integrate(ch.lo, ch.hi) - base * (ch.hi - ch.lo)) / v
+    return total
+
+
 def oracle_summary(curve):
     """The functionals by integrating each pairing polynomial: (E, E^L, J~, Ent, E^Ric)."""
     n, v = curve.model.dimension, curve.total_volume
-
-    def alpha_energy_oracle(alpha):
-        base = intersection_number(curve.model, [curve.l] * (n - 1) + [alpha])
-        total = curve.tau_plus * base / v
-        for ch in curve.chambers:
-            total += (pairing(ch, alpha).integrate(ch.lo, ch.hi) - base * (ch.hi - ch.lo)) / v
-        return total
-
     e = curve.tau_plus + sum(
         ((ch.mass.integrate(ch.lo, ch.hi) - v * (ch.hi - ch.lo)) / v for ch in curve.chambers),
         Q(0),
@@ -732,8 +732,8 @@ def oracle_summary(curve):
         ),
         Q(0),
     ) / v
-    ricci = -n * alpha_energy_oracle(anticanonical(curve.model) + curve.k_rel)
-    return e, alpha_energy_oracle(curve.l), jt, ent, ricci
+    ricci = -n * alpha_energy_oracle(curve, anticanonical(curve.model) + curve.k_rel)
+    return e, alpha_energy_oracle(curve, curve.l), jt, ent, ricci
 
 
 def oracle_models(surfaces, p3):
@@ -762,9 +762,10 @@ def oracle_curves(surfaces, p3, rng):
 
 def test_chamber_integrals_match_polynomial_route(surfaces, p3):
     rng = random.Random(89)
+    not_nef = 0
     for curve in oracle_curves(surfaces, p3, rng):
         for ch in curve.chambers:
-            assert ch.mass_integral == ch.mass.integrate(ch.lo, ch.hi)
+            assert Q(ch.mass_integral, ch.integral_den) == ch.mass.integrate(ch.lo, ch.hi)
             assert tuple(Q(i, ch.integral_den) for i in ch.integrals) == tuple(
                 f.integrate(ch.lo, ch.hi) for f in ch.facets
             )
@@ -774,10 +775,14 @@ def test_chamber_integrals_match_polynomial_route(surfaces, p3):
                 )
                 want = pairing(ch, alpha).integrate(ch.lo, ch.hi)
                 assert ch.pairing_integral(alpha) == want
+                # the chamber sum against the paper's tau+ form, with its ring product
+                assert alpha_energy(curve, alpha) == alpha_energy_oracle(curve, alpha)
+                not_nef += not is_nef(curve.model, alpha)
         s = curve_summary(curve)
         assert (s.energy, s.omega_energy, s.jtilde, s.entropy, s.ricci_energy) == (
             oracle_summary(curve)
         )
+    assert not_nef > 0
 
 
 def test_one_direction_integrates_each_chamber_once(f1, monkeypatch):
@@ -807,3 +812,28 @@ def test_one_direction_integrates_each_chamber_once(f1, monkeypatch):
     assert sorted(integrated) == sorted(
         [(ch.lo, ch.hi) for ch in curve.chambers] + [(across[0].lo, Q(1))]
     )
+
+
+def test_radial_functionals_compute_no_ring_product(f1, monkeypatch):
+    # F1 along E: the summary and the pp quotient are chamber sums and call no
+    # intersection_number; the prime quotient calls it n times, all in g_pairing
+    from toricstab import delta_pp_quotient, delta_prime_quotient
+    import toricstab.toric as toric
+
+    callers = collections.Counter()
+    real = toric.intersection_number
+    modules = [m for key, m in sys.modules.items() if key.startswith("toricstab")]
+    for module in modules:  # wherever the name was imported
+        if vars(module).get("intersection_number") is real:
+            monkeypatch.setattr(
+                module, "intersection_number",
+                lambda *args: callers.update([sys._getframe(1).f_code.co_name]) or real(*args),
+            )
+    for memo in (vf.divisor_family, vf.volume_curve, tc._curve_chambers):
+        memo.cache_clear()
+    l, e = anticanonical(f1), ray_divisor(f1, 3)
+    curve_summary(extended_curve(f1, l, e))
+    delta_pp_quotient(f1, l, e)
+    assert callers == {}
+    delta_prime_quotient(f1, l, e)
+    assert callers == {"g_pairing": f1.dimension}
