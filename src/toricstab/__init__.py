@@ -79,10 +79,8 @@ from .test_curves import (
     curve_summary,
     energy,
     entropy,
-    entropy_at,
     extended_curve,
     g_pairing,
-    g_polynomial,
     jtilde,
     mass,
     ricci_energy,

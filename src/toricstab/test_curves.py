@@ -1,137 +1,69 @@
 """Test curves of divisors and their radial functionals.
 
-An extended curve tracks the family L - tau*D through its exact Zariski
-decompositions: within each chamber the positive part P_tau has coefficients
-affine in tau and the negative part's support is constant.  The curve's
-chambers are the divisor family's own chambers, not cut any further: they run
-between consecutive vertex heights of the family's hypograph Q, and the
-positive part at a ray u is minus the lower hull of Q's vertices projected to
-(tau, <x, u>), which bends only at such heights.  In dimension >= 3
-P_tau is only movable, not nef, so the functionals pair it through positive
-products <P_tau^{n-1}> . alpha, not ring products.  Each chamber carries the
-polynomials f_i(tau) = <P_tau^{n-1}> . D_i, (n-1)! times the lattice volumes
-of the facets of the section polytope, and every pairing is the linear sum
-sum_i alpha_i f_i.  Integration is linear, so each chamber also carries the
-exact integrals I_i of its facet polynomials and that of its mass, integers
-over one denominator from one shared set of integer power sums, computed
-once; every functional below is then a plain sum over the chambers of
-integer dot products sum_i alpha_i I_i and builds no polynomial.  The
-chambers tile [0, tau+], so the paper's form tau+ c/V + (1/V) int (f - c)
-of a radial functional is (1/V) int f: the constant c, a ring product such
-as alpha . L^{n-1}, cancels and is never computed.  The mass identity
-sum_i P_tau,i f_i = vol(L - tau D) is checked on integer polynomials.
+Every radial functional of the curve L - tau*D is linear in two kinds of
+integral over the curve's domain: the mass integral M = int vol(L - tau D)
+dtau and the facet integrals I_i = int <P_tau^{n-1}> . D_i dtau, where P_tau
+is the positive part of L - tau*D and the positive product pairs a class
+alpha as sum_i alpha_i <P_tau^{n-1}> . D_i.  On [0, tau+] these are n! vol(Q)
+and (n-1)! times the lattice volumes of the facets of the family's
+hypograph Q, the (n+1)-polytope whose slices are the section polytopes
+(Witt Nystrom's energy as the integral of the concave transform; Donaldson's
+boundary form of the Futaki invariant); on [0, 1] they are those of the part
+of Q below height 1.  A curve carries them, integers over one denominator,
+and every functional is a dot product: E = M / V, E^alpha = <alpha, I> / V,
+J~ = n (<L, I> - M) / V and Ent = n E^(K_rel + Red D).  The entropy needs no
+reduced support of tau*D + N_tau: a ray that only N_tau carries misses
+P_tau, so its facet function vanishes there.  The integrals come from the
+closed form of volume_fn's chamber polynomials, the divided differences of
+truncated powers over Q's simplices, integrated in one step and evaluated
+at the domain's top, and are checked by Euler's identity on Q
+(family_integrals).
 
-Each piece of a curve is computed once per distinct input in a process: the
-divisor family and volume curve (memoized in volume_fn) and the curve
-chambers with their facet polynomials and integrals per (fan, L, D).
-extended_curve is then a cheap wrapper on repeated directions, and a
-truncated curve integrates afresh only its chamber clipped at tau = 1.
-Failed checks are not cached: they raise again on every call.
+One family serves each direction ray: D = c D0 with D0 primitive integral
+(volume_fn._ray), and P_{L - tau c D0} = P_{L - (c tau) D0}, so the
+integrals of D are 1/c times D0's, over [0, tau+ of D0] for the extended
+curve and over [0, c] for the truncated one.  The family, its volume curve
+and its extended integrals are memoized per (fan, L, D0); a truncated
+curve integrates its family afresh at its top.  Failed checks are not
+cached: they raise again on every call.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import InvariantViolation, OutOfRange, RangeTooShort
-from .geometry import LatticeVector, _Hypograph, _over_lcm
+from .geometry import ParametricPolytope, _over_lcm
 from .toric import (
     Fan,
     ToricDivisor,
     anticanonical,
     intersection_number,
+    zariski_decompose,
     zero_divisor,
 )
 from .volume_fn import (
-    PiecewisePolynomial,
-    Polynomial,
-    chamber_facet_polynomials,
+    _divided_difference,
+    _ray,
     divisor_family,
-    positive_pairing,
+    ray_volume_curve,
     volume_curve,
 )
 
 
 @dataclass(frozen=True)
-class CurveChamber:
-    """One tau-interval with affine Zariski data for the family L - tau*D.
-
-    positive_paths[i] is the affine polynomial P_tau,i, the positive-part
-    coefficient at ray i; the negative part is L - tau*D - P_tau.
-    red_support lists the rays carrying the reduced divisor of
-    tau*D + N_tau on the chamber interior, those with L_i > P_tau,i.
-    facets[i] is the polynomial <P_tau^{n-1}> . D_i and mass is
-    vol(L - tau*D) = sum_i P_tau,i facets[i].  integrals[i] and
-    mass_integral, over integral_den, are their exact integrals over
-    [lo, hi]; the radial functionals are sums of these over the chambers,
-    which tile the curve's domain.  They are derived data and take no part
-    in equality or hashing.
-    """
-
-    lo: Fraction
-    hi: Fraction
-    positive_paths: tuple[Polynomial, ...]
-    red_support: tuple[int, ...]
-    mass: Polynomial
-    facets: tuple[Polynomial, ...]
-    integrals: tuple[int, ...] = field(compare=False)
-    integral_den: int = field(compare=False)
-    mass_integral: int = field(compare=False)
-
-    def positive_at(self, tau) -> tuple[Fraction, ...]:
-        return tuple(path(tau) for path in self.positive_paths)
-
-    def sample_points(self, count: int) -> list[Fraction]:
-        width = self.hi - self.lo
-        return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
-
-    def pairing_integral(self, alpha: ToricDivisor) -> Fraction:
-        """The integral of the positive product <P_tau^{n-1}> . alpha over the chamber.
-
-        One integer dot product of alpha's numerators with the integrals',
-        over the product of the two denominators.
-        """
-        nums, den = _over_lcm(alpha.coeffs)
-        return Fraction(sum(map(operator.mul, nums, self.integrals)), den * self.integral_den)
-
-
-def _integrals(
-    lo: Fraction, hi: Fraction, facets: Sequence[Polynomial], mass: Polynomial
-) -> tuple[tuple[int, ...], int, int]:
-    """The exact integrals over [lo, hi] of the facet polynomials and of the mass.
-
-    Every polynomial shares the power sums int_lo^hi tau^j = (hi^(j+1) - lo^(j+1))/(j+1),
-    held as integers over one denominator D.  Each integral is then an
-    integer dot product with a polynomial's numerators, all over one common
-    denominator: returned as (facet numerators, denominator, mass numerator).
-    A functional sums these over chambers that tile its domain, so it needs
-    no integral of a constant term.
-    """
-    lp, lq, hp, hq = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    top = max(len(p.nums) for p in (mass, *facets))
-    m = math.lcm(*range(1, top + 1))
-    # int_lo^hi tau^j = powers[j] / D, D = m (lq hq)^top
-    powers = [
-        (hp ** (j + 1) * lq ** (j + 1) - lp ** (j + 1) * hq ** (j + 1))
-        * (lq * hq) ** (top - j - 1) * (m // (j + 1))
-        for j in range(top)
-    ]
-    den = math.lcm(mass.den, *(f.den for f in facets))
-    integrals = tuple(
-        sum(map(operator.mul, f.nums, powers)) * (den // f.den) for f in facets
-    )
-    mass_integral = sum(map(operator.mul, mass.nums, powers)) * (den // mass.den)
-    return integrals, den * m * (lq * hq) ** top, mass_integral
-
-
-@dataclass(frozen=True)
 class TestCurve:
-    """A one-parameter family of Zariski decompositions of L - tau*D."""
+    """The family L - tau*D on [0, tau+] through the integrals of its radial functionals.
+
+    integral_nums[i] / integral_den is the facet integral int <P_tau^{n-1}> . D_i
+    dtau over the domain, and mass_num / integral_den the mass integral int
+    vol(L - tau D) dtau; total_volume is V = vol(L).
+    """
 
     model: Fan
     l: ToricDivisor
@@ -139,30 +71,34 @@ class TestCurve:
     k_rel: ToricDivisor
     tau_plus: Fraction
     kind: str  # "extended" | "truncated"
-    chambers: tuple[CurveChamber, ...]
+    total_volume: Fraction
+    integral_nums: tuple[int, ...]
+    mass_num: int
+    integral_den: int
 
     @property
-    def total_volume(self) -> Fraction:
-        return self.chambers[0].mass(0)
+    def mass_integral(self) -> Fraction:
+        return Fraction(self.mass_num, self.integral_den)
 
-    def chamber_at(self, tau) -> CurveChamber:
+    def pairing_integral(self, alpha: ToricDivisor) -> Fraction:
+        """The integral of the positive product <P_tau^{n-1}> . alpha over the domain.
+
+        One integer dot product of alpha's numerators with the facet integrals'.
+        """
+        nums, den = _over_lcm(alpha.coeffs)
+        return Fraction(sum(map(operator.mul, nums, self.integral_nums)), den * self.integral_den)
+
+    def _zariski(self, tau):
         tau = Fraction(tau)
-        for ch in self.chambers:
-            if ch.lo <= tau < ch.hi:
-                return ch
-        if tau == self.chambers[-1].hi:
-            return self.chambers[-1]
-        raise OutOfRange(f"tau = {tau} outside [0, {self.tau_plus}]")
+        if not 0 <= tau <= self.tau_plus:
+            raise OutOfRange(f"tau = {tau} outside [0, {self.tau_plus}]")
+        return zariski_decompose(self.model, self.l - self.d.scale(tau))
 
     def positive_part(self, tau) -> ToricDivisor:
-        return ToricDivisor(self.model, self.chamber_at(tau).positive_at(tau))
+        return self._zariski(tau).positive
 
     def negative_part(self, tau) -> ToricDivisor:
-        return self.l - self.d.scale(tau) - self.positive_part(tau)
-
-    def mass_curve(self) -> PiecewisePolynomial:
-        bps = [self.chambers[0].lo] + [ch.hi for ch in self.chambers]
-        return PiecewisePolynomial(tuple(bps), tuple(ch.mass for ch in self.chambers))
+        return self._zariski(tau).negative
 
 
 @dataclass(frozen=True)
@@ -177,83 +113,97 @@ class CurveSummary:
     twisted_mabuchi: Fraction
 
 
-def _support_hull(hypograph: _Hypograph, u: LatticeVector) -> list[tuple[int, int]]:
-    """The lower convex hull of Q's vertices projected to (t, <x, u>), integers over Q's den.
+def _clipped_sum(
+    knotted: Sequence[tuple[int, Sequence[int]]], p: int, r: int, n: int
+) -> tuple[int, int]:
+    """sum of |det| (1 - [h](s - p/r)_+^n) over (|det|, n + 1 sorted heights h >= 0).
 
-    Its graph is g(t) = min over P_t of <x, u>, and its breakpoints, where
-    it bends, are vertex heights of Q.  Andrew's monotone chain on the
-    lowest point of each height; collinear points are dropped.
+    Times 1/n, each term is the integral of |det| [h](s - C)_+^(n-1) over C
+    in [0, p/r], since [h] s^n = 1: the part of a simplex below the height
+    p/r.  A simplex wholly below it gives |det| and one wholly above it 0;
+    for one across it the divided difference is evaluated at the number,
+    with (s - p/r)^n = (r s - p)^n / r^n.  Returns an integer over a positive
+    denominator.
     """
-    lowest: dict[int, int] = {}
-    for num in hypograph.points:
-        h, y = num[-1], sum(map(operator.mul, num, u))
-        if h not in lowest or y < lowest[h]:
-            lowest[h] = y
-    hull: list[tuple[int, int]] = []
-    for h, y in sorted(lowest.items()):
-        while len(hull) > 1 and (
-            (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
-            <= (hull[-1][1] - hull[-2][1]) * (h - hull[-2][0])
-        ):
-            hull.pop()
-        hull.append((h, y))
-    return hull
+
+    def power(s: int, k: int) -> list[int]:
+        # binom(n, k) r^k (r s - p)^(n - k), the k-th Taylor coefficient of (r s - p)_+^n
+        return [math.comb(n, k) * r**k * (r * s - p) ** (n - k)] if r * s > p and k <= n else [0]
+
+    total, den = 0, 1
+    for d, hs in knotted:
+        if hs[-1] * r <= p:
+            total += d * den
+        elif hs[0] * r < p:
+            (num,), dd_den = _divided_difference(hs, power)
+            part_den = dd_den * r**n
+            common = math.lcm(den, part_den)
+            total = total * (common // den) + d * (part_den - num) * (common // part_den)
+            den = common
+    return total, den
+
+
+def family_integrals(
+    pp: ParametricPolytope, top: Fraction, top_volume: Fraction
+) -> tuple[tuple[int, ...], int, int]:
+    """The integrals over [0, top] of each facet function f_i and of t -> n! vol(P_t), from Q.
+
+    f_i(t) is (n-1)! times the lattice volume of the facet of P_t on u_i, for
+    the family of L - tD the positive product <P_t^{n-1}> . D_i.  Each is
+    read off the family's hypograph Q (pp.hypograph) with no chamber and no
+    polynomial: over Q's simplices the mass integral is sum |det| (1 -
+    [h](s - q top)_+^(n+1)) / ((n+1) q^(n+1)), and over the simplices of Q's
+    facet on row i, with (|det| / <u_i, u_i>) for |det|, the integral of f_i
+    is the same sum to the power n over n q^n (_clipped_sum, q = Q's den).  On
+    [0, t_max] that is n! vol(Q) and (n-1)! times the facets' volumes.
+
+    Checked by Euler's identity on the part of Q below top, the full
+    triangulation against the facets', with top_volume = vol(P_top) for the
+    top slice: (n+1) M = n sum_i a_i I_i + top vol(P_top), a_i the offsets;
+    and by the facets' Minkowski relation sum_i u_i I_i = 0.  A failure
+    raises InvariantViolation.  Returns (I_i numerators, M numerator, den).
+    """
+    n, hypograph = pp.dimension, pp.hypograph
+    q = hypograph.den
+    x = Fraction(top) * q
+    p, r = x.numerator, x.denominator
+    # (numerator, denominator) of each facet integral, then of the mass integral
+    parts = []
+    for u, knotted in zip(hypograph.normals, hypograph.facets):
+        num, den = _clipped_sum(knotted, p, r, n)
+        parts.append((num, den * n * q**n * sum(a * a for a in u)))
+    num, den = _clipped_sum(hypograph.simplices, p, r, n + 1)
+    parts.append((num, den * (n + 1) * q ** (n + 1)))
+    den = math.lcm(*(d for _num, d in parts))
+    *facets, mass = (num * (den // d) for num, d in parts)
+    offsets, offsets_den = _over_lcm([hs.offset for hs in pp.halfspaces])
+    euler = n * sum(map(operator.mul, offsets, facets))
+    if (n + 1) * mass * offsets_den != euler + top * top_volume * den * offsets_den or any(
+        sum(u[j] * f for u, f in zip(hypograph.normals, facets)) for j in range(n)
+    ):
+        raise InvariantViolation(
+            f"the facets of the hypograph break Euler's identity on [0, {top}]"
+        )
+    return tuple(facets), mass, den
+
+
+def _divided(integrals: tuple[tuple[int, ...], int, int], c: Fraction):
+    """Integrals along D0 as integrals along D = c D0: each divided by c."""
+    nums, mass, den = integrals
+    p, q = c.numerator, c.denominator
+    return tuple(x * q for x in nums), mass * q, den * p
 
 
 @lru_cache(maxsize=None)
-def _curve_chambers(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> tuple[CurveChamber, ...]:
-    """Chamber data of the family L - tau*D on [0, tau+], memoized per (fan, L, D).
+def _ray_curve(fan: Fan, l: ToricDivisor, d0: ToricDivisor):
+    """The family and volume curve of a ray's primitive divisor D0, and its integrals on [0, tau+].
 
-    One curve chamber per chamber of the divisor family.  The positive part
-    at ray u is -g(tau), g(tau) = min over P_tau of <x, u>, the lower hull
-    of the family's hypograph Q projected to (tau, <x, u>) (_support_hull).
-    Its breakpoints are vertex heights of Q and the family's chambers run
-    between consecutive heights, so g is affine on each chamber, read off
-    the hull segment over it in integers: the positive-part coefficient
-    paths are affine integer polynomials, and the negative-part slacks
-    L_i - tau*D_i - P_tau,i are nonnegative affine functions, identically
-    zero or strictly positive on the interior; tau*D + N_tau is positive at
-    ray i exactly where L_i > P_tau,i.  A hull breakpoint strictly inside a
-    chamber raises InvariantViolation.
-
-    The mass is read off the volume curve.  The facet polynomials are checked
-    against it: sum_i P_tau,i f_i(tau) must equal the mass exactly, the facets
-    against the full-dimensional triangulation; InvariantViolation otherwise.
+    ray_volume_curve performs the polarization, effectivity and monotonicity
+    checks.  Memoized per (fan, L, D0).
     """
-    volumes, _tau_plus = volume_curve(fan, l, d)
-    family = divisor_family(fan, l, d)
-    den = family.hypograph.den
-    hulls = [_support_hull(family.hypograph, u) for u in fan.rays]
-    chambers: list[CurveChamber] = []
-    for chamber in family.chambers:
-        lo, hi, mid = chamber.lo, chamber.hi, chamber.midpoint()
-        bottom, top = math.floor(lo * den), math.ceil(hi * den)
-        paths = []
-        for u, hull in zip(fan.rays, hulls):
-            if any(bottom < h < top for h, _y in hull):
-                raise InvariantViolation(
-                    f"the support function of ray {u} bends inside the chamber [{lo}, {hi}]"
-                )
-            # the first hull segment reaching hi; no breakpoint inside, so it starts at or below lo
-            (h0, y0), (h1, y1) = next(pair for pair in zip(hull, hull[1:]) if pair[1][0] >= top)
-            # -g(tau) = (y1 h0 - y0 h1 + (y0 - y1) den tau) / ((h1 - h0) den), in integers
-            c0, c1, e = y1 * h0 - y0 * h1, (y0 - y1) * den, (h1 - h0) * den
-            paths.append(Polynomial.from_ints((c0, c1), e))
-        # support of tau*D + N_tau = L - P_tau on the chamber interior
-        red = tuple(i for i, path in enumerate(paths) if l.coeffs[i] > path(mid))
-        mass = volumes.piece_at(mid)
-        facets = chamber_facet_polynomials(family, chamber)
-        identity = Polynomial(())
-        for path, f in zip(paths, facets):
-            identity = identity + path * f
-        if identity != mass:
-            raise InvariantViolation(
-                f"facet volumes do not sum to the mass on the chamber [{lo}, {hi}]"
-            )
-        chambers.append(
-            CurveChamber(lo, hi, tuple(paths), red, mass, facets, *_integrals(lo, hi, facets, mass))
-        )
-    return tuple(chambers)
+    volumes, t_max = ray_volume_curve(fan, l, d0)
+    family = divisor_family(fan, l, d0)
+    return family, volumes, family_integrals(family, t_max, volumes(t_max))
 
 
 def extended_curve(
@@ -268,16 +218,20 @@ def extended_curve(
     constant V and is never materialized.  `k_rel` carries the relative
     canonical divisor when the model arose from star subdivisions.
     """
-    # volume_curve performs the polarization/effectivity checks
-    _curve, tau_plus = volume_curve(fan, l, d)
+    d0, c = _ray(d)
+    family, volumes, integrals = _ray_curve(fan, l, d0)
+    nums, mass, den = _divided(integrals, c)
     return TestCurve(
         model=fan,
         l=l,
         d=d,
         k_rel=k_rel if k_rel is not None else zero_divisor(fan),
-        tau_plus=tau_plus,
+        tau_plus=family.t_max / c,
         kind="extended",
-        chambers=_curve_chambers(fan, l, d),
+        total_volume=volumes(0),
+        integral_nums=nums,
+        mass_num=mass,
+        integral_den=den,
     )
 
 
@@ -285,112 +239,67 @@ def truncated_curve(curve: TestCurve) -> TestCurve:
     """Restriction of an extended curve to the unit interval.
 
     Models the unit-time deformation whose mass at tau is still
-    vol(L - tau*D); requires the extended curve to reach tau+ >= 1.
+    vol(L - tau*D); requires the extended curve to reach tau+ >= 1.  With
+    D = c D0, its integrals are 1/c times those of D0's family over [0, c].
     """
     if curve.kind != "extended":
         raise ValueError("only extended curves can be truncated")
     if curve.tau_plus < 1:
         raise RangeTooShort(f"tau+ = {curve.tau_plus} < 1")
-    clipped = []
-    for ch in curve.chambers:
-        if ch.hi <= 1:
-            clipped.append(ch)  # with its integrals
-        elif ch.lo < 1:
-            integrals, den, mass_integral = _integrals(ch.lo, Fraction(1), ch.facets, ch.mass)
-            clipped.append(
-                replace(
-                    ch, hi=Fraction(1), integrals=integrals, integral_den=den,
-                    mass_integral=mass_integral,
-                )
-            )
-    return TestCurve(
-        model=curve.model,
-        l=curve.l,
-        d=curve.d,
-        k_rel=curve.k_rel,
-        tau_plus=Fraction(1),
-        kind="truncated",
-        chambers=tuple(clipped),
+    d0, c = _ray(curve.d)
+    family, volumes, _integrals = _ray_curve(curve.model, curve.l, d0)
+    nums, mass, den = _divided(family_integrals(family, c, volumes(c)), c)
+    return replace(
+        curve, tau_plus=Fraction(1), kind="truncated", integral_nums=nums, mass_num=mass,
+        integral_den=den,
     )
 
 
 def mass(curve: TestCurve, tau) -> Fraction:
-    """Exact vol(L - tau*D); V for tau <= 0, an error beyond tau+."""
+    """Exact vol(L - tau*D), read off the volume curve; V for tau <= 0, an error beyond tau+."""
     tau = Fraction(tau)
     if tau <= 0:
         return curve.total_volume
     if tau > curve.tau_plus:
         raise OutOfRange(f"tau = {tau} beyond tau+ = {curve.tau_plus}")
-    return curve.chamber_at(tau).mass(tau)
+    volumes, _tau_plus = volume_curve(curve.model, curve.l, curve.d)
+    return volumes(tau)
 
 
 def energy(curve: TestCurve) -> Fraction:
-    """(1/V) integral of the mass over the curve domain, a sum of chamber integrals.
+    """(1/V) integral of the mass over the curve domain: M / V.
 
-    This is the paper's tau+ + (1/V) integral of (mass - V): the chambers
-    tile [0, tau+], so the integral of V is V tau+ and the two cancel.
+    This is the paper's tau+ + (1/V) integral of (mass - V): the integral
+    of V over [0, tau+] is V tau+ and the two cancel.
     """
-    total = sum(Fraction(ch.mass_integral, ch.integral_den) for ch in curve.chambers)
-    return total / curve.total_volume
+    return curve.mass_integral / curve.total_volume
 
 
 def alpha_energy(curve: TestCurve, alpha: ToricDivisor) -> Fraction:
-    """(1/V) integral of <P_tau^{n-1}> . alpha over the curve domain, a sum of chamber integrals.
+    """(1/V) integral of <P_tau^{n-1}> . alpha over the curve domain: <alpha, I> / V.
 
-    alpha need not be nef.  <P_tau^{n-1}> . alpha is the positive product,
-    the chamber's facet pairing, and depends only on the class of alpha.
-    This is the paper's tau+ (alpha.L^{n-1})/V + (1/V) integral of
-    (<P_tau^{n-1}>.alpha - alpha.L^{n-1}): the chambers tile [0, tau+], so
-    the ring-product terms cancel and alpha . L^{n-1} is never computed.
+    alpha need not be nef.  <P_tau^{n-1}> . alpha is the positive product
+    and depends only on the class of alpha.  This is the paper's tau+
+    (alpha.L^{n-1})/V + (1/V) integral of (<P_tau^{n-1}>.alpha -
+    alpha.L^{n-1}): the ring-product terms cancel and alpha . L^{n-1} is
+    never computed.
     """
-    return sum(ch.pairing_integral(alpha) for ch in curve.chambers) / curve.total_volume
+    return curve.pairing_integral(alpha) / curve.total_volume
 
 
 def jtilde(curve: TestCurve) -> Fraction:
     """(n/V) integral of (<P_tau^{n-1}> . L - vol(P_tau)), positive products; nonnegative."""
     n = curve.model.dimension
-    v = curve.total_volume
-    total = Fraction(0)
-    for ch in curve.chambers:
-        total += ch.pairing_integral(curve.l) - Fraction(ch.mass_integral, ch.integral_den)
-    return n * total / v
-
-
-def _entropy_direction(curve: TestCurve, ch: CurveChamber) -> ToricDivisor:
-    red = [Fraction(0)] * len(curve.model.rays)
-    for i in ch.red_support:
-        red[i] = Fraction(1)
-    return curve.k_rel + ToricDivisor(curve.model, tuple(red))
-
-
-def entropy_at(curve: TestCurve, tau) -> Fraction:
-    """(n/V) <(L - tau D)^{n-1}> . (K_rel + Red(tau D + N_tau)).
-
-    The positive product is positive_pairing's facet sum over the section
-    polytope of L - tau D, built afresh rather than read off the curve's chambers.
-    """
-    tau = Fraction(tau)
-    if not 0 < tau < curve.tau_plus:
-        raise OutOfRange(f"entropy_at needs tau in (0, {curve.tau_plus})")
-    n = curve.model.dimension
-    ch = curve.chamber_at(tau)
-    direction = _entropy_direction(curve, ch)
-    family_value = curve.l - curve.d.scale(tau)
-    return n * positive_pairing(curve.model, family_value, direction) / curve.total_volume
+    return n * (curve.pairing_integral(curve.l) - curve.mass_integral) / curve.total_volume
 
 
 def entropy(curve: TestCurve) -> Fraction:
-    """Chamber-wise exact integral of entropy_at over the curve domain.
+    """(n/V) integral of <P_tau^{n-1}> . (K_rel + Red(tau D + N_tau)): n E^(K_rel + Red D).
 
-    On a chamber the positive product of entropy_at is
-    (n/V) <P_tau^{n-1}> . (K_rel + Red), with the chamber's reduced divisor,
-    so the integrand is the chamber's facet pairing scaled by n/V.
+    A ray in the support of N_tau but not of D carries no facet of P_tau,
+    so the reduced divisor pairs as Red D does.
     """
-    n = curve.model.dimension
-    total = Fraction(0)
-    for ch in curve.chambers:
-        total += ch.pairing_integral(_entropy_direction(curve, ch))
-    return n * total / curve.total_volume
+    return curve.model.dimension * alpha_energy(curve, curve.k_rel + curve.d.reduced())
 
 
 def ricci_energy(curve: TestCurve) -> Fraction:
@@ -419,33 +328,6 @@ def curve_summary(curve: TestCurve) -> CurveSummary:
         ricci_energy=er,
         twisted_mabuchi=er + ent,
     )
-
-
-# --------------------------------------------------------------------------
-# the degree-(n-1) averaging polynomial
-# --------------------------------------------------------------------------
-
-def g_polynomial(a, b, n: int) -> Fraction:
-    """sum_j (1/(j+1)) C(n-1,j) (-1)^j a^{n-1-j} b^j, checked against its closed form.
-
-    Equals the average of (a - t*b)^{n-1} over t in [0,1]; for b != 0 the
-    closed form (a^n - (a-b)^n)/(n*b) must agree exactly.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    a, b = Fraction(a), Fraction(b)
-    total = sum(
-        (
-            Fraction(math.comb(n - 1, j), j + 1) * (-1) ** j * a ** (n - 1 - j) * b**j
-            for j in range(n)
-        ),
-        Fraction(0),
-    )
-    if b != 0:
-        closed = (a**n - (a - b) ** n) / (n * b)
-        if total != closed:
-            raise InvariantViolation("averaging polynomial forms disagree")
-    return total
 
 
 def g_pairing(

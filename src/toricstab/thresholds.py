@@ -198,7 +198,8 @@ def delta_prime_quotient(
     Numerator: n * (G_{n-1}(L, D) . (K_rel + Red D)) = n * int_0^1
     (L - tau D)^{n-1} . (K_rel + Red D) dtau, with the averaging polynomial
     expanded multilinearly.  Denominator:
-    n * int_0^1 (<P_tau^{n-1}> . L - vol(P_tau)) dtau = V * jtilde(truncated).
+    n * int_0^1 (<P_tau^{n-1}> . L - vol(P_tau)) dtau = n (<L, I> - M), the
+    truncated curve's integrals (V * jtilde(truncated), with no V computed).
     """
     if d.is_zero:
         raise ZeroDivisor("direction divisor is zero")
@@ -211,8 +212,7 @@ def delta_prime_quotient(
             f"family degenerates at tau+ = {extended.tau_plus} < 1"
         )
     truncated = truncated_curve(extended)
-    v = big_volume(fan, l)
-    denominator = v * jtilde(truncated)
+    denominator = n * (truncated.pairing_integral(l) - truncated.mass_integral)
     return n * g_pairing(fan, l, d, k_rel + d.reduced()) / denominator
 
 

@@ -14,10 +14,11 @@ built only where a rational leaves the kernel.
 
 Every curve comes from one closed form on one triangulation per family:
 over a simplex with vertex heights h, the divided difference [h] of
-s -> (s - c)_+^k (Curry-Schoenberg).  A family's chamber volume and facet
-polynomials triangulate its hypograph, the (n+1)-polytope whose slices are
-the family's polytopes, once per family, with no Polytope built and no
-triangulation cache entry added.
+s -> (s - c)_+^k (Curry-Schoenberg).  A family's chamber volume polynomials
+triangulate its hypograph, the (n+1)-polytope whose slices are the family's
+polytopes, once per family, with no Polytope built and no triangulation
+cache entry added.  A divisor's family and volume curve are those of the
+primitive integral divisor on its ray, rescaled.
 """
 
 from __future__ import annotations
@@ -189,6 +190,14 @@ class Polynomial:
 
     def derivative(self) -> Polynomial:
         return Polynomial.from_ints(_derivative(self.nums), self.den)
+
+    def dilate(self, c) -> Polynomial:
+        """x -> self(c x): coefficient k times c^k, in integers over den * q^degree, c = p / q."""
+        p, q = _ratio(c)
+        k = len(self.nums) - 1
+        return Polynomial.from_ints(
+            [a * p**i * q ** (k - i) for i, a in enumerate(self.nums)], self.den * q**k
+        )
 
     def integrate(self, a, b) -> Fraction:
         """The signed integral from a to b: power sums over one common denominator.
@@ -523,14 +532,50 @@ def big_volume(fan: Fan, d: ToricDivisor) -> Fraction:
     return math.factorial(fan.dimension) * volume(polytope_of(fan, d))
 
 
+def _ray(d: ToricDivisor) -> tuple[ToricDivisor, Fraction]:
+    """(D0, c) with D = c D0, c > 0 and D0 the primitive integral divisor on D's ray.
+
+    A zero D has no ray and raises ZeroDivisor.
+    """
+    if d.is_zero:
+        raise ZeroDivisor("direction divisor is zero")
+    nums, den = _over_lcm(d.coeffs)
+    g = math.gcd(*nums)
+    return ToricDivisor(d.fan, tuple(Fraction(a // g) for a in nums)), Fraction(g, den)
+
+
 @lru_cache(maxsize=None)
 def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPolytope:
     """The parametric section polytope family of t -> L - tD from t = 0 to its threshold.
 
-    Memoized per (fan, L, D): volume_curve and the test-curve chambers of one
-    direction share a single family.
+    Memoized per (fan, L, D).  The library asks for it only along the
+    primitive divisor D0 of a direction's ray (_ray): P_{L - t cD0} is
+    P_{L - (ct) D0}, so every rescaling of one ray, its volume curve and its
+    test curves share a single family and hypograph.
     """
     return parametric_family(section_halfspaces(fan, l.coeffs), list(d.coeffs))
+
+
+def _divided_difference(knots: Sequence[int], taylor) -> tuple[list[int], int]:
+    """The divided difference [k_0, ..., k_m] of a function given by its Taylor coefficients.
+
+    taylor(s, j) is the function's j-th Taylor coefficient at the knot s, a
+    list of integers (coefficients of a polynomial, or one number).  Where
+    j - i + 1 sorted knots coincide at s, the confluent entry is
+    taylor(s, j - i).  Returns integers over one positive denominator.
+    """
+    table = [(taylor(s, 0), 1) for s in knots]
+    for k in range(1, len(knots)):
+        grown = []
+        for i in range(len(knots) - k):
+            a, b = knots[i], knots[i + k]
+            if a == b:
+                grown.append((taylor(a, k), 1))
+                continue
+            (lo, dlo), (hi, dhi) = table[i], table[i + 1]
+            grown.append(([x * dlo - y * dhi for x, y in zip(hi, lo)], dlo * dhi * (b - a)))
+        table = grown
+    return table[0]
 
 
 def _truncated_power_dd(knots: Sequence[int], top: int, n: int) -> tuple[list[int], int]:
@@ -545,26 +590,15 @@ def _truncated_power_dd(knots: Sequence[int], top: int, n: int) -> tuple[list[in
     denominator.
     """
 
-    def power(s: int, k: int) -> tuple[list[int], int]:
+    def power(s: int, k: int) -> list[int]:
         # binom(n, k) * (s - C)^(n - k), padded to n + 1 coefficients
         if s < top or k > n:
-            return [0] * (n + 1), 1
+            return [0] * (n + 1)
         m = n - k
         c = math.comb(n, k)
-        return [c * math.comb(m, j) * s ** (m - j) * (-1) ** j for j in range(m + 1)] + [0] * k, 1
+        return [c * math.comb(m, j) * s ** (m - j) * (-1) ** j for j in range(m + 1)] + [0] * k
 
-    table = [power(s, 0) for s in knots]
-    for k in range(1, len(knots)):
-        grown = []
-        for i in range(len(knots) - k):
-            a, b = knots[i], knots[i + k]
-            if a == b:
-                grown.append(power(a, k))
-                continue
-            (lo, dlo), (hi, dhi) = table[i], table[i + 1]
-            grown.append(([x * dlo - y * dhi for x, y in zip(hi, lo)], dlo * dhi * (b - a)))
-        table = grown
-    return table[0]
+    return _divided_difference(knots, power)
 
 
 def _slice_polynomial(
@@ -632,24 +666,6 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     return poly
 
 
-def chamber_facet_polynomials(pp: ParametricPolytope, chamber: Chamber) -> tuple[Polynomial, ...]:
-    """Per primitive normal u_i, t -> (n-1)! times the lattice volume of the facet of P_t.
-
-    For the family of L - tD this is the positive product <P_t^{n-1}> . D_i,
-    zero where the face minimizing u_i is not a facet.  That facet is the
-    slice at t of Q's facet on row i (_Hypograph), every row's read from one
-    incidence table per family.  Over each simplex T of it, with vertex
-    heights h_T, the slice's (n-1)! lattice volume is |det(edges of T,
-    (u_i, 0))| / <u_i, u_i> times the divided difference [h_T] of
-    s -> (s - t)_+^(n-1), as in chamber_volume_polynomial.
-    """
-    n, hypograph = pp.dimension, pp.hypograph
-    return tuple(
-        _on_chamber(hypograph, chamber, knotted, n - 1).scale(Fraction(1, sum(a * a for a in u)))
-        for u, knotted in zip(hypograph.normals, hypograph.facets)
-    )
-
-
 def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
     """Piecewise polynomial of t -> n! * volume(P_t) on [0, t_max], n = pp.dimension."""
     scale = math.factorial(pp.dimension)
@@ -658,6 +674,24 @@ def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
 
 
 @lru_cache(maxsize=None)
+def ray_volume_curve(
+    fan: Fan, l: ToricDivisor, d0: ToricDivisor
+) -> tuple[PiecewisePolynomial, Fraction]:
+    """volume_curve along a ray's primitive divisor D0 (_ray): the curve and tau+ of L - tD0.
+
+    Memoized per (fan, L, D0); a failed check is not cached and raises again.
+    """
+    if not d0.is_effective:
+        raise ZeroDivisor("direction divisor must be effective")
+    if not is_ample(fan, l):
+        raise NotAmple("polarization is not big and nef")
+    pp = divisor_family(fan, l, d0)
+    curve = family_volume_curve(pp)
+    if not curve.is_nonincreasing():
+        raise NotMonotone("volume curve must be non-increasing")
+    return curve, pp.t_max
+
+
 def volume_curve(
     fan: Fan, l: ToricDivisor, d: ToricDivisor
 ) -> tuple[PiecewisePolynomial, Fraction]:
@@ -665,19 +699,16 @@ def volume_curve(
 
     L must pass the polarization check (full-dimensional nef-saturated
     polytope); D must be effective and nonzero, which forces tau+ < infinity.
-    Memoized per (fan, L, D); a failed check is not cached and raises again.
+    With D = c D0 on its ray (_ray), vol(L - tD) = vol(L - (ct) D0): the curve
+    is D0's (ray_volume_curve, where every check runs) with t -> ct, its
+    breakpoints and tau+ divided by c and each piece dilated.
     """
-    if d.is_zero:
-        raise ZeroDivisor("direction divisor is zero")
-    if not d.is_effective:
-        raise ZeroDivisor("direction divisor must be effective")
-    if not is_ample(fan, l):
-        raise NotAmple("polarization is not big and nef")
-    pp = divisor_family(fan, l, d)
-    curve = family_volume_curve(pp)
-    if not curve.is_nonincreasing():
-        raise NotMonotone("volume curve must be non-increasing")
-    return curve, pp.t_max
+    d0, c = _ray(d)
+    curve, t_max = ray_volume_curve(fan, l, d0)
+    if c == 1:
+        return curve, t_max
+    breakpoints = tuple(b / c for b in curve.breakpoints)
+    return PiecewisePolynomial(breakpoints, tuple(p.dilate(c) for p in curve.pieces)), t_max / c
 
 
 def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fraction:

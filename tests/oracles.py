@@ -13,20 +13,38 @@ validate_fan's face test ran before it read the cones' dual bases.  The
 determinant and square solve on the library's integer elimination, which
 the library no longer calls.  The vertex paths of a one-parameter family by
 Fraction solves: parametric_family found its chambers on them before it read
-a family off the vertices of its hypograph.
+a family off the vertices of its hypograph.  The chamber route of the
+test-curve functionals: per chamber of D's own family, the positive part
+read off the hypograph's lower hulls, the facet polynomials and their
+integrals, summed chamber by chamber, with the entropy paired against each
+chamber's reduced support; the test-curve functionals read the same
+integrals off the hypograph of D's ray instead.  The averaging polynomial
+G_{n-1}(a, b) and the entropy density at one tau, which the library does not
+call.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from toricstab import toric
-from toricstab.geometry import _eliminate
-from toricstab.volume_fn import Polynomial
+from toricstab.errors import InvariantViolation, OutOfRange
+from toricstab.geometry import Chamber, _eliminate, _over_lcm
+from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
+from toricstab.volume_fn import (
+    Polynomial,
+    _on_chamber,
+    chamber_volume_polynomial,
+    divisor_family,
+    positive_pairing,
+)
 
 
 def fit_polynomial(xs: Sequence, ys: Sequence) -> Polynomial:
@@ -353,4 +371,205 @@ def oracle_intersection_number(fan, divisors) -> Fraction:
         for _rho, c in combo:
             coeff *= c
         total += coeff * toric._ray_monomial(fan, tuple(sorted(rho for rho, _c in combo)))
+    return total
+
+
+# ---- the chamber route of the test-curve functionals -------------------------
+
+def chamber_facet_polynomials(pp, chamber: Chamber) -> tuple[Polynomial, ...]:
+    """Per primitive normal u_i, t -> (n-1)! times the lattice volume of the facet of P_t.
+
+    For the family of L - tD this is the positive product <P_t^{n-1}> . D_i,
+    zero where the face minimizing u_i is not a facet.  That facet is the
+    slice at t of Q's facet on row i: over each simplex T of it, with vertex
+    heights h_T, the slice's (n-1)! lattice volume is |det(edges of T,
+    (u_i, 0))| / <u_i, u_i> times the divided difference [h_T] of
+    s -> (s - t)_+^(n-1), as in chamber_volume_polynomial.
+    """
+    n, hypograph = pp.dimension, pp.hypograph
+    return tuple(
+        _on_chamber(hypograph, chamber, knotted, n - 1).scale(Fraction(1, sum(a * a for a in u)))
+        for u, knotted in zip(hypograph.normals, hypograph.facets)
+    )
+
+
+@dataclass(frozen=True)
+class CurveChamber:
+    """One tau-interval with affine Zariski data for the family L - tau*D.
+
+    positive_paths[i] is the affine polynomial P_tau,i; red_support lists
+    the rays with L_i > P_tau,i, those carrying the reduced divisor of
+    tau*D + N_tau on the chamber interior.  facets[i] is <P_tau^{n-1}> . D_i
+    and mass is vol(L - tau*D); integrals[i] and mass_integral, over
+    integral_den, are their integrals over [lo, hi].
+    """
+
+    lo: Fraction
+    hi: Fraction
+    positive_paths: tuple[Polynomial, ...]
+    red_support: tuple[int, ...]
+    mass: Polynomial
+    facets: tuple[Polynomial, ...]
+    integrals: tuple[int, ...] = field(compare=False)
+    integral_den: int = field(compare=False)
+    mass_integral: int = field(compare=False)
+
+    def positive_at(self, tau) -> tuple[Fraction, ...]:
+        return tuple(path(tau) for path in self.positive_paths)
+
+    def sample_points(self, count: int) -> list[Fraction]:
+        width = self.hi - self.lo
+        return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
+
+    def pairing_integral(self, alpha) -> Fraction:
+        nums, den = _over_lcm(alpha.coeffs)
+        return Fraction(sum(map(operator.mul, nums, self.integrals)), den * self.integral_den)
+
+
+def chamber_integrals(lo, hi, facets, mass) -> tuple[tuple[int, ...], int, int]:
+    """The integrals over [lo, hi] of the facet polynomials and the mass: (numerators, den, mass)."""
+    values = [f.integrate(lo, hi) for f in facets] + [mass.integrate(lo, hi)]
+    nums, den = _over_lcm(values)
+    return tuple(nums[:-1]), den, nums[-1]
+
+
+def _support_hull(hypograph, u) -> list[tuple[int, int]]:
+    """The lower convex hull of Q's vertices projected to (t, <x, u>), integers over Q's den."""
+    lowest: dict[int, int] = {}
+    for num in hypograph.points:
+        h, y = num[-1], sum(map(operator.mul, num, u))
+        if h not in lowest or y < lowest[h]:
+            lowest[h] = y
+    hull: list[tuple[int, int]] = []
+    for h, y in sorted(lowest.items()):
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+            <= (hull[-1][1] - hull[-2][1]) * (h - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((h, y))
+    return hull
+
+
+@lru_cache(maxsize=None)
+def curve_chambers(fan, l, d) -> tuple[CurveChamber, ...]:
+    """Chamber data of the family L - tau*D on [0, tau+], on D's own family.
+
+    One curve chamber per chamber of the family.  The positive part at ray u
+    is -g(tau), g the lower hull of the hypograph projected to (tau, <x, u>),
+    affine on each chamber; a hull breakpoint strictly inside a chamber
+    raises InvariantViolation.  The mass is the family's chamber volume
+    polynomial, and sum_i P_tau,i f_i(tau) must equal it exactly
+    (InvariantViolation).
+    """
+    family = divisor_family(fan, l, d)
+    den = family.hypograph.den
+    hulls = [_support_hull(family.hypograph, u) for u in fan.rays]
+    chambers: list[CurveChamber] = []
+    for chamber in family.chambers:
+        lo, hi, mid = chamber.lo, chamber.hi, chamber.midpoint()
+        bottom, top = math.floor(lo * den), math.ceil(hi * den)
+        paths = []
+        for u, hull in zip(fan.rays, hulls):
+            if any(bottom < h < top for h, _y in hull):
+                raise InvariantViolation(
+                    f"the support function of ray {u} bends inside the chamber [{lo}, {hi}]"
+                )
+            (h0, y0), (h1, y1) = next(pair for pair in zip(hull, hull[1:]) if pair[1][0] >= top)
+            c0, c1, e = y1 * h0 - y0 * h1, (y0 - y1) * den, (h1 - h0) * den
+            paths.append(Polynomial.from_ints((c0, c1), e))
+        red = tuple(i for i, path in enumerate(paths) if l.coeffs[i] > path(mid))
+        mass = chamber_volume_polynomial(family, chamber).scale(math.factorial(family.dimension))
+        facets = chamber_facet_polynomials(family, chamber)
+        identity = Polynomial(())
+        for path, f in zip(paths, facets):
+            identity = identity + path * f
+        if identity != mass:
+            raise InvariantViolation(
+                f"facet volumes do not sum to the mass on the chamber [{lo}, {hi}]"
+            )
+        chambers.append(
+            CurveChamber(lo, hi, tuple(paths), red, mass, facets,
+                         *chamber_integrals(lo, hi, facets, mass))
+        )
+    return tuple(chambers)
+
+
+def clipped_chambers(chambers, top=1) -> tuple[CurveChamber, ...]:
+    """The chambers on [0, top], the one across top cut there with its integrals."""
+    top = Fraction(top)
+    out = []
+    for ch in chambers:
+        if ch.hi <= top:
+            out.append(ch)
+        elif ch.lo < top:
+            integrals, den, mass_integral = chamber_integrals(ch.lo, top, ch.facets, ch.mass)
+            out.append(replace(ch, hi=top, integrals=integrals, integral_den=den,
+                               mass_integral=mass_integral))
+    return tuple(out)
+
+
+def entropy_direction(fan, k_rel, ch: CurveChamber) -> ToricDivisor:
+    """K_rel + Red(tau D + N_tau) on the chamber: K_rel plus 1 on each ray of its reduced support."""
+    red = [Fraction(int(i in ch.red_support)) for i in range(len(fan.rays))]
+    return (k_rel if k_rel is not None else zero_divisor(fan)) + ToricDivisor(fan, tuple(red))
+
+
+def chamber_functionals(fan, l, d, k_rel=None, top=None) -> tuple[Fraction, ...]:
+    """(E, E^L, J~, Ent, E^Ric) as sums over the chambers, on [0, tau+] or on [0, top].
+
+    The entropy pairs each chamber's own reduced support of tau*D + N_tau.
+    """
+    chambers = curve_chambers(fan, l, d)
+    if top is not None:
+        chambers = clipped_chambers(chambers, top)
+    n, v = fan.dimension, chambers[0].mass(0)
+    mass = sum((Fraction(ch.mass_integral, ch.integral_den) for ch in chambers), Fraction(0))
+    pl = sum((ch.pairing_integral(l) for ch in chambers), Fraction(0))
+    ent = sum(
+        (ch.pairing_integral(entropy_direction(fan, k_rel, ch)) for ch in chambers), Fraction(0)
+    )
+    anti = anticanonical(fan) + (k_rel if k_rel is not None else zero_divisor(fan))
+    ricci = sum((ch.pairing_integral(anti) for ch in chambers), Fraction(0))
+    return mass / v, pl / v, n * (pl - mass) / v, n * ent / v, -n * ricci / v
+
+
+def entropy_at(curve, tau) -> Fraction:
+    """(n/V) <(L - tau D)^{n-1}> . (K_rel + Red(tau D + N_tau)) at one tau in (0, tau+).
+
+    The reduced support is the chamber route's at tau; the positive product
+    is positive_pairing's facet sum over the section polytope of L - tau D.
+    """
+    tau = Fraction(tau)
+    if not 0 < tau < curve.tau_plus:
+        raise OutOfRange(f"entropy_at needs tau in (0, {curve.tau_plus})")
+    chambers = curve_chambers(curve.model, curve.l, curve.d)
+    ch = next(ch for ch in chambers if ch.lo <= tau < ch.hi)
+    direction = entropy_direction(curve.model, curve.k_rel, ch)
+    family_value = curve.l - curve.d.scale(tau)
+    return curve.model.dimension * positive_pairing(curve.model, family_value, direction) / (
+        curve.total_volume
+    )
+
+
+def g_polynomial(a, b, n: int) -> Fraction:
+    """sum_j (1/(j+1)) C(n-1,j) (-1)^j a^{n-1-j} b^j, checked against its closed form.
+
+    Equals the average of (a - t*b)^{n-1} over t in [0,1]; for b != 0 the
+    closed form (a^n - (a-b)^n)/(n*b) must agree exactly.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    a, b = Fraction(a), Fraction(b)
+    total = sum(
+        (
+            Fraction(math.comb(n - 1, j), j + 1) * (-1) ** j * a ** (n - 1 - j) * b**j
+            for j in range(n)
+        ),
+        Fraction(0),
+    )
+    if b != 0:
+        closed = (a**n - (a - b) ** n) / (n * b)
+        if total != closed:
+            raise InvariantViolation("averaging polynomial forms disagree")
     return total

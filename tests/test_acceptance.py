@@ -31,7 +31,6 @@ from toricstab import (
     extended_curve,
     filtration_curve,
     g_pairing,
-    g_polynomial,
     intersection_number,
     jtilde,
     mixed_volume,
@@ -46,7 +45,7 @@ from toricstab import (
 )
 from toricstab.errors import AlreadyARay, NotPseudoEffective
 from toricstab.geometry import volume
-from oracles import fit_polynomial
+from oracles import fit_polynomial, g_polynomial
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

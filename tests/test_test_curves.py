@@ -24,11 +24,9 @@ from toricstab import (
     energy,
     energy_from_dh,
     entropy,
-    entropy_at,
     extended_curve,
     filtration_curve,
     g_pairing,
-    g_polynomial,
     intersection_number,
     is_nef,
     jtilde,
@@ -48,8 +46,20 @@ import toricstab.test_curves as tc
 import toricstab.volume_fn as vf
 from toricstab.errors import InvariantViolation, OutOfRange, RangeTooShort, ZeroDivisor
 from toricstab.geometry import Chamber, dot
-from toricstab.test_curves import _entropy_direction
-from oracles import fit_polynomial, oracle_basis_paths
+import oracles
+from oracles import (
+    CurveChamber,
+    chamber_facet_polynomials,
+    chamber_functionals,
+    chamber_integrals,
+    clipped_chambers,
+    curve_chambers,
+    entropy_at,
+    entropy_direction,
+    fit_polynomial,
+    g_polynomial,
+    oracle_basis_paths,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +77,16 @@ def f1_fiber_curve(f1):
     return extended_curve(f1, anticanonical(f1), ray_divisor(f1, 0))
 
 
+def volume_pieces(curve):
+    volumes, _tau_plus = volume_curve(curve.model, curve.l, curve.d)
+    return volumes.normalized().pieces
+
+
 def test_extended_curve_basic(p2_h_curve, f1_e_curve):
     assert p2_h_curve.tau_plus == 3
     assert f1_e_curve.tau_plus == 2
-    assert p2_h_curve.mass_curve().normalized().pieces == (Polynomial.of(9, -6, 1),)
-    assert f1_e_curve.mass_curve().normalized().pieces == (Polynomial.of(8, -2, -1),)
+    assert volume_pieces(p2_h_curve) == (Polynomial.of(9, -6, 1),)
+    assert volume_pieces(f1_e_curve) == (Polynomial.of(8, -2, -1),)
 
 
 def test_extended_curve_rejects_zero_direction(p2):
@@ -93,7 +108,9 @@ def test_truncated_curve(p2_h_curve, f1_e_curve, f1):
     assert t.tau_plus == 1 and t.kind == "truncated"
     assert mass(t, Q(1, 2)) == Q(25, 4)
     tf = truncated_curve(f1_e_curve)
-    assert tf.mass_curve().normalized().pieces == (Polynomial.of(8, -2, -1),)
+    assert [mass(tf, tau) for tau in (0, Q(1, 2), 1)] == [8, Q(27, 4), 5]
+    with pytest.raises(OutOfRange):
+        mass(tf, Q(3, 2))
     short = extended_curve(f1, anticanonical(f1), ray_divisor(f1, 3).scale(4))
     assert short.tau_plus == Q(1, 2)
     with pytest.raises(RangeTooShort):
@@ -108,7 +125,8 @@ def test_energy(p2_h_curve, f1_e_curve):
 def test_energy_matches_mass_integral(p2_h_curve, f1_fiber_curve):
     for curve in (p2_h_curve, f1_fiber_curve):
         v = curve.total_volume
-        integral = curve.mass_curve().integrate() / v
+        volumes, _tau_plus = volume_curve(curve.model, curve.l, curve.d)
+        integral = volumes.integrate() / v
         assert energy(curve) == integral
 
 
@@ -181,8 +199,9 @@ def test_entropy_at_matches_zariski_intersection(f1, f1_fiber_curve):
     # dual route: the derivative pairing equals the positive-part pairing
     kf1 = anticanonical(f1)
     curve = f1_fiber_curve
+    chambers = curve_chambers(curve.model, curve.l, curve.d)
     for tau in (Q(1, 2), Q(3, 2), Q(5, 2)):
-        ch = curve.chamber_at(tau)
+        ch = next(ch for ch in chambers if ch.lo <= tau < ch.hi)
         direction = zero_divisor(f1) + divisor(
             f1, [1 if i in ch.red_support else 0 for i in range(len(f1.rays))]
         )
@@ -344,6 +363,7 @@ def test_positive_pairing_builds_no_family(p2, p2_h_curve, monkeypatch):
     def refuse(*_args):
         raise AssertionError("the positive pairing built a parametric family")
 
+    curve_chambers(p2, anticanonical(p2), ray_divisor(p2, 0))  # entropy_at's reduced support
     monkeypatch.setattr(vf, "parametric_family", refuse)
     monkeypatch.setattr(geometry, "parametric_family", refuse)
     assert positive_pairing(p2, anticanonical(p2), ray_divisor(p2, 0)) == 3
@@ -363,8 +383,8 @@ def sampled_entropy(curve):
     n = curve.model.dimension
     v = curve.total_volume
     total = Q(0)
-    for ch in curve.chambers:
-        direction = _entropy_direction(curve, ch)
+    for ch in curve_chambers(curve.model, curve.l, curve.d):
+        direction = entropy_direction(curve.model, curve.k_rel, ch)
         xs = ch.sample_points(n + 1)
         ys = [n * positive_pairing(curve.model, curve.l - curve.d.scale(x), direction) / v
               for x in xs]
@@ -396,9 +416,9 @@ def test_entropy_integrand_matches_derivative_pairing(surfaces, p3):
             curves.append(extended_curve(fan, l, divisor(fan, coeffs), k_rel=k))
     for curve in curves:
         ricci = anticanonical(curve.model) + curve.k_rel
-        for ch in curve.chambers:
+        for ch in curve_chambers(curve.model, curve.l, curve.d):
             # the entropy, jtilde and Ricci integrands against the derivative pairing
-            for alpha in (_entropy_direction(curve, ch), curve.l, ricci):
+            for alpha in (entropy_direction(curve.model, curve.k_rel, ch), curve.l, ricci):
                 integrand = pairing(ch, alpha)
                 for tau in ch.sample_points(2):
                     family_value = curve.l - curve.d.scale(tau)
@@ -408,18 +428,26 @@ def test_entropy_integrand_matches_derivative_pairing(surfaces, p3):
 
 # ---- self-checks under python -O -------------------------------------------
 
+def corrupt_facet_simplex(facets):
+    """Q's facet table with the first simplex of row 0's facet one larger in |det|."""
+    rows = [list(row) for row in facets]
+    (d, heights), *rest = rows[0]
+    rows[0] = [(d + 1, heights), *rest]
+    return rows
+
+
 # Breaks one input of each self-check in turn and records whether it raised
-# InvariantViolation; then runs the CLI with broken facet polynomials.
+# InvariantViolation; then runs the CLI with one facet simplex of the
+# hypograph corrupted.
 BROKEN_CHECKS = """
 import json
-from dataclasses import replace
 from fractions import Fraction
 
+import toricstab.geometry as geometry
 import toricstab.test_curves as tc
 import toricstab.toric as toric
 import toricstab.volume_fn as vf
-from toricstab import Fan, anticanonical, divisor, extended_curve, ray_divisor
-from toricstab.geometry import Chamber
+from toricstab import Fan, anticanonical, divisor, extended_curve
 from toricstab.cli import main
 from toricstab.errors import InvariantViolation
 
@@ -449,50 +477,62 @@ vf.big_volume = lambda fan, d: next(growing)
 attempt("stabilized", lambda: vf.stabilized_volume(p2, anticanonical(p2), h, [[1, 1]]))
 vf.big_volume = real_volume
 
-# F1's two family chambers along D_0 merged across the wall where a minimizer changes
-f1 = Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 3], [3, 1], [1, 2], [2, 0]])
-real_family = tc.divisor_family
-family = real_family(f1, anticanonical(f1), ray_divisor(f1, 0))
-first, second = family.chambers
-merged = replace(family, chambers=(Chamber(first.lo, second.hi),))
-tc.divisor_family = lambda fan, l, d: merged
-attempt("minimizer", lambda: tc._curve_chambers(f1, anticanonical(f1), ray_divisor(f1, 0)))
-tc.divisor_family = real_family
-
 # every facet volume of P_M one too large: the facets break Euler's identity
 real_facet_volumes = vf.facet_volumes
 vf.facet_volumes = lambda p, normals: [f + 1 for f in real_facet_volumes(p, normals)]
 attempt("euler", lambda: vf.positive_pairing(p2, anticanonical(p2), h))
 vf.facet_volumes = real_facet_volumes
 
-# every facet polynomial one too large: the facets no longer sum to the mass
-real_facets = tc.chamber_facet_polynomials
-tc.chamber_facet_polynomials = lambda pp, ch: tuple(
-    f + tc.Polynomial.of(1) for f in real_facets(pp, ch)
-)
-attempt("pairing", lambda: tc.alpha_energy(extended_curve(p2, anticanonical(p2), h), h))
-attempt("entropy", lambda: tc.entropy(extended_curve(p2, anticanonical(p2), h)))
+# one facet simplex of the hypograph one too large in |det|: Q breaks Euler's identity
+real_facets = geometry._Hypograph.facets.func
+geometry._Hypograph.facets = property(lambda self: corrupt_facet_simplex(real_facets(self)))
+attempt("hypograph", lambda: tc.alpha_energy(extended_curve(p2, anticanonical(p2), h), h))
 print(json.dumps(raised))
 raise SystemExit(main(["curve", PATH, "--direction", "H", "--functionals", "Ealpha"]))
 """
 
 
 def test_self_checks_survive_optimize(problems_dir, run_optimized):
-    script = f"PATH = {str(problems_dir / 'p2.json')!r}\n" + BROKEN_CHECKS
+    import inspect
+
+    script = (
+        f"PATH = {str(problems_dir / 'p2.json')!r}\n"
+        + inspect.getsource(corrupt_facet_simplex)
+        + BROKEN_CHECKS
+    )
     result = run_optimized(script)
     assert json.loads(result.stdout) == {
-        "debug": False, "zariski": True, "stabilized": True, "minimizer": True, "euler": True,
-        "pairing": True, "entropy": True,
+        "debug": False, "zariski": True, "stabilized": True, "euler": True, "hypograph": True,
     }
     assert result.returncode == 3, result.stderr
     assert json.loads(result.stderr)["error"] == "InvariantViolation"
 
 
+def clear_memos():
+    for memo in memoized_pieces():
+        memo.cache_clear()
+
+
+def test_a_corrupted_facet_simplex_breaks_euler(p2, monkeypatch):
+    # one simplex of Q's facet on ray 0 one larger in |det|: the extended
+    # curve's integrals break Euler's identity on Q and nothing is cached
+    real = geometry._Hypograph.facets.func
+    monkeypatch.setattr(
+        geometry._Hypograph, "facets", property(lambda self: corrupt_facet_simplex(real(self)))
+    )
+    clear_memos()
+    l, h = anticanonical(p2), ray_divisor(p2, 0)
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="Euler's identity on \\[0, 3\\]"):
+            extended_curve(p2, l, h)
+    assert tc._ray_curve.cache_info().currsize == 0
+
+
 # ---- the memoized curve pieces against the unmemoized route ----------------
 
 def memoized_pieces():
-    """The memoized pieces of a test curve: family, volume curve, chambers with their facets."""
-    return [vf.divisor_family, vf.volume_curve, tc._curve_chambers]
+    """The memoized pieces of a test curve: the ray's family, volume curve and integrals."""
+    return [vf.divisor_family, vf.ray_volume_curve, tc._ray_curve]
 
 
 def seeded_directions(surfaces, p3, seed):
@@ -541,7 +581,8 @@ def test_memoized_curves_match_unmemoized_route(surfaces, p3, monkeypatch):
     pieces = memoized_pieces()
     warm = [curve_values(*args) for args in directions]
     # a second pass is served by the memos: no new entries, and the family
-    # is not even asked for, because the curve and its chambers are hits
+    # is not even asked for, because the volume curve and the ray's curve
+    # data, the truncated curve's included, are hits
     before = [fn.cache_info() for fn in pieces]
     again = [curve_values(*args) for args in directions]
     after = [fn.cache_info() for fn in pieces]
@@ -565,28 +606,56 @@ def test_memoized_curves_match_unmemoized_route(surfaces, p3, monkeypatch):
 def test_failed_checks_are_not_cached(p2, monkeypatch):
     l, h = anticanonical(p2), ray_divisor(p2, 0)
     not_effective = divisor(p2, [1, -1, 0])
-    size = volume_curve.cache_info().currsize
+    size = vf.ray_volume_curve.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ZeroDivisor, match="effective"):
             volume_curve(p2, l, not_effective)
-    assert volume_curve.cache_info().currsize == size
-    tc._curve_chambers.cache_clear()
-    real_facets = tc.chamber_facet_polynomials
+    assert vf.ray_volume_curve.cache_info().currsize == size
+    clear_memos()
+    real_integrals = tc.family_integrals
     monkeypatch.setattr(
         tc,
-        "chamber_facet_polynomials",
-        lambda pp, ch: tuple(f + Polynomial.of(1) for f in real_facets(pp, ch)),
+        "family_integrals",
+        lambda pp, top, top_volume: real_integrals(pp, top, top_volume + 1),
     )
     for _ in range(2):
-        with pytest.raises(InvariantViolation, match="facet volumes"):
-            tc._curve_chambers(p2, l, h)
-    assert tc._curve_chambers.cache_info().currsize == 0
-    monkeypatch.setattr(tc, "chamber_facet_polynomials", real_facets)
-    assert tc._curve_chambers(p2, l, h) == tc._curve_chambers.__wrapped__(p2, l, h)
-    assert tc._curve_chambers.cache_info().currsize == 1
+        with pytest.raises(InvariantViolation, match="Euler's identity"):
+            tc._ray_curve(p2, l, h)
+    assert tc._ray_curve.cache_info().currsize == 0
+    monkeypatch.setattr(tc, "family_integrals", real_integrals)
+    assert tc._ray_curve(p2, l, h)[1:] == tc._ray_curve.__wrapped__(p2, l, h)[1:]
+    assert tc._ray_curve.cache_info().currsize == 1
 
 
-# ---- curve chambers are the divisor family's chambers -----------------------
+# ---- one hypograph per direction ray ----------------------------------------
+
+def test_rescaled_directions_share_one_hypograph(f1, monkeypatch):
+    # volume curves and test curves along E and along c E build Q once
+    built = []
+    real_init = geometry._Hypograph.__init__
+    monkeypatch.setattr(
+        geometry._Hypograph, "__init__", lambda self, hs: built.append(hs) or real_init(self, hs)
+    )
+    clear_memos()
+    l, e = anticanonical(f1), ray_divisor(f1, 3)
+    base, tau_plus = volume_curve(f1, l, e)
+    for c in (Q(1, 2), 2, Q(7, 3), Q(2, 7)):
+        scaled, scaled_tau = volume_curve(f1, l, e.scale(c))
+        assert scaled_tau == tau_plus / c
+        assert scaled.breakpoints == tuple(b / c for b in base.breakpoints)
+        for piece, dilated in zip(base.pieces, scaled.pieces):
+            assert dilated == Polynomial(
+                [a * c**k for k, a in enumerate(piece.coeffs)]
+            )
+        curve = extended_curve(f1, l, e.scale(c))
+        if curve.tau_plus >= 1:
+            truncated_curve(curve)
+    assert len(built) == 1
+    assert vf.divisor_family.cache_info().currsize == 1
+    assert tc._ray_curve.cache_info().currsize == 1
+
+
+# ---- curve chambers are the divisor family's chambers (the oracle) ----------
 
 def crossing_refinement(fan, l, d):
     """Curve chambers cut at every crossing of two vertex paths' values against a ray.
@@ -596,8 +665,8 @@ def crossing_refinement(fan, l, d):
     it swap order against some ray, and each piece reads every ray's
     minimizing path at its own midpoint and its facets on its own interval.
     """
-    volumes, _tau_plus = volume_curve(fan, l, d)
     family = vf.divisor_family(fan, l, d)
+    volumes = vf.family_volume_curve(family)
     bases = oracle_basis_paths(family.halfspaces, family.dimension)
     pieces = []
     for chamber in family.chambers:
@@ -617,10 +686,10 @@ def crossing_refinement(fan, l, d):
             minima = [min(ray_lines, key=lambda c: c[0] + c[1] * mid) for ray_lines in lines]
             pos = tuple(Polynomial.of(-c0, -c1) for c0, c1 in minima)
             red = tuple(i for i, path in enumerate(pos) if l.coeffs[i] > path(mid))
-            facets = vf.chamber_facet_polynomials(family, Chamber(lo, hi))
+            facets = chamber_facet_polynomials(family, Chamber(lo, hi))
             mass = volumes.piece_at(mid)
-            integrals = tc._integrals(lo, hi, facets, mass)
-            pieces.append(tc.CurveChamber(lo, hi, pos, red, mass, facets, *integrals))
+            integrals = chamber_integrals(lo, hi, facets, mass)
+            pieces.append(CurveChamber(lo, hi, pos, red, mass, facets, *integrals))
     return pieces
 
 
@@ -629,7 +698,7 @@ def test_curve_chambers_match_crossing_refinement(surfaces, p3):
     directions += [(c.model, c.l, c.d) for c in p3_exceptional_curves(p3)]
     split = 0
     for fan, l, d in directions:
-        chambers = tc._curve_chambers(fan, l, d)
+        chambers = curve_chambers(fan, l, d)
         assert len(chambers) == len(vf.divisor_family(fan, l, d).chambers)
         pieces = crossing_refinement(fan, l, d)
         split += len(pieces) - len(chambers)
@@ -647,18 +716,19 @@ def test_minimizer_check_raises_on_a_merged_chamber(f1, monkeypatch):
     first, second = family.chambers
     merged = Chamber(first.lo, second.hi)
     monkeypatch.setattr(
-        tc, "divisor_family", lambda *_args: replace(family, chambers=(merged,))
+        oracles, "divisor_family", lambda *_args: replace(family, chambers=(merged,))
     )
-    tc._curve_chambers.cache_clear()
+    curve_chambers.cache_clear()
     with pytest.raises(InvariantViolation, match=r"ray \(1, 1\) bends inside the chamber \[0, 3\]"):
-        tc._curve_chambers(f1, l, d)
-    assert tc._curve_chambers.cache_info().currsize == 0
+        curve_chambers(f1, l, d)
+    assert curve_chambers.cache_info().currsize == 0
 
 
 def test_a_family_is_enumerated_once(f1, monkeypatch):
-    # building F1's family along D_0, its volume curve, facet polynomials and
-    # curve chambers solves the family's bases once: every other basic-solution
-    # loop is the vertex enumeration of one polytope (_int_vertices)
+    # building F1's family along D_0, its volume curve, its extended and
+    # truncated curves and the oracle's facet polynomials solves the family's
+    # bases once: every other basic-solution loop is the vertex enumeration
+    # of one polytope (_int_vertices)
     l, d = anticanonical(f1), ray_divisor(f1, 0)
     calls = collections.Counter()
     modules = [m for key, m in sys.modules.items() if key.startswith("toricstab.")]
@@ -670,20 +740,20 @@ def test_a_family_is_enumerated_once(f1, monkeypatch):
                     module, name,
                     lambda *args, real=real, name=name: calls.update([name]) or real(*args),
                 )
-    for memo in (vf.divisor_family, vf.volume_curve, tc._curve_chambers):
-        memo.cache_clear()
+    clear_memos()
     family = vf.divisor_family(f1, l, d)
     vf.volume_curve(f1, l, d)
+    truncated_curve(extended_curve(f1, l, d))
     for chamber in family.chambers:
-        vf.chamber_facet_polynomials(family, chamber)
-    tc._curve_chambers(f1, l, d)
+        chamber_facet_polynomials(family, chamber)
     assert calls["_int_vertices"] > 0
     assert calls["_basic_solutions"] - calls["_int_vertices"] == 1
 
 
 def test_positive_and_negative_parts_match_zariski(surfaces, p3):
-    # at both ends and the midpoint of every chamber below tau+, the curve's
-    # affine parts equal the divisorial Zariski decomposition of L - tau*D
+    # at both ends and the midpoint of every oracle chamber below tau+, the
+    # curve's Zariski parts are the chamber route's affine positive part and
+    # L - tau*D minus it
     blp3, _pull, blp3_k_rel = star_subdivision(p3, (1, 1, 1))
     refined_f1, _pull, f1_k_rel = star_subdivision(surfaces["f1"], (1, 2))
     models = [(fan, None) for fan in (*surfaces.values(), p3)]
@@ -694,46 +764,34 @@ def test_positive_and_negative_parts_match_zariski(surfaces, p3):
         for i in range(len(fan.rays)):
             d = ray_divisor(fan, i)
             curve = extended_curve(fan, l, d, k_rel=k_rel)
-            taus = {tau for ch in curve.chambers for tau in (ch.lo, (ch.lo + ch.hi) / 2, ch.hi)}
+            chambers = curve_chambers(fan, l, d)
+            taus = {tau for ch in chambers for tau in (ch.lo, (ch.lo + ch.hi) / 2, ch.hi)}
             for tau in sorted(taus - {curve.tau_plus}):
-                pair = zariski_decompose(fan, l - d.scale(tau))
-                assert curve.positive_part(tau) == pair.positive, (fan.rays, i, tau)
-                assert curve.negative_part(tau) == pair.negative, (fan.rays, i, tau)
+                ch = next(ch for ch in chambers if ch.lo <= tau < ch.hi)
+                positive = divisor(fan, ch.positive_at(tau))
+                assert curve.positive_part(tau) == positive, (fan.rays, i, tau)
+                assert curve.negative_part(tau) == l - d.scale(tau) - positive, (fan.rays, i, tau)
                 points += 1
     assert points == 70
+    with pytest.raises(OutOfRange):
+        curve.positive_part(curve.tau_plus + 1)
 
 
-# ---- the chambers' integrals against the polynomial route ------------------
+# ---- the hypograph's integrals against the chamber route ---------------------
 
 def alpha_energy_oracle(curve, alpha):
-    """The paper's tau+ (alpha.L^{n-1})/V + (1/V) int (<P_tau^{n-1}>.alpha - alpha.L^{n-1})."""
+    """The paper's tau+ (alpha.L^{n-1})/V + (1/V) int (<P_tau^{n-1}>.alpha - alpha.L^{n-1}).
+
+    Summed over the oracle's chambers on the curve's domain, each pairing
+    integrated as a polynomial.
+    """
     n, v = curve.model.dimension, curve.total_volume
     base = intersection_number(curve.model, [curve.l] * (n - 1) + [alpha])
     total = curve.tau_plus * base / v
-    for ch in curve.chambers:
+    chambers = clipped_chambers(curve_chambers(curve.model, curve.l, curve.d), curve.tau_plus)
+    for ch in chambers:
         total += (pairing(ch, alpha).integrate(ch.lo, ch.hi) - base * (ch.hi - ch.lo)) / v
     return total
-
-
-def oracle_summary(curve):
-    """The functionals by integrating each pairing polynomial: (E, E^L, J~, Ent, E^Ric)."""
-    n, v = curve.model.dimension, curve.total_volume
-    e = curve.tau_plus + sum(
-        ((ch.mass.integrate(ch.lo, ch.hi) - v * (ch.hi - ch.lo)) / v for ch in curve.chambers),
-        Q(0),
-    )
-    jt = n * sum(
-        ((pairing(ch, curve.l) - ch.mass).integrate(ch.lo, ch.hi) for ch in curve.chambers), Q(0)
-    ) / v
-    ent = n * sum(
-        (
-            pairing(ch, _entropy_direction(curve, ch)).integrate(ch.lo, ch.hi)
-            for ch in curve.chambers
-        ),
-        Q(0),
-    ) / v
-    ricci = -n * alpha_energy_oracle(curve, anticanonical(curve.model) + curve.k_rel)
-    return e, alpha_energy_oracle(curve, curve.l), jt, ent, ricci
 
 
 def oracle_models(surfaces, p3):
@@ -761,62 +819,63 @@ def oracle_curves(surfaces, p3, rng):
 
 
 def test_chamber_integrals_match_polynomial_route(surfaces, p3):
+    # the hypograph's facet and mass integrals, on [0, tau+] and on [0, 1],
+    # equal the sums of the chamber route's polynomial integrals, and every
+    # functional its chamber sum
     rng = random.Random(89)
     not_nef = 0
     for curve in oracle_curves(surfaces, p3, rng):
-        for ch in curve.chambers:
-            assert Q(ch.mass_integral, ch.integral_den) == ch.mass.integrate(ch.lo, ch.hi)
-            assert tuple(Q(i, ch.integral_den) for i in ch.integrals) == tuple(
-                f.integrate(ch.lo, ch.hi) for f in ch.facets
+        fan = curve.model
+        chambers = clipped_chambers(curve_chambers(fan, curve.l, curve.d), curve.tau_plus)
+        assert curve.mass_integral == sum(ch.mass.integrate(ch.lo, ch.hi) for ch in chambers)
+        for i in range(len(fan.rays)):
+            assert curve.pairing_integral(ray_divisor(fan, i)) == sum(
+                ch.facets[i].integrate(ch.lo, ch.hi) for ch in chambers
             )
-            for _ in range(3):
-                alpha = divisor(
-                    curve.model, [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in ch.facets]
-                )
-                want = pairing(ch, alpha).integrate(ch.lo, ch.hi)
-                assert ch.pairing_integral(alpha) == want
-                # the chamber sum against the paper's tau+ form, with its ring product
-                assert alpha_energy(curve, alpha) == alpha_energy_oracle(curve, alpha)
-                not_nef += not is_nef(curve.model, alpha)
+        for _ in range(3):
+            alpha = divisor(fan, [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in fan.rays])
+            # the dot product against the paper's tau+ form, with its ring product
+            assert alpha_energy(curve, alpha) == alpha_energy_oracle(curve, alpha)
+            not_nef += not is_nef(fan, alpha)
         s = curve_summary(curve)
+        top = None if curve.kind == "extended" else 1
         assert (s.energy, s.omega_energy, s.jtilde, s.entropy, s.ricci_energy) == (
-            oracle_summary(curve)
+            chamber_functionals(fan, curve.l, curve.d, curve.k_rel, top)
         )
     assert not_nef > 0
 
 
-def test_one_direction_integrates_each_chamber_once(f1, monkeypatch):
+def test_one_direction_integrates_its_hypograph_once(f1, monkeypatch):
+    # F1 along 2E: the summary and both quotients integrate the ray's
+    # hypograph once over [0, tau+ of E] and once over [0, 2] for the
+    # truncated curve, and integrate no polynomial
     from toricstab import delta_pp_quotient, delta_prime_quotient
 
     integrated = []
-    real_integrals = tc._integrals
+    real_integrals = tc.family_integrals
 
-    def spy(lo, hi, facets, mass):
-        integrated.append((lo, hi))
-        return real_integrals(lo, hi, facets, mass)
+    def spy(pp, top, top_volume):
+        integrated.append(top)
+        return real_integrals(pp, top, top_volume)
 
     def forbidden(poly, a, b):
         raise AssertionError("a functional integrated a polynomial")
 
-    monkeypatch.setattr(tc, "_integrals", spy)
+    monkeypatch.setattr(tc, "family_integrals", spy)
     monkeypatch.setattr(Polynomial, "integrate", forbidden)
-    tc._curve_chambers.cache_clear()
-    l, d = anticanonical(f1), ray_divisor(f1, 3)
+    clear_memos()
+    l, d = anticanonical(f1), ray_divisor(f1, 3).scale(Q(1, 2))
     curve = extended_curve(f1, l, d)
+    assert curve.tau_plus == 4
     curve_summary(curve)
     delta_pp_quotient(f1, l, d)
     delta_prime_quotient(f1, l, d)
-    # every extended chamber once, and the one across tau = 1 once more on [lo, 1]
-    across = [ch for ch in curve.chambers if ch.lo < 1 < ch.hi]
-    assert len(across) == 1
-    assert sorted(integrated) == sorted(
-        [(ch.lo, ch.hi) for ch in curve.chambers] + [(across[0].lo, Q(1))]
-    )
+    assert integrated == [2, Q(1, 2)]
 
 
 def test_radial_functionals_compute_no_ring_product(f1, monkeypatch):
-    # F1 along E: the summary and the pp quotient are chamber sums and call no
-    # intersection_number; the prime quotient calls it n times, all in g_pairing
+    # F1 along E: the summary and the pp quotient are dot products and call
+    # no intersection_number; the prime quotient calls it n times, all in g_pairing
     from toricstab import delta_pp_quotient, delta_prime_quotient
     import toricstab.toric as toric
 
@@ -829,11 +888,84 @@ def test_radial_functionals_compute_no_ring_product(f1, monkeypatch):
                 module, "intersection_number",
                 lambda *args: callers.update([sys._getframe(1).f_code.co_name]) or real(*args),
             )
-    for memo in (vf.divisor_family, vf.volume_curve, tc._curve_chambers):
-        memo.cache_clear()
+    clear_memos()
     l, e = anticanonical(f1), ray_divisor(f1, 3)
     curve_summary(extended_curve(f1, l, e))
     delta_pp_quotient(f1, l, e)
     assert callers == {}
     delta_prime_quotient(f1, l, e)
     assert callers == {"g_pairing": f1.dimension}
+
+
+# ---- scale covariance against the chamber route ------------------------------
+
+SCALE_MODELS = ("p2", "f1", "p1xp1", "f1r")
+
+
+def scale_model(surfaces, name):
+    if name == "f1r":
+        fan, pull, k_rel = star_subdivision(surfaces["f1"], (1, 2))
+        return fan, pull(anticanonical(surfaces["f1"])), k_rel
+    return surfaces[name], anticanonical(surfaces[name]), None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(SCALE_MODELS),
+    coeffs=st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5),
+    c=st.fractions(min_value=Q(1, 6), max_value=6, max_denominator=6).filter(lambda x: x > 0),
+    at_edge=st.booleans(),
+)
+def test_rescaled_directions_match_the_chamber_route(surfaces, name, coeffs, c, at_edge):
+    # D and cD on one ray: the volume curve is D's with t -> ct; E, E^alpha,
+    # J~ and Ent scale by 1/c; the pp quotient does not move; and on [0, 1]
+    # the truncated functionals are the chamber route's on cD's own family,
+    # at the edge tau+ = 1 too (c = tau+ of D)
+    fan, l, k_rel = scale_model(surfaces, name)
+    d = divisor(fan, coeffs[: len(fan.rays)])
+    if d.is_zero:
+        d = ray_divisor(fan, 0)
+    volumes, tau_plus = volume_curve(fan, l, d)
+    if at_edge:
+        c = tau_plus
+    scaled_volumes, scaled_tau = volume_curve(fan, l, d.scale(c))
+    assert scaled_tau == tau_plus / c
+    own = vf.family_volume_curve(vf.divisor_family(fan, l, d.scale(c)))
+    assert scaled_volumes == own
+    for x in (Q(0), scaled_tau / 3, scaled_tau):
+        assert scaled_volumes(x) == volumes(c * x)
+    base = curve_summary(extended_curve(fan, l, d, k_rel=k_rel))
+    curve = extended_curve(fan, l, d.scale(c), k_rel=k_rel)
+    scaled = curve_summary(curve)
+    for field_name in ("energy", "omega_energy", "jtilde", "entropy", "ricci_energy"):
+        assert getattr(scaled, field_name) == getattr(base, field_name) / c
+    assert (scaled.energy, scaled.omega_energy, scaled.jtilde, scaled.entropy,
+            scaled.ricci_energy) == chamber_functionals(fan, l, d.scale(c), k_rel)
+    from toricstab import delta_pp_quotient
+
+    assert delta_pp_quotient(fan, l, d.scale(c), k_rel=k_rel) == delta_pp_quotient(
+        fan, l, d, k_rel=k_rel
+    )
+    if curve.tau_plus >= 1:
+        t = curve_summary(truncated_curve(curve))
+        assert (t.energy, t.omega_energy, t.jtilde, t.entropy, t.ricci_energy) == (
+            chamber_functionals(fan, l, d.scale(c), k_rel, top=1)
+        )
+
+
+def test_truncated_curve_at_the_edge(f1):
+    # F1 with -K along 2E: tau+ = 1, so the truncated curve is the whole
+    # extended one, and the prime quotient is delta(F1)
+    from toricstab import delta_prime_quotient
+
+    l, e = anticanonical(f1), ray_divisor(f1, 3)
+    curve = extended_curve(f1, l, e.scale(2))
+    assert curve.tau_plus == 1
+    truncated = truncated_curve(curve)
+    assert alpha_energy(truncated, e) == Q(1, 4)
+    s = curve_summary(truncated)
+    assert s == curve_summary(curve)
+    assert (s.energy, s.omega_energy, s.jtilde, s.entropy, s.ricci_energy) == (
+        chamber_functionals(f1, l, e.scale(2), top=1)
+    )
+    assert delta_prime_quotient(f1, l, e.scale(2)) == Q(6, 7)

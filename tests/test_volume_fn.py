@@ -37,7 +37,6 @@ from toricstab.geometry import (
 from toricstab.thresholds import primitive_candidates
 from toricstab.toric import section_halfspaces
 from toricstab.volume_fn import (
-    chamber_facet_polynomials,
     chamber_volume_polynomial,
     count_roots,
     divisor_family,
@@ -49,6 +48,7 @@ from toricstab.volume_fn import (
 from oracles import (
     FractionPolynomial,
     antiderivative_integral,
+    chamber_facet_polynomials,
     fit_polynomial,
     fraction_horner,
     oracle_basis_paths,
@@ -243,7 +243,7 @@ def test_discontinuous_volume_curve_passing_the_chamber_checks_exits_3(
         return real(pp, chamber) + Polynomial.of(-chamber.sample_points(2)[0], 1)
 
     monkeypatch.setattr(volume_fn, "chamber_volume_polynomial", perturbed)
-    volume_fn.volume_curve.cache_clear()
+    volume_fn.ray_volume_curve.cache_clear()
     assert main(["volume", str(problems_dir / "f1.json"), "--curve", "F"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvariantViolation" and "discontinuity at breakpoint 1" in err["message"]
