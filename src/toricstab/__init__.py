@@ -30,7 +30,6 @@ from .geometry import (
     Halfspace,
     ParametricPolytope,
     Polytope,
-    lattice_points,
     linear_stats,
     minkowski_sum,
     mixed_volume,

@@ -1,7 +1,7 @@
 """Exact rational polytope kernel.
 
-Vertex enumeration, volumes, linear statistics, lattice points, mixed volumes
-and one-parameter polytope families, all in exact rational arithmetic.
+Vertex enumeration, volumes, linear statistics, mixed volumes and
+one-parameter polytope families, all in exact rational arithmetic.
 Polytopes are stored in H-representation with cached vertices; inputs are
 desk-scale (dimension <= 4, a few dozen halfspaces), so every algorithm here
 prefers exhaustive enumeration over clever pivoting.
@@ -56,7 +56,6 @@ from .errors import (
     UnboundedRegion,
 )
 
-Rational = Fraction
 Point = tuple[Fraction, ...]
 LatticeVector = tuple[int, ...]
 IntRow = tuple[LatticeVector, int]  # (a, b): the halfspace <a, x> + b / q >= 0 over a shared q
@@ -222,9 +221,6 @@ class Halfspace:
 
     def slack(self, x: Sequence) -> Fraction:
         return dot(self.normal, x) + self.offset
-
-    def contains(self, x: Sequence) -> bool:
-        return self.slack(x) >= 0
 
 
 def int_rows(normals: Sequence[LatticeVector], offsets: Sequence) -> tuple[list[IntRow], int]:
@@ -461,9 +457,6 @@ class Polytope:
     def is_full_dimensional(self) -> bool:
         return self.affine_dimension == self.dimension
 
-    def contains(self, x: Sequence) -> bool:
-        return all(hs.contains(x) for hs in self.halfspaces)
-
     def _support(self, extreme, u: Sequence) -> Fraction:
         """extreme (min or max) of <x, u> over the vertices: on their integer form, divided once."""
         if not self.points:
@@ -628,13 +621,6 @@ def triangulation(p: Polytope) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(zip(_simplex_dets(p.points, simplices), simplices))
 
 
-def _triangulated_volume(
-    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int
-) -> Fraction:
-    """n! times the volume of {<a, x> + b / q >= 0} with vertices points / den, by simplices."""
-    return Fraction(sum(_simplex_dets(points, _triangulate(rows, q, points, den, dim))), den**dim)
-
-
 def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
     """n! times the volume of {<a, x> + b / q >= 0}; 0 when it is empty or lower-dimensional.
 
@@ -646,7 +632,8 @@ def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
     when the intersection is unbounded.
     """
     rows = _dedupe_rows(rows)
-    return _triangulated_volume(rows, q, *_int_vertices(rows, q, dim), dim)
+    points, den = _int_vertices(rows, q, dim)
+    return Fraction(sum(_simplex_dets(points, _triangulate(rows, q, points, den, dim))), den**dim)
 
 
 @lru_cache(maxsize=None)
@@ -682,18 +669,6 @@ def linear_stats(p: Polytope, u: Sequence) -> tuple[Fraction, Fraction, Fraction
     hi = p.support_max(u)
     mean = linear_moment(p, u) / vol
     return lo, mean, hi
-
-
-def lattice_points(p: Polytope) -> list[LatticeVector]:
-    """All integer points of the polytope, lexicographically sorted."""
-    if p.is_empty:
-        return []
-    n = p.dimension
-    ranges = []
-    for j in range(n):
-        coords = [v[j] for v in p.vertices]
-        ranges.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
-    return [pt for pt in itertools.product(*ranges) if p.contains(pt)]
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,10 @@ All varieties are given by complete simplicial fans in N = Z^n.  Divisors are
 rational coefficient vectors indexed by rays.  Each maximal cone's det and
 dual basis m_j come from one elimination, in one table per fan (_cone_duals);
 on the cone, A = sum_j m_j and a divisor's vertex is -sum_j a_j m_j.
+The polarization checks read only these cone vertices m_sigma: on a complete
+fan D is nef exactly when every m_sigma lies in P_D, and P_D is then the hull
+of the m_sigma (Cox-Little-Schenck, Toric Varieties, ch. 6), so no
+section polytope is built for them.
 Intersection numbers of any n divisors, nef or not, come from the fan's
 intersection ring (Fulton, Introduction to Toric Varieties, 5.1): each class
 is moved off the rays of one fixed maximal cone by linear equivalence, and the
@@ -38,6 +42,7 @@ from .geometry import (
     Polytope,
     _bareiss,
     _over_lcm,
+    affine_rank,
     content,
     dot,
     extreme_rays,
@@ -127,14 +132,21 @@ def _cone_duals(fan: Fan) -> Mapping[tuple[int, ...], tuple[int, tuple[LatticeVe
     return MappingProxyType(table)
 
 
-def _cone_vertex(fan: Fan, cone: tuple[int, ...], coeffs: Sequence) -> Point | None:
-    """The m = -sum_j a_j m_j with <m, u_rho> = -a_rho on a maximal cone's rays; None off the table."""
-    entry = _cone_duals(fan).get(cone)
-    if entry is None:
-        return None
-    d, duals = entry
-    a = [coeffs[i] for i in cone]
-    return tuple(-dot(a, column) / d for column in zip(*duals))
+def _cone_vertices(fan: Fan, coeffs: Sequence) -> list[Point] | None:
+    """Each maximal cone's m_sigma = -sum_j a_j m_j, in `max_cones` order; None if one is off the table.
+
+    m_sigma is the point with <m_sigma, u_rho> = -a_rho on the cone's rays.
+    """
+    duals = _cone_duals(fan)
+    vertices = []
+    for cone in fan.max_cones:
+        entry = duals.get(cone)
+        if entry is None:
+            return None
+        d, ws = entry
+        a = [coeffs[i] for i in cone]
+        vertices.append(tuple(-dot(a, column) / d for column in zip(*ws)))
+    return vertices
 
 
 @dataclass(frozen=True)
@@ -329,48 +341,41 @@ def support_value(fan: Fan, d: ToricDivisor, u: Sequence) -> Fraction:
 
 
 def is_nef(fan: Fan, d: ToricDivisor) -> bool:
-    """Support-function saturation against every ray, plus per-cone linearity.
+    """Nefness from the cone vertices m_sigma alone; the fan must be complete.
 
-    The divisor is nef exactly when its coefficients agree with the minima of
-    its own section polytope against the rays and each cone's vertex
-    -sum_j a_j m_j (_cone_vertex) lands inside the polytope.
+    The divisor is nef exactly when, for every ray rho, the minimum of
+    <m_sigma, u_rho> over the maximal cones is -a_rho.  ">=" puts every
+    m_sigma in P_D, which on a complete fan is nefness, and P_D is then the
+    hull of the m_sigma, so "=" is the saturation of each ray's halfspace.
     """
-    p = polytope_of(fan, d)
-    if p.is_empty:
-        return False
-    for u, a in zip(fan.rays, d.coeffs):
-        if p.support_min(u) != -a:
-            return False
-    for cone in fan.max_cones:
-        m = _cone_vertex(fan, cone, d.coeffs)
-        if m is None or not p.contains(m):
-            return False
-    return True
+    vertices = _cone_vertices(fan, d.coeffs)
+    return bool(vertices) and all(
+        min(dot(m, u) for m in vertices) == -a for u, a in zip(fan.rays, d.coeffs)
+    )
 
 
 @lru_cache(maxsize=None)
 def is_ample(fan: Fan, d: ToricDivisor) -> bool:
-    """Polarization check: nef with a full-dimensional section polytope.
+    """Polarization check: nef with a full-dimensional section polytope; the fan must be complete.
 
-    This accepts big and semi-ample classes such as pullbacks of ample
-    divisors, which is exactly what the one-parameter constructions need.
-    Memoized on the immutable (fan, divisor) pair, like `_polytope_cached`.
+    P_D of a nef divisor is the hull of the cone vertices, so it is
+    full-dimensional exactly when they have affine rank n.  This accepts big
+    and semi-ample classes such as pullbacks of ample divisors, which is
+    exactly what the one-parameter constructions need.  Memoized on the
+    immutable (fan, divisor) pair.
     """
-    p = polytope_of(fan, d)
-    return (not p.is_empty) and p.is_full_dimensional and is_nef(fan, d)
+    return is_nef(fan, d) and affine_rank(_cone_vertices(fan, d.coeffs)) == fan.dimension
 
 
 def is_strictly_ample(fan: Fan, d: ToricDivisor) -> bool:
-    """Ample in the strict sense: nef with one distinct vertex per maximal cone."""
+    """Ample in the strict sense: `is_ample` with one distinct cone vertex per maximal cone.
+
+    The fan must be complete.
+    """
     if not is_ample(fan, d):
         return False
-    seen = set()
-    for cone in fan.max_cones:
-        m = _cone_vertex(fan, cone, d.coeffs)
-        if m is None or m in seen:
-            return False
-        seen.add(m)
-    return True
+    vertices = _cone_vertices(fan, d.coeffs)
+    return len(set(vertices)) == len(vertices)
 
 
 # --------------------------------------------------------------------------

@@ -269,10 +269,6 @@ def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-c for c in a] if a and a[-1] < 0 else a
 
 
-def _monic(nums: Sequence[int]) -> Polynomial:
-    return Polynomial.from_ints(nums, nums[-1]) if nums else Polynomial(())
-
-
 def _squarefree(nums: Sequence[int]) -> list[tuple[list[int], int]]:
     """Yun's algorithm on primitive integer polynomials.
 
@@ -301,11 +297,6 @@ def _squarefree(nums: Sequence[int]) -> list[tuple[list[int], int]]:
         d = _exact_quotient(d, a)
         i += 1
     return out
-
-
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's algorithm: pairwise-coprime monic squarefree factors with multiplicities."""
-    return [(_monic(f), mult) for f, mult in _squarefree(p.nums)]
 
 
 def _sturm_sequence(nums: Sequence[int]) -> list[list[int]]:

@@ -20,7 +20,9 @@ integrals, summed chamber by chamber, with the entropy paired against each
 chamber's reduced support; the test-curve functionals read the same
 integrals off the hypograph of D's ray instead.  The averaging polynomial
 G_{n-1}(a, b) and the entropy density at one tau, which the library does not
-call.
+call.  The polarization checks on the section polytope P_D, enumerated in
+Fractions, with each cone's vertex solved on its rays: the library reads
+nefness and ampleness off the cone vertices alone.
 """
 
 from __future__ import annotations
@@ -372,6 +374,45 @@ def oracle_intersection_number(fan, divisors) -> Fraction:
             coeff *= c
         total += coeff * toric._ray_monomial(fan, tuple(sorted(rho for rho, _c in combo)))
     return total
+
+
+# ---- polarization checks on the section polytope -----------------------------
+
+def _oracle_cone_vertices(fan, coeffs):
+    """Each maximal cone's vertex by a Fraction solve on its rays; None if a cone is degenerate."""
+    vertices = []
+    for cone in fan.max_cones:
+        rhs = [-coeffs[i] for i in cone]
+        m = solve_linear(fan.cone_rays(cone), rhs) if len(cone) == fan.dimension else None
+        if m is None:
+            return None
+        vertices.append(m)
+    return vertices
+
+
+def oracle_is_nef(fan, d) -> bool:
+    """P_D nonempty, saturated against every ray, and holding every cone vertex."""
+    p = toric.polytope_of(fan, d)
+    if p.is_empty or any(p.support_min(u) != -a for u, a in zip(fan.rays, d.coeffs)):
+        return False
+    vertices = _oracle_cone_vertices(fan, d.coeffs)
+    return vertices is not None and all(
+        hs.slack(m) >= 0 for m in vertices for hs in p.halfspaces
+    )
+
+
+def oracle_is_ample(fan, d) -> bool:
+    """Nef with a full-dimensional section polytope."""
+    p = toric.polytope_of(fan, d)
+    return not p.is_empty and p.is_full_dimensional and oracle_is_nef(fan, d)
+
+
+def oracle_is_strictly_ample(fan, d) -> bool:
+    """Ample with one distinct vertex per maximal cone."""
+    if not oracle_is_ample(fan, d):
+        return False
+    vertices = _oracle_cone_vertices(fan, d.coeffs)
+    return len(set(vertices)) == len(vertices)
 
 
 # ---- the chamber route of the test-curve functionals -------------------------

@@ -29,7 +29,6 @@ from toricstab.geometry import (
     hull_halfspaces,
     int_rows,
     kernel_vector,
-    lattice_points,
     linear_moment,
     linear_stats,
     make_primitive,
@@ -172,20 +171,6 @@ def test_linear_stats_mean_matches_sweep_quadrature():
             u = (1, 0)
         _lo, mean, _hi = linear_stats(p, u)
         assert mean == sweep_mean(p, u)
-
-
-def test_lattice_points_unit_square():
-    square = poly([Halfspace((1, 0), 0), Halfspace((-1, 0), 1), Halfspace((0, 1), 0), Halfspace((0, -1), 1)])
-    assert len(lattice_points(square)) == 4
-
-
-def test_lattice_points_p2_triangle():
-    assert len(lattice_points(poly(P2_TRIANGLE))) == 10
-
-
-def test_lattice_points_empty():
-    empty = poly([Halfspace((1, 0), -1), Halfspace((-1, 0), -1), Halfspace((0, 1), 0), Halfspace((0, -1), 1)])
-    assert lattice_points(empty) == []
 
 
 def test_roundtrip_vertices_to_halfspaces():

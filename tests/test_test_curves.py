@@ -750,6 +750,31 @@ def test_a_family_is_enumerated_once(f1, monkeypatch):
     assert calls["_basic_solutions"] - calls["_int_vertices"] == 1
 
 
+def test_a_curve_operation_builds_no_polytope(f1, monkeypatch):
+    # F1 with -K along E, every cache cold: the volume curve, the extended
+    # curve, its summary and both quotients read the polarization check off
+    # the cone vertices and everything else off the ray's hypograph
+    from toricstab import delta_pp_quotient, delta_prime_quotient
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toricstab":
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    built = []
+    real = geometry.Polytope.from_halfspaces
+    monkeypatch.setattr(
+        geometry.Polytope, "from_halfspaces",
+        classmethod(lambda cls, halfspaces: built.append(1) or real(halfspaces)),
+    )
+    l, e = anticanonical(f1), ray_divisor(f1, 3)
+    volume_curve(f1, l, e)
+    curve_summary(extended_curve(f1, l, e))
+    delta_pp_quotient(f1, l, e)
+    delta_prime_quotient(f1, l, e)
+    assert built == []
+
+
 def test_positive_and_negative_parts_match_zariski(surfaces, p3):
     # at both ends and the midpoint of every oracle chamber below tau+, the
     # curve's Zariski parts are the chamber route's affine positive part and

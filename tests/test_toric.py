@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,11 +37,20 @@ from toricstab.errors import (
     ZeroVector,
 )
 from toricstab.geometry import _bareiss, extreme_rays, is_primitive
+from toricstab.toric import is_strictly_ample
 from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
 from toricstab.volume_fn import volume_curve
 
-from oracles import det, nonneg_combination, oracle_intersection_number, solve_linear
+from oracles import (
+    det,
+    nonneg_combination,
+    oracle_intersection_number,
+    oracle_is_ample,
+    oracle_is_nef,
+    oracle_is_strictly_ample,
+    solve_linear,
+)
 
 
 def test_validate_p2(p2):
@@ -279,7 +290,52 @@ def test_random_saturated_divisors_are_nef(surfaces):
                 m = solve_linear(
                     [fan.rays[i] for i in cone], [-d.coeffs[i] for i in cone]
                 )
-                assert m is not None and p.contains(m)
+                assert m is not None and all(hs.slack(m) >= 0 for hs in p.halfspaces)
+
+
+def test_polarization_checks_match_polytope_oracle(p2, f1, p1xp1, p3):
+    """Cone-vertex nef/ample checks against the section-polytope route, on 11 fans.
+
+    Half the divisors have random rational coefficients (empty P_D included),
+    half are the saturated divisors of random rational point sets, which are
+    nef on the surfaces and, on the refined fans, often ample but not strict.
+    """
+    f1_once, _pull, _k = star_subdivision(f1, (1, 2))
+    p3_once, _pull, _k = star_subdivision(p3, (1, 1, 0))
+    fans = [
+        p2, f1, p1xp1, p3,
+        Fan.make([[-2, -3], [1, 0], [0, 1]], [[0, 1], [1, 2], [2, 0]]),  # P(1,2,3)
+        Fan.make([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+                 [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]),  # dP6
+        star_subdivision(p3, (1, 1, 1))[0],
+        f1_once,
+        star_subdivision(f1_once, (2, 1))[0],
+        star_subdivision(p3_once, (1, 1, 1))[0],
+        Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [2, 0]]),  # (1, 1) in no cone
+    ]
+    rng = random.Random(28)
+    seen = Counter()
+    for fan in fans:
+        assert validate_fan(fan).ok
+        n = fan.dimension
+        for k in range(40):
+            if k % 2:
+                coeffs = [Q(rng.randint(-2, 3), rng.randint(1, 3)) for _ in fan.rays]
+            else:
+                pts = [
+                    [Q(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
+                    for _ in range(rng.randint(1, n + 3))
+                ]
+                coeffs = [-min(sum(map(mul, p, u)) for p in pts) for u in fan.rays]
+            d = divisor(fan, coeffs)
+            got = (is_nef(fan, d), is_ample(fan, d), is_strictly_ample(fan, d))
+            want = (oracle_is_nef(fan, d), oracle_is_ample(fan, d), oracle_is_strictly_ample(fan, d))
+            assert got == want, (fan, coeffs)
+            seen[got] += 1
+            seen["empty"] += polytope_of(fan, d).is_empty
+    assert seen["empty"] > 0
+    assert seen[False, False, False] and seen[True, False, False]
+    assert seen[True, True, False] and seen[True, True, True]
 
 
 def test_nefness_examples(f1, p2):

@@ -37,12 +37,12 @@ from toricstab.geometry import (
 from toricstab.thresholds import primitive_candidates
 from toricstab.toric import section_halfspaces
 from toricstab.volume_fn import (
+    _squarefree,
     chamber_volume_polynomial,
     count_roots,
     divisor_family,
     family_volume_curve,
     nonneg_on_interval,
-    squarefree_decomposition,
 )
 
 from oracles import (
@@ -144,6 +144,11 @@ small_rationals = st.builds(
 ends = st.sampled_from([Q(-1), Q(0), Q(1, 3), Q(1, 2), Q(1), Q(3, 2), Q(2)])
 
 
+def monic(nums):
+    """The coefficients of an integer polynomial divided by its leading one."""
+    return Polynomial.from_ints(nums, nums[-1]).coeffs
+
+
 def _factored(scale, roots):
     p = FractionPolynomial((scale,))
     for r in roots:
@@ -190,7 +195,7 @@ def test_integer_polynomial_matches_fraction_oracle(a, b, x, c):
 @example(_factored(Q(-2), [Q(1, 2), Q(1, 2), Q(1)]), Q(1, 2), Q(1))
 def test_sign_decisions_match_fraction_oracle(coeffs, a, b):
     p, fp = Polynomial(coeffs), FractionPolynomial(coeffs)
-    dec = [(f.coeffs, m) for f, m in squarefree_decomposition(p)]
+    dec = [(monic(f), m) for f, m in _squarefree(p.nums)]
     assert dec == [(f.coeffs, m) for f, m in oracle_squarefree_decomposition(fp)]
     a, b = min(a, b), max(a, b)
     assert nonneg_on_interval(p, a, b) == oracle_nonneg_on_interval(fp, a, b)
@@ -204,8 +209,8 @@ def test_sign_decisions_match_fraction_oracle(coeffs, a, b):
 def test_squarefree_decomposition():
     p = Polynomial.of(-1, 1)  # x - 1
     q = Polynomial.of(-2, 1)  # x - 2
-    dec = squarefree_decomposition(p * p * p * q * q)
-    assert sorted(m for _f, m in dec) == [2, 3]
+    dec = _squarefree((p * p * p * q * q).nums)
+    assert {m: monic(f) for f, m in dec} == {3: p.coeffs, 2: q.coeffs}
 
 
 def test_nonneg_on_interval_detects_hidden_dip():
