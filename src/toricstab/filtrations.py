@@ -3,9 +3,10 @@
 The valuation filtration of a lattice direction u slices the section polytope
 of the polarization; its normalized volume curve differentiates to a
 probability measure whose first moment is the expected vanishing order.
-The volume curve is the slice family's (filtration_family) volume curve, in
-closed form on the family's hypograph (volume_fn.family_volume_curve).  The
-tests check it against sampled volumes on the family's chambers.
+The volume curve is a sum of B-splines over the section polytope's own
+triangulation (volume_fn.superlevel_volume_curve), with no hypograph built.
+The tests check it against the slice family's volume curve and against
+sampled volumes on the family's chambers.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .errors import (
     NotMonotone,
     ZeroVector,
 )
-from .geometry import Halfspace, LatticeVector, ParametricPolytope, Polytope, dot, parametric_family
-from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces
-from .volume_fn import PiecewisePolynomial, family_volume_curve
+from .geometry import LatticeVector, Polytope, dot
+from .toric import Fan, ToricDivisor, is_ample, polytope_of
+from .volume_fn import PiecewisePolynomial, superlevel_volume_curve
 
 
 @dataclass(frozen=True)
@@ -83,39 +84,16 @@ def _section_polytope(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Polytope:
     return polytope_of(fan, l)
 
 
-def filtration_family(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> ParametricPolytope:
-    """The slices {x in P_L : <x,u> - min <.,u> >= tau} as a family in tau from 0.
-
-    The family must end at the width of P_L against u; InvariantViolation is
-    raised when it does not.  filtration_curve reads its volume curve; the
-    tests sample polytope volumes on its chambers, an oracle for the closed
-    form.
-    """
-    p = _section_polytope(fan, l, u)
-    lo = p.support_min(u)
-    hi = p.support_max(u)
-    halfspaces = section_halfspaces(fan, l.coeffs)
-    # slice {<x,u> >= lo + tau}: offset -lo - tau, so the rate against tau is +1
-    halfspaces.append(Halfspace(tuple(int(a) for a in u), -lo))
-    rates = [Fraction(0)] * len(fan.rays) + [Fraction(1)]
-    if hi == lo:
-        raise ZeroVector("direction is constant on the section polytope")
-    family = parametric_family(halfspaces, rates)
-    if family.t_max != hi - lo:
-        raise InvariantViolation(f"slice family ends at {family.t_max}, width is {hi - lo}")
-    return family
-
-
 def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePolynomial:
     """Exact tau -> n! * volume{x in P_L : <x,u> - min <.,u> >= tau}.
 
     Non-increasing from vol(L) at 0 down to 0 at the width of P_L against u.
-    The volume curve of the slice family (filtration_family), in closed form
-    on its hypograph (family_volume_curve): each chamber polynomial is
+    A sum of B-splines over P_L's cached triangulation, the one its volume
+    and barycenter read (superlevel_volume_curve): each chamber polynomial is
     checked against the degree bound n and, a third of the way in, against
     the slice's volume enumerated and triangulated afresh on integer rows.
     """
-    return family_volume_curve(filtration_family(fan, l, u))
+    return superlevel_volume_curve(_section_polytope(fan, l, u), u)
 
 
 def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:

@@ -12,13 +12,13 @@ decisions behind monotonicity (Yun's squarefree decomposition, Sturm
 sequences) run on primitive integer remainder sequences.  A Fraction is
 built only where a rational leaves the kernel.
 
-Every curve comes from one closed form on one triangulation per family:
-over a simplex with vertex heights h, the divided difference [h] of
-s -> (s - c)_+^k (Curry-Schoenberg).  A family's chamber volume polynomials
-triangulate its hypograph, the (n+1)-polytope whose slices are the family's
-polytopes, once per family, with no Polytope built and no triangulation
-cache entry added.  A divisor's family and volume curve are those of the
-primitive integral divisor on its ray, rescaled.
+Every curve comes from one closed form on one triangulation: over a simplex
+with vertex heights h, the divided difference [h] of s -> (s - c)_+^k
+(Curry-Schoenberg).  A family's chamber volume polynomials triangulate its
+hypograph, the (n+1)-polytope whose slices are the family's polytopes, once
+per family, with no Polytope built; a filtration curve reads the section
+polytope's cached triangulation, with no hypograph.  A divisor's family and
+volume curve are those of the primitive integral divisor on its ray, rescaled.
 """
 
 from __future__ import annotations
@@ -41,13 +41,16 @@ from .errors import (
 )
 from .geometry import (
     Chamber,
+    ParametricHalfspace,
     ParametricPolytope,
+    Polytope,
     _Hypograph,
     _over_lcm,
     facet_volumes,
     int_rows,
     normalized_volume,
     parametric_family,
+    triangulation,
     volume,
 )
 from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces, star_subdivision
@@ -597,10 +600,10 @@ def _slice_polynomial(
 ) -> Polynomial:
     """c -> sum of |det| [h](s - q c)_+^n / q^n over (|det|, sorted heights h), on [lo/q, hi/q].
 
-    The heights are integers over q, none strictly inside the chamber, n + 2
-    per (n+1)-simplex of a hypograph or of one of its facets (_Hypograph):
-    n! times the volume of its slice at c, which a simplex wholly above or
-    below the chamber misses.
+    The heights are integers over q, none strictly inside the chamber, k + 1
+    per k-simplex: of a hypograph or its facets (_Hypograph), n! times the
+    volume of its slice at c; of a polytope, of its part at height >= c.  A
+    simplex wholly above or below the chamber is left out.
     """
     total, den = [0] * (n + 1), 1
     for d, hs in knotted:
@@ -639,18 +642,24 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     difference [h_S] of s -> (s - t)_+^n (Curry-Schoenberg), one polynomial
     in t between consecutive heights of Q.  Every height of Q is a wall of
     the family, so none may lie strictly inside the chamber.  The result is
-    checked against an independent volume of P_x at one interior point x,
-    the family's rows at x enumerated and triangulated afresh on integers
-    (normalized_volume), and against the degree bound n = the family's
-    dimension; a failure raises InvariantViolation.
+    checked (_checked) against the degree bound n = the family's dimension
+    and an independent volume a third of the way in.
     """
     n = pp.dimension
     poly = _on_chamber(pp.hypograph, chamber, pp.hypograph.simplices, n)
-    poly = poly.scale(Fraction(1, math.factorial(n)))
+    return _checked(poly, chamber, pp.halfspaces, n).scale(Fraction(1, math.factorial(n)))
+
+
+def _checked(poly: Polynomial, chamber: Chamber, halfspaces: Sequence[ParametricHalfspace], n):
+    """poly, n! * volume(P_t) on the chamber, checked; a failure raises InvariantViolation.
+
+    Its degree is at most n, and a third of the way in it is the volume of
+    the family's rows there, enumerated and triangulated afresh.
+    """
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
-    offsets = [hs.offset - x * hs.rate for hs in pp.halfspaces]
-    check = normalized_volume(*int_rows([hs.normal for hs in pp.halfspaces], offsets), n)
-    if poly.degree > n or math.factorial(n) * poly(x) != check:
+    offsets = [hs.offset - x * hs.rate for hs in halfspaces]
+    check = normalized_volume(*int_rows([hs.normal for hs in halfspaces], offsets), n)
+    if poly.degree > n or poly(x) != check:
         raise InvariantViolation(
             f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
         )
@@ -662,6 +671,30 @@ def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
     scale = math.factorial(pp.dimension)
     pieces = [chamber_volume_polynomial(pp, chamber).scale(scale) for chamber in pp.chambers]
     return PiecewisePolynomial.merged([pp.chambers[0].lo, *(ch.hi for ch in pp.chambers)], pieces)
+
+
+def superlevel_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
+    """Exact c -> n! * volume{x in p : <x,u> - min <.,u> >= c} on [0, width], p full-dimensional.
+
+    Over p's cached triangulation: a simplex with vertex heights h, integers
+    <num, u> - min over p.den, has |det| [h](s - c)_+^n at height >= c
+    (_slice_polynomial), and counts whole on a chamber below its least
+    height.  Each chamber, between consecutive vertex heights, is checked on
+    p's rows and the slice row (_checked).
+    """
+    n, den = p.dimension, p.den
+    heights = [sum(map(operator.mul, num, u)) for num in p.points]
+    low = min(heights)
+    knotted = [(d, sorted(heights[i] - low for i in s)) for d, s in triangulation(p)]
+    levels = sorted({h - low for h in heights})
+    slices = [ParametricHalfspace(hs.normal, hs.offset, 0) for hs in p.halfspaces]
+    slices.append(ParametricHalfspace(tuple(u), Fraction(-low, den), 1))
+    pieces = []
+    for lo, hi in zip(levels, levels[1:]):
+        whole = Polynomial.from_ints([sum(d for d, hs in knotted if hs[0] >= hi)], den**n)
+        poly = _slice_polynomial(knotted, lo, hi, den, n) + whole
+        pieces.append(_checked(poly, Chamber(Fraction(lo, den), Fraction(hi, den)), slices, n))
+    return PiecewisePolynomial.merged([Fraction(h, den) for h in levels], pieces)
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,9 @@ integrals off the hypograph of D's ray instead.  The averaging polynomial
 G_{n-1}(a, b) and the entropy density at one tau, which the library does not
 call.  The polarization checks on the section polytope P_D, enumerated in
 Fractions, with each cone's vertex solved on its rays: the library reads
-nefness and ampleness off the cone vertices alone.
+nefness and ampleness off the cone vertices alone.  The slice family of a
+filtration direction, whose volume curve on its hypograph the filtration
+curve was before it moved to the section polytope's own triangulation.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from toricstab import toric
-from toricstab.errors import InvariantViolation, OutOfRange
-from toricstab.geometry import Chamber, _eliminate, _over_lcm
+from toricstab.errors import InvariantViolation, OutOfRange, ZeroVector
+from toricstab.filtrations import _section_polytope
+from toricstab.geometry import Chamber, Halfspace, _eliminate, _over_lcm, parametric_family
 from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
 from toricstab.volume_fn import (
     Polynomial,
@@ -413,6 +416,31 @@ def oracle_is_strictly_ample(fan, d) -> bool:
         return False
     vertices = _oracle_cone_vertices(fan, d.coeffs)
     return len(set(vertices)) == len(vertices)
+
+
+# ---- the slice family of a filtration direction ------------------------------
+
+def filtration_family(fan, l, u):
+    """The slices {x in P_L : <x,u> - min <.,u> >= tau} as a family in tau from 0.
+
+    The family must end at the width of P_L against u; InvariantViolation is
+    raised when it does not.  Its volume curve (family_volume_curve) is an
+    oracle for filtration_curve, and the tests sample polytope volumes on its
+    chambers.
+    """
+    p = _section_polytope(fan, l, u)
+    lo = p.support_min(u)
+    hi = p.support_max(u)
+    halfspaces = toric.section_halfspaces(fan, l.coeffs)
+    # slice {<x,u> >= lo + tau}: offset -lo - tau, so the rate against tau is +1
+    halfspaces.append(Halfspace(tuple(int(a) for a in u), -lo))
+    rates = [Fraction(0)] * len(fan.rays) + [Fraction(1)]
+    if hi == lo:
+        raise ZeroVector("direction is constant on the section polytope")
+    family = parametric_family(halfspaces, rates)
+    if family.t_max != hi - lo:
+        raise InvariantViolation(f"slice family ends at {family.t_max}, width is {hi - lo}")
+    return family
 
 
 # ---- the chamber route of the test-curve functionals -------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from toricstab import (
     DHMeasure,
+    Fan,
     MonomialIdealData,
     PiecewisePolynomial,
     Polynomial,
@@ -27,14 +28,13 @@ from toricstab import (
     volume_curve,
 )
 from toricstab import geometry, thresholds, volume_fn
-from toricstab.geometry import volume
+from toricstab.geometry import triangulation, volume
 from toricstab.cli import main
 from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, ZeroVector
-from toricstab.filtrations import filtration_family
 from toricstab.thresholds import primitive_candidates
-from toricstab.volume_fn import _truncated_power_dd
+from toricstab.volume_fn import _truncated_power_dd, family_volume_curve
 
-from oracles import fit_polynomial
+from oracles import filtration_family, fit_polynomial
 
 
 def test_filtration_curve_p2_ray(p2):
@@ -117,6 +117,37 @@ def test_filtration_curve_matches_family_oracle(p2, f1, p1xp1, p3):
         for u in primitive_candidates(fan.dimension, 2):
             oracle = sampled_family_curve(filtration_family(fan, l, u))
             assert filtration_curve(fan, l, u) == oracle, (name, l.coeffs, u)
+
+
+def test_filtration_curve_equals_the_slice_family_curve(p2, f1, p1xp1, p3):
+    # P_L's triangulation against the closed form on the slice family's
+    # hypograph, exactly, on every candidate of radius 3 in dimension 2 and
+    # radius 2 in dimension 3
+    blp3, pull, _k = star_subdivision(p3, (1, 1, 1))
+    f1xp1 = Fan.make(
+        [[*ray, 0] for ray in f1.rays] + [[0, 0, 1], [0, 0, -1]],
+        [[*cone, end] for cone in f1.max_cones for end in (4, 5)],
+    )
+    models = [(fan, anticanonical(fan)) for fan in (p2, f1, p1xp1, p3, f1xp1, blp3)]
+    models.append((blp3, pull(anticanonical(p3))))
+    for fan, l in models:
+        for u in primitive_candidates(fan.dimension, {2: 3, 3: 2}[fan.dimension]):
+            oracle = family_volume_curve(filtration_family(fan, l, u))
+            assert filtration_curve(fan, l, u) == oracle, (fan.rays, l.coeffs, u)
+
+
+def test_simplex_above_a_chamber_counts_whole(f1):
+    # along (0, -1) one simplex of P_{-K}'s triangulation has heights (2, 3, 3):
+    # on the chamber [0, 2] it lies wholly above every level and counts whole
+    k, u = anticanonical(f1), (0, -1)
+    p = polytope_of(f1, k)
+    heights = [sum(a * b for a, b in zip(num, u)) for num in p.points]
+    low = min(heights)
+    assert [2, 3, 3] in [sorted(heights[i] - low for i in s) for _d, s in triangulation(p)]
+    curve = filtration_curve(f1, k, u)
+    assert curve.breakpoints == (0, 2, 3)
+    assert curve.pieces == (Polynomial.of(8, 0, -1), Polynomial.of(12, -4))
+    assert curve == family_volume_curve(filtration_family(f1, k, u))
 
 
 def test_truncated_power_ties():
@@ -212,10 +243,9 @@ def test_dh_measure_checks_each_piece_once(monkeypatch, f1, u, pieces):
     assert analysed == list(zip(curve.breakpoints, curve.breakpoints[1:]))
 
 
-def test_filtration_curve_enumerates_one_hypograph(monkeypatch, p3):
-    # P_L's four rows, the slice row and t >= 0 are solved once in dimension
-    # 4 for both chambers; each chamber's volume check solves the five rows
-    # of its slice in dimension 3
+def test_filtration_curve_enumerates_no_hypograph(monkeypatch, p3):
+    # with P_L and its triangulation cached, the curve solves only each
+    # chamber check's rows, P_L's four and the slice row, in dimension 3
     k = anticanonical(p3)
     filtration_curve(p3, k, (1, 0, 0))
     solved = []
@@ -227,7 +257,24 @@ def test_filtration_curve_enumerates_one_hypograph(monkeypatch, p3):
 
     monkeypatch.setattr(geometry, "_basic_solutions", counted)
     assert len(filtration_curve(p3, k, (2, 1, 0)).pieces) == 2
-    assert solved == [(6, 4), (5, 3), (5, 3)]
+    assert solved == [(5, 3), (5, 3)]
+
+
+def test_dropped_simplex_fails_the_first_chamber_check(monkeypatch, p2, capsys, problems_dir):
+    # one simplex of P_L's triangulation missing where the curve reads it: the
+    # superlevel volume falls short below the simplex's top height, so the
+    # first chamber's check fires, before the barycenter's S comparison
+    real = volume_fn.triangulation
+    monkeypatch.setattr(volume_fn, "triangulation", lambda p: real(p)[1:])
+    thresholds._barycenter.cache_clear()
+    with pytest.raises(InvariantViolation, match=r"symbolic polynomial on the chamber \[0, "):
+        filtration_curve(p2, anticanonical(p2), (1, 0))
+    p2_file = str(problems_dir / "p2.json")
+    for argv in (["delta", p2_file, "--radius", "1"], ["dh", p2_file, "--u", "1,0"]):
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvariantViolation"
+        assert "symbolic polynomial on the chamber [0, " in err["message"]
 
 
 def test_closed_form_degree_bound_raises(monkeypatch, p2):

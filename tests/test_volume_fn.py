@@ -29,7 +29,6 @@ from toricstab import (
 from toricstab import geometry, toric, volume_fn
 from toricstab.cli import main, piecewise_to_dict
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
-from toricstab.filtrations import filtration_family
 from toricstab.geometry import (
     Chamber, Halfspace, ParametricHalfspace, facet_volumes, parametric_family, triangulation,
     volume,
@@ -49,6 +48,7 @@ from oracles import (
     FractionPolynomial,
     antiderivative_integral,
     chamber_facet_polynomials,
+    filtration_family,
     fit_polynomial,
     fraction_horner,
     oracle_basis_paths,
