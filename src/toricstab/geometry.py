@@ -762,6 +762,11 @@ class Chamber:
         return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
 
 
+def _knotted_simplices(heights: Sequence[int], simplices) -> list[tuple[int, list[int]]]:
+    """volume_fn's knotted simplices, (|det|, sorted heights), of (|det|, vertex indices)."""
+    return [(d, sorted(heights[i] for i in s)) for d, s in simplices]
+
+
 class _Hypograph:
     """Q = {(x, t) : <x, u_i> - d_i t + a_i >= 0, t >= 0}, whose slice at t is P_t.
 
@@ -772,7 +777,8 @@ class _Hypograph:
     boundedness test: parametric_family reads the family's start, chambers
     and threshold off their heights and tests Q's recession cone itself.  Q
     is triangulated once, and its facets are read from one incidence table,
-    each when first asked for.  No Polytope is built.
+    each when first asked for, both as knotted simplices over den
+    (_knotted_simplices).  No Polytope is built.
     """
 
     def __init__(self, halfspaces: Sequence[ParametricHalfspace]) -> None:
@@ -788,7 +794,7 @@ class _Hypograph:
 
     def _knotted(self, simplices, fixed=()) -> list[tuple[int, list[int]]]:
         dets = _simplex_dets(self.points, simplices, fixed)
-        return [(d, sorted(self.points[i][-1] for i in s)) for d, s in zip(dets, simplices)]
+        return _knotted_simplices([point[-1] for point in self.points], zip(dets, simplices))
 
     @cached_property
     def simplices(self) -> list[tuple[int, list[int]]]:

@@ -13,11 +13,10 @@ of Q below height 1.  A curve carries them, integers over one denominator,
 and every functional is a dot product: E = M / V, E^alpha = <alpha, I> / V,
 J~ = n (<L, I> - M) / V and Ent = n E^(K_rel + Red D).  The entropy needs no
 reduced support of tau*D + N_tau: a ray that only N_tau carries misses
-P_tau, so its facet function vanishes there.  The integrals come from the
-closed form of volume_fn's chamber polynomials, the divided differences of
-truncated powers over Q's simplices, integrated in one step and evaluated
-at the domain's top, and are checked by Euler's identity on Q
-(family_integrals).
+P_tau, so its facet function vanishes there.  The integrals are the parts
+of Q and of its facets below the domain's top, read off volume_fn's closed
+form on knotted simplices at that rational top (volume_fn._below_top), and
+are checked by Euler's identity on Q (family_integrals).
 
 One family serves each direction ray: D = c D0 with D0 primitive integral
 (volume_fn._ray), and P_{L - tau c D0} = P_{L - (c tau) D0}, so the
@@ -35,7 +34,6 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import InvariantViolation, OutOfRange, RangeTooShort
 from .geometry import ParametricPolytope, _over_lcm
@@ -48,7 +46,7 @@ from .toric import (
     zero_divisor,
 )
 from .volume_fn import (
-    _divided_difference,
+    _below_top,
     _ray,
     divisor_family,
     ray_volume_curve,
@@ -113,36 +111,6 @@ class CurveSummary:
     twisted_mabuchi: Fraction
 
 
-def _clipped_sum(
-    knotted: Sequence[tuple[int, Sequence[int]]], p: int, r: int, n: int
-) -> tuple[int, int]:
-    """sum of |det| (1 - [h](s - p/r)_+^n) over (|det|, n + 1 sorted heights h >= 0).
-
-    Times 1/n, each term is the integral of |det| [h](s - C)_+^(n-1) over C
-    in [0, p/r], since [h] s^n = 1: the part of a simplex below the height
-    p/r.  A simplex wholly below it gives |det| and one wholly above it 0;
-    for one across it the divided difference is evaluated at the number,
-    with (s - p/r)^n = (r s - p)^n / r^n.  Returns an integer over a positive
-    denominator.
-    """
-
-    def power(s: int, k: int) -> list[int]:
-        # binom(n, k) r^k (r s - p)^(n - k), the k-th Taylor coefficient of (r s - p)_+^n
-        return [math.comb(n, k) * r**k * (r * s - p) ** (n - k)] if r * s > p and k <= n else [0]
-
-    total, den = 0, 1
-    for d, hs in knotted:
-        if hs[-1] * r <= p:
-            total += d * den
-        elif hs[0] * r < p:
-            (num,), dd_den = _divided_difference(hs, power)
-            part_den = dd_den * r**n
-            common = math.lcm(den, part_den)
-            total = total * (common // den) + d * (part_den - num) * (common // part_den)
-            den = common
-    return total, den
-
-
 def family_integrals(
     pp: ParametricPolytope, top: Fraction, top_volume: Fraction
 ) -> tuple[tuple[int, ...], int, int]:
@@ -151,11 +119,12 @@ def family_integrals(
     f_i(t) is (n-1)! times the lattice volume of the facet of P_t on u_i, for
     the family of L - tD the positive product <P_t^{n-1}> . D_i.  Each is
     read off the family's hypograph Q (pp.hypograph) with no chamber and no
-    polynomial: over Q's simplices the mass integral is sum |det| (1 -
-    [h](s - q top)_+^(n+1)) / ((n+1) q^(n+1)), and over the simplices of Q's
+    polynomial, by volume_fn's closed form at the rational top
+    (_below_top): over Q's simplices the mass integral is the part of Q
+    below top to the power n + 1, over n + 1, and over the simplices of Q's
     facet on row i, with (|det| / <u_i, u_i>) for |det|, the integral of f_i
-    is the same sum to the power n over n q^n (_clipped_sum, q = Q's den).  On
-    [0, t_max] that is n! vol(Q) and (n-1)! times the facets' volumes.
+    is the same part to the power n, over n.  On [0, t_max] that is n! vol(Q)
+    and (n-1)! times the facets' volumes.
 
     Checked by Euler's identity on the part of Q below top, the full
     triangulation against the facets', with top_volume = vol(P_top) for the
@@ -165,15 +134,13 @@ def family_integrals(
     """
     n, hypograph = pp.dimension, pp.hypograph
     q = hypograph.den
-    x = Fraction(top) * q
-    p, r = x.numerator, x.denominator
     # (numerator, denominator) of each facet integral, then of the mass integral
     parts = []
     for u, knotted in zip(hypograph.normals, hypograph.facets):
-        num, den = _clipped_sum(knotted, p, r, n)
-        parts.append((num, den * n * q**n * sum(a * a for a in u)))
-    num, den = _clipped_sum(hypograph.simplices, p, r, n + 1)
-    parts.append((num, den * (n + 1) * q ** (n + 1)))
+        num, den = _below_top(knotted, q, top, n)
+        parts.append((num, den * n * sum(a * a for a in u)))
+    num, den = _below_top(hypograph.simplices, q, top, n + 1)
+    parts.append((num, den * (n + 1)))
     den = math.lcm(*(d for _num, d in parts))
     *facets, mass = (num * (den // d) for num, d in parts)
     offsets, offsets_den = _over_lcm([hs.offset for hs in pp.halfspaces])

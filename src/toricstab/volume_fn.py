@@ -12,17 +12,22 @@ decisions behind monotonicity (Yun's squarefree decomposition, Sturm
 sequences) run on primitive integer remainder sequences.  A Fraction is
 built only where a rational leaves the kernel.
 
-Every curve comes from one closed form on one triangulation: over a simplex
-with vertex heights h, the divided difference [h] of s -> (s - c)_+^k
-(Curry-Schoenberg).  A family's chamber volume polynomials triangulate its
-hypograph, the (n+1)-polytope whose slices are the family's polytopes, once
-per family, with no Polytope built; a filtration curve reads the section
-polytope's cached triangulation, with no hypograph.  A divisor's family and
-volume curve are those of the primitive integral divisor on its ray, rescaled.
+Every volume curve, filtration curve and curve integral is one closed form
+on knotted simplices, (|det|, sorted integer vertex heights h) over one
+denominator: |det| [h](s - c)_+^k (Curry-Schoenberg), by one divided-difference
+recursion on integers, read as a polynomial on a chamber (_chamber_sum) or
+as the part below a rational top (_below_top).  It is summed over a family's
+hypograph, the (n+1)-polytope whose slices are the family's polytopes,
+triangulated once per family with no Polytope built; over the section
+polytope's cached triangulation for a filtration curve, with no hypograph;
+and over the hypograph and its facets for test_curves' integrals.  A
+divisor's family and volume curve are those of the primitive integral
+divisor on its ray, rescaled.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -44,7 +49,7 @@ from .geometry import (
     ParametricHalfspace,
     ParametricPolytope,
     Polytope,
-    _Hypograph,
+    _knotted_simplices,
     _over_lcm,
     facet_volumes,
     int_rows,
@@ -550,87 +555,99 @@ def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPoly
     return parametric_family(section_halfspaces(fan, l.coeffs), list(d.coeffs))
 
 
-def _divided_difference(knots: Sequence[int], taylor) -> tuple[list[int], int]:
+# ---- the closed form on knotted simplices ------------------------------------
+
+def _divided_difference(knots: Sequence[int], taylor) -> tuple[int, int]:
     """The divided difference [k_0, ..., k_m] of a function given by its Taylor coefficients.
 
-    taylor(s, j) is the function's j-th Taylor coefficient at the knot s, a
-    list of integers (coefficients of a polynomial, or one number).  Where
-    j - i + 1 sorted knots coincide at s, the confluent entry is
-    taylor(s, j - i).  Returns integers over one positive denominator.
+    taylor(s, j) is the function's j-th Taylor coefficient at the knot s, an
+    integer.  Where j - i + 1 sorted knots coincide at s, the confluent entry
+    is taylor(s, j - i).  Returns an integer over a positive denominator that
+    depends on the knots alone.
     """
-    table = [(taylor(s, 0), 1) for s in knots]
-    for k in range(1, len(knots)):
-        grown = []
-        for i in range(len(knots) - k):
+    m = len(knots)
+    nums = [taylor(s, 0) for s in knots]
+    dens = [1] * m
+    for k in range(1, m):
+        # entry i of order k overwrites entry i of order k - 1, which only entry i - 1 reads
+        for i in range(m - k):
             a, b = knots[i], knots[i + k]
             if a == b:
-                grown.append((taylor(a, k), 1))
-                continue
-            (lo, dlo), (hi, dhi) = table[i], table[i + 1]
-            grown.append(([x * dlo - y * dhi for x, y in zip(hi, lo)], dlo * dhi * (b - a)))
-        table = grown
-    return table[0]
+                nums[i], dens[i] = taylor(a, k), 1
+            else:
+                nums[i] = nums[i + 1] * dens[i] - nums[i] * dens[i + 1]
+                dens[i] *= dens[i + 1] * (b - a)
+    return nums[0], dens[0]
 
 
-def _truncated_power_dd(knots: Sequence[int], top: int, n: int) -> tuple[list[int], int]:
-    """The divided difference [k_0, ..., k_m] of s -> (s - C)_+^n, as a polynomial in C.
+def _chamber_sum(knotted, q: int, chamber: Chamber, k: int) -> Polynomial:
+    """c -> sum |det| [h](s - q c)_+^k / q^k over (|det|, sorted integer heights h) on a chamber.
 
-    C ranges over one chamber, and no knot lies strictly inside it: the
-    sorted `knots` at least `top`, the chamber's upper end, see (s - C)^n, the
-    others see 0.  Where j - i + 1 knots coincide at s, the confluent entry is
-    the Taylor coefficient binom(n, j - i) (s - C)^(n - j + i) above the chamber
-    and 0 below it or when j - i > n.  There may be more than n + 1 knots.
-    Returns integer coefficients, ascending in C, over one positive
+    With k + 1 heights, a term is the part of its simplex at height >= c;
+    with more, as over a hypograph or its facets, the slice at c.  A height
+    strictly inside the chamber raises InvariantViolation.  A simplex wholly
+    below the chamber adds 0, and one wholly above it |det| with k + 1
+    heights and 0 with more.  Across it, the C^j coefficient of
+    [h](s - C)_+^k is the divided difference of binom(k, j) (-1)^j s^(k-j)
+    above the chamber, 0 below it.  The heights are integers, so
+    floor(q lo) and ceil(q hi) order them as the chamber's ends do.
+    """
+    lo, hi = math.floor(chamber.lo * q), math.ceil(chamber.hi * q)
+
+    def coefficient(j: int):
+        # the Taylor coefficients of s -> binom(k, j) (-1)^j s^(k-j) at heights >= hi, 0 below
+        c, m = (-1) ** j * math.comb(k, j), k - j
+        return lambda s, i: 0 if s < hi or i > m else c * math.comb(m, i) * s ** (m - i)
+
+    taylors = [coefficient(j) for j in range(k + 1)]
+    total, den = [0] * (k + 1), 1
+    for d, hs in knotted:
+        if hs[-1] <= lo:
+            continue
+        if hs[0] >= hi:
+            if len(hs) == k + 1:
+                total[0] += d * den
+            continue
+        if hs[bisect.bisect_right(hs, lo)] < hi:  # the least height above lo
+            raise InvariantViolation(
+                f"a vertex height lies inside the chamber [{chamber.lo}, {chamber.hi}]"
+            )
+        dds = [_divided_difference(hs, taylor) for taylor in taylors]
+        dd_den = dds[0][1]  # the same for every coefficient: it depends on the knots alone
+        common = math.lcm(den, dd_den)
+        up, scale = common // den, d * (common // dd_den)
+        total = [t * up + scale * num for t, (num, _den) in zip(total, dds)]
+        den = common
+    return Polynomial.from_ints([t * q**j for j, t in enumerate(total)], den * q**k)
+
+
+def _below_top(knotted, q: int, top: Fraction, k: int) -> tuple[int, int]:
+    """sum |det| (1 - [h](s - q top)_+^k) / q^k over (|det|, k + 1 sorted integer heights h).
+
+    Each term is the part of its simplex below the height top.  A simplex
+    wholly below it adds |det| and one wholly above it 0; across it the
+    divided difference is evaluated at the number q top = p / r, with
+    (s - p/r)^k = (r s - p)^k / r^k.  Returns an integer over a positive
     denominator.
     """
+    g = math.gcd(top.numerator * q, top.denominator)  # q top = p / r in lowest terms
+    p, r = top.numerator * q // g, top.denominator // g
 
-    def power(s: int, k: int) -> list[int]:
-        # binom(n, k) * (s - C)^(n - k), padded to n + 1 coefficients
-        if s < top or k > n:
-            return [0] * (n + 1)
-        m = n - k
-        c = math.comb(n, k)
-        return [c * math.comb(m, j) * s ** (m - j) * (-1) ** j for j in range(m + 1)] + [0] * k
+    def power(s: int, i: int) -> int:
+        # binom(k, i) r^i (r s - p)^(k - i), the i-th Taylor coefficient of (r s - p)_+^k
+        return math.comb(k, i) * r**i * (r * s - p) ** (k - i) if r * s > p and i <= k else 0
 
-    return _divided_difference(knots, power)
-
-
-def _slice_polynomial(
-    knotted: Sequence[tuple[int, Sequence[int]]], lo: int, hi: int, q: int, n: int
-) -> Polynomial:
-    """c -> sum of |det| [h](s - q c)_+^n / q^n over (|det|, sorted heights h), on [lo/q, hi/q].
-
-    The heights are integers over q, none strictly inside the chamber, k + 1
-    per k-simplex: of a hypograph or its facets (_Hypograph), n! times the
-    volume of its slice at c; of a polytope, of its part at height >= c.  A
-    simplex wholly above or below the chamber is left out.
-    """
-    total, den = [0] * (n + 1), 1
+    total, den = 0, 1
     for d, hs in knotted:
-        if hs[0] < hi and hs[-1] > lo:
-            coeffs, dd_den = _truncated_power_dd(hs, hi, n)
-            common = math.lcm(den, dd_den)
-            total = [
-                t * (common // den) + d * c * (common // dd_den) for t, c in zip(total, coeffs)
-            ]
+        if hs[-1] * r <= p:
+            total += d * den
+        elif hs[0] * r < p:
+            num, dd_den = _divided_difference(hs, power)
+            part_den = dd_den * r**k
+            common = math.lcm(den, part_den)
+            total = total * (common // den) + d * (part_den - num) * (common // part_den)
             den = common
-    # C = q * c: a k-simplex's |det| / q^k times [h / q] of its k + 1 heights is |det| / q^n * [h]
-    return Polynomial.from_ints([t * q**m for m, t in enumerate(total)], den * q**n)
-
-
-def _on_chamber(hypograph: _Hypograph, chamber: Chamber, knotted, power: int) -> Polynomial:
-    """_slice_polynomial of `knotted`, simplices of the hypograph, to `power` on the chamber.
-
-    None of Q's vertex heights may lie strictly inside the chamber.  The
-    heights are integers, so the integers floor(lo) and ceil(hi) order them
-    as the chamber's ends lo and hi over den do.
-    """
-    lo, hi = math.floor(chamber.lo * hypograph.den), math.ceil(chamber.hi * hypograph.den)
-    if any(lo < h < hi for h in hypograph.heights):
-        raise InvariantViolation(
-            f"a vertex of the hypograph lies inside the chamber [{chamber.lo}, {chamber.hi}]"
-        )
-    return _slice_polynomial(knotted, lo, hi, hypograph.den, power)
+    return total, den * q**k
 
 
 def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polynomial:
@@ -645,8 +662,8 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     checked (_checked) against the degree bound n = the family's dimension
     and an independent volume a third of the way in.
     """
-    n = pp.dimension
-    poly = _on_chamber(pp.hypograph, chamber, pp.hypograph.simplices, n)
+    n, hypograph = pp.dimension, pp.hypograph
+    poly = _chamber_sum(hypograph.simplices, hypograph.den, chamber, n)
     return _checked(poly, chamber, pp.halfspaces, n).scale(Fraction(1, math.factorial(n)))
 
 
@@ -678,22 +695,21 @@ def superlevel_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomia
 
     Over p's cached triangulation: a simplex with vertex heights h, integers
     <num, u> - min over p.den, has |det| [h](s - c)_+^n at height >= c
-    (_slice_polynomial), and counts whole on a chamber below its least
-    height.  Each chamber, between consecutive vertex heights, is checked on
-    p's rows and the slice row (_checked).
+    (_chamber_sum).  Each chamber, between consecutive vertex heights, is
+    checked on p's rows and the slice row (_checked).
     """
     n, den = p.dimension, p.den
     heights = [sum(map(operator.mul, num, u)) for num in p.points]
     low = min(heights)
-    knotted = [(d, sorted(heights[i] - low for i in s)) for d, s in triangulation(p)]
-    levels = sorted({h - low for h in heights})
+    heights = [h - low for h in heights]
+    knotted = _knotted_simplices(heights, triangulation(p))
+    levels = sorted(set(heights))
     slices = [ParametricHalfspace(hs.normal, hs.offset, 0) for hs in p.halfspaces]
     slices.append(ParametricHalfspace(tuple(u), Fraction(-low, den), 1))
     pieces = []
     for lo, hi in zip(levels, levels[1:]):
-        whole = Polynomial.from_ints([sum(d for d, hs in knotted if hs[0] >= hi)], den**n)
-        poly = _slice_polynomial(knotted, lo, hi, den, n) + whole
-        pieces.append(_checked(poly, Chamber(Fraction(lo, den), Fraction(hi, den)), slices, n))
+        chamber = Chamber(Fraction(lo, den), Fraction(hi, den))
+        pieces.append(_checked(_chamber_sum(knotted, den, chamber, n), chamber, slices, n))
     return PiecewisePolynomial.merged([Fraction(h, den) for h in levels], pieces)
 
 

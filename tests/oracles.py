@@ -45,7 +45,7 @@ from toricstab.geometry import Chamber, Halfspace, _eliminate, _over_lcm, parame
 from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
 from toricstab.volume_fn import (
     Polynomial,
-    _on_chamber,
+    _chamber_sum,
     chamber_volume_polynomial,
     divisor_family,
     positive_pairing,
@@ -455,10 +455,10 @@ def chamber_facet_polynomials(pp, chamber: Chamber) -> tuple[Polynomial, ...]:
     (u_i, 0))| / <u_i, u_i> times the divided difference [h_T] of
     s -> (s - t)_+^(n-1), as in chamber_volume_polynomial.
     """
-    n, hypograph = pp.dimension, pp.hypograph
+    n, q = pp.dimension, pp.hypograph.den
     return tuple(
-        _on_chamber(hypograph, chamber, knotted, n - 1).scale(Fraction(1, sum(a * a for a in u)))
-        for u, knotted in zip(hypograph.normals, hypograph.facets)
+        _chamber_sum(knotted, q, chamber, n - 1).scale(Fraction(1, sum(map(mul, u, u))))
+        for u, knotted in zip(pp.hypograph.normals, pp.hypograph.facets)
     )
 
 

@@ -28,11 +28,11 @@ from toricstab import (
     volume_curve,
 )
 from toricstab import geometry, thresholds, volume_fn
-from toricstab.geometry import triangulation, volume
+from toricstab.geometry import Chamber, triangulation, volume
 from toricstab.cli import main
 from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, ZeroVector
 from toricstab.thresholds import primitive_candidates
-from toricstab.volume_fn import _truncated_power_dd, family_volume_curve
+from toricstab.volume_fn import _chamber_sum, family_volume_curve
 
 from oracles import filtration_family, fit_polynomial
 
@@ -153,14 +153,14 @@ def test_simplex_above_a_chamber_counts_whole(f1):
 def test_truncated_power_ties():
     # knots (0, 0, 1) and (0, 1, 1) on the chamber (0, 1): the triangle fractions
     # above C are (1 - C)^2 and 1 - C^2
-    assert _truncated_power_dd([0, 0, 1], 1, 2) == ([1, -2, 1], 1)
-    coeffs, den = _truncated_power_dd([0, 1, 1], 1, 2)
-    assert [Q(c, den) for c in coeffs] == [1, 0, -1]
+    def on_chamber(knots, top, k):
+        return _chamber_sum([(1, knots)], 1, Chamber(Q(0), Q(top)), k).coeffs
+
+    assert on_chamber([0, 0, 1], 1, 2) == (1, -2, 1)
+    assert on_chamber([0, 1, 1], 1, 2) == (1, 0, -1)
     # a triple tie at the bottom and at the top of P^3's width 4
-    coeffs, den = _truncated_power_dd([0, 0, 0, 4], 4, 3)
-    assert [Q(c, den) for c in coeffs] == [1, Q(-3, 4), Q(3, 16), Q(-1, 64)]
-    coeffs, den = _truncated_power_dd([0, 4, 4, 4], 4, 3)
-    assert [Q(c, den) for c in coeffs] == [1, 0, 0, Q(-1, 64)]
+    assert on_chamber([0, 0, 0, 4], 4, 3) == (1, Q(-3, 4), Q(3, 16), Q(-1, 64))
+    assert on_chamber([0, 4, 4, 4], 4, 3) == (1, 0, 0, Q(-1, 64))
 
 
 def test_filtration_curve_triangle_ties(p2):
@@ -179,16 +179,16 @@ def test_filtration_curve_p3_triple_tie(p3):
 
 
 def _perturb(monkeypatch, extra):
-    real = volume_fn._slice_polynomial
+    real = volume_fn._chamber_sum
 
-    def perturbed(knotted, lo, hi, q, n):
-        return real(knotted, lo, hi, q, n) + extra(lo, hi, q, n)
+    def perturbed(knotted, q, chamber, power):
+        return real(knotted, q, chamber, power) + extra(chamber, power)
 
-    monkeypatch.setattr(volume_fn, "_slice_polynomial", perturbed)
+    monkeypatch.setattr(volume_fn, "_chamber_sum", perturbed)
 
 
 def test_perturbed_closed_form_raises(monkeypatch, p2, capsys, problems_dir):
-    _perturb(monkeypatch, lambda lo, hi, q, n: Polynomial.of(1))
+    _perturb(monkeypatch, lambda chamber, power: Polynomial.of(1))
     with pytest.raises(InvariantViolation, match=r"volume is not the symbolic polynomial on the chamber \[0, 3\]"):
         filtration_curve(p2, anticanonical(p2), (1, 0))
     # a cold memo, so that the search checks its barycenter on the perturbed curves
@@ -209,7 +209,7 @@ def test_perturbed_second_chamber_raises(monkeypatch, request, model, u, breakpo
     fan = request.getfixturevalue(model)
     k = anticanonical(fan)
     assert filtration_curve(fan, k, u).breakpoints == breakpoints
-    _perturb(monkeypatch, lambda lo, hi, q, n: Polynomial.of(1) if lo > 0 else Polynomial(()))
+    _perturb(monkeypatch, lambda chamber, power: Polynomial.of(1) if chamber.lo > 0 else Polynomial(()))
     _lo, mid, hi = breakpoints
     with pytest.raises(InvariantViolation, match=rf"symbolic polynomial on the chamber \[{mid}, {hi}\]"):
         filtration_curve(fan, k, u)
@@ -218,7 +218,7 @@ def test_perturbed_second_chamber_raises(monkeypatch, request, model, u, breakpo
 def test_discontinuous_curve_passing_the_chamber_checks_exits_3(monkeypatch, f1, capsys, problems_dir):
     # c - x vanishes at each chamber's check point x = lo + (hi - lo) / 3, so
     # every chamber check passes and only continuity at the wall c = 1 fails
-    _perturb(monkeypatch, lambda lo, hi, q, n: Polynomial.of(-Q(3 * lo + hi - lo, 3 * q), 1))
+    _perturb(monkeypatch, lambda chamber, power: Polynomial.of(-chamber.sample_points(2)[0], 1))
     with pytest.raises(InvariantViolation, match="discontinuity at breakpoint 1"):
         filtration_curve(f1, anticanonical(f1), (1, 0))
     assert main(["dh", str(problems_dir / "f1.json"), "--u", "1,0"]) == 3
@@ -280,9 +280,9 @@ def test_dropped_simplex_fails_the_first_chamber_check(monkeypatch, p2, capsys, 
 def test_closed_form_degree_bound_raises(monkeypatch, p2):
     # a term of degree n + 1 that vanishes at the checked point passes the
     # volume check and leaves the degree bound to catch it
-    def vanishing_at_check(lo, hi, q, n):
-        x = Q(lo, q) + Q(hi - lo, 3 * q)
-        return Polynomial.of(-x, 1) * Polynomial((0,) * n + (1,))
+    def vanishing_at_check(chamber, power):
+        x = chamber.sample_points(2)[0]
+        return Polynomial.of(-x, 1) * Polynomial((0,) * power + (1,))
 
     _perturb(monkeypatch, vanishing_at_check)
     with pytest.raises(InvariantViolation, match=r"symbolic polynomial on the chamber \[0, 3\]"):
@@ -293,8 +293,8 @@ def test_closed_form_degree_bound_raises(monkeypatch, p2):
 PERTURB_CLOSED_FORM = """
 from toricstab import volume_fn
 from toricstab.volume_fn import Polynomial
-_real = volume_fn._slice_polynomial
-volume_fn._slice_polynomial = lambda *args: _real(*args) + Polynomial.of(1)
+_real = volume_fn._chamber_sum
+volume_fn._chamber_sum = lambda *args: _real(*args) + Polynomial.of(1)
 from toricstab.cli import main
 """
 

@@ -385,21 +385,21 @@ def test_skewed_unit_direction_curve_raises(monkeypatch, p3):
     # barycenter's comparison along e_2 sees the changed integral
     thresholds._barycenter.cache_clear()
     along = []
-    real_curve, real_slice = thresholds.filtration_curve, volume_fn._slice_polynomial
+    real_curve, real_sum = thresholds.filtration_curve, volume_fn._chamber_sum
 
     def curve(fan, l, u):
         along.append(u)
         return real_curve(fan, l, u)
 
-    def skewed(knotted, lo, hi, q, n):
-        poly = real_slice(knotted, lo, hi, q, n)
+    def skewed(knotted, q, chamber, power):
+        poly = real_sum(knotted, q, chamber, power)
         if along[-1] != (0, 1, 0):
             return poly
-        roots = (Q(lo, q), Q(hi, q), Q(lo, q) + Q(hi - lo, 3 * q))
+        roots = (chamber.lo, chamber.hi, chamber.sample_points(2)[0])
         return poly + math.prod((Polynomial.of(-r, 1) for r in roots), start=Polynomial.of(1))
 
     monkeypatch.setattr(thresholds, "filtration_curve", curve)
-    monkeypatch.setattr(volume_fn, "_slice_polynomial", skewed)
+    monkeypatch.setattr(volume_fn, "_chamber_sum", skewed)
     with pytest.raises(InvariantViolation, match=r"S routes disagree along u=\(0, 1, 0\)"):
         s_invariant(p3, anticanonical(p3), (1, 1, 1))
     assert along == [(1, 0, 0), (0, 1, 0)]

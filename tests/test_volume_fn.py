@@ -501,13 +501,55 @@ def test_positive_pairing_matches_sampled_derivative(surfaces, p3):
     assert pairs >= 50 and not_nef >= 5
 
 
+# (k, [(|det|, k + 1 sorted heights)]): small heights, so that ties are common
+knotted_simplices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(
+            st.tuples(
+                st.integers(1, 5),
+                st.lists(st.integers(0, 6), min_size=k + 1, max_size=k + 1).map(sorted),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    simplices=knotted_simplices,
+    q=st.integers(min_value=1, max_value=3),
+    top=st.fractions(min_value=0, max_value=7, max_denominator=3),
+)
+@example(simplices=(2, [(1, [0, 0, 3])]), q=1, top=Q(1))  # a tie at the bottom
+@example(simplices=(2, [(2, [0, 3, 3])]), q=1, top=Q(3, 2))  # a tie at the top
+@example(simplices=(2, [(2, [0, 3, 3])]), q=1, top=Q(3))  # the top on that tie
+@example(simplices=(3, [(1, [0, 2, 2, 4])]), q=1, top=Q(2))  # a tie at the evaluation point
+@example(simplices=(4, [(1, [0, 0, 2, 2, 5])]), q=2, top=Q(1))  # ties at the bottom and at q top
+@example(simplices=(1, [(1, [1, 4])]), q=3, top=Q(5, 6))  # off every knot
+@example(simplices=(2, [(3, [2, 4, 5]), (1, [0, 1, 5])]), q=1, top=Q(1))  # one wholly above
+def test_scalar_route_is_the_chamber_polynomial_at_the_top(simplices, q, top):
+    # the part below the top is the whole less the chamber polynomial there, on
+    # the chamber whose closure holds the top: the one above it when it is a knot
+    k, knotted = simplices
+    x = top * q
+    knots = [h for _d, hs in knotted for h in hs]
+    lo = max((h for h in knots if h <= x), default=math.floor(x))
+    hi = min((h for h in knots if h > x), default=math.floor(x) + 1)
+    poly = volume_fn._chamber_sum(knotted, q, Chamber(Q(lo, q), Q(hi, q)), k)
+    below = Q(*volume_fn._below_top(knotted, q, top, k))
+    assert below == Q(sum(d for d, _hs in knotted), q**k) - poly(top)
+
+
 def test_chamber_volume_check_raises(f1):
     # one chamber spanning F1's wall at t = 1: a vertex of the hypograph lies inside it
     pp = divisor_family(f1, anticanonical(f1), ray_divisor(f1, 0))
     first, second = pp.chambers
     spanning = Chamber(first.lo, second.hi)
     for chamber_polynomial in (chamber_volume_polynomial, chamber_facet_polynomials):
-        with pytest.raises(InvariantViolation, match=r"hypograph lies inside the chamber \[0, 3\]"):
+        with pytest.raises(InvariantViolation, match=r"a vertex height lies inside the chamber \[0, 3\]"):
             chamber_polynomial(pp, spanning)
 
 
