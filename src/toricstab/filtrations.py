@@ -71,14 +71,19 @@ class DHMeasure:
         return total
 
 
-def _section_polytope(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Polytope:
-    """P_L, once u is a nonzero vector of the fan's dimension and L is big and nef."""
+def _check_direction(fan: Fan, u: Sequence[int]) -> None:
+    """Raise unless u is a nonzero vector of the fan's dimension."""
     if len(u) != fan.dimension:
         raise DimensionMismatch(
             f"{tuple(u)} has {len(u)} coordinates; the fan has dimension {fan.dimension}"
         )
     if all(a == 0 for a in u):
         raise ZeroVector("filtration direction must be nonzero")
+
+
+def _section_polytope(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Polytope:
+    """P_L, once u is a nonzero vector of the fan's dimension and L is big and nef."""
+    _check_direction(fan, u)
     if not is_ample(fan, l):
         raise NotAmple("polarization is not big and nef")
     return polytope_of(fan, l)

@@ -3,10 +3,10 @@
 The candidate search runs over primitive lattice vectors in a sup-norm ball;
 the reported minimum is exact over that candidate family and is a certified
 upper bound for the infimum over all valuations (lattice candidates suffice
-for toric data, an assumption every report records).  A candidate's expected
-vanishing order is linear in the barycenter of the section polytope, which
-is checked once per polarization, so a search builds n filtration curves
-whatever its number of candidates.
+for toric data, an assumption every report records).  A row's S reads one
+memo per (fan, L), built in the first row: the barycenter of the section
+polytope, checked once against n filtration curves, and its vertices, in
+integers.  A row's A and S are integer dots with one Fraction each.
 """
 
 from __future__ import annotations
@@ -15,17 +15,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor
-from .filtrations import _section_polytope, filtration_curve
-from .geometry import dot, is_primitive, linear_stats
+from .filtrations import _check_direction, _section_polytope, filtration_curve
+from .geometry import LatticeVector, _over_lcm, is_primitive, linear_stats
 from .toric import (
     Fan,
     ToricDivisor,
     anticanonical,
     log_discrepancy,
-    polytope_of,
     ray_divisor,
     zero_divisor,
 )
@@ -48,20 +48,21 @@ STANDARD_ASSUMPTIONS = (
 
 
 @lru_cache(maxsize=None)
-def _barycenter(fan: Fan, l: ToricDivisor) -> tuple[Fraction, ...]:
-    """The barycenter b of P_L, checked once along the n unit vectors.
+def _barycenter(fan: Fan, l: ToricDivisor) -> tuple[LatticeVector, int, Sequence[LatticeVector], int]:
+    """The row table of (fan, L): b over one denominator, P_L's `points` over `p.den`.
 
-    b_i is the volume average of x_i (linear_stats).  Along each e_i,
-    b_i - min x_i must equal the integral of filtration_curve over vol(L),
-    or InvariantViolation is raised.  The n directions pin every coordinate
-    of b, so the check covers every direction.  Memoized per (fan, L); a
-    failed check is not cached and raises again.
+    L must be big and nef (NotAmple, before anything is built).  The
+    barycenter b_i is the volume average of x_i (linear_stats).  Along each
+    e_i, b_i - min x_i must equal the integral of filtration_curve over
+    vol(L), or InvariantViolation is raised.  The n directions pin every
+    coordinate of b, so the check covers every direction.  Memoized per
+    (fan, L); a failed check is not cached and raises again.
     """
-    p = polytope_of(fan, l)
+    units = [tuple(int(i == j) for j in range(fan.dimension)) for i in range(fan.dimension)]
+    p = _section_polytope(fan, l, units[0])
     v = big_volume(fan, l)
     b = []
-    for i in range(fan.dimension):
-        e = tuple(int(i == j) for j in range(fan.dimension))
+    for e in units:
         lo, mean, _hi = linear_stats(p, e)
         integral = filtration_curve(fan, l, e).integrate() / v
         if mean - lo != integral:
@@ -70,7 +71,8 @@ def _barycenter(fan: Fan, l: ToricDivisor) -> tuple[Fraction, ...]:
                 f"{integral} by the filtration curve"
             )
         b.append(mean)
-    return tuple(b)
+    nums, den = _over_lcm(b)
+    return tuple(nums), den, tuple(p.points), p.den
 
 
 def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
@@ -79,11 +81,14 @@ def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
     Computed as S(u) = <b, u> - min <x, u> over P_L (Blum-Jonsson), with the
     barycenter b of P_L checked against the filtration curves along the unit
     vectors once per (fan, L) (_barycenter), so that no curve is built per
-    direction.  u must be nonzero and of the fan's dimension (ZeroVector,
-    DimensionMismatch) and L big and nef (NotAmple).
+    direction.  Both dots run in integers over the memo's two denominators,
+    and one Fraction is built.  u must be nonzero and of the fan's dimension
+    (ZeroVector, DimensionMismatch) and L big and nef (NotAmple).
     """
-    p = _section_polytope(fan, l, u)
-    return dot(_barycenter(fan, l), u) - p.support_min(u)
+    _check_direction(fan, u)
+    b, q, points, den = _barycenter(fan, l)
+    low = min(sum(map(mul, x, u)) for x in points)
+    return Fraction(sum(map(mul, b, u)) * den - low * q, q * den)
 
 
 def delta_quotient(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:

@@ -22,7 +22,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -99,15 +99,25 @@ class Fan:
         return tuple(Fraction(x, d) for x in dots)
 
     def containing_cone(self, u: Sequence) -> tuple[tuple[int, ...], Point]:
-        if len(u) != self.dimension:
-            raise DimensionMismatch(
-                f"{tuple(u)} has {len(u)} coordinates; the fan has dimension {self.dimension}"
-            )
-        for cone in self.max_cones:
-            lam = self.cone_coordinates(cone, u)
-            if lam is not None:
-                return cone, lam
-        raise ZeroVector(f"{tuple(u)} lies outside the support of the fan")
+        cone, d, dots = _locate(self, u)
+        return cone, tuple(Fraction(x, d) for x in dots)
+
+
+def _locate(fan: Fan, u: Sequence) -> tuple[tuple[int, ...], int, list[int]]:
+    """The first cone of _cone_duals holding u, its det d and the integers d <m_j, u>."""
+    if len(u) != fan.dimension:
+        raise DimensionMismatch(
+            f"{tuple(u)} has {len(u)} coordinates; the fan has dimension {fan.dimension}"
+        )
+    for cone, (d, duals) in _cone_duals(fan).items():
+        dots = []
+        for w in duals:
+            dots.append(sum(map(mul, w, u)))
+            if dots[-1] * d < 0:
+                break
+        else:
+            return cone, d, dots
+    raise ZeroVector(f"{tuple(u)} lies outside the support of the fan")
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +161,17 @@ def _cone_vertices(fan: Fan, coeffs: Sequence) -> list[Point] | None:
 
 @dataclass(frozen=True)
 class ToricDivisor:
-    """A rational divisor: one coefficient per ray of a fixed fan."""
+    """A rational divisor: one coefficient per ray of a fixed fan; its hash is computed once."""
 
     fan: Fan
     coeffs: tuple[Fraction, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.fan, self.coeffs))
 
     @classmethod
     def make(cls, fan: Fan, coeffs: Sequence) -> ToricDivisor:
@@ -383,11 +400,14 @@ def is_strictly_ample(fan: Fan, d: ToricDivisor) -> bool:
 # --------------------------------------------------------------------------
 
 def log_discrepancy(fan: Fan, u: Sequence[int]) -> Fraction:
-    """The piecewise-linear function equal to 1 on every primitive ray, at u."""
+    """The piecewise-linear function equal to 1 on every primitive ray, at u.
+
+    On u's cone it is sum_j <m_j, u>, off the integer scan containing_cone shares (_locate).
+    """
     if all(a == 0 for a in u):
         raise ZeroVector("log discrepancy of the zero vector")
-    _cone, lam = fan.containing_cone(u)
-    return sum(lam, Fraction(0))
+    _cone, d, dots = _locate(fan, u)
+    return Fraction(sum(dots), d)
 
 
 def star_subdivision(

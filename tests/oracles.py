@@ -25,6 +25,9 @@ Fractions, with each cone's vertex solved on its rays: the library reads
 nefness and ampleness off the cone vertices alone.  The slice family of a
 filtration direction, whose volume curve on its hypograph the filtration
 curve was before it moved to the section polytope's own triangulation.
+The Fraction route of a candidate row: A as the cone coordinates of u
+summed, and S as <b, u> - min <x, u> with b from linear_stats along the
+unit vectors, before a row read integer dots off the barycenter's memo.
 """
 
 from __future__ import annotations
@@ -41,7 +44,14 @@ from typing import NamedTuple, Sequence
 from toricstab import toric
 from toricstab.errors import InvariantViolation, OutOfRange, ZeroVector
 from toricstab.filtrations import _section_polytope
-from toricstab.geometry import Chamber, Halfspace, _eliminate, _over_lcm, parametric_family
+from toricstab.geometry import (
+    Chamber,
+    Halfspace,
+    _eliminate,
+    _over_lcm,
+    linear_stats,
+    parametric_family,
+)
 from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
 from toricstab.volume_fn import (
     Polynomial,
@@ -416,6 +426,25 @@ def oracle_is_strictly_ample(fan, d) -> bool:
         return False
     vertices = _oracle_cone_vertices(fan, d.coeffs)
     return len(set(vertices)) == len(vertices)
+
+
+# ---- candidate rows in Fractions ---------------------------------------------
+
+def oracle_log_discrepancy(fan, u) -> Fraction:
+    """The Fraction coordinates of u on the first maximal cone holding it, summed."""
+    for cone in fan.max_cones:
+        lam = fan.cone_coordinates(cone, u)
+        if lam is not None:
+            return sum(lam, Fraction(0))
+    raise ZeroVector(f"{tuple(u)} lies outside the support of the fan")
+
+
+def oracle_s_invariant(fan, l, u) -> Fraction:
+    """<b, u> - min <x, u> over P_L, with b_i the linear_stats mean along e_i."""
+    p = toric.polytope_of(fan, l)
+    n = fan.dimension
+    b = [linear_stats(p, tuple(int(i == j) for j in range(n)))[1] for i in range(n)]
+    return sum(map(mul, b, u), Fraction(0)) - p.support_min(u)
 
 
 # ---- the slice family of a filtration direction ------------------------------

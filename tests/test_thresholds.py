@@ -7,8 +7,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricstab import (
+    Fan,
     Polynomial,
     Polytope,
     anticanonical,
@@ -35,17 +38,22 @@ from toricstab import (
     star_subdivision,
     truncated_curve,
     volume_curve,
+    zero_divisor,
 )
 from toricstab import thresholds, volume_fn
 from toricstab.cli import main
 from toricstab.errors import (
     DimensionMismatch,
     InvariantViolation,
+    NotAmple,
     NotBigOnUnitInterval,
     ZeroDivisor,
     ZeroVector,
 )
 from toricstab.thresholds import primitive_candidates
+from toricstab.toric import is_strictly_ample
+
+from oracles import oracle_log_discrepancy, oracle_s_invariant
 
 
 def test_s_invariant_values(p2, f1):
@@ -351,6 +359,59 @@ def test_s_invariant_matches_both_routes_on_every_candidate(p2, f1, p1xp1, p3):
             lo, mean, _hi = linear_stats(p, u)
             integral = filtration_curve(fan, l, u).integrate() / v
             assert mean - lo == integral == s_invariant(fan, l, u), (fan.rays, l.coeffs, u)
+
+
+def _assert_rows_match_the_fraction_route(fan, l, radius):
+    report = delta_search(fan, l, radius)
+    assert [row.u for row in report.candidates] == primitive_candidates(fan.dimension, radius)
+    for row in report.candidates:
+        a, s = oracle_log_discrepancy(fan, row.u), oracle_s_invariant(fan, l, row.u)
+        assert (row.log_discrepancy, row.s_value, row.quotient) == (a, s, a / s), (
+            fan.rays, l.coeffs, row.u)
+
+
+def test_candidate_rows_match_the_fraction_route(p2, f1, p1xp1, p3):
+    # every row's integer A and S against the cone coordinates summed and
+    # <b, u> - support_min with b from linear_stats; the pulled-back -K of
+    # Bl_p P3 is big and nef but not strictly ample
+    blp3, pull, _k_rel = star_subdivision(p3, (1, 1, 1))
+    f1xp1 = Fan.make(
+        [[*ray, 0] for ray in f1.rays] + [[0, 0, 1], [0, 0, -1]],
+        [[*cone, end] for cone in f1.max_cones for end in (4, 5)],
+    )
+    models = [(fan, anticanonical(fan), 3) for fan in (p2, f1, p1xp1)]
+    models += [(fan, anticanonical(fan), 2) for fan in (p3, blp3, f1xp1)]
+    models.append((blp3, pull(anticanonical(p3)), 2))
+    assert not is_strictly_ample(blp3, pull(anticanonical(p3)))
+    for fan, l, radius in models:
+        _assert_rows_match_the_fraction_route(fan, l, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_candidate_rows_match_the_fraction_route_on_drawn_classes(p2, f1, p1xp1, p3, data):
+    # a big and nef L with coefficients i/j, i <= 6, j <= 3
+    blp3 = star_subdivision(p3, (1, 1, 1))[0]
+    fan = data.draw(st.sampled_from([p2, f1, p1xp1, p3, blp3]))
+    coeff = st.builds(Q, st.integers(0, 6), st.integers(1, 3))
+    l = divisor(fan, data.draw(st.lists(coeff, min_size=len(fan.rays), max_size=len(fan.rays))))
+    assume(is_ample(fan, l))
+    _assert_rows_match_the_fraction_route(fan, l, 3 if fan.dimension == 2 else 2)
+
+
+@pytest.mark.parametrize("index", [3, 0, None], ids=["E", "F", "zero"])
+def test_polarization_not_big_and_nef_raises_not_ample(f1, index):
+    # E is not nef, F is nef but not big, and 0 is neither: each raises before
+    # the barycenter's memo builds anything, with direction errors first
+    l = zero_divisor(f1) if index is None else ray_divisor(f1, index)
+    thresholds._barycenter.cache_clear()
+    for call in (lambda: s_invariant(f1, l, (1, 1)), lambda: delta_search(f1, l, 1)):
+        with pytest.raises(NotAmple, match="^polarization is not big and nef$"):
+            call()
+    with pytest.raises(DimensionMismatch):
+        s_invariant(f1, l, (1, 1, 0))
+    with pytest.raises(ZeroVector):
+        s_invariant(f1, l, (0, 0))
 
 
 def test_delta_search_builds_one_curve_per_unit_direction(monkeypatch, p3):

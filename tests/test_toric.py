@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction as Q
 from operator import mul
@@ -199,6 +201,27 @@ def test_log_discrepancy_values(p2):
     assert log_discrepancy(p2, (2, 1)) == 3
     with pytest.raises(ZeroVector):
         log_discrepancy(p2, (0, 0))
+
+
+def test_log_discrepancy_outside_the_support_raises():
+    # the quadrant's one cone: the scan finds no cone holding (-1, 0)
+    quadrant = Fan.make([[1, 0], [0, 1]], [[0, 1]])
+    assert log_discrepancy(quadrant, (1, 2)) == 3
+    with pytest.raises(ZeroVector, match=re.escape("(-1, 0) lies outside the support of the fan")):
+        log_discrepancy(quadrant, (-1, 0))
+
+
+def test_divisor_hash_is_cached_and_survives_pickle(f1):
+    # equal divisors built apart hash and compare equal, before and after a
+    # pickle round trip, as the process pool of delta_search needs
+    a = divisor(f1, [1, Q(1, 2), 0, 2])
+    b = toric.ToricDivisor.make(Fan.make(f1.rays, f1.max_cones), ["1", "1/2", 0, Q(4, 2)])
+    assert a == b and hash(a) == hash(b) == hash((f1, a.coeffs))
+    assert {a: "a"}[b] == "a"
+    for d in (a, pickle.loads(pickle.dumps(b))):
+        back = pickle.loads(pickle.dumps(d))
+        assert back == a and hash(back) == hash(a)
+    assert a != divisor(f1, [1, Q(1, 3), 0, 2])
 
 
 def test_log_discrepancy_cone_linearity(surfaces):
