@@ -31,8 +31,6 @@ from .geometry import (
     ParametricPolytope,
     Polytope,
     linear_stats,
-    minkowski_sum,
-    mixed_volume,
     parametric_family,
     vertices_of,
     volume,

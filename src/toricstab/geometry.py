@@ -1,15 +1,16 @@
 """Exact rational polytope kernel.
 
-Vertex enumeration, volumes, linear statistics, mixed volumes and
-one-parameter polytope families, all in exact rational arithmetic.
+Vertex enumeration, volumes, linear statistics and one-parameter polytope
+families, all in exact rational arithmetic.
 Polytopes are stored in H-representation with cached vertices; inputs are
 desk-scale (dimension <= 4, a few dozen halfspaces), so every algorithm here
 prefers exhaustive enumeration over clever pivoting.
 
-All exact linear algebra (determinants, solves, ranks, kernels) runs through
-one fraction-free Gauss-Jordan elimination in integers (Bareiss), which
-divides into Fractions only once at the end.  A system of halfspaces is
-written as integer rows (a, b) of {<a, x> + b / q >= 0} over one common q.
+All exact linear algebra (ranks, kernels, basic solutions, simplex
+determinants) runs through one fraction-free Gauss-Jordan elimination of
+integer rows (Bareiss), which divides into Fractions only once at the end.
+A system of halfspaces is written as integer rows (a, b) of
+{<a, x> + b / q >= 0} over one common q.
 On these rows one integer enumeration (_int_vertices) keeps the feasible
 basic solutions, applies the boundedness and emptiness tests and returns the
 vertices as integer numerators over one common denominator; vertices_of and
@@ -88,19 +89,6 @@ def make_primitive(u: Sequence[int]) -> LatticeVector:
     return tuple(a // g for a in u)
 
 
-def _eliminate(m: list[Sequence], ncols: int) -> tuple[list[int], int, int, int]:
-    """_bareiss on rational rows, each first scaled to integers by the lcm of its denominators.
-
-    Returns the pivot columns, the last pivot, the sign of the row
-    permutation and the product of the row scales.
-    """
-    scale = 1
-    for i, row in enumerate(m):
-        m[i], s = _over_lcm(row)
-        scale *= s
-    return (*_bareiss(m, ncols), scale)
-
-
 def _bareiss(m: list[Sequence[int]], ncols: int) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of integer rows m, in place, on the first ncols columns.
 
@@ -138,21 +126,22 @@ def _bareiss(m: list[Sequence[int]], ncols: int) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows."""
     if not rows:
         return 0
-    return len(_eliminate(list(rows), len(rows[0]))[0])
+    return len(_bareiss(list(rows), len(rows[0]))[0])
 
 
-def kernel_vector(rows: Sequence[Sequence], n: int) -> LatticeVector | None:
-    """A primitive integer spanning vector of a one-dimensional kernel, else None.
+def kernel_vector(rows: Sequence[Sequence[int]], n: int) -> LatticeVector | None:
+    """A primitive integer spanning vector of the kernel of integer rows if it is a line, else None.
 
     The free coordinate is positive.
     """
     if not rows:
         return None if n != 1 else (1,)
     m = list(rows)
-    pivots, pivot, _sign, _scale = _eliminate(m, n)
+    pivots, pivot, _sign = _bareiss(m, n)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
@@ -435,16 +424,6 @@ class Polytope:
         dim = len(clean[0].normal)
         return cls(clean, tuple(verts), dim)
 
-    @classmethod
-    def from_points(cls, points: Sequence[Sequence]) -> Polytope:
-        pts = [tuple(Fraction(c) for c in p) for p in points]
-        if not pts:
-            raise DegeneratePolytope("empty point set")
-        dim = len(pts[0])
-        if affine_rank(pts) < dim:
-            raise DegeneratePolytope("point set is not full-dimensional")
-        return cls.from_halfspaces(hull_halfspaces(pts))
-
     @property
     def is_empty(self) -> bool:
         return not self.vertices
@@ -470,25 +449,6 @@ class Polytope:
     def support_max(self, u: Sequence) -> Fraction:
         """max over the polytope of <x, u>; attained at a vertex."""
         return self._support(max, u)
-
-
-def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
-    """Facet H-representation of the convex hull of a full-dimensional point set."""
-    pts, den = _int_points([tuple(Fraction(c) for c in p) for p in points])
-    dim = len(pts[0])
-    rows: list[IntRow] = []
-    for base, *rest in itertools.combinations(pts, dim):
-        normal = kernel_vector([[a - b for a, b in zip(p, base)] for p in rest], dim)
-        if normal is None:
-            continue
-        level = sum(map(mul, normal, base))
-        values = [sum(map(mul, normal, p)) - level for p in pts]
-        if all(v >= 0 for v in values):
-            rows.append((normal, -level))
-        elif all(v <= 0 for v in values):
-            rows.append((tuple(-a for a in normal), level))
-    # each facet is found once per dim-subset of its points; its normal is primitive
-    return [Halfspace(a, Fraction(b, den)) for a, b in _dedupe_rows(rows)]
 
 
 # --------------------------------------------------------------------------
@@ -672,62 +632,6 @@ def linear_stats(p: Polytope, u: Sequence) -> tuple[Fraction, Fraction, Fraction
 
 
 # --------------------------------------------------------------------------
-# Minkowski sums and mixed volume
-# --------------------------------------------------------------------------
-
-def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    """Exact Minkowski sum, by eliminating y from {(z, y) : z - y in P, y in Q}."""
-    if p.dimension != q.dimension:
-        raise DimensionMismatch("Minkowski summands must share a dimension")
-    n = p.dimension
-    lifted: list[Halfspace] = []
-    for hs in p.halfspaces:
-        lifted.append(Halfspace(hs.normal + tuple(-a for a in hs.normal), hs.offset))
-    for hs in q.halfspaces:
-        lifted.append(Halfspace((0,) * n + hs.normal, hs.offset))
-    rows, den = _int_rows(lifted)
-    try:
-        for d in range(2 * n, n, -1):
-            rows = _fm_eliminate_last(rows, d)
-    except _Infeasible as exc:
-        raise DegeneratePolytope("Minkowski sum of an empty polytope") from exc
-    return Polytope.from_halfspaces([Halfspace(a, Fraction(b, den)) for a, b in rows])
-
-
-def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
-    """Normalized mixed volume with MV(P, ..., P) = n! * volume(P).
-
-    Computed by inclusion-exclusion polarization over Minkowski sums of the
-    input polytopes; exact, and exponential only in the ambient dimension.
-    """
-    n = len(polytopes)
-    for p in polytopes:
-        if p.dimension != n:
-            raise DimensionMismatch(
-                f"need {n} polytopes in dimension {n}, got dimension {p.dimension}"
-            )
-        if p.is_empty:
-            raise DegeneratePolytope("mixed volume of an empty polytope")
-    sums: dict[frozenset[int], Polytope] = {}
-
-    def partial_sum(indices: frozenset[int]) -> Polytope:
-        if indices not in sums:
-            idx = sorted(indices)
-            acc = polytopes[idx[0]]
-            for i in idx[1:]:
-                acc = minkowski_sum(acc, polytopes[i])
-            sums[indices] = acc
-        return sums[indices]
-
-    total = Fraction(0)
-    for size in range(1, n + 1):
-        sign = (-1) ** (n - size)
-        for combo in itertools.combinations(range(n), size):
-            total += sign * volume(partial_sum(frozenset(combo)))
-    return total
-
-
-# --------------------------------------------------------------------------
 # one-parameter families
 # --------------------------------------------------------------------------
 
@@ -744,17 +648,11 @@ class ParametricHalfspace:
         object.__setattr__(self, "offset", Fraction(self.offset))
         object.__setattr__(self, "rate", Fraction(self.rate))
 
-    def at(self, t) -> Halfspace:
-        return Halfspace(self.normal, self.offset - Fraction(t) * self.rate)
-
 
 @dataclass(frozen=True)
 class Chamber:
     lo: Fraction
     hi: Fraction
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def sample_points(self, count: int) -> list[Fraction]:
         """count rationals strictly inside the chamber."""
@@ -831,9 +729,6 @@ class ParametricPolytope:
     t_max: Fraction
     dimension: int
     hypograph: _Hypograph = field(repr=False, compare=False)
-
-    def polytope_at(self, t) -> Polytope:
-        return Polytope.from_halfspaces([hs.at(t) for hs in self.halfspaces])
 
 
 def parametric_family(halfspaces: Sequence[Halfspace], rates: Sequence) -> ParametricPolytope:

@@ -52,7 +52,7 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class Fan:
-    """A complete simplicial fan: primitive rays plus maximal cones by ray index."""
+    """A complete simplicial fan: primitive rays, maximal cones by ray index; its hash is computed once."""
 
     rays: tuple[LatticeVector, ...]
     max_cones: tuple[tuple[int, ...], ...]
@@ -65,6 +65,13 @@ class Fan:
             "max_cones",
             tuple(sorted(set(tuple(sorted(c)) for c in self.max_cones))),
         )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rays, self.max_cones, self.dimension))
 
     @classmethod
     def make(cls, rays: Sequence[Sequence[int]], max_cones: Sequence[Sequence[int]]) -> Fan:

@@ -7,7 +7,7 @@ sum over the facets of the section polytope, checked by Euler's identity, and
 volumes along towers of star subdivisions.
 
 A Polynomial is integer numerators over one positive denominator, and its
-arithmetic, evaluation, integration and division run in integers; the sign
+arithmetic, evaluation and integration run in integers; the sign
 decisions behind monotonicity (Yun's squarefree decomposition, Sturm
 sequences) run on primitive integer remainder sequences.  A Fraction is
 built only where a rational leaves the kernel.
@@ -124,9 +124,9 @@ class Polynomial:
 
     Its one form is integer numerators `nums` over one positive denominator
     `den`, in lowest terms and without trailing zeros; equality and hashing
-    read it.  Arithmetic, evaluation, integration and division run on it in
-    integers, and each value returned as a rational is one Fraction built at
-    the end.  `coeffs`, the Fraction coefficients, is derived on demand.
+    read it.  Arithmetic, evaluation and integration run on it in integers,
+    and each value returned as a rational is one Fraction built at the end.
+    `coeffs`, the Fraction coefficients, is derived on demand.
     """
 
     nums: tuple[int, ...]
@@ -220,19 +220,6 @@ class Polynomial:
         (an, ad), (bn, bd) = _ratio(a), _ratio(b)
         top = _homogeneous(anti, bn, bd) * ad**k - _homogeneous(anti, an, ad) * bd**k
         return Fraction(top, self.den * m * (ad * bd) ** k)
-
-    def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """The exact quotient and remainder, by integer pseudo-division (_pseudo_divide).
-
-        s a = q b + r on the numerators gives self = q * other.den / (s den) *
-        other + r / (s den).
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quo, rem, scale = _pseudo_divide(self.nums, other.nums)
-        den = scale * self.den
-        quotient = Polynomial.from_ints([other.den * x for x in quo], den)
-        return quotient, Polynomial.from_ints(rem, den)
 
 
 # ---- exact sign analysis on primitive integer remainder sequences -----------

@@ -10,10 +10,11 @@ expansion of an intersection number over cone-reduced supports, one term per
 n-tuple of rays, before the expansion moved to integers grouped by monomial.  A Fraction
 Gauss-Jordan elimination, and on it the solve over a cone's shared rays that
 validate_fan's face test ran before it read the cones' dual bases.  The
-determinant and square solve on the library's integer elimination, which
-the library no longer calls.  The vertex paths of a one-parameter family by
-Fraction solves: parametric_family found its chambers on them before it read
-a family off the vertices of its hypograph.  The chamber route of the
+determinant and square solve on _eliminate (rational rows, each scaled by
+the lcm of its denominators, then _bareiss), which the library no longer
+calls.  The vertex paths of a one-parameter family by Fraction solves:
+parametric_family found its chambers on them before it read a family off
+the vertices of its hypograph.  The chamber route of the
 test-curve functionals: per chamber of D's own family, the positive part
 read off the hypograph's lower hulls, the facet polynomials and their
 integrals, summed chamber by chamber, with the entropy paired against each
@@ -28,6 +29,11 @@ curve was before it moved to the section polytope's own triangulation.
 The Fraction route of a candidate row: A as the cone coordinates of u
 summed, and S as <b, u> - min <x, u> with b from linear_stats along the
 unit vectors, before a row read integer dots off the barycenter's memo.
+
+Polytope geometry only the tests use: minkowski_sum (Fourier-Motzkin) and
+mixed_volume by polarization, the oracle of toric.intersection_number
+(Fulton, 5.4); hull_halfspaces and polytope_from_points, which build random
+test polygons; and polytope_at, a family's polytope at one t.
 """
 
 from __future__ import annotations
@@ -37,20 +43,19 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from toricstab import toric
-from toricstab.errors import InvariantViolation, OutOfRange, ZeroVector
+from toricstab.errors import (
+    DegeneratePolytope, DimensionMismatch, InvariantViolation, OutOfRange, ZeroVector,
+)
 from toricstab.filtrations import _section_polytope
 from toricstab.geometry import (
-    Chamber,
-    Halfspace,
-    _eliminate,
-    _over_lcm,
-    linear_stats,
-    parametric_family,
+    Chamber, Halfspace, ParametricPolytope, Point, Polytope, _bareiss, _dedupe_rows,
+    _fm_eliminate_last, _Infeasible, _int_points, _int_rows, _over_lcm, affine_rank,
+    kernel_vector, linear_stats, parametric_family, volume,
 )
 from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
 from toricstab.volume_fn import (
@@ -77,6 +82,19 @@ def fit_polynomial(xs: Sequence, ys: Sequence) -> Polynomial:
             denom *= xi - xj
         result = result + term.scale(yi / denom)
     return result
+
+
+def _eliminate(m: list[Sequence], ncols: int) -> tuple[list[int], int, int, int]:
+    """_bareiss on rational rows, each first scaled to integers by the lcm of its denominators.
+
+    Returns the pivot columns, the last pivot, the sign of the row
+    permutation and the product of the row scales.
+    """
+    scale = 1
+    for i, row in enumerate(m):
+        m[i], s = _over_lcm(row)
+        scale *= s
+    return (*_bareiss(m, ncols), scale)
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -220,6 +238,72 @@ def oracle_points(bases, lo, hi, t) -> list[tuple[Fraction, ...]]:
     return sorted({
         path.at(t) for path, a, b in bases if (a is None or a <= lo) and (b is None or hi <= b)
     })
+
+
+# ---- polytope geometry for the tests -----------------------------------------
+
+def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
+    """Facet H-representation of the convex hull of a full-dimensional point set."""
+    pts, den = _int_points([tuple(Fraction(c) for c in p) for p in points])
+    dim = len(pts[0])
+    rows = []
+    for base, *rest in itertools.combinations(pts, dim):
+        normal = kernel_vector([[a - b for a, b in zip(p, base)] for p in rest], dim)
+        if normal is None:
+            continue
+        level = sum(map(mul, normal, base))
+        values = [sum(map(mul, normal, p)) - level for p in pts]
+        if all(v >= 0 for v in values):
+            rows.append((normal, -level))
+        elif all(v <= 0 for v in values):
+            rows.append((tuple(-a for a in normal), level))
+    # each facet is found once per dim-subset of its points; its normal is primitive
+    return [Halfspace(a, Fraction(b, den)) for a, b in _dedupe_rows(rows)]
+
+
+def polytope_from_points(points: Sequence[Sequence]) -> Polytope:
+    """The convex hull of a full-dimensional point set."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    if not pts or affine_rank(pts) < len(pts[0]):
+        raise DegeneratePolytope("point set is empty or not full-dimensional")
+    return Polytope.from_halfspaces(hull_halfspaces(pts))
+
+
+def polytope_at(pp: ParametricPolytope, t) -> Polytope:
+    """The family's polytope {<x, u_i> >= -(a_i - t d_i)} at one t."""
+    return Polytope.from_halfspaces([Halfspace(hs.normal, hs.offset - t * hs.rate) for hs in pp.halfspaces])
+
+
+def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
+    """Exact Minkowski sum, by eliminating y from {(z, y) : z - y in P, y in Q}."""
+    if p.dimension != q.dimension:
+        raise DimensionMismatch("Minkowski summands must share a dimension")
+    n = p.dimension
+    lifted = [Halfspace(hs.normal + tuple(-a for a in hs.normal), hs.offset) for hs in p.halfspaces]
+    lifted += [Halfspace((0,) * n + hs.normal, hs.offset) for hs in q.halfspaces]
+    rows, den = _int_rows(lifted)
+    try:
+        for d in range(2 * n, n, -1):
+            rows = _fm_eliminate_last(rows, d)
+    except _Infeasible as exc:
+        raise DegeneratePolytope("Minkowski sum of an empty polytope") from exc
+    return Polytope.from_halfspaces([Halfspace(a, Fraction(b, den)) for a, b in rows])
+
+
+def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
+    """Normalized mixed volume of n nonempty polytopes in dimension n: MV(P, ..., P) = n! vol(P).
+
+    Inclusion-exclusion polarization over the Minkowski sums of the input
+    polytopes; exact, and exponential only in the ambient dimension.
+    """
+    n = len(polytopes)
+    if any(p.dimension != n or p.is_empty for p in polytopes):
+        raise DimensionMismatch(f"need {n} nonempty polytopes in dimension {n}")
+    return sum(
+        (-1) ** (n - size) * volume(reduce(minkowski_sum, combo))
+        for size in range(1, n + 1)
+        for combo in itertools.combinations(polytopes, size)
+    )
 
 
 # ---- the Fraction polynomial kernel ----------------------------------------
@@ -565,7 +649,8 @@ def curve_chambers(fan, l, d) -> tuple[CurveChamber, ...]:
     hulls = [_support_hull(family.hypograph, u) for u in fan.rays]
     chambers: list[CurveChamber] = []
     for chamber in family.chambers:
-        lo, hi, mid = chamber.lo, chamber.hi, chamber.midpoint()
+        lo, hi = chamber.lo, chamber.hi
+        mid = (lo + hi) / 2
         bottom, top = math.floor(lo * den), math.ceil(hi * den)
         paths = []
         for u, hull in zip(fan.rays, hulls):

@@ -33,7 +33,6 @@ from toricstab import (
     g_pairing,
     intersection_number,
     jtilde,
-    mixed_volume,
     polytope_of,
     ray_divisor,
     ricci_energy,
@@ -45,7 +44,7 @@ from toricstab import (
 )
 from toricstab.errors import AlreadyARay, NotPseudoEffective
 from toricstab.geometry import volume
-from oracles import fit_polynomial, g_polynomial
+from oracles import fit_polynomial, g_polynomial, mixed_volume
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -34,7 +34,7 @@ from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, Zer
 from toricstab.thresholds import primitive_candidates
 from toricstab.volume_fn import _chamber_sum, family_volume_curve
 
-from oracles import filtration_family, fit_polynomial
+from oracles import filtration_family, fit_polynomial, polytope_at
 
 
 def test_filtration_curve_p2_ray(p2):
@@ -102,7 +102,7 @@ def sampled_family_curve(pp):
     neighbours, and n - 1 points inside it.
     """
     n = pp.dimension
-    sampled = functools.cache(lambda x: math.factorial(n) * volume(pp.polytope_at(x)))
+    sampled = functools.cache(lambda x: math.factorial(n) * volume(polytope_at(pp, x)))
     pieces = []
     for chamber in pp.chambers:
         xs = [chamber.lo, *chamber.sample_points(n - 1), chamber.hi]

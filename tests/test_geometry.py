@@ -15,7 +15,6 @@ from toricstab import geometry
 from toricstab.errors import DegeneratePolytope, UnboundedRegion
 from toricstab.geometry import (
     Halfspace,
-    ParametricHalfspace,
     Polytope,
     _dedupe_halfspaces,
     _feasible,
@@ -26,15 +25,13 @@ from toricstab.geometry import (
     affine_rank,
     facet_simplices,
     facet_volumes,
-    hull_halfspaces,
     int_rows,
+    _over_lcm,
     kernel_vector,
     linear_moment,
     linear_stats,
     make_primitive,
     matrix_rank,
-    minkowski_sum,
-    mixed_volume,
     normalized_volume,
     parametric_family,
     triangulation,
@@ -44,11 +41,17 @@ from toricstab.geometry import (
 
 from oracles import (
     det,
+    fit_polynomial,
     fraction_row_reduce,
+    hull_halfspaces,
+    minkowski_sum,
+    mixed_volume,
     oracle_basis_paths,
     oracle_points,
     oracle_solve,
     oracle_walls,
+    polytope_at,
+    polytope_from_points,
     solve_linear,
 )
 
@@ -148,9 +151,7 @@ def sweep_mean(p: Polytope, u) -> Q:
     total = Q(0)
     for ch in family.chambers:
         xs = ch.sample_points(p.dimension + 1)
-        ys = [volume(family.polytope_at(x)) for x in xs]
-        from oracles import fit_polynomial
-
+        ys = [volume(polytope_at(family, x)) for x in xs]
         total += fit_polynomial(xs, ys).integrate(ch.lo, ch.hi)
     return lo + total / volume(p)
 
@@ -163,7 +164,7 @@ def test_linear_stats_mean_matches_sweep_quadrature():
         if len(pts) < 3:
             continue
         try:
-            p = Polytope.from_points(pts)
+            p = polytope_from_points(pts)
         except DegeneratePolytope:
             continue
         u = (rng.randint(-3, 3), rng.randint(-3, 3))
@@ -194,7 +195,7 @@ def random_polygon(rng: random.Random) -> Polytope:
     while True:
         pts = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 7))}
         try:
-            return Polytope.from_points(sorted(pts))
+            return polytope_from_points(sorted(pts))
         except DegeneratePolytope:
             continue
 
@@ -208,19 +209,14 @@ def test_mixed_volume_symmetry_and_multilinearity():
         assert mixed_volume([pq, r]) == mixed_volume([p, r]) + mixed_volume([q, r])
 
 
+ORTHANT_3D = [Halfspace(tuple(int(i == j) for j in range(3)), 0) for i in range(3)]
+SIMPLEX_3D = ORTHANT_3D + [Halfspace((-1, -1, -1), 1)]
+CUBE_3D = ORTHANT_3D + [Halfspace(tuple(-int(i == j) for j in range(3)), 1) for i in range(3)]
+
+
 def test_mixed_volume_3d_multilinearity():
-    simplex = poly(
-        [Halfspace(tuple(int(i == j) for j in range(3)), 0) for i in range(3)]
-        + [Halfspace((-1, -1, -1), 1)]
-    )
-    slab = poly(
-        [Halfspace(tuple(int(i == j) for j in range(3)), 0) for i in range(3)]
-        + [Halfspace((-1, 0, 0), 2), Halfspace((0, -1, 0), 1), Halfspace((0, 0, -1), 1)]
-    )
-    box = poly(
-        [Halfspace(tuple(int(i == j) for j in range(3)), 0) for i in range(3)]
-        + [Halfspace(tuple(-int(i == j) for j in range(3)), 1) for i in range(3)]
-    )
+    simplex, box = poly(SIMPLEX_3D), poly(CUBE_3D)
+    slab = poly(ORTHANT_3D + [Halfspace((-1, 0, 0), 2), Halfspace((0, -1, 0), 1), Halfspace((0, 0, -1), 1)])
     combined = minkowski_sum(simplex, slab)
     assert mixed_volume([combined, box, box]) == mixed_volume(
         [simplex, box, box]
@@ -228,14 +224,7 @@ def test_mixed_volume_3d_multilinearity():
 
 
 def test_mixed_volume_3d_diagonal_and_symmetry():
-    cube = poly(
-        [Halfspace(tuple(int(i == j) for j in range(3)), 0) for i in range(3)]
-        + [Halfspace(tuple(-int(i == j) for j in range(3)), 1) for i in range(3)]
-    )
-    simplex = poly(
-        [Halfspace(tuple(int(i == j) for j in range(3)), 0) for i in range(3)]
-        + [Halfspace((-1, -1, -1), 1)]
-    )
+    cube, simplex = poly(CUBE_3D), poly(SIMPLEX_3D)
     assert mixed_volume([cube, cube, cube]) == 6
     assert mixed_volume([simplex, simplex, simplex]) == 1
     assert (
@@ -266,7 +255,7 @@ def test_parametric_family_p2():
     for t in (0, 1, 3):
         # (t-1, -1), (2, -1) and (t-1, 2-t), which meet at t = 3
         want = sorted({(t - 1, Q(-1)), (Q(2), Q(-1)), (t - 1, 2 - t)})
-        assert oracle_points(bases, 0, 3, t) == want == list(family.polytope_at(t).vertices)
+        assert oracle_points(bases, 0, 3, t) == want == list(polytope_at(family, t).vertices)
 
 
 def test_parametric_family_zero_direction():
@@ -281,13 +270,11 @@ def test_parametric_family_f1_threshold():
 
 
 def test_parametric_volume_is_polynomial_per_chamber():
-    from oracles import fit_polynomial
-
     for rates in ([1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 2]):
         family = parametric_family(F1_QUAD, rates)
         for ch in family.chambers:
             xs = ch.sample_points(7)
-            ys = [volume(family.polytope_at(x)) for x in xs]
+            ys = [volume(polytope_at(family, x)) for x in xs]
             fit = fit_polynomial(xs[:3], ys[:3])
             assert all(fit(x) == y for x, y in zip(xs, ys))
 
@@ -302,7 +289,7 @@ def test_chamber_paths_match_vertex_enumeration():
         walls += len(family.chambers) - 1
         for ch in family.chambers:
             for t in ch.sample_points(3):
-                assert oracle_points(bases, ch.lo, ch.hi, t) == list(family.polytope_at(t).vertices)
+                assert oracle_points(bases, ch.lo, ch.hi, t) == list(polytope_at(family, t).vertices)
     assert walls > 0
 
 
@@ -369,14 +356,16 @@ def test_solve_linear_matches_fraction_elimination(system):
 @settings(max_examples=300, deadline=None)
 @given(rectangular)
 def test_matrix_rank_matches_fraction_elimination(m):
-    assert matrix_rank(m) == len(fraction_row_reduce(m, len(m[0]))[1])
+    # each row scaled to integers by the lcm of its denominators: the rank is unchanged
+    assert matrix_rank([_over_lcm(row)[0] for row in m]) == len(fraction_row_reduce(m, len(m[0]))[1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(rectangular)
 def test_kernel_vector_matches_fraction_elimination(m):
-    # exact, sign included: the free coordinate stays positive
-    assert kernel_vector(m, len(m[0])) == oracle_kernel(m, len(m[0]))
+    # exact, sign included: the free coordinate stays positive; scaling the
+    # rows to integers leaves the kernel unchanged
+    assert kernel_vector([_over_lcm(row)[0] for row in m], len(m[0])) == oracle_kernel(m, len(m[0]))
 
 
 def test_kernel_vector_keeps_free_coordinate_positive():
@@ -410,11 +399,11 @@ def oracle_tight(hs, vertices):
 
 
 def oracle_affine_rank(points):
-    """affine_rank by Fraction differences."""
+    """affine_rank by Fraction differences and a Fraction elimination."""
     if not points:
         return -1
     diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    return matrix_rank(diffs) if diffs else 0
+    return len(fraction_row_reduce(diffs, len(points[0]))[1]) if diffs else 0
 
 
 def oracle_pull(halfspaces, face, dim):
@@ -573,8 +562,7 @@ def closed(hs, rates, start):
 @example((CORNER, [Q(0), Q(0), Q(1)]))
 def test_family_start_matches_vertex_enumeration(system):
     hs, rates = system
-    phs = [ParametricHalfspace(h.normal, h.offset, r) for h, r in zip(hs, rates)]
-    want = start_route([h.at(0) for h in phs])
+    want = start_route(hs)
     if isinstance(want, Polytope):
         hs, rates = closed(hs, rates, want)
     enumerated = []
@@ -622,11 +610,11 @@ def test_family_chambers_tile_the_window(system):
     for ch in family.chambers:
         if ch.lo == ch.hi:
             continue
-        mid = ch.midpoint()
+        mid = (ch.lo + ch.hi) / 2
         # the paths feasible on the whole chamber are its vertices inside and among them at its ends
-        assert oracle_points(bases, ch.lo, ch.hi, mid) == list(family.polytope_at(mid).vertices)
+        assert oracle_points(bases, ch.lo, ch.hi, mid) == list(polytope_at(family, mid).vertices)
         for t in (ch.lo, ch.hi):
-            vertices = set(family.polytope_at(t).vertices)
+            vertices = set(polytope_at(family, t).vertices)
             assert set(oracle_points(bases, ch.lo, ch.hi, t)) <= vertices
 
 

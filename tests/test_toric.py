@@ -17,12 +17,12 @@ from toricstab import (
     Fan,
     anticanonical,
     big_volume,
+    delta_search,
     divisor,
     intersection_number,
     is_ample,
     is_nef,
     log_discrepancy,
-    mixed_volume,
     polytope_of,
     positive_pairing,
     ray_divisor,
@@ -38,7 +38,7 @@ from toricstab.errors import (
     NotPseudoEffective,
     ZeroVector,
 )
-from toricstab.geometry import _bareiss, extreme_rays, is_primitive
+from toricstab.geometry import _bareiss, _over_lcm, extreme_rays, is_primitive
 from toricstab.toric import is_strictly_ample
 from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
@@ -46,6 +46,7 @@ from toricstab.volume_fn import volume_curve
 
 from oracles import (
     det,
+    mixed_volume,
     nonneg_combination,
     oracle_intersection_number,
     oracle_is_ample,
@@ -126,9 +127,10 @@ def test_validate_pinned_fans(name):
 def face_test_by_shared_rays(fan):
     """Oracle for validate_fan's face test: the proper flag and the overlap messages.
 
-    Each cone's inward facet normals are its dual basis by solve_linear, and
-    an extreme ray of two cones' intersection must be a nonnegative
-    combination of their shared rays, solved by a Fraction elimination.
+    Each cone's inward facet normals are its dual basis by solve_linear, each
+    scaled to integers by the lcm of its denominators, and an extreme ray of
+    two cones' intersection must be a nonnegative combination of their shared
+    rays, solved by a Fraction elimination.
     Like validate_fan, it tests only fans of n-ray cones with nonzero
     determinants, in dimension at least 2.
     """
@@ -138,7 +140,7 @@ def face_test_by_shared_rays(fan):
 
     def normals(cone):
         rays = fan.cone_rays(cone)
-        return [solve_linear(rays, [int(j == k) for k in range(n)]) for j in range(n)]
+        return [_over_lcm(solve_linear(rays, [int(j == k) for k in range(n)]))[0] for j in range(n)]
 
     messages = []
     for ca, cb in itertools.combinations(fan.max_cones, 2):
@@ -222,6 +224,20 @@ def test_divisor_hash_is_cached_and_survives_pickle(f1):
         back = pickle.loads(pickle.dumps(d))
         assert back == a and hash(back) == hash(a)
     assert a != divisor(f1, [1, Q(1, 3), 0, 2])
+
+
+def test_fan_hash_is_cached_and_survives_pickle(p3):
+    # equal fans built apart, their cones listed in another order, hash and compare
+    # equal, also after a pickle round trip, as the process pool of delta_search needs
+    fan, pull, _k = star_subdivision(p3, (1, 1, 1))
+    again = Fan.make([list(r) for r in fan.rays], [c[::-1] for c in reversed(fan.max_cones)])
+    assert again == fan and hash(again) == hash(fan) == hash((fan.rays, fan.max_cones, 3))
+    assert vars(again)["_hash"] == hash(fan) and {fan: "fan"}[again] == "fan" and fan != p3
+    for f in (fan, pickle.loads(pickle.dumps(again))):
+        back = pickle.loads(pickle.dumps(f))
+        assert back == fan and hash(back) == hash(fan)
+    l = pull(anticanonical(p3))
+    assert delta_search(fan, l, 1, jobs=2) == delta_search(fan, l, 1, jobs=1)
 
 
 def test_log_discrepancy_cone_linearity(surfaces):

@@ -36,6 +36,7 @@ from toricstab.geometry import (
 from toricstab.thresholds import primitive_candidates
 from toricstab.toric import section_halfspaces
 from toricstab.volume_fn import (
+    _pseudo_divide,
     _squarefree,
     chamber_volume_polynomial,
     count_roots,
@@ -56,6 +57,7 @@ from oracles import (
     oracle_nonneg_on_interval,
     oracle_squarefree_decomposition,
     oracle_walls,
+    polytope_at,
 )
 
 
@@ -92,13 +94,6 @@ def test_fit_polynomial_exact():
     xs = [Q(i, 7) for i in range(4)]
     fitted = fit_polynomial(xs, [target(x) for x in xs])
     assert fitted == target
-
-
-def test_polynomial_divmod():
-    num = Polynomial.of(-1, 0, 1)  # x^2 - 1
-    den = Polynomial.of(-1, 1)  # x - 1
-    q, r = num.divmod(den)
-    assert q.coeffs == (1, 1) and r.is_zero
 
 
 def test_count_roots():
@@ -168,6 +163,7 @@ polynomials = st.one_of(
 @given(polynomials, polynomials, small_rationals | ends, small_rationals.filter(bool))
 @example((), (), Q(1, 2), Q(-3))
 @example((0, 0, 1), (Q(-1, 2), 0), Q(0), Q(2))
+@example((-1, 0, 1), (-1, 1), Q(1, 2), Q(2))  # x^2 - 1 over x - 1: quotient x + 1, no remainder
 def test_integer_polynomial_matches_fraction_oracle(a, b, x, c):
     p, q = Polynomial(a), Polynomial(b)
     fp, fq = FractionPolynomial(a), FractionPolynomial(b)
@@ -181,12 +177,16 @@ def test_integer_polynomial_matches_fraction_oracle(a, b, x, c):
         assert got == Polynomial(want.coeffs) and hash(got) == hash(Polynomial(want.coeffs))
     assert p(x) == fp(x) and type(p(x)) is Q
     if not fq.is_zero:
-        quo, rem = p.divmod(q)
+        # s a = quo b + rem on the numerators, with s = lc(b)^k: the division of
+        # p by q is quo * q.den / (s p.den) with remainder rem / (s p.den)
+        quo, rem, s = _pseudo_divide(p.nums, q.nums)
+        assert s == q.nums[-1] ** max(len(p.nums) - len(q.nums) + 1, 0)
+        assert FractionPolynomial(p.nums).scale(s) == (
+            FractionPolynomial(quo) * FractionPolynomial(q.nums) + FractionPolynomial(rem)
+        )
         want_quo, want_rem = fp.divmod(fq)
-        assert (quo.coeffs, rem.coeffs) == (want_quo.coeffs, want_rem.coeffs)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            p.divmod(q)
+        assert Polynomial.from_ints([q.den * c for c in quo], s * p.den).coeffs == want_quo.coeffs
+        assert Polynomial.from_ints(rem, s * p.den).coeffs == want_rem.coeffs
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,7 +429,7 @@ def _oracle_families(surfaces, p3):
 
 def _sampled_chamber_polynomial(pp, chamber, degree):
     xs = chamber.sample_points(degree + 1)
-    return fit_polynomial(xs, [volume(pp.polytope_at(x)) for x in xs])
+    return fit_polynomial(xs, [volume(polytope_at(pp, x)) for x in xs])
 
 
 def test_symbolic_chamber_volumes_match_sampled_fit(surfaces, p3):
@@ -458,7 +458,7 @@ def test_chamber_facet_polynomials_match_sampled_fit(surfaces, p3):
         for chamber in pp.chambers:
             xs = chamber.sample_points(n)
             normals = [hs.normal for hs in pp.halfspaces]
-            samples = [facet_volumes(pp.polytope_at(x), normals) for x in xs]
+            samples = [facet_volumes(polytope_at(pp, x), normals) for x in xs]
             for i, got in enumerate(chamber_facet_polynomials(pp, chamber)):
                 ys = [math.factorial(n - 1) * areas[i] for areas in samples]
                 assert got == fit_polynomial(xs, ys)
