@@ -34,7 +34,7 @@ simplex with its integer determinant, and volume and linear_moment sum
 these and divide once, as facet_volumes does over the simplices of each
 facet.  _triangulate and facet_simplices take any rows and their polytope's
 exact vertex set, so a family's hypograph is triangulated on its integer
-rows without a Polytope.
+rows without a Polytope, its simplices and facets off one table.
 normalized_volume runs the same steps from integer rows to n! times the
 volume without building a Polytope or touching the volume and triangulation
 caches; a family's chamber volume polynomials are checked against it.
@@ -175,11 +175,6 @@ def _int_affine_rank(points: Sequence[LatticeVector]) -> int:
     base = points[0]
     diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
     return len(_bareiss(diffs, len(base))[0]) if diffs else 0
-
-
-def affine_rank(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull of the point set (-1 when empty)."""
-    return _int_affine_rank(_int_points(points)[0])
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +507,13 @@ def _triangulate(
     every vertex (it has no implicit equality); otherwise there are no
     simplices.  The rows' normals must be nonzero.
     """
-    tight = _tight_sets(rows, q, points, den)
+    return _pulled(_tight_sets(rows, q, points, den), points, dim)
+
+
+def _pulled(
+    tight: Sequence[frozenset[int]], points: Sequence[LatticeVector], dim: int
+) -> list[tuple[int, ...]]:
+    """_triangulate on the polytope's incidence table `tight`, the tight set of every row."""
     everything = frozenset(range(len(points)))
     if not points or everything in tight:
         return []
@@ -532,7 +533,14 @@ def facet_simplices(
     sets.  No simplices for a normal with no row, or whose row is not tight
     on a facet.
     """
-    tight = _tight_sets(rows, q, points, den)
+    return _pulled_facets(rows, _tight_sets(rows, q, points, den), points, dim, normals)
+
+
+def _pulled_facets(
+    rows: Sequence[IntRow], tight: Sequence[frozenset[int]], points: Sequence[LatticeVector],
+    dim: int, normals: Iterable[Sequence[int]],
+) -> list[list[tuple[int, ...]]]:
+    """facet_simplices on the polytope's incidence table `tight`, the tight set of every row."""
     everything = frozenset(range(len(points)))
     facets = [] if not points or everything in tight else _facets(everything, tight)
     on = {a: t for (a, _b), t in zip(rows, tight) if t in facets}
@@ -674,8 +682,8 @@ class _Hypograph:
     integers over den with the height t last, enumerated once with no
     boundedness test: parametric_family reads the family's start, chambers
     and threshold off their heights and tests Q's recession cone itself.  Q
-    is triangulated once, and its facets are read from one incidence table,
-    each when first asked for, both as knotted simplices over den
+    is triangulated once and its facets are read once, each when first asked
+    for, both off one incidence table and both as knotted simplices over den
     (_knotted_simplices).  No Polytope is built.
     """
 
@@ -695,9 +703,14 @@ class _Hypograph:
         return _knotted_simplices([point[-1] for point in self.points], zip(dets, simplices))
 
     @cached_property
+    def _tight(self) -> list[frozenset[int]]:
+        """Q's incidence table, the tight set of every row, read by its simplices and its facets."""
+        return _tight_sets(self.rows, self.q, self.points, self.den)
+
+    @cached_property
     def simplices(self) -> list[tuple[int, list[int]]]:
         """(|det|, sorted heights) of each simplex of Q."""
-        return self._knotted(_triangulate(self.rows, self.q, self.points, self.den, self.dim + 1))
+        return self._knotted(_pulled(self._tight, self.points, self.dim + 1))
 
     @cached_property
     def facets(self) -> list[list[tuple[int, list[int]]]]:
@@ -707,7 +720,7 @@ class _Hypograph:
         simplices of all their facets.
         """
         lifted = dict(zip((a for a, _b in self.rows), self.normals))  # one per row normal of Q
-        facets = facet_simplices(self.rows, self.q, self.points, self.den, self.dim + 1, lifted)
+        facets = _pulled_facets(self.rows, self._tight, self.points, self.dim + 1, lifted)
         on: dict[LatticeVector, list] = {}
         for u, simplices in zip(lifted.values(), facets):
             on.setdefault(u, []).extend(self._knotted(simplices, [(*u, 0)]))

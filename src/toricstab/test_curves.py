@@ -11,20 +11,23 @@ hypograph Q, the (n+1)-polytope whose slices are the section polytopes
 boundary form of the Futaki invariant); on [0, 1] they are those of the part
 of Q below height 1.  A curve carries them, integers over one denominator,
 and every functional is a dot product: E = M / V, E^alpha = <alpha, I> / V,
-J~ = n (<L, I> - M) / V and Ent = n E^(K_rel + Red D).  The entropy needs no
-reduced support of tau*D + N_tau: a ray that only N_tau carries misses
-P_tau, so its facet function vanishes there.  The integrals are the parts
+J~ = n (<L, I> - M) / V and Ent = n E^(K_rel + Red D).  The entropy and the
+Ricci energy -n E^(-K + K_rel) are integer sums with no divisor built:
+K_rel's numerators against the I_i, plus the I_i summed over D's support,
+or over every ray for -K.  The entropy needs no reduced support of
+tau*D + N_tau: a ray that only N_tau carries misses P_tau, so its facet
+function vanishes there.  The integrals are the parts
 of Q and of its facets below the domain's top, read off volume_fn's closed
 form on knotted simplices at that rational top (volume_fn._below_top), and
 are checked by Euler's identity on Q (family_integrals).
 
 One family serves each direction ray: D = c D0 with D0 primitive integral
-(volume_fn._ray), and P_{L - tau c D0} = P_{L - (c tau) D0}, so the
-integrals of D are 1/c times D0's, over [0, tau+ of D0] for the extended
-curve and over [0, c] for the truncated one.  The family, its volume curve
-and its extended integrals are memoized per (fan, L, D0); a truncated
-curve integrates its family afresh at its top.  Failed checks are not
-cached: they raise again on every call.
+(volume_fn._ray, memoized per D), and P_{L - tau c D0} = P_{L - (c tau) D0},
+so the integrals of D are 1/c times D0's, over [0, tau+ of D0] for the
+extended curve and over [0, c] for the truncated one.  The family, its
+volume curve and its extended integrals are memoized per (fan, L, D0); a
+truncated curve integrates its family afresh at its top.  Failed checks
+are not cached: they raise again on every call.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .geometry import ParametricPolytope, _over_lcm
 from .toric import (
     Fan,
     ToricDivisor,
-    anticanonical,
     intersection_number,
     zariski_decompose,
     zero_divisor,
@@ -260,20 +262,29 @@ def jtilde(curve: TestCurve) -> Fraction:
     return n * (curve.pairing_integral(curve.l) - curve.mass_integral) / curve.total_volume
 
 
+def _k_rel_pairing(curve: TestCurve, rays) -> Fraction:
+    """(n/V) <K_rel + sum of D_i over `rays`, I>: one integer dot product, one Fraction."""
+    k_nums, k_den = _over_lcm(curve.k_rel.coeffs)
+    facets = curve.integral_nums
+    num = sum(map(operator.mul, k_nums, facets)) + k_den * sum(facets[i] for i in rays)
+    v = curve.total_volume
+    return Fraction(
+        curve.model.dimension * num * v.denominator, k_den * curve.integral_den * v.numerator
+    )
+
+
 def entropy(curve: TestCurve) -> Fraction:
     """(n/V) integral of <P_tau^{n-1}> . (K_rel + Red(tau D + N_tau)): n E^(K_rel + Red D).
 
     A ray in the support of N_tau but not of D carries no facet of P_tau,
     so the reduced divisor pairs as Red D does.
     """
-    return curve.model.dimension * alpha_energy(curve, curve.k_rel + curve.d.reduced())
+    return _k_rel_pairing(curve, curve.d.support())
 
 
 def ricci_energy(curve: TestCurve) -> Fraction:
-    """-n times the energy against the pulled-back anticanonical class."""
-    n = curve.model.dimension
-    anti = anticanonical(curve.model) + curve.k_rel
-    return -n * alpha_energy(curve, anti)
+    """-n times the energy against the pulled-back anticanonical class -K + K_rel."""
+    return -_k_rel_pairing(curve, range(len(curve.integral_nums)))
 
 
 def twisted_mabuchi(curve: TestCurve) -> Fraction:

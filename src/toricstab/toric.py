@@ -7,7 +7,8 @@ on the cone, A = sum_j m_j and a divisor's vertex is -sum_j a_j m_j.
 The polarization checks read only these cone vertices m_sigma: on a complete
 fan D is nef exactly when every m_sigma lies in P_D, and P_D is then the hull
 of the m_sigma (Cox-Little-Schenck, Toric Varieties, ch. 6), so no
-section polytope is built for them.
+section polytope is built for them; nefness and the rank test run in one
+integer pass over the m_sigma over one common denominator.
 Intersection numbers of any n divisors, nef or not, come from the fan's
 intersection ring (Fulton, Introduction to Toric Varieties, 5.1): each class
 is moved off the rays of one fixed maximal cone by linear equivalence, and the
@@ -41,10 +42,9 @@ from .geometry import (
     Point,
     Polytope,
     _bareiss,
+    _int_affine_rank,
     _over_lcm,
-    affine_rank,
     content,
-    dot,
     extreme_rays,
     is_primitive,
 )
@@ -149,21 +149,30 @@ def _cone_duals(fan: Fan) -> Mapping[tuple[int, ...], tuple[int, tuple[LatticeVe
     return MappingProxyType(table)
 
 
-def _cone_vertices(fan: Fan, coeffs: Sequence) -> list[Point] | None:
-    """Each maximal cone's m_sigma = -sum_j a_j m_j, in `max_cones` order; None if one is off the table.
+def _nef_vertices(fan: Fan, coeffs: Sequence) -> tuple[list[LatticeVector], int] | None:
+    """Each maximal cone's m_sigma as integers over one den, in `max_cones` order, if D is nef.
 
-    m_sigma is the point with <m_sigma, u_rho> = -a_rho on the cone's rays.
+    m_sigma = -sum_j a_j m_j is the point with <m_sigma, u_rho> = -a_rho on
+    the cone's rays.  With the a_j integers over c and den = c lcm |det
+    sigma|, den m_sigma is read off _cone_duals in integers.  D is nef
+    exactly when, for every ray rho, the least <den m_sigma, u_rho> over the
+    cones is -a_rho den.  None when D is not nef, when a cone is missing from
+    the table, or when the fan has no cone.
     """
     duals = _cone_duals(fan)
+    entries = [duals.get(cone) for cone in fan.max_cones]
+    if not entries or None in entries:
+        return None
+    nums, c = _over_lcm(coeffs)
+    scale = math.lcm(*(d for d, _ws in entries))
     vertices = []
-    for cone in fan.max_cones:
-        entry = duals.get(cone)
-        if entry is None:
+    for cone, (d, ws) in zip(fan.max_cones, entries):
+        a = [-(scale // d) * nums[i] for i in cone]
+        vertices.append(tuple(sum(map(mul, a, column)) for column in zip(*ws)))
+    for u, a in zip(fan.rays, nums):
+        if min(sum(map(mul, m, u)) for m in vertices) != -a * scale:
             return None
-        d, ws = entry
-        a = [coeffs[i] for i in cone]
-        vertices.append(tuple(-dot(a, column) / d for column in zip(*ws)))
-    return vertices
+    return vertices, c * scale
 
 
 @dataclass(frozen=True)
@@ -365,17 +374,15 @@ def support_value(fan: Fan, d: ToricDivisor, u: Sequence) -> Fraction:
 
 
 def is_nef(fan: Fan, d: ToricDivisor) -> bool:
-    """Nefness from the cone vertices m_sigma alone; the fan must be complete.
+    """Nefness from the cone vertices m_sigma alone, in integers; the fan must be complete.
 
     The divisor is nef exactly when, for every ray rho, the minimum of
-    <m_sigma, u_rho> over the maximal cones is -a_rho.  ">=" puts every
-    m_sigma in P_D, which on a complete fan is nefness, and P_D is then the
-    hull of the m_sigma, so "=" is the saturation of each ray's halfspace.
+    <m_sigma, u_rho> over the maximal cones is -a_rho (_nef_vertices).
+    ">=" puts every m_sigma in P_D, which on a complete fan is nefness, and
+    P_D is then the hull of the m_sigma, so "=" is the saturation of each
+    ray's halfspace.
     """
-    vertices = _cone_vertices(fan, d.coeffs)
-    return bool(vertices) and all(
-        min(dot(m, u) for m in vertices) == -a for u, a in zip(fan.rays, d.coeffs)
-    )
+    return _nef_vertices(fan, d.coeffs) is not None
 
 
 @lru_cache(maxsize=None)
@@ -383,12 +390,14 @@ def is_ample(fan: Fan, d: ToricDivisor) -> bool:
     """Polarization check: nef with a full-dimensional section polytope; the fan must be complete.
 
     P_D of a nef divisor is the hull of the cone vertices, so it is
-    full-dimensional exactly when they have affine rank n.  This accepts big
-    and semi-ample classes such as pullbacks of ample divisors, which is
+    full-dimensional exactly when they have affine rank n.  Both tests run in
+    one integer pass over the cone vertices (_nef_vertices).  This accepts
+    big and semi-ample classes such as pullbacks of ample divisors, which is
     exactly what the one-parameter constructions need.  Memoized on the
     immutable (fan, divisor) pair.
     """
-    return is_nef(fan, d) and affine_rank(_cone_vertices(fan, d.coeffs)) == fan.dimension
+    found = _nef_vertices(fan, d.coeffs)
+    return found is not None and _int_affine_rank(found[0]) == fan.dimension
 
 
 def is_strictly_ample(fan: Fan, d: ToricDivisor) -> bool:
@@ -398,7 +407,7 @@ def is_strictly_ample(fan: Fan, d: ToricDivisor) -> bool:
     """
     if not is_ample(fan, d):
         return False
-    vertices = _cone_vertices(fan, d.coeffs)
+    vertices, _den = _nef_vertices(fan, d.coeffs)
     return len(set(vertices)) == len(vertices)
 
 

@@ -52,7 +52,6 @@ from .geometry import (
     _knotted_simplices,
     _over_lcm,
     facet_volumes,
-    int_rows,
     normalized_volume,
     parametric_family,
     triangulation,
@@ -518,10 +517,13 @@ def big_volume(fan: Fan, d: ToricDivisor) -> Fraction:
     return math.factorial(fan.dimension) * volume(polytope_of(fan, d))
 
 
+@lru_cache(maxsize=None)
 def _ray(d: ToricDivisor) -> tuple[ToricDivisor, Fraction]:
     """(D0, c) with D = c D0, c > 0 and D0 the primitive integral divisor on D's ray.
 
-    A zero D has no ray and raises ZeroDivisor.
+    Memoized per divisor, so every curve of one direction splits it once and
+    equal directions share one D0 object.  A zero D has no ray and raises
+    ZeroDivisor on every call.
     """
     if d.is_zero:
         raise ZeroDivisor("direction divisor is zero")
@@ -657,12 +659,18 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
 def _checked(poly: Polynomial, chamber: Chamber, halfspaces: Sequence[ParametricHalfspace], n):
     """poly, n! * volume(P_t) on the chamber, checked; a failure raises InvariantViolation.
 
-    Its degree is at most n, and a third of the way in it is the volume of
-    the family's rows there, enumerated and triangulated afresh.
+    Its degree is at most n, and a third of the way in, at x = p / r, it is
+    the volume of the family's rows there, enumerated and triangulated
+    afresh.  With the offsets o / q_o and the rates k / q_r each over one
+    common denominator, the row of u at x is (u, o q_r r - p k q_o) over
+    q_o q_r r, all integers.
     """
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
-    offsets = [hs.offset - x * hs.rate for hs in halfspaces]
-    check = normalized_volume(*int_rows([hs.normal for hs in halfspaces], offsets), n)
+    p, r = x.numerator, x.denominator
+    offsets, q_o = _over_lcm([hs.offset for hs in halfspaces])
+    rates, q_r = _over_lcm([hs.rate for hs in halfspaces])
+    rows = [(hs.normal, o * q_r * r - p * k * q_o) for hs, o, k in zip(halfspaces, offsets, rates)]
+    check = normalized_volume(rows, q_o * q_r * r, n)
     if poly.degree > n or poly(x) != check:
         raise InvariantViolation(
             f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"

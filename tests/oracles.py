@@ -22,8 +22,9 @@ chamber's reduced support; the test-curve functionals read the same
 integrals off the hypograph of D's ray instead.  The averaging polynomial
 G_{n-1}(a, b) and the entropy density at one tau, which the library does not
 call.  The polarization checks on the section polytope P_D, enumerated in
-Fractions, with each cone's vertex solved on its rays: the library reads
-nefness and ampleness off the cone vertices alone.  The slice family of a
+Fractions, with each cone's vertex solved on its rays, and the cone
+vertices read off the dual-basis table in Fractions: the library reads
+nefness and ampleness off the cone vertices alone, in integers.  The slice family of a
 filtration direction, whose volume curve on its hypograph the filtration
 curve was before it moved to the section polytope's own triangulation.
 The Fraction route of a candidate row: A as the cone coordinates of u
@@ -32,8 +33,9 @@ unit vectors, before a row read integer dots off the barycenter's memo.
 
 Polytope geometry only the tests use: minkowski_sum (Fourier-Motzkin) and
 mixed_volume by polarization, the oracle of toric.intersection_number
-(Fulton, 5.4); hull_halfspaces and polytope_from_points, which build random
-test polygons; and polytope_at, a family's polytope at one t.
+(Fulton, 5.4); hull_halfspaces, affine_rank of rational points and
+polytope_from_points, which build random test polygons; and polytope_at, a
+family's polytope at one t.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from toricstab.errors import (
 from toricstab.filtrations import _section_polytope
 from toricstab.geometry import (
     Chamber, Halfspace, ParametricPolytope, Point, Polytope, _bareiss, _dedupe_rows,
-    _fm_eliminate_last, _Infeasible, _int_points, _int_rows, _over_lcm, affine_rank,
+    _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_points, _int_rows, _over_lcm,
     kernel_vector, linear_stats, parametric_family, volume,
 )
 from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
@@ -259,6 +261,11 @@ def hull_halfspaces(points: Sequence[Point]) -> list[Halfspace]:
             rows.append((tuple(-a for a in normal), level))
     # each facet is found once per dim-subset of its points; its normal is primitive
     return [Halfspace(a, Fraction(b, den)) for a, b in _dedupe_rows(rows)]
+
+
+def affine_rank(points: Sequence[Point]) -> int:
+    """Dimension of the affine hull of rational points (-1 when empty), in integers."""
+    return _int_affine_rank(_int_points(points)[0])
 
 
 def polytope_from_points(points: Sequence[Sequence]) -> Polytope:
@@ -484,6 +491,24 @@ def _oracle_cone_vertices(fan, coeffs):
         if m is None:
             return None
         vertices.append(m)
+    return vertices
+
+
+def oracle_cone_vertices(fan, coeffs):
+    """Each maximal cone's m_sigma = -sum_j a_j m_j off _cone_duals in Fractions; None if one is off it.
+
+    The polarization checks computed these, in `max_cones` order, before they
+    ran in integers over one common denominator.
+    """
+    duals = toric._cone_duals(fan)
+    vertices = []
+    for cone in fan.max_cones:
+        entry = duals.get(cone)
+        if entry is None:
+            return None
+        d, ws = entry
+        a = [coeffs[i] for i in cone]
+        vertices.append(tuple(-sum(map(mul, a, column), Fraction(0)) / d for column in zip(*ws)))
     return vertices
 
 

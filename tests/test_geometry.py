@@ -22,7 +22,6 @@ from toricstab.geometry import (
     _int_rows,
     _recession_nontrivial,
     _tight_sets,
-    affine_rank,
     facet_simplices,
     facet_volumes,
     int_rows,
@@ -40,6 +39,7 @@ from toricstab.geometry import (
 )
 
 from oracles import (
+    affine_rank,
     det,
     fit_polynomial,
     fraction_row_reduce,

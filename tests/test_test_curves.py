@@ -531,8 +531,8 @@ def test_a_corrupted_facet_simplex_breaks_euler(p2, monkeypatch):
 # ---- the memoized curve pieces against the unmemoized route ----------------
 
 def memoized_pieces():
-    """The memoized pieces of a test curve: the ray's family, volume curve and integrals."""
-    return [vf.divisor_family, vf.ray_volume_curve, tc._ray_curve]
+    """The memoized pieces of a test curve: the ray's family, volume curve and integrals, and D's split."""
+    return [vf.divisor_family, vf.ray_volume_curve, tc._ray_curve, vf._ray]
 
 
 def seeded_directions(surfaces, p3, seed):
@@ -653,6 +653,58 @@ def test_rescaled_directions_share_one_hypograph(f1, monkeypatch):
     assert len(built) == 1
     assert vf.divisor_family.cache_info().currsize == 1
     assert tc._ray_curve.cache_info().currsize == 1
+
+
+def test_equal_directions_split_into_one_ray(f1, monkeypatch):
+    # equal divisors built apart share one (D0, c), and every curve along them
+    # hands that D0 object to the ray's memo
+    clear_memos()
+    l = anticanonical(f1)
+    one, two = (divisor(f1, [0, Q(2, 3), 0, Q(4, 3)]) for _ in range(2))
+    assert one is not two
+    (d0, c), (again, c_again) = vf._ray(one), vf._ray(two)
+    assert d0 is again and c == c_again == Q(2, 3)
+    assert d0.coeffs == (0, 1, 0, 2)
+    asked = []
+    real = tc._ray_curve
+    monkeypatch.setattr(tc, "_ray_curve", lambda fan, l, d0: asked.append(d0) or real(fan, l, d0))
+    curves = [extended_curve(f1, l, d) for d in (one, two)]
+    truncated_curve(curves[1])
+    assert curves[0] == curves[1]
+    assert len(asked) == 3 and all(d is d0 for d in asked)
+    assert vf._ray.cache_info().currsize == 1
+
+
+def test_a_zero_direction_leaves_no_ray_memo(p2):
+    clear_memos()
+    for _ in range(2):
+        with pytest.raises(ZeroDivisor, match="zero"):
+            extended_curve(p2, anticanonical(p2), zero_divisor(p2))
+    assert vf._ray.cache_info().currsize == 0
+
+
+def test_entropy_and_ricci_energy_match_divisor_pairings(f1, p3):
+    # the integer sums against n E^(K_rel + Red D) and -n E^(-K + K_rel), with
+    # K_rel != 0, on extended curves and on truncated ones
+    kinds = collections.Counter()
+    for base, centre in ((f1, (1, 2)), (p3, (1, 1, 1))):
+        fan, pull, k_rel = star_subdivision(base, centre)
+        assert not k_rel.is_zero
+        l, anti = pull(anticanonical(base)), anticanonical(fan)
+        n = fan.dimension
+        rays = range(len(fan.rays))
+        directions = [ray_divisor(fan, i) for i in rays]
+        directions += [
+            ray_divisor(fan, i) + ray_divisor(fan, j).scale(Q(1, 2)) for i in rays for j in rays if i < j
+        ]
+        for d in directions:
+            curve = extended_curve(fan, l, d, k_rel=k_rel)
+            curves = [curve, truncated_curve(curve)] if curve.tau_plus >= 1 else [curve]
+            for c in curves:
+                assert entropy(c) == n * alpha_energy(c, k_rel + d.reduced())
+                assert ricci_energy(c) == -n * alpha_energy(c, anti + k_rel)
+                kinds[n, c.kind] += 1
+    assert set(kinds) == {(2, "extended"), (2, "truncated"), (3, "extended"), (3, "truncated")}
 
 
 # ---- curve chambers are the divisor family's chambers (the oracle) ----------

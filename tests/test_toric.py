@@ -48,6 +48,7 @@ from oracles import (
     det,
     mixed_volume,
     nonneg_combination,
+    oracle_cone_vertices,
     oracle_intersection_number,
     oracle_is_ample,
     oracle_is_nef,
@@ -375,6 +376,58 @@ def test_polarization_checks_match_polytope_oracle(p2, f1, p1xp1, p3):
     assert seen["empty"] > 0
     assert seen[False, False, False] and seen[True, False, False]
     assert seen[True, True, False] and seen[True, True, True]
+
+
+def test_nef_vertices_match_fraction_cone_vertices(p2, f1, p1xp1, p3):
+    """The integer cone vertices over their denominator against the Fraction route.
+
+    The 440 divisors of test_polarization_checks_match_polytope_oracle (its
+    11 fans, its seed): where D is nef the integers over den are the
+    Fraction vertices m_sigma, and None means D is not nef.  On the P2 fan
+    with the ray (1, 1) in no cone, every m_sigma exists and None still
+    comes; a fan with a cone off the table gives None on both routes.
+    """
+    f1_once, _pull, _k = star_subdivision(f1, (1, 2))
+    p3_once, _pull, _k = star_subdivision(p3, (1, 1, 0))
+    stray = Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [2, 0]])
+    fans = [
+        p2, f1, p1xp1, p3,
+        Fan.make([[-2, -3], [1, 0], [0, 1]], [[0, 1], [1, 2], [2, 0]]),  # P(1,2,3)
+        Fan.make([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+                 [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]),  # dP6
+        star_subdivision(p3, (1, 1, 1))[0],
+        f1_once,
+        star_subdivision(f1_once, (2, 1))[0],
+        star_subdivision(p3_once, (1, 1, 1))[0],
+        stray,  # (1, 1) in no cone
+    ]
+    rng = random.Random(28)
+    seen = Counter()
+    for fan in fans:
+        n = fan.dimension
+        for k in range(40):
+            if k % 2:
+                coeffs = [Q(rng.randint(-2, 3), rng.randint(1, 3)) for _ in fan.rays]
+            else:
+                pts = [
+                    [Q(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)]
+                    for _ in range(rng.randint(1, n + 3))
+                ]
+                coeffs = [-min(sum(map(mul, p, u)) for p in pts) for u in fan.rays]
+            d = divisor(fan, coeffs)
+            found = toric._nef_vertices(fan, d.coeffs)
+            want = oracle_cone_vertices(fan, d.coeffs)
+            assert want is not None
+            assert (found is not None) == oracle_is_nef(fan, d), (fan, coeffs)
+            if found is not None:
+                vertices, den = found
+                assert [tuple(Q(c, den) for c in m) for m in vertices] == want
+            seen[fan is stray, found is None] += 1
+    assert seen[True, True] and seen[True, False] and seen[False, True] and seen[False, False]
+    off_table = Fan.make([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2]])
+    for coeffs in ([1, 1, 1], [0, 0, 0]):
+        assert toric._nef_vertices(off_table, coeffs) is None
+        assert oracle_cone_vertices(off_table, coeffs) is None
 
 
 def test_nefness_examples(f1, p2):

@@ -30,8 +30,8 @@ from toricstab import geometry, toric, volume_fn
 from toricstab.cli import main, piecewise_to_dict
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
 from toricstab.geometry import (
-    Chamber, Halfspace, ParametricHalfspace, facet_volumes, parametric_family, triangulation,
-    volume,
+    Chamber, Halfspace, ParametricHalfspace, facet_volumes, int_rows, parametric_family,
+    triangulation, volume,
 )
 from toricstab.thresholds import primitive_candidates
 from toricstab.toric import section_halfspaces
@@ -598,3 +598,53 @@ def test_chamber_facet_polynomials_read_one_incidence_table(f1, p3, monkeypatch)
     families = [divisor_family.__wrapped__(*direction) for direction in directions]
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == want
     assert calls == [len(pp.halfspaces) + 1 for pp in families]
+
+
+def test_a_hypograph_reads_one_incidence_table(f1, p3, monkeypatch):
+    # Q's simplices and its facets are both read off one table of tight sets
+    calls = []
+    real = geometry._tight_sets
+
+    def counted(rows, q, points, den):
+        calls.append(len(rows))
+        return real(rows, q, points, den)
+
+    monkeypatch.setattr(geometry, "_tight_sets", counted)
+    for fan in (f1, p3):
+        # a fresh family, whose hypograph has read neither
+        pp = divisor_family.__wrapped__(fan, anticanonical(fan), ray_divisor(fan, 0))
+        assert pp.hypograph.simplices and pp.hypograph.facets
+    assert calls == [len(f1.rays) + 1, len(p3.rays) + 1]
+
+
+def test_chamber_check_rows_match_fraction_offsets(f1, monkeypatch):
+    # _checked's integer rows at the sample point give the volume of the
+    # Fraction offsets o - x k put over their lcm (int_rows): F1 along half_E
+    # (rate 1/2), a family with rational offsets, and a filtration slice
+    # (rate 0 rows and one rate 1 row)
+    l = anticanonical(f1)
+    families = [
+        divisor_family(f1, l, divisor(f1, [0, 0, 0, Q(1, 2)])),
+        divisor_family(f1, divisor(f1, [Q(1, 2), Q(2, 3), 1, Q(5, 4)]), divisor(f1, [Q(1, 3), 0, 0, 1])),
+        filtration_family(f1, l, (1, 2)),
+    ]
+    assert {hs.rate for hs in families[0].halfspaces} == {0, Q(1, 2)}
+    assert any(hs.offset.denominator > 1 for hs in families[1].halfspaces)
+    assert sorted(hs.rate for hs in families[2].halfspaces) == [0, 0, 0, 0, 1]
+    checked = []
+    real = volume_fn.normalized_volume
+    monkeypatch.setattr(
+        volume_fn, "normalized_volume", lambda rows, q, n: checked.append(real(rows, q, n)) or checked[-1]
+    )
+    for pp in families:
+        halfspaces, n = pp.halfspaces, pp.dimension
+        for chamber in pp.chambers:
+            x = chamber.sample_points(2)[0]
+            offsets = [hs.offset - x * hs.rate for hs in halfspaces]
+            want = real(*int_rows([hs.normal for hs in halfspaces], offsets), n)
+            assert want > 0
+            poly = Polynomial.of(want)
+            assert volume_fn._checked(poly, chamber, halfspaces, n) is poly
+            assert checked.pop() == want
+            with pytest.raises(InvariantViolation, match="not the symbolic polynomial"):
+                volume_fn._checked(Polynomial.of(want + 1), chamber, halfspaces, n)
