@@ -6,9 +6,11 @@ Polytopes are stored in H-representation with cached vertices; inputs are
 desk-scale (dimension <= 4, a few dozen halfspaces), so every algorithm here
 prefers exhaustive enumeration over clever pivoting.
 
-All exact linear algebra (ranks, kernels, basic solutions, simplex
-determinants) runs through one fraction-free Gauss-Jordan elimination of
-integer rows (Bareiss), which divides into Fractions only once at the end.
+Basic solutions, simplex determinants and extreme rays are maximal minors
+of a few integer rows (_cross): cofactors in closed form up to three rows,
+and one fraction-free Gauss-Jordan elimination of integer rows (Bareiss)
+beyond, which also gives ranks.  Nothing divides into Fractions until the
+end.
 A system of halfspaces is written as integer rows (a, b) of
 {<a, x> + b / q >= 0} over one common q.
 On these rows one integer enumeration (_int_vertices) keeps the feasible
@@ -133,26 +135,46 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_bareiss(list(rows), len(rows[0]))[0])
 
 
-def kernel_vector(rows: Sequence[Sequence[int]], n: int) -> LatticeVector | None:
-    """A primitive integer spanning vector of the kernel of integer rows if it is a line, else None.
+def _cross(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The k + 1 signed maximal minors of k integer rows of length k + 1.
 
-    The free coordinate is positive.
+    Component j is (-1)^j times the minor without column j, so <x, w> is the
+    determinant of x stacked on the rows: w is orthogonal to every row, and
+    zero exactly when the rows are dependent.  Cofactors in closed form up to
+    three rows; beyond, the minors are read off _bareiss, the last pivot at
+    the free column and the free column's entries at the pivot columns.
     """
-    if not rows:
-        return None if n != 1 else (1,)
+    k = len(rows)
+    if k == 0:
+        return [1]
+    if k == 1:
+        (a, b), = rows
+        return [b, -a]
+    if k == 2:
+        (r0, r1, r2), (s0, s1, s2) = rows
+        return [r1 * s2 - r2 * s1, r2 * s0 - r0 * s2, r0 * s1 - r1 * s0]
+    if k == 3:
+        (r0, r1, r2, r3), (s0, s1, s2, s3), (t0, t1, t2, t3) = rows
+        m01, m02, m03 = r0 * s1 - r1 * s0, r0 * s2 - r2 * s0, r0 * s3 - r3 * s0
+        m12, m13, m23 = r1 * s2 - r2 * s1, r1 * s3 - r3 * s1, r2 * s3 - r3 * s2
+        return [
+            t1 * m23 - t2 * m13 + t3 * m12,
+            t2 * m03 - t0 * m23 - t3 * m02,
+            t0 * m13 - t1 * m03 + t3 * m01,
+            t1 * m02 - t0 * m12 - t2 * m01,
+        ]
     m = list(rows)
-    pivots, pivot, _sign = _bareiss(m, n)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        return None
-    fc = free[0]
-    # the kernel is pivot * e_fc - sum_r m[r][fc] * e_pivots[r]; keep e_fc positive
-    s = 1 if pivot > 0 else -1
-    x = [0] * n
-    x[fc] = s * pivot
+    pivots, pivot, sign = _bareiss(m, k + 1)
+    if len(pivots) < k:
+        return [0] * (k + 1)
+    fc = next(c for c in range(k + 1) if c not in pivots)
+    # the minor without column fc is sign * pivot
+    s = sign if fc % 2 == 0 else -sign
+    w = [0] * (k + 1)
+    w[fc] = s * pivot
     for row, pc in zip(m, pivots):
-        x[pc] = -s * row[fc]
-    return make_primitive(x)
+        w[pc] = -s * row[fc]
+    return w
 
 
 def _over_lcm(values: Sequence) -> tuple[list[int], int]:
@@ -287,14 +309,16 @@ def _feasible(rows: Sequence[IntRow], dim: int) -> bool:
 def extreme_rays(normals: Sequence[LatticeVector], dim: int) -> list[LatticeVector]:
     """Extreme rays of the pointed cone {x : <x,u_i> >= 0 for all i}, primitive and sorted.
 
-    Each extreme ray spans the kernel of dim - 1 of the normals, so every such
-    kernel vector, with either sign, that lies in the cone is one.
+    Each extreme ray spans the kernel of dim - 1 independent normals, the
+    line of their maximal minors (_cross), so every such nonzero cross
+    product, with either sign, that lies in the cone is one.
     """
     rays: set[LatticeVector] = set()
     for subset in itertools.combinations(normals, dim - 1):
-        d = kernel_vector(subset, dim)
-        if d is None:
+        w = _cross(subset)
+        if not any(w):
             continue
+        d = make_primitive(w)
         for cand in (d, tuple(-a for a in d)):
             if all(sum(map(mul, u, cand)) >= 0 for u in normals):
                 rays.add(cand)
@@ -316,17 +340,18 @@ def _recession_nontrivial(normals: tuple[LatticeVector, ...], dim: int) -> bool:
 def _basic_solutions(rows: Sequence[IntRow], dim: int) -> Iterable[tuple[int, list[int]]]:
     """Every basic solution of integer rows (a, b): <a, x> = -b on each n-subset.
 
-    One Bareiss elimination per subset with independent normals.  Yields
-    (den, num) with x = num / den and den > 0, so a caller's integer
-    feasibility test keeps its signs.
+    By Cramer's rule: the maximal minors w of the subset's rows (*a, b)
+    (_cross) span their kernel, which holds (x, 1), so x = w[:n] / w[n], and
+    w[n] = +-det A vanishes exactly when the normals are dependent, a subset
+    that is skipped.  Yields (den, num) with x = num / den and den > 0, so a
+    caller's integer feasibility test keeps its signs.
     """
     for subset in itertools.combinations(rows, dim):
-        m = [[*a, -b] for a, b in subset]
-        pivots, den, _sign = _bareiss(m, dim)
-        if len(pivots) < dim:
-            continue
-        s = 1 if den > 0 else -1
-        yield s * den, [s * row[dim] for row in m]
+        w = _cross([(*a, b) for a, b in subset])
+        den = w[dim]
+        if den:
+            s = 1 if den > 0 else -1
+            yield s * den, [s * c for c in w[:dim]]
 
 
 def _check_bounded(rows: Sequence[IntRow], dim: int, has_vertex: bool) -> None:
@@ -550,13 +575,16 @@ def _pulled_facets(
 def _simplex_dets(
     points: Sequence[LatticeVector], simplices: Iterable[Sequence[int]], fixed: Sequence = ()
 ) -> list[int]:
-    """|det| of the edges of each simplex, indices into integer points, over the rows `fixed`."""
+    """|det| of the edges of each simplex, indices into integer points, over the rows `fixed`.
+
+    The determinant of the rows E_0, ..., E_{k-1} is <E_0, _cross(E_1, ..., E_{k-1})>.
+    """
     out = []
+    fixed = list(fixed)
     for simplex in simplices:
         base = points[simplex[0]]
-        edges = [[a - b for a, b in zip(points[i], base)] for i in simplex[1:]] + list(fixed)
-        pivots, pivot, _sign = _bareiss(edges, len(edges))
-        out.append(abs(pivot) if len(pivots) == len(edges) else 0)
+        first, *edges = [[a - b for a, b in zip(points[i], base)] for i in simplex[1:]] + fixed
+        out.append(abs(sum(map(mul, first, _cross(edges)))))
     return out
 
 

@@ -12,7 +12,10 @@ Gauss-Jordan elimination, and on it the solve over a cone's shared rays that
 validate_fan's face test ran before it read the cones' dual bases.  The
 determinant and square solve on _eliminate (rational rows, each scaled by
 the lcm of its denominators, then _bareiss), which the library no longer
-calls.  The vertex paths of a one-parameter family by Fraction solves:
+calls.  The kernel vector, and on it the extreme rays of a cone, the basic
+solutions and the simplex determinants by one Bareiss elimination each,
+which the library ran before it read maximal minors by cofactors (_cross).
+The vertex paths of a one-parameter family by Fraction solves:
 parametric_family found its chambers on them before it read a family off
 the vertices of its hypograph.  The chamber route of the
 test-curve functionals: per chamber of D's own family, the positive part
@@ -55,9 +58,9 @@ from toricstab.errors import (
 )
 from toricstab.filtrations import _section_polytope
 from toricstab.geometry import (
-    Chamber, Halfspace, ParametricPolytope, Point, Polytope, _bareiss, _dedupe_rows,
-    _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_points, _int_rows, _over_lcm,
-    kernel_vector, linear_stats, parametric_family, volume,
+    Chamber, Halfspace, LatticeVector, ParametricPolytope, Point, Polytope, _bareiss,
+    _dedupe_rows, _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_points, _int_rows,
+    _over_lcm, linear_stats, make_primitive, parametric_family, volume,
 )
 from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
 from toricstab.volume_fn import (
@@ -115,6 +118,66 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...
     if len(pivots) < n:
         return None
     return tuple(Fraction(m[i][n], m[i][i]) for i in range(n))
+
+
+def kernel_vector(rows: Sequence[Sequence[int]], n: int) -> LatticeVector | None:
+    """A primitive integer spanning vector of the kernel of integer rows if it is a line, else None.
+
+    The free coordinate is positive.
+    """
+    if not rows:
+        return None if n != 1 else (1,)
+    m = list(rows)
+    pivots, pivot, _sign = _bareiss(m, n)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        return None
+    fc = free[0]
+    # the kernel is pivot * e_fc - sum_r m[r][fc] * e_pivots[r]; keep e_fc positive
+    s = 1 if pivot > 0 else -1
+    x = [0] * n
+    x[fc] = s * pivot
+    for row, pc in zip(m, pivots):
+        x[pc] = -s * row[fc]
+    return make_primitive(x)
+
+
+def oracle_basic_solutions(rows, dim):
+    """_basic_solutions by one Bareiss elimination per n-subset with independent normals.
+
+    Yields (den, num) with x = num / den and den > 0.
+    """
+    for subset in itertools.combinations(rows, dim):
+        m = [[*a, -b] for a, b in subset]
+        pivots, den, _sign = _bareiss(m, dim)
+        if len(pivots) < dim:
+            continue
+        s = 1 if den > 0 else -1
+        yield s * den, [s * row[dim] for row in m]
+
+
+def oracle_extreme_rays(normals, dim):
+    """extreme_rays on kernel_vector: the kernel of every (dim - 1)-subset of normals, either sign, in the cone."""
+    rays = set()
+    for subset in itertools.combinations(normals, dim - 1):
+        d = kernel_vector(subset, dim)
+        if d is None:
+            continue
+        for cand in (d, tuple(-a for a in d)):
+            if all(sum(map(mul, u, cand)) >= 0 for u in normals):
+                rays.add(cand)
+    return sorted(rays)
+
+
+def oracle_simplex_dets(points, simplices, fixed=()):
+    """_simplex_dets by one Bareiss elimination per simplex: the |last pivot| of its edges and `fixed`."""
+    out = []
+    for simplex in simplices:
+        base = points[simplex[0]]
+        edges = [[a - b for a, b in zip(points[i], base)] for i in simplex[1:]] + list(fixed)
+        pivots, pivot, _sign = _bareiss(edges, len(edges))
+        out.append(abs(pivot) if len(pivots) == len(edges) else 0)
+    return out
 
 
 def fraction_horner(poly: Polynomial, x) -> Fraction:

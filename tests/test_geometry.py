@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction as Q
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,18 +17,25 @@ from toricstab.errors import DegeneratePolytope, UnboundedRegion
 from toricstab.geometry import (
     Halfspace,
     Polytope,
+    _bareiss,
+    _cross,
+    _dedupe_rows,
     _dedupe_halfspaces,
     _feasible,
+    _feasible_vertices,
     _int_points,
     _int_rows,
+    _int_vertices,
     _recession_nontrivial,
+    _simplex_dets,
     _tight_sets,
+    _triangulate,
     facet_simplices,
     facet_volumes,
     int_rows,
     _over_lcm,
-    kernel_vector,
     linear_moment,
+    extreme_rays,
     linear_stats,
     make_primitive,
     matrix_rank,
@@ -44,10 +52,14 @@ from oracles import (
     fit_polynomial,
     fraction_row_reduce,
     hull_halfspaces,
+    kernel_vector,
     minkowski_sum,
     mixed_volume,
+    oracle_basic_solutions,
     oracle_basis_paths,
+    oracle_extreme_rays,
     oracle_points,
+    oracle_simplex_dets,
     oracle_solve,
     oracle_walls,
     polytope_at,
@@ -875,3 +887,107 @@ def test_support_values_match_fraction_dots(halfspaces, u):
     u = u[: p.dimension]
     values = [sum((a * x for a, x in zip(u, v)), Q(0)) for v in p.vertices]
     assert p.support_min(u) == min(values) and p.support_max(u) == max(values)
+
+
+# --------------------------------------------------------------------------
+# the cofactor kernel against one Bareiss elimination per subset
+# --------------------------------------------------------------------------
+
+def bareiss_minor(rows, j):
+    """The k x k minor of k rows without column j, by Bareiss: sign * last pivot, or 0."""
+    m = [[a for c, a in enumerate(row) if c != j] for row in rows]
+    pivots, pivot, sign = _bareiss(m, len(m))
+    return sign * pivot if len(pivots) == len(m) else 0
+
+
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def cross_rows(draw):
+    """k integer rows of length k + 1, k = 0...5; drawn flags duplicate a row or make one a combination."""
+    k = draw(st.integers(min_value=0, max_value=5))
+    rows = [draw(st.lists(small, min_size=k + 1, max_size=k + 1)) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(k)))[:2]
+        rows[i] = list(rows[j])
+    elif k > 1 and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=k - 1))
+        weights = [draw(small) for _ in range(k)]
+        rows[i] = [sum(w * row[c] for w, row, r in zip(weights, rows, range(k)) if r != i) for c in range(k + 1)]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(cross_rows())
+@example([])
+@example([[1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
+def test_cross_matches_bareiss_minors(rows):
+    k = len(rows)
+    w = _cross(rows)
+    assert len(w) == k + 1
+    assert all(sum(map(mul, row, w)) == 0 for row in rows)
+    assert w == [(-1) ** j * bareiss_minor(rows, j) for j in range(k + 1)]
+    assert (not any(w)) == (matrix_rank(rows) < k)
+
+
+def oracle_int_vertices(rows, q, dim):
+    """_int_vertices on per-subset Bareiss solves and the kernel-vector recession test."""
+    points, den = _feasible_vertices(oracle_basic_solutions(rows, dim), rows, q)
+    normals = [a for a, _b in rows]
+    if points:
+        if matrix_rank(normals) < dim or oracle_extreme_rays(normals, dim):
+            raise UnboundedRegion("halfspace intersection is unbounded")
+    elif _feasible(rows, dim):
+        raise UnboundedRegion("nonempty intersection without vertices is unbounded")
+    return points, den
+
+
+def oracle_normalized_volume(rows, q, dim):
+    rows = _dedupe_rows(rows)
+    points, den = oracle_int_vertices(rows, q, dim)
+    dets = oracle_simplex_dets(points, _triangulate(rows, q, points, den, dim))
+    return Q(sum(dets), den**dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(halfspace_systems(), halfspace_systems(bounded=True)))
+# degenerate vertices: each vertex of the 4-cross-polytope is on 8 facets, the pyramid's apex on 6
+@example(cross_polytope(4))
+@example(pyramid(4))
+@example(flat(cube(4), (1, 0, 0, 0), 0))
+@example([Halfspace((1,), 0), Halfspace((-1,), 2)])
+def test_int_vertices_and_normalized_volume_match_bareiss_route(hs):
+    rows, q = _int_rows(hs)
+    dim = len(hs[0].normal)
+    assert outcome(_int_vertices, rows, q, dim) == outcome(oracle_int_vertices, rows, q, dim)
+    assert outcome(normalized_volume, rows, q, dim) == outcome(oracle_normalized_volume, rows, q, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda dim: st.lists(
+    st.lists(small, min_size=dim, max_size=dim).filter(any), min_size=1, max_size=dim + 3)))
+def test_extreme_rays_match_kernel_vector_route(normals):
+    dim = len(normals[0])
+    assert extreme_rays(normals, dim) == oracle_extreme_rays(normals, dim)
+    assert _recession_nontrivial(tuple(map(tuple, normals)), dim) == (
+        matrix_rank(normals) < dim or bool(oracle_extreme_rays(normals, dim)))
+
+
+@st.composite
+def simplex_systems(draw):
+    """Integer points in dimension 1-5, simplices of dim + 1 - f indices (repeats allowed) and f fixed rows."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    points = draw(st.lists(st.lists(small, min_size=dim, max_size=dim), min_size=1, max_size=dim + 2))
+    f = draw(st.integers(min_value=0, max_value=min(2, dim)))
+    index = st.integers(min_value=0, max_value=len(points) - 1)
+    simplices = draw(st.lists(st.lists(index, min_size=dim + 1 - f, max_size=dim + 1 - f), max_size=4))
+    fixed = [draw(st.lists(small, min_size=dim, max_size=dim)) for _ in range(f)]
+    return points, simplices, fixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_systems())
+def test_simplex_dets_match_bareiss_pivot(system):
+    points, simplices, fixed = system
+    assert _simplex_dets(points, simplices, fixed) == oracle_simplex_dets(points, simplices, fixed)
