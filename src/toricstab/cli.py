@@ -307,14 +307,15 @@ class ProblemFile:
 def read_problem(path: str) -> tuple[dict, Fan, FanDiagnostics]:
     """The JSON of a problem file, its unrefined fan and the fan's diagnostics.
 
-    An unreadable file, a schema violation and rays or cones that make no fan
-    raise ValidationProblem; a fan that is built but invalid is reported only
-    by its diagnostics.
+    An unreadable file (bad JSON, an integer past the interpreter's digit
+    limit, nesting past its recursion limit), a schema violation and rays or
+    cones that make no fan raise ValidationProblem; a fan that is built but
+    invalid is reported only by its diagnostics.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationProblem(f"cannot read problem file: {exc}") from exc
     violation = next(schema_violations(raw, PROBLEM_SCHEMA, PROBLEM_SCHEMA), None)
     if violation is not None:
@@ -331,7 +332,11 @@ def _coeff_divisor(fan: Fan, coeffs: Sequence) -> ToricDivisor:
         raise ValidationProblem(
             f"expected {len(fan.rays)} coefficients, got {len(coeffs)}"
         )
-    return divisor(fan, [parse_rational(c) for c in coeffs])
+    try:
+        values = [parse_rational(c) for c in coeffs]
+    except ValueError as exc:  # a numerator or denominator past the interpreter's digit limit
+        raise ValidationProblem(f"coefficient is not readable: {exc}") from exc
+    return divisor(fan, values)
 
 
 # --------------------------------------------------------------------------
@@ -722,8 +727,9 @@ EXIT_BROKEN_PIPE = 141
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    level = os.environ.get("TORICSTAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # a level name gives its number; anything else, even logging.BASIC_FORMAT, gives a string
+    level = logging.getLevelName(os.environ.get("TORICSTAB_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     try:
         try:

@@ -1,10 +1,9 @@
 """Exact rational polytope kernel.
 
 Vertex enumeration, volumes, linear statistics and one-parameter polytope
-families, all in exact rational arithmetic.
-Polytopes are stored in H-representation with cached vertices; inputs are
-desk-scale (dimension <= 4, a few dozen halfspaces), so every algorithm here
-prefers exhaustive enumeration over clever pivoting.
+families, all in exact rational arithmetic.  Inputs are desk-scale
+(dimension <= 4, a few dozen halfspaces), so every algorithm here prefers
+exhaustive enumeration over clever pivoting.
 
 Basic solutions, simplex determinants and extreme rays are maximal minors
 of a few integer rows (_cross): cofactors in closed form up to three rows,
@@ -12,34 +11,33 @@ and one fraction-free Gauss-Jordan elimination of integer rows (Bareiss)
 beyond, which also gives ranks.  Nothing divides into Fractions until the
 end.
 A system of halfspaces is written as integer rows (a, b) of
-{<a, x> + b / q >= 0} over one common q.
-On these rows one integer enumeration (_int_vertices) keeps the feasible
-basic solutions, applies the boundedness and emptiness tests and returns the
-vertices as integer numerators over one common denominator; vertices_of and
-Polytope.from_halfspaces turn them into Fractions at the API boundary.  The
-halfspace dedupe (one row per primitive normal, the binding one kept) and
-the Fourier-Motzkin feasibility test run on the same rows.  One
-basic-solution loop serves both the vertices of a polytope and those of a
-family's hypograph, the (n+1)-polytope whose slices are the family's
-polytopes: a family enumerates its hypograph once and reads its start,
-chambers and threshold off the vertex heights.  Whether a polytope is
-bounded depends on its facet normals only, so that test is memoized on the
-normals and shared by every polytope of a family.
+{<a, x> + b / q >= 0} over one common q, and a Polytope is this integer
+form: one row per primitive normal, the binding one, over the least common
+q, and its vertices as integers over one denominator.  Polytope.from_rows
+is the one route from rows to a polytope: the dedupe, then one integer
+enumeration (_int_vertices) of the feasible basic solutions with the
+boundedness and emptiness tests.  from_halfspaces, vertices_of and toric's
+section polytopes take it; a Polytope's Fraction halfspaces and vertices
+are views for the API boundary.  The Fourier-Motzkin feasibility test runs
+on the same rows.  One basic-solution loop serves both the vertices of a
+polytope and those of a family's hypograph, the (n+1)-polytope whose
+slices are the family's polytopes: a family enumerates its hypograph once
+and reads its start, chambers and threshold off the vertex heights.
+Whether a polytope is bounded depends on its facet normals only, so that
+test is memoized on the normals and shared by every polytope of a family.
 
-A Polytope keeps its integer form, written once at construction, and
-triangulation, affine ranks and volumes run on it.  A simplex is a tuple of
-vertex indices everywhere: the triangulation reads one vertex-facet
-incidence table per polytope, the tight set of every row, and works on
-faces as sets of vertex indices, the facets of a face being its maximal
-intersections with the tight sets; the cached triangulation pairs each
-simplex with its integer determinant, and volume and linear_moment sum
-these and divide once, as facet_volumes does over the simplices of each
-facet.  _triangulate and facet_simplices take any rows and their polytope's
-exact vertex set, so a family's hypograph is triangulated on its integer
-rows without a Polytope, its simplices and facets off one table.
-normalized_volume runs the same steps from integer rows to n! times the
-volume without building a Polytope or touching the volume and triangulation
-caches; a family's chamber volume polynomials are checked against it.
+Triangulation, affine ranks and volumes run on the integer form.  A simplex
+is a tuple of vertex indices everywhere: the triangulation reads one
+vertex-facet incidence table per polytope, the tight set of every row, and
+works on faces as sets of vertex indices, the facets of a face being its
+maximal intersections with the tight sets.  _pulled and _pulled_facets read
+only the table and the vertices, so a family's hypograph is triangulated
+on its integer rows without a Polytope.  The cached triangulation pairs
+each simplex with its integer determinant, and volume and linear_moment sum
+these and divide once, as facet_volumes does over each facet's simplices.
+normalized_volume is from_rows and the uncached _triangulation: n! times
+the volume of integer rows, reading and filling no cache, against which a
+family's chamber volume polynomials are checked.
 """
 
 from __future__ import annotations
@@ -183,13 +181,6 @@ def _over_lcm(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _int_points(points: Sequence[Sequence]) -> tuple[list[LatticeVector], int]:
-    """The points as integer numerators over one common positive denominator."""
-    flat, den = _over_lcm([c for p in points for c in p])
-    coords = iter(flat)
-    return [tuple(itertools.islice(coords, len(p))) for p in points], den
-
-
 def _int_affine_rank(points: Sequence[LatticeVector]) -> int:
     """Dimension of the affine hull of integer points (-1 when empty)."""
     if not points:
@@ -256,14 +247,6 @@ def _dedupe_rows(rows: Iterable[IntRow]) -> list[IntRow]:
         if kept is None or b * kept[1] < kept[0][1] * g:
             best[key] = ((a, b), g)
     return [row for row, _g in best.values()]
-
-
-def _dedupe_halfspaces(halfspaces: Sequence[Halfspace]) -> tuple[Halfspace, ...]:
-    """The halfspaces of _dedupe_rows, with primitive normals."""
-    rows, q = _int_rows(halfspaces)
-    return tuple(
-        Halfspace(make_primitive(a), Fraction(b, q * content(a))) for a, b in _dedupe_rows(rows)
-    )
 
 
 class _Infeasible(Exception):
@@ -396,57 +379,67 @@ def _int_vertices(rows: Sequence[IntRow], q: int, dim: int) -> tuple[list[Lattic
     return points, den
 
 
-def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
-    """Exact vertex set of a bounded halfspace intersection.
-
-    The Fraction face of _int_vertices.  Raises UnboundedRegion when the
-    intersection is nonempty but unbounded; an empty list means the
-    intersection is empty.
-    """
-    halfspaces = list(halfspaces)
-    if not halfspaces:
-        raise UnboundedRegion("no halfspaces given")
-    dim = len(halfspaces[0].normal)
-    if any(len(hs.normal) != dim for hs in halfspaces):
-        raise DimensionMismatch("halfspaces of mixed dimension")
-    points, den = _int_vertices(*_int_rows(halfspaces), dim)
-    return [tuple(Fraction(c, den) for c in p) for p in points]
-
-
 @dataclass(frozen=True)
 class Polytope:
-    """Bounded rational polytope: deduplicated H-rep plus cached vertex set.
+    """Bounded rational polytope {<a, x> + b / q >= 0}: integer rows, and vertices `points` over `den`.
 
-    Its integer form is written once, at construction: the halfspaces as
-    `rows` over `q` (_int_rows) and the vertices as `points` over `den`
-    (_int_points).  The triangulations read it.  Every Polytope is built by
-    from_halfspaces, so its vertices are a function of its halfspaces and
-    take no part in equality or the hash of a cache key.
+    `rows` holds one row per primitive normal, the binding one, in first-seen
+    order over the least common `q`; equality and the hash read them alone.
+    Every Polytope is built by from_rows.  `halfspaces` and `vertices` are
+    Fraction views, built when first read.
     """
 
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[Point, ...] = field(compare=False)
+    rows: tuple[IntRow, ...]
+    q: int
     dimension: int
-    rows: list[IntRow] = field(init=False, repr=False, compare=False)
-    q: int = field(init=False, repr=False, compare=False)
-    points: list[LatticeVector] = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    points: tuple[LatticeVector, ...] = field(compare=False)
+    den: int = field(compare=False)
 
-    def __post_init__(self) -> None:
-        rows, q = _int_rows(self.halfspaces)
-        points, den = _int_points(self.vertices)
-        self.__dict__.update(rows=rows, q=q, points=points, den=den)
+    @classmethod
+    def from_rows(cls, rows: Iterable[IntRow], q: int, dim: int) -> Polytope:
+        """The polytope of integer rows (a, b) of {<a, x> + b / q >= 0} in dimension dim.
+
+        The rows are deduped by primitive normal (_dedupe_rows), each normal
+        made primitive and the offsets put over their least common
+        denominator, and the vertices enumerated once (_int_vertices).
+        Raises ValueError on a zero normal and UnboundedRegion when the
+        intersection is nonempty but unbounded; no points means it is empty.
+        """
+        rows = list(rows)
+        if not all(any(a) for a, _b in rows):
+            raise ValueError("halfspace normal must be nonzero")
+        kept = []
+        for a, b in _dedupe_rows(rows):
+            g = content(a)
+            h = gcd(b, q * g)
+            # the primitive normal, and b / (q g) in lowest terms
+            kept.append((a if g == 1 else tuple(x // g for x in a), b // h, q * g // h))
+        q = lcm(*(d for _a, _b, d in kept))
+        rows = tuple((a, b * (q // d)) for a, b, d in kept)
+        points, den = _int_vertices(rows, q, dim)
+        return cls(rows, q, dim, tuple(points), den)
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Halfspace]) -> Polytope:
-        clean = _dedupe_halfspaces(halfspaces)
-        verts = vertices_of(clean)
-        dim = len(clean[0].normal)
-        return cls(clean, tuple(verts), dim)
+        halfspaces = list(halfspaces)
+        if not halfspaces:
+            raise UnboundedRegion("no halfspaces given")
+        dim = len(halfspaces[0].normal)
+        if any(len(hs.normal) != dim for hs in halfspaces):
+            raise DimensionMismatch("halfspaces of mixed dimension")
+        return cls.from_rows(*_int_rows(halfspaces), dim)
+
+    @cached_property
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        return tuple(Halfspace(a, Fraction(b, self.q)) for a, b in self.rows)
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(tuple(Fraction(c, self.den) for c in p) for p in self.points)
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.points
 
     @property
     def affine_dimension(self) -> int:
@@ -469,6 +462,15 @@ class Polytope:
     def support_max(self, u: Sequence) -> Fraction:
         """max over the polytope of <x, u>; attained at a vertex."""
         return self._support(max, u)
+
+
+def vertices_of(halfspaces: Sequence[Halfspace]) -> list[Point]:
+    """Exact vertex set of a bounded halfspace intersection, sorted: the vertices of from_halfspaces.
+
+    Raises UnboundedRegion when the intersection is nonempty but unbounded;
+    an empty list means the intersection is empty.
+    """
+    return list(Polytope.from_halfspaces(halfspaces).vertices)
 
 
 # --------------------------------------------------------------------------
@@ -521,51 +523,35 @@ def _pull(
     ]
 
 
-def _triangulate(
-    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int
-) -> list[tuple[int, ...]]:
-    """Simplices covering the polytope {<a, x> + b / q >= 0}, whose vertices are exactly points / den.
-
-    A pulling triangulation on one vertex-facet incidence table, the tight
-    set of every row: each simplex is a tuple of indices into `points`.  A
-    nonempty polytope is full-dimensional exactly when no row is tight at
-    every vertex (it has no implicit equality); otherwise there are no
-    simplices.  The rows' normals must be nonzero.
-    """
-    return _pulled(_tight_sets(rows, q, points, den), points, dim)
-
-
 def _pulled(
     tight: Sequence[frozenset[int]], points: Sequence[LatticeVector], dim: int
 ) -> list[tuple[int, ...]]:
-    """_triangulate on the polytope's incidence table `tight`, the tight set of every row."""
+    """Simplices covering a polytope whose vertices are exactly `points`, off its incidence table.
+
+    A pulling triangulation on `tight`, the tight set of every row (a
+    nonzero normal each): each simplex is a tuple of indices into `points`.
+    A nonempty polytope is full-dimensional exactly when no row is tight at
+    every vertex (it has no implicit equality); otherwise there are no
+    simplices.
+    """
     everything = frozenset(range(len(points)))
     if not points or everything in tight:
         return []
     return _pull(everything, dim, tight, points)
 
 
-def facet_simplices(
-    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int,
-    normals: Iterable[Sequence[int]],
-) -> list[list[tuple[int, ...]]]:
-    """Per normal, simplices covering the facet on the row with that normal, as indices into `points`.
-
-    The polytope is {<a, x> + b / q >= 0}, whose vertices are exactly
-    points / den, and its incidence table is computed once for all normals.
-    A row's tight set is a facet exactly when the polytope is
-    full-dimensional and the set is inclusion-maximal among the proper tight
-    sets.  No simplices for a normal with no row, or whose row is not tight
-    on a facet.
-    """
-    return _pulled_facets(rows, _tight_sets(rows, q, points, den), points, dim, normals)
-
-
 def _pulled_facets(
     rows: Sequence[IntRow], tight: Sequence[frozenset[int]], points: Sequence[LatticeVector],
     dim: int, normals: Iterable[Sequence[int]],
 ) -> list[list[tuple[int, ...]]]:
-    """facet_simplices on the polytope's incidence table `tight`, the tight set of every row."""
+    """Per normal, simplices covering the facet on the row with that normal, as indices into `points`.
+
+    `tight` is the polytope's incidence table, the tight set of each of its
+    rows.  A row's tight set is a facet exactly when the polytope is
+    full-dimensional and the set is inclusion-maximal among the proper tight
+    sets.  No simplices for a normal with no row, or whose row is not tight
+    on a facet.
+    """
     everything = frozenset(range(len(points)))
     facets = [] if not points or everything in tight else _facets(everything, tight)
     on = {a: t for (a, _b), t in zip(rows, tight) if t in facets}
@@ -599,37 +585,36 @@ def facet_volumes(p: Polytope, normals: Sequence[Sequence[int]]) -> list[Fractio
     """
     n = p.dimension
     scale = p.den ** (n - 1) * math.factorial(n - 1)
+    facets = _pulled_facets(p.rows, _tight_sets(p.rows, p.q, p.points, p.den), p.points, n, normals)
     return [
         Fraction(sum(_simplex_dets(p.points, simplices, [u])), scale * sum(a * a for a in u))
-        for u, simplices in zip(normals, facet_simplices(p.rows, p.q, p.points, p.den, n, normals))
+        for u, simplices in zip(normals, facets)
     ]
 
 
-@lru_cache(maxsize=None)
-def triangulation(p: Polytope) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _triangulation(p: Polytope) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Deterministic exact triangulation of a polytope; () unless it is full-dimensional.
 
     Each simplex is (|det| of its edges, its vertices as indices into
     p.points), so the determinants are eliminated once per polytope; a
     simplex's volume is |det| / (den^n * n!).
     """
-    simplices = _triangulate(p.rows, p.q, p.points, p.den, p.dimension)
+    simplices = _pulled(_tight_sets(p.rows, p.q, p.points, p.den), p.points, p.dimension)
     return tuple(zip(_simplex_dets(p.points, simplices), simplices))
+
+
+triangulation = lru_cache(maxsize=None)(_triangulation)
 
 
 def normalized_volume(rows: Sequence[IntRow], q: int, dim: int) -> Fraction:
     """n! times the volume of {<a, x> + b / q >= 0}; 0 when it is empty or lower-dimensional.
 
-    The steps of Polytope.from_halfspaces and volume, on integers only: the
-    rows deduped by primitive normal, every basis enumerated by
-    _int_vertices, the vertices triangulated and the simplex determinants
-    summed.  It builds no Halfspace, Polytope or Fraction vertex and leaves
-    nothing in the volume and triangulation caches.  Raises UnboundedRegion
-    when the intersection is unbounded.
+    The polytope of from_rows, triangulated by the uncached _triangulation,
+    so it reads and fills neither the volume nor the triangulation cache.
+    Raises UnboundedRegion when the intersection is unbounded.
     """
-    rows = _dedupe_rows(rows)
-    points, den = _int_vertices(rows, q, dim)
-    return Fraction(sum(_simplex_dets(points, _triangulate(rows, q, points, den, dim))), den**dim)
+    p = Polytope.from_rows(rows, q, dim)
+    return Fraction(sum(d for d, _simplex in _triangulation(p)), p.den**dim)
 
 
 @lru_cache(maxsize=None)

@@ -72,7 +72,7 @@ def _barycenter(fan: Fan, l: ToricDivisor) -> tuple[LatticeVector, int, Sequence
             )
         b.append(mean)
     nums, den = _over_lcm(b)
-    return tuple(nums), den, tuple(p.points), p.den
+    return tuple(nums), den, p.points, p.den
 
 
 def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:

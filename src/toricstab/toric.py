@@ -46,6 +46,7 @@ from .geometry import (
     _over_lcm,
     content,
     extreme_rays,
+    int_rows,
     is_primitive,
 )
 
@@ -357,7 +358,7 @@ def section_halfspaces(fan: Fan, coeffs: Sequence) -> list[Halfspace]:
 
 @lru_cache(maxsize=None)
 def _polytope_cached(fan: Fan, coeffs: tuple[Fraction, ...]) -> Polytope:
-    return Polytope.from_halfspaces(section_halfspaces(fan, coeffs))
+    return Polytope.from_rows(*int_rows(fan.rays, coeffs), fan.dimension)
 
 
 def polytope_of(fan: Fan, d: ToricDivisor) -> Polytope:
@@ -610,6 +611,7 @@ def zariski_decompose(fan: Fan, m: ToricDivisor) -> ZariskiPair:
     negative = m - positive
     if not negative.is_effective:
         raise InvariantViolation("Zariski negative part must be effective")
-    if polytope_of(fan, positive).vertices != p.vertices:
+    p_positive = polytope_of(fan, positive)
+    if (p_positive.points, p_positive.den) != (p.points, p.den):
         raise InvariantViolation("Zariski positive part must have the input's section polytope")
     return ZariskiPair(positive, negative)

@@ -699,7 +699,7 @@ def superlevel_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomia
     heights = [h - low for h in heights]
     knotted = _knotted_simplices(heights, triangulation(p))
     levels = sorted(set(heights))
-    slices = [ParametricHalfspace(hs.normal, hs.offset, 0) for hs in p.halfspaces]
+    slices = [ParametricHalfspace(a, Fraction(b, p.q), 0) for a, b in p.rows]
     slices.append(ParametricHalfspace(tuple(u), Fraction(-low, den), 1))
     pieces = []
     for lo, hi in zip(levels, levels[1:]):

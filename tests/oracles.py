@@ -34,6 +34,13 @@ The Fraction route of a candidate row: A as the cone coordinates of u
 summed, and S as <b, u> - min <x, u> with b from linear_stats along the
 unit vectors, before a row read integer dots off the barycenter's memo.
 
+The halfspace route of a polytope, which Polytope.from_halfspaces took
+before a Polytope was its integer rows: the dedupe into Halfspaces with
+primitive normals, the vertices enumerated into Fractions, and both read
+back into integers (rows over q, points over den) for the triangulation
+and the volume; with it, the triangulation and the facet simplices of any
+rows and their polytope's exact vertex set.
+
 Polytope geometry only the tests use: minkowski_sum (Fourier-Motzkin) and
 mixed_volume by polarization, the oracle of toric.intersection_number
 (Fulton, 5.4); hull_halfspaces, affine_rank of rational points and
@@ -52,15 +59,16 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from toricstab import toric
+from toricstab import geometry, toric
 from toricstab.errors import (
     DegeneratePolytope, DimensionMismatch, InvariantViolation, OutOfRange, ZeroVector,
 )
 from toricstab.filtrations import _section_polytope
 from toricstab.geometry import (
-    Chamber, Halfspace, LatticeVector, ParametricPolytope, Point, Polytope, _bareiss,
-    _dedupe_rows, _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_points, _int_rows,
-    _over_lcm, linear_stats, make_primitive, parametric_family, volume,
+    Chamber, Halfspace, IntRow, LatticeVector, ParametricPolytope, Point, Polytope, _bareiss,
+    _dedupe_rows, _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_rows, _int_vertices,
+    _over_lcm, _pulled, _pulled_facets, _simplex_dets, content, linear_stats, make_primitive,
+    parametric_family, volume,
 )
 from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
 from toricstab.volume_fn import (
@@ -303,6 +311,69 @@ def oracle_points(bases, lo, hi, t) -> list[tuple[Fraction, ...]]:
     return sorted({
         path.at(t) for path, a, b in bases if (a is None or a <= lo) and (b is None or hi <= b)
     })
+
+
+# ---- the halfspace route of a polytope -----------------------------------------
+
+def _int_points(points: Sequence[Sequence]) -> tuple[list[LatticeVector], int]:
+    """The points as integer numerators over one common positive denominator."""
+    flat, den = _over_lcm([c for p in points for c in p])
+    coords = iter(flat)
+    return [tuple(itertools.islice(coords, len(p))) for p in points], den
+
+
+def _dedupe_halfspaces(halfspaces: Sequence[Halfspace]) -> tuple[Halfspace, ...]:
+    """The halfspaces of _dedupe_rows, with primitive normals."""
+    rows, q = _int_rows(halfspaces)
+    return tuple(
+        Halfspace(make_primitive(a), Fraction(b, q * content(a))) for a, b in _dedupe_rows(rows)
+    )
+
+
+def _triangulate(
+    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int
+) -> list[tuple[int, ...]]:
+    """_pulled on the incidence table of {<a, x> + b / q >= 0}, whose vertices are exactly points / den."""
+    return _pulled(geometry._tight_sets(rows, q, points, den), points, dim)
+
+
+def facet_simplices(
+    rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int,
+    normals: Sequence[Sequence[int]],
+) -> list[list[tuple[int, ...]]]:
+    """_pulled_facets on the incidence table of the rows, whose polytope's vertices are exactly points / den."""
+    return _pulled_facets(rows, geometry._tight_sets(rows, q, points, den), points, dim, normals)
+
+
+class HalfspacePolytope(NamedTuple):
+    """The polytope of the halfspace route; equal as Polytopes were, on halfspaces and dimension."""
+
+    halfspaces: tuple[Halfspace, ...]
+    vertices: tuple[Point, ...]
+    dimension: int
+    volume: Fraction
+
+    @property
+    def key(self) -> tuple[tuple[Halfspace, ...], int]:
+        return self.halfspaces, self.dimension
+
+
+def halfspace_polytope(halfspaces: Sequence[Halfspace]) -> HalfspacePolytope:
+    """Polytope.from_halfspaces and volume on the halfspace route.
+
+    The halfspaces deduped into Halfspaces (_dedupe_halfspaces), their
+    vertices enumerated on the rows of those and turned into Fractions, and
+    the integer form read back from both for the triangulation.  Raises
+    UnboundedRegion when the intersection is nonempty but unbounded.
+    """
+    clean = _dedupe_halfspaces(halfspaces)
+    dim = len(clean[0].normal)
+    rows, q = _int_rows(clean)
+    points, den = _int_vertices(rows, q, dim)
+    vertices = tuple(tuple(Fraction(c, den) for c in p) for p in points)
+    points, den = _int_points(vertices)
+    dets = _simplex_dets(points, _triangulate(rows, q, points, den, dim))
+    return HalfspacePolytope(clean, vertices, dim, Fraction(sum(dets), den**dim * math.factorial(dim)))
 
 
 # ---- polytope geometry for the tests -----------------------------------------

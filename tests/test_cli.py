@@ -516,3 +516,46 @@ def test_broken_pipe_exits_quietly(src_env, problems_dir):
         os.close(write)
     assert result.returncode == 141
     assert result.stderr == b""
+
+
+# ---- files past the interpreter's limits, and the log level --------------------
+
+BIG = "1" + "0" * 5000  # 5,001 digits, past the digit limit of 4,300
+CONES = "[[0, 1], [1, 2], [2, 0]]"
+BIG_RAY = '{"fan": {"rays": [[%s, 0], [0, 1], [-1, -1]], "cones": %s}, "polarization": "anticanonical"}' % (
+    BIG, CONES)
+BIG_COEFF = '{"fan": {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": %s}, "polarization": {"coeffs": ["%s", 1, 1]}}' % (
+    CONES, BIG)
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("volume", BIG_RAY, id="volume-big-ray"),
+    pytest.param("validate", BIG_RAY, id="validate-big-ray"),
+    pytest.param("volume", BIG_COEFF, id="volume-big-coeff"),
+    pytest.param("volume", NESTED, id="volume-nested"),
+    pytest.param("validate", NESTED, id="validate-nested"),
+])
+def test_files_past_the_interpreter_limits_exit_2(tmp_path, src_env, command, text):
+    # json.load raises ValueError on the ray and RecursionError on the nesting,
+    # and Fraction raises ValueError on the coefficient string, which the schema admits
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-m", "toricstab.cli", command, str(path)],
+        capture_output=True, text=True, env=src_env,
+    )
+    assert result.returncode == 2, result.stderr[-300:]
+    assert json.loads(result.stderr)["error"] == "validation"
+
+
+@pytest.mark.parametrize("level, logged", [("basic_format", False), ("debug", True), ("nonsense", False)])
+def test_log_level_takes_level_names_only(src_env, problems_dir, level, logged):
+    # logging.BASIC_FORMAT is a format string, not a level: it falls back to WARNING
+    result = subprocess.run(
+        [sys.executable, "-m", "toricstab.cli", "delta", str(problems_dir / "f1.json"), "--radius", "1"],
+        capture_output=True, text=True, env=dict(src_env, TORICSTAB_LOG=level),
+    )
+    assert result.returncode == 0, result.stderr[-300:]
+    assert ("candidate search: radius 1" in result.stderr) == logged
+    assert logged or result.stderr == ""

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricstab import geometry
+from toricstab import Fan, divisor, geometry, polytope_of
 from toricstab.errors import DegeneratePolytope, UnboundedRegion
 from toricstab.geometry import (
     Halfspace,
@@ -20,17 +20,13 @@ from toricstab.geometry import (
     _bareiss,
     _cross,
     _dedupe_rows,
-    _dedupe_halfspaces,
     _feasible,
     _feasible_vertices,
-    _int_points,
     _int_rows,
     _int_vertices,
     _recession_nontrivial,
     _simplex_dets,
     _tight_sets,
-    _triangulate,
-    facet_simplices,
     facet_volumes,
     int_rows,
     _over_lcm,
@@ -47,10 +43,14 @@ from toricstab.geometry import (
 )
 
 from oracles import (
+    _dedupe_halfspaces,
+    _triangulate,
     affine_rank,
     det,
+    facet_simplices,
     fit_polynomial,
     fraction_row_reduce,
+    halfspace_polytope,
     hull_halfspaces,
     kernel_vector,
     minkowski_sum,
@@ -662,7 +662,7 @@ def check_triangulation(p):
     normals = [hs.normal for hs in p.halfspaces]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_tight_sets", checked)
-        simplices = geometry._triangulate(*_int_rows(p.halfspaces), *_int_points(p.vertices), p.dimension)
+        simplices = [simplex for _d, simplex in geometry._triangulation(p)]
         facets = facet_simplices(p.rows, p.q, p.points, p.den, p.dimension, normals)
     assert calls == [len(p.halfspaces)] * 2
     n = p.dimension
@@ -887,6 +887,72 @@ def test_support_values_match_fraction_dots(halfspaces, u):
     u = u[: p.dimension]
     values = [sum((a * x for a, x in zip(u, v)), Q(0)) for v in p.vertices]
     assert p.support_min(u) == min(values) and p.support_max(u) == max(values)
+
+
+# --------------------------------------------------------------------------
+# a Polytope of integer rows against the halfspace route it replaced
+# --------------------------------------------------------------------------
+
+@st.composite
+def rewritten(draw, hs):
+    """hs with each row scaled by a positive integer, parallel rows appended, and perhaps shuffled.
+
+    A parallel row is as tight as its model, looser or tighter: a tighter
+    one or a shuffle changes the deduped halfspaces, the others do not.
+    """
+    out = []
+    for h in hs:
+        k = draw(st.integers(min_value=1, max_value=3))
+        out.append(Halfspace(tuple(k * a for a in h.normal), k * h.offset))
+    for h in draw(st.lists(st.sampled_from(hs), max_size=3)):
+        k = draw(st.integers(min_value=1, max_value=3))
+        slack = draw(st.one_of(st.just(Q(0)), positive_offsets, offsets))
+        out.append(Halfspace(tuple(k * a for a in h.normal), k * (h.offset + slack)))
+    return draw(st.permutations(out)) if draw(st.booleans()) else out
+
+
+# one rectangle, -1/2 <= x <= 1 and 0 <= y <= 1/2, from two lists: scaled
+# normals, a redundant row, and offsets over 1 and 2; one Polytope
+RECTANGLE = (
+    [Halfspace((2, 0), 1), Halfspace((1, 0), 1), Halfspace((-1, 0), 1), Halfspace((0, 3), 0),
+     Halfspace((0, -1), Q(1, 2))],
+    [Halfspace((1, 0), Q(1, 2)), Halfspace((-1, 0), 1), Halfspace((0, 1), 0), Halfspace((0, -2), 1)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(halfspace_systems(), bounded_systems, flat_systems()).flatmap(
+    lambda hs: st.tuples(st.just(hs), rewritten(hs))))
+@example(RECTANGLE)
+def test_polytope_matches_halfspace_route(systems):
+    got = [outcome(poly, hs) for hs in systems]
+    want = [outcome(halfspace_polytope, hs) for hs in systems]
+    for p, old in zip(got, want):
+        if old is UnboundedRegion:
+            assert p is UnboundedRegion
+            continue
+        assert (p.halfspaces, p.vertices, p.dimension, volume(p)) == old
+        # the rows are the deduped halfspaces over their least common denominator
+        assert (list(p.rows), p.q) == _int_rows(old.halfspaces)
+        again = poly(p.halfspaces)
+        assert again == p and hash(again) == hash(p)
+    if UnboundedRegion not in got:
+        a, b = got
+        assert (a == b) == (want[0].key == want[1].key)
+        assert a != b or hash(a) == hash(b)
+
+
+def test_a_zero_normal_raises():
+    # a fan with a zero ray: its section polytope has a zero normal, which the
+    # dedupe of the rows would drop
+    fan = Fan.make([[1, 0], [0, 0], [-1, -1]], [[0, 1], [1, 2], [2, 0]])
+    for build in (
+        lambda: polytope_of(fan, divisor(fan, [1, 1, 1])),
+        lambda: Polytope.from_rows([((1, 0), 1), ((0, 0), -1), ((-1, -1), 1)], 1, 2),
+        lambda: normalized_volume([((1, 0), 1), ((0, 0), -1), ((-1, -1), 1)], 1, 2),
+    ):
+        with pytest.raises(ValueError, match="^halfspace normal must be nonzero$"):
+            build()
 
 
 # --------------------------------------------------------------------------

@@ -805,7 +805,8 @@ def test_a_family_is_enumerated_once(f1, monkeypatch):
 def test_a_curve_operation_builds_no_polytope(f1, monkeypatch):
     # F1 with -K along E, every cache cold: the volume curve, the extended
     # curve, its summary and both quotients read the polarization check off
-    # the cone vertices and everything else off the ray's hypograph
+    # the cone vertices and everything else off the ray's hypograph; the only
+    # Polytopes built are the chamber checks' volumes, each from its own rows
     from toricstab import delta_pp_quotient, delta_prime_quotient
 
     for name, module in list(sys.modules.items()):
@@ -813,18 +814,19 @@ def test_a_curve_operation_builds_no_polytope(f1, monkeypatch):
             for value in list(vars(module).values()):
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
-    built = []
-    real = geometry.Polytope.from_halfspaces
+    built, checks = [], []
+    real = geometry.Polytope.from_rows
     monkeypatch.setattr(
-        geometry.Polytope, "from_halfspaces",
-        classmethod(lambda cls, halfspaces: built.append(1) or real(halfspaces)),
+        geometry.Polytope, "from_rows", classmethod(lambda cls, *args: built.append(1) or real(*args)),
     )
+    check = vf.normalized_volume
+    monkeypatch.setattr(vf, "normalized_volume", lambda *args: checks.append(1) or check(*args))
     l, e = anticanonical(f1), ray_divisor(f1, 3)
     volume_curve(f1, l, e)
     curve_summary(extended_curve(f1, l, e))
     delta_pp_quotient(f1, l, e)
     delta_prime_quotient(f1, l, e)
-    assert built == []
+    assert checks and len(built) == len(checks)
 
 
 def test_positive_and_negative_parts_match_zariski(surfaces, p3):
