@@ -231,12 +231,8 @@ def _int_rows(halfspaces: Sequence[Halfspace]) -> tuple[list[IntRow], int]:
     return int_rows([hs.normal for hs in halfspaces], [hs.offset for hs in halfspaces])
 
 
-def _dedupe_rows(rows: Iterable[IntRow]) -> list[IntRow]:
-    """One row per primitive normal, in first-seen order: the binding one, least offset / content.
-
-    The kept rows are returned as given, so they stay integers over the rows'
-    q; rows with a zero normal are dropped.
-    """
+def _binding_rows(rows: Iterable[IntRow]) -> dict[LatticeVector, tuple[IntRow, int]]:
+    """Per primitive normal, first seen first: its binding row (least offset / content) and content."""
     best: dict[LatticeVector, tuple[IntRow, int]] = {}
     for a, b in rows:
         g = content(a)
@@ -246,7 +242,12 @@ def _dedupe_rows(rows: Iterable[IntRow]) -> list[IntRow]:
         kept = best.get(key)
         if kept is None or b * kept[1] < kept[0][1] * g:
             best[key] = ((a, b), g)
-    return [row for row, _g in best.values()]
+    return best
+
+
+def _dedupe_rows(rows: Iterable[IntRow]) -> list[IntRow]:
+    """The binding rows of _binding_rows as given, over the rows' q; zero normals are dropped."""
+    return [row for row, _g in _binding_rows(rows).values()]
 
 
 class _Infeasible(Exception):
@@ -399,8 +400,8 @@ class Polytope:
     def from_rows(cls, rows: Iterable[IntRow], q: int, dim: int) -> Polytope:
         """The polytope of integer rows (a, b) of {<a, x> + b / q >= 0} in dimension dim.
 
-        The rows are deduped by primitive normal (_dedupe_rows), each normal
-        made primitive and the offsets put over their least common
+        The rows are deduped by primitive normal (_binding_rows), each kept
+        as its primitive normal with the offsets put over their least common
         denominator, and the vertices enumerated once (_int_vertices).
         Raises ValueError on a zero normal and UnboundedRegion when the
         intersection is nonempty but unbounded; no points means it is empty.
@@ -409,11 +410,10 @@ class Polytope:
         if not all(any(a) for a, _b in rows):
             raise ValueError("halfspace normal must be nonzero")
         kept = []
-        for a, b in _dedupe_rows(rows):
-            g = content(a)
+        for normal, ((_a, b), g) in _binding_rows(rows).items():
             h = gcd(b, q * g)
             # the primitive normal, and b / (q g) in lowest terms
-            kept.append((a if g == 1 else tuple(x // g for x in a), b // h, q * g // h))
+            kept.append((normal, b // h, q * g // h))
         q = lcm(*(d for _a, _b, d in kept))
         rows = tuple((a, b * (q // d)) for a, b, d in kept)
         points, den = _int_vertices(rows, q, dim)

@@ -795,13 +795,13 @@ def test_triangulation_reads_one_incidence_table():
         return call
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_tight_sets", "_int_affine_rank", "_dedupe_rows"):
+        for name in ("_tight_sets", "_int_affine_rank", "_binding_rows"):
             mp.setattr(geometry, name, counted(name))
         assert len(triangulation.__wrapped__(p)) > 8
         assert counts == {"_tight_sets": 1}
         counts.clear()
         assert normalized_volume(*_int_rows(hs), 4) == want
-        assert counts == {"_tight_sets": 1, "_dedupe_rows": 1}
+        assert counts == {"_tight_sets": 1, "_binding_rows": 1}
 
 
 @settings(max_examples=100, deadline=None)

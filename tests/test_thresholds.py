@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -505,20 +506,38 @@ def test_s_route_disagreement_survives_optimize(problems_dir, run_optimized):
 
 
 def test_s_invariant_builds_no_polytope_once_warm(p3, monkeypatch):
-    # the barycenter's checks enumerate their families and volumes on integer
-    # rows, so once P_L is cached an S value builds no Polytope
+    # every memo cold but P_L: the barycenter's checks enumerate their
+    # families on integer rows, so the only Polytopes an S value builds are
+    # the chamber checks' volumes, each from its own rows
     blp3, pull, _k_rel = star_subdivision(p3, (1, 1, 1))
     models = [(p3, anticanonical(p3)), (blp3, pull(anticanonical(p3)))]
     for fan, l in models:
         assert is_ample(fan, l)
-
-    def refuse(cls, halfspaces):
-        raise AssertionError("s_invariant built a Polytope")
-
-    monkeypatch.setattr(Polytope, "from_halfspaces", classmethod(refuse))
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toricstab":
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    for fan, l in models:
+        polytope_of(fan, l)
+    built, checks = [], []
+    real = Polytope.from_rows
+    monkeypatch.setattr(
+        Polytope, "from_rows", classmethod(lambda cls, *args: built.append(1) or real(*args)),
+    )
+    check = volume_fn.normalized_volume
+    monkeypatch.setattr(volume_fn, "normalized_volume", lambda *args: checks.append(1) or check(*args))
     assert s_invariant(p3, anticanonical(p3), (1, 0, 0)) == 1
     for fan, l in models:
         p = polytope_of(fan, l)
         for u in primitive_candidates(3, 1):
             lo, mean, _hi = linear_stats(p, u)
             assert s_invariant(fan, l, u) == mean - lo
+    assert checks and len(built) == len(checks)
+    # once the barycenters are cached, S builds nothing at all
+    built.clear()
+    checks.clear()
+    for fan, l in models:
+        for u in primitive_candidates(3, 1):
+            s_invariant(fan, l, u)
+    assert not built and not checks
