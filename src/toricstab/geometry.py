@@ -19,10 +19,12 @@ enumeration (_int_vertices) of the feasible basic solutions with the
 boundedness and emptiness tests.  from_halfspaces, vertices_of and toric's
 section polytopes take it; a Polytope's Fraction halfspaces and vertices
 are views for the API boundary.  The Fourier-Motzkin feasibility test runs
-on the same rows.  One basic-solution loop serves both the vertices of a
-polytope and those of a family's hypograph, the (n+1)-polytope whose
-slices are the family's polytopes: a family enumerates its hypograph once
-and reads its start, chambers and threshold off the vertex heights.
+on the same rows.  A one-parameter family is its integer rows (a, b, c) of
+{<a, x> + (b - t c) / q >= 0}, offsets and rates over one common q.  One
+basic-solution loop serves both the vertices of a polytope and those of a
+family's hypograph, the (n+1)-polytope whose slices are the family's
+polytopes, on the rows ((q a, -c), b): a family enumerates its hypograph
+once and reads its start, chambers and threshold off the vertex heights.
 Whether a polytope is bounded depends on its facet normals only, so that
 test is memoized on the normals and shared by every polytope of a family.
 
@@ -226,11 +228,6 @@ def int_rows(normals: Sequence[LatticeVector], offsets: Sequence) -> tuple[list[
     return list(zip(normals, scaled)), q
 
 
-def _int_rows(halfspaces: Sequence[Halfspace]) -> tuple[list[IntRow], int]:
-    """The halfspaces as integer rows (a, b) of {<a, x> + b / q >= 0} over one common q."""
-    return int_rows([hs.normal for hs in halfspaces], [hs.offset for hs in halfspaces])
-
-
 def _binding_rows(rows: Iterable[IntRow]) -> dict[LatticeVector, tuple[IntRow, int]]:
     """Per primitive normal, first seen first: its binding row (least offset / content) and content."""
     best: dict[LatticeVector, tuple[IntRow, int]] = {}
@@ -427,7 +424,8 @@ class Polytope:
         dim = len(halfspaces[0].normal)
         if any(len(hs.normal) != dim for hs in halfspaces):
             raise DimensionMismatch("halfspaces of mixed dimension")
-        return cls.from_rows(*_int_rows(halfspaces), dim)
+        rows, q = int_rows([hs.normal for hs in halfspaces], [hs.offset for hs in halfspaces])
+        return cls.from_rows(rows, q, dim)
 
     @cached_property
     def halfspaces(self) -> tuple[Halfspace, ...]:
@@ -656,18 +654,7 @@ def linear_stats(p: Polytope, u: Sequence) -> tuple[Fraction, Fraction, Fraction
 # one-parameter families
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParametricHalfspace:
-    """The family {x : <x, normal> >= -(offset - t * rate)}."""
-
-    normal: LatticeVector
-    offset: Fraction
-    rate: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", tuple(_as_int(a) for a in self.normal))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        object.__setattr__(self, "rate", Fraction(self.rate))
+FamilyRow = tuple[LatticeVector, int, int]  # (a, b, c): <a, x> + (b - t c) / q >= 0 over a shared q
 
 
 @dataclass(frozen=True)
@@ -687,28 +674,26 @@ def _knotted_simplices(heights: Sequence[int], simplices) -> list[tuple[int, lis
 
 
 class _Hypograph:
-    """Q = {(x, t) : <x, u_i> - d_i t + a_i >= 0, t >= 0}, whose slice at t is P_t.
+    """Q = {(x, t) : <a_i, x> + (b_i - t c_i) / q >= 0, t >= 0}, whose slice at t is P_t.
 
-    The family's rows in dimension n + 1, each scaled by k, the lcm of the
-    rates' denominators, into an integer row (a, b) of {<a, (x, t)> + b / q
-    >= 0}, then t >= 0.  Its vertices are the feasible basic solutions,
-    integers over den with the height t last, enumerated once with no
-    boundedness test: parametric_family reads the family's start, chambers
-    and threshold off their heights and tests Q's recession cone itself.  Q
-    is triangulated once and its facets are read once, each when first asked
-    for, both off one incidence table and both as knotted simplices over den
+    The family's rows (a, b, c) over q in dimension n + 1, each the integer
+    row ((q a, -c), b) of {<(q a, -c), (x, t)> + b >= 0}, then t >= 0.  Its
+    vertices are the feasible basic solutions, in lowest terms over den with
+    the height t last, enumerated once with no boundedness test:
+    parametric_family reads the family's start, chambers and threshold off
+    their heights and tests Q's recession cone itself.  Q is triangulated
+    once and its facets are read once, each when first asked for, both off
+    one incidence table and both as knotted simplices over den
     (_knotted_simplices).  No Polytope is built.
     """
 
-    def __init__(self, halfspaces: Sequence[ParametricHalfspace]) -> None:
-        self.dim = n = len(halfspaces[0].normal)
-        k = lcm(*(hs.rate.denominator for hs in halfspaces))
-        normals = [(*(k * a for a in hs.normal), -int(k * hs.rate)) for hs in halfspaces]
-        offsets = [k * hs.offset for hs in halfspaces]
-        self.rows, self.q = int_rows([*normals, (0,) * n + (1,)], [*offsets, 0])
+    def __init__(self, rows: Sequence[FamilyRow], q: int, n: int) -> None:
+        self.dim = n
+        self.rows = [((*(q * x for x in a), -c), b) for a, b, c in rows]
+        self.rows.append(((0,) * n + (1,), 0))
         solutions = _basic_solutions(self.rows, n + 1)
-        self.points, self.den = _feasible_vertices(solutions, self.rows, self.q)
-        self.normals = [hs.normal for hs in halfspaces]
+        self.points, self.den = _feasible_vertices(solutions, self.rows, 1)
+        self.normals = [a for a, _b, _c in rows]
         self.heights = sorted({point[-1] for point in self.points})
 
     def _knotted(self, simplices, fixed=()) -> list[tuple[int, list[int]]]:
@@ -718,7 +703,7 @@ class _Hypograph:
     @cached_property
     def _tight(self) -> list[frozenset[int]]:
         """Q's incidence table, the tight set of every row, read by its simplices and its facets."""
-        return _tight_sets(self.rows, self.q, self.points, self.den)
+        return _tight_sets(self.rows, 1, self.points, self.den)
 
     @cached_property
     def simplices(self) -> list[tuple[int, list[int]]]:
@@ -742,15 +727,18 @@ class _Hypograph:
 
 @dataclass(frozen=True)
 class ParametricPolytope:
-    """A one-parameter halfspace family with its exact chamber decomposition.
+    """A one-parameter family {<a, x> + (b - t c) / q >= 0} with its exact chamber decomposition.
 
-    `chambers` cover [0, t_max] in order; `t_max` is the exact feasibility
-    threshold of the family.  `hypograph` is the family's (n+1)-polytope Q
-    (_Hypograph), a function of its halfspaces that takes no part in
-    equality or hashing.
+    `rows` holds one integer row (a, b, c) per halfspace, in the given
+    order, over `q`, the least common denominator of every offset b / q and
+    rate c / q.  `chambers` cover [0, t_max] in order; `t_max` is the exact
+    feasibility threshold of the family.  `hypograph` is the family's
+    (n+1)-polytope Q (_Hypograph), a function of its rows that takes no part
+    in equality or hashing.
     """
 
-    halfspaces: tuple[ParametricHalfspace, ...]
+    rows: tuple[FamilyRow, ...]
+    q: int
     chambers: tuple[Chamber, ...]
     t_max: Fraction
     dimension: int
@@ -760,37 +748,37 @@ class ParametricPolytope:
 def parametric_family(halfspaces: Sequence[Halfspace], rates: Sequence) -> ParametricPolytope:
     """Exact chamber decomposition of {<x,u_i> >= -(a_i - t d_i)} from t = 0.
 
-    Everything is read off the vertices of the family's hypograph Q
-    (_Hypograph), enumerated once.  Its slice at t = 0 is the start polytope,
-    whose vertices are Q's at height 0: an empty start raises
-    DegeneratePolytope and an unbounded one UnboundedRegion, the same tests
-    as vertices_of.  A bounded start leaves Q's recession cone only
+    The offsets a_i and rates d_i are put over one q once, as the rows
+    (u_i, b_i, c_i) with a_i = b_i / q and d_i = c_i / q.  Everything is
+    read off the vertices of the family's hypograph Q (_Hypograph),
+    enumerated once.  Its slice at t = 0 is the start polytope, whose
+    vertices are Q's at height 0: an empty start raises DegeneratePolytope
+    and an unbounded one UnboundedRegion, the same tests as vertices_of, on
+    the rows (u_i, b_i).  A bounded start leaves Q's recession cone only
     directions (x, s) with s > 0, so Q is bounded exactly when no x has
-    <x, u_i> >= d_i for every i (Fourier-Motzkin); otherwise the family is
-    feasible for all large t, one that never moves included, and
-    UnboundedRegion is raised.  The chambers run between consecutive vertex
-    heights of Q, up to the top one, the feasibility threshold t_max: every
-    vertex of P_t follows one affine path within a chamber.
+    <x, u_i> >= d_i for every i, the rows (u_i, -c_i) (Fourier-Motzkin);
+    otherwise the family is feasible for all large t, one that never moves
+    included, and UnboundedRegion is raised.  The chambers run between
+    consecutive vertex heights of Q, up to the top one, the feasibility
+    threshold t_max: every vertex of P_t follows one affine path within a
+    chamber.
     """
     if len(rates) != len(halfspaces):
         raise DimensionMismatch("one rate per halfspace required")
-    phs = tuple(
-        ParametricHalfspace(hs.normal, hs.offset, rate)
-        for hs, rate in zip(halfspaces, rates)
-    )
-    dim = len(phs[0].normal)
-    if any(len(hs.normal) != dim for hs in phs):
+    nums, q = _over_lcm([*(hs.offset for hs in halfspaces), *map(Fraction, rates)])
+    dim = len(halfspaces[0].normal)
+    if any(len(hs.normal) != dim for hs in halfspaces):
         raise DimensionMismatch("halfspaces of mixed dimension")
-    hypograph = _Hypograph(phs)
+    rows = tuple((hs.normal, b, c) for hs, b, c in zip(halfspaces, nums, nums[len(halfspaces):]))
+    hypograph = _Hypograph(rows, q, dim)
     heights = hypograph.heights
     start = bool(heights) and heights[0] == 0
-    _check_bounded(_int_rows(halfspaces)[0], dim, start)
+    _check_bounded([(a, b) for a, b, _c in rows], dim, start)
     if not start:
         raise DegeneratePolytope("family is infeasible at the start parameter")
-    # (x, 1) in Q's recession cone: Q's rows without their offsets, at height 1
-    if _feasible([(a[:-1], a[-1]) for a, _b in hypograph.rows[:-1]], dim):
+    if _feasible([(a, -c) for a, _b, c in rows], dim):
         raise UnboundedRegion("family remains feasible for arbitrarily large t")
     ends = [Fraction(h, hypograph.den) for h in heights]
     # t_max == 0: a single point of feasibility
     chambers = [Chamber(lo, hi) for lo, hi in zip(ends, ends[1:])] or [Chamber(ends[0], ends[0])]
-    return ParametricPolytope(phs, tuple(chambers), ends[-1], dim, hypograph)
+    return ParametricPolytope(rows, q, tuple(chambers), ends[-1], dim, hypograph)

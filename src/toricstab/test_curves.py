@@ -130,9 +130,10 @@ def family_integrals(
 
     Checked by Euler's identity on the part of Q below top, the full
     triangulation against the facets', with top_volume = vol(P_top) for the
-    top slice: (n+1) M = n sum_i a_i I_i + top vol(P_top), a_i the offsets;
-    and by the facets' Minkowski relation sum_i u_i I_i = 0.  A failure
-    raises InvariantViolation.  Returns (I_i numerators, M numerator, den).
+    top slice: (n+1) M = n sum_i a_i I_i + top vol(P_top), a_i = b_i / q the
+    offsets of the family's rows (u_i, b_i, c_i) over q, in integers; and by
+    the facets' Minkowski relation sum_i u_i I_i = 0.  A failure raises
+    InvariantViolation.  Returns (I_i numerators, M numerator, den).
     """
     n, hypograph = pp.dimension, pp.hypograph
     q = hypograph.den
@@ -145,9 +146,8 @@ def family_integrals(
     parts.append((num, den * (n + 1)))
     den = math.lcm(*(d for _num, d in parts))
     *facets, mass = (num * (den // d) for num, d in parts)
-    offsets, offsets_den = _over_lcm([hs.offset for hs in pp.halfspaces])
-    euler = n * sum(map(operator.mul, offsets, facets))
-    if (n + 1) * mass * offsets_den != euler + top * top_volume * den * offsets_den or any(
+    euler = n * sum(b * f for (_a, b, _c), f in zip(pp.rows, facets))
+    if (n + 1) * mass * pp.q != euler + top * top_volume * den * pp.q or any(
         sum(u[j] * f for u, f in zip(hypograph.normals, facets)) for j in range(n)
     ):
         raise InvariantViolation(

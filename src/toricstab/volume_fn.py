@@ -46,7 +46,7 @@ from .errors import (
 )
 from .geometry import (
     Chamber,
-    ParametricHalfspace,
+    FamilyRow,
     ParametricPolytope,
     Polytope,
     _knotted_simplices,
@@ -653,24 +653,20 @@ def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polyn
     """
     n, hypograph = pp.dimension, pp.hypograph
     poly = _chamber_sum(hypograph.simplices, hypograph.den, chamber, n)
-    return _checked(poly, chamber, pp.halfspaces, n).scale(Fraction(1, math.factorial(n)))
+    return _checked(poly, chamber, pp.rows, pp.q, n).scale(Fraction(1, math.factorial(n)))
 
 
-def _checked(poly: Polynomial, chamber: Chamber, halfspaces: Sequence[ParametricHalfspace], n):
+def _checked(poly: Polynomial, chamber: Chamber, rows: Sequence[FamilyRow], q: int, n):
     """poly, n! * volume(P_t) on the chamber, checked; a failure raises InvariantViolation.
 
-    Its degree is at most n, and a third of the way in, at x = p / r, it is
-    the volume of the family's rows there, enumerated and triangulated
-    afresh.  With the offsets o / q_o and the rates k / q_r each over one
-    common denominator, the row of u at x is (u, o q_r r - p k q_o) over
-    q_o q_r r, all integers.
+    P_t is {<a, x> + (b - t c) / q >= 0} for the family's rows (a, b, c).
+    poly's degree is at most n, and a third of the way in, at x = p / r, it
+    is the volume of the slice there, enumerated and triangulated afresh:
+    the integer rows (a, b r - p c) over q r.
     """
     x = chamber.sample_points(2)[0]  # a third of the way in: neither the midpoint nor an end
     p, r = x.numerator, x.denominator
-    offsets, q_o = _over_lcm([hs.offset for hs in halfspaces])
-    rates, q_r = _over_lcm([hs.rate for hs in halfspaces])
-    rows = [(hs.normal, o * q_r * r - p * k * q_o) for hs, o, k in zip(halfspaces, offsets, rates)]
-    check = normalized_volume(rows, q_o * q_r * r, n)
+    check = normalized_volume([(a, b * r - p * c) for a, b, c in rows], q * r, n)
     if poly.degree > n or poly(x) != check:
         raise InvariantViolation(
             f"volume is not the symbolic polynomial on the chamber [{chamber.lo}, {chamber.hi}]"
@@ -691,7 +687,9 @@ def superlevel_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomia
     Over p's cached triangulation: a simplex with vertex heights h, integers
     <num, u> - min over p.den, has |det| [h](s - c)_+^n at height >= c
     (_chamber_sum).  Each chamber, between consecutive vertex heights, is
-    checked on p's rows and the slice row (_checked).
+    checked (_checked) on the family of rows over q = lcm(p.q, den): p's
+    rows at rate 0 and the slice row (u, -low q / den, q), <x, u> - low /
+    den >= c.
     """
     n, den = p.dimension, p.den
     heights = [sum(map(operator.mul, num, u)) for num in p.points]
@@ -699,12 +697,13 @@ def superlevel_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomia
     heights = [h - low for h in heights]
     knotted = _knotted_simplices(heights, triangulation(p))
     levels = sorted(set(heights))
-    slices = [ParametricHalfspace(a, Fraction(b, p.q), 0) for a, b in p.rows]
-    slices.append(ParametricHalfspace(tuple(u), Fraction(-low, den), 1))
+    q = math.lcm(p.q, den)
+    slices = [(a, b * (q // p.q), 0) for a, b in p.rows]
+    slices.append((tuple(u), -low * (q // den), q))
     pieces = []
     for lo, hi in zip(levels, levels[1:]):
         chamber = Chamber(Fraction(lo, den), Fraction(hi, den))
-        pieces.append(_checked(_chamber_sum(knotted, den, chamber, n), chamber, slices, n))
+        pieces.append(_checked(_chamber_sum(knotted, den, chamber, n), chamber, slices, q, n))
     return PiecewisePolynomial.merged([Fraction(h, den) for h in levels], pieces)
 
 

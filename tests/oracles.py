@@ -44,8 +44,9 @@ rows and their polytope's exact vertex set.
 Polytope geometry only the tests use: minkowski_sum (Fourier-Motzkin) and
 mixed_volume by polarization, the oracle of toric.intersection_number
 (Fulton, 5.4); hull_halfspaces, affine_rank of rational points and
-polytope_from_points, which build random test polygons; and polytope_at, a
-family's polytope at one t.
+polytope_from_points, which build random test polygons; family_halfspaces,
+a family's integer rows read back as Fraction offsets and rates; and
+polytope_at, a family's polytope at one t.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from toricstab.errors import (
 from toricstab.filtrations import _section_polytope
 from toricstab.geometry import (
     Chamber, Halfspace, IntRow, LatticeVector, ParametricPolytope, Point, Polytope, _bareiss,
-    _dedupe_rows, _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_rows, _int_vertices,
-    _over_lcm, _pulled, _pulled_facets, _simplex_dets, content, linear_stats, make_primitive,
+    _dedupe_rows, _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_vertices, _over_lcm,
+    _pulled, _pulled_facets, _simplex_dets, content, int_rows, linear_stats, make_primitive,
     parametric_family, volume,
 )
 from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
@@ -269,7 +270,7 @@ class AffinePath(NamedTuple):
 def oracle_basis_paths(halfspaces, dim):
     """(path, lo, hi) for every basis of a family whose path is feasible on some t-interval.
 
-    The halfspaces are ParametricHalfspaces {<x, u> >= -(a - t d)}.  Each
+    The halfspaces are FamilyHalfspaces {<x, u> >= -(a - t d)}.  Each
     dim-subset with independent normals solves for its path's base and
     velocity; every other halfspace's slack along it is c0 + t c1, which
     bounds t from below (c1 > 0) or above (c1 < 0) at -c0 / c1.  lo or hi is
@@ -324,7 +325,7 @@ def _int_points(points: Sequence[Sequence]) -> tuple[list[LatticeVector], int]:
 
 def _dedupe_halfspaces(halfspaces: Sequence[Halfspace]) -> tuple[Halfspace, ...]:
     """The halfspaces of _dedupe_rows, with primitive normals."""
-    rows, q = _int_rows(halfspaces)
+    rows, q = int_rows([hs.normal for hs in halfspaces], [hs.offset for hs in halfspaces])
     return tuple(
         Halfspace(make_primitive(a), Fraction(b, q * content(a))) for a, b in _dedupe_rows(rows)
     )
@@ -368,7 +369,7 @@ def halfspace_polytope(halfspaces: Sequence[Halfspace]) -> HalfspacePolytope:
     """
     clean = _dedupe_halfspaces(halfspaces)
     dim = len(clean[0].normal)
-    rows, q = _int_rows(clean)
+    rows, q = int_rows([hs.normal for hs in clean], [hs.offset for hs in clean])
     points, den = _int_vertices(rows, q, dim)
     vertices = tuple(tuple(Fraction(c, den) for c in p) for p in points)
     points, den = _int_points(vertices)
@@ -410,9 +411,24 @@ def polytope_from_points(points: Sequence[Sequence]) -> Polytope:
     return Polytope.from_halfspaces(hull_halfspaces(pts))
 
 
+class FamilyHalfspace(NamedTuple):
+    """The family {x : <x, normal> >= -(offset - t * rate)}, in Fractions."""
+
+    normal: LatticeVector
+    offset: Fraction
+    rate: Fraction
+
+
+def family_halfspaces(pp: ParametricPolytope) -> list[FamilyHalfspace]:
+    """The family's rows (a, b, c) over q as halfspaces with offset b / q and rate c / q."""
+    return [FamilyHalfspace(a, Fraction(b, pp.q), Fraction(c, pp.q)) for a, b, c in pp.rows]
+
+
 def polytope_at(pp: ParametricPolytope, t) -> Polytope:
     """The family's polytope {<x, u_i> >= -(a_i - t d_i)} at one t."""
-    return Polytope.from_halfspaces([Halfspace(hs.normal, hs.offset - t * hs.rate) for hs in pp.halfspaces])
+    return Polytope.from_halfspaces(
+        [Halfspace(hs.normal, hs.offset - t * hs.rate) for hs in family_halfspaces(pp)]
+    )
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -422,7 +438,7 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     n = p.dimension
     lifted = [Halfspace(hs.normal + tuple(-a for a in hs.normal), hs.offset) for hs in p.halfspaces]
     lifted += [Halfspace((0,) * n + hs.normal, hs.offset) for hs in q.halfspaces]
-    rows, den = _int_rows(lifted)
+    rows, den = int_rows([hs.normal for hs in lifted], [hs.offset for hs in lifted])
     try:
         for d in range(2 * n, n, -1):
             rows = _fm_eliminate_last(rows, d)

@@ -22,7 +22,6 @@ from toricstab.geometry import (
     _dedupe_rows,
     _feasible,
     _feasible_vertices,
-    _int_rows,
     _int_vertices,
     _recession_nontrivial,
     _simplex_dets,
@@ -48,6 +47,7 @@ from oracles import (
     affine_rank,
     det,
     facet_simplices,
+    family_halfspaces,
     fit_polynomial,
     fraction_row_reduce,
     halfspace_polytope,
@@ -262,7 +262,7 @@ def test_parametric_family_p2():
     family = parametric_family(P2_TRIANGLE, [1, 0, 0])
     assert family.t_max == 3
     assert len(family.chambers) == 1
-    bases = oracle_basis_paths(family.halfspaces, 2)
+    bases = oracle_basis_paths(family_halfspaces(family), 2)
     assert oracle_walls(bases, family.t_max) == inner_ends(family) == []
     for t in (0, 1, 3):
         # (t-1, -1), (2, -1) and (t-1, 2-t), which meet at t = 3
@@ -296,7 +296,7 @@ def test_chamber_paths_match_vertex_enumeration():
     walls = 0
     for rates in ([1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 2]):
         family = parametric_family(F1_QUAD, rates)
-        bases = oracle_basis_paths(family.halfspaces, 2)
+        bases = oracle_basis_paths(family_halfspaces(family), 2)
         assert oracle_walls(bases, family.t_max) == inner_ends(family)
         walls += len(family.chambers) - 1
         for ch in family.chambers:
@@ -401,7 +401,7 @@ def oracle_vertices(halfspaces):
         if _recession_nontrivial(tuple(hs.normal for hs in halfspaces), dim):
             raise UnboundedRegion("halfspace intersection is unbounded")
         return sorted(found)
-    if _feasible(_int_rows(halfspaces)[0], dim):
+    if _feasible(int_rows([hs.normal for hs in halfspaces], [hs.offset for hs in halfspaces])[0], dim):
         raise UnboundedRegion("nonempty intersection without vertices is unbounded")
     return []
 
@@ -595,7 +595,7 @@ def test_family_start_matches_vertex_enumeration(system):
     # the start's vertices are the hypograph's at height 0, and the oracle's paths at t = 0
     q = family.hypograph
     start = [tuple(Q(c, q.den) for c in p[:-1]) for p in q.points if p[-1] == 0]
-    bases = oracle_basis_paths(family.halfspaces, len(hs[0].normal))
+    bases = oracle_basis_paths(family_halfspaces(family), len(hs[0].normal))
     assert start == oracle_points(bases, 0, 0, 0) == list(want.vertices)
     assert oracle_walls(bases, family.t_max) == inner_ends(family)
     if family.t_max == 0:
@@ -617,7 +617,7 @@ def test_family_chambers_tile_the_window(system):
     ends = [(ch.lo, ch.hi) for ch in family.chambers]
     assert ends[0][0] == 0 and ends[-1][1] == family.t_max
     assert all(hi == lo for (_lo, hi), (lo, _hi) in zip(ends, ends[1:]))
-    bases = oracle_basis_paths(family.halfspaces, family.dimension)
+    bases = oracle_basis_paths(family_halfspaces(family), family.dimension)
     assert oracle_walls(bases, family.t_max) == inner_ends(family)
     for ch in family.chambers:
         if ch.lo == ch.hi:
@@ -800,7 +800,7 @@ def test_triangulation_reads_one_incidence_table():
         assert len(triangulation.__wrapped__(p)) > 8
         assert counts == {"_tight_sets": 1}
         counts.clear()
-        assert normalized_volume(*_int_rows(hs), 4) == want
+        assert normalized_volume(*int_rows([h.normal for h in hs], [h.offset for h in hs]), 4) == want
         assert counts == {"_tight_sets": 1, "_binding_rows": 1}
 
 
@@ -877,7 +877,8 @@ UNIT_CUBE = [Halfspace(u, 0) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] + [
 @example(UNIT_CUBE + [Halfspace((0, 0, 2), -3)])
 def test_normalized_volume_matches_polytope_volume(hs):
     dim = len(hs[0].normal)
-    assert outcome(normalized_volume, *_int_rows(hs), dim) == outcome(polytope_volume, hs)
+    rows, q = int_rows([h.normal for h in hs], [h.offset for h in hs])
+    assert outcome(normalized_volume, rows, q, dim) == outcome(polytope_volume, hs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -933,7 +934,8 @@ def test_polytope_matches_halfspace_route(systems):
             continue
         assert (p.halfspaces, p.vertices, p.dimension, volume(p)) == old
         # the rows are the deduped halfspaces over their least common denominator
-        assert (list(p.rows), p.q) == _int_rows(old.halfspaces)
+        normals, offsets = [h.normal for h in old.halfspaces], [h.offset for h in old.halfspaces]
+        assert (list(p.rows), p.q) == int_rows(normals, offsets)
         again = poly(p.halfspaces)
         assert again == p and hash(again) == hash(p)
     if UnboundedRegion not in got:
@@ -1024,7 +1026,7 @@ def oracle_normalized_volume(rows, q, dim):
 @example(flat(cube(4), (1, 0, 0, 0), 0))
 @example([Halfspace((1,), 0), Halfspace((-1,), 2)])
 def test_int_vertices_and_normalized_volume_match_bareiss_route(hs):
-    rows, q = _int_rows(hs)
+    rows, q = int_rows([h.normal for h in hs], [h.offset for h in hs])
     dim = len(hs[0].normal)
     assert outcome(_int_vertices, rows, q, dim) == outcome(oracle_int_vertices, rows, q, dim)
     assert outcome(normalized_volume, rows, q, dim) == outcome(oracle_normalized_volume, rows, q, dim)

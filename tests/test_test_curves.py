@@ -56,6 +56,7 @@ from oracles import (
     curve_chambers,
     entropy_at,
     entropy_direction,
+    family_halfspaces,
     fit_polynomial,
     g_polynomial,
     oracle_basis_paths,
@@ -634,7 +635,8 @@ def test_rescaled_directions_share_one_hypograph(f1, monkeypatch):
     built = []
     real_init = geometry._Hypograph.__init__
     monkeypatch.setattr(
-        geometry._Hypograph, "__init__", lambda self, hs: built.append(hs) or real_init(self, hs)
+        geometry._Hypograph, "__init__",
+        lambda self, rows, q, n: built.append(rows) or real_init(self, rows, q, n),
     )
     clear_memos()
     l, e = anticanonical(f1), ray_divisor(f1, 3)
@@ -719,7 +721,7 @@ def crossing_refinement(fan, l, d):
     """
     family = vf.divisor_family(fan, l, d)
     volumes = vf.family_volume_curve(family)
-    bases = oracle_basis_paths(family.halfspaces, family.dimension)
+    bases = oracle_basis_paths(family_halfspaces(family), family.dimension)
     pieces = []
     for chamber in family.chambers:
         paths = [

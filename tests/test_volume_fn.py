@@ -18,6 +18,7 @@ from toricstab import (
     divisor,
     intersection_number,
     is_nef,
+    polytope_of,
     positive_pairing,
     ray_divisor,
     star_subdivision,
@@ -26,12 +27,12 @@ from toricstab import (
     zariski_decompose,
     zero_divisor,
 )
+import toricstab.test_curves as tc
 from toricstab import geometry, toric, volume_fn
 from toricstab.cli import main, piecewise_to_dict
 from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
 from toricstab.geometry import (
-    Chamber, Halfspace, ParametricHalfspace, facet_volumes, int_rows, parametric_family,
-    triangulation, volume,
+    Chamber, Halfspace, dot, facet_volumes, int_rows, parametric_family, triangulation, volume,
 )
 from toricstab.thresholds import primitive_candidates
 from toricstab.toric import section_halfspaces
@@ -43,12 +44,15 @@ from toricstab.volume_fn import (
     divisor_family,
     family_volume_curve,
     nonneg_on_interval,
+    superlevel_volume_curve,
 )
 
 from oracles import (
+    FamilyHalfspace,
     FractionPolynomial,
     antiderivative_integral,
     chamber_facet_polynomials,
+    family_halfspaces,
     filtration_family,
     fit_polynomial,
     fraction_horner,
@@ -463,7 +467,7 @@ def test_chamber_facet_polynomials_match_sampled_fit(surfaces, p3):
         n = pp.dimension
         for chamber in pp.chambers:
             xs = chamber.sample_points(n)
-            normals = [hs.normal for hs in pp.halfspaces]
+            normals = [a for a, _b, _c in pp.rows]
             samples = [facet_volumes(polytope_at(pp, x), normals) for x in xs]
             for i, got in enumerate(chamber_facet_polynomials(pp, chamber)):
                 ys = [math.factorial(n - 1) * areas[i] for areas in samples]
@@ -474,7 +478,7 @@ def test_chamber_facet_polynomials_match_sampled_fit(surfaces, p3):
 
 def _first_wall(fan, m, lprime):
     """The first wall s_1 > 0 of the family M + sL', or 1 when there is none."""
-    phs = [ParametricHalfspace(u, a, -c) for u, a, c in zip(fan.rays, m.coeffs, lprime.coeffs)]
+    phs = [FamilyHalfspace(u, a, -c) for u, a, c in zip(fan.rays, m.coeffs, lprime.coeffs)]
     walls = oracle_walls(oracle_basis_paths(phs, fan.dimension), math.inf)
     return min(walls, default=Q(1))
 
@@ -599,7 +603,7 @@ def test_chamber_facet_polynomials_read_one_incidence_table(f1, p3, monkeypatch)
     # fresh families, whose hypographs have not read their facets yet
     families = [divisor_family.__wrapped__(*direction) for direction in directions]
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == want
-    assert calls == [len(pp.halfspaces) + 1 for pp in families]
+    assert calls == [len(pp.rows) + 1 for pp in families]
 
 
 def test_a_hypograph_reads_one_incidence_table(f1, p3, monkeypatch):
@@ -619,34 +623,86 @@ def test_a_hypograph_reads_one_incidence_table(f1, p3, monkeypatch):
     assert calls == [len(f1.rays) + 1, len(p3.rays) + 1]
 
 
+def test_a_family_is_its_integer_rows(f1, monkeypatch):
+    # offsets and rates go over one q = 12 once, when the family is built;
+    # its volume curve and integrals then read the integer rows alone
+    offsets, rates = [Q(1, 2), Q(2, 3), 1, Q(5, 4)], [Q(1, 3), 0, 0, 1]
+    pp = parametric_family([Halfspace(u, a) for u, a in zip(f1.rays, offsets)], rates)
+    assert pp.rows == (((1, 0), 6, 4), ((0, 1), 8, 0), ((-1, -1), 12, 0), ((1, 1), 15, 12))
+    assert pp.q == 12
+    assert pp.chambers == (Chamber(0, Q(1, 8)), Chamber(Q(1, 8), Q(9, 4)))
+    assert family_halfspaces(pp) == [FamilyHalfspace(u, a, d) for u, a, d in zip(f1.rays, offsets, rates)]
+    calls = []
+    real = geometry._over_lcm
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    for module in (geometry, toric, volume_fn, tc):
+        monkeypatch.setattr(module, "_over_lcm", counted)
+    curve = family_volume_curve(pp)
+    tc.family_integrals(pp, pp.t_max, curve(pp.t_max))
+    assert calls == []
+
+
 def test_chamber_check_rows_match_fraction_offsets(f1, monkeypatch):
     # _checked's integer rows at the sample point give the volume of the
     # Fraction offsets o - x k put over their lcm (int_rows): F1 along half_E
-    # (rate 1/2), a family with rational offsets, and a filtration slice
-    # (rate 0 rows and one rate 1 row)
+    # (rate 1/2), a family with rational offsets and rates, and a filtration
+    # slice (rate 0 rows and one rate 1 row)
     l = anticanonical(f1)
     families = [
         divisor_family(f1, l, divisor(f1, [0, 0, 0, Q(1, 2)])),
         divisor_family(f1, divisor(f1, [Q(1, 2), Q(2, 3), 1, Q(5, 4)]), divisor(f1, [Q(1, 3), 0, 0, 1])),
         filtration_family(f1, l, (1, 2)),
     ]
-    assert {hs.rate for hs in families[0].halfspaces} == {0, Q(1, 2)}
-    assert any(hs.offset.denominator > 1 for hs in families[1].halfspaces)
-    assert sorted(hs.rate for hs in families[2].halfspaces) == [0, 0, 0, 0, 1]
+    halfspaces = [family_halfspaces(pp) for pp in families]
+    assert {hs.rate for hs in halfspaces[0]} == {0, Q(1, 2)}
+    assert any(hs.offset.denominator > 1 for hs in halfspaces[1])
+    assert sorted(hs.rate for hs in halfspaces[2]) == [0, 0, 0, 0, 1]
     checked = []
     real = volume_fn.normalized_volume
-    monkeypatch.setattr(
-        volume_fn, "normalized_volume", lambda rows, q, n: checked.append(real(rows, q, n)) or checked[-1]
-    )
-    for pp in families:
-        halfspaces, n = pp.halfspaces, pp.dimension
+
+    def captured(rows, q, n):
+        checked.append((rows, q, real(rows, q, n)))
+        return checked[-1][-1]
+
+    monkeypatch.setattr(volume_fn, "normalized_volume", captured)
+    for pp, family in zip(families, halfspaces):
+        n = pp.dimension
         for chamber in pp.chambers:
             x = chamber.sample_points(2)[0]
-            offsets = [hs.offset - x * hs.rate for hs in halfspaces]
-            want = real(*int_rows([hs.normal for hs in halfspaces], offsets), n)
+            offsets = [hs.offset - x * hs.rate for hs in family]
+            want = real(*int_rows([hs.normal for hs in family], offsets), n)
             assert want > 0
             poly = Polynomial.of(want)
-            assert volume_fn._checked(poly, chamber, halfspaces, n) is poly
-            assert checked.pop() == want
+            assert volume_fn._checked(poly, chamber, pp.rows, pp.q, n) is poly
+            assert checked.pop()[-1] == want
             with pytest.raises(InvariantViolation, match="not the symbolic polynomial"):
-                volume_fn._checked(Polynomial.of(want + 1), chamber, halfspaces, n)
+                volume_fn._checked(Polynomial.of(want + 1), chamber, pp.rows, pp.q, n)
+    # the rows superlevel_volume_curve hands _checked, p's rows at rate 0 and
+    # the slice row over lcm(p.q, p.den), against the Fraction offsets of p's
+    # halfspaces and of {<x, u> >= min <., u> + x}: P_L of F1 for -K and for a
+    # class with rational offsets, and a triangle with offsets over 1 and
+    # vertices over 6
+    triangle = [Halfspace((1, 0), 0), Halfspace((0, 1), 0), Halfspace((-2, -3), 1)]
+    superlevel = 0
+    for p, u in (
+        (polytope_of(f1, l), (1, 2)),
+        (polytope_of(f1, divisor(f1, [Q(1, 2), Q(2, 3), 1, Q(5, 4)])), (2, -1)),
+        (Polytope.from_halfspaces(triangle), (1, 1)),
+    ):
+        checked.clear()
+        superlevel_volume_curve(p, u)
+        heights = sorted({dot(v, u) for v in p.vertices})
+        slices = [Chamber(lo - heights[0], hi - heights[0]) for lo, hi in zip(heights, heights[1:])]
+        assert len(checked) == len(slices) > 1
+        for chamber, (rows, q, got) in zip(slices, checked):
+            x = chamber.sample_points(2)[0]
+            normals = [hs.normal for hs in p.halfspaces] + [u]
+            offsets = [hs.offset for hs in p.halfspaces] + [-heights[0] - x]
+            assert [(a, Q(b, q)) for a, b in rows] == list(zip(normals, offsets))
+            assert got == real(*int_rows(normals, offsets), p.dimension) > 0
+            superlevel += 1
+    assert superlevel > 4
