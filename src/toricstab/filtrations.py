@@ -12,10 +12,10 @@ sampled volumes on the family's chambers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import (
     DimensionMismatch,
     InfeasibleTau,
@@ -29,8 +29,7 @@ from .toric import Fan, ToricDivisor, is_ample, polytope_of
 from .volume_fn import PiecewisePolynomial, superlevel_volume_curve
 
 
-@dataclass(frozen=True)
-class DHMeasure:
+class DHMeasure(Record):
     """A probability measure on the curve parameter: density plus atoms.
 
     The density is a chamber-wise polynomial (not necessarily continuous);
@@ -39,15 +38,16 @@ class DHMeasure:
     a negative density comes from an increasing curve and raises NotMonotone.
     """
 
-    density: PiecewisePolynomial | None
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("density", "atoms")
 
-    def __post_init__(self) -> None:
-        atoms = tuple((Fraction(x), Fraction(m)) for x, m in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
+    def __init__(self, density: PiecewisePolynomial | None,
+                 atoms: tuple[tuple[Fraction, Fraction], ...]) -> None:
+        fields = self.__dict__
+        fields["density"] = density
+        fields["atoms"] = atoms = tuple((Fraction(x), Fraction(m)) for x, m in atoms)
         if any(m < 0 for _x, m in atoms):
             raise ValueError("atom masses must be nonnegative")
-        if self.density is not None and not self.density.is_nonnegative():
+        if density is not None and not density.is_nonnegative():
             raise NotMonotone("DH density must be nonnegative on its support")
         if self.total_mass() != 1:
             raise ValueError(f"DH measure has total mass {self.total_mass()} != 1")
@@ -127,8 +127,7 @@ def energy_from_dh(measure: DHMeasure) -> Fraction:
     return measure.first_moment()
 
 
-@dataclass(frozen=True)
-class MonomialIdealData:
+class MonomialIdealData(Record):
     """A flag of monomial ideals I_0 <= I_1 <= ... <= I_{N-1} (full ring last).
 
     Each ideal is a finite tuple of exponent vectors; the ambient full ring is
@@ -137,7 +136,10 @@ class MonomialIdealData:
     I_{i+1}.
     """
 
-    ideals: tuple[tuple[LatticeVector, ...], ...]
+    _fields = ("ideals",)
+
+    def __init__(self, ideals: tuple[tuple[LatticeVector, ...], ...]) -> None:
+        self.__dict__["ideals"] = ideals
 
     @classmethod
     def make(cls, ideals: Sequence[Sequence[Sequence[int]]]) -> MonomialIdealData:

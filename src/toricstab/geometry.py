@@ -46,13 +46,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     DegeneratePolytope,
     DimensionMismatch,
@@ -205,17 +205,16 @@ def _as_int(a) -> int:
     return int(f)
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Record):
     """The set {x : <x, normal> >= -offset} with an integer normal."""
 
-    normal: LatticeVector
-    offset: Fraction
+    _fields = ("normal", "offset")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", tuple(_as_int(a) for a in self.normal))
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if all(a == 0 for a in self.normal):
+    def __init__(self, normal: LatticeVector, offset: Fraction) -> None:
+        fields = self.__dict__
+        fields["normal"] = normal = tuple(_as_int(a) for a in normal)
+        fields["offset"] = Fraction(offset)
+        if all(a == 0 for a in normal):
             raise ValueError("halfspace normal must be nonzero")
 
     def slack(self, x: Sequence) -> Fraction:
@@ -377,8 +376,7 @@ def _int_vertices(rows: Sequence[IntRow], q: int, dim: int) -> tuple[list[Lattic
     return points, den
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Record):
     """Bounded rational polytope {<a, x> + b / q >= 0}: integer rows, and vertices `points` over `den`.
 
     `rows` holds one row per primitive normal, the binding one, in first-seen
@@ -387,11 +385,17 @@ class Polytope:
     Fraction views, built when first read.
     """
 
-    rows: tuple[IntRow, ...]
-    q: int
-    dimension: int
-    points: tuple[LatticeVector, ...] = field(compare=False)
-    den: int = field(compare=False)
+    _fields = ("rows", "q", "dimension", "points", "den")
+    _compared = ("rows", "q", "dimension")
+
+    def __init__(self, rows: tuple[IntRow, ...], q: int, dimension: int,
+                 points: tuple[LatticeVector, ...], den: int) -> None:
+        fields = self.__dict__
+        fields["rows"] = rows
+        fields["q"] = q
+        fields["dimension"] = dimension
+        fields["points"] = points
+        fields["den"] = den
 
     @classmethod
     def from_rows(cls, rows: Iterable[IntRow], q: int, dim: int) -> Polytope:
@@ -657,10 +661,13 @@ def linear_stats(p: Polytope, u: Sequence) -> tuple[Fraction, Fraction, Fraction
 FamilyRow = tuple[LatticeVector, int, int]  # (a, b, c): <a, x> + (b - t c) / q >= 0 over a shared q
 
 
-@dataclass(frozen=True)
-class Chamber:
-    lo: Fraction
-    hi: Fraction
+class Chamber(Record):
+    _fields = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        fields = self.__dict__
+        fields["lo"] = lo
+        fields["hi"] = hi
 
     def sample_points(self, count: int) -> list[Fraction]:
         """count rationals strictly inside the chamber."""
@@ -725,8 +732,7 @@ class _Hypograph:
         return [on[u] for u in self.normals]
 
 
-@dataclass(frozen=True)
-class ParametricPolytope:
+class ParametricPolytope(Record):
     """A one-parameter family {<a, x> + (b - t c) / q >= 0} with its exact chamber decomposition.
 
     `rows` holds one integer row (a, b, c) per halfspace, in the given
@@ -734,15 +740,21 @@ class ParametricPolytope:
     rate c / q.  `chambers` cover [0, t_max] in order; `t_max` is the exact
     feasibility threshold of the family.  `hypograph` is the family's
     (n+1)-polytope Q (_Hypograph), a function of its rows that takes no part
-    in equality or hashing.
+    in equality, hashing or repr.
     """
 
-    rows: tuple[FamilyRow, ...]
-    q: int
-    chambers: tuple[Chamber, ...]
-    t_max: Fraction
-    dimension: int
-    hypograph: _Hypograph = field(repr=False, compare=False)
+    _fields = ("rows", "q", "chambers", "t_max", "dimension", "hypograph")
+    _compared = _shown = ("rows", "q", "chambers", "t_max", "dimension")
+
+    def __init__(self, rows: tuple[FamilyRow, ...], q: int, chambers: tuple[Chamber, ...],
+                 t_max: Fraction, dimension: int, hypograph: _Hypograph) -> None:
+        fields = self.__dict__
+        fields["rows"] = rows
+        fields["q"] = q
+        fields["chambers"] = chambers
+        fields["t_max"] = t_max
+        fields["dimension"] = dimension
+        fields["hypograph"] = hypograph
 
 
 def parametric_family(halfspaces: Sequence[Halfspace], rates: Sequence) -> ParametricPolytope:

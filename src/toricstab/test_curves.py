@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .errors import InvariantViolation, OutOfRange, RangeTooShort
 from .geometry import ParametricPolytope, _over_lcm
 from .toric import (
@@ -56,8 +56,7 @@ from .volume_fn import (
 )
 
 
-@dataclass(frozen=True)
-class TestCurve:
+class TestCurve(Record):
     """The family L - tau*D on [0, tau+] through the integrals of its radial functionals.
 
     integral_nums[i] / integral_den is the facet integral int <P_tau^{n-1}> . D_i
@@ -65,16 +64,25 @@ class TestCurve:
     vol(L - tau D) dtau; total_volume is V = vol(L).
     """
 
-    model: Fan
-    l: ToricDivisor
-    d: ToricDivisor
-    k_rel: ToricDivisor
-    tau_plus: Fraction
-    kind: str  # "extended" | "truncated"
-    total_volume: Fraction
-    integral_nums: tuple[int, ...]
-    mass_num: int
-    integral_den: int
+    _fields = (
+        "model", "l", "d", "k_rel", "tau_plus", "kind", "total_volume", "integral_nums",
+        "mass_num", "integral_den",
+    )
+
+    def __init__(self, model: Fan, l: ToricDivisor, d: ToricDivisor, k_rel: ToricDivisor,
+                 tau_plus: Fraction, kind: str, total_volume: Fraction,
+                 integral_nums: tuple[int, ...], mass_num: int, integral_den: int) -> None:
+        fields = self.__dict__
+        fields["model"] = model
+        fields["l"] = l
+        fields["d"] = d
+        fields["k_rel"] = k_rel
+        fields["tau_plus"] = tau_plus
+        fields["kind"] = kind  # "extended" | "truncated"
+        fields["total_volume"] = total_volume
+        fields["integral_nums"] = integral_nums
+        fields["mass_num"] = mass_num
+        fields["integral_den"] = integral_den
 
     @property
     def mass_integral(self) -> Fraction:
@@ -101,16 +109,20 @@ class TestCurve:
         return self._zariski(tau).negative
 
 
-@dataclass(frozen=True)
-class CurveSummary:
+class CurveSummary(Record):
     """The radial functionals of one curve, all exact rationals."""
 
-    energy: Fraction
-    omega_energy: Fraction
-    jtilde: Fraction
-    entropy: Fraction
-    ricci_energy: Fraction
-    twisted_mabuchi: Fraction
+    _fields = ("energy", "omega_energy", "jtilde", "entropy", "ricci_energy", "twisted_mabuchi")
+
+    def __init__(self, energy: Fraction, omega_energy: Fraction, jtilde: Fraction,
+                 entropy: Fraction, ricci_energy: Fraction, twisted_mabuchi: Fraction) -> None:
+        fields = self.__dict__
+        fields["energy"] = energy
+        fields["omega_energy"] = omega_energy
+        fields["jtilde"] = jtilde
+        fields["entropy"] = entropy
+        fields["ricci_energy"] = ricci_energy
+        fields["twisted_mabuchi"] = twisted_mabuchi
 
 
 def family_integrals(
@@ -218,9 +230,9 @@ def truncated_curve(curve: TestCurve) -> TestCurve:
     d0, c = _ray(curve.d)
     family, volumes, _integrals = _ray_curve(curve.model, curve.l, d0)
     nums, mass, den = _divided(family_integrals(family, c, volumes(c)), c)
-    return replace(
-        curve, tau_plus=Fraction(1), kind="truncated", integral_nums=nums, mass_num=mass,
-        integral_den=den,
+    return TestCurve(
+        curve.model, curve.l, curve.d, curve.k_rel, Fraction(1), "truncated", curve.total_volume,
+        nums, mass, den,
     )
 
 

@@ -12,12 +12,12 @@ integers.  A row's A and S are integer dots with one Fraction each.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
+from ._record import Record
 from .errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor
 from .filtrations import _check_direction, _section_polytope, filtration_curve
 from .geometry import LatticeVector, _over_lcm, is_primitive, linear_stats
@@ -105,41 +105,56 @@ def primitive_candidates(dimension: int, radius: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda v: (max(abs(a) for a in v), v))
 
 
-@dataclass(frozen=True)
-class CandidateRow:
-    u: tuple[int, ...]
-    log_discrepancy: Fraction
-    s_value: Fraction
-    quotient: Fraction
+class CandidateRow(Record):
+    _fields = ("u", "log_discrepancy", "s_value", "quotient")
+
+    def __init__(self, u: tuple[int, ...], log_discrepancy: Fraction, s_value: Fraction,
+                 quotient: Fraction) -> None:
+        fields = self.__dict__
+        fields["u"] = u
+        fields["log_discrepancy"] = log_discrepancy
+        fields["s_value"] = s_value
+        fields["quotient"] = quotient
 
 
-@dataclass(frozen=True)
-class DirectionRow:
-    name: str
-    pp_quotient: Fraction | None
-    prime_quotient: Fraction | None
+class DirectionRow(Record):
+    _fields = ("name", "pp_quotient", "prime_quotient")
+
+    def __init__(self, name: str, pp_quotient: Fraction | None,
+                 prime_quotient: Fraction | None) -> None:
+        fields = self.__dict__
+        fields["name"] = name
+        fields["pp_quotient"] = pp_quotient
+        fields["prime_quotient"] = prime_quotient
 
 
-@dataclass(frozen=True)
-class Verdict:
-    description: str
-    left: Fraction
-    right: Fraction
-    holds: bool
+class Verdict(Record):
+    _fields = ("description", "left", "right", "holds")
+
+    def __init__(self, description: str, left: Fraction, right: Fraction, holds: bool) -> None:
+        fields = self.__dict__
+        fields["description"] = description
+        fields["left"] = left
+        fields["right"] = right
+        fields["holds"] = holds
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    delta_estimate: Fraction
-    minimizer: tuple[int, ...]
-    candidates: tuple[CandidateRow, ...]
-    directions: tuple[DirectionRow, ...] = ()
-    verdicts: tuple[Verdict, ...] = ()
-    assumptions: tuple[str, ...] = STANDARD_ASSUMPTIONS
+class ThresholdReport(Record):
+    _fields = ("delta_estimate", "minimizer", "candidates", "directions", "verdicts", "assumptions")
 
-    def __post_init__(self) -> None:
-        best = min(row.quotient for row in self.candidates)
-        if best != self.delta_estimate:
+    def __init__(self, delta_estimate: Fraction, minimizer: tuple[int, ...],
+                 candidates: tuple[CandidateRow, ...], directions: tuple[DirectionRow, ...] = (),
+                 verdicts: tuple[Verdict, ...] = (),
+                 assumptions: tuple[str, ...] = STANDARD_ASSUMPTIONS) -> None:
+        fields = self.__dict__
+        fields["delta_estimate"] = delta_estimate
+        fields["minimizer"] = minimizer
+        fields["candidates"] = candidates
+        fields["directions"] = directions
+        fields["verdicts"] = verdicts
+        fields["assumptions"] = assumptions
+        best = min(row.quotient for row in candidates)
+        if best != delta_estimate:
             raise ValueError("delta estimate must be the minimum of the quotient column")
 
 

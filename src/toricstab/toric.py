@@ -21,13 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
+from ._record import Record
 from .errors import (
     AlreadyARay,
     DimensionMismatch,
@@ -51,21 +51,18 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """A complete simplicial fan: primitive rays, maximal cones by ray index; its hash is computed once."""
 
-    rays: tuple[LatticeVector, ...]
-    max_cones: tuple[tuple[int, ...], ...]
-    dimension: int
+    _fields = ("rays", "max_cones", "dimension")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rays: tuple[LatticeVector, ...], max_cones: tuple[tuple[int, ...], ...],
+                 dimension: int) -> None:
+        fields = self.__dict__
+        fields["rays"] = rays
         # canonical cone order, so structurally equal fans compare equal
-        object.__setattr__(
-            self,
-            "max_cones",
-            tuple(sorted(set(tuple(sorted(c)) for c in self.max_cones))),
-        )
+        fields["max_cones"] = tuple(sorted(set(tuple(sorted(c)) for c in max_cones)))
+        fields["dimension"] = dimension
 
     def __hash__(self) -> int:
         return self._hash
@@ -176,12 +173,15 @@ def _nef_vertices(fan: Fan, coeffs: Sequence) -> tuple[list[LatticeVector], int]
     return vertices, c * scale
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
+class ToricDivisor(Record):
     """A rational divisor: one coefficient per ray of a fixed fan; its hash is computed once."""
 
-    fan: Fan
-    coeffs: tuple[Fraction, ...]
+    _fields = ("fan", "coeffs")
+
+    def __init__(self, fan: Fan, coeffs: tuple[Fraction, ...]) -> None:
+        fields = self.__dict__
+        fields["fan"] = fan
+        fields["coeffs"] = coeffs
 
     def __hash__(self) -> int:
         return self._hash
@@ -256,14 +256,22 @@ def ray_divisor(fan: Fan, index: int) -> ToricDivisor:
 # validation
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FanDiagnostics:
-    is_complete: bool
-    is_smooth: bool
-    is_simplicial: bool
-    all_primitive: bool
-    proper_intersections: bool
-    messages: tuple[str, ...]
+class FanDiagnostics(Record):
+    _fields = (
+        "is_complete", "is_smooth", "is_simplicial", "all_primitive", "proper_intersections",
+        "messages",
+    )
+
+    def __init__(self, is_complete: bool, is_smooth: bool, is_simplicial: bool,
+                 all_primitive: bool, proper_intersections: bool,
+                 messages: tuple[str, ...]) -> None:
+        fields = self.__dict__
+        fields["is_complete"] = is_complete
+        fields["is_smooth"] = is_smooth
+        fields["is_simplicial"] = is_simplicial
+        fields["all_primitive"] = all_primitive
+        fields["proper_intersections"] = proper_intersections
+        fields["messages"] = messages
 
     @property
     def ok(self) -> bool:
@@ -588,12 +596,15 @@ def intersection_number(
     return Fraction(sum(map(mul, terms.values(), values)), den * mono_den)
 
 
-@dataclass(frozen=True)
-class ZariskiPair:
+class ZariskiPair(Record):
     """Divisorial Zariski decomposition: movable positive part plus effective negative part."""
 
-    positive: ToricDivisor
-    negative: ToricDivisor
+    _fields = ("positive", "negative")
+
+    def __init__(self, positive: ToricDivisor, negative: ToricDivisor) -> None:
+        fields = self.__dict__
+        fields["positive"] = positive
+        fields["negative"] = negative
 
 
 def zariski_decompose(fan: Fan, m: ToricDivisor) -> ZariskiPair:

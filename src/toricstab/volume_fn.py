@@ -31,11 +31,11 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
+from ._record import Record
 from .errors import (
     InvariantViolation,
     NotAmple,
@@ -117,8 +117,7 @@ def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
     return quo, rem, lc ** len(quo)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Polynomial:
+class Polynomial(Record):
     """Univariate polynomial with exact rational coefficients, ascending order.
 
     Its one form is integer numerators `nums` over one positive denominator
@@ -128,8 +127,7 @@ class Polynomial:
     `coeffs`, the Fraction coefficients, is derived on demand.
     """
 
-    nums: tuple[int, ...]
-    den: int
+    _fields = ("nums", "den")
 
     def __init__(self, coeffs: Sequence = ()) -> None:
         self._assign(*_over_lcm([Fraction(c) for c in coeffs]))
@@ -153,8 +151,9 @@ class Polynomial:
             g = -g
         if g != 1:
             nums = [c // g for c in nums]
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den // g)
+        fields = self.__dict__
+        fields["nums"] = tuple(nums)
+        fields["den"] = den // g
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -366,8 +365,7 @@ def nonneg_on_interval(p: Polynomial, a, b) -> bool:
 # piecewise polynomials
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
+class PiecewisePolynomial(Record):
     """Piecewise polynomial on [breakpoints[0], breakpoints[-1]].
 
     Continuity across breakpoints is enforced at construction unless the
@@ -375,19 +373,21 @@ class PiecewisePolynomial:
     jump at chamber walls).
     """
 
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Polynomial, ...]
-    continuous: bool = field(default=True, compare=False)
+    _fields = ("breakpoints", "pieces", "continuous")
+    _compared = ("breakpoints", "pieces")
 
-    def __post_init__(self) -> None:
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bps)
-        if len(bps) != len(self.pieces) + 1:
+    def __init__(self, breakpoints: tuple[Fraction, ...], pieces: tuple[Polynomial, ...],
+                 continuous: bool = True) -> None:
+        fields = self.__dict__
+        fields["breakpoints"] = bps = tuple(Fraction(b) for b in breakpoints)
+        fields["pieces"] = pieces
+        fields["continuous"] = continuous
+        if len(bps) != len(pieces) + 1:
             raise ValueError("need exactly one piece per breakpoint interval")
         if any(x >= y for x, y in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.continuous:
-            for x, left, right in zip(bps[1:], self.pieces, self.pieces[1:]):
+        if continuous:
+            for x, left, right in zip(bps[1:], pieces, pieces[1:]):
                 if left(x) != right(x):
                     raise ValueError(f"discontinuity at breakpoint {x}")
 

@@ -481,12 +481,16 @@ def run_python(src_env, script: str, **kwargs) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_neither_jsonschema_nor_the_pool(src_env):
-    script = (
-        "import sys, toricstab.cli\n"
-        "print([m for m in ('jsonschema', 'concurrent.futures.process') if m in sys.modules])\n"
-    )
-    result = run_python(src_env, script, capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    # nor dataclasses, whose classes exec generated methods at import; a command
+    # imports toricstab.cli and a library worker a bare toricstab
+    for module in ("toricstab.cli", "toricstab"):
+        script = (
+            f"import sys, {module}\n"
+            "print([m for m in ('jsonschema', 'concurrent.futures.process', 'dataclasses')"
+            " if m in sys.modules])\n"
+        )
+        result = run_python(src_env, script, capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n", module
 
 
 def test_validate_without_jsonschema(src_env, problems_dir):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from toricstab import (
     Fan,
+    ParametricPolytope,
     Polynomial,
     alpha_energy,
     anticanonical,
@@ -770,7 +771,10 @@ def test_minimizer_check_raises_on_a_merged_chamber(f1, monkeypatch):
     first, second = family.chambers
     merged = Chamber(first.lo, second.hi)
     monkeypatch.setattr(
-        oracles, "divisor_family", lambda *_args: replace(family, chambers=(merged,))
+        oracles, "divisor_family",
+        lambda *_args: ParametricPolytope(
+            family.rows, family.q, (merged,), family.t_max, family.dimension, family.hypograph
+        ),
     )
     curve_chambers.cache_clear()
     with pytest.raises(InvariantViolation, match=r"ray \(1, 1\) bends inside the chamber \[0, 3\]"):
