@@ -225,6 +225,16 @@ def lattice_vector(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def name_list(text: str) -> list[str]:
+    """A comma-separated list of at least one name, blanks around each name dropped."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(
+            f"expected at least one comma-separated name, got {text!r}"
+        )
+    return names
+
+
 def parse_rational(text) -> Fraction:
     return Fraction(text)
 
@@ -564,7 +574,7 @@ def cmd_curve(args) -> int:
         problem.fan, problem.polarization, direction, k_rel=problem.k_rel
     )
     summary = curve_summary(curve)
-    wanted = [f.strip() for f in args.functionals.split(",") if f.strip()]
+    wanted = args.functionals
     available = {
         "E": ("energy", summary.energy),
         "Ealpha": ("omega_energy", summary.omega_energy),
@@ -632,8 +642,7 @@ def cmd_report(args) -> int:
         raise ValidationProblem(
             f"--radius {args.radius} misses a ray of the search model; report needs --radius {need}"
         )
-    names = [n.strip() for n in args.directions.split(",") if n.strip()]
-    directions = [(name, problem.divisor_named(name)) for name in names]
+    directions = [(name, problem.divisor_named(name)) for name in args.directions]
     report = inequality_report(
         problem.fan, problem.polarization, directions, args.radius,
         search_model=(problem.base_fan, problem.base_polarization),
@@ -702,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="radial functionals of an extended curve")
     common(p)
     p.add_argument("--direction", required=True)
-    p.add_argument("--functionals", default="E,Ealpha,Jt,Ent,ER,Mt")
+    p.add_argument("--functionals", type=name_list, default="E,Ealpha,Jt,Ent,ER,Mt")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("dh", help="Duistermaat-Heckman measure of a lattice direction")
@@ -716,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="inequality report over named directions")
     common(p)
-    p.add_argument("--directions", required=True, help="comma-separated divisor names")
+    p.add_argument("--directions", type=name_list, required=True,
+                   help="comma-separated divisor names")
     search(p)
     p.set_defaults(func=cmd_report)
     return parser

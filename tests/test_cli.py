@@ -280,6 +280,23 @@ def test_bad_radius_exit_2(capsys, problems_dir):
         assert "--radius: must be at least 1" in payload["message"]
 
 
+def test_empty_name_list_exit_2(capsys, problems_dir):
+    f1 = str(problems_dir / "f1.json")
+    for argv, option in (
+        (["report", f1, "--directions", ","], "--directions"),
+        (["report", f1, "--directions", ""], "--directions"),
+        (["report", f1, "--directions", " , "], "--directions"),
+        (["curve", f1, "--direction", "E", "--functionals", ","], "--functionals"),
+        (["curve", f1, "--direction", "E", "--functionals", ""], "--functionals"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert f"{option}: expected at least one comma-separated name" in payload["message"]
+
+
 def test_bad_samples_exit_2(capsys, problems_dir):
     f1 = str(problems_dir / "f1.json")
     for argv in (
