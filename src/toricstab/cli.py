@@ -9,15 +9,13 @@ output is exact ("p/q" strings); decimal columns are cosmetic.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
-import logging
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import __version__
 from .errors import AlreadyARay, DimensionMismatch, NonPrimitive, ToricStabError, ZeroVector
@@ -36,7 +34,17 @@ from .toric import (
 )
 from .volume_fn import PiecewisePolynomial, big_volume, volume_curve
 
-log = logging.getLogger("toricstab")
+
+def _log(level: str, msg: str, *args) -> None:
+    """Send a debug or info record to the `toricstab` logger, if `logging` is loaded.
+
+    main imports logging only under TORICSTAB_LOG.  While logging is not
+    loaded, no caller can have given the logger a handler or a level below
+    WARNING, so the record is dropped, as the logger would drop it.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        getattr(logging.getLogger("toricstab"), level)(msg, *args, stacklevel=2)
 
 PROBLEM_SCHEMA = {
     "type": "object",
@@ -297,8 +305,9 @@ class ProblemFile:
             named = {name: pull(d) for name, d in named.items()}
             k_rel = pull(k_rel) + new_k
             fan = fan2
-            log.debug("refined at %s; fan now has %d rays", center, len(fan.rays))
-        log.info(
+            _log("debug", "refined at %s; fan now has %d rays", center, len(fan.rays))
+        _log(
+            "info",
             "loaded %s: %d rays, %d cones, %d named divisors",
             path, len(fan.rays), len(fan.max_cones), len(named),
         )
@@ -423,6 +432,8 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def render_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    import csv  # --format csv alone needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
@@ -545,7 +556,7 @@ def cmd_volume(args) -> int:
 def cmd_delta(args) -> int:
     problem = ProblemFile.load(args.problem)
     check_radius(args.radius, problem.fan.dimension)
-    log.debug("candidate search: radius %d", args.radius)
+    _log("debug", "candidate search: radius %d", args.radius)
     report = delta_search(problem.base_fan, problem.base_polarization, args.radius)
     payload = report_to_dict(report)
     rows = [
@@ -737,9 +748,17 @@ EXIT_BROKEN_PIPE = 141
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # a level name gives its number; anything else, even logging.BASIC_FORMAT, gives a string
-    level = logging.getLevelName(os.environ.get("TORICSTAB_LOG", "WARNING").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
+    """Run one command; return its exit code.
+
+    Only when TORICSTAB_LOG is set does main import logging and call
+    basicConfig, at that level name or, for any other value, at WARNING.
+    """
+    if "TORICSTAB_LOG" in os.environ:
+        import logging
+
+        # a level name gives its number; anything else, even logging.BASIC_FORMAT, gives a string
+        level = logging.getLevelName(os.environ["TORICSTAB_LOG"].upper())
+        logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     try:
         try:

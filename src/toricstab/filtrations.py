@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record
 from .errors import (

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import (

@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record
 from .errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from ._record import Record
 from .errors import (

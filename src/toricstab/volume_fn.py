@@ -33,7 +33,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record
 from .errors import (

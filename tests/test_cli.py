@@ -498,16 +498,28 @@ def run_python(src_env, script: str, **kwargs) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_neither_jsonschema_nor_the_pool(src_env):
-    # nor dataclasses, whose classes exec generated methods at import; a command
-    # imports toricstab.cli and a library worker a bare toricstab
+    # nor dataclasses, whose classes exec generated methods at import, nor logging
+    # and csv, which only TORICSTAB_LOG and --format csv use; a command imports
+    # toricstab.cli and a library worker a bare toricstab
     for module in ("toricstab.cli", "toricstab"):
         script = (
             f"import sys, {module}\n"
-            "print([m for m in ('jsonschema', 'concurrent.futures.process', 'dataclasses')"
-            " if m in sys.modules])\n"
+            "print([m for m in ('jsonschema', 'concurrent.futures.process', 'dataclasses',"
+            " 'logging', 'csv') if m in sys.modules])\n"
         )
         result = run_python(src_env, script, capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n", module
+
+
+@pytest.mark.parametrize("module", ["toricstab.cli", "toricstab"])
+def test_import_leaves_typing_out(src_env, module):
+    # site may load typing itself (a .pth file of an installed package), so -S
+    # leaves only what the package imports
+    script = f"import sys, {module}\nprint('typing' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=src_env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_validate_without_jsonschema(src_env, problems_dir):
@@ -570,9 +582,12 @@ def test_files_past_the_interpreter_limits_exit_2(tmp_path, src_env, command, te
     assert json.loads(result.stderr)["error"] == "validation"
 
 
-@pytest.mark.parametrize("level, logged", [("basic_format", False), ("debug", True), ("nonsense", False)])
+@pytest.mark.parametrize("level, logged", [
+    ("basic_format", False), ("debug", True), ("nonsense", False), ("warning", False), ("", False),
+])
 def test_log_level_takes_level_names_only(src_env, problems_dir, level, logged):
-    # logging.BASIC_FORMAT is a format string, not a level: it falls back to WARNING
+    # logging.BASIC_FORMAT is a format string, not a level: it falls back to WARNING,
+    # as does a set but empty TORICSTAB_LOG
     result = subprocess.run(
         [sys.executable, "-m", "toricstab.cli", "delta", str(problems_dir / "f1.json"), "--radius", "1"],
         capture_output=True, text=True, env=dict(src_env, TORICSTAB_LOG=level),
@@ -580,3 +595,17 @@ def test_log_level_takes_level_names_only(src_env, problems_dir, level, logged):
     assert result.returncode == 0, result.stderr[-300:]
     assert ("candidate search: radius 1" in result.stderr) == logged
     assert logged or result.stderr == ""
+
+
+def test_library_caller_that_configures_logging_gets_the_records(src_env, problems_dir):
+    # the CLI loads logging only under TORICSTAB_LOG; a caller that loaded and
+    # configured it itself still gets ProblemFile.load's records
+    path = str(problems_dir / "f1.json")
+    script = (
+        "import logging\n"
+        "logging.basicConfig(level=logging.DEBUG)\n"
+        "from toricstab.cli import ProblemFile\n"
+        f"ProblemFile.load({path!r})\n"
+    )
+    result = run_python(src_env, script, capture_output=True, text=True, check=True)
+    assert f"INFO:toricstab:loaded {path}: " in result.stderr
