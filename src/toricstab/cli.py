@@ -248,11 +248,26 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """x as "p" or "p/q" in full, also past the interpreter's limit on int-to-str digits."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # the limit binds str(int), not str(Decimal(int))
+        from decimal import Decimal
+
+        p, q = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+        return p if q == "1" else f"{p}/{q}"
 
 
 def decimal_approx(x: Fraction, digits: int = 12) -> str:
-    return format(float(x), f".{digits}g")
+    """A cosmetic rounding of x; beyond float range, a decimal one."""
+    try:
+        return format(float(x), f".{digits}g")
+    except OverflowError:
+        from decimal import Decimal
+
+        x = Fraction(x)
+        return format((Decimal(x.numerator) / Decimal(x.denominator)).normalize(), f".{digits}g")
 
 
 class ProblemFile:
@@ -492,10 +507,17 @@ def curve_svg(curve: PiecewisePolynomial, title: str, samples_per_piece: int = 2
 
 
 def write_plot(path: str, curve: PiecewisePolynomial, title: str) -> None:
-    """Write curve_svg(curve, title) to path; an unwritable path is a validation error."""
+    """Write curve_svg(curve, title) to path.
+
+    A curve beyond float range and an unwritable path are validation errors.
+    """
+    try:
+        svg = curve_svg(curve, title)
+    except OverflowError:
+        raise ValidationProblem(f"cannot plot {title}: its values lie beyond float range") from None
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(curve_svg(curve, title))
+            fh.write(svg)
     except OSError as exc:
         raise ValidationProblem(f"cannot write plot: {exc}") from None
 

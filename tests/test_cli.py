@@ -582,6 +582,52 @@ def test_files_past_the_interpreter_limits_exit_2(tmp_path, src_env, command, te
     assert json.loads(result.stderr)["error"] == "validation"
 
 
+def big_p2(tmp_path, digits: int):
+    """P2 with polarization (1, 1, 10^digits - 1), of volume (10^digits + 1)^2, and H = D_0."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "fan": {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [2, 0]]},
+        "polarization": {"coeffs": ["1", "1", "9" * digits]},
+        "divisors": {"H": {"coeffs": [1, 0, 0]}},
+    }))
+    return path
+
+
+@pytest.mark.parametrize("digits, argv", [
+    (400, ["volume"]),
+    (400, ["volume", "--format", "json"]),
+    (400, ["volume", "--curve", "H"]),
+    (400, ["curve", "--direction", "H"]),
+    (400, ["volume", "--curve", "H", "--plot"]),
+    (400, ["dh", "--u=1,0", "--plot"]),
+    (2500, ["volume"]),
+    (2500, ["volume", "--format", "json"]),
+    (2500, ["dh", "--u=1,0"]),
+], ids=lambda value: "_".join(value) if isinstance(value, list) else str(value))
+def test_results_beyond_float_range_and_the_digit_limit(tmp_path, src_env, digits, argv):
+    # exact columns print in full past the limit of 4,300 digits (the volume has
+    # 2 * digits + 1), the decimal column is rounded without float, and a plot,
+    # which needs floats, is refused
+    plot = argv[-1] == "--plot"
+    args = [*argv, str(tmp_path / "curve.svg")] if plot else argv
+    result = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-m", "toricstab.cli",
+         args[0], str(big_p2(tmp_path, digits)), *args[1:]],
+        capture_output=True, text=True, env=src_env,
+    )
+    if plot:
+        assert result.returncode == 2, result.stderr[-300:]
+        error = json.loads(result.stderr)
+        assert error["error"] == "validation" and "beyond float range" in error["message"]
+        assert not (tmp_path / "curve.svg").exists()
+        return
+    assert (result.returncode, result.stderr) == (0, "")
+    if argv[0] == "volume":
+        zeros = "0" * (digits - 1)
+        assert f"1{zeros}2{zeros}1" in result.stdout
+        assert f"1e+{2 * digits}" in result.stdout
+
+
 @pytest.mark.parametrize("level, logged", [
     ("basic_format", False), ("debug", True), ("nonsense", False), ("warning", False), ("", False),
 ])
