@@ -14,8 +14,8 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from collections.abc import Iterator, Sequence
+from fractions import Fraction
 
 from . import __version__
 from .errors import AlreadyARay, DimensionMismatch, NonPrimitive, ToricStabError, ZeroVector

@@ -12,8 +12,8 @@ sampled volumes on the family's chambers.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from collections.abc import Sequence
+from fractions import Fraction
 
 from ._record import Record
 from .errors import (

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from collections.abc import Iterable, Sequence
 
 from ._record import Record
 from .errors import (

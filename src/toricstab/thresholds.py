@@ -12,10 +12,10 @@ integers.  A row's A and S are integer dots with one Fraction each.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from collections.abc import Sequence
 
 from ._record import Record
 from .errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor

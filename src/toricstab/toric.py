@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from types import MappingProxyType
-from collections.abc import Callable, Mapping, Sequence
 
 from ._record import Record
 from .errors import (

@@ -31,9 +31,9 @@ import bisect
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from collections.abc import Sequence
 
 from ._record import Record
 from .errors import (
