@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator, Sequence
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -250,13 +251,9 @@ def parse_rational(text) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """x as "p" or "p/q" in full, also past the interpreter's limit on int-to-str digits."""
     x = Fraction(x)
-    try:
-        return str(x)
-    except ValueError:  # the limit binds str(int), not str(Decimal(int))
-        from decimal import Decimal
-
-        p, q = str(Decimal(x.numerator)), str(Decimal(x.denominator))
-        return p if q == "1" else f"{p}/{q}"
+    # the limit binds str(int), not str(Decimal(int)), which gives the same digits
+    p, q = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+    return p if q == "1" else f"{p}/{q}"
 
 
 def decimal_approx(x: Fraction, digits: int = 12) -> str:
@@ -264,8 +261,6 @@ def decimal_approx(x: Fraction, digits: int = 12) -> str:
     try:
         return format(float(x), f".{digits}g")
     except OverflowError:
-        from decimal import Decimal
-
         x = Fraction(x)
         return format((Decimal(x.numerator) / Decimal(x.denominator)).normalize(), f".{digits}g")
 

@@ -493,33 +493,24 @@ def test_searches_start_no_pool(capsys, problems_dir, monkeypatch, argv):
 
 # ---- start-up and the process boundary --------------------------------------
 
-def run_python(src_env, script: str, **kwargs) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", script], env=src_env, **kwargs)
+def run_python(src_env, script: str, *flags: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *flags, "-c", script], env=src_env, **kwargs)
 
 
 def test_cli_import_loads_neither_jsonschema_nor_the_pool(src_env):
     # nor dataclasses, whose classes exec generated methods at import, nor logging
-    # and csv, which only TORICSTAB_LOG and --format csv use; a command imports
-    # toricstab.cli and a library worker a bare toricstab
+    # and csv, which only TORICSTAB_LOG and --format csv use, nor typing; a command
+    # imports toricstab.cli and a library worker a bare toricstab.  site may load
+    # any of these itself (a .pth file of an installed package), so -S leaves only
+    # what the package imports
     for module in ("toricstab.cli", "toricstab"):
         script = (
             f"import sys, {module}\n"
             "print([m for m in ('jsonschema', 'concurrent.futures.process', 'dataclasses',"
-            " 'logging', 'csv') if m in sys.modules])\n"
+            " 'logging', 'csv', 'typing') if m in sys.modules])\n"
         )
-        result = run_python(src_env, script, capture_output=True, text=True, check=True)
+        result = run_python(src_env, script, "-S", capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n", module
-
-
-@pytest.mark.parametrize("module", ["toricstab.cli", "toricstab"])
-def test_import_leaves_typing_out(src_env, module):
-    # site may load typing itself (a .pth file of an installed package), so -S
-    # leaves only what the package imports
-    script = f"import sys, {module}\nprint('typing' in sys.modules)\n"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", script], env=src_env, capture_output=True, text=True, check=True,
-    )
-    assert result.stdout == "False\n"
 
 
 def test_validate_without_jsonschema(src_env, problems_dir):
