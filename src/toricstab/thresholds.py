@@ -5,7 +5,8 @@ the reported minimum is exact over that candidate family and is a certified
 upper bound for the infimum over all valuations (lattice candidates suffice
 for toric data, an assumption every report records).  A row's S reads one
 memo per (fan, L), built in the first row: the barycenter of the section
-polytope, checked once against n filtration curves, and its vertices, in
+polytope, read off its triangulation and checked once against cone
+localization, a sum over the fan's maximal cones, and its vertices, in
 integers.  A row's A and S are integer dots with one Fraction each.
 """
 
@@ -19,12 +20,13 @@ from operator import mul
 
 from ._record import Record
 from .errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor
-from .filtrations import _check_direction, _section_polytope, filtration_curve
+from .filtrations import _check_direction, _section_polytope
 from .geometry import LatticeVector, _over_lcm, is_primitive, linear_stats
 from .toric import (
     Fan,
     ToricDivisor,
     anticanonical,
+    localized_moments,
     log_discrepancy,
     ray_divisor,
     zero_divisor,
@@ -52,23 +54,28 @@ def _barycenter(fan: Fan, l: ToricDivisor) -> tuple[LatticeVector, int, Sequence
     """The row table of (fan, L): b over one denominator, P_L's `points` over `p.den`.
 
     L must be big and nef (NotAmple, before anything is built).  The
-    barycenter b_i is the volume average of x_i (linear_stats).  Along each
-    e_i, b_i - min x_i must equal the integral of filtration_curve over
-    vol(L), or InvariantViolation is raised.  The n directions pin every
-    coordinate of b, so the check covers every direction.  Memoized per
-    (fan, L); a failed check is not cached and raises again.
+    barycenter b_i is the volume average of x_i over P_L's triangulation
+    (linear_stats).  b and vol(L) (big_volume) must equal their values by
+    cone localization (localized_moments), which sums over the fan's maximal
+    cones and reads no polytope, or InvariantViolation is raised.  Memoized
+    per (fan, L); a failed check is not cached and raises again.
     """
     units = [tuple(int(i == j) for j in range(fan.dimension)) for i in range(fan.dimension)]
     p = _section_polytope(fan, l, units[0])
     v = big_volume(fan, l)
+    volume, moments, q = localized_moments(fan, l)
+    if v * q != volume:
+        raise InvariantViolation(
+            f"volume routes disagree: {v} by the triangulation, "
+            f"{Fraction(volume, q)} by cone localization"
+        )
     b = []
-    for e in units:
-        lo, mean, _hi = linear_stats(p, e)
-        integral = filtration_curve(fan, l, e).integrate() / v
-        if mean - lo != integral:
+    for e, moment in zip(units, moments):
+        _lo, mean, _hi = linear_stats(p, e)
+        if mean * volume != moment:
             raise InvariantViolation(
-                f"S routes disagree along u={e}: {mean - lo} by linear stats, "
-                f"{integral} by the filtration curve"
+                f"barycenter routes disagree along u={e}: {mean} by the triangulation, "
+                f"{Fraction(moment, volume)} by cone localization"
             )
         b.append(mean)
     nums, den = _over_lcm(b)
@@ -79,11 +86,11 @@ def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:
     """Normalized expected vanishing order (1/V) int_0^inf vol(L - t u) dt.
 
     Computed as S(u) = <b, u> - min <x, u> over P_L (Blum-Jonsson), with the
-    barycenter b of P_L checked against the filtration curves along the unit
-    vectors once per (fan, L) (_barycenter), so that no curve is built per
-    direction.  Both dots run in integers over the memo's two denominators,
-    and one Fraction is built.  u must be nonzero and of the fan's dimension
-    (ZeroVector, DimensionMismatch) and L big and nef (NotAmple).
+    barycenter b of P_L checked against cone localization once per (fan, L)
+    (_barycenter), so that no filtration curve is built.  Both dots run in
+    integers over the memo's two denominators, and one Fraction is built.
+    u must be nonzero and of the fan's dimension (ZeroVector,
+    DimensionMismatch) and L big and nef (NotAmple).
     """
     _check_direction(fan, u)
     b, q, points, den = _barycenter(fan, l)

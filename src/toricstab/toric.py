@@ -8,7 +8,9 @@ The polarization checks read only these cone vertices m_sigma: on a complete
 fan D is nef exactly when every m_sigma lies in P_D, and P_D is then the hull
 of the m_sigma (Cox-Little-Schenck, Toric Varieties, ch. 6), so no
 section polytope is built for them; nefness and the rank test run in one
-integer pass over the m_sigma over one common denominator.
+integer pass over the m_sigma over one common denominator.  The m_sigma and
+the dual bases also give P_D's volume and first moments for a nef D, by
+vertex-cone localization over the maximal cones (localized_moments).
 Intersection numbers of any n divisors, nef or not, come from the fan's
 intersection ring (Fulton, Introduction to Toric Varieties, 5.1): each class
 is moved off the rays of one fixed maximal cone by linear equivalence, and the
@@ -33,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NonPrimitive,
+    NotAmple,
     NotPseudoEffective,
     ZeroVector,
 )
@@ -171,6 +174,75 @@ def _nef_vertices(fan: Fan, coeffs: Sequence) -> tuple[list[LatticeVector], int]
         if min(sum(map(mul, m, u)) for m in vertices) != -a * scale:
             return None
     return vertices, c * scale
+
+
+def _cone_sum(cones: Sequence[tuple[LatticeVector, int, Sequence[LatticeVector]]],
+              xi: Sequence[int], power: int) -> Fraction:
+    """sum_sigma <xi, v_sigma>^power d_sigma^n / (|d_sigma| prod_j -<xi, w_j>) over (v, d, w) per cone.
+
+    Summed in integers over the product of the terms' denominators, with
+    one Fraction at the end.  A zero <xi, w_j> leaves its term without a
+    value and raises InvariantViolation.
+    """
+    num, den = 0, 1
+    for v, d, ws in cones:
+        term_den = abs(d)
+        for w in ws:
+            x = sum(map(mul, xi, w))
+            if x == 0:
+                raise InvariantViolation(f"xi = {tuple(xi)} is orthogonal to the cone generator {w}")
+            term_den *= -x
+        num = num * term_den + sum(map(mul, xi, v)) ** power * d ** len(ws) * den
+        den *= term_den
+    return Fraction(num, den)
+
+
+def localized_moments(fan: Fan, d: ToricDivisor) -> tuple[int, LatticeVector, int]:
+    """n! vol(P_D) and n! int_{P_D} x dx for a nef D, as integers over one denominator.
+
+    Vertex-cone localization, summed over the maximal cones with no vertex
+    enumeration and no triangulation (Brion, "Points entiers dans les
+    polyedres convexes", Ann. Sci. ENS 1988; Lawrence, "Polytope volume
+    computation", Math. Comp. 1991).  P_D's tangent cone at the cone vertex
+    m_sigma (_nef_vertices) is spanned by the cone's dual basis m_j =
+    w_j / d_sigma (_cone_duals), whose determinant is 1 / d_sigma.  For an
+    integer xi with every <xi, w_j> nonzero, the degree n + k part of
+    int_P e^<xi, x> dx = sum_sigma e^<xi, m_sigma> / (|d_sigma| prod_j
+    -<xi, m_j>) reads
+
+        sum_sigma <xi, m_sigma>^(n+k) d_sigma^n / (|d_sigma| prod_j -<xi, w_j>)
+            = ((n + k)! / k!) int_P <xi, x>^k dx.
+
+    k = 0 gives n! vol, and k = 1 gives (n + 1)! int <xi, x>, linear in xi,
+    so int x_j is the difference at xi + e_j and at xi.  Both sides are
+    polynomial in D on the nef cone, so cones that share a vertex, as on a
+    pulled-back class, each keep their term.
+
+    xi = (1, M, ..., M^(n-1)) with M = 2W + 3, W the largest |entry| of the
+    w_j, is generic: no w = w_j is orthogonal to xi or to any xi + e_j.
+    Let w_i be the last nonzero entry of w; then |w_i (xi + e_j)_i| >= M^i.
+    The entries below i add at most W (M^i - 1) / (M - 1) < M^i / 2, and a
+    shift j < i adds at most W < M / 2 <= M^i / 2 more, so the dot is
+    nonzero.  _cone_sum still raises InvariantViolation if one vanishes.
+    D must be nef (NotAmple).
+    """
+    found = _nef_vertices(fan, d.coeffs)
+    if found is None:
+        raise NotAmple("divisor is not nef")
+    vertices, den = found
+    n = fan.dimension
+    duals = _cone_duals(fan)
+    cones = [(v, *duals[cone]) for v, cone in zip(vertices, fan.max_cones)]
+    m = 2 * max(abs(a) for _v, _d, ws in cones for w in ws for a in w) + 3
+    xi = [m**i for i in range(n)]
+    first = _cone_sum(cones, xi, n + 1)
+    moments = []
+    for j in range(n):
+        shifted = xi.copy()
+        shifted[j] += 1
+        moments.append((_cone_sum(cones, shifted, n + 1) - first) / ((n + 1) * den))
+    nums, q = _over_lcm([_cone_sum(cones, xi, n), *moments])
+    return nums[0], tuple(nums[1:]), q * den**n
 
 
 class ToricDivisor(Record):

@@ -33,6 +33,9 @@ curve was before it moved to the section polytope's own triangulation.
 The Fraction route of a candidate row: A as the cone coordinates of u
 summed, and S as <b, u> - min <x, u> with b from linear_stats along the
 unit vectors, before a row read integer dots off the barycenter's memo.
+The filtration route of the barycenter: along each unit vector, the
+integral of the filtration curve over the volume, which the barycenter was
+checked against before it was checked by cone localization.
 
 The halfspace route of a polytope, which Polytope.from_halfspaces took
 before a Polytope was its integer rows: the dedupe into Halfspaces with
@@ -40,6 +43,10 @@ primitive normals, the vertices enumerated into Fractions, and both read
 back into integers (rows over q, points over den) for the triangulation
 and the volume; with it, the triangulation and the facet simplices of any
 rows and their polytope's exact vertex set.
+
+Fans and classes beyond the fixtures: weighted projective spaces P(1, a_1,
+..., a_n), with (-K)^n = (sum a_i)^n / prod a_i as their oracle, products
+of fans, and seeded big and nef classes.
 
 Polytope geometry only the tests use: minkowski_sum (Fourier-Motzkin) and
 mixed_volume by polarization, the oracle of toric.intersection_number
@@ -54,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -64,17 +72,18 @@ from toricstab import geometry, toric
 from toricstab.errors import (
     DegeneratePolytope, DimensionMismatch, InvariantViolation, OutOfRange, ZeroVector,
 )
-from toricstab.filtrations import _section_polytope
+from toricstab.filtrations import _section_polytope, filtration_curve
 from toricstab.geometry import (
     Chamber, Halfspace, IntRow, LatticeVector, ParametricPolytope, Point, Polytope, _bareiss,
     _dedupe_rows, _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_vertices, _over_lcm,
     _pulled, _pulled_facets, _simplex_dets, content, int_rows, linear_stats, make_primitive,
     parametric_family, volume,
 )
-from toricstab.toric import ToricDivisor, anticanonical, zero_divisor
+from toricstab.toric import Fan, ToricDivisor, anticanonical, divisor, is_ample, zero_divisor
 from toricstab.volume_fn import (
     Polynomial,
     _chamber_sum,
+    big_volume,
     chamber_volume_polynomial,
     divisor_family,
     positive_pairing,
@@ -704,6 +713,61 @@ def oracle_s_invariant(fan, l, u) -> Fraction:
     n = fan.dimension
     b = [linear_stats(p, tuple(int(i == j) for j in range(n)))[1] for i in range(n)]
     return sum(map(mul, b, u), Fraction(0)) - p.support_min(u)
+
+
+# ---- the filtration route of the barycenter ----------------------------------
+
+def filtration_barycenter(fan, l) -> list[Fraction]:
+    """Along each e_i, the integral of filtration_curve over vol(L), that is b_i - min x_i."""
+    n = fan.dimension
+    v = big_volume(fan, l)
+    return [
+        filtration_curve(fan, l, tuple(int(i == j) for j in range(n))).integrate() / v
+        for i in range(n)
+    ]
+
+
+# ---- fans and classes beyond the fixtures --------------------------------------
+
+def weighted_projective(weights: Sequence[int]) -> Fan:
+    """The fan of P(1, a_1, ..., a_n): rays e_i and -(a_1, ..., a_n), cones all n-subsets.
+
+    The rays span Z^n and sum to zero with the weights.  Its anticanonical
+    volume is (sum a_i)^n / prod a_i.
+    """
+    if weights[0] != 1:
+        raise ValueError("the first weight must be 1")
+    n = len(weights) - 1
+    rays = [[-a for a in weights[1:]]] + [[int(i == j) for j in range(n)] for i in range(n)]
+    return Fan.make(rays, list(itertools.combinations(range(n + 1), n)))
+
+
+def product_fan(*fans: Fan) -> Fan:
+    """The product fan: rays placed in their own block of coordinates, cones the products."""
+    dim = sum(f.dimension for f in fans)
+    rays, offsets, pos = [], [], 0
+    for f in fans:
+        offsets.append(len(rays))
+        rays += [(0,) * pos + ray + (0,) * (dim - pos - f.dimension) for ray in f.rays]
+        pos += f.dimension
+    cones = [
+        [i + off for cone, off in zip(combo, offsets) for i in cone]
+        for combo in itertools.product(*(f.max_cones for f in fans))
+    ]
+    return Fan.make(rays, cones)
+
+
+def seeded_ample(fan, seed: int, count: int = 3) -> list[ToricDivisor]:
+    """count big and nef classes with coefficients p/q, p <= 4 and q <= 3, drawn from one seed."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(200 * count):
+        l = divisor(fan, [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in fan.rays])
+        if is_ample(fan, l):
+            found.append(l)
+            if len(found) == count:
+                return found
+    raise AssertionError(f"fewer than {count} big and nef classes drawn")
 
 
 # ---- the slice family of a filtration direction ------------------------------

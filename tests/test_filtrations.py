@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -27,7 +28,7 @@ from toricstab import (
     star_subdivision,
     volume_curve,
 )
-from toricstab import geometry, thresholds, volume_fn
+from toricstab import geometry, thresholds, toric, volume_fn
 from toricstab.geometry import Chamber, triangulation, volume
 from toricstab.cli import main
 from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, ZeroVector
@@ -191,12 +192,20 @@ def test_perturbed_closed_form_raises(monkeypatch, p2, capsys, problems_dir):
     _perturb(monkeypatch, lambda chamber, power: Polynomial.of(1))
     with pytest.raises(InvariantViolation, match=r"volume is not the symbolic polynomial on the chamber \[0, 3\]"):
         filtration_curve(p2, anticanonical(p2), (1, 0))
-    # a cold memo, so that the search checks its barycenter on the perturbed curves
-    thresholds._barycenter.cache_clear()
     p2_file = str(problems_dir / "p2.json")
-    for argv in (["delta", p2_file, "--radius", "1"], ["dh", p2_file, "--u", "1,0"]):
-        assert main(argv) == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
+    assert main(["dh", p2_file, "--u", "1,0"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolation"
+    # the search builds no curve: it checks its barycenter against the cone
+    # localization, here with one added to every sum, so n! vol reads 10;
+    # a cold memo lets the check run
+    real_sum = toric._cone_sum
+    monkeypatch.setattr(toric, "_cone_sum", lambda *args: real_sum(*args) + 1)
+    thresholds._barycenter.cache_clear()
+    with pytest.raises(InvariantViolation, match=r"^volume routes disagree: 9 by the triangulation, 10 by cone"):
+        thresholds._barycenter(p2, anticanonical(p2))
+    assert main(["delta", p2_file, "--radius", "1"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvariantViolation" and "by cone localization" in err["message"]
 
 
 @pytest.mark.parametrize("model, u, breakpoints", [
@@ -260,21 +269,31 @@ def test_filtration_curve_enumerates_no_hypograph(monkeypatch, p3):
     assert solved == [(5, 3), (5, 3)]
 
 
-def test_dropped_simplex_fails_the_first_chamber_check(monkeypatch, p2, capsys, problems_dir):
+def test_dropped_simplex_fails_the_first_chamber_check(monkeypatch, request, p2, f1, capsys, problems_dir):
     # one simplex of P_L's triangulation missing where the curve reads it: the
     # superlevel volume falls short below the simplex's top height, so the
-    # first chamber's check fires, before the barycenter's S comparison
+    # first chamber's check fires
     real = volume_fn.triangulation
     monkeypatch.setattr(volume_fn, "triangulation", lambda p: real(p)[1:])
-    thresholds._barycenter.cache_clear()
     with pytest.raises(InvariantViolation, match=r"symbolic polynomial on the chamber \[0, "):
         filtration_curve(p2, anticanonical(p2), (1, 0))
-    p2_file = str(problems_dir / "p2.json")
-    for argv in (["delta", p2_file, "--radius", "1"], ["dh", p2_file, "--u", "1,0"]):
-        assert main(argv) == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "InvariantViolation"
-        assert "symbolic polynomial on the chamber [0, " in err["message"]
+    assert main(["dh", str(problems_dir / "p2.json"), "--u", "1,0"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvariantViolation"
+    assert "symbolic polynomial on the chamber [0, " in err["message"]
+    # one simplex of F1's P_L, of several, missing where the barycenter and
+    # the volume read it: the cone localization, which reads no triangulation,
+    # disagrees; the volume memo filled here is cleared again afterwards
+    monkeypatch.undo()
+    monkeypatch.setattr(geometry, "triangulation", lambda p: real(p)[1:])
+    request.addfinalizer(geometry.volume.cache_clear)
+    geometry.volume.cache_clear()
+    thresholds._barycenter.cache_clear()
+    assert len(real(polytope_of(f1, anticanonical(f1)))) > 1
+    assert main(["delta", str(problems_dir / "f1.json"), "--radius", "1"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvariantViolation"
+    assert re.match(r"volume routes disagree: \d+ by the triangulation, 8 by cone localization$", err["message"])
 
 
 def test_closed_form_degree_bound_raises(monkeypatch, p2):
@@ -289,7 +308,7 @@ def test_closed_form_degree_bound_raises(monkeypatch, p2):
         filtration_curve(p2, anticanonical(p2), (1, 0))
 
 
-# Adds one to every chamber polynomial of the closed form.
+# Adds one to every chamber polynomial of the closed form that dh reads.
 PERTURB_CLOSED_FORM = """
 from toricstab import volume_fn
 from toricstab.volume_fn import Polynomial
@@ -298,16 +317,29 @@ volume_fn._chamber_sum = lambda *args: _real(*args) + Polynomial.of(1)
 from toricstab.cli import main
 """
 
+# Adds one to every sum of the cone localization that delta's barycenter check reads.
+PERTURB_LOCALIZATION = """
+from toricstab import toric
+_real = toric._cone_sum
+toric._cone_sum = lambda *args: _real(*args) + 1
+from toricstab.cli import main
+"""
+
 
 @pytest.mark.parametrize("argv", [["delta", "--radius", "1"], ["dh", "--u", "1,0"]])
 def test_perturbed_closed_form_survives_optimize(problems_dir, run_optimized, argv):
     command, *options = argv
-    script = PERTURB_CLOSED_FORM + (
+    perturbed, message = {
+        "delta": (PERTURB_LOCALIZATION, "by cone localization"),
+        "dh": (PERTURB_CLOSED_FORM, "symbolic polynomial on the chamber"),
+    }[command]
+    script = perturbed + (
         f"raise SystemExit(main([{command!r}, {str(problems_dir / 'p2.json')!r}, *{options!r}]))\n"
     )
     result = run_optimized(script)
     assert result.returncode == 3, result.stderr
-    assert json.loads(result.stderr)["error"] == "InvariantViolation"
+    err = json.loads(result.stderr)
+    assert err["error"] == "InvariantViolation" and message in err["message"]
 
 
 def test_dh_measure_p2(p2):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from toricstab import (
     Fan,
-    Polynomial,
     Polytope,
     anticanonical,
     big_volume,
@@ -41,7 +40,7 @@ from toricstab import (
     volume_curve,
     zero_divisor,
 )
-from toricstab import thresholds, volume_fn
+from toricstab import filtrations, thresholds, toric, volume_fn
 from toricstab.cli import main
 from toricstab.errors import (
     DimensionMismatch,
@@ -52,9 +51,15 @@ from toricstab.errors import (
     ZeroVector,
 )
 from toricstab.thresholds import primitive_candidates
-from toricstab.toric import is_strictly_ample
+from toricstab.toric import is_strictly_ample, validate_fan
 
-from oracles import oracle_log_discrepancy, oracle_s_invariant
+from oracles import (
+    filtration_barycenter,
+    oracle_log_discrepancy,
+    oracle_s_invariant,
+    seeded_ample,
+    weighted_projective,
+)
 
 
 def test_s_invariant_values(p2, f1):
@@ -415,20 +420,53 @@ def test_polarization_not_big_and_nef_raises_not_ample(f1, index):
         s_invariant(f1, l, (0, 0))
 
 
-def test_delta_search_builds_one_curve_per_unit_direction(monkeypatch, p3):
-    # only the barycenter's check builds filtration curves, once per (fan, L)
+def test_delta_search_builds_no_curve_and_localizes_once(monkeypatch, p3):
+    # the barycenter is checked by one cone localization per (fan, L): no
+    # filtration curve is built and no chamber polynomial is summed
     thresholds._barycenter.cache_clear()
-    built = []
-    real = thresholds.filtration_curve
-
-    def counted(fan, l, u):
-        built.append(u)
-        return real(fan, l, u)
-
-    monkeypatch.setattr(thresholds, "filtration_curve", counted)
-    report = delta_search(p3, anticanonical(p3), 2)
+    curves, sums, localized = [], [], []
+    real_curve, real_sum = filtrations.superlevel_volume_curve, volume_fn._chamber_sum
+    real_moments = thresholds.localized_moments
+    monkeypatch.setattr(filtrations, "superlevel_volume_curve", lambda p, u: curves.append(u) or real_curve(p, u))
+    monkeypatch.setattr(volume_fn, "_chamber_sum", lambda *args: sums.append(1) or real_sum(*args))
+    monkeypatch.setattr(
+        thresholds, "localized_moments", lambda fan, l: localized.append(l) or real_moments(fan, l),
+    )
+    k = anticanonical(p3)
+    report = delta_search(p3, k, 2)
     assert len(report.candidates) == len(primitive_candidates(3, 2)) > 3
-    assert built == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert delta_search(p3, k, 1).delta_estimate == report.delta_estimate
+    assert not curves and not sums and localized == [k]
+
+
+@pytest.mark.parametrize("model", ["p2", "f1", "p1xp1", "p3", "blp3"])
+def test_barycenter_matches_the_filtration_curves(request, model):
+    # the filtration route, kept as the barycenter's oracle: along each e_i,
+    # b_i - min x_i is the integral of the filtration curve over vol(L)
+    if model == "blp3":
+        fan = star_subdivision(request.getfixturevalue("p3"), (1, 1, 1))[0]
+    else:
+        fan = request.getfixturevalue(model)
+    for l in [anticanonical(fan), *seeded_ample(fan, 41)]:
+        b, q, points, den = thresholds._barycenter(fan, l)
+        lows = [Q(min(x[i] for x in points), den) for i in range(fan.dimension)]
+        assert [Q(bi, q) - low for bi, low in zip(b, lows)] == filtration_barycenter(fan, l)
+
+
+@pytest.mark.parametrize("weights, radius, delta, minimizer, volume", [
+    ((1, 1, 2), 3, Q(3, 4), (0, -1), 8),
+    ((1, 2, 3), 3, Q(1, 2), (-2, -3), 6),
+    ((1, 1, 1, 3), 2, Q(2, 3), (0, 0, -1), 72),
+])
+def test_delta_on_weighted_projective_spaces(weights, radius, delta, minimizer, volume):
+    # simplicial, not smooth: the barycenter's check sums cones with |d_sigma| > 1
+    fan = weighted_projective(weights)
+    diagnostics = validate_fan(fan)
+    assert diagnostics.ok and not diagnostics.is_smooth
+    k = anticanonical(fan)
+    assert big_volume(fan, k) == volume == Q(sum(weights) ** (len(weights) - 1), math.prod(weights))
+    report = delta_search(fan, k, radius)
+    assert (report.delta_estimate, report.minimizer) == (delta, minimizer)
 
 
 @pytest.mark.parametrize("u", [(1,), (1, 0, 5)])
@@ -441,30 +479,22 @@ def test_direction_of_the_wrong_length_raises(p2, u):
         log_discrepancy(p2, u)
 
 
-def test_skewed_unit_direction_curve_raises(monkeypatch, p3):
-    # a cubic vanishing at both ends of the one chamber along e_2 and at its
-    # check point passes the chamber's checks and continuity; only the
-    # barycenter's comparison along e_2 sees the changed integral
+def test_skewed_localization_coordinate_raises(monkeypatch, p3):
+    # one added to the localization sum at xi + e_2 alone moves b_2 by cone
+    # localization and leaves its volume and the other coordinates, so only
+    # the barycenter's comparison along e_2 sees it
     thresholds._barycenter.cache_clear()
-    along = []
-    real_curve, real_sum = thresholds.filtration_curve, volume_fn._chamber_sum
+    seen = []
+    real = toric._cone_sum
 
-    def curve(fan, l, u):
-        along.append(u)
-        return real_curve(fan, l, u)
+    def skewed(cones, xi, power):
+        seen.append(tuple(xi))
+        return real(cones, xi, power) + (xi[1] != seen[0][1])
 
-    def skewed(knotted, q, chamber, power):
-        poly = real_sum(knotted, q, chamber, power)
-        if along[-1] != (0, 1, 0):
-            return poly
-        roots = (chamber.lo, chamber.hi, chamber.sample_points(2)[0])
-        return poly + math.prod((Polynomial.of(-r, 1) for r in roots), start=Polynomial.of(1))
-
-    monkeypatch.setattr(thresholds, "filtration_curve", curve)
-    monkeypatch.setattr(volume_fn, "_chamber_sum", skewed)
-    with pytest.raises(InvariantViolation, match=r"S routes disagree along u=\(0, 1, 0\)"):
+    monkeypatch.setattr(toric, "_cone_sum", skewed)
+    with pytest.raises(InvariantViolation, match=r"^barycenter routes disagree along u=\(0, 1, 0\)"):
         s_invariant(p3, anticanonical(p3), (1, 1, 1))
-    assert along == [(1, 0, 0), (0, 1, 0)]
+    assert len(set(seen)) == 4
 
 
 # Shifts the linear-stats mean by one, so the two S routes disagree.
@@ -506,9 +536,9 @@ def test_s_route_disagreement_survives_optimize(problems_dir, run_optimized):
 
 
 def test_s_invariant_builds_no_polytope_once_warm(p3, monkeypatch):
-    # every memo cold but P_L: the barycenter's checks enumerate their
-    # families on integer rows, so the only Polytopes an S value builds are
-    # the chamber checks' volumes, each from its own rows
+    # every memo cold but P_L: the barycenter reads P_L's triangulation and
+    # checks it by cone localization, so an S value builds no Polytope at all
+    # and computes no fresh volume
     blp3, pull, _k_rel = star_subdivision(p3, (1, 1, 1))
     models = [(p3, anticanonical(p3)), (blp3, pull(anticanonical(p3)))]
     for fan, l in models:
@@ -533,11 +563,4 @@ def test_s_invariant_builds_no_polytope_once_warm(p3, monkeypatch):
         for u in primitive_candidates(3, 1):
             lo, mean, _hi = linear_stats(p, u)
             assert s_invariant(fan, l, u) == mean - lo
-    assert checks and len(built) == len(checks)
-    # once the barycenters are cached, S builds nothing at all
-    built.clear()
-    checks.clear()
-    for fan, l in models:
-        for u in primitive_candidates(3, 1):
-            s_invariant(fan, l, u)
     assert not built and not checks

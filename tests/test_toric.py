@@ -34,11 +34,13 @@ from toricstab import (
 )
 from toricstab.errors import (
     AlreadyARay,
+    InvariantViolation,
     NonPrimitive,
+    NotAmple,
     NotPseudoEffective,
     ZeroVector,
 )
-from toricstab.geometry import _bareiss, _over_lcm, extreme_rays, is_primitive
+from toricstab.geometry import _bareiss, _over_lcm, extreme_rays, is_primitive, linear_stats
 from toricstab.toric import is_strictly_ample
 from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
@@ -53,7 +55,10 @@ from oracles import (
     oracle_is_ample,
     oracle_is_nef,
     oracle_is_strictly_ample,
+    product_fan,
+    seeded_ample,
     solve_linear,
+    weighted_projective,
 )
 
 
@@ -808,3 +813,54 @@ def test_delta_prime_on_refined_f1_with_k_rel(f1):
         )
         denominator = big_volume(fan, l) * jtilde(truncated_curve(extended_curve(fan, l, d)))
         assert value == numerator / denominator
+
+
+def _localization_cases(request):
+    p2, f1, p1xp1, p3 = (request.getfixturevalue(m) for m in ("p2", "f1", "p1xp1", "p3"))
+    blp3, pull_p3, _k = star_subdivision(p3, (1, 1, 1))
+    refined_f1, pull_f1, _k = star_subdivision(f1, (1, 2))
+    return {
+        **{name: (fan, [anticanonical(fan), *seeded_ample(fan, 43)])
+           for name, fan in [("p2", p2), ("f1", f1), ("p1xp1", p1xp1), ("p3", p3), ("blp3", blp3)]},
+        "refined_f1_pullback": (refined_f1, [pull_f1(anticanonical(f1))]),
+        "blp3_pullback": (blp3, [pull_p3(anticanonical(p3))]),
+        "f1_d2": (f1, [ray_divisor(f1, 2)]),
+        **{f"p{''.join(map(str, w))}": (weighted_projective(w), [anticanonical(weighted_projective(w))])
+           for w in [(1, 1, 2), (1, 2, 3), (1, 1, 1, 3)]},
+        "p2xp2": (product_fan(p2, p2), [anticanonical(product_fan(p2, p2))]),
+        "f1xf1": (product_fan(f1, f1), [anticanonical(product_fan(f1, f1))]),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "p2", "f1", "p1xp1", "p3", "blp3", "refined_f1_pullback", "blp3_pullback", "f1_d2",
+    "p112", "p123", "p1113", "p2xp2", "f1xf1",
+])
+def test_localized_moments_match_the_triangulation(request, case):
+    # n! vol and n! int x by cone localization equal big_volume and
+    # big_volume times linear_stats' barycenter, exactly: on classes that are
+    # not strictly ample (cone vertices repeat), on cones with |d_sigma| > 1
+    # and in dimension 4
+    fan, classes = _localization_cases(request)[case]
+    for l in classes:
+        v = big_volume(fan, l)
+        p = polytope_of(fan, l)
+        units = [tuple(int(i == j) for j in range(fan.dimension)) for i in range(fan.dimension)]
+        volume_num, moments, q = toric.localized_moments(fan, l)
+        assert Q(volume_num, q) == v > 0
+        assert [Q(m, q) for m in moments] == [v * linear_stats(p, e)[1] for e in units]
+
+
+def test_localization_refuses_a_direction_orthogonal_to_a_cone_generator(p2):
+    vertices, den = toric._nef_vertices(p2, anticanonical(p2).coeffs)
+    duals = toric._cone_duals(p2)
+    cones = [(v, *duals[cone]) for v, cone in zip(vertices, p2.max_cones)]
+    assert den == 1 and toric._cone_sum(cones, (1, 3), 2) == 9
+    with pytest.raises(InvariantViolation, match=r"^xi = \(1, 0\) is orthogonal to the cone generator"):
+        toric._cone_sum(cones, (1, 0), 2)
+
+
+def test_localization_refuses_a_class_that_is_not_nef(f1):
+    # E, the exceptional ray of F1, has E^2 = -1: it is not nef, so P_E is not the hull of its cone vertices
+    with pytest.raises(NotAmple, match="^divisor is not nef$"):
+        toric.localized_moments(f1, ray_divisor(f1, 3))
