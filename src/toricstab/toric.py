@@ -11,18 +11,18 @@ section polytope is built for them; nefness and the rank test run in one
 integer pass over the m_sigma over one common denominator.  The m_sigma and
 the dual bases also give P_D's volume and first moments for a nef D, by
 vertex-cone localization over the maximal cones (localized_moments).
-Intersection numbers of any n divisors, nef or not, come from the fan's
-intersection ring (Fulton, Introduction to Toric Varieties, 5.1): each class
-is moved off the rays of one fixed maximal cone by linear equivalence, and the
-products of ray divisors that remain are read off the cones, with repeated
-rays removed the same way; the reduction and the expansion run in integers.
+Intersection numbers of any n divisors, nef or not, come from the same sum
+over the maximal cones (intersection_number): localization in equivariant
+intersection theory reads D_1 ... D_n off each class's cone vertices, at one
+generic direction xi whose dots with the dual bases are memoized per fan
+(_localization); the sum runs in integers over one denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -176,6 +176,44 @@ def _nef_vertices(fan: Fan, coeffs: Sequence) -> tuple[list[LatticeVector], int]
     return vertices, c * scale
 
 
+@lru_cache(maxsize=None)
+def _localization(
+    fan: Fan,
+) -> tuple[LatticeVector, int, tuple[tuple[tuple[int, ...], LatticeVector, int], ...]]:
+    """A generic xi, L = lcm T_sigma and, per maximal cone, (sigma, x_sigma, L / T_sigma).
+
+    x_{sigma,j} = <xi, w_j> on the integer generators w_j = d_sigma m_j of
+    _cone_duals, and T_sigma = |d_sigma| prod_j -x_{sigma,j}.  Cones keep the
+    order of `max_cones`.  Memoized per fan.
+
+    xi = (1, M, ..., M^(n-1)) with M = 2W + 3, W the largest |entry| of the
+    w_j, is generic: no w = w_j is orthogonal to xi or to any xi + e_j.
+    Let w_i be the last nonzero entry of w; then |w_i (xi + e_j)_i| >= M^i.
+    The entries below i add at most W (M^i - 1) / (M - 1) < M^i / 2, and a
+    shift j < i adds at most W < M / 2 <= M^i / 2 more, so the dot is
+    nonzero.  A zero x_{sigma,j} still raises InvariantViolation, and a
+    maximal cone that is not full-dimensional and simplicial raises
+    DimensionMismatch.
+    """
+    duals = _cone_duals(fan)
+    for cone in fan.max_cones:
+        if cone not in duals:
+            raise DimensionMismatch(f"cone {cone} is not a full-dimensional simplicial cone")
+    if not duals:
+        raise DimensionMismatch("the fan has no full-dimensional simplicial cone")
+    m = 2 * max(abs(a) for _d, ws in duals.values() for w in ws for a in w) + 3
+    xi = tuple(m**i for i in range(fan.dimension))
+    cones = []
+    for cone, (d, ws) in duals.items():
+        xs = tuple(sum(map(mul, xi, w)) for w in ws)
+        for w, x in zip(ws, xs):
+            if x == 0:
+                raise InvariantViolation(f"xi = {xi} is orthogonal to the cone generator {w}")
+        cones.append((cone, xs, abs(d) * math.prod(-x for x in xs)))
+    lcm_t = math.lcm(*(t for _cone, _xs, t in cones))
+    return xi, lcm_t, tuple((cone, xs, lcm_t // t) for cone, xs, t in cones)
+
+
 def _cone_sum(cones: Sequence[tuple[LatticeVector, int, Sequence[LatticeVector]]],
               xi: Sequence[int], power: int) -> Fraction:
     """sum_sigma <xi, v_sigma>^power d_sigma^n / (|d_sigma| prod_j -<xi, w_j>) over (v, d, w) per cone.
@@ -218,13 +256,9 @@ def localized_moments(fan: Fan, d: ToricDivisor) -> tuple[int, LatticeVector, in
     polynomial in D on the nef cone, so cones that share a vertex, as on a
     pulled-back class, each keep their term.
 
-    xi = (1, M, ..., M^(n-1)) with M = 2W + 3, W the largest |entry| of the
-    w_j, is generic: no w = w_j is orthogonal to xi or to any xi + e_j.
-    Let w_i be the last nonzero entry of w; then |w_i (xi + e_j)_i| >= M^i.
-    The entries below i add at most W (M^i - 1) / (M - 1) < M^i / 2, and a
-    shift j < i adds at most W < M / 2 <= M^i / 2 more, so the dot is
-    nonzero.  _cone_sum still raises InvariantViolation if one vanishes.
-    D must be nef (NotAmple).
+    xi is _localization's, generic for xi and for each xi + e_j; _cone_sum
+    still raises InvariantViolation if a <xi, w_j> vanishes.  D must be nef
+    (NotAmple).
     """
     found = _nef_vertices(fan, d.coeffs)
     if found is None:
@@ -233,8 +267,7 @@ def localized_moments(fan: Fan, d: ToricDivisor) -> tuple[int, LatticeVector, in
     n = fan.dimension
     duals = _cone_duals(fan)
     cones = [(v, *duals[cone]) for v, cone in zip(vertices, fan.max_cones)]
-    m = 2 * max(abs(a) for _v, _d, ws in cones for w in ws for a in w) + 3
-    xi = [m**i for i in range(n)]
+    xi = list(_localization(fan)[0])
     first = _cone_sum(cones, xi, n + 1)
     moments = []
     for j in range(n):
@@ -361,6 +394,8 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     Each cone's determinant and inward facet normals sign(det) * det * m_j are
     read off _cone_duals.  An extreme ray of sigma_a & sigma_b lies in their
     shared face exactly when its coordinates on sigma_a's rays outside sigma_b vanish.
+    A ray on no maximal cone, taken as a cone, meets the maximal cone that
+    holds it beyond a common face, so it clears proper_intersections too.
     """
     messages: list[str] = []
     all_primitive = True
@@ -403,7 +438,10 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
             for wall, count in sorted(bad.items()):
                 messages.append(f"wall {wall} lies on {count} cone(s), fan not complete")
 
-    proper = True
+    used = {i for cone in fan.max_cones for i in cone}
+    unused = [i for i in range(len(fan.rays)) if i not in used]
+    messages.extend(f"ray {i} lies on no maximal cone" for i in unused)
+    proper = not unused
     if is_simplicial and n > 1:
         normals = {
             c: [tuple(a if d > 0 else -a for a in w) for w in ws] for c, (d, ws) in duals.items()
@@ -557,92 +595,28 @@ def star_subdivision(
 # intersection numbers and Zariski decomposition
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _ray_monomial(fan: Fan, rays: tuple[int, ...]) -> Fraction:
-    """The product D_{i_1} ... D_{i_n} of ray divisors, for a sorted multiset of indices.
-
-    Distinct rays spanning a cone sigma give 1/|det sigma| and distinct rays in
-    no common cone give 0.  A repeated ray i of a cone sigma holding all the
-    rays is replaced by the linearly equivalent -sum_{rho not in sigma}
-    <m_i, u_rho> D_rho, m_i being sigma's dual basis vector for u_i
-    (_cone_duals); every term has one more distinct ray, so the recursion ends.
-    """
-    distinct = set(rays)
-    cone = next((c for c in fan.max_cones if distinct <= set(c)), None)
-    if cone is None:
-        return Fraction(0)
-    entry = _cone_duals(fan).get(cone)
-    if entry is None:
-        raise DimensionMismatch(f"cone {cone} is not a full-dimensional simplicial cone")
-    d, duals = entry
-    if len(distinct) == len(rays):
-        return Fraction(1, abs(d))
-    repeated = next(i for i in rays if rays.count(i) > 1)
-    w = duals[cone.index(repeated)]
-    rest = list(rays)
-    rest.remove(repeated)
-    total = Fraction(0)
-    for rho, u in enumerate(fan.rays):
-        c = 0 if rho in cone else sum(map(mul, w, u))
-        if c != 0:
-            total -= Fraction(c, d) * _ray_monomial(fan, tuple(sorted(rest + [rho])))
-    return total
-
-
-@lru_cache(maxsize=None)
-def _reference_cone(
-    fan: Fan,
-) -> tuple[tuple[int, ...], int, tuple[tuple[int, LatticeVector], ...]]:
-    """The first cone of _cone_duals, sigma, its determinant d and integer duals on the other rays.
-
-    The dual basis m_j has <m_j, u_k> = 1 for the j-th ray k of sigma and 0
-    on its other rays; each ray rho outside sigma comes with the integer row
-    (d <m_j, u_rho>)_j.  Memoized per fan.
-    """
-    duals = _cone_duals(fan)
-    if not duals:
-        raise DimensionMismatch("the fan has no full-dimensional simplicial cone")
-    cone, (d, ws) = next(iter(duals.items()))
-    rest = tuple(
-        (rho, tuple(sum(map(mul, w, u)) for w in ws))
-        for rho, u in enumerate(fan.rays)
-        if rho not in cone
-    )
-    return cone, d, rest
-
-
-def _power_terms(support: Sequence[tuple[int, int]], k: int) -> dict[tuple[int, ...], int]:
-    """(sum_rho c_rho D_rho)^k as {sorted rays: integer coefficient}, with multinomial weights."""
-    terms = {}
-    for combo in itertools.combinations_with_replacement(support, k):
-        rays = tuple(rho for rho, _c in combo)
-        weight = math.factorial(k)
-        for _rho, run in itertools.groupby(rays):
-            weight //= math.factorial(len(list(run)))
-        for _rho, c in combo:
-            weight *= c
-        terms[rays] = weight
-    return terms
-
-
 def intersection_number(
     fan: Fan,
     divisors: Sequence[ToricDivisor],
     ample_ref: ToricDivisor | None = None,
 ) -> Fraction:
-    """Exact intersection number of n divisor classes in the fan's intersection ring.
+    """Exact intersection number D_1 ... D_n of n divisor classes, nef or not, by cone localization.
 
-    Each class is first moved off the rays of one fixed maximal cone sigma
-    (`_reference_cone`): D - div chi^m, with <m, u_j> = D_j on sigma's rays,
-    is linearly equivalent to D and supported on the other k - n rays.  In
-    integers: with D's coefficients over their common denominator c and
-    sigma's determinant d, the reduced coefficients are integers over c d,
-    read off sigma's integer duals.  Equal classes are grouped, a class
-    repeated j times contributing its j-th power with multinomial weights,
-    and the product is expanded multilinearly over the reduced supports
-    into integer coefficients grouped by ray monomial (`_ray_monomial`), so
-    no argument needs to be nef.  One Fraction is built at the end.
-    `ample_ref` is accepted for old callers and ignored.
+    On a complete simplicial fan, D_k restricts to the fixed point of a
+    maximal cone sigma as its cone vertex -sum_j a^(k)_{sigma_j} m_j, and
+    the localization identity (Brion, "Equivariant Chow groups for torus
+    actions", Transform. Groups 1997; Edidin-Graham, "Localization in
+    equivariant intersection theory and the Bott residue formula", Amer. J.
+    Math. 1998) reads, at _localization's generic xi,
+
+        D_1 ... D_n = sum_sigma prod_k (-sum_j a^(k)_{sigma_j} x_{sigma,j}) / T_sigma,
+
+    with x_{sigma,j} = <xi, w_j> and T_sigma = |d_sigma| prod_j -x_{sigma,j}.
+    localized_moments' n! vol is its diagonal case D^n on a nef class.
+    With the a^(k) integers over c_k and L = lcm T_sigma, the sum runs in
+    integers over L prod_k c_k, equal classes grouped as powers, and one
+    Fraction is built at the end.  `ample_ref` is accepted for old callers
+    and ignored.
     """
     n = fan.dimension
     if len(divisors) != n:
@@ -650,22 +624,14 @@ def intersection_number(
     for d in divisors:
         if d.fan != fan:
             raise DimensionMismatch("divisor lives on a different fan")
-    cone, det, rest = _reference_cone(fan)
-    terms: dict[tuple[int, ...], int] = {(): 1}
-    den = 1
+    _xi, lcm_t, cones = _localization(fan)
     classes = Counter((tuple(nums), c) for nums, c in (_over_lcm(d.coeffs) for d in divisors))
-    for (nums, c), k in classes.items():
-        on_cone = [nums[i] for i in cone]
-        reduced = ((rho, nums[rho] * det - sum(map(mul, on_cone, row))) for rho, row in rest)
-        power = _power_terms([(rho, r) for rho, r in reduced if r], k)
-        den *= (c * det) ** k
-        grouped: dict[tuple[int, ...], int] = defaultdict(int)
-        for rays, x in terms.items():
-            for more, y in power.items():
-                grouped[tuple(sorted(rays + more))] += x * y
-        terms = grouped
-    values, mono_den = _over_lcm([_ray_monomial(fan, rays) for rays in terms])
-    return Fraction(sum(map(mul, terms.values(), values)), den * mono_den)
+    total = 0
+    for cone, xs, weight in cones:
+        for (nums, _c), k in classes.items():
+            weight *= (-sum(nums[i] * x for i, x in zip(cone, xs))) ** k
+        total += weight
+    return Fraction(total, lcm_t * math.prod(c**k for (_nums, c), k in classes.items()))
 
 
 class ZariskiPair(Record):

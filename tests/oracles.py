@@ -5,9 +5,12 @@ scheme and antiderivative that Polynomial evaluated and integrated with
 before it moved to integer numerators over one denominator.  The Fraction
 coefficient polynomial with its arithmetic and long division, and on it the
 Yun decomposition, Sturm sequences and sign decision that ran in Fractions
-before they moved to primitive integer remainder sequences.  The Fraction
-expansion of an intersection number over cone-reduced supports, one term per
-n-tuple of rays, before the expansion moved to integers grouped by monomial.  A Fraction
+before they moved to primitive integer remainder sequences.  The
+intersection ring route of an intersection number, which the library took
+before it summed over the maximal cones by localization: products of ray
+divisors read off the cones, a repeated ray moved off its cone by linear
+equivalence (ray_monomial), and the Fraction expansion over supports
+reduced against one cone, one term per n-tuple of rays.  A Fraction
 Gauss-Jordan elimination, and on it the solve over a cone's shared rays that
 validate_fan's face test ran before it read the cones' dual bases.  The
 determinant and square solve on _eliminate (rational rows, each scaled by
@@ -612,6 +615,38 @@ def oracle_nonneg_on_interval(p: FractionPolynomial, a, b) -> bool:
 
 # ---- intersection numbers --------------------------------------------------
 
+@lru_cache(maxsize=None)
+def ray_monomial(fan, rays: tuple[int, ...]) -> Fraction:
+    """The product D_{i_1} ... D_{i_n} of ray divisors in the fan's intersection ring, rays sorted.
+
+    Distinct rays spanning a cone sigma give 1/|det sigma| and distinct rays in
+    no common cone give 0.  A repeated ray i of a cone sigma holding all the
+    rays is replaced by the linearly equivalent -sum_{rho not in sigma}
+    <m_i, u_rho> D_rho, m_i being sigma's dual basis vector for u_i
+    (_cone_duals); every term has one more distinct ray, so the recursion ends.
+    """
+    distinct = set(rays)
+    cone = next((c for c in fan.max_cones if distinct <= set(c)), None)
+    if cone is None:
+        return Fraction(0)
+    entry = toric._cone_duals(fan).get(cone)
+    if entry is None:
+        raise DimensionMismatch(f"cone {cone} is not a full-dimensional simplicial cone")
+    d, duals = entry
+    if len(distinct) == len(rays):
+        return Fraction(1, abs(d))
+    repeated = next(i for i in rays if rays.count(i) > 1)
+    w = duals[cone.index(repeated)]
+    rest = list(rays)
+    rest.remove(repeated)
+    total = Fraction(0)
+    for rho, u in enumerate(fan.rays):
+        c = 0 if rho in cone else sum(map(mul, w, u))
+        if c != 0:
+            total -= Fraction(c, d) * ray_monomial(fan, tuple(sorted(rest + [rho])))
+    return total
+
+
 def oracle_intersection_number(fan, divisors) -> Fraction:
     """The product of n classes expanded in Fractions over their supports reduced against one cone.
 
@@ -635,7 +670,7 @@ def oracle_intersection_number(fan, divisors) -> Fraction:
         coeff = Fraction(1)
         for _rho, c in combo:
             coeff *= c
-        total += coeff * toric._ray_monomial(fan, tuple(sorted(rho for rho, _c in combo)))
+        total += coeff * ray_monomial(fan, tuple(sorted(rho for rho, _c in combo)))
     return total
 
 

@@ -425,6 +425,25 @@ def test_cone_index_out_of_range_exit_2(tmp_path, capsys):
         assert "references a missing ray" in payload["message"]
 
 
+@pytest.mark.parametrize("unused", [[1, 1], [1, 0]])
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["volume"],
+    ["delta", "--radius", "1"],
+    ["curve", "--direction", "H"],
+    ["dh", "--u=1,0"],
+    ["report", "--directions", "H", "--radius", "1"],
+])
+def test_ray_on_no_maximal_cone_exit_2(tmp_path, capsys, unused, argv):
+    # P^2's fan with a ray, new or a duplicate, that no cone uses
+    path = p2_problem(tmp_path, rays=[[1, 0], [0, 1], [-1, -1], unused],
+                      divisors={"H": {"coeffs": [1, 0, 0, 0]}})
+    code, _out, err = run(capsys, argv[0], path, *argv[1:])
+    payload = json.loads(err)
+    assert (code, payload["error"]) == (2, "validation")
+    assert payload["message"].endswith("ray 3 lies on no maximal cone")
+
+
 def test_zero_denominator_exit_2(tmp_path, capsys):
     path = p2_problem(tmp_path, divisors={"H": {"coeffs": ["1/0", 0, 0]}})
     for command in (["validate"], ["curve", "--direction", "H"]):

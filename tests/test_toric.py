@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import pickle
 import random
 import re
@@ -34,6 +35,7 @@ from toricstab import (
 )
 from toricstab.errors import (
     AlreadyARay,
+    DimensionMismatch,
     InvariantViolation,
     NonPrimitive,
     NotAmple,
@@ -56,6 +58,7 @@ from oracles import (
     oracle_is_nef,
     oracle_is_strictly_ample,
     product_fan,
+    ray_monomial,
     seeded_ample,
     solve_linear,
     weighted_projective,
@@ -106,6 +109,16 @@ PINNED_FANS = {
             "cone (0, 2) has determinant -2 (not smooth)",
         ),
     ),
+    "unused ray": (
+        ([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [2, 0]]),
+        (True, True, True, True, False),
+        ("ray 3 lies on no maximal cone",),
+    ),
+    "unused duplicate ray": (
+        ([[1, 0], [0, 1], [-1, -1], [1, 0]], [[0, 1], [1, 2], [2, 0]]),
+        (True, True, True, True, False),
+        ("ray 3 lies on no maximal cone",),
+    ),
     "degenerate": (
         ([[1, 0], [0, 1], [-1, 0], [2, 0]], [[0, 1], [1, 2], [2, 3], [3, 0]]),
         (False, False, False, False, True),
@@ -138,11 +151,12 @@ def face_test_by_shared_rays(fan):
     two cones' intersection must be a nonnegative combination of their shared
     rays, solved by a Fraction elimination.
     Like validate_fan, it tests only fans of n-ray cones with nonzero
-    determinants, in dimension at least 2.
+    determinants, in dimension at least 2.  A ray on no cone clears the flag.
     """
     n = fan.dimension
+    unused = set(range(len(fan.rays))) - {i for cone in fan.max_cones for i in cone}
     if n == 1 or any(len(c) != n or det(fan.cone_rays(c)) == 0 for c in fan.max_cones):
-        return True, []
+        return not unused, []
 
     def normals(cone):
         rays = fan.cone_rays(cone)
@@ -156,7 +170,7 @@ def face_test_by_shared_rays(fan):
             if nonneg_combination(columns, ray, len(shared)) is None:
                 messages.append(f"cones {ca} and {cb} overlap beyond a common face (at {ray})")
                 break
-    return not messages, messages
+    return not messages and not unused, messages
 
 
 @st.composite
@@ -356,12 +370,14 @@ def test_polarization_checks_match_polytope_oracle(p2, f1, p1xp1, p3):
         f1_once,
         star_subdivision(f1_once, (2, 1))[0],
         star_subdivision(p3_once, (1, 1, 1))[0],
-        Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [2, 0]]),  # (1, 1) in no cone
+        # (1, 1) in no cone: validate_fan refuses it for that alone
+        Fan.make([[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [2, 0]]),
     ]
     rng = random.Random(28)
     seen = Counter()
     for fan in fans:
-        assert validate_fan(fan).ok
+        diag = validate_fan(fan)
+        assert diag.ok or diag.messages == ("ray 3 lies on no maximal cone",)
         n = fan.dimension
         for k in range(40):
             if k % 2:
@@ -624,12 +640,13 @@ def full_support_intersection(fan, divisors):
         coeff = Q(1)
         for _i, c in combo:
             coeff *= c
-        total += coeff * toric._ray_monomial(fan, tuple(sorted(i for i, _c in combo)))
+        total += coeff * ray_monomial(fan, tuple(sorted(i for i, _c in combo)))
     return total
 
 
 MODEL_NAMES = [
     "p2", "f1", "p1xp1", "f1 refined at (1,2)", "p3", "blp3", "p3 refined at (1,1,0)", "p123",
+    "p2xp2", "f1xf1",
 ]
 
 
@@ -642,8 +659,10 @@ def models(surfaces, p3):
         "blp3": refined(p3, (1, 1, 1)),
         "p3 refined at (1,1,0)": refined(p3, (1, 1, 0)),
         # P(1,2,3): 1*u0 + 2*u1 + 3*u2 = 0, rays ordered so that the first
-        # cone, the reduction's reference cone, has |det| = 3
+        # cone, the oracle's reference cone, has |det| = 3
         "p123": Fan.make([[-2, -3], [1, 0], [0, 1]], [[0, 1], [1, 2], [2, 0]]),
+        "p2xp2": product_fan(surfaces["p2"], surfaces["p2"]),
+        "f1xf1": product_fan(surfaces["f1"], surfaces["f1"]),
     }
 
 
@@ -732,13 +751,13 @@ def test_one_elimination_per_maximal_cone(monkeypatch):
 
 
 def test_reduction_on_a_non_smooth_reference_cone(models):
-    # on P(1,2,3) the reference cone has |det| = 3, so the m that moves a class
-    # off it is not integral; D_i . D_j = w_i w_j / (w_0 w_1 w_2) there
+    # on P(1,2,3) the first cone has |det| = 3, so its dual basis is not
+    # integral; D_i . D_j = w_i w_j / (w_0 w_1 w_2) there
     fan = models["p123"]
     assert validate_fan(fan).ok and not validate_fan(fan).is_smooth
-    cone, d, rest = toric._reference_cone(fan)
+    cone, (d, ws) = next(iter(toric._cone_duals(fan).items()))
     assert abs(d) == abs(det(fan.cone_rays(cone))) == 3
-    assert any(c % d for _rho, row in rest for c in row)
+    assert any(a % d for w in ws for a in w)
     w = (1, 2, 3)
     for i, j in itertools.product(range(3), repeat=2):
         product = intersection_number(fan, [ray_divisor(fan, i), ray_divisor(fan, j)])
@@ -764,6 +783,36 @@ def test_grouped_integer_expansion_matches_fraction_oracle(models, name):
         lists.append([zero_divisor(fan)] + [a] * (n - 1))
         for classes in lists:
             assert intersection_number(fan, classes) == oracle_intersection_number(fan, classes)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 2), (1, 2, 3), (1, 1, 1, 3)])
+def test_ray_products_on_weighted_projective_spaces(weights):
+    # closed form, sharing no code with either route: on P(a_0, ..., a_n) the
+    # ray divisors are D_i = a_i H with H^n = 1 / prod a_i
+    fan = weighted_projective(weights)
+    n = fan.dimension
+    rays = [ray_divisor(fan, i) for i in range(n + 1)]
+    for combo in itertools.combinations_with_replacement(range(n + 1), n):
+        expected = Q(math.prod(weights[i] for i in combo), math.prod(weights))
+        assert intersection_number(fan, [rays[i] for i in combo]) == expected, combo
+
+
+def test_anticanonical_degree_of_four_dimensional_products(surfaces):
+    # (-K_{S x S'})^4 = 6 (-K_S)^2 (-K_S')^2
+    for name, degree in (("p2", 486), ("f1", 384)):
+        fan = product_fan(surfaces[name], surfaces[name])
+        assert intersection_number(fan, [anticanonical(fan)] * 4) == degree
+
+
+@pytest.mark.parametrize("spec, cone", [
+    (PINNED_FANS["degenerate"][0], "(0, 3)"),
+    (([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2]]), "(2,)"),
+])
+def test_intersection_refuses_a_cone_that_is_not_full_dimensional_simplicial(spec, cone):
+    fan = Fan.make(*spec)
+    message = f"cone {cone} is not a full-dimensional simplicial cone"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        intersection_number(fan, [anticanonical(fan)] * 2)
 
 
 def nef_classes(fan, rng, count):
