@@ -34,9 +34,12 @@ vertex-facet incidence table per polytope, the tight set of every row, and
 works on faces as sets of vertex indices, the facets of a face being its
 maximal intersections with the tight sets.  _pulled and _pulled_facets read
 only the table and the vertices, so a family's hypograph is triangulated
-on its integer rows without a Polytope.  The cached triangulation pairs
-each simplex with its integer determinant, and volume and linear_moment sum
-these and divide once, as facet_volumes does over each facet's simplices.
+on its integer rows without a Polytope; its facets go per row, each to the
+first row tight on it.  The cached triangulation pairs each simplex with
+its integer determinant: volume sums these and divides once, as
+facet_volumes does over each facet's simplices, and one integer pass
+(triangulation_sums) gives the determinant sum with the weighted vertex
+sums that linear_moment and the barycenter read.
 normalized_volume is from_rows and the uncached _triangulation: n! times
 the volume of integer rows, reading and filling no cache, against which a
 family's chamber volume polynomials are checked.
@@ -543,21 +546,23 @@ def _pulled(
 
 
 def _pulled_facets(
-    rows: Sequence[IntRow], tight: Sequence[frozenset[int]], points: Sequence[LatticeVector],
-    dim: int, normals: Iterable[Sequence[int]],
+    tight: Sequence[frozenset[int]], points: Sequence[LatticeVector], dim: int,
 ) -> list[list[tuple[int, ...]]]:
-    """Per normal, simplices covering the facet on the row with that normal, as indices into `points`.
+    """Per row, simplices covering the facet on it, as indices into `points`.
 
     `tight` is the polytope's incidence table, the tight set of each of its
     rows.  A row's tight set is a facet exactly when the polytope is
     full-dimensional and the set is inclusion-maximal among the proper tight
-    sets.  No simplices for a normal with no row, or whose row is not tight
-    on a facet.
+    sets.  Each facet goes to the first row tight on it; every other row
+    has no simplices.
     """
     everything = frozenset(range(len(points)))
-    facets = [] if not points or everything in tight else _facets(everything, tight)
-    on = {a: t for (a, _b), t in zip(rows, tight) if t in facets}
-    return [_pull(on[u], dim - 1, tight, points) if u in on else [] for u in map(tuple, normals)]
+    facets = set() if not points or everything in tight else set(_facets(everything, tight))
+    out = []
+    for t in tight:
+        out.append(_pull(t, dim - 1, tight, points) if t in facets else [])
+        facets.discard(t)
+    return out
 
 
 def _simplex_dets(
@@ -587,10 +592,11 @@ def facet_volumes(p: Polytope, normals: Sequence[Sequence[int]]) -> list[Fractio
     """
     n = p.dimension
     scale = p.den ** (n - 1) * math.factorial(n - 1)
-    facets = _pulled_facets(p.rows, _tight_sets(p.rows, p.q, p.points, p.den), p.points, n, normals)
+    tight = _tight_sets(p.rows, p.q, p.points, p.den)
+    on = dict(zip((a for a, _b in p.rows), _pulled_facets(tight, p.points, n)))
     return [
-        Fraction(sum(_simplex_dets(p.points, simplices, [u])), scale * sum(a * a for a in u))
-        for u, simplices in zip(normals, facets)
+        Fraction(sum(_simplex_dets(p.points, on.get(tuple(u), []), [u])), scale * sum(a * a for a in u))
+        for u in normals
     ]
 
 
@@ -629,18 +635,24 @@ def volume(p: Polytope) -> Fraction:
     return Fraction(sum(d for d, _simplex in triangulation(p)), p.den**n * math.factorial(n))
 
 
-def linear_moment(p: Polytope, u: Sequence) -> Fraction:
-    """Exact integral of x -> <x, u> over the polytope.
+def triangulation_sums(p: Polytope) -> tuple[int, LatticeVector]:
+    """(sum |det|, sum |det| * vertex sum) over the cached triangulation, in one integer pass.
 
-    Each simplex contributes its volume times <centroid, u>: the vertex sums
-    are weighted by the integer determinants, and divided once.
+    These are n! den^n vol(p) and (n + 1)! den^(n+1) int_p x dx: a
+    simplex's integral of x is its volume times its centroid.
     """
-    n = p.dimension
-    weighted = [0] * n
+    total, weighted = 0, [0] * p.dimension
     for d, simplex in triangulation(p):
-        for i in simplex:
-            weighted = [w + d * c for w, c in zip(weighted, p.points[i])]
-    return dot(weighted, u) / (p.den ** (n + 1) * math.factorial(n) * (n + 1))
+        total += d
+        sums = map(sum, zip(*(p.points[i] for i in simplex)))
+        weighted = [w + d * s for w, s in zip(weighted, sums)]
+    return total, tuple(weighted)
+
+
+def linear_moment(p: Polytope, u: Sequence) -> Fraction:
+    """Exact integral of x -> <x, u> over the polytope, off triangulation_sums, divided once."""
+    n = p.dimension
+    return dot(triangulation_sums(p)[1], u) / (p.den ** (n + 1) * math.factorial(n + 1))
 
 
 def linear_stats(p: Polytope, u: Sequence) -> tuple[Fraction, Fraction, Fraction]:
@@ -721,15 +733,12 @@ class _Hypograph:
     def facets(self) -> list[list[tuple[int, list[int]]]]:
         """Per row i, (|det(edges, (u_i, 0))|, sorted heights) of each simplex of its facet of Q.
 
-        Rows sharing u_i bound P_t's facet on u_i in turn, so each gets the
-        simplices of all their facets.
+        Rows sharing u_i bound P_t's facet on u_i in turn, each with the
+        facet of Q it is tight on; a facet on which several rows are tight,
+        as on a repeated row, goes to the first of them.
         """
-        lifted = dict(zip((a for a, _b in self.rows), self.normals))  # one per row normal of Q
-        facets = _pulled_facets(self.rows, self._tight, self.points, self.dim + 1, lifted)
-        on: dict[LatticeVector, list] = {}
-        for u, simplices in zip(lifted.values(), facets):
-            on.setdefault(u, []).extend(self._knotted(simplices, [(*u, 0)]))
-        return [on[u] for u in self.normals]
+        facets = _pulled_facets(self._tight, self.points, self.dim + 1)
+        return [self._knotted(simplices, [(*u, 0)]) for u, simplices in zip(self.normals, facets)]
 
 
 class ParametricPolytope(Record):

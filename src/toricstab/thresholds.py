@@ -5,29 +5,33 @@ the reported minimum is exact over that candidate family and is a certified
 upper bound for the infimum over all valuations (lattice candidates suffice
 for toric data, an assumption every report records).  A row's S reads one
 memo per (fan, L), built in the first row: the barycenter of the section
-polytope, read off its triangulation and checked once against cone
-localization, a sum over the fan's maximal cones, and its vertices, in
-integers.  A row's A and S are integer dots with one Fraction each.
+polytope, read off one integer pass over its triangulation and checked
+once against cone localization, a sum over the fan's maximal cones, and
+its vertices, in integers.  A row's A and S are integer dots with one
+Fraction each.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from ._record import Record
-from .errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor
-from .filtrations import _check_direction, _section_polytope
-from .geometry import LatticeVector, _over_lcm, is_primitive, linear_stats
+from .errors import InvariantViolation, NotAmple, NotBigOnUnitInterval, ZeroDivisor
+from .filtrations import _check_direction
+from .geometry import LatticeVector, is_primitive, triangulation_sums
 from .toric import (
     Fan,
     ToricDivisor,
     anticanonical,
+    is_ample,
     localized_moments,
     log_discrepancy,
+    polytope_of,
     ray_divisor,
     zero_divisor,
 )
@@ -38,7 +42,6 @@ from .test_curves import (
     jtilde,
     truncated_curve,
 )
-from .volume_fn import big_volume
 
 
 STANDARD_ASSUMPTIONS = (
@@ -53,33 +56,35 @@ STANDARD_ASSUMPTIONS = (
 def _barycenter(fan: Fan, l: ToricDivisor) -> tuple[LatticeVector, int, Sequence[LatticeVector], int]:
     """The row table of (fan, L): b over one denominator, P_L's `points` over `p.den`.
 
-    L must be big and nef (NotAmple, before anything is built).  The
-    barycenter b_i is the volume average of x_i over P_L's triangulation
-    (linear_stats).  b and vol(L) (big_volume) must equal their values by
-    cone localization (localized_moments), which sums over the fan's maximal
-    cones and reads no polytope, or InvariantViolation is raised.  Memoized
-    per (fan, L); a failed check is not cached and raises again.
+    L must be big and nef (NotAmple, before anything is built).  One
+    integer pass over P_L's triangulation (triangulation_sums) gives n! vol
+    and the volume-weighted vertex sums, so b = weighted / (den (n + 1)
+    sum |det|).  Both must equal their values by cone localization
+    (localized_moments), which sums over the fan's maximal cones and reads
+    no polytope, or InvariantViolation is raised.  Memoized per (fan, L); a
+    failed check is not cached and raises again.
     """
-    units = [tuple(int(i == j) for j in range(fan.dimension)) for i in range(fan.dimension)]
-    p = _section_polytope(fan, l, units[0])
-    v = big_volume(fan, l)
+    if not is_ample(fan, l):
+        raise NotAmple("polarization is not big and nef")
+    n = fan.dimension
+    p = polytope_of(fan, l)
+    total, weighted = triangulation_sums(p)
     volume, moments, q = localized_moments(fan, l)
-    if v * q != volume:
+    if total * q != volume * p.den**n:
         raise InvariantViolation(
-            f"volume routes disagree: {v} by the triangulation, "
+            f"volume routes disagree: {Fraction(total, p.den**n)} by the triangulation, "
             f"{Fraction(volume, q)} by cone localization"
         )
-    b = []
-    for e, moment in zip(units, moments):
-        _lo, mean, _hi = linear_stats(p, e)
-        if mean * volume != moment:
+    scale = p.den * (n + 1) * total
+    for i, (w, moment) in enumerate(zip(weighted, moments)):
+        if w * volume != moment * scale:
+            e = tuple(int(i == j) for j in range(n))
             raise InvariantViolation(
-                f"barycenter routes disagree along u={e}: {mean} by the triangulation, "
+                f"barycenter routes disagree along u={e}: {Fraction(w, scale)} by the triangulation, "
                 f"{Fraction(moment, volume)} by cone localization"
             )
-        b.append(mean)
-    nums, den = _over_lcm(b)
-    return tuple(nums), den, p.points, p.den
+    g = math.gcd(scale, *weighted)
+    return tuple(w // g for w in weighted), scale // g, p.points, p.den
 
 
 def s_invariant(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Fraction:

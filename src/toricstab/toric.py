@@ -8,14 +8,13 @@ The polarization checks read only these cone vertices m_sigma: on a complete
 fan D is nef exactly when every m_sigma lies in P_D, and P_D is then the hull
 of the m_sigma (Cox-Little-Schenck, Toric Varieties, ch. 6), so no
 section polytope is built for them; nefness and the rank test run in one
-integer pass over the m_sigma over one common denominator.  The m_sigma and
-the dual bases also give P_D's volume and first moments for a nef D, by
-vertex-cone localization over the maximal cones (localized_moments).
-Intersection numbers of any n divisors, nef or not, come from the same sum
-over the maximal cones (intersection_number): localization in equivariant
-intersection theory reads D_1 ... D_n off each class's cone vertices, at one
-generic direction xi whose dots with the dual bases are memoized per fan
-(_localization); the sum runs in integers over one denominator.
+integer pass over the m_sigma over one common denominator.  One
+localization sum over the maximal cones (_localized) reads the classes'
+cone vertices at a generic direction xi and its n shifts xi + e_j, whose
+dots with the dual bases are memoized per fan (_localization), in integers
+over one denominator: it gives intersection numbers of any n classes, nef
+or not (intersection_number), and a nef D's volume and first moments
+(localized_moments), with no vertex enumeration and no triangulation.
 """
 
 from __future__ import annotations
@@ -177,23 +176,33 @@ def _nef_vertices(fan: Fan, coeffs: Sequence) -> tuple[list[LatticeVector], int]
 
 
 @lru_cache(maxsize=None)
-def _localization(
-    fan: Fan,
-) -> tuple[LatticeVector, int, tuple[tuple[tuple[int, ...], LatticeVector, int], ...]]:
-    """A generic xi, L = lcm T_sigma and, per maximal cone, (sigma, x_sigma, L / T_sigma).
+def _localization(fan: Fan) -> tuple[int, tuple[tuple[int, tuple[tuple, ...]], ...]]:
+    """S = lcm |d_sigma| and, for xi_0 = xi and each xi_(j+1) = xi + e_j, _direction's table.
 
-    x_{sigma,j} = <xi, w_j> on the integer generators w_j = d_sigma m_j of
-    _cone_duals, and T_sigma = |d_sigma| prod_j -x_{sigma,j}.  Cones keep the
-    order of `max_cones`.  Memoized per fan.
+    The localization identity (Brion, "Points entiers dans les polyedres
+    convexes", Ann. Sci. ENS 1988; Edidin-Graham, "Localization in
+    equivariant intersection theory and the Bott residue formula", Amer. J.
+    Math. 1998): a class D restricts to the fixed point of a maximal cone
+    sigma as its cone vertex m_sigma(D) = -sum_j a_{sigma_j} m_j, and for an
+    integer xi with every x_{sigma,j} = <xi, w_j> nonzero, on the generators
+    w_j = d_sigma m_j of _cone_duals, classes D with multiplicities p_D
+    totalling p give
+
+        sum_sigma prod_D <xi, m_sigma(D)>^(p_D) d_sigma^n / T_sigma,
+        T_sigma = |d_sigma| prod_j -x_{sigma,j},
+
+    which is D_1 ... D_n for p = n, and (n + 1)! int_{P_D} <xi, x> dx for a
+    nef D to the power n + 1: the degree n + 1 part of int_{P_D} e^<xi, x>
+    dx, summed over P_D's tangent cones at the m_sigma.  Both sides are
+    polynomial in D on the nef cone, so cones that share a vertex, as on a
+    pulled-back class, each keep their term.  _localized runs the sum.
 
     xi = (1, M, ..., M^(n-1)) with M = 2W + 3, W the largest |entry| of the
-    w_j, is generic: no w = w_j is orthogonal to xi or to any xi + e_j.
-    Let w_i be the last nonzero entry of w; then |w_i (xi + e_j)_i| >= M^i.
-    The entries below i add at most W (M^i - 1) / (M - 1) < M^i / 2, and a
-    shift j < i adds at most W < M / 2 <= M^i / 2 more, so the dot is
-    nonzero.  A zero x_{sigma,j} still raises InvariantViolation, and a
-    maximal cone that is not full-dimensional and simplicial raises
-    DimensionMismatch.
+    w_j, is generic, and so is each xi + e_j: let w_i be the last nonzero
+    entry of a w; then |w_i (xi + e_j)_i| >= M^i, the entries below i add at
+    most W (M^i - 1) / (M - 1) < M^i / 2, and a shift j < i adds at most
+    W < M / 2 <= M^i / 2 more.  A maximal cone that is not full-dimensional
+    and simplicial raises DimensionMismatch.  Memoized per fan.
     """
     duals = _cone_duals(fan)
     for cone in fan.max_cones:
@@ -202,80 +211,66 @@ def _localization(
     if not duals:
         raise DimensionMismatch("the fan has no full-dimensional simplicial cone")
     m = 2 * max(abs(a) for _d, ws in duals.values() for w in ws for a in w) + 3
-    xi = tuple(m**i for i in range(fan.dimension))
-    cones = []
-    for cone, (d, ws) in duals.items():
-        xs = tuple(sum(map(mul, xi, w)) for w in ws)
-        for w, x in zip(ws, xs):
-            if x == 0:
-                raise InvariantViolation(f"xi = {xi} is orthogonal to the cone generator {w}")
-        cones.append((cone, xs, abs(d) * math.prod(-x for x in xs)))
-    lcm_t = math.lcm(*(t for _cone, _xs, t in cones))
-    return xi, lcm_t, tuple((cone, xs, lcm_t // t) for cone, xs, t in cones)
+    xi = [m**i for i in range(fan.dimension)]
+    shifts = [xi[:j] + [a + 1] + xi[j + 1:] for j, a in enumerate(xi)]
+    return math.lcm(*(d for d, _ws in duals.values())), tuple(
+        _direction(fan, direction) for direction in [xi, *shifts]
+    )
 
 
-def _cone_sum(cones: Sequence[tuple[LatticeVector, int, Sequence[LatticeVector]]],
-              xi: Sequence[int], power: int) -> Fraction:
-    """sum_sigma <xi, v_sigma>^power d_sigma^n / (|d_sigma| prod_j -<xi, w_j>) over (v, d, w) per cone.
+def _direction(fan: Fan, xi: Sequence[int]) -> tuple[int, tuple[tuple, ...]]:
+    """At one xi: L = lcm T_sigma and, per maximal cone, (sigma, d_sigma, x_sigma, L / T_sigma).
 
-    Summed in integers over the product of the terms' denominators, with
-    one Fraction at the end.  A zero <xi, w_j> leaves its term without a
-    value and raises InvariantViolation.
+    Cones keep the order of _cone_duals.  A zero x_{sigma,j} raises
+    InvariantViolation.
     """
-    num, den = 0, 1
-    for v, d, ws in cones:
-        term_den = abs(d)
-        for w in ws:
-            x = sum(map(mul, xi, w))
-            if x == 0:
-                raise InvariantViolation(f"xi = {tuple(xi)} is orthogonal to the cone generator {w}")
-            term_den *= -x
-        num = num * term_den + sum(map(mul, xi, v)) ** power * d ** len(ws) * den
-        den *= term_den
-    return Fraction(num, den)
+    cones = []
+    for cone, (d, ws) in _cone_duals(fan).items():
+        xs = tuple(sum(map(mul, xi, w)) for w in ws)
+        if 0 in xs:
+            raise InvariantViolation(
+                f"xi = {tuple(xi)} is orthogonal to the cone generator {ws[xs.index(0)]}"
+            )
+        cones.append((cone, d, xs, abs(d) * math.prod(-x for x in xs)))
+    lcm_t = math.lcm(*(t for *_cone, t in cones))
+    return lcm_t, tuple((cone, d, xs, lcm_t // t) for cone, d, xs, t in cones)
+
+
+def _localized(fan: Fan, classes: Mapping[ToricDivisor, int], k: int) -> Fraction:
+    """_localization's sum at xi_k over classes whose multiplicities p_D total p = n or n + 1.
+
+    With a class's coefficients a integers over c, <xi_k, m_sigma(D)> =
+    (-sum_j a_{sigma_j} x_{sigma,j}) / (c d_sigma), so the sum runs in
+    integers over L_k S^(p - n) prod c^(p_D), and one Fraction is built.
+    """
+    s, directions = _localization(fan)
+    lcm_t, cones = directions[k]
+    extra = sum(classes.values()) - fan.dimension
+    terms = [(_over_lcm(d.coeffs), p) for d, p in classes.items()]
+    total = 0
+    for cone, d, xs, weight in cones:
+        weight *= (s // d) ** extra
+        for (nums, _c), p in terms:
+            weight *= (-sum(nums[i] * x for i, x in zip(cone, xs))) ** p
+        total += weight
+    return Fraction(total, lcm_t * s**extra * math.prod(c**p for (_nums, c), p in terms))
 
 
 def localized_moments(fan: Fan, d: ToricDivisor) -> tuple[int, LatticeVector, int]:
     """n! vol(P_D) and n! int_{P_D} x dx for a nef D, as integers over one denominator.
 
-    Vertex-cone localization, summed over the maximal cones with no vertex
-    enumeration and no triangulation (Brion, "Points entiers dans les
-    polyedres convexes", Ann. Sci. ENS 1988; Lawrence, "Polytope volume
-    computation", Math. Comp. 1991).  P_D's tangent cone at the cone vertex
-    m_sigma (_nef_vertices) is spanned by the cone's dual basis m_j =
-    w_j / d_sigma (_cone_duals), whose determinant is 1 / d_sigma.  For an
-    integer xi with every <xi, w_j> nonzero, the degree n + k part of
-    int_P e^<xi, x> dx = sum_sigma e^<xi, m_sigma> / (|d_sigma| prod_j
-    -<xi, m_j>) reads
-
-        sum_sigma <xi, m_sigma>^(n+k) d_sigma^n / (|d_sigma| prod_j -<xi, w_j>)
-            = ((n + k)! / k!) int_P <xi, x>^k dx.
-
-    k = 0 gives n! vol, and k = 1 gives (n + 1)! int <xi, x>, linear in xi,
-    so int x_j is the difference at xi + e_j and at xi.  Both sides are
-    polynomial in D on the nef cone, so cones that share a vertex, as on a
-    pulled-back class, each keep their term.
-
-    xi is _localization's, generic for xi and for each xi + e_j; _cone_sum
-    still raises InvariantViolation if a <xi, w_j> vanishes.  D must be nef
-    (NotAmple).
+    By localization over the maximal cones, with no vertex enumeration and
+    no triangulation (_localized): n! vol is D^n at xi, and (n + 1)! int
+    <xi, x> is linear in xi, so n! int x_j is the difference of the sums
+    for D^(n+1) at xi + e_j and at xi, over n + 1.  D must be nef (NotAmple).
     """
-    found = _nef_vertices(fan, d.coeffs)
-    if found is None:
+    if not is_nef(fan, d):
         raise NotAmple("divisor is not nef")
-    vertices, den = found
     n = fan.dimension
-    duals = _cone_duals(fan)
-    cones = [(v, *duals[cone]) for v, cone in zip(vertices, fan.max_cones)]
-    xi = list(_localization(fan)[0])
-    first = _cone_sum(cones, xi, n + 1)
-    moments = []
-    for j in range(n):
-        shifted = xi.copy()
-        shifted[j] += 1
-        moments.append((_cone_sum(cones, shifted, n + 1) - first) / ((n + 1) * den))
-    nums, q = _over_lcm([_cone_sum(cones, xi, n), *moments])
-    return nums[0], tuple(nums[1:]), q * den**n
+    first = _localized(fan, {d: n + 1}, 0)
+    moments = [(_localized(fan, {d: n + 1}, j + 1) - first) / (n + 1) for j in range(n)]
+    nums, q = _over_lcm([_localized(fan, {d: n}, 0), *moments])
+    return nums[0], tuple(nums[1:]), q
 
 
 class ToricDivisor(Record):
@@ -602,21 +597,9 @@ def intersection_number(
 ) -> Fraction:
     """Exact intersection number D_1 ... D_n of n divisor classes, nef or not, by cone localization.
 
-    On a complete simplicial fan, D_k restricts to the fixed point of a
-    maximal cone sigma as its cone vertex -sum_j a^(k)_{sigma_j} m_j, and
-    the localization identity (Brion, "Equivariant Chow groups for torus
-    actions", Transform. Groups 1997; Edidin-Graham, "Localization in
-    equivariant intersection theory and the Bott residue formula", Amer. J.
-    Math. 1998) reads, at _localization's generic xi,
-
-        D_1 ... D_n = sum_sigma prod_k (-sum_j a^(k)_{sigma_j} x_{sigma,j}) / T_sigma,
-
-    with x_{sigma,j} = <xi, w_j> and T_sigma = |d_sigma| prod_j -x_{sigma,j}.
-    localized_moments' n! vol is its diagonal case D^n on a nef class.
-    With the a^(k) integers over c_k and L = lcm T_sigma, the sum runs in
-    integers over L prod_k c_k, equal classes grouped as powers, and one
-    Fraction is built at the end.  `ample_ref` is accepted for old callers
-    and ignored.
+    The sum of _localization at its generic xi over the classes, equal ones
+    as powers (_localized); localized_moments' n! vol is its diagonal case
+    D^n on a nef class.  `ample_ref` is accepted for old callers and ignored.
     """
     n = fan.dimension
     if len(divisors) != n:
@@ -624,14 +607,7 @@ def intersection_number(
     for d in divisors:
         if d.fan != fan:
             raise DimensionMismatch("divisor lives on a different fan")
-    _xi, lcm_t, cones = _localization(fan)
-    classes = Counter((tuple(nums), c) for nums, c in (_over_lcm(d.coeffs) for d in divisors))
-    total = 0
-    for cone, xs, weight in cones:
-        for (nums, _c), k in classes.items():
-            weight *= (-sum(nums[i] * x for i, x in zip(cone, xs))) ** k
-        total += weight
-    return Fraction(total, lcm_t * math.prod(c**k for (_nums, c), k in classes.items()))
+    return _localized(fan, Counter(divisors), 0)
 
 
 class ZariskiPair(Record):

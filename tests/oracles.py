@@ -354,8 +354,14 @@ def facet_simplices(
     rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int,
     normals: Sequence[Sequence[int]],
 ) -> list[list[tuple[int, ...]]]:
-    """_pulled_facets on the incidence table of the rows, whose polytope's vertices are exactly points / den."""
-    return _pulled_facets(rows, geometry._tight_sets(rows, q, points, den), points, dim, normals)
+    """Per normal, the per-row _pulled_facets of its row, on the incidence table of the rows.
+
+    The polytope's vertices are exactly points / den; a normal with no row
+    has no simplices.
+    """
+    per_row = _pulled_facets(geometry._tight_sets(rows, q, points, den), points, dim)
+    on = dict(zip((a for a, _b in rows), per_row))
+    return [on.get(tuple(u), []) for u in normals]
 
 
 class HalfspacePolytope(NamedTuple):

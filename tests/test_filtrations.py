@@ -198,8 +198,8 @@ def test_perturbed_closed_form_raises(monkeypatch, p2, capsys, problems_dir):
     # the search builds no curve: it checks its barycenter against the cone
     # localization, here with one added to every sum, so n! vol reads 10;
     # a cold memo lets the check run
-    real_sum = toric._cone_sum
-    monkeypatch.setattr(toric, "_cone_sum", lambda *args: real_sum(*args) + 1)
+    real_sum = toric._localized
+    monkeypatch.setattr(toric, "_localized", lambda *args: real_sum(*args) + 1)
     thresholds._barycenter.cache_clear()
     with pytest.raises(InvariantViolation, match=r"^volume routes disagree: 9 by the triangulation, 10 by cone"):
         thresholds._barycenter(p2, anticanonical(p2))
@@ -320,8 +320,8 @@ from toricstab.cli import main
 # Adds one to every sum of the cone localization that delta's barycenter check reads.
 PERTURB_LOCALIZATION = """
 from toricstab import toric
-_real = toric._cone_sum
-toric._cone_sum = lambda *args: _real(*args) + 1
+_real = toric._localized
+toric._localized = lambda *args: _real(*args) + 1
 from toricstab.cli import main
 """
 

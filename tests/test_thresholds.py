@@ -480,44 +480,46 @@ def test_direction_of_the_wrong_length_raises(p2, u):
 
 
 def test_skewed_localization_coordinate_raises(monkeypatch, p3):
-    # one added to the localization sum at xi + e_2 alone moves b_2 by cone
-    # localization and leaves its volume and the other coordinates, so only
-    # the barycenter's comparison along e_2 sees it
+    # one added to the localization sum at xi + e_2 alone (k = 2) moves b_2
+    # by cone localization and leaves its volume and the other coordinates,
+    # so only the barycenter's comparison along e_2 sees it
     thresholds._barycenter.cache_clear()
     seen = []
-    real = toric._cone_sum
+    real = toric._localized
 
-    def skewed(cones, xi, power):
-        seen.append(tuple(xi))
-        return real(cones, xi, power) + (xi[1] != seen[0][1])
+    def skewed(fan, classes, k):
+        seen.append(k)
+        return real(fan, classes, k) + (k == 2)
 
-    monkeypatch.setattr(toric, "_cone_sum", skewed)
+    monkeypatch.setattr(toric, "_localized", skewed)
     with pytest.raises(InvariantViolation, match=r"^barycenter routes disagree along u=\(0, 1, 0\)"):
         s_invariant(p3, anticanonical(p3), (1, 1, 1))
-    assert len(set(seen)) == 4
+    assert set(seen) == {0, 1, 2, 3}
 
 
-# Shifts the linear-stats mean by one, so the two S routes disagree.
-SKEW_LINEAR_STATS = """
+# Moves the weighted vertex sums of the one pass over P_L's triangulation
+# along e_1 by one, so the barycenter by the triangulation disagrees with
+# the cone localization.
+SKEW_TRIANGULATION_SUMS = """
 from toricstab import thresholds
-_real = thresholds.linear_stats
+_real = thresholds.triangulation_sums
 
-def _skewed(p, u):
-    lo, mean, hi = _real(p, u)
-    return lo, mean + 1, hi
+def _skewed(p):
+    total, weighted = _real(p)
+    return total, (weighted[0] + 1, *weighted[1:])
 
-thresholds.linear_stats = _skewed
+thresholds.triangulation_sums = _skewed
 """
 
 
 def test_s_route_disagreement_raises(monkeypatch, p2, capsys, problems_dir):
-    # the script rebinds thresholds.linear_stats itself; recording the real
-    # function first lets monkeypatch restore it for the tests that follow,
-    # and a cold memo lets the skew reach the barycenter's check
-    monkeypatch.setattr(thresholds, "linear_stats", thresholds.linear_stats)
+    # the script rebinds thresholds.triangulation_sums itself; recording the
+    # real function first lets monkeypatch restore it for the tests that
+    # follow, and a cold memo lets the skew reach the barycenter's check
+    monkeypatch.setattr(thresholds, "triangulation_sums", thresholds.triangulation_sums)
     thresholds._barycenter.cache_clear()
-    exec(SKEW_LINEAR_STATS, {})
-    with pytest.raises(InvariantViolation):
+    exec(SKEW_TRIANGULATION_SUMS, {})
+    with pytest.raises(InvariantViolation, match=r"^barycenter routes disagree along u=\(1, 0\)"):
         s_invariant(p2, anticanonical(p2), (1, 0))
     code = main(["delta", str(problems_dir / "p2.json"), "--radius", "1"])
     assert code == 3
@@ -525,14 +527,15 @@ def test_s_route_disagreement_raises(monkeypatch, p2, capsys, problems_dir):
 
 
 def test_s_route_disagreement_survives_optimize(problems_dir, run_optimized):
-    script = SKEW_LINEAR_STATS + (
+    script = SKEW_TRIANGULATION_SUMS + (
         "from toricstab.cli import main\n"
         f"raise SystemExit(main(['delta', {str(problems_dir / 'p2.json')!r}, "
         "'--radius', '1']))\n"
     )
     result = run_optimized(script)
     assert result.returncode == 3, result.stderr
-    assert json.loads(result.stderr)["error"] == "InvariantViolation"
+    err = json.loads(result.stderr)
+    assert err["error"] == "InvariantViolation" and "barycenter routes disagree" in err["message"]
 
 
 def test_s_invariant_builds_no_polytope_once_warm(p3, monkeypatch):

@@ -901,12 +901,12 @@ def test_localized_moments_match_the_triangulation(request, case):
 
 
 def test_localization_refuses_a_direction_orthogonal_to_a_cone_generator(p2):
-    vertices, den = toric._nef_vertices(p2, anticanonical(p2).coeffs)
-    duals = toric._cone_duals(p2)
-    cones = [(v, *duals[cone]) for v, cone in zip(vertices, p2.max_cones)]
-    assert den == 1 and toric._cone_sum(cones, (1, 3), 2) == 9
-    with pytest.raises(InvariantViolation, match=r"^xi = \(1, 0\) is orthogonal to the cone generator"):
-        toric._cone_sum(cones, (1, 0), 2)
+    # at the generic (1, 3) the per-direction table gives (-K)^2 = 9; (1, 0)
+    # is orthogonal to the generator (0, 1) of P^2's cone on rays 0 and 1
+    lcm_t, cones = toric._direction(p2, (1, 3))
+    assert Q(sum(weight * (-sum(xs)) ** 2 for _cone, _d, xs, weight in cones), lcm_t) == 9
+    with pytest.raises(InvariantViolation, match=r"^xi = \(1, 0\) is orthogonal to the cone generator \(0, 1\)$"):
+        toric._direction(p2, (1, 0))
 
 
 def test_localization_refuses_a_class_that_is_not_nef(f1):

@@ -453,10 +453,31 @@ def test_symbolic_chamber_volumes_match_sampled_fit(surfaces, p3):
     assert chambers > 200
 
 
+def _facet_polynomials_by_normal(pp, chamber):
+    """Per normal, the sum of the chamber facet polynomials of its rows, and the sampled fit.
+
+    The rows on one normal bound P_x's facet on it in turn, so their
+    polynomials sum to (n-1)! times the volume of that facet, read off a
+    Polytope (one binding row per normal) at n interior points, which
+    determine a polynomial of degree at most n - 1.
+    """
+    n = pp.dimension
+    normals = list(dict.fromkeys(a for a, _b, _c in pp.rows))
+    got = dict.fromkeys(normals, Polynomial(()))
+    for (u, _b, _c), poly in zip(pp.rows, chamber_facet_polynomials(pp, chamber)):
+        got[u] += poly
+    xs = chamber.sample_points(n)
+    samples = [facet_volumes(polytope_at(pp, x), normals) for x in xs]
+    want = {
+        u: fit_polynomial(xs, [math.factorial(n - 1) * areas[i] for areas in samples])
+        for i, u in enumerate(normals)
+    }
+    return got, want
+
+
 def test_chamber_facet_polynomials_match_sampled_fit(surfaces, p3):
-    # (n-1)! times each facet volume of P_x, read off a Polytope at n interior
-    # points, determines a polynomial of degree at most n - 1; the last family
-    # repeats a row with a larger offset and a normal with another rate
+    # the last family repeats a row with a larger offset and a normal with
+    # another rate, so two pairs of its rows share a normal
     f1 = surfaces["f1"]
     rows = section_halfspaces(f1, anticanonical(f1).coeffs)
     repeated = parametric_family(
@@ -464,16 +485,35 @@ def test_chamber_facet_polynomials_match_sampled_fit(surfaces, p3):
     )
     chambers = 0
     for pp in [*_oracle_families(surfaces, p3), repeated]:
-        n = pp.dimension
         for chamber in pp.chambers:
-            xs = chamber.sample_points(n)
-            normals = [a for a, _b, _c in pp.rows]
-            samples = [facet_volumes(polytope_at(pp, x), normals) for x in xs]
-            for i, got in enumerate(chamber_facet_polynomials(pp, chamber)):
-                ys = [math.factorial(n - 1) * areas[i] for areas in samples]
-                assert got == fit_polynomial(xs, ys)
+            got, want = _facet_polynomials_by_normal(pp, chamber)
+            assert got == want
             chambers += 1
     assert chambers > 200
+
+
+@pytest.mark.parametrize("extra, rates, integrals", [
+    # a second row on (1, 1), moving against a fixed one
+    (Halfspace((1, 1), 1), [0, 0, 0, 0, 1], ((24, 24, 72, 0, 48), 112, 12)),
+    # a second row on (1, 0), moving against a fixed one
+    (Halfspace((1, 0), 1), [0, 0, 0, 0, 1], ((0, 48, 54, 6, 48), 104, 12)),
+    # an exact duplicate of the moving row on (1, 1): the facet goes to the first
+    (Halfspace((1, 1), 1), [0, 0, 0, 1, 1], ((24, 24, 72, 48, 0), 112, 12)),
+])
+def test_rows_sharing_a_normal_each_get_their_own_facet(f1, extra, rates, integrals):
+    # each row of the hypograph Q gets the facet of Q it is tight on, not
+    # every facet on its normal, so Euler's identity holds in family_integrals
+    # and the facet integrals summed per normal are those of the sampled fits
+    pp = parametric_family([Halfspace(u, 1) for u in f1.rays] + [extra], rates)
+    got = tc.family_integrals(pp, pp.t_max, family_volume_curve(pp)(pp.t_max))
+    assert got == integrals
+    nums, _mass, den = got
+    fits = [_facet_polynomials_by_normal(pp, chamber) for chamber in pp.chambers]
+    for u in dict.fromkeys(a for a, _b, _c in pp.rows):
+        assert all(polys[u] == fitted[u] for polys, fitted in fits)
+        assert Q(sum(num for (a, _b, _c), num in zip(pp.rows, nums) if a == u), den) == sum(
+            antiderivative_integral(fitted[u], ch.lo, ch.hi) for ch, (_polys, fitted) in zip(pp.chambers, fits)
+        )
 
 
 def _first_wall(fan, m, lprime):
