@@ -20,12 +20,11 @@ from .errors import (
     DimensionMismatch,
     InfeasibleTau,
     InvariantViolation,
-    NotAmple,
     NotMonotone,
     ZeroVector,
 )
 from .geometry import LatticeVector, Polytope, dot
-from .toric import Fan, ToricDivisor, is_ample, polytope_of
+from .toric import Fan, ToricDivisor, ample_polytope
 from .volume_fn import PiecewisePolynomial, superlevel_volume_curve
 
 
@@ -84,9 +83,7 @@ def _check_direction(fan: Fan, u: Sequence[int]) -> None:
 def _section_polytope(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> Polytope:
     """P_L, once u is a nonzero vector of the fan's dimension and L is big and nef."""
     _check_direction(fan, u)
-    if not is_ample(fan, l):
-        raise NotAmple("polarization is not big and nef")
-    return polytope_of(fan, l)
+    return ample_polytope(fan, l)
 
 
 def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePolynomial:

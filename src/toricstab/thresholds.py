@@ -21,17 +21,16 @@ from functools import lru_cache
 from operator import mul
 
 from ._record import Record
-from .errors import InvariantViolation, NotAmple, NotBigOnUnitInterval, ZeroDivisor
+from .errors import InvariantViolation, NotBigOnUnitInterval, ZeroDivisor
 from .filtrations import _check_direction
 from .geometry import LatticeVector, is_primitive, triangulation_sums
 from .toric import (
     Fan,
     ToricDivisor,
+    ample_polytope,
     anticanonical,
-    is_ample,
     localized_moments,
     log_discrepancy,
-    polytope_of,
     ray_divisor,
     zero_divisor,
 )
@@ -56,18 +55,16 @@ STANDARD_ASSUMPTIONS = (
 def _barycenter(fan: Fan, l: ToricDivisor) -> tuple[LatticeVector, int, Sequence[LatticeVector], int]:
     """The row table of (fan, L): b over one denominator, P_L's `points` over `p.den`.
 
-    L must be big and nef (NotAmple, before anything is built).  One
-    integer pass over P_L's triangulation (triangulation_sums) gives n! vol
+    P_L is ample_polytope's, so L must be big and nef (NotAmple, before
+    anything is built).  One integer pass over P_L's triangulation (triangulation_sums) gives n! vol
     and the volume-weighted vertex sums, so b = weighted / (den (n + 1)
     sum |det|).  Both must equal their values by cone localization
     (localized_moments), which sums over the fan's maximal cones and reads
     no polytope, or InvariantViolation is raised.  Memoized per (fan, L); a
     failed check is not cached and raises again.
     """
-    if not is_ample(fan, l):
-        raise NotAmple("polarization is not big and nef")
+    p = ample_polytope(fan, l)
     n = fan.dimension
-    p = polytope_of(fan, l)
     total, weighted = triangulation_sums(p)
     volume, moments, q = localized_moments(fan, l)
     if total * q != volume * p.den**n:

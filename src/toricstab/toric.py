@@ -514,6 +514,13 @@ def is_ample(fan: Fan, d: ToricDivisor) -> bool:
     return found is not None and _int_affine_rank(found[0]) == fan.dimension
 
 
+def ample_polytope(fan: Fan, d: ToricDivisor) -> Polytope:
+    """P_D of a big and nef class (is_ample); NotAmple otherwise, before anything is built."""
+    if not is_ample(fan, d):
+        raise NotAmple("polarization is not big and nef")
+    return polytope_of(fan, d)
+
+
 def is_strictly_ample(fan: Fan, d: ToricDivisor) -> bool:
     """Ample in the strict sense: `is_ample` with one distinct cone vertex per maximal cone.
 
