@@ -11,7 +11,8 @@ section polytope is built for them; nefness and the rank test run in one
 integer pass over the m_sigma over one common denominator.  One
 localization sum over the maximal cones (_localized) reads the classes'
 cone vertices at a generic direction xi and its n shifts xi + e_j, whose
-dots with the dual bases are memoized per fan (_localization), in integers
+dots with the dual bases are memoized per fan and direction (_localization,
+so an intersection number builds xi's alone), in integers
 over one denominator: it gives intersection numbers of any n classes, nef
 or not (intersection_number), and a nef D's volume and first moments
 (localized_moments), with no vertex enumeration and no triangulation.
@@ -176,8 +177,8 @@ def _nef_vertices(fan: Fan, coeffs: Sequence) -> tuple[list[LatticeVector], int]
 
 
 @lru_cache(maxsize=None)
-def _localization(fan: Fan) -> tuple[int, tuple[tuple[int, tuple[tuple, ...]], ...]]:
-    """S = lcm |d_sigma| and, for xi_0 = xi and each xi_(j+1) = xi + e_j, _direction's table.
+def _localization(fan: Fan, k: int) -> tuple[int, int, tuple[tuple, ...]]:
+    """S = lcm |d_sigma| and _direction's table at xi_k: xi_0 = xi, each xi_(j+1) = xi + e_j.
 
     The localization identity (Brion, "Points entiers dans les polyedres
     convexes", Ann. Sci. ENS 1988; Edidin-Graham, "Localization in
@@ -202,7 +203,8 @@ def _localization(fan: Fan) -> tuple[int, tuple[tuple[int, tuple[tuple, ...]], .
     entry of a w; then |w_i (xi + e_j)_i| >= M^i, the entries below i add at
     most W (M^i - 1) / (M - 1) < M^i / 2, and a shift j < i adds at most
     W < M / 2 <= M^i / 2 more.  A maximal cone that is not full-dimensional
-    and simplicial raises DimensionMismatch.  Memoized per fan.
+    and simplicial raises DimensionMismatch.  Memoized per (fan, k), so
+    intersection numbers build xi's table alone.
     """
     duals = _cone_duals(fan)
     for cone in fan.max_cones:
@@ -212,10 +214,9 @@ def _localization(fan: Fan) -> tuple[int, tuple[tuple[int, tuple[tuple, ...]], .
         raise DimensionMismatch("the fan has no full-dimensional simplicial cone")
     m = 2 * max(abs(a) for _d, ws in duals.values() for w in ws for a in w) + 3
     xi = [m**i for i in range(fan.dimension)]
-    shifts = [xi[:j] + [a + 1] + xi[j + 1:] for j, a in enumerate(xi)]
-    return math.lcm(*(d for d, _ws in duals.values())), tuple(
-        _direction(fan, direction) for direction in [xi, *shifts]
-    )
+    if k:
+        xi[k - 1] += 1
+    return math.lcm(*(d for d, _ws in duals.values())), *_direction(fan, xi)
 
 
 def _direction(fan: Fan, xi: Sequence[int]) -> tuple[int, tuple[tuple, ...]]:
@@ -243,8 +244,7 @@ def _localized(fan: Fan, classes: Mapping[ToricDivisor, int], k: int) -> Fractio
     (-sum_j a_{sigma_j} x_{sigma,j}) / (c d_sigma), so the sum runs in
     integers over L_k S^(p - n) prod c^(p_D), and one Fraction is built.
     """
-    s, directions = _localization(fan)
-    lcm_t, cones = directions[k]
+    s, lcm_t, cones = _localization(fan, k)
     extra = sum(classes.values()) - fan.dimension
     terms = [(_over_lcm(d.coeffs), p) for d, p in classes.items()]
     total = 0

@@ -909,6 +909,15 @@ def test_localization_refuses_a_direction_orthogonal_to_a_cone_generator(p2):
         toric._direction(p2, (1, 0))
 
 
+def test_intersection_numbers_build_the_table_at_xi_alone(p3):
+    # the n shifted tables serve only the first moments of localized_moments
+    toric._localization.cache_clear()
+    assert intersection_number(p3, [anticanonical(p3)] * 3) == 64
+    assert toric._localization.cache_info().currsize == 1
+    toric.localized_moments(p3, anticanonical(p3))
+    assert toric._localization.cache_info().currsize == 4
+
+
 def test_localization_refuses_a_class_that_is_not_nef(f1):
     # E, the exceptional ray of F1, has E^2 = -1: it is not nef, so P_E is not the hull of its cone vertices
     with pytest.raises(NotAmple, match="^divisor is not nef$"):
