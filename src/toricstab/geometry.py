@@ -32,10 +32,10 @@ Triangulation, affine ranks and volumes run on the integer form.  A simplex
 is a tuple of vertex indices everywhere: the triangulation reads one
 vertex-facet incidence table per polytope, the tight set of every row, and
 works on faces as sets of vertex indices, the facets of a face being its
-maximal intersections with the tight sets.  _pulled and _pulled_facets read
+maximal intersections with the tight sets.  _pulled and _row_facets read
 only the table and the vertices, so a family's hypograph is triangulated
 on its integer rows without a Polytope; its facets go per row, each to the
-first row tight on it.  The cached triangulation pairs each simplex with
+first row tight on it, and a facet is pulled only where it is read.  The cached triangulation pairs each simplex with
 its integer determinant: volume sums these and divides once, as
 facet_volumes does over each facet's simplices, and one integer pass
 (triangulation_sums) gives the determinant sum with the weighted vertex
@@ -545,22 +545,22 @@ def _pulled(
     return _pull(everything, dim, tight, points)
 
 
-def _pulled_facets(
-    tight: Sequence[frozenset[int]], points: Sequence[LatticeVector], dim: int,
-) -> list[list[tuple[int, ...]]]:
-    """Per row, simplices covering the facet on it, as indices into `points`.
+def _row_facets(
+    tight: Sequence[frozenset[int]], points: Sequence[LatticeVector],
+) -> list[frozenset[int] | None]:
+    """Per row, the facet on it as a set of indices into `points`, or None.
 
     `tight` is the polytope's incidence table, the tight set of each of its
     rows.  A row's tight set is a facet exactly when the polytope is
     full-dimensional and the set is inclusion-maximal among the proper tight
     sets.  Each facet goes to the first row tight on it; every other row
-    has no simplices.
+    gets None.  A caller pulls (_pull) only the facets it reads.
     """
     everything = frozenset(range(len(points)))
     facets = set() if not points or everything in tight else set(_facets(everything, tight))
     out = []
     for t in tight:
-        out.append(_pull(t, dim - 1, tight, points) if t in facets else [])
+        out.append(t if t in facets else None)
         facets.discard(t)
     return out
 
@@ -593,11 +593,13 @@ def facet_volumes(p: Polytope, normals: Sequence[Sequence[int]]) -> list[Fractio
     n = p.dimension
     scale = p.den ** (n - 1) * math.factorial(n - 1)
     tight = _tight_sets(p.rows, p.q, p.points, p.den)
-    on = dict(zip((a for a, _b in p.rows), _pulled_facets(tight, p.points, n)))
-    return [
-        Fraction(sum(_simplex_dets(p.points, on.get(tuple(u), []), [u])), scale * sum(a * a for a in u))
-        for u in normals
-    ]
+    on = dict(zip((a for a, _b in p.rows), _row_facets(tight, p.points)))
+    out = []
+    for u in normals:
+        facet = on.get(tuple(u))
+        simplices = [] if facet is None else _pull(facet, n - 1, tight, p.points)
+        out.append(Fraction(sum(_simplex_dets(p.points, simplices, [u])), scale * sum(a * a for a in u)))
+    return out
 
 
 def _triangulation(p: Polytope) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -737,8 +739,11 @@ class _Hypograph:
         facet of Q it is tight on; a facet on which several rows are tight,
         as on a repeated row, goes to the first of them.
         """
-        facets = _pulled_facets(self._tight, self.points, self.dim + 1)
-        return [self._knotted(simplices, [(*u, 0)]) for u, simplices in zip(self.normals, facets)]
+        tight = self._tight
+        return [
+            self._knotted([] if facet is None else _pull(facet, self.dim, tight, self.points), [(*u, 0)])
+            for u, facet in zip(self.normals, _row_facets(tight, self.points))
+        ]
 
 
 class ParametricPolytope(Record):

@@ -79,7 +79,7 @@ from toricstab.filtrations import _section_polytope, filtration_curve
 from toricstab.geometry import (
     Chamber, Halfspace, IntRow, LatticeVector, ParametricPolytope, Point, Polytope, _bareiss,
     _dedupe_rows, _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_vertices, _over_lcm,
-    _pulled, _pulled_facets, _simplex_dets, content, int_rows, linear_stats, make_primitive,
+    _pull, _pulled, _row_facets, _simplex_dets, content, int_rows, linear_stats, make_primitive,
     parametric_family, volume,
 )
 from toricstab.toric import Fan, ToricDivisor, anticanonical, divisor, is_ample, zero_divisor
@@ -354,14 +354,15 @@ def facet_simplices(
     rows: Sequence[IntRow], q: int, points: Sequence[LatticeVector], den: int, dim: int,
     normals: Sequence[Sequence[int]],
 ) -> list[list[tuple[int, ...]]]:
-    """Per normal, the per-row _pulled_facets of its row, on the incidence table of the rows.
+    """Per normal, the pulled facet _row_facets gives its row, on the incidence table of the rows.
 
     The polytope's vertices are exactly points / den; a normal with no row
     has no simplices.
     """
-    per_row = _pulled_facets(geometry._tight_sets(rows, q, points, den), points, dim)
-    on = dict(zip((a for a, _b in rows), per_row))
-    return [on.get(tuple(u), []) for u in normals]
+    tight = geometry._tight_sets(rows, q, points, den)
+    on = dict(zip((a for a, _b in rows), _row_facets(tight, points)))
+    facets = [on.get(tuple(u)) for u in normals]
+    return [[] if facet is None else _pull(facet, dim - 1, tight, points) for facet in facets]
 
 
 class HalfspacePolytope(NamedTuple):
