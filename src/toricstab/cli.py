@@ -256,13 +256,16 @@ def format_rational(x: Fraction) -> str:
     return p if q == "1" else f"{p}/{q}"
 
 
-def decimal_approx(x: Fraction, digits: int = 12) -> str:
+DECIMAL_FORMAT = ".12g"  # the decimal column's significant digits
+
+
+def decimal_approx(x: Fraction) -> str:
     """A cosmetic rounding of x; beyond float range, a decimal one."""
     try:
-        return format(float(x), f".{digits}g")
+        return format(float(x), DECIMAL_FORMAT)
     except OverflowError:
         x = Fraction(x)
-        return format((Decimal(x.numerator) / Decimal(x.denominator)).normalize(), f".{digits}g")
+        return format((Decimal(x.numerator) / Decimal(x.denominator)).normalize(), DECIMAL_FORMAT)
 
 
 class ProblemFile:
@@ -464,8 +467,11 @@ def emit(args, headers, rows, payload) -> None:
 # SVG plotting (no plotting dependency: polyline sampling per chamber)
 # --------------------------------------------------------------------------
 
-def curve_svg(curve: PiecewisePolynomial, title: str, samples_per_piece: int = 256) -> str:
-    pts = curve.samples(samples_per_piece)
+SAMPLES_PER_PIECE = 256  # polyline points per chamber of a plotted curve
+
+
+def curve_svg(curve: PiecewisePolynomial, title: str) -> str:
+    pts = curve.samples(SAMPLES_PER_PIECE)
     xs = [float(x) for x, _y in pts]
     ys = [float(y) for _x, y in pts]
     x0, x1 = min(xs), max(xs)

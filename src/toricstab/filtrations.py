@@ -3,10 +3,9 @@
 The valuation filtration of a lattice direction u slices the section polytope
 of the polarization; its normalized volume curve differentiates to a
 probability measure whose first moment is the expected vanishing order.
-The volume curve is a sum of B-splines over the section polytope's own
-triangulation (volume_fn.superlevel_volume_curve), with no hypograph built.
-The tests check it against the slice family's volume curve and against
-sampled volumes on the family's chambers.
+The volume curve is that of the slice family, P_L's rows at rate 0 and the
+slice row <x, u> - min <., u> >= tau at rate 1, by the one route every
+one-parameter volume curve takes (volume_fn.family_volume_curve).
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from .errors import (
     NotMonotone,
     ZeroVector,
 )
-from .geometry import LatticeVector, Polytope, dot
+from .geometry import Halfspace, LatticeVector, Polytope, dot, parametric_family
 from .toric import Fan, ToricDivisor, ample_polytope
-from .volume_fn import PiecewisePolynomial, superlevel_volume_curve
+from .volume_fn import PiecewisePolynomial, family_volume_curve
 
 
 class DHMeasure(Record):
@@ -90,12 +89,15 @@ def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePo
     """Exact tau -> n! * volume{x in P_L : <x,u> - min <.,u> >= tau}.
 
     Non-increasing from vol(L) at 0 down to 0 at the width of P_L against u.
-    A sum of B-splines over P_L's cached triangulation, the one its volume
-    and barycenter read (superlevel_volume_curve): each chamber polynomial is
-    checked against the degree bound n and, a third of the way in, against
-    the slice's volume enumerated and triangulated afresh on integer rows.
+    The volume curve of the slice family, P_L's rows at rate 0 and the slice
+    row at rate 1, whose chambers run between the vertex heights of P_L
+    against u (family_volume_curve): each chamber polynomial is checked
+    against the degree bound n and, a third of the way in, against the
+    slice's volume enumerated and triangulated afresh on integer rows.
     """
-    return superlevel_volume_curve(_section_polytope(fan, l, u), u)
+    p = _section_polytope(fan, l, u)
+    rows = [*p.halfspaces, Halfspace(u, -p.support_min(u))]
+    return family_volume_curve(parametric_family(rows, [0] * len(p.rows) + [1]))
 
 
 def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:

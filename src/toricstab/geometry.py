@@ -689,11 +689,6 @@ class Chamber(Record):
         return [self.lo + width * Fraction(i + 1, count + 1) for i in range(count)]
 
 
-def _knotted_simplices(heights: Sequence[int], simplices) -> list[tuple[int, list[int]]]:
-    """volume_fn's knotted simplices, (|det|, sorted heights), of (|det|, vertex indices)."""
-    return [(d, sorted(heights[i] for i in s)) for d, s in simplices]
-
-
 class _Hypograph:
     """Q = {(x, t) : <a_i, x> + (b_i - t c_i) / q >= 0, t >= 0}, whose slice at t is P_t.
 
@@ -704,8 +699,8 @@ class _Hypograph:
     parametric_family reads the family's start, chambers and threshold off
     their heights and tests Q's recession cone itself.  Q is triangulated
     once and its facets are read once, each when first asked for, both off
-    one incidence table and both as knotted simplices over den
-    (_knotted_simplices).  No Polytope is built.
+    one incidence table and both as volume_fn's knotted simplices,
+    (|det|, sorted vertex heights) over den.  No Polytope is built.
     """
 
     def __init__(self, rows: Sequence[FamilyRow], q: int, n: int) -> None:
@@ -719,7 +714,7 @@ class _Hypograph:
 
     def _knotted(self, simplices, fixed=()) -> list[tuple[int, list[int]]]:
         dets = _simplex_dets(self.points, simplices, fixed)
-        return _knotted_simplices([point[-1] for point in self.points], zip(dets, simplices))
+        return [(d, sorted(self.points[i][-1] for i in s)) for d, s in zip(dets, simplices)]
 
     @cached_property
     def _tight(self) -> list[frozenset[int]]:

@@ -43,6 +43,7 @@ from .geometry import ParametricPolytope, _over_lcm
 from .toric import (
     Fan,
     ToricDivisor,
+    _check_fan,
     intersection_number,
     zariski_decompose,
     zero_divisor,
@@ -92,7 +93,9 @@ class TestCurve(Record):
         """The integral of the positive product <P_tau^{n-1}> . alpha over the domain.
 
         One integer dot product of alpha's numerators with the facet integrals'.
+        alpha must live on the curve's model (DimensionMismatch).
         """
+        _check_fan(self.model, alpha)
         nums, den = _over_lcm(alpha.coeffs)
         return Fraction(sum(map(operator.mul, nums, self.integral_nums)), den * self.integral_den)
 
@@ -275,14 +278,12 @@ def jtilde(curve: TestCurve) -> Fraction:
 
 
 def _k_rel_pairing(curve: TestCurve, rays) -> Fraction:
-    """(n/V) <K_rel + sum of D_i over `rays`, I>: one integer dot product, one Fraction."""
-    k_nums, k_den = _over_lcm(curve.k_rel.coeffs)
+    """(n/V) <K_rel + sum of D_i over `rays`, I>: K_rel's pairing_integral plus the rays'."""
     facets = curve.integral_nums
-    num = sum(map(operator.mul, k_nums, facets)) + k_den * sum(facets[i] for i in rays)
-    v = curve.total_volume
-    return Fraction(
-        curve.model.dimension * num * v.denominator, k_den * curve.integral_den * v.numerator
+    pairing = curve.pairing_integral(curve.k_rel) + Fraction(
+        sum(facets[i] for i in rays), curve.integral_den
     )
+    return curve.model.dimension * pairing / curve.total_volume
 
 
 def entropy(curve: TestCurve) -> Fraction:

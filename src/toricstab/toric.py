@@ -334,6 +334,12 @@ class ToricDivisor(Record):
         )
 
 
+def _check_fan(fan: Fan, d: ToricDivisor) -> None:
+    """Raise DimensionMismatch unless d lives on fan: an identity test, then equality."""
+    if d.fan is not fan and d.fan != fan:
+        raise DimensionMismatch("divisor lives on a different fan")
+
+
 def divisor(fan: Fan, coeffs: Sequence) -> ToricDivisor:
     return ToricDivisor.make(fan, coeffs)
 
@@ -476,6 +482,7 @@ def _polytope_cached(fan: Fan, coeffs: tuple[Fraction, ...]) -> Polytope:
 
 def polytope_of(fan: Fan, d: ToricDivisor) -> Polytope:
     """Section polytope {m : <m, u_rho> >= -a_rho}; may be empty."""
+    _check_fan(fan, d)
     return _polytope_cached(fan, d.coeffs)
 
 
@@ -496,6 +503,7 @@ def is_nef(fan: Fan, d: ToricDivisor) -> bool:
     P_D is then the hull of the m_sigma, so "=" is the saturation of each
     ray's halfspace.
     """
+    _check_fan(fan, d)
     return _nef_vertices(fan, d.coeffs) is not None
 
 
@@ -510,6 +518,7 @@ def is_ample(fan: Fan, d: ToricDivisor) -> bool:
     exactly what the one-parameter constructions need.  Memoized on the
     immutable (fan, divisor) pair.
     """
+    _check_fan(fan, d)
     found = _nef_vertices(fan, d.coeffs)
     return found is not None and _int_affine_rank(found[0]) == fan.dimension
 
@@ -583,8 +592,7 @@ def star_subdivision(
     a_new = log_discrepancy(fan, u)
 
     def pullback(d: ToricDivisor) -> ToricDivisor:
-        if d.fan != fan:
-            raise DimensionMismatch("divisor lives on a different fan")
+        _check_fan(fan, d)
         return ToricDivisor(new_fan, d.coeffs + (-support_value(fan, d, u),))
 
     k_rel = ToricDivisor(
@@ -612,8 +620,7 @@ def intersection_number(
     if len(divisors) != n:
         raise DimensionMismatch(f"need exactly {n} divisors")
     for d in divisors:
-        if d.fan != fan:
-            raise DimensionMismatch("divisor lives on a different fan")
+        _check_fan(fan, d)
     return _localized(fan, Counter(divisors), 0)
 
 

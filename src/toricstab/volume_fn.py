@@ -18,11 +18,10 @@ denominator: |det| [h](s - c)_+^k (Curry-Schoenberg), by one divided-difference
 recursion on integers, read as a polynomial on a chamber (_chamber_sum) or
 as the part below a rational top (_below_top).  It is summed over a family's
 hypograph, the (n+1)-polytope whose slices are the family's polytopes,
-triangulated once per family with no Polytope built; over the section
-polytope's cached triangulation for a filtration curve, with no hypograph;
-and over the hypograph and its facets for test_curves' integrals.  A
-divisor's family and volume curve are those of the primitive integral
-divisor on its ray, rescaled.
+triangulated once per family with no Polytope built, for every volume curve:
+a divisor's, and a filtration's as its slice family; and over the hypograph
+and its facets for test_curves' integrals.  A divisor's family and volume
+curve are those of the primitive integral divisor on its ray, rescaled.
 """
 
 from __future__ import annotations
@@ -48,16 +47,21 @@ from .geometry import (
     Chamber,
     FamilyRow,
     ParametricPolytope,
-    Polytope,
-    _knotted_simplices,
     _over_lcm,
     facet_volumes,
     normalized_volume,
     parametric_family,
-    triangulation,
     volume,
 )
-from .toric import Fan, ToricDivisor, is_ample, polytope_of, section_halfspaces, star_subdivision
+from .toric import (
+    Fan,
+    ToricDivisor,
+    _check_fan,
+    is_ample,
+    polytope_of,
+    section_halfspaces,
+    star_subdivision,
+)
 
 
 # --------------------------------------------------------------------------
@@ -539,8 +543,11 @@ def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPoly
     Memoized per (fan, L, D).  The library asks for it only along the
     primitive divisor D0 of a direction's ray (_ray): P_{L - t cD0} is
     P_{L - (ct) D0}, so every rescaling of one ray, its volume curve and its
-    test curves share a single family and hypograph.
+    test curves share a single family and hypograph.  L and D must live on
+    the fan (DimensionMismatch).
     """
+    _check_fan(fan, l)
+    _check_fan(fan, d)
     return parametric_family(section_halfspaces(fan, l.coeffs), list(d.coeffs))
 
 
@@ -681,32 +688,6 @@ def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
     return PiecewisePolynomial.merged([pp.chambers[0].lo, *(ch.hi for ch in pp.chambers)], pieces)
 
 
-def superlevel_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
-    """Exact c -> n! * volume{x in p : <x,u> - min <.,u> >= c} on [0, width], p full-dimensional.
-
-    Over p's cached triangulation: a simplex with vertex heights h, integers
-    <num, u> - min over p.den, has |det| [h](s - c)_+^n at height >= c
-    (_chamber_sum).  Each chamber, between consecutive vertex heights, is
-    checked (_checked) on the family of rows over q = lcm(p.q, den): p's
-    rows at rate 0 and the slice row (u, -low q / den, q), <x, u> - low /
-    den >= c.
-    """
-    n, den = p.dimension, p.den
-    heights = [sum(map(operator.mul, num, u)) for num in p.points]
-    low = min(heights)
-    heights = [h - low for h in heights]
-    knotted = _knotted_simplices(heights, triangulation(p))
-    levels = sorted(set(heights))
-    q = math.lcm(p.q, den)
-    slices = [(a, b * (q // p.q), 0) for a, b in p.rows]
-    slices.append((tuple(u), -low * (q // den), q))
-    pieces = []
-    for lo, hi in zip(levels, levels[1:]):
-        chamber = Chamber(Fraction(lo, den), Fraction(hi, den))
-        pieces.append(_checked(_chamber_sum(knotted, den, chamber, n), chamber, slices, q, n))
-    return PiecewisePolynomial.merged([Fraction(h, den) for h in levels], pieces)
-
-
 @lru_cache(maxsize=None)
 def ray_volume_curve(
     fan: Fan, l: ToricDivisor, d0: ToricDivisor
@@ -755,6 +736,7 @@ def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fractio
     from the full polytope, all from one incidence table of P_M; a failure
     raises InvariantViolation.
     """
+    _check_fan(fan, lprime)
     vol = big_volume(fan, m)
     if vol == 0:
         raise NotBig("positive pairing needs a big base divisor")

@@ -30,9 +30,12 @@ G_{n-1}(a, b) and the entropy density at one tau, which the library does not
 call.  The polarization checks on the section polytope P_D, enumerated in
 Fractions, with each cone's vertex solved on its rays, and the cone
 vertices read off the dual-basis table in Fractions: the library reads
-nefness and ampleness off the cone vertices alone, in integers.  The slice family of a
-filtration direction, whose volume curve on its hypograph the filtration
-curve was before it moved to the section polytope's own triangulation.
+nefness and ampleness off the cone vertices alone, in integers.  The slice
+family of a filtration direction, on whose chambers the tests sample
+volumes.  The superlevel route of a filtration curve, a sum of B-splines
+over the section polytope's own cached triangulation with no hypograph,
+which the filtration curve took before it became its slice family's
+volume curve.
 The Fraction route of a candidate row: A as the cone coordinates of u
 summed, and S as <b, u> - min <x, u> with b from linear_stats along the
 unit vectors, before a row read integer dots off the barycenter's memo.
@@ -80,12 +83,14 @@ from toricstab.geometry import (
     Chamber, Halfspace, IntRow, LatticeVector, ParametricPolytope, Point, Polytope, _bareiss,
     _dedupe_rows, _fm_eliminate_last, _Infeasible, _int_affine_rank, _int_vertices, _over_lcm,
     _pull, _pulled, _row_facets, _simplex_dets, content, int_rows, linear_stats, make_primitive,
-    parametric_family, volume,
+    parametric_family, triangulation, volume,
 )
 from toricstab.toric import Fan, ToricDivisor, anticanonical, divisor, is_ample, zero_divisor
 from toricstab.volume_fn import (
+    PiecewisePolynomial,
     Polynomial,
     _chamber_sum,
+    _checked,
     big_volume,
     chamber_volume_polynomial,
     divisor_family,
@@ -835,6 +840,32 @@ def filtration_family(fan, l, u):
     if family.t_max != hi - lo:
         raise InvariantViolation(f"slice family ends at {family.t_max}, width is {hi - lo}")
     return family
+
+
+def superlevel_volume_curve(p: Polytope, u: Sequence[int]) -> PiecewisePolynomial:
+    """Exact c -> n! * volume{x in p : <x,u> - min <.,u> >= c} on [0, width], p full-dimensional.
+
+    Over p's cached triangulation: a simplex with vertex heights h, integers
+    <num, u> - min over p.den, has |det| [h](s - c)_+^n at height >= c
+    (_chamber_sum).  Each chamber, between consecutive vertex heights, is
+    checked (_checked) on the family of rows over q = lcm(p.q, den): p's
+    rows at rate 0 and the slice row (u, -low q / den, q), <x, u> - low /
+    den >= c.
+    """
+    n, den = p.dimension, p.den
+    heights = [sum(map(mul, num, u)) for num in p.points]
+    low = min(heights)
+    heights = [h - low for h in heights]
+    knotted = [(d, sorted(heights[i] for i in s)) for d, s in triangulation(p)]
+    levels = sorted(set(heights))
+    q = math.lcm(p.q, den)
+    slices = [(a, b * (q // p.q), 0) for a, b in p.rows]
+    slices.append((tuple(u), -low * (q // den), q))
+    pieces = []
+    for lo, hi in zip(levels, levels[1:]):
+        chamber = Chamber(Fraction(lo, den), Fraction(hi, den))
+        pieces.append(_checked(_chamber_sum(knotted, den, chamber, n), chamber, slices, q, n))
+    return PiecewisePolynomial.merged([Fraction(h, den) for h in levels], pieces)
 
 
 # ---- the chamber route of the test-curve functionals -------------------------

@@ -33,9 +33,9 @@ from toricstab.geometry import Chamber, triangulation, volume
 from toricstab.cli import main
 from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, ZeroVector
 from toricstab.thresholds import primitive_candidates
-from toricstab.volume_fn import _chamber_sum, family_volume_curve
+from toricstab.volume_fn import _chamber_sum
 
-from oracles import filtration_family, fit_polynomial, polytope_at
+from oracles import filtration_family, fit_polynomial, polytope_at, superlevel_volume_curve
 
 
 def test_filtration_curve_p2_ray(p2):
@@ -121,9 +121,9 @@ def test_filtration_curve_matches_family_oracle(p2, f1, p1xp1, p3):
 
 
 def test_filtration_curve_equals_the_slice_family_curve(p2, f1, p1xp1, p3):
-    # P_L's triangulation against the closed form on the slice family's
-    # hypograph, exactly, on every candidate of radius 3 in dimension 2 and
-    # radius 2 in dimension 3
+    # the closed form on the slice family's hypograph against the superlevel
+    # route on P_L's own triangulation, exactly, on every candidate of radius
+    # 3 in dimension 2 and radius 2 in dimension 3
     blp3, pull, _k = star_subdivision(p3, (1, 1, 1))
     f1xp1 = Fan.make(
         [[*ray, 0] for ray in f1.rays] + [[0, 0, 1], [0, 0, -1]],
@@ -133,13 +133,14 @@ def test_filtration_curve_equals_the_slice_family_curve(p2, f1, p1xp1, p3):
     models.append((blp3, pull(anticanonical(p3))))
     for fan, l in models:
         for u in primitive_candidates(fan.dimension, {2: 3, 3: 2}[fan.dimension]):
-            oracle = family_volume_curve(filtration_family(fan, l, u))
+            oracle = superlevel_volume_curve(polytope_of(fan, l), u)
             assert filtration_curve(fan, l, u) == oracle, (fan.rays, l.coeffs, u)
 
 
 def test_simplex_above_a_chamber_counts_whole(f1):
     # along (0, -1) one simplex of P_{-K}'s triangulation has heights (2, 3, 3):
     # on the chamber [0, 2] it lies wholly above every level and counts whole
+    # in the superlevel route, which meets the slice family's curve
     k, u = anticanonical(f1), (0, -1)
     p = polytope_of(f1, k)
     heights = [sum(a * b for a, b in zip(num, u)) for num in p.points]
@@ -148,7 +149,7 @@ def test_simplex_above_a_chamber_counts_whole(f1):
     curve = filtration_curve(f1, k, u)
     assert curve.breakpoints == (0, 2, 3)
     assert curve.pieces == (Polynomial.of(8, 0, -1), Polynomial.of(12, -4))
-    assert curve == family_volume_curve(filtration_family(f1, k, u))
+    assert curve == superlevel_volume_curve(p, u)
 
 
 def test_truncated_power_ties():
@@ -252,8 +253,9 @@ def test_dh_measure_checks_each_piece_once(monkeypatch, f1, u, pieces):
     assert analysed == list(zip(curve.breakpoints, curve.breakpoints[1:]))
 
 
-def test_filtration_curve_enumerates_no_hypograph(monkeypatch, p3):
-    # with P_L and its triangulation cached, the curve solves only each
+def test_filtration_curve_enumerates_one_hypograph(monkeypatch, p3):
+    # with P_L cached, the curve solves the slice family's hypograph once, P_L's
+    # four rows, the slice row and t >= 0 in dimension 4, and then only each
     # chamber check's rows, P_L's four and the slice row, in dimension 3
     k = anticanonical(p3)
     filtration_curve(p3, k, (1, 0, 0))
@@ -266,15 +268,15 @@ def test_filtration_curve_enumerates_no_hypograph(monkeypatch, p3):
 
     monkeypatch.setattr(geometry, "_basic_solutions", counted)
     assert len(filtration_curve(p3, k, (2, 1, 0)).pieces) == 2
-    assert solved == [(5, 3), (5, 3)]
+    assert solved == [(6, 4), (5, 3), (5, 3)]
 
 
 def test_dropped_simplex_fails_the_first_chamber_check(monkeypatch, request, p2, f1, capsys, problems_dir):
-    # one simplex of P_L's triangulation missing where the curve reads it: the
-    # superlevel volume falls short below the simplex's top height, so the
+    # one simplex of the slice family's hypograph missing where the curve reads
+    # it: the slice volume falls short below the simplex's top height, so the
     # first chamber's check fires
-    real = volume_fn.triangulation
-    monkeypatch.setattr(volume_fn, "triangulation", lambda p: real(p)[1:])
+    simplices = geometry._Hypograph.simplices.func
+    monkeypatch.setattr(geometry._Hypograph, "simplices", property(lambda q: simplices(q)[1:]))
     with pytest.raises(InvariantViolation, match=r"symbolic polynomial on the chamber \[0, "):
         filtration_curve(p2, anticanonical(p2), (1, 0))
     assert main(["dh", str(problems_dir / "p2.json"), "--u", "1,0"]) == 3
@@ -285,6 +287,7 @@ def test_dropped_simplex_fails_the_first_chamber_check(monkeypatch, request, p2,
     # the volume read it: the cone localization, which reads no triangulation,
     # disagrees; the volume memo filled here is cleared again afterwards
     monkeypatch.undo()
+    real = geometry.triangulation
     monkeypatch.setattr(geometry, "triangulation", lambda p: real(p)[1:])
     request.addfinalizer(geometry.volume.cache_clear)
     geometry.volume.cache_clear()

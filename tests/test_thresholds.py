@@ -425,9 +425,11 @@ def test_delta_search_builds_no_curve_and_localizes_once(monkeypatch, p3):
     # filtration curve is built and no chamber polynomial is summed
     thresholds._barycenter.cache_clear()
     curves, sums, localized = [], [], []
-    real_curve, real_sum = filtrations.superlevel_volume_curve, volume_fn._chamber_sum
+    real_curve, real_sum = filtrations.filtration_curve, volume_fn._chamber_sum
     real_moments = thresholds.localized_moments
-    monkeypatch.setattr(filtrations, "superlevel_volume_curve", lambda p, u: curves.append(u) or real_curve(p, u))
+    monkeypatch.setattr(
+        filtrations, "filtration_curve", lambda fan, l, u: curves.append(u) or real_curve(fan, l, u),
+    )
     monkeypatch.setattr(volume_fn, "_chamber_sum", lambda *args: sums.append(1) or real_sum(*args))
     monkeypatch.setattr(
         thresholds, "localized_moments", lambda fan, l: localized.append(l) or real_moments(fan, l),

@@ -16,10 +16,14 @@ from hypothesis import strategies as st
 import toricstab.toric as toric
 from toricstab import (
     Fan,
+    alpha_energy,
     anticanonical,
     big_volume,
+    delta_pp_quotient,
     delta_search,
     divisor,
+    entropy,
+    filtration_curve,
     intersection_number,
     is_ample,
     is_nef,
@@ -27,6 +31,7 @@ from toricstab import (
     polytope_of,
     positive_pairing,
     ray_divisor,
+    s_invariant,
     star_subdivision,
     validate_fan,
     volume,
@@ -46,7 +51,7 @@ from toricstab.geometry import _bareiss, _over_lcm, extreme_rays, is_primitive, 
 from toricstab.toric import is_strictly_ample
 from toricstab.test_curves import extended_curve, jtilde, truncated_curve
 from toricstab.thresholds import delta_prime_quotient
-from toricstab.volume_fn import volume_curve
+from toricstab.volume_fn import divisor_family, volume_curve
 
 from oracles import (
     det,
@@ -813,6 +818,40 @@ def test_intersection_refuses_a_cone_that_is_not_full_dimensional_simplicial(spe
     message = f"cone {cone} is not a full-dimensional simplicial cone"
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         intersection_number(fan, [anticanonical(fan)] * 2)
+
+
+# Each entry point where a (fan, divisor) pair comes in, called on F1 with -K
+# and a divisor d of another fan in the place it names.
+FOREIGN_DIVISOR_CALLS = {
+    "polytope_of": lambda f1, k, d: polytope_of(f1, d),
+    "big_volume": lambda f1, k, d: big_volume(f1, d),
+    "zariski_decompose": lambda f1, k, d: zariski_decompose(f1, d),
+    "is_nef": lambda f1, k, d: is_nef(f1, d),
+    "is_ample": lambda f1, k, d: is_ample(f1, d),
+    "is_strictly_ample": lambda f1, k, d: is_strictly_ample(f1, d),
+    "intersection_number": lambda f1, k, d: intersection_number(f1, [k, d]),
+    "pullback": lambda f1, k, d: star_subdivision(f1, (1, 2))[1](d),
+    "divisor_family_l": lambda f1, k, d: divisor_family(f1, d, ray_divisor(f1, 3)),
+    "divisor_family_d": lambda f1, k, d: divisor_family(f1, k, d),
+    "volume_curve": lambda f1, k, d: volume_curve(f1, k, d),
+    "extended_curve": lambda f1, k, d: extended_curve(f1, k, d),
+    "delta_pp_quotient": lambda f1, k, d: delta_pp_quotient(f1, k, d),
+    "alpha_energy": lambda f1, k, d: alpha_energy(extended_curve(f1, k, ray_divisor(f1, 3)), d),
+    "entropy_k_rel": lambda f1, k, d: entropy(extended_curve(f1, k, ray_divisor(f1, 3), k_rel=d)),
+    "positive_pairing": lambda f1, k, d: positive_pairing(f1, k, d),
+    "s_invariant": lambda f1, k, d: s_invariant(f1, d, (1, 0)),
+    "filtration_curve": lambda f1, k, d: filtration_curve(f1, d, (1, 0)),
+}
+
+
+@pytest.mark.parametrize("other", ["p2", "p1xp1"])
+@pytest.mark.parametrize("call", FOREIGN_DIVISOR_CALLS.values(), ids=FOREIGN_DIVISOR_CALLS)
+def test_a_divisor_from_another_fan_is_refused(request, f1, call, other):
+    # P2's -K has three coefficients and P1xP1's four, as many as F1 has rays;
+    # both are effective, nonzero, big and nef, so only the fan can refuse them
+    d = anticanonical(request.getfixturevalue(other))
+    with pytest.raises(DimensionMismatch, match="^divisor lives on a different fan$"):
+        call(f1, anticanonical(f1), d)
 
 
 def nef_classes(fan, rng, count):

@@ -44,7 +44,6 @@ from toricstab.volume_fn import (
     divisor_family,
     family_volume_curve,
     nonneg_on_interval,
-    superlevel_volume_curve,
 )
 
 from oracles import (
@@ -62,6 +61,7 @@ from oracles import (
     oracle_squarefree_decomposition,
     oracle_walls,
     polytope_at,
+    superlevel_volume_curve,
 )
 
 
