@@ -847,7 +847,7 @@ FOREIGN_DIVISOR_CALLS = {
 @pytest.mark.parametrize("other", ["p2", "p1xp1"])
 @pytest.mark.parametrize("call", FOREIGN_DIVISOR_CALLS.values(), ids=FOREIGN_DIVISOR_CALLS)
 def test_a_divisor_from_another_fan_is_refused(request, f1, call, other):
-    # P2's -K has three coefficients and P1xP1's four, as many as F1 has rays;
+    # P2's -K has three coefficients, and P1xP1's has four, as many as F1 has rays;
     # both are effective, nonzero, big and nef, so only the fan can refuse them
     d = anticanonical(request.getfixturevalue(other))
     with pytest.raises(DimensionMismatch, match="^divisor lives on a different fan$"):
