@@ -8,14 +8,14 @@ from operator import attrgetter
 class Record:
     """An immutable value over a declared tuple of fields.
 
-    A subclass names its fields in constructor order in `_fields`, and may
-    name fewer in `_compared`, read by equality and the hash, and in
-    `_shown`, read by repr.  Its own __init__ stores each field in the
-    instance __dict__.  Two instances are equal when they are of one class
-    and their compared fields are equal, the hash is that of the compared
-    fields, repr is Class(field=value, ...), and assigning or deleting an
-    attribute raises AttributeError.  cached_property writes the instance
-    __dict__ directly and pickling restores it, so both work unchanged.
+    A subclass names its fields in constructor order in `_fields`, and may name
+    other attributes in `_compared`, read by equality and the hash, and fewer
+    in `_shown`, read by repr.  __init__ stores each field, or what a cached
+    field derives from, in the instance __dict__.  Two instances are equal when
+    they are of one class and their compared fields are equal, the hash is that
+    of the compared fields, repr is Class(field=value, ...), and assigning or
+    deleting an attribute raises AttributeError.  cached_property and pickling
+    write the instance __dict__ directly, so both work unchanged.
     """
 
     _fields: tuple[str, ...] = ()

@@ -11,6 +11,7 @@ one-parameter volume curve takes (volume_fn.family_volume_curve).
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .errors import (
     NotMonotone,
     ZeroVector,
 )
-from .geometry import Halfspace, LatticeVector, Polytope, dot, parametric_family
+from .geometry import LatticeVector, ParametricPolytope, Polytope, _as_int, dot
 from .toric import Fan, ToricDivisor, ample_polytope
 from .volume_fn import PiecewisePolynomial, family_volume_curve
 
@@ -96,8 +97,11 @@ def filtration_curve(fan: Fan, l: ToricDivisor, u: Sequence[int]) -> PiecewisePo
     slice's volume enumerated and triangulated afresh on integer rows.
     """
     p = _section_polytope(fan, l, u)
-    rows = [*p.halfspaces, Halfspace(u, -p.support_min(u))]
-    return family_volume_curve(parametric_family(rows, [0] * len(p.rows) + [1]))
+    low = p.support_min(u)
+    q = math.lcm(p.q, low.denominator)
+    rows = [(a, b * (q // p.q), 0) for a, b in p.rows]
+    rows.append((tuple(map(_as_int, u)), -low.numerator * (q // low.denominator), q))
+    return family_volume_curve(ParametricPolytope.from_rows(rows, q, fan.dimension))
 
 
 def dh_measure(vol_curve: PiecewisePolynomial, v) -> DHMeasure:

@@ -696,7 +696,7 @@ class _Hypograph:
     row ((q a, -c), b) of {<(q a, -c), (x, t)> + b >= 0}, then t >= 0.  Its
     vertices are the feasible basic solutions, in lowest terms over den with
     the height t last, enumerated once with no boundedness test:
-    parametric_family reads the family's start, chambers and threshold off
+    ParametricPolytope.from_rows reads the family's start, chambers and threshold off
     their heights and tests Q's recession cone itself.  Q is triangulated
     once and its facets are read once, each when first asked for, both off
     one incidence table and both as volume_fn's knotted simplices,
@@ -765,41 +765,52 @@ class ParametricPolytope(Record):
         fields["dimension"] = dimension
         fields["hypograph"] = hypograph
 
+    @classmethod
+    def from_rows(cls, rows: Iterable[FamilyRow], q: int, dim: int) -> ParametricPolytope:
+        """The family of integer rows (a, b, c) over q, {<a, x> + (b - t c) / q >= 0}, from t = 0.
+
+        The rows are kept as given, over q, the least common denominator of
+        every offset b / q and rate c / q.  Everything is read off the vertices
+        of the family's hypograph Q (_Hypograph), enumerated once.  Its slice at
+        t = 0 is the start polytope, whose vertices are Q's at height 0: an
+        empty start raises DegeneratePolytope and an unbounded one
+        UnboundedRegion, the same tests as vertices_of, on the rows (a, b).  A
+        bounded start leaves Q's recession cone only directions (x, s) with
+        s > 0, so Q is bounded exactly when no x has <x, a> >= c / q for every
+        row, the rows (a, -c) (Fourier-Motzkin); otherwise the family is
+        feasible for all large t, one that never moves included, and
+        UnboundedRegion is raised.  The chambers run between consecutive vertex
+        heights of Q, up to the top one, the feasibility threshold t_max: every
+        vertex of P_t follows one affine path within a chamber.
+        """
+        rows = tuple(rows)
+        hypograph = _Hypograph(rows, q, dim)
+        heights = hypograph.heights
+        start = bool(heights) and heights[0] == 0
+        _check_bounded([(a, b) for a, b, _c in rows], dim, start)
+        if not start:
+            raise DegeneratePolytope("family is infeasible at the start parameter")
+        if _feasible([(a, -c) for a, _b, c in rows], dim):
+            raise UnboundedRegion("family remains feasible for arbitrarily large t")
+        ends = [Fraction(h, hypograph.den) for h in heights]
+        # t_max == 0: a single point of feasibility
+        chambers = [Chamber(lo, hi) for lo, hi in zip(ends, ends[1:])] or [Chamber(ends[0], ends[0])]
+        return cls(rows, q, tuple(chambers), ends[-1], dim, hypograph)
+
 
 def parametric_family(halfspaces: Sequence[Halfspace], rates: Sequence) -> ParametricPolytope:
-    """Exact chamber decomposition of {<x,u_i> >= -(a_i - t d_i)} from t = 0.
+    """The family {<x,u_i> >= -(a_i - t d_i)} from t = 0 (ParametricPolytope.from_rows).
 
     The offsets a_i and rates d_i are put over one q once, as the rows
-    (u_i, b_i, c_i) with a_i = b_i / q and d_i = c_i / q.  Everything is
-    read off the vertices of the family's hypograph Q (_Hypograph),
-    enumerated once.  Its slice at t = 0 is the start polytope, whose
-    vertices are Q's at height 0: an empty start raises DegeneratePolytope
-    and an unbounded one UnboundedRegion, the same tests as vertices_of, on
-    the rows (u_i, b_i).  A bounded start leaves Q's recession cone only
-    directions (x, s) with s > 0, so Q is bounded exactly when no x has
-    <x, u_i> >= d_i for every i, the rows (u_i, -c_i) (Fourier-Motzkin);
-    otherwise the family is feasible for all large t, one that never moves
-    included, and UnboundedRegion is raised.  The chambers run between
-    consecutive vertex heights of Q, up to the top one, the feasibility
-    threshold t_max: every vertex of P_t follows one affine path within a
-    chamber.
+    (u_i, b_i, c_i) with a_i = b_i / q and d_i = c_i / q.
     """
+    if not halfspaces:
+        raise UnboundedRegion("no halfspaces given")
     if len(rates) != len(halfspaces):
         raise DimensionMismatch("one rate per halfspace required")
     nums, q = _over_lcm([*(hs.offset for hs in halfspaces), *map(Fraction, rates)])
     dim = len(halfspaces[0].normal)
     if any(len(hs.normal) != dim for hs in halfspaces):
         raise DimensionMismatch("halfspaces of mixed dimension")
-    rows = tuple((hs.normal, b, c) for hs, b, c in zip(halfspaces, nums, nums[len(halfspaces):]))
-    hypograph = _Hypograph(rows, q, dim)
-    heights = hypograph.heights
-    start = bool(heights) and heights[0] == 0
-    _check_bounded([(a, b) for a, b, _c in rows], dim, start)
-    if not start:
-        raise DegeneratePolytope("family is infeasible at the start parameter")
-    if _feasible([(a, -c) for a, _b, c in rows], dim):
-        raise UnboundedRegion("family remains feasible for arbitrarily large t")
-    ends = [Fraction(h, hypograph.den) for h in heights]
-    # t_max == 0: a single point of feasibility
-    chambers = [Chamber(lo, hi) for lo, hi in zip(ends, ends[1:])] or [Chamber(ends[0], ends[0])]
-    return ParametricPolytope(rows, q, tuple(chambers), ends[-1], dim, hypograph)
+    rows = [(hs.normal, b, c) for hs, b, c in zip(halfspaces, nums, nums[len(halfspaces):])]
+    return ParametricPolytope.from_rows(rows, q, dim)

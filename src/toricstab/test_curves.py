@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import InvariantViolation, OutOfRange, RangeTooShort
-from .geometry import ParametricPolytope, _over_lcm
+from .geometry import ParametricPolytope
 from .toric import (
     Fan,
     ToricDivisor,
@@ -96,8 +96,8 @@ class TestCurve(Record):
         alpha must live on the curve's model (DimensionMismatch).
         """
         _check_fan(self.model, alpha)
-        nums, den = _over_lcm(alpha.coeffs)
-        return Fraction(sum(map(operator.mul, nums, self.integral_nums)), den * self.integral_den)
+        total = sum(map(operator.mul, alpha.nums, self.integral_nums))
+        return Fraction(total, alpha.den * self.integral_den)
 
     def _zariski(self, tau):
         tau = Fraction(tau)

@@ -1,20 +1,20 @@
 """Fans, toric divisors, log discrepancies, star subdivisions, intersections.
 
-All varieties are given by complete simplicial fans in N = Z^n.  Divisors are
-rational coefficient vectors indexed by rays.  Each maximal cone's det and
-dual basis m_j come from one elimination, in one table per fan (_cone_duals);
-on the cone, A = sum_j m_j and a divisor's vertex is -sum_j a_j m_j.
-The polarization checks read only these cone vertices m_sigma: on a complete
-fan D is nef exactly when every m_sigma lies in P_D, and P_D is then the hull
-of the m_sigma (Cox-Little-Schenck, Toric Varieties, ch. 6), so no
-section polytope is built for them; nefness and the rank test run in one
-integer pass over the m_sigma over one common denominator.  One
-localization sum over the maximal cones (_localized) reads the classes'
-cone vertices at a generic direction xi and its n shifts xi + e_j, whose
-dots with the dual bases are memoized per fan and direction (_localization,
-so an intersection number builds xi's alone), in integers
-over one denominator: it gives intersection numbers of any n classes, nef
-or not (intersection_number), and a nef D's volume and first moments
+All varieties are given by complete simplicial fans in N = Z^n.  A divisor is
+integer numerators, one per ray, over one positive denominator in lowest
+terms.  Each maximal cone's det and dual basis m_j come from one elimination,
+in one table per fan (_cone_duals); on the cone, A = sum_j m_j and a divisor's
+vertex is -sum_j a_j m_j.  The polarization checks read only these cone
+vertices m_sigma: on a complete fan D is nef exactly when every m_sigma lies
+in P_D, and P_D is then the hull of the m_sigma (Cox-Little-Schenck, Toric
+Varieties, ch. 6), so no section polytope is built for them; nefness and the
+rank test run in one integer pass over the m_sigma over one common
+denominator.  One localization sum over the maximal cones (_localized) reads
+the classes' cone vertices at a generic direction xi and its n shifts
+xi + e_j, whose dots with the dual bases are memoized per fan and direction
+(_localization, so an intersection number builds xi's alone), in integers over
+one denominator: it gives intersection numbers of any n classes, nef or not
+(intersection_number), and a nef D's volume and first moments
 (localized_moments), with no vertex enumeration and no triangulation.
 """
 
@@ -40,7 +40,6 @@ from .errors import (
     ZeroVector,
 )
 from .geometry import (
-    Halfspace,
     LatticeVector,
     Point,
     Polytope,
@@ -49,7 +48,6 @@ from .geometry import (
     _over_lcm,
     content,
     extreme_rays,
-    int_rows,
     is_primitive,
 )
 
@@ -150,12 +148,12 @@ def _cone_duals(fan: Fan) -> Mapping[tuple[int, ...], tuple[int, tuple[LatticeVe
     return MappingProxyType(table)
 
 
-def _nef_vertices(fan: Fan, coeffs: Sequence) -> tuple[list[LatticeVector], int] | None:
+def _nef_vertices(fan: Fan, d: ToricDivisor) -> tuple[list[LatticeVector], int] | None:
     """Each maximal cone's m_sigma as integers over one den, in `max_cones` order, if D is nef.
 
     m_sigma = -sum_j a_j m_j is the point with <m_sigma, u_rho> = -a_rho on
-    the cone's rays.  With the a_j integers over c and den = c lcm |det
-    sigma|, den m_sigma is read off _cone_duals in integers.  D is nef
+    the cone's rays.  With the a_j D's numerators over its den c and den = c
+    lcm |det sigma|, den m_sigma is read off _cone_duals in integers.  D is nef
     exactly when, for every ray rho, the least <den m_sigma, u_rho> over the
     cones is -a_rho den.  None when D is not nef, when a cone is missing from
     the table, or when the fan has no cone.
@@ -164,16 +162,15 @@ def _nef_vertices(fan: Fan, coeffs: Sequence) -> tuple[list[LatticeVector], int]
     entries = [duals.get(cone) for cone in fan.max_cones]
     if not entries or None in entries:
         return None
-    nums, c = _over_lcm(coeffs)
-    scale = math.lcm(*(d for d, _ws in entries))
+    scale = math.lcm(*(det for det, _ws in entries))
     vertices = []
-    for cone, (d, ws) in zip(fan.max_cones, entries):
-        a = [-(scale // d) * nums[i] for i in cone]
+    for cone, (det, ws) in zip(fan.max_cones, entries):
+        a = [-(scale // det) * d.nums[i] for i in cone]
         vertices.append(tuple(sum(map(mul, a, column)) for column in zip(*ws)))
-    for u, a in zip(fan.rays, nums):
+    for u, a in zip(fan.rays, d.nums):
         if min(sum(map(mul, m, u)) for m in vertices) != -a * scale:
             return None
-    return vertices, c * scale
+    return vertices, d.den * scale
 
 
 @lru_cache(maxsize=None)
@@ -240,20 +237,19 @@ def _direction(fan: Fan, xi: Sequence[int]) -> tuple[int, tuple[tuple, ...]]:
 def _localized(fan: Fan, classes: Mapping[ToricDivisor, int], k: int) -> Fraction:
     """_localization's sum at xi_k over classes whose multiplicities p_D total p = n or n + 1.
 
-    With a class's coefficients a integers over c, <xi_k, m_sigma(D)> =
+    With a class's numerators a over its den c, <xi_k, m_sigma(D)> =
     (-sum_j a_{sigma_j} x_{sigma,j}) / (c d_sigma), so the sum runs in
     integers over L_k S^(p - n) prod c^(p_D), and one Fraction is built.
     """
     s, lcm_t, cones = _localization(fan, k)
     extra = sum(classes.values()) - fan.dimension
-    terms = [(_over_lcm(d.coeffs), p) for d, p in classes.items()]
     total = 0
-    for cone, d, xs, weight in cones:
-        weight *= (s // d) ** extra
-        for (nums, _c), p in terms:
-            weight *= (-sum(nums[i] * x for i, x in zip(cone, xs))) ** p
+    for cone, det, xs, weight in cones:
+        weight *= (s // det) ** extra
+        for d, p in classes.items():
+            weight *= (-sum(d.nums[i] * x for i, x in zip(cone, xs))) ** p
         total += weight
-    return Fraction(total, lcm_t * s**extra * math.prod(c**p for (_nums, c), p in terms))
+    return Fraction(total, lcm_t * s**extra * math.prod(d.den**p for d, p in classes.items()))
 
 
 def localized_moments(fan: Fan, d: ToricDivisor) -> tuple[int, LatticeVector, int]:
@@ -274,14 +270,39 @@ def localized_moments(fan: Fan, d: ToricDivisor) -> tuple[int, LatticeVector, in
 
 
 class ToricDivisor(Record):
-    """A rational divisor: one coefficient per ray of a fixed fan; its hash is computed once."""
+    """A rational divisor on a fixed fan: integer numerators `nums`, one per ray, over one `den`.
+
+    `nums` over `den > 0` in lowest terms is its one form, as Polynomial's:
+    equality reads it, and arithmetic runs on it in integers (_of).  `coeffs`,
+    the Fraction coefficients, and the hash of (fan, coeffs) are derived once.
+    The constructor takes one rational per ray (DimensionMismatch).
+    """
 
     _fields = ("fan", "coeffs")
+    _compared = ("fan", "nums", "den")
 
-    def __init__(self, fan: Fan, coeffs: tuple[Fraction, ...]) -> None:
+    def __init__(self, fan: Fan, coeffs: Sequence) -> None:
+        if len(coeffs) != len(fan.rays):
+            raise DimensionMismatch("one coefficient per ray required")
+        self._assign(fan, *_over_lcm([Fraction(c) for c in coeffs]))
+
+    @classmethod
+    def _of(cls, fan: Fan, nums: Sequence[int], den: int) -> ToricDivisor:
+        """nums[i] / den on ray i, for integers nums and a positive integer den."""
+        d = object.__new__(cls)
+        d._assign(fan, nums, den)
+        return d
+
+    def _assign(self, fan: Fan, nums: Sequence[int], den: int) -> None:
+        g = math.gcd(den, *nums)
         fields = self.__dict__
         fields["fan"] = fan
-        fields["coeffs"] = coeffs
+        fields["nums"] = tuple(a // g for a in nums)
+        fields["den"] = den // g
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def __hash__(self) -> int:
         return self._hash
@@ -292,46 +313,38 @@ class ToricDivisor(Record):
 
     @classmethod
     def make(cls, fan: Fan, coeffs: Sequence) -> ToricDivisor:
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != len(fan.rays):
-            raise DimensionMismatch("one coefficient per ray required")
-        return cls(fan, cs)
+        return cls(fan, tuple(coeffs))
 
     def __add__(self, other: ToricDivisor) -> ToricDivisor:
-        self._check(other)
-        return ToricDivisor(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        _check_fan(self.fan, other)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return ToricDivisor._of(self.fan, [a * x + b * y for x, y in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other: ToricDivisor) -> ToricDivisor:
-        self._check(other)
-        return ToricDivisor(self.fan, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> ToricDivisor:
-        return ToricDivisor(self.fan, tuple(-a for a in self.coeffs))
+        return ToricDivisor._of(self.fan, [-a for a in self.nums], self.den)
 
     def scale(self, c) -> ToricDivisor:
         c = Fraction(c)
-        return ToricDivisor(self.fan, tuple(c * a for a in self.coeffs))
-
-    def _check(self, other: ToricDivisor) -> None:
-        if other.fan != self.fan:
-            raise DimensionMismatch("divisors live on different fans")
+        return ToricDivisor._of(self.fan, [c.numerator * a for a in self.nums], c.denominator * self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        return all(a >= 0 for a in self.nums)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
+        return tuple(i for i, a in enumerate(self.nums) if a)
 
     def reduced(self) -> ToricDivisor:
         """Same support, all nonzero coefficients set to 1."""
-        return ToricDivisor(
-            self.fan, tuple(Fraction(1) if c != 0 else Fraction(0) for c in self.coeffs)
-        )
+        return ToricDivisor._of(self.fan, [int(a != 0) for a in self.nums], 1)
 
 
 def _check_fan(fan: Fan, d: ToricDivisor) -> None:
@@ -345,17 +358,17 @@ def divisor(fan: Fan, coeffs: Sequence) -> ToricDivisor:
 
 
 def zero_divisor(fan: Fan) -> ToricDivisor:
-    return ToricDivisor.make(fan, [0] * len(fan.rays))
+    return ToricDivisor._of(fan, [0] * len(fan.rays), 1)
 
 
 def anticanonical(fan: Fan) -> ToricDivisor:
-    return ToricDivisor.make(fan, [1] * len(fan.rays))
+    return ToricDivisor._of(fan, [1] * len(fan.rays), 1)
 
 
 def ray_divisor(fan: Fan, index: int) -> ToricDivisor:
-    coeffs = [0] * len(fan.rays)
-    coeffs[index] = 1
-    return ToricDivisor.make(fan, coeffs)
+    nums = [0] * len(fan.rays)
+    nums[index] = 1
+    return ToricDivisor._of(fan, nums, 1)
 
 
 # --------------------------------------------------------------------------
@@ -470,20 +483,15 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
 # polytopes of divisors, nefness, ampleness
 # --------------------------------------------------------------------------
 
-def section_halfspaces(fan: Fan, coeffs: Sequence) -> list[Halfspace]:
-    """The halfspaces <m, u_rho> >= -a_rho cutting out a divisor's section polytope."""
-    return [Halfspace(u, a) for u, a in zip(fan.rays, coeffs)]
-
-
 @lru_cache(maxsize=None)
-def _polytope_cached(fan: Fan, coeffs: tuple[Fraction, ...]) -> Polytope:
-    return Polytope.from_rows(*int_rows(fan.rays, coeffs), fan.dimension)
+def _polytope_cached(fan: Fan, nums: tuple[int, ...], den: int) -> Polytope:
+    return Polytope.from_rows(zip(fan.rays, nums), den, fan.dimension)
 
 
 def polytope_of(fan: Fan, d: ToricDivisor) -> Polytope:
     """Section polytope {m : <m, u_rho> >= -a_rho}; may be empty."""
     _check_fan(fan, d)
-    return _polytope_cached(fan, d.coeffs)
+    return _polytope_cached(fan, d.nums, d.den)
 
 
 def support_value(fan: Fan, d: ToricDivisor, u: Sequence) -> Fraction:
@@ -504,7 +512,7 @@ def is_nef(fan: Fan, d: ToricDivisor) -> bool:
     ray's halfspace.
     """
     _check_fan(fan, d)
-    return _nef_vertices(fan, d.coeffs) is not None
+    return _nef_vertices(fan, d) is not None
 
 
 @lru_cache(maxsize=None)
@@ -519,7 +527,7 @@ def is_ample(fan: Fan, d: ToricDivisor) -> bool:
     immutable (fan, divisor) pair.
     """
     _check_fan(fan, d)
-    found = _nef_vertices(fan, d.coeffs)
+    found = _nef_vertices(fan, d)
     return found is not None and _int_affine_rank(found[0]) == fan.dimension
 
 
@@ -537,7 +545,7 @@ def is_strictly_ample(fan: Fan, d: ToricDivisor) -> bool:
     """
     if not is_ample(fan, d):
         return False
-    vertices, _den = _nef_vertices(fan, d.coeffs)
+    vertices, _den = _nef_vertices(fan, d)
     return len(set(vertices)) == len(vertices)
 
 

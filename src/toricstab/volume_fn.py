@@ -50,7 +50,6 @@ from .geometry import (
     _over_lcm,
     facet_volumes,
     normalized_volume,
-    parametric_family,
     volume,
 )
 from .toric import (
@@ -59,7 +58,6 @@ from .toric import (
     _check_fan,
     is_ample,
     polytope_of,
-    section_halfspaces,
     star_subdivision,
 )
 
@@ -531,9 +529,8 @@ def _ray(d: ToricDivisor) -> tuple[ToricDivisor, Fraction]:
     """
     if d.is_zero:
         raise ZeroDivisor("direction divisor is zero")
-    nums, den = _over_lcm(d.coeffs)
-    g = math.gcd(*nums)
-    return ToricDivisor(d.fan, tuple(Fraction(a // g) for a in nums)), Fraction(g, den)
+    g = math.gcd(*d.nums)
+    return ToricDivisor._of(d.fan, [a // g for a in d.nums], 1), Fraction(g, d.den)
 
 
 @lru_cache(maxsize=None)
@@ -543,12 +540,16 @@ def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPoly
     Memoized per (fan, L, D).  The library asks for it only along the
     primitive divisor D0 of a direction's ray (_ray): P_{L - t cD0} is
     P_{L - (ct) D0}, so every rescaling of one ray, its volume curve and its
-    test curves share a single family and hypograph.  L and D must live on
-    the fan (DimensionMismatch).
+    test curves share a single family and hypograph.  Its rows are (u_rho,
+    L_rho, D_rho) over q = lcm(L.den, D.den), read off the numerators.  L and
+    D must live on the fan (DimensionMismatch).
     """
     _check_fan(fan, l)
     _check_fan(fan, d)
-    return parametric_family(section_halfspaces(fan, l.coeffs), list(d.coeffs))
+    q = math.lcm(l.den, d.den)
+    a, c = q // l.den, q // d.den
+    rows = [(u, a * x, c * y) for u, x, y in zip(fan.rays, l.nums, d.nums)]
+    return ParametricPolytope.from_rows(rows, q, fan.dimension)
 
 
 # ---- the closed form on knotted simplices ------------------------------------

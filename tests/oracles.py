@@ -30,7 +30,9 @@ G_{n-1}(a, b) and the entropy density at one tau, which the library does not
 call.  The polarization checks on the section polytope P_D, enumerated in
 Fractions, with each cone's vertex solved on its rays, and the cone
 vertices read off the dual-basis table in Fractions: the library reads
-nefness and ampleness off the cone vertices alone, in integers.  The slice
+nefness and ampleness off the cone vertices alone, in integers.  The section
+halfspaces of a divisor's Fraction coefficients, which divisor_family put
+over one q before it read a divisor's numerators, and on them the slice
 family of a filtration direction, on whose chambers the tests sample
 volumes.  The superlevel route of a filtration curve, a sum of B-splines
 over the section polytope's own cached triangulation with no hypograph,
@@ -817,7 +819,12 @@ def seeded_ample(fan, seed: int, count: int = 3) -> list[ToricDivisor]:
     raise AssertionError(f"fewer than {count} big and nef classes drawn")
 
 
-# ---- the slice family of a filtration direction ------------------------------
+# ---- the Fraction route of a divisor's families ------------------------------
+
+def section_halfspaces(fan, coeffs) -> list[Halfspace]:
+    """The halfspaces <m, u_rho> >= -a_rho cutting out a divisor's section polytope."""
+    return [Halfspace(u, a) for u, a in zip(fan.rays, coeffs)]
+
 
 def filtration_family(fan, l, u):
     """The slices {x in P_L : <x,u> - min <.,u> >= tau} as a family in tau from 0.
@@ -830,7 +837,7 @@ def filtration_family(fan, l, u):
     p = _section_polytope(fan, l, u)
     lo = p.support_min(u)
     hi = p.support_max(u)
-    halfspaces = toric.section_halfspaces(fan, l.coeffs)
+    halfspaces = section_halfspaces(fan, l.coeffs)
     # slice {<x,u> >= lo + tau}: offset -lo - tau, so the rate against tau is +1
     halfspaces.append(Halfspace(tuple(int(a) for a in u), -lo))
     rates = [Fraction(0)] * len(fan.rays) + [Fraction(1)]

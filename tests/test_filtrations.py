@@ -28,14 +28,17 @@ from toricstab import (
     star_subdivision,
     volume_curve,
 )
-from toricstab import geometry, thresholds, toric, volume_fn
-from toricstab.geometry import Chamber, triangulation, volume
+from toricstab import filtrations, geometry, thresholds, toric, volume_fn
+from toricstab.geometry import Chamber, Halfspace, parametric_family, triangulation, volume
 from toricstab.cli import main
 from toricstab.errors import InfeasibleTau, InvariantViolation, NotMonotone, ZeroVector
 from toricstab.thresholds import primitive_candidates
 from toricstab.volume_fn import _chamber_sum
 
-from oracles import filtration_family, fit_polynomial, polytope_at, superlevel_volume_curve
+from oracles import (
+    filtration_family, fit_polynomial, polytope_at, product_fan, seeded_ample, superlevel_volume_curve,
+    weighted_projective,
+)
 
 
 def test_filtration_curve_p2_ray(p2):
@@ -135,6 +138,39 @@ def test_filtration_curve_equals_the_slice_family_curve(p2, f1, p1xp1, p3):
         for u in primitive_candidates(fan.dimension, {2: 3, 3: 2}[fan.dimension]):
             oracle = superlevel_volume_curve(polytope_of(fan, l), u)
             assert filtration_curve(fan, l, u) == oracle, (fan.rays, l.coeffs, u)
+
+
+def test_filtration_family_is_its_fraction_route_twin(monkeypatch, surfaces, p3):
+    # the slice family filtration_curve builds, P_L's rows at rate 0 and the
+    # slice row over lcm(p.q, den of min), against the Fraction route, P_L's
+    # halfspaces and the slice halfspace put over one q by parametric_family:
+    # rows, q and chambers, on the fixtures' fans, P(1,1,2), P2xP2 and F1xF1,
+    # for -K and seeded ample L, along every primitive direction of radius 1,
+    # and along the signed unit vectors on the fourfolds
+    built = []
+    real = filtrations.family_volume_curve
+
+    def captured(pp):
+        built.append(pp)
+        return real(pp)
+
+    monkeypatch.setattr(filtrations, "family_volume_curve", captured)
+    fans = [*surfaces.values(), p3, weighted_projective([1, 1, 2]),
+            product_fan(surfaces["p2"], surfaces["p2"]), product_fan(surfaces["f1"], surfaces["f1"])]
+    families = 0
+    for fan in fans:
+        for l in [anticanonical(fan), *seeded_ample(fan, 46, 2)]:
+            p = polytope_of(fan, l)
+            n = fan.dimension
+            units = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+            for u in units if n == 4 else primitive_candidates(n, 1):
+                filtration_curve(fan, l, u)
+                got = built.pop()
+                rates = [0] * len(p.rows) + [1]
+                want = parametric_family([*p.halfspaces, Halfspace(u, -p.support_min(u))], rates)
+                assert (got.rows, got.q, got.chambers, got.t_max) == (want.rows, want.q, want.chambers, want.t_max)
+                families += 1
+    assert families == 3 * (3 * 8 + 26 + 8 + 2 * 8)
 
 
 def test_simplex_above_a_chamber_counts_whole(f1):

@@ -366,8 +366,8 @@ def test_positive_pairing_builds_no_family(p2, p2_h_curve, monkeypatch):
         raise AssertionError("the positive pairing built a parametric family")
 
     curve_chambers(p2, anticanonical(p2), ray_divisor(p2, 0))  # entropy_at's reduced support
-    monkeypatch.setattr(vf, "parametric_family", refuse)
     monkeypatch.setattr(geometry, "parametric_family", refuse)
+    monkeypatch.setattr(geometry.ParametricPolytope, "from_rows", refuse)
     assert positive_pairing(p2, anticanonical(p2), ray_divisor(p2, 0)) == 3
     assert entropy_at(p2_h_curve, Q(1, 2)) == Q(5, 9)
 

@@ -251,6 +251,63 @@ def test_divisor_hash_is_cached_and_survives_pickle(f1):
     assert a != divisor(f1, [1, Q(1, 3), 0, 2])
 
 
+divisor_rationals = st.builds(Q, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
+f1_coefficients = st.lists(divisor_rationals, min_size=4, max_size=4)
+
+
+def _lowest_terms(d) -> bool:
+    return d.den > 0 and math.gcd(d.den, *d.nums) == 1
+
+
+def test_divisor_integer_form_examples(f1):
+    d = divisor(f1, ["1/2", "2/3", 1, "5/4"])
+    assert (d.nums, d.den) == ((6, 8, 12, 15), 12)
+    twin = toric.ToricDivisor._of(f1, (2, 4, 0, 8), 4)
+    assert (twin.nums, twin.den) == ((1, 2, 0, 4), 2) and twin == divisor(f1, [Q(2, 4), 1, 0, 2])
+    assert hash(twin) == hash(divisor(f1, ["1/2", 1, 0, 2]))
+    assert (zero_divisor(f1).nums, zero_divisor(f1).den) == ((0, 0, 0, 0), 1)
+    assert d.scale(0) == zero_divisor(f1) and d.scale(0).den == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(f1_coefficients, f1_coefficients, divisor_rationals)
+def test_divisor_integer_form_matches_fraction_arithmetic(f1, a, b, c):
+    # (nums, den) in lowest terms with den > 0, and the arithmetic in integers
+    # against the same operations on the Fraction coefficients
+    d, e = divisor(f1, a), divisor(f1, b)
+    assert _lowest_terms(d) and d.coeffs == tuple(a) and [Q(x, d.den) for x in d.nums] == a
+    negative = -abs(c) - Q(1, 3)
+    cases = [
+        (d + e, [x + y for x, y in zip(a, b)]),
+        (d - e, [x - y for x, y in zip(a, b)]),
+        (-d, [-x for x in a]),
+        (d.scale(c), [c * x for x in a]),
+        (d.scale(0), [0] * 4),
+        (d.scale(negative), [negative * x for x in a]),
+        (d.reduced(), [int(x != 0) for x in a]),
+    ]
+    for got, want in cases:
+        assert got.coeffs == tuple(want) and got == divisor(f1, want) and _lowest_terms(got)
+        assert got.is_zero == (not any(want)) and got.is_effective == all(x >= 0 for x in want)
+        assert got.support() == tuple(i for i, x in enumerate(want) if x)
+    twin = toric.ToricDivisor._of(f1, [6 * x for x in d.nums], 6 * d.den)
+    assert twin == d and hash(twin) == hash(d) == hash((f1, tuple(a)))
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and hash(back) == hash(d) and (back.nums, back.den) == (d.nums, d.den)
+
+
+def test_a_coefficient_list_of_the_wrong_length_is_refused(p2):
+    # the constructor checks the length, so is_ample and polytope_of never see
+    # a short divisor (a bare IndexError and UnboundedRegion before)
+    for coeffs in ((1, 1), (1, 1, 1, 1), ()):
+        for build in (toric.ToricDivisor, toric.ToricDivisor.make, divisor):
+            with pytest.raises(DimensionMismatch, match="one coefficient per ray required"):
+                build(p2, coeffs)
+    for check in (is_ample, polytope_of):
+        with pytest.raises(DimensionMismatch, match="one coefficient per ray required"):
+            check(p2, toric.ToricDivisor(p2, (1, 1)))
+
+
 def test_fan_hash_is_cached_and_survives_pickle(p3):
     # equal fans built apart, their cones listed in another order, hash and compare
     # equal, also after a pickle round trip, as the process pool of delta_search needs
@@ -441,7 +498,7 @@ def test_nef_vertices_match_fraction_cone_vertices(p2, f1, p1xp1, p3):
                 ]
                 coeffs = [-min(sum(map(mul, p, u)) for p in pts) for u in fan.rays]
             d = divisor(fan, coeffs)
-            found = toric._nef_vertices(fan, d.coeffs)
+            found = toric._nef_vertices(fan, d)
             want = oracle_cone_vertices(fan, d.coeffs)
             assert want is not None
             assert (found is not None) == oracle_is_nef(fan, d), (fan, coeffs)
@@ -452,7 +509,7 @@ def test_nef_vertices_match_fraction_cone_vertices(p2, f1, p1xp1, p3):
     assert seen[True, True] and seen[True, False] and seen[False, True] and seen[False, False]
     off_table = Fan.make([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2]])
     for coeffs in ([1, 1, 1], [0, 0, 0]):
-        assert toric._nef_vertices(off_table, coeffs) is None
+        assert toric._nef_vertices(off_table, divisor(off_table, coeffs)) is None
         assert oracle_cone_vertices(off_table, coeffs) is None
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -15,12 +16,16 @@ from toricstab import (
     Polytope,
     anticanonical,
     big_volume,
+    curve_summary,
     divisor,
+    extended_curve,
     intersection_number,
+    is_ample,
     is_nef,
     polytope_of,
     positive_pairing,
     ray_divisor,
+    s_invariant,
     star_subdivision,
     stabilized_volume,
     volume_curve,
@@ -30,12 +35,13 @@ from toricstab import (
 import toricstab.test_curves as tc
 from toricstab import geometry, toric, volume_fn
 from toricstab.cli import main, piecewise_to_dict
-from toricstab.errors import InvariantViolation, NotAmple, NotBig, OutOfRange, ZeroDivisor
+from toricstab.errors import (
+    InvariantViolation, NotAmple, NotBig, OutOfRange, ToricStabError, UnboundedRegion, ZeroDivisor,
+)
 from toricstab.geometry import (
     Chamber, Halfspace, dot, facet_volumes, int_rows, parametric_family, triangulation, volume,
 )
 from toricstab.thresholds import primitive_candidates
-from toricstab.toric import section_halfspaces
 from toricstab.volume_fn import (
     _pseudo_divide,
     _squarefree,
@@ -61,7 +67,11 @@ from oracles import (
     oracle_squarefree_decomposition,
     oracle_walls,
     polytope_at,
+    product_fan,
+    section_halfspaces,
+    seeded_ample,
     superlevel_volume_curve,
+    weighted_projective,
 )
 
 
@@ -672,18 +682,61 @@ def test_a_family_is_its_integer_rows(f1, monkeypatch):
     assert pp.q == 12
     assert pp.chambers == (Chamber(0, Q(1, 8)), Chamber(Q(1, 8), Q(9, 4)))
     assert family_halfspaces(pp) == [FamilyHalfspace(u, a, d) for u, a, d in zip(f1.rays, offsets, rates)]
+    # once L and D are built, every reader of their coefficients reads the
+    # numerators over one den: only localized_moments, which puts the
+    # localization sums (not a divisor) over one denominator, calls _over_lcm
+    l, d = divisor(f1, [Q(1, 2), Q(2, 3), 1, Q(1, 3)]), divisor(f1, rates)
     calls = []
     real = geometry._over_lcm
 
     def counted(values):
-        calls.append(values)
+        calls.append(sys._getframe(1).f_code.co_name)
         return real(values)
 
-    for module in (geometry, toric, volume_fn, tc):
+    assert not hasattr(tc, "_over_lcm")
+    for module in (geometry, toric, volume_fn):
         monkeypatch.setattr(module, "_over_lcm", counted)
     curve = family_volume_curve(pp)
     tc.family_integrals(pp, pp.t_max, curve(pp.t_max))
+    assert is_ample(f1, l) and polytope_of(f1, l).q == 6
+    assert volume_curve(f1, l, d)[1] == Q(4, 3)
+    summary = curve_summary(extended_curve(f1, l, d))
+    assert (summary.energy, summary.entropy) == (Q(170, 243), Q(35, 27))
+    assert intersection_number(f1, [l, d]) == Q(23, 18)
     assert calls == []
+    assert s_invariant(f1, l, (1, 1)) == Q(62, 81)
+    assert calls == ["localized_moments"]
+
+
+def test_an_empty_family_is_refused():
+    # no halfspaces: UnboundedRegion, as Polytope.from_halfspaces, before a normal is read
+    with pytest.raises(UnboundedRegion, match="no halfspaces given"):
+        parametric_family([], [])
+
+
+def test_divisor_family_is_its_fraction_route_twin(surfaces, p3):
+    # the rows read off L's and D's numerators over lcm(L.den, D.den) against
+    # the Fraction route, section halfspaces put over one q by parametric_family:
+    # rows, q and chambers, on the fixtures' fans, P(1,1,2), P2xP2 and F1xF1,
+    # for -K and seeded ample L, along every ray and a seeded effective D
+    rng = random.Random(46)
+    fans = [*surfaces.values(), p3, weighted_projective([1, 1, 2]),
+            product_fan(surfaces["p2"], surfaces["p2"]), product_fan(surfaces["f1"], surfaces["f1"])]
+    families = 0
+    for fan in fans:
+        for l in [anticanonical(fan), *seeded_ample(fan, 46, 2)]:
+            effective = divisor(fan, [Q(rng.randint(0, 3), rng.randint(1, 4)) for _ in fan.rays])
+            for d in [*(ray_divisor(fan, i) for i in range(len(fan.rays))), effective]:
+                try:
+                    want = parametric_family(section_halfspaces(fan, l.coeffs), d.coeffs)
+                except ToricStabError as exc:
+                    with pytest.raises(type(exc)):
+                        divisor_family.__wrapped__(fan, l, d)
+                    continue
+                got = divisor_family.__wrapped__(fan, l, d)
+                assert (got.rows, got.q, got.chambers, got.t_max) == (want.rows, want.q, want.chambers, want.t_max)
+                families += 1
+    assert families > 100
 
 
 def test_chamber_check_rows_match_fraction_offsets(f1, monkeypatch):
