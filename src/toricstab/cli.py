@@ -298,10 +298,10 @@ class ProblemFile:
             polarization = anticanonical(fan)
         else:
             polarization = _coeff_divisor(fan, raw["polarization"]["coeffs"])
-        named = {
-            name: _coeff_divisor(fan, spec["coeffs"])
-            for name, spec in sorted(raw.get("divisors", {}).items())
-        }
+        divisors = raw.get("divisors", {})
+        if "polarization" in divisors:
+            raise ValidationProblem('a divisor may not be named "polarization": that name is the polarization')
+        named = {name: _coeff_divisor(fan, spec["coeffs"]) for name, spec in sorted(divisors.items())}
         base_fan, base_polarization = fan, polarization
         k_rel = zero_divisor(fan)
         for center in raw.get("refinements", []):
@@ -471,6 +471,8 @@ SAMPLES_PER_PIECE = 256  # polyline points per chamber of a plotted curve
 
 
 def curve_svg(curve: PiecewisePolynomial, title: str) -> str:
+    """The curve as an SVG polyline under `title`, its &, < and > escaped."""
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     pts = curve.samples(SAMPLES_PER_PIECE)
     xs = [float(x) for x, _y in pts]
     ys = [float(y) for _x, y in pts]

@@ -18,15 +18,16 @@ or over every ray for -K.  The entropy needs no reduced support of
 tau*D + N_tau: a ray that only N_tau carries misses P_tau, so its facet
 function vanishes there.  The integrals are the parts
 of Q and of its facets below the domain's top, read off volume_fn's closed
-form on knotted simplices at that rational top (volume_fn._below_top), and
-are checked by Euler's identity on Q (family_integrals).
+form on knotted simplices at that rational top and checked by Euler's
+identity on Q (volume_fn.family_integrals).
 
 One family serves each direction ray: D = c D0 with D0 primitive integral
-(volume_fn._ray, memoized per D), and P_{L - tau c D0} = P_{L - (c tau) D0},
-so the integrals of D are 1/c times D0's, over [0, tau+ of D0] for the
-extended curve and over [0, c] for the truncated one.  The family, its
-volume curve and its extended integrals are memoized per (fan, L, D0); a
-truncated curve integrates its family afresh at its top.  Failed checks
+(volume_fn._ray), and P_{L - tau c D0} = P_{L - (c tau) D0}, so the
+integrals of D are 1/c times D0's, over [0, tau+ of D0] for the extended
+curve and over [0, c] for the truncated one.  This module keeps no memo of
+its own: the family, its volume curve and its extended integrals are
+volume_fn's one memo per (fan, L, D0) (volume_fn._ray_curve), and a
+truncated curve integrates that family afresh at its top.  Failed checks
 are not cached: they raise again on every call.
 """
 
@@ -35,11 +36,9 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 from ._record import Record
-from .errors import InvariantViolation, OutOfRange, RangeTooShort
-from .geometry import ParametricPolytope
+from .errors import OutOfRange, RangeTooShort
 from .toric import (
     Fan,
     ToricDivisor,
@@ -48,13 +47,7 @@ from .toric import (
     zariski_decompose,
     zero_divisor,
 )
-from .volume_fn import (
-    _below_top,
-    _ray,
-    divisor_family,
-    ray_volume_curve,
-    volume_curve,
-)
+from .volume_fn import _ray, _ray_curve, family_integrals, volume_curve
 
 
 class TestCurve(Record):
@@ -128,66 +121,11 @@ class CurveSummary(Record):
         fields["twisted_mabuchi"] = twisted_mabuchi
 
 
-def family_integrals(
-    pp: ParametricPolytope, top: Fraction, top_volume: Fraction
-) -> tuple[tuple[int, ...], int, int]:
-    """The integrals over [0, top] of each facet function f_i and of t -> n! vol(P_t), from Q.
-
-    f_i(t) is (n-1)! times the lattice volume of the facet of P_t on u_i, for
-    the family of L - tD the positive product <P_t^{n-1}> . D_i.  Each is
-    read off the family's hypograph Q (pp.hypograph) with no chamber and no
-    polynomial, by volume_fn's closed form at the rational top
-    (_below_top): over Q's simplices the mass integral is the part of Q
-    below top to the power n + 1, over n + 1, and over the simplices of Q's
-    facet on row i, with (|det| / <u_i, u_i>) for |det|, the integral of f_i
-    is the same part to the power n, over n.  On [0, t_max] that is n! vol(Q)
-    and (n-1)! times the facets' volumes.
-
-    Checked by Euler's identity on the part of Q below top, the full
-    triangulation against the facets', with top_volume = vol(P_top) for the
-    top slice: (n+1) M = n sum_i a_i I_i + top vol(P_top), a_i = b_i / q the
-    offsets of the family's rows (u_i, b_i, c_i) over q, in integers; and by
-    the facets' Minkowski relation sum_i u_i I_i = 0.  A failure raises
-    InvariantViolation.  Returns (I_i numerators, M numerator, den).
-    """
-    n, hypograph = pp.dimension, pp.hypograph
-    q = hypograph.den
-    # (numerator, denominator) of each facet integral, then of the mass integral
-    parts = []
-    for u, knotted in zip(hypograph.normals, hypograph.facets):
-        num, den = _below_top(knotted, q, top, n)
-        parts.append((num, den * n * sum(a * a for a in u)))
-    num, den = _below_top(hypograph.simplices, q, top, n + 1)
-    parts.append((num, den * (n + 1)))
-    den = math.lcm(*(d for _num, d in parts))
-    *facets, mass = (num * (den // d) for num, d in parts)
-    euler = n * sum(b * f for (_a, b, _c), f in zip(pp.rows, facets))
-    if (n + 1) * mass * pp.q != euler + top * top_volume * den * pp.q or any(
-        sum(u[j] * f for u, f in zip(hypograph.normals, facets)) for j in range(n)
-    ):
-        raise InvariantViolation(
-            f"the facets of the hypograph break Euler's identity on [0, {top}]"
-        )
-    return tuple(facets), mass, den
-
-
 def _divided(integrals: tuple[tuple[int, ...], int, int], c: Fraction):
     """Integrals along D0 as integrals along D = c D0: each divided by c."""
     nums, mass, den = integrals
     p, q = c.numerator, c.denominator
     return tuple(x * q for x in nums), mass * q, den * p
-
-
-@lru_cache(maxsize=None)
-def _ray_curve(fan: Fan, l: ToricDivisor, d0: ToricDivisor):
-    """The family and volume curve of a ray's primitive divisor D0, and its integrals on [0, tau+].
-
-    ray_volume_curve performs the polarization, effectivity and monotonicity
-    checks.  Memoized per (fan, L, D0).
-    """
-    volumes, t_max = ray_volume_curve(fan, l, d0)
-    family = divisor_family(fan, l, d0)
-    return family, volumes, family_integrals(family, t_max, volumes(t_max))
 
 
 def extended_curve(

@@ -294,7 +294,7 @@ def inequality_report(
                     holds=prime >= delta,
                 )
             )
-    if search_l.coeffs == anticanonical(search_fan).coeffs and base.minimizer in search_fan.rays:
+    if search_l == anticanonical(search_fan) and base.minimizer in search_fan.rays:
         ray_dir = ray_divisor(search_fan, search_fan.rays.index(base.minimizer))
         pp_values = [row.pp_quotient for row in rows if row.pp_quotient is not None]
         pp_values.append(delta_pp_quotient(search_fan, search_l, ray_dir))

@@ -274,7 +274,8 @@ class ToricDivisor(Record):
 
     `nums` over `den > 0` in lowest terms is its one form, as Polynomial's:
     equality reads it, and arithmetic runs on it in integers (_of).  `coeffs`,
-    the Fraction coefficients, and the hash of (fan, coeffs) are derived once.
+    the Fraction coefficients, and the hash of (fan, nums, den) are derived
+    once.
     The constructor takes one rational per ray (DimensionMismatch).
     """
 
@@ -309,7 +310,7 @@ class ToricDivisor(Record):
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.fan, self.coeffs))
+        return hash((self.fan, self.nums, self.den))
 
     @classmethod
     def make(cls, fan: Fan, coeffs: Sequence) -> ToricDivisor:
@@ -495,11 +496,13 @@ def polytope_of(fan: Fan, d: ToricDivisor) -> Polytope:
 
 
 def support_value(fan: Fan, d: ToricDivisor, u: Sequence) -> Fraction:
-    """Value at u of the divisor's piecewise-linear function (phi(u_rho) = -a_rho)."""
-    cone, lam = fan.containing_cone(u)
-    return sum(
-        (lam[j] * -d.coeffs[i] for j, i in enumerate(cone)), Fraction(0)
-    )
+    """Value at u of the divisor's piecewise-linear function (phi(u_rho) = -a_rho).
+
+    On u's cone sigma it is -sum_j <m_j, u> a_{sigma_j}, the integers
+    det <m_j, u> of _locate against the numerators, over det den.
+    """
+    cone, det, dots = _locate(fan, u)
+    return Fraction(-sum(x * d.nums[i] for x, i in zip(dots, cone)), det * d.den)
 
 
 def is_nef(fan: Fan, d: ToricDivisor) -> bool:
@@ -572,7 +575,10 @@ def star_subdivision(
     The pullback evaluates the support function of the input divisor at u, so
     section polytopes (hence volumes and intersection numbers) are preserved.
     The relative canonical divisor is supported on the new ray with
-    coefficient log_discrepancy(u) - 1.
+    coefficient log_discrepancy(u) - 1.  Both read one _locate of u, in
+    integers: on u's cone sigma with det and dots_j = det <m_j, u>, the new
+    ray's coefficient is sum_j dots_j a_{sigma_j} / det for the pullback and
+    (sum_j dots_j - det) / det for K_rel.
     """
     u = tuple(int(a) for a in u)
     if all(a == 0 for a in u):
@@ -597,15 +603,15 @@ def star_subdivision(
     if not touched:
         raise ZeroVector(f"{u} lies outside the support of the fan")
     new_fan = Fan(fan.rays + (u,), tuple(new_cones), fan.dimension)
-    a_new = log_discrepancy(fan, u)
+    cone, det, dots = _locate(fan, u)
+    sign, size = (1, det) if det > 0 else (-1, -det)  # over |det|, det's sign in the numerator
 
     def pullback(d: ToricDivisor) -> ToricDivisor:
         _check_fan(fan, d)
-        return ToricDivisor(new_fan, d.coeffs + (-support_value(fan, d, u),))
+        new = sign * sum(x * d.nums[i] for x, i in zip(dots, cone))
+        return ToricDivisor._of(new_fan, [a * size for a in d.nums] + [new], size * d.den)
 
-    k_rel = ToricDivisor(
-        new_fan, (Fraction(0),) * new_index + (a_new - 1,)
-    )
+    k_rel = ToricDivisor._of(new_fan, [0] * new_index + [sign * (sum(dots) - det)], size)
     return new_fan, pullback, k_rel
 
 

@@ -20,8 +20,11 @@ as the part below a rational top (_below_top).  It is summed over a family's
 hypograph, the (n+1)-polytope whose slices are the family's polytopes,
 triangulated once per family with no Polytope built, for every volume curve:
 a divisor's, and a filtration's as its slice family; and over the hypograph
-and its facets for test_curves' integrals.  A divisor's family and volume
-curve are those of the primitive integral divisor on its ray, rescaled.
+and its facets for the integrals of test curves (family_integrals).  A
+divisor's family, volume curve and integrals on [0, tau+] are those of the
+primitive integral divisor D0 on its ray, rescaled.  They are built and
+cached together in one memo per (fan, L, D0), _ray_curve, which
+volume_curve and test_curves' extended and truncated curves read.
 """
 
 from __future__ import annotations
@@ -519,13 +522,11 @@ def big_volume(fan: Fan, d: ToricDivisor) -> Fraction:
     return math.factorial(fan.dimension) * volume(polytope_of(fan, d))
 
 
-@lru_cache(maxsize=None)
 def _ray(d: ToricDivisor) -> tuple[ToricDivisor, Fraction]:
     """(D0, c) with D = c D0, c > 0 and D0 the primitive integral divisor on D's ray.
 
-    Memoized per divisor, so every curve of one direction splits it once and
-    equal directions share one D0 object.  A zero D has no ray and raises
-    ZeroDivisor on every call.
+    Equal directions give equal D0, so every curve along one ray reads one
+    _ray_curve entry.  A zero D has no ray and raises ZeroDivisor.
     """
     if d.is_zero:
         raise ZeroDivisor("direction divisor is zero")
@@ -533,16 +534,15 @@ def _ray(d: ToricDivisor) -> tuple[ToricDivisor, Fraction]:
     return ToricDivisor._of(d.fan, [a // g for a in d.nums], 1), Fraction(g, d.den)
 
 
-@lru_cache(maxsize=None)
 def divisor_family(fan: Fan, l: ToricDivisor, d: ToricDivisor) -> ParametricPolytope:
     """The parametric section polytope family of t -> L - tD from t = 0 to its threshold.
 
-    Memoized per (fan, L, D).  The library asks for it only along the
-    primitive divisor D0 of a direction's ray (_ray): P_{L - t cD0} is
-    P_{L - (ct) D0}, so every rescaling of one ray, its volume curve and its
-    test curves share a single family and hypograph.  Its rows are (u_rho,
-    L_rho, D_rho) over q = lcm(L.den, D.den), read off the numerators.  L and
-    D must live on the fan (DimensionMismatch).
+    The library builds it only in _ray_curve, along the primitive divisor D0
+    of a direction's ray (_ray): P_{L - t cD0} is P_{L - (ct) D0}, so every
+    rescaling of one ray, its volume curve and its test curves share a
+    single family and hypograph.  Its rows are (u_rho, L_rho, D_rho) over
+    q = lcm(L.den, D.den), read off the numerators.  L and D must live on
+    the fan (DimensionMismatch).
     """
     _check_fan(fan, l)
     _check_fan(fan, d)
@@ -647,6 +647,49 @@ def _below_top(knotted, q: int, top: Fraction, k: int) -> tuple[int, int]:
     return total, den * q**k
 
 
+def family_integrals(
+    pp: ParametricPolytope, top: Fraction, top_volume: Fraction
+) -> tuple[tuple[int, ...], int, int]:
+    """The integrals over [0, top] of each facet function f_i and of t -> n! vol(P_t), from Q.
+
+    f_i(t) is (n-1)! times the lattice volume of the facet of P_t on u_i, for
+    the family of L - tD the positive product <P_t^{n-1}> . D_i.  Each is
+    read off the family's hypograph Q (pp.hypograph) with no chamber and no
+    polynomial, by the closed form at the rational top (_below_top): over
+    Q's simplices the mass integral is the part of Q below top to the power
+    n + 1, over n + 1, and over the simplices of Q's facet on row i, with
+    (|det| / <u_i, u_i>) for |det|, the integral of f_i is the same part to
+    the power n, over n.  On [0, t_max] that is n! vol(Q) and (n-1)! times
+    the facets' volumes.
+
+    Checked by Euler's identity on the part of Q below top, the full
+    triangulation against the facets', with top_volume = vol(P_top) for the
+    top slice: (n+1) M = n sum_i a_i I_i + top vol(P_top), a_i = b_i / q the
+    offsets of the family's rows (u_i, b_i, c_i) over q, in integers; and by
+    the facets' Minkowski relation sum_i u_i I_i = 0.  A failure raises
+    InvariantViolation.  Returns (I_i numerators, M numerator, den).
+    """
+    n, hypograph = pp.dimension, pp.hypograph
+    q = hypograph.den
+    # (numerator, denominator) of each facet integral, then of the mass integral
+    parts = []
+    for u, knotted in zip(hypograph.normals, hypograph.facets):
+        num, den = _below_top(knotted, q, top, n)
+        parts.append((num, den * n * sum(a * a for a in u)))
+    num, den = _below_top(hypograph.simplices, q, top, n + 1)
+    parts.append((num, den * (n + 1)))
+    den = math.lcm(*(d for _num, d in parts))
+    *facets, mass = (num * (den // d) for num, d in parts)
+    euler = n * sum(b * f for (_a, b, _c), f in zip(pp.rows, facets))
+    if (n + 1) * mass * pp.q != euler + top * top_volume * den * pp.q or any(
+        sum(u[j] * f for u, f in zip(hypograph.normals, facets)) for j in range(n)
+    ):
+        raise InvariantViolation(
+            f"the facets of the hypograph break Euler's identity on [0, {top}]"
+        )
+    return tuple(facets), mass, den
+
+
 def chamber_volume_polynomial(pp: ParametricPolytope, chamber: Chamber) -> Polynomial:
     """Exact volume polynomial on one chamber, in closed form on the family's hypograph.
 
@@ -690,22 +733,27 @@ def family_volume_curve(pp: ParametricPolytope) -> PiecewisePolynomial:
 
 
 @lru_cache(maxsize=None)
-def ray_volume_curve(
+def _ray_curve(
     fan: Fan, l: ToricDivisor, d0: ToricDivisor
-) -> tuple[PiecewisePolynomial, Fraction]:
-    """volume_curve along a ray's primitive divisor D0 (_ray): the curve and tau+ of L - tD0.
+) -> tuple[ParametricPolytope, PiecewisePolynomial, tuple[tuple[int, ...], int, int]]:
+    """The family of L - tD0 along a ray's primitive divisor D0 (_ray), its volume curve and integrals.
 
-    Memoized per (fan, L, D0); a failed check is not cached and raises again.
+    The one memo per direction ray, per (fan, L, D0): volume_curve and
+    test_curves' extended and truncated curves all read it.  D0 must be
+    effective (ZeroDivisor), L big and nef (NotAmple) and the volume curve
+    non-increasing (NotMonotone); the integrals are family_integrals' on
+    [0, tau+].  A failed check is not cached and raises again.
     """
     if not d0.is_effective:
         raise ZeroDivisor("direction divisor must be effective")
     if not is_ample(fan, l):
         raise NotAmple("polarization is not big and nef")
-    pp = divisor_family(fan, l, d0)
-    curve = family_volume_curve(pp)
+    family = divisor_family(fan, l, d0)
+    curve = family_volume_curve(family)
     if not curve.is_nonincreasing():
         raise NotMonotone("volume curve must be non-increasing")
-    return curve, pp.t_max
+    t_max = family.t_max
+    return family, curve, family_integrals(family, t_max, curve(t_max))
 
 
 def volume_curve(
@@ -716,11 +764,12 @@ def volume_curve(
     L must pass the polarization check (full-dimensional nef-saturated
     polytope); D must be effective and nonzero, which forces tau+ < infinity.
     With D = c D0 on its ray (_ray), vol(L - tD) = vol(L - (ct) D0): the curve
-    is D0's (ray_volume_curve, where every check runs) with t -> ct, its
+    is D0's (_ray_curve, where every check runs) with t -> ct, its
     breakpoints and tau+ divided by c and each piece dilated.
     """
     d0, c = _ray(d)
-    curve, t_max = ray_volume_curve(fan, l, d0)
+    family, curve, _integrals = _ray_curve(fan, l, d0)
+    t_max = family.t_max
     if c == 1:
         return curve, t_max
     breakpoints = tuple(b / c for b in curve.breakpoints)
@@ -735,7 +784,7 @@ def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fractio
     s = 0+ (Boucksom-Favre-Jonsson).  The facet volumes are checked against
     Euler's identity sum_i M_i f_i = vol(M), the facets triangulated apart
     from the full polytope, all from one incidence table of P_M; a failure
-    raises InvariantViolation.
+    raises InvariantViolation.  M and L' enter as numerators over their den.
     """
     _check_fan(fan, lprime)
     vol = big_volume(fan, m)
@@ -743,9 +792,9 @@ def positive_pairing(fan: Fan, m: ToricDivisor, lprime: ToricDivisor) -> Fractio
         raise NotBig("positive pairing needs a big base divisor")
     scale = math.factorial(fan.dimension - 1)
     facets = [scale * f for f in facet_volumes(polytope_of(fan, m), fan.rays)]
-    if sum(map(operator.mul, m.coeffs, facets)) != vol:
+    if sum(map(operator.mul, m.nums, facets)) != vol * m.den:
         raise InvariantViolation("facet volumes of the section polytope break Euler's identity")
-    return sum(map(operator.mul, lprime.coeffs, facets))
+    return Fraction(sum(map(operator.mul, lprime.nums, facets)), lprime.den)
 
 
 def stabilized_volume(

@@ -512,6 +512,26 @@ def test_searches_start_no_pool(capsys, problems_dir, monkeypatch, argv):
 
 # ---- start-up and the process boundary --------------------------------------
 
+def test_a_divisor_named_polarization_exit_2(tmp_path, capsys):
+    # the name selects the polarization, so a divisor under it would be shadowed
+    path = p2_problem(tmp_path, divisors={"polarization": {"coeffs": [1, 0, 0]}})
+    for command in (["volume", "--divisor", "polarization"], ["curve", "--direction", "polarization"]):
+        payload = assert_validation_error(*run(capsys, command[0], path, *command[1:]))
+        assert 'named "polarization"' in payload["message"]
+
+
+def test_a_plot_title_is_escaped(tmp_path, capsys):
+    # a divisor name with XML's special characters leaves the SVG well-formed
+    import xml.etree.ElementTree as ET
+
+    path = p2_problem(tmp_path, divisors={"A<&>B": {"coeffs": [1, 0, 0]}})
+    svg = tmp_path / "x.svg"
+    code, _out, _err = run(capsys, "volume", path, "--curve", "A<&>B", "--plot", str(svg))
+    assert code == 0
+    title = ET.parse(svg).getroot().find("{http://www.w3.org/2000/svg}text")
+    assert title.text == "vol(polarization - t*A<&>B)"
+
+
 def run_python(src_env, script: str, *flags: str, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *flags, "-c", script], env=src_env, **kwargs)
 

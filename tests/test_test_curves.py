@@ -527,14 +527,14 @@ def test_a_corrupted_facet_simplex_breaks_euler(p2, monkeypatch):
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="Euler's identity on \\[0, 3\\]"):
             extended_curve(p2, l, h)
-    assert tc._ray_curve.cache_info().currsize == 0
+    assert vf._ray_curve.cache_info().currsize == 0
 
 
 # ---- the memoized curve pieces against the unmemoized route ----------------
 
 def memoized_pieces():
-    """The memoized pieces of a test curve: the ray's family, volume curve and integrals, and D's split."""
-    return [vf.divisor_family, vf.ray_volume_curve, tc._ray_curve, vf._ray]
+    """The memoized pieces of a test curve: the one memo per ray, its family, volume curve and integrals."""
+    return [vf._ray_curve]
 
 
 def seeded_directions(surfaces, p3, seed):
@@ -582,16 +582,14 @@ def test_memoized_curves_match_unmemoized_route(surfaces, p3, monkeypatch):
     directions = seeded_directions(surfaces, p3, 71)
     pieces = memoized_pieces()
     warm = [curve_values(*args) for args in directions]
-    # a second pass is served by the memos: no new entries, and the family
-    # is not even asked for, because the volume curve and the ray's curve
-    # data, the truncated curve's included, are hits
+    # a second pass is served by the ray memo: no new entry, and every
+    # volume curve, test curve and quotient is a hit
     before = [fn.cache_info() for fn in pieces]
     again = [curve_values(*args) for args in directions]
     after = [fn.cache_info() for fn in pieces]
     assert again == warm
     assert [a.misses for a in after] == [b.misses for b in before]
-    assert after[0].hits == before[0].hits
-    assert all(a.hits > b.hits for a, b in zip(after[1:], before[1:]))
+    assert all(a.hits > b.hits for a, b in zip(after, before))
     # the oracle: every memoized function replaced by its unmemoized body in
     # every toricstab module that binds it, so the caches see no further call
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "toricstab"]
@@ -608,31 +606,37 @@ def test_memoized_curves_match_unmemoized_route(surfaces, p3, monkeypatch):
 def test_failed_checks_are_not_cached(p2, monkeypatch):
     l, h = anticanonical(p2), ray_divisor(p2, 0)
     not_effective = divisor(p2, [1, -1, 0])
-    size = vf.ray_volume_curve.cache_info().currsize
+    size = vf._ray_curve.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ZeroDivisor, match="effective"):
             volume_curve(p2, l, not_effective)
-    assert vf.ray_volume_curve.cache_info().currsize == size
+    assert vf._ray_curve.cache_info().currsize == size
     clear_memos()
-    real_integrals = tc.family_integrals
+    real_integrals = vf.family_integrals
     monkeypatch.setattr(
-        tc,
+        vf,
         "family_integrals",
         lambda pp, top, top_volume: real_integrals(pp, top, top_volume + 1),
     )
-    for _ in range(2):
-        with pytest.raises(InvariantViolation, match="Euler's identity"):
-            tc._ray_curve(p2, l, h)
-    assert tc._ray_curve.cache_info().currsize == 0
-    monkeypatch.setattr(tc, "family_integrals", real_integrals)
-    assert tc._ray_curve(p2, l, h)[1:] == tc._ray_curve.__wrapped__(p2, l, h)[1:]
-    assert tc._ray_curve.cache_info().currsize == 1
+    # the ray's integrals are built with its volume curve, so every reader raises
+    for build in (volume_curve, extended_curve, vf._ray_curve):
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match="Euler's identity"):
+                build(p2, l, h)
+    assert vf._ray_curve.cache_info().currsize == 0
+    monkeypatch.setattr(vf, "family_integrals", real_integrals)
+    assert vf._ray_curve(p2, l, h)[1:] == vf._ray_curve.__wrapped__(p2, l, h)[1:]
+    assert vf._ray_curve.cache_info().currsize == 1
 
 
 # ---- one hypograph per direction ray ----------------------------------------
 
 def test_rescaled_directions_share_one_hypograph(f1, monkeypatch):
-    # volume curves and test curves along E and along c E build Q once
+    # volume curves, extended and truncated curves and both quotients along E
+    # and along c E, 2E and E/3 among them, read one _ray_curve entry, built
+    # on one hypograph
+    from toricstab import delta_pp_quotient, delta_prime_quotient
+
     built = []
     real_init = geometry._Hypograph.__init__
     monkeypatch.setattr(
@@ -642,7 +646,7 @@ def test_rescaled_directions_share_one_hypograph(f1, monkeypatch):
     clear_memos()
     l, e = anticanonical(f1), ray_divisor(f1, 3)
     base, tau_plus = volume_curve(f1, l, e)
-    for c in (Q(1, 2), 2, Q(7, 3), Q(2, 7)):
+    for c in (1, Q(1, 2), 2, Q(1, 3), Q(7, 3), Q(2, 7)):
         scaled, scaled_tau = volume_curve(f1, l, e.scale(c))
         assert scaled_tau == tau_plus / c
         assert scaled.breakpoints == tuple(b / c for b in base.breakpoints)
@@ -651,31 +655,33 @@ def test_rescaled_directions_share_one_hypograph(f1, monkeypatch):
                 [a * c**k for k, a in enumerate(piece.coeffs)]
             )
         curve = extended_curve(f1, l, e.scale(c))
+        delta_pp_quotient(f1, l, e.scale(c))
         if curve.tau_plus >= 1:
             truncated_curve(curve)
+            delta_prime_quotient(f1, l, e.scale(c))
     assert len(built) == 1
-    assert vf.divisor_family.cache_info().currsize == 1
-    assert tc._ray_curve.cache_info().currsize == 1
+    info = vf._ray_curve.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
 
 
 def test_equal_directions_split_into_one_ray(f1, monkeypatch):
-    # equal divisors built apart share one (D0, c), and every curve along them
-    # hands that D0 object to the ray's memo
+    # equal divisors built apart split into equal (D0, c), and every curve
+    # along them reads one entry of the ray's memo
     clear_memos()
     l = anticanonical(f1)
     one, two = (divisor(f1, [0, Q(2, 3), 0, Q(4, 3)]) for _ in range(2))
     assert one is not two
     (d0, c), (again, c_again) = vf._ray(one), vf._ray(two)
-    assert d0 is again and c == c_again == Q(2, 3)
-    assert d0.coeffs == (0, 1, 0, 2)
+    assert d0 == again and c == c_again == Q(2, 3)
+    assert (d0.nums, d0.den) == ((0, 1, 0, 2), 1)
     asked = []
-    real = tc._ray_curve
+    real = vf._ray_curve
     monkeypatch.setattr(tc, "_ray_curve", lambda fan, l, d0: asked.append(d0) or real(fan, l, d0))
     curves = [extended_curve(f1, l, d) for d in (one, two)]
     truncated_curve(curves[1])
     assert curves[0] == curves[1]
-    assert len(asked) == 3 and all(d is d0 for d in asked)
-    assert vf._ray.cache_info().currsize == 1
+    assert asked == [d0] * 3
+    assert real.cache_info().currsize == 1
 
 
 def test_a_zero_direction_leaves_no_ray_memo(p2):
@@ -683,7 +689,7 @@ def test_a_zero_direction_leaves_no_ray_memo(p2):
     for _ in range(2):
         with pytest.raises(ZeroDivisor, match="zero"):
             extended_curve(p2, anticanonical(p2), zero_divisor(p2))
-    assert vf._ray.cache_info().currsize == 0
+    assert vf._ray_curve.cache_info().currsize == 0
 
 
 def test_entropy_and_ricci_energy_match_divisor_pairings(f1, p3):
@@ -799,9 +805,9 @@ def test_a_family_is_enumerated_once(f1, monkeypatch):
                     lambda *args, real=real, name=name: calls.update([name]) or real(*args),
                 )
     clear_memos()
-    family = vf.divisor_family(f1, l, d)
     vf.volume_curve(f1, l, d)
     truncated_curve(extended_curve(f1, l, d))
+    family, _curve, _integrals = vf._ray_curve(f1, l, d)  # D_0 is its ray's primitive divisor
     for chamber in family.chambers:
         chamber_facet_polynomials(family, chamber)
     assert calls["_int_vertices"] > 0
@@ -937,7 +943,7 @@ def test_one_direction_integrates_its_hypograph_once(f1, monkeypatch):
     from toricstab import delta_pp_quotient, delta_prime_quotient
 
     integrated = []
-    real_integrals = tc.family_integrals
+    real_integrals = vf.family_integrals
 
     def spy(pp, top, top_volume):
         integrated.append(top)
@@ -946,7 +952,8 @@ def test_one_direction_integrates_its_hypograph_once(f1, monkeypatch):
     def forbidden(poly, a, b):
         raise AssertionError("a functional integrated a polynomial")
 
-    monkeypatch.setattr(tc, "family_integrals", spy)
+    for module in (vf, tc):  # the ray memo's binding and the truncated curve's
+        monkeypatch.setattr(module, "family_integrals", spy)
     monkeypatch.setattr(Polynomial, "integrate", forbidden)
     clear_memos()
     l, d = anticanonical(f1), ray_divisor(f1, 3).scale(Q(1, 2))

@@ -24,6 +24,7 @@ from toricstab import (
     divisor,
     entropy,
     filtration_curve,
+    inequality_report,
     intersection_number,
     is_ample,
     is_nef,
@@ -240,10 +241,14 @@ def test_log_discrepancy_outside_the_support_raises():
 
 def test_divisor_hash_is_cached_and_survives_pickle(f1):
     # equal divisors built apart hash and compare equal, before and after a
-    # pickle round trip, as the process pool of delta_search needs
+    # pickle round trip, as the process pool of delta_search needs; the hash
+    # is that of the integer form and builds no Fraction view
     a = divisor(f1, [1, Q(1, 2), 0, 2])
     b = toric.ToricDivisor.make(Fan.make(f1.rays, f1.max_cones), ["1", "1/2", 0, Q(4, 2)])
-    assert a == b and hash(a) == hash(b) == hash((f1, a.coeffs))
+    assert a == b and hash(a) == hash(b) == hash((f1, (2, 1, 0, 4), 2))
+    fresh = toric.ToricDivisor._of(f1, (2, 1, 0, 4), 2)
+    assert hash(fresh) == hash(a) and vars(fresh)["_hash"] == hash(a)
+    assert not any("coeffs" in vars(d) for d in (a, b, fresh))
     assert {a: "a"}[b] == "a"
     for d in (a, pickle.loads(pickle.dumps(b))):
         back = pickle.loads(pickle.dumps(d))
@@ -291,7 +296,7 @@ def test_divisor_integer_form_matches_fraction_arithmetic(f1, a, b, c):
         assert got.is_zero == (not any(want)) and got.is_effective == all(x >= 0 for x in want)
         assert got.support() == tuple(i for i, x in enumerate(want) if x)
     twin = toric.ToricDivisor._of(f1, [6 * x for x in d.nums], 6 * d.den)
-    assert twin == d and hash(twin) == hash(d) == hash((f1, tuple(a)))
+    assert twin == d and hash(twin) == hash(d) == hash((f1, d.nums, d.den))
     back = pickle.loads(pickle.dumps(d))
     assert back == d and hash(back) == hash(d) and (back.nums, back.den) == (d.nums, d.den)
 
@@ -348,6 +353,55 @@ def test_star_subdivision_p2_gives_f1(p2, f1):
     assert pull(anticanonical(p2)).coeffs == (1, 1, 1, 2)
     assert k_rel.coeffs == (0, 0, 0, 1)
     assert validate_fan(fan).ok
+
+
+def test_pullbacks_match_the_fraction_route(surfaces, p3):
+    # the pullback's new coefficient, K_rel's and support_value, read in
+    # integers off one scan of u's cone, against the cone coordinates in
+    # Fractions: smooth and singular cones, det of either sign (P(1,2,3) has
+    # dets 3 and -2), -K and seeded divisors, every primitive center of
+    # sup-norm at most 2 that is not a ray
+    rng = random.Random(47)
+    fans = [*surfaces.values(), p3, weighted_projective([1, 1, 2]), weighted_projective([1, 2, 3])]
+    dets = set()
+    for fan in fans:
+        divisors = [anticanonical(fan)] + [
+            divisor(fan, [Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in fan.rays]) for _ in range(2)
+        ]
+        for u in itertools.product(range(-2, 3), repeat=fan.dimension):
+            if not any(u) or not is_primitive(u) or u in fan.rays:
+                continue
+            refined, pull, k_rel = star_subdivision(fan, u)
+            cone, lam = fan.containing_cone(u)
+            dets.add(toric._locate(fan, u)[1])
+            assert k_rel == divisor(refined, [0] * len(fan.rays) + [sum(lam) - 1])
+            for d in divisors:
+                value = -sum(x * d.coeffs[i] for x, i in zip(lam, cone))
+                assert toric.support_value(fan, d, u) == value
+                assert pull(d) == divisor(refined, [*d.coeffs, -value])
+    assert {3, -2} <= dets
+
+
+def test_no_library_path_builds_a_fraction_view(f1, monkeypatch):
+    # a star subdivision, pullbacks, the positive pairing and an inequality
+    # report on the refined model, whose search model is F1 with -K: every
+    # divisor they build keeps to its integers
+    made = []
+    real = toric.ToricDivisor._assign
+
+    def assign(self, *args):
+        made.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(toric.ToricDivisor, "_assign", assign)
+    refined, pull, k_rel = star_subdivision(f1, (1, 2))
+    l, e = pull(anticanonical(f1)), pull(ray_divisor(f1, 3))
+    assert toric.support_value(f1, ray_divisor(f1, 3), (1, 2)) == -1
+    assert positive_pairing(refined, l, e) == intersection_number(refined, [l, e]) == 1
+    report = inequality_report(refined, l, [("E", e), ("Ek", e + k_rel)], 2,
+                               search_model=(f1, anticanonical(f1)))
+    assert any("equals delta" in v.description for v in report.verdicts)
+    assert made and not [d for d in made if "coeffs" in vars(d)]
 
 
 def test_star_subdivision_errors(p2):

@@ -48,6 +48,7 @@ from toricstab.volume_fn import (
     chamber_volume_polynomial,
     count_roots,
     divisor_family,
+    family_integrals,
     family_volume_curve,
     nonneg_on_interval,
 )
@@ -268,7 +269,7 @@ def test_discontinuous_volume_curve_passing_the_chamber_checks_exits_3(
         return real(pp, chamber) + Polynomial.of(-chamber.sample_points(2)[0], 1)
 
     monkeypatch.setattr(volume_fn, "chamber_volume_polynomial", perturbed)
-    volume_fn.ray_volume_curve.cache_clear()
+    volume_fn._ray_curve.cache_clear()
     assert main(["volume", str(problems_dir / "f1.json"), "--curve", "F"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvariantViolation" and "discontinuity at breakpoint 1" in err["message"]
@@ -515,7 +516,7 @@ def test_rows_sharing_a_normal_each_get_their_own_facet(f1, extra, rates, integr
     # every facet on its normal, so Euler's identity holds in family_integrals
     # and the facet integrals summed per normal are those of the sampled fits
     pp = parametric_family([Halfspace(u, 1) for u in f1.rays] + [extra], rates)
-    got = tc.family_integrals(pp, pp.t_max, family_volume_curve(pp)(pp.t_max))
+    got = family_integrals(pp, pp.t_max, family_volume_curve(pp)(pp.t_max))
     assert got == integrals
     nums, _mass, den = got
     fits = [_facet_polynomials_by_normal(pp, chamber) for chamber in pp.chambers]
@@ -630,7 +631,7 @@ def test_chamber_polynomials_triangulate_without_a_polytope(f1, p3, monkeypatch)
     monkeypatch.setattr(Polytope, "halfspaces", property(refuse))
     monkeypatch.setattr(Polytope, "vertices", property(refuse))
     # fresh families, whose hypographs are not yet triangulated
-    families = [divisor_family.__wrapped__(*direction) for direction in directions]
+    families = [divisor_family(*direction) for direction in directions]
     assert [family_volume_curve(pp) for pp in families] == want
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == facets
     assert triangulation.cache_info().currsize == cached
@@ -651,7 +652,7 @@ def test_chamber_facet_polynomials_read_one_incidence_table(f1, p3, monkeypatch)
 
     monkeypatch.setattr(geometry, "_tight_sets", counted)
     # fresh families, whose hypographs have not read their facets yet
-    families = [divisor_family.__wrapped__(*direction) for direction in directions]
+    families = [divisor_family(*direction) for direction in directions]
     assert [chamber_facet_polynomials(pp, ch) for pp in families for ch in pp.chambers] == want
     assert calls == [len(pp.rows) + 1 for pp in families]
 
@@ -668,7 +669,7 @@ def test_a_hypograph_reads_one_incidence_table(f1, p3, monkeypatch):
     monkeypatch.setattr(geometry, "_tight_sets", counted)
     for fan in (f1, p3):
         # a fresh family, whose hypograph has read neither
-        pp = divisor_family.__wrapped__(fan, anticanonical(fan), ray_divisor(fan, 0))
+        pp = divisor_family(fan, anticanonical(fan), ray_divisor(fan, 0))
         assert pp.hypograph.simplices and pp.hypograph.facets
     assert calls == [len(f1.rays) + 1, len(p3.rays) + 1]
 
@@ -697,7 +698,7 @@ def test_a_family_is_its_integer_rows(f1, monkeypatch):
     for module in (geometry, toric, volume_fn):
         monkeypatch.setattr(module, "_over_lcm", counted)
     curve = family_volume_curve(pp)
-    tc.family_integrals(pp, pp.t_max, curve(pp.t_max))
+    family_integrals(pp, pp.t_max, curve(pp.t_max))
     assert is_ample(f1, l) and polytope_of(f1, l).q == 6
     assert volume_curve(f1, l, d)[1] == Q(4, 3)
     summary = curve_summary(extended_curve(f1, l, d))
@@ -731,9 +732,9 @@ def test_divisor_family_is_its_fraction_route_twin(surfaces, p3):
                     want = parametric_family(section_halfspaces(fan, l.coeffs), d.coeffs)
                 except ToricStabError as exc:
                     with pytest.raises(type(exc)):
-                        divisor_family.__wrapped__(fan, l, d)
+                        divisor_family(fan, l, d)
                     continue
-                got = divisor_family.__wrapped__(fan, l, d)
+                got = divisor_family(fan, l, d)
                 assert (got.rows, got.q, got.chambers, got.t_max) == (want.rows, want.q, want.chambers, want.t_max)
                 families += 1
     assert families > 100
